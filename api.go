@@ -183,8 +183,8 @@ func NewContext() *Context { return dataflow.NewContext() }
 func HashPartition(key int64, parts int) int { return dataflow.HashPartition(key, parts) }
 
 // VecTasksExecuted returns the process-wide count of tasks that ran on
-// the vectorized (columnar) task loop. A Vectorized run's metrics and
-// events are bit-identical to the row loop's by design, so this counter
+// the columnar data plane. A Vectorized run's metrics and events are
+// bit-identical to a row-plane run's by design, so this counter
 // is the only way for tests and benchmarks to confirm the columnar path
 // actually engaged.
 func VecTasksExecuted() int64 { return engine.VecTasksExecuted() }

@@ -132,12 +132,6 @@ type RunConfig struct {
 	// the objective to the current job; any positive value widens the
 	// horizon to that many successors. Only meaningful for the Blaze
 	// systems.
-	//
-	// This used to be a *int so that 0 was expressible; it is now a
-	// plain int with exported sentinels. Code that called the
-	// blaze.ILPWindow(n) pointer helper keeps compiling through the
-	// deprecated shim of the same name, which now returns the
-	// equivalent sentinel value.
 	ILPWindow int
 	// RealBytes backs the storage tier with real bytes: memory blocks
 	// are gob-serialized buffers, disk blocks are files under a
@@ -165,24 +159,6 @@ const (
 	// current job, with no successor lookahead.
 	ILPWindowCurrentJobOnly = -1
 )
-
-// ILPWindow converts an explicit window size to the RunConfig.ILPWindow
-// value, mapping 0 to ILPWindowCurrentJobOnly and negative values to
-// ILPWindowDefault — the semantics the old pointer helper's callers
-// relied on.
-//
-// Deprecated: assign the window directly (RunConfig.ILPWindow = n, or
-// one of the sentinels). This shim exists for one release so code
-// written against the former *int field keeps compiling.
-func ILPWindow(jobs int) int {
-	if jobs == 0 {
-		return ILPWindowCurrentJobOnly
-	}
-	if jobs < 0 {
-		return ILPWindowDefault
-	}
-	return jobs
-}
 
 func (c RunConfig) withDefaults() RunConfig {
 	if c.Executors == 0 {
@@ -359,17 +335,19 @@ func calibrateMemory(spec WorkloadSpec, execs, cores int, scale float64, params 
 	return peak, nil
 }
 
-// Run executes one workload under one system and returns its metrics.
-//
-// Run is a thin one-application session over the job server: it creates
-// a private single-tenant Server sized exactly like the requested
-// cluster, submits the workload as its only session and waits for it.
-// With one session the server layer adds nothing observable — no
-// quotas, no arbitration, dataset ids starting at 0 — so the metrics
-// and event log are bit-identical to the pre-server standalone engine
-// (the direct path, kept for RealBytes runs, which are incompatible
-// with a shared pool).
-func Run(cfg RunConfig) (*Result, error) {
+// runPlan is everything a batch run derives from its RunConfig before it
+// touches a cluster. Run, Server.Submit and the direct path all start
+// from planRun, so defaults, validation order and system construction
+// cannot drift between them.
+type runPlan struct {
+	cfg    RunConfig // defaults applied
+	spec   WorkloadSpec
+	params costmodel.Params
+	sys    systemSpec
+	hook   engine.Hook
+}
+
+func planRun(cfg RunConfig) (*runPlan, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -382,77 +360,94 @@ func Run(cfg RunConfig) (*Result, error) {
 	if !cfg.CostParams.IsZero() {
 		params = cfg.CostParams
 	}
-
-	mem := cfg.MemoryPerExecutor
-	if mem == 0 {
-		peak, err := calibrateMemory(spec, cfg.Executors, cfg.Cores, cfg.Scale, params)
-		if err != nil {
-			return nil, err
-		}
-		frac := cfg.MemoryFraction
-		if frac == 0 {
-			frac = spec.MemFraction
-		}
-		if frac == 0 {
-			frac = 0.5
-		}
-		mem = int64(float64(peak) * frac)
-		if mem < 2048 {
-			mem = 2048
-		}
-	}
-
 	sys, err := buildSystem(cfg, spec)
 	if err != nil {
 		return nil, err
 	}
-	var hook engine.Hook
+	p := &runPlan{cfg: cfg, spec: spec, params: params, sys: sys}
 	if cfg.Faults != nil {
-		hook = faults.New(*cfg.Faults)
+		p.hook = faults.New(*cfg.Faults)
 	}
+	return p, nil
+}
 
-	if cfg.RealBytes {
-		return runDirect(cfg, spec, params, mem, sys, hook)
+// memory resolves the per-executor memory capacity: the explicit
+// MemoryPerExecutor, or the calibrated peak times the memory fraction.
+func (p *runPlan) memory() (int64, error) {
+	if p.cfg.MemoryPerExecutor != 0 {
+		return p.cfg.MemoryPerExecutor, nil
+	}
+	peak, err := calibrateMemory(p.spec, p.cfg.Executors, p.cfg.Cores, p.cfg.Scale, p.params)
+	if err != nil {
+		return 0, err
+	}
+	frac := p.cfg.MemoryFraction
+	if frac == 0 {
+		frac = p.spec.MemFraction
+	}
+	if frac == 0 {
+		frac = 0.5
+	}
+	return max(int64(float64(peak)*frac), 2048), nil
+}
+
+// jobSpec is the plan as a job-server submission.
+func (p *runPlan) jobSpec(tenant string) server.JobSpec {
+	return server.JobSpec{
+		Tenant:            tenant,
+		Driver:            func(ctx *dataflow.Context) { p.sys.drive(p.spec, ctx, p.cfg.Scale) },
+		Controller:        p.sys.ctl,
+		Params:            p.params,
+		AlluxioMode:       p.sys.alluxio,
+		ProfilingOverhead: p.sys.profilingOverhead(),
+		EventLog:          p.cfg.EventLog,
+		Hook:              p.hook,
+		Resilience:        p.cfg.Resilience,
+		Parallelism:       p.cfg.Parallelism,
+		Vectorized:        p.cfg.Vectorized,
+	}
+}
+
+// Run executes one workload under one system and returns its metrics.
+//
+// Run is a thin one-application session over the job server: it creates
+// a private single-tenant Server sized exactly like the requested
+// cluster, submits the workload as its only session and waits for it.
+// With one session the server layer adds nothing observable — no
+// quotas, no arbitration, dataset ids starting at 0 — so the metrics
+// and event log are bit-identical to the pre-server standalone engine
+// (the direct path, kept for RealBytes runs, which are incompatible
+// with a shared pool).
+func Run(cfg RunConfig) (*Result, error) {
+	p, err := planRun(cfg)
+	if err != nil {
+		return nil, err
+	}
+	mem, err := p.memory()
+	if err != nil {
+		return nil, err
+	}
+	if p.cfg.RealBytes {
+		return runDirect(p.cfg, p.spec, p.params, mem, p.sys, p.hook)
 	}
 
 	srv, err := server.New(server.Config{
-		Executors:         cfg.Executors,
-		CoresPerExecutor:  cfg.Cores,
+		Executors:         p.cfg.Executors,
+		CoresPerExecutor:  p.cfg.Cores,
 		MemoryPerExecutor: mem,
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
-	var profiling time.Duration
-	if sys.profiled {
-		profiling = core.DefaultProfilingOverhead
-	}
-	sess, err := srv.Submit(server.JobSpec{
-		Driver: func(ctx *dataflow.Context) {
-			if sys.annotated {
-				spec.Annotated(ctx, cfg.Scale)
-			} else {
-				spec.Plain(ctx, cfg.Scale)
-			}
-		},
-		Controller:        sys.ctl,
-		Params:            params,
-		AlluxioMode:       sys.alluxio,
-		ProfilingOverhead: profiling,
-		EventLog:          cfg.EventLog,
-		Hook:              hook,
-		Resilience:        cfg.Resilience,
-		Parallelism:       cfg.Parallelism,
-		Vectorized:        cfg.Vectorized,
-	})
+	sess, err := srv.Submit(p.jobSpec(""))
 	if err != nil {
 		return nil, err
 	}
 	if err := sess.Wait(); err != nil {
 		return nil, err
 	}
-	return &Result{System: cfg.System, Workload: cfg.Workload, Metrics: sess.Metrics(), MemoryPerExecutor: mem}, nil
+	return &Result{System: p.cfg.System, Workload: p.cfg.Workload, Metrics: sess.Metrics(), MemoryPerExecutor: mem}, nil
 }
 
 // runDirect executes the run on a private standalone cluster — the
@@ -483,15 +478,8 @@ func runDirect(cfg RunConfig, spec WorkloadSpec, params costmodel.Params, mem in
 	// Remove the run-scoped block-file directory even when the workload
 	// panics (RealBytes runs only; Close is a no-op otherwise).
 	defer cluster.Close()
-	if sys.profiled {
-		cluster.AddProfilingTime(core.DefaultProfilingOverhead)
-	}
-
-	if sys.annotated {
-		spec.Annotated(ctx, cfg.Scale)
-	} else {
-		spec.Plain(ctx, cfg.Scale)
-	}
+	cluster.AddProfilingTime(sys.profilingOverhead())
+	sys.drive(spec, ctx, cfg.Scale)
 	m := cluster.Finish()
 	res := &Result{System: cfg.System, Workload: cfg.Workload, Metrics: m, MemoryPerExecutor: mem}
 	if meter := cluster.Meter(); meter != nil {
@@ -513,6 +501,25 @@ type systemSpec struct {
 	alluxio bool
 	// profiled charges the dependency-extraction phase into the ACT.
 	profiled bool
+}
+
+// profilingOverhead is the dependency-extraction time charged into the
+// ACT of profiled systems.
+func (s systemSpec) profilingOverhead() time.Duration {
+	if s.profiled {
+		return core.DefaultProfilingOverhead
+	}
+	return 0
+}
+
+// drive runs the workload's driver program the way the system needs it:
+// with the user's cache annotations, or plain.
+func (s systemSpec) drive(spec WorkloadSpec, ctx *dataflow.Context, scale float64) {
+	if s.annotated {
+		spec.Annotated(ctx, scale)
+	} else {
+		spec.Plain(ctx, scale)
+	}
 }
 
 // buildSystem constructs the execution recipe for a system id.

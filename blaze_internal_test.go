@@ -149,14 +149,4 @@ func TestILPWindowReachesController(t *testing.T) {
 	if got := window(3); got != 3 {
 		t.Fatalf("ILPWindow 3 = %d, want 3", got)
 	}
-	// The deprecated shim keeps the old pointer helper's semantics.
-	if got := window(ILPWindow(0)); got != 0 {
-		t.Fatalf("shim ILPWindow(0) = %d, want 0 (current job only)", got)
-	}
-	if got := window(ILPWindow(3)); got != 3 {
-		t.Fatalf("shim ILPWindow(3) = %d, want 3", got)
-	}
-	if got := window(ILPWindow(-1)); got != 1 {
-		t.Fatalf("shim ILPWindow(-1) = %d, want the default 1 (old sentinel)", got)
-	}
 }

@@ -76,7 +76,7 @@ func TestILPWindowCurrentJobOnly(t *testing.T) {
 	r, err := blaze.Run(blaze.RunConfig{
 		System:    blaze.SysBlaze,
 		Workload:  blaze.LR,
-		ILPWindow: blaze.ILPWindow(0),
+		ILPWindow: blaze.ILPWindowCurrentJobOnly,
 	})
 	if err != nil {
 		t.Fatal(err)

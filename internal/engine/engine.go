@@ -243,17 +243,18 @@ type Config struct {
 	// virtual-clock metrics and event logs: stages are dispatched to one
 	// worker goroutine per executor (preserving each executor's exact
 	// sequential task subsequence), and only stages proven free of
-	// cross-executor effects run in parallel — see parallelEligible.
+	// cross-executor effects run in parallel — see parallelPlan.
 	Parallelism int
-	// Vectorized enables the columnar task loop: stages proven isolated
+	// Vectorized enables the columnar data plane: stages proven isolated
 	// (the PR 3 home-locality gate, with spill-only-eviction semantics —
 	// a single task has no concurrent evictor, so memory hits are stable)
 	// move data between narrow operators as typed dataflow.Batch columns
 	// with pooled scratch instead of boxed Record slices. Purely a data-
 	// plane change: every virtual-time charge, controller callback and
-	// event is issued exactly as in the row loop, so metrics and event
-	// logs are bit-identical with the flag on or off, at any Parallelism
-	// and under faults (see vectorized.go and TestVectorizedIdentity).
+	// event is issued by the one task loop both planes share, so metrics
+	// and event logs are bit-identical with the flag on or off, at any
+	// Parallelism and under faults (see vectorized.go and
+	// TestVectorizedIdentity).
 	Vectorized bool
 	// Resilience configures the scheduler's transient-failure machinery
 	// (task retries, speculative execution, blacklisting). The zero value

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	"blaze/internal/dataflow"
 	"blaze/internal/engine"
 	"blaze/internal/enginetest"
+	"blaze/internal/eventlog"
 	"blaze/internal/faults"
+	"blaze/internal/metrics"
 	"blaze/internal/storage"
 )
 
@@ -33,32 +36,63 @@ func TestFuzzEquivalenceAcrossSystems(t *testing.T) {
 			return engine.NewAnnotation("gdwheel", engine.MemDisk, cachepolicy.GDWheel{}, false)
 		},
 	}
+	vecBefore := engine.VecTasksExecuted()
 	for seed := int64(1); seed <= 12; seed++ {
 		want := enginetest.RefChecksums(seed)
 		for i, mk := range controllers {
-			ctl := mk()
-			ctx := dataflow.NewContext()
-			c, err := engine.NewCluster(engine.Config{
-				Executors:         3,
-				MemoryPerExecutor: 2048, // brutal pressure
-				Params:            costmodel.Default(),
-				Controller:        ctl,
-			}, ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := enginetest.BuildRandomProgram(seed, ctx)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d ctl %d (%s): %d checksums, want %d", seed, i, ctl.Name(), len(got), len(want))
-			}
-			for k := range want {
-				if got[k] != want[k] {
-					t.Fatalf("seed %d ctl %d (%s): checksum %d = %d, want %d",
-						seed, i, ctl.Name(), k, got[k], want[k])
+			// Both data planes: the random programs are the only ones that
+			// drive the columnar plane through kernel-less datasets
+			// (BatchCompute fallback, AnyColumn, group/join/broadcast
+			// buckets) under eviction pressure, and everything observable
+			// must equal the row plane's.
+			var rowMet *metrics.App
+			var rowLog []byte
+			for _, vec := range []bool{false, true} {
+				ctl := mk()
+				ctx := dataflow.NewContext()
+				log := eventlog.New()
+				c, err := engine.NewCluster(engine.Config{
+					Executors:         3,
+					MemoryPerExecutor: 2048, // brutal pressure
+					Params:            costmodel.Default(),
+					Controller:        ctl,
+					EventLog:          log,
+					Vectorized:        vec,
+				}, ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := enginetest.BuildRandomProgram(seed, ctx)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d ctl %d (%s) vec=%v: %d checksums, want %d", seed, i, ctl.Name(), vec, len(got), len(want))
+				}
+				for k := range want {
+					if got[k] != want[k] {
+						t.Fatalf("seed %d ctl %d (%s) vec=%v: checksum %d = %d, want %d",
+							seed, i, ctl.Name(), vec, k, got[k], want[k])
+					}
+				}
+				met := c.Finish()
+				var buf bytes.Buffer
+				if err := log.WriteJSON(&buf); err != nil {
+					t.Fatal(err)
+				}
+				if !vec {
+					rowMet, rowLog = met, buf.Bytes()
+					continue
+				}
+				if !metrics.EqualDeterministic(rowMet, met) {
+					t.Fatalf("seed %d ctl %d (%s): metrics differ between planes\nrow: %+v\nvec: %+v", seed, i, ctl.Name(), rowMet, met)
+				}
+				if !bytes.Equal(rowLog, buf.Bytes()) {
+					t.Fatalf("seed %d ctl %d (%s): event logs differ between planes (row %d bytes, vec %d bytes)",
+						seed, i, ctl.Name(), len(rowLog), buf.Len())
 				}
 			}
-			c.Finish()
 		}
+	}
+	if engine.VecTasksExecuted() == vecBefore {
+		t.Fatal("no task ran on the columnar plane; the plane comparison is vacuous")
 	}
 }
 

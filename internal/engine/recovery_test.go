@@ -69,7 +69,7 @@ func TestRegenerationPreservesActiveCore(t *testing.T) {
 	before1 := ex.cores[1].Now()
 
 	// Fetching the cleaned shuffle regenerates the map stage mid-"task".
-	c.fetchShuffle(ex, dep, 1, 0)
+	fetchShuffleOn(c, rowPlane{}, ex, dep, 1, 0)
 
 	if ex.cores[1].Now() == before1 {
 		t.Fatal("setup broken: nested regeneration did not run on core 1")
@@ -104,7 +104,7 @@ func TestRegeneratedStageSkipsGlobalBarrier(t *testing.T) {
 
 	ex := c.execs[0]
 	ex.PickCore()
-	c.fetchShuffle(ex, dep, 1, 0)
+	fetchShuffleOn(c, rowPlane{}, ex, dep, 1, 0)
 
 	if got := ex.MaxClock(); got >= far {
 		t.Fatalf("regenerated stage applied the global barrier: executor 0 at %v", got)

@@ -53,7 +53,7 @@ type Stage struct {
 	// Regenerated marks stages re-run mid-job to recover cleaned shuffle
 	// data (Spark's stage resubmission on missing shuffle files).
 	Regenerated bool
-	// vec marks this stage execution for the columnar task loop. Set
+	// vec marks this stage execution for the columnar data plane. Set
 	// once per execution in runStage (driver context) when the cluster
 	// is Vectorized and the stage passes the home-locality gate; the
 	// choice only swaps the data plane, never the charges or events.
@@ -277,8 +277,8 @@ func (c *Cluster) runStage(st *Stage) [][]dataflow.Record {
 	// task has no concurrent evictor on its own executor, so a memory
 	// hit observed by the walk stays readable for that task. The gate
 	// keeps stages headed for mid-task shuffle regeneration on the row
-	// loop (fetchShuffleVec still handles the mid-stage-eviction edge
-	// case identically); either loop produces bit-identical metrics and
+	// plane (a columnar fetch still handles the mid-stage-eviction edge
+	// case identically); either plane produces bit-identical metrics and
 	// events regardless — the gate is an engineering boundary, not a
 	// correctness one.
 	st.vec = c.cfg.Vectorized && !st.Regenerated && c.stageIsolated(st, taskParts, true)
@@ -585,48 +585,34 @@ func (c *Cluster) speculationTarget(ex *Executor) (*Executor, *costmodel.Clock) 
 	return best, bestClock
 }
 
-// runTaskBody materializes one partition of the stage boundary and, for
-// map stages, writes the shuffle output.
+// runTaskBody runs one task on the stage's data plane: rows, or typed
+// columns when runStage marked the stage vec. The plane is chosen here,
+// once; everything below is written once over either container.
 func (c *Cluster) runTaskBody(ex *Executor, st *Stage, part int) []dataflow.Record {
 	if st.vec {
-		return c.runTaskBodyVec(ex, st, part)
+		vecTasksTotal.Add(1)
+		return runTaskOn[*dataflow.Batch](c, vecPlane{}, ex, st, part)
 	}
+	return runTaskOn[[]dataflow.Record](c, rowPlane{}, ex, st, part)
+}
+
+// runTaskOn materializes one partition of the stage boundary and, for
+// map stages, writes the shuffle output. The result stage returns rows
+// (the driver boundary); map stages return nil because runStage ignores
+// map-task results.
+func runTaskOn[P any](c *Cluster, pl plane[P], ex *Executor, st *Stage, part int) []dataflow.Record {
 	ex.Clock().Advance(c.cfg.Params.TaskOverhead)
 	c.met.Executors[ex.ID].Tasks++
-	recs := c.materialize(ex, st.Boundary, part)
+	out := materializeOn(c, pl, ex, st.Boundary, part)
 	c.emitEx(ex, eventlog.Event{Kind: eventlog.TaskEnd, Time: ex.Clock().Now(), Job: c.curJob,
 		Stage: st.ID, Executor: ex.ID, Dataset: st.Boundary.ID(), Partition: part})
 	if st.IsResult {
+		recs := pl.rows(out)
+		pl.release(out)
 		return recs
 	}
-
-	dep := st.ShuffleDep
-	buckets := make([][]dataflow.Record, st.NumBuckets)
-	if dep.Broadcast {
-		for b := range buckets {
-			buckets[b] = recs
-		}
-	} else {
-		for _, r := range recs {
-			b := dataflow.HashPartition(r.Key, st.NumBuckets)
-			buckets[b] = append(buckets[b], r)
-		}
-	}
-	bucketBytes := make([]int64, st.NumBuckets)
-	var written int64
-	for b, brs := range buckets {
-		if len(brs) == 0 {
-			continue
-		}
-		if dep.Combine != nil {
-			brs = dataflow.MergeByKey(brs, dep.Combine)
-			buckets[b] = brs
-		}
-		size := storage.EstimateRecords(brs)
-		bucketBytes[b] = size
-		written += size
-	}
-	if err := c.shuffle.SetMapOutput(dep.ShuffleID, part, ex.ID, buckets, bucketBytes); err != nil {
+	written, err := pl.writeMapOutput(c.shuffle, st, part, ex.ID, out)
+	if err != nil {
 		panic(err) // stage was Ensure'd and only missing maps re-run
 	}
 	// Shuffle write cost: serialization dominates (shuffle files land in
@@ -636,13 +622,15 @@ func (c *Cluster) runTaskBody(ex *Executor, st *Stage, part int) []dataflow.Reco
 	cost := c.cfg.Params.Serialize(written)
 	ex.Clock().Advance(cost)
 	c.met.Executors[ex.ID].Breakdown.Shuffle += cost
-	return recs
+	return nil
 }
 
-// materialize produces the records of (ds, part) on the executor:
-// memory hit, disk hit, or recursive recomputation from parents — the
-// three recovery paths of Fig. 2.
-func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) []dataflow.Record {
+// materializeOn produces partition (ds, part) on the executor: memory
+// hit, disk hit, or recursive recomputation from parents — the three
+// recovery paths of Fig. 2. The block stores are row-typed: a hit is
+// loaded into the plane's container, and a recomputed partition is boxed
+// into rows at most once, and only if the controller places it.
+func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Dataset, part int) P {
 	id := storage.BlockID{Dataset: ds.ID(), Partition: part}
 	params := c.cfg.Params
 	stats := &c.met.Executors[ex.ID]
@@ -661,7 +649,7 @@ func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) []da
 		c.ctl.OnBlockAccess(ex, id)
 		c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockHit, Time: ex.Clock().Now(), Job: c.curJob,
 			Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: meta.Size})
-		return recs
+		return pl.load(recs)
 	}
 
 	// 2. Disk store.
@@ -680,32 +668,29 @@ func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) []da
 			// promoted block therefore pays no second write.
 			c.admitToMemory(ex, id, recs, size)
 		}
-		return recs
+		return pl.load(recs)
 	}
 
 	// 3. Recompute from parents.
 	c.mu.Lock()
 	wasComputed := c.computedOnce[id]
 	c.mu.Unlock()
-	ins := make([][]dataflow.Record, len(ds.Deps()))
+	ins := make([]P, len(ds.Deps()))
 	totalIn := 0
 	var fetchCost time.Duration
 	for i, dep := range ds.Deps() {
 		if dep.Shuffle {
 			var fc time.Duration
-			ins[i], fc = c.fetchShuffle(ex, dep, ds.Partitions(), part)
+			ins[i], fc = fetchShuffleOn(c, pl, ex, dep, ds.Partitions(), part)
 			fetchCost += fc
 		} else {
-			ins[i] = c.materialize(ex, dep.Parent, part)
+			ins[i] = materializeOn(c, pl, ex, dep.Parent, part)
 		}
-		totalIn += len(ins[i])
+		totalIn += pl.count(ins[i])
 	}
-	out := ds.Compute(part, ins)
-	n := totalIn
-	if len(out) > n {
-		n = len(out)
-	}
-	size := storage.EstimateRecords(out)
+	out := pl.compute(ds, part, ins)
+	n := max(totalIn, pl.count(out))
+	size := pl.size(out)
 	cost := params.Compute(costmodel.OpClass(ds.Class()), n)
 	if len(ds.Deps()) == 0 {
 		// Source partitions additionally pay the external input scan.
@@ -743,12 +728,16 @@ func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) []da
 	c.ctl.OnComputed(ex, ds, part, size, cost+fetchCost)
 
 	primary, fallback := c.ctl.PlaceComputed(ex, ds, part, size)
+	var recs []dataflow.Record
+	if primary == PlaceMemory || primary == PlaceDisk {
+		recs = pl.rows(out) // the one boxing; the disk fallback reuses it
+	}
 	placed := false
 	if primary == PlaceMemory {
-		placed = c.admitToMemory(ex, id, out, size)
+		placed = c.admitToMemory(ex, id, recs, size)
 	}
 	if !placed && (primary == PlaceDisk || (primary == PlaceMemory && fallback == PlaceDisk)) {
-		c.writeToDisk(ex, id, out, size)
+		c.writeToDisk(ex, id, recs, size)
 	}
 	return out
 }
@@ -815,27 +804,12 @@ func (c *Cluster) writeToDisk(ex *Executor, id storage.BlockID, recs []dataflow.
 	c.noteDiskWrite(ex, size)
 }
 
-// fetchShuffle reads one reduce bucket, regenerating the parent stage if
-// the shuffle outputs were cleaned. It returns the records and the direct
-// fetch cost (excluding any regeneration, which is charged to its own
-// stage's tasks, and excluding transient fetch-flake backoff, which must
-// not pollute the incremental cost estimates controllers build on).
-func (c *Cluster) fetchShuffle(ex *Executor, dep dataflow.Dependency, childParts, part int) ([]dataflow.Record, time.Duration) {
-	c.fetchShufflePrologue(ex, dep, childParts, part)
-	recs, bytes, err := c.shuffle.Fetch(dep.ShuffleID, part)
-	if err != nil {
-		panic(err) // regeneration above guarantees completeness
-	}
-	cost := c.cfg.Params.NetTransfer(bytes) + c.cfg.Params.Serialize(bytes)
-	ex.Clock().Advance(cost)
-	c.met.Executors[ex.ID].Breakdown.Shuffle += cost
-	return recs, cost
-}
-
-// fetchShufflePrologue regenerates a cleaned shuffle and charges any
-// injected transient fetch flakes. It is shared by the row and columnar
-// fetch paths so their charge and event sequences are identical.
-func (c *Cluster) fetchShufflePrologue(ex *Executor, dep dataflow.Dependency, childParts, part int) {
+// fetchShuffleOn reads one reduce bucket, regenerating the parent stage
+// if the shuffle outputs were cleaned. It returns the bucket and the
+// direct fetch cost (excluding any regeneration, which is charged to its
+// own stage's tasks, and excluding transient fetch-flake backoff, which
+// must not pollute the incremental cost estimates controllers build on).
+func fetchShuffleOn[P any](c *Cluster, pl plane[P], ex *Executor, dep dataflow.Dependency, childParts, part int) (P, time.Duration) {
 	if !c.shuffle.Complete(dep.ShuffleID) {
 		c.regenerateShuffle(dep, childParts)
 	}
@@ -858,6 +832,14 @@ func (c *Cluster) fetchShufflePrologue(ex *Executor, dep dataflow.Dependency, ch
 				Executor: ex.ID, Shuffle: dep.ShuffleID, Partition: part, Attempt: attempt, Cost: backoff})
 		}
 	}
+	bucket, bytes, err := pl.fetch(c.shuffle, dep.ShuffleID, part)
+	if err != nil {
+		panic(err) // regeneration above guarantees completeness
+	}
+	cost := c.cfg.Params.NetTransfer(bytes) + c.cfg.Params.Serialize(bytes)
+	ex.Clock().Advance(cost)
+	c.met.Executors[ex.ID].Breakdown.Shuffle += cost
+	return bucket, cost
 }
 
 // regenerateShuffle re-runs the map stage for a cleaned shuffle — the

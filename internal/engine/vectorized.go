@@ -1,58 +1,132 @@
 package engine
 
-// The columnar task loop. runTaskBodyVec / materializeVec /
-// fetchShuffleVec are line-for-line mirrors of runTaskBody /
-// materialize / fetchShuffle in scheduler.go with one difference: data
-// moves between narrow operators as typed *dataflow.Batch columns with
-// pooled backing arrays instead of boxed []dataflow.Record slices.
-// Every virtual-time charge, metrics increment, controller callback and
-// event is issued at the same point with the same arguments, and batch
-// kernels are required to be observationally identical to their row
-// compute functions (same records, same order, bit-equal floats), so a
-// vectorized run's metrics and event log are byte-equal to the row
-// run's. Block stores and the driver boundary stay row-typed: batches
-// are boxed exactly once when a partition is cached, spilled or
-// collected, and unboxed (copied) once on a cache hit.
+// The data planes. The task loop in scheduler.go (runTaskOn /
+// materializeOn / fetchShuffleOn) is written once, generic over the
+// partition container P; a plane supplies only what genuinely depends on
+// the container: rowPlane moves boxed []dataflow.Record slices, vecPlane
+// typed *dataflow.Batch columns on pooled backing arrays.
 //
-// When editing runTaskBody/materialize/fetchShuffle, mirror the change
-// here; TestVectorizedIdentity and the blazebench -throughput identity
-// check will catch a missed divergence.
+// A plane may differ in representation, copying and buffer ownership.
+// It may never charge a clock, touch c.met or c.meter, call the
+// controller or emit an event — plane methods are not handed the
+// Cluster, so the accounting sequence cannot fork. Batch kernels are
+// required to be observationally identical to their row compute
+// functions (same records, same order, bit-equal floats) and count/size
+// agree across planes, so a columnar run's metrics and event log are
+// byte-equal to the row run's. Block stores and the driver boundary stay
+// row-typed: a batch is boxed (rows) at most once when a partition is
+// cached, spilled or collected, and unboxed by copy (load) on a hit.
 
 import (
 	"sync/atomic"
-	"time"
 
-	"blaze/internal/costmodel"
 	"blaze/internal/dataflow"
-	"blaze/internal/eventlog"
+	"blaze/internal/shuffle"
 	"blaze/internal/storage"
 )
 
-// vecTasksTotal counts tasks executed on the columnar loop across the
+// plane is the container-dependent part of the task loop.
+type plane[P any] interface {
+	// load turns a store-resident row block into a partition.
+	load(recs []dataflow.Record) P
+	// fetch reads one reduce bucket and its byte size.
+	fetch(s *shuffle.Service, shuffleID, bucket int) (P, int64, error)
+	// compute runs the dataset's operator; the inputs are consumed.
+	compute(ds *dataflow.Dataset, part int, ins []P) P
+	count(p P) int
+	size(p P) int64
+	// rows boxes a partition for a block store or the driver; the
+	// partition stays valid.
+	rows(p P) []dataflow.Record
+	release(p P)
+	// writeMapOutput routes a map task's output into the stage's reduce
+	// buckets, combines map-side, hands them to the shuffle service
+	// (consuming out) and returns the bytes written.
+	writeMapOutput(s *shuffle.Service, st *Stage, part, executor int, out P) (int64, error)
+}
+
+// rowPlane is the reference plane every identity test compares against:
+// partitions are the store's own slices, so load/rows/release are free.
+type rowPlane struct{}
+
+func (rowPlane) load(recs []dataflow.Record) []dataflow.Record { return recs }
+func (rowPlane) rows(p []dataflow.Record) []dataflow.Record    { return p }
+func (rowPlane) release([]dataflow.Record)                     {}
+func (rowPlane) count(p []dataflow.Record) int                 { return len(p) }
+func (rowPlane) size(p []dataflow.Record) int64                { return storage.EstimateRecords(p) }
+
+func (rowPlane) fetch(s *shuffle.Service, shuffleID, bucket int) ([]dataflow.Record, int64, error) {
+	return s.Fetch(shuffleID, bucket)
+}
+
+func (rowPlane) compute(ds *dataflow.Dataset, part int, ins [][]dataflow.Record) []dataflow.Record {
+	return ds.Compute(part, ins)
+}
+
+func (rowPlane) writeMapOutput(s *shuffle.Service, st *Stage, part, executor int, out []dataflow.Record) (int64, error) {
+	dep := st.ShuffleDep
+	buckets := make([][]dataflow.Record, st.NumBuckets)
+	if dep.Broadcast {
+		for b := range buckets {
+			buckets[b] = out
+		}
+	} else {
+		for _, r := range out {
+			b := dataflow.HashPartition(r.Key, st.NumBuckets)
+			buckets[b] = append(buckets[b], r)
+		}
+	}
+	bucketBytes := make([]int64, st.NumBuckets)
+	var written int64
+	for b, brs := range buckets {
+		if len(brs) == 0 {
+			continue
+		}
+		if dep.Combine != nil {
+			brs = dataflow.MergeByKey(brs, dep.Combine)
+			buckets[b] = brs
+		}
+		bucketBytes[b] = storage.EstimateRecords(brs)
+		written += bucketBytes[b]
+	}
+	return written, s.SetMapOutput(dep.ShuffleID, part, executor, buckets, bucketBytes)
+}
+
+// vecTasksTotal counts tasks executed on the columnar plane across the
 // whole process. It exists so tests and blazebench can assert the
 // vectorized path actually engaged — by construction nothing in a run's
-// metrics or events reveals which loop ran.
+// metrics or events reveals which plane ran.
 var vecTasksTotal atomic.Int64
 
 // VecTasksExecuted returns the process-wide count of columnar tasks.
 func VecTasksExecuted() int64 { return vecTasksTotal.Load() }
 
-// runTaskBodyVec is runTaskBody on the columnar data plane. The result
-// stage still returns rows (the driver boundary); map stages return nil
-// because runStage ignores map-task results.
-func (c *Cluster) runTaskBodyVec(ex *Executor, st *Stage, part int) []dataflow.Record {
-	vecTasksTotal.Add(1)
-	ex.Clock().Advance(c.cfg.Params.TaskOverhead)
-	c.met.Executors[ex.ID].Tasks++
-	out := c.materializeVec(ex, st.Boundary, part)
-	c.emitEx(ex, eventlog.Event{Kind: eventlog.TaskEnd, Time: ex.Clock().Now(), Job: c.curJob,
-		Stage: st.ID, Executor: ex.ID, Dataset: st.Boundary.ID(), Partition: part})
-	if st.IsResult {
-		recs := out.Records()
-		out.Release()
-		return recs
-	}
+// vecPlane owns its batches: load copies out of the store (so a
+// released batch never aliases cached records), compute releases its
+// inputs, and every partition the loop is done with goes back to the
+// pool — except batches handed to the shuffle service, which retains
+// them.
+type vecPlane struct{}
 
+func (vecPlane) load(recs []dataflow.Record) *dataflow.Batch { return dataflow.FromRecords(recs) }
+func (vecPlane) rows(p *dataflow.Batch) []dataflow.Record    { return p.Records() }
+func (vecPlane) release(p *dataflow.Batch)                   { p.Release() }
+func (vecPlane) count(p *dataflow.Batch) int                 { return p.Len() }
+func (vecPlane) size(p *dataflow.Batch) int64                { return p.EstimateSize() }
+
+func (vecPlane) fetch(s *shuffle.Service, shuffleID, bucket int) (*dataflow.Batch, int64, error) {
+	return s.FetchBatch(shuffleID, bucket)
+}
+
+func (vecPlane) compute(ds *dataflow.Dataset, part int, ins []*dataflow.Batch) *dataflow.Batch {
+	out := ds.BatchCompute(part, ins)
+	for _, in := range ins {
+		in.Release() // kernels must not retain inputs; see batch.go
+	}
+	return out
+}
+
+func (vecPlane) writeMapOutput(s *shuffle.Service, st *Stage, part, executor int, out *dataflow.Batch) (int64, error) {
 	dep := st.ShuffleDep
 	batches := make([]*dataflow.Batch, st.NumBuckets)
 	if dep.Broadcast {
@@ -62,7 +136,7 @@ func (c *Cluster) runTaskBodyVec(ex *Executor, st *Stage, part int) []dataflow.R
 			batches[b] = out
 		}
 	} else {
-		router, ok := c.shuffle.Router(dep.ShuffleID)
+		router, ok := s.Router(dep.ShuffleID)
 		if !ok {
 			router = dataflow.NewRouter(st.NumBuckets)
 		}
@@ -81,7 +155,7 @@ func (c *Cluster) runTaskBodyVec(ex *Executor, st *Stage, part int) []dataflow.R
 	var written int64
 	for b, bb := range batches {
 		if bb.Len() == 0 {
-			continue // row path skips empty buckets: size stays 0, not 24
+			continue // row plane skips empty buckets: size stays 0, not 24
 		}
 		if dep.Combine != nil {
 			merged := combineBucket(bb, dep)
@@ -89,29 +163,20 @@ func (c *Cluster) runTaskBodyVec(ex *Executor, st *Stage, part int) []dataflow.R
 			batches[b] = merged
 			bb = merged
 		}
-		size := bb.EstimateSize()
-		bucketBytes[b] = size
-		written += size
+		bucketBytes[b] = bb.EstimateSize()
+		written += bucketBytes[b]
 	}
 	if !dep.Broadcast {
 		out.Release()
 	}
-	if err := c.shuffle.SetMapOutputBatch(dep.ShuffleID, part, ex.ID, batches, bucketBytes); err != nil {
-		panic(err) // stage was Ensure'd and only missing maps re-run
-	}
-	// Shuffle write cost: serialization dominates, exactly as in
-	// runTaskBody.
-	cost := c.cfg.Params.Serialize(written)
-	ex.Clock().Advance(cost)
-	c.met.Executors[ex.ID].Breakdown.Shuffle += cost
-	return nil
+	return written, s.SetMapOutputBatch(dep.ShuffleID, part, executor, batches, bucketBytes)
 }
 
 // combineBucket applies map-side combining to one routed bucket,
 // unboxed when the dependency carries a float64 combiner and the bucket
 // is a float64 column, boxed otherwise. Both branches preserve
 // mergeByKey's first-seen key order and per-key accumulation order, so
-// the merged values are bit-equal to the row path's.
+// the merged values are bit-equal to the row plane's.
 func combineBucket(bb *dataflow.Batch, dep dataflow.Dependency) *dataflow.Batch {
 	if dep.CombineF64 != nil {
 		if _, ok := bb.Col.(*dataflow.F64Column); ok {
@@ -119,132 +184,4 @@ func combineBucket(bb *dataflow.Batch, dep dataflow.Dependency) *dataflow.Batch 
 		}
 	}
 	return dataflow.FromRecords(dataflow.MergeByKey(bb.Records(), dep.Combine))
-}
-
-// materializeVec is materialize on the columnar data plane: the same
-// three recovery paths, charges and events; only the payload container
-// differs. Cache hits box out of the store (FromRecords copies, so
-// released batches never alias cached records); recomputed partitions
-// box into it at most once, and only if the controller places them.
-func (c *Cluster) materializeVec(ex *Executor, ds *dataflow.Dataset, part int) *dataflow.Batch {
-	id := storage.BlockID{Dataset: ds.ID(), Partition: part}
-	params := c.cfg.Params
-	stats := &c.met.Executors[ex.ID]
-
-	// 1. Memory store.
-	if recs, meta, ok := ex.Mem.Get(id, ex.Clock().Now()); ok {
-		if c.cfg.AlluxioMode {
-			cost := params.Serialize(meta.Size)
-			ex.Clock().Advance(cost)
-			stats.Breakdown.DiskIO += cost
-			c.meter.AddModeled(storage.MemDecode, cost)
-		}
-		c.met.IncCacheHit()
-		c.ctl.OnBlockAccess(ex, id)
-		c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockHit, Time: ex.Clock().Now(), Job: c.curJob,
-			Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: meta.Size})
-		return dataflow.FromRecords(recs)
-	}
-
-	// 2. Disk store.
-	if recs, size, ok := ex.Disk.Get(id); ok {
-		cost := params.DiskRead(size)
-		ex.Clock().Advance(cost)
-		stats.Breakdown.DiskIO += cost
-		c.meter.AddModeled(storage.DiskRead, cost)
-		c.met.IncDiskHit()
-		c.ctl.OnBlockAccess(ex, id)
-		c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockDiskHit, Time: ex.Clock().Now(), Job: c.curJob,
-			Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: size, Cost: cost})
-		if c.ctl.PromoteOnDiskRead(ex, id) {
-			c.admitToMemory(ex, id, recs, size)
-		}
-		return dataflow.FromRecords(recs)
-	}
-
-	// 3. Recompute from parents.
-	c.mu.Lock()
-	wasComputed := c.computedOnce[id]
-	c.mu.Unlock()
-	ins := make([]*dataflow.Batch, len(ds.Deps()))
-	totalIn := 0
-	var fetchCost time.Duration
-	for i, dep := range ds.Deps() {
-		if dep.Shuffle {
-			var fc time.Duration
-			ins[i], fc = c.fetchShuffleVec(ex, dep, ds.Partitions(), part)
-			fetchCost += fc
-		} else {
-			ins[i] = c.materializeVec(ex, dep.Parent, part)
-		}
-		totalIn += ins[i].Len()
-	}
-	out := ds.BatchCompute(part, ins)
-	for _, in := range ins {
-		in.Release() // kernels must not retain inputs; see batch.go
-	}
-	n := totalIn
-	if out.Len() > n {
-		n = out.Len()
-	}
-	size := out.EstimateSize()
-	cost := params.Compute(costmodel.OpClass(ds.Class()), n)
-	if len(ds.Deps()) == 0 {
-		cost += params.SourceRead(size)
-	}
-	ex.Clock().Advance(cost)
-	stats.Breakdown.Compute += cost
-	if wasComputed {
-		stats.Breakdown.Recompute += cost
-		c.met.IncMiss()
-		c.met.AddRecompute(c.curJob, cost)
-		c.emitEx(ex, eventlog.Event{Kind: eventlog.Recomputed, Time: ex.Clock().Now(), Job: c.curJob,
-			Executor: ex.ID, Dataset: ds.ID(), Partition: part, Cost: cost})
-	}
-	c.mu.Lock()
-	class, wasFaultLost := c.faultLost[id]
-	if wasFaultLost {
-		delete(c.faultLost, id)
-	}
-	c.computedOnce[id] = true
-	c.mu.Unlock()
-	if wasFaultLost {
-		c.met.AddFaultRecovery(c.curJob, cost)
-		c.met.AddFaultRecoveryClass(class, cost)
-		c.emitEx(ex, eventlog.Event{Kind: eventlog.Recovered, Time: ex.Clock().Now(), Job: c.curJob,
-			Executor: ex.ID, Dataset: ds.ID(), Partition: part, Cost: cost})
-	}
-
-	c.ctl.OnComputed(ex, ds, part, size, cost+fetchCost)
-
-	primary, fallback := c.ctl.PlaceComputed(ex, ds, part, size)
-	var boxed []dataflow.Record
-	box := func() []dataflow.Record {
-		if boxed == nil {
-			boxed = out.Records()
-		}
-		return boxed
-	}
-	placed := false
-	if primary == PlaceMemory {
-		placed = c.admitToMemory(ex, id, box(), size)
-	}
-	if !placed && (primary == PlaceDisk || (primary == PlaceMemory && fallback == PlaceDisk)) {
-		c.writeToDisk(ex, id, box(), size)
-	}
-	return out
-}
-
-// fetchShuffleVec is fetchShuffle returning a columnar bucket; the
-// regeneration/flake prologue and the fetch cost charge are identical.
-func (c *Cluster) fetchShuffleVec(ex *Executor, dep dataflow.Dependency, childParts, part int) (*dataflow.Batch, time.Duration) {
-	c.fetchShufflePrologue(ex, dep, childParts, part)
-	bb, bytes, err := c.shuffle.FetchBatch(dep.ShuffleID, part)
-	if err != nil {
-		panic(err) // regeneration above guarantees completeness
-	}
-	cost := c.cfg.Params.NetTransfer(bytes) + c.cfg.Params.Serialize(bytes)
-	ex.Clock().Advance(cost)
-	c.met.Executors[ex.ID].Breakdown.Shuffle += cost
-	return bb, cost
 }

@@ -26,7 +26,7 @@ import (
 // mapOutput is one map task's contribution: one bucket of records and a
 // byte count per reduce bucket, tagged with the producing executor. A
 // bucket is stored either as a row slice (buckets) or as a columnar
-// batch (batches) depending on which task loop produced it; both
+// batch (batches) depending on which data plane produced it; both
 // representations are equivalent and convert on demand at fetch time, so
 // row and vectorized stages interoperate freely within one run.
 type mapOutput struct {

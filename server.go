@@ -11,12 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"blaze/internal/core"
-	"blaze/internal/dataflow"
-	"blaze/internal/engine"
-	"blaze/internal/faults"
 	"blaze/internal/server"
 )
 
@@ -148,7 +143,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // blocks for it. Cancelling ctx cancels the job (effective at its next
 // job boundary, like JobHandle.Cancel).
 func (s *Server) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) {
-	rc := RunConfig{
+	p, err := planRun(RunConfig{
 		System:       spec.System,
 		Workload:     spec.Workload,
 		Scale:        spec.Scale,
@@ -156,55 +151,19 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) {
 		CostParams:   spec.CostParams,
 		DiskCapacity: spec.DiskCapacity,
 		ILPWindow:    spec.ILPWindow,
+		EventLog:     spec.EventLog,
 		Faults:       spec.Faults,
 		Resilience:   spec.Resilience,
 		Parallelism:  spec.Parallelism,
-	}.withDefaults()
-	if err := rc.Validate(); err != nil {
-		return nil, err
-	}
-	wspec, err := Workload(rc.Workload)
-	if err != nil {
-		return nil, err
-	}
-	params := EvalParams(wspec.SerFactor)
-	if !rc.CostParams.IsZero() {
-		params = rc.CostParams
-	}
-	sys, err := buildSystem(rc, wspec)
-	if err != nil {
-		return nil, err
-	}
-	var hook engine.Hook
-	if spec.Faults != nil {
-		hook = faults.New(*spec.Faults)
-	}
-	var profiling time.Duration
-	if sys.profiled {
-		profiling = core.DefaultProfilingOverhead
-	}
-	sess, err := s.srv.Submit(server.JobSpec{
-		Tenant: spec.Tenant,
-		Driver: func(dctx *dataflow.Context) {
-			if sys.annotated {
-				wspec.Annotated(dctx, rc.Scale)
-			} else {
-				wspec.Plain(dctx, rc.Scale)
-			}
-		},
-		Controller:        sys.ctl,
-		Params:            params,
-		AlluxioMode:       sys.alluxio,
-		ProfilingOverhead: profiling,
-		EventLog:          spec.EventLog,
-		Hook:              hook,
-		Resilience:        spec.Resilience,
-		Parallelism:       spec.Parallelism,
 	})
 	if err != nil {
 		return nil, err
 	}
-	h := &JobHandle{sess: sess, system: rc.System, workload: rc.Workload}
+	sess, err := s.srv.Submit(p.jobSpec(spec.Tenant))
+	if err != nil {
+		return nil, err
+	}
+	h := &JobHandle{sess: sess, system: spec.System, workload: spec.Workload}
 	if ctx != nil && ctx.Done() != nil {
 		go func() {
 			select {

@@ -13,45 +13,18 @@ import (
 	"testing"
 )
 
-// directRun replicates Run's prelude (defaults, validation, cost
-// params, memory calibration, system construction) and executes on the
-// standalone path.
+// directRun is Run's prelude (planRun + memory calibration) executed on
+// the standalone path.
 func directRun(cfg RunConfig) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	spec, err := Workload(cfg.Workload)
+	p, err := planRun(cfg)
 	if err != nil {
 		return nil, err
 	}
-	params := EvalParams(spec.SerFactor)
-	if !cfg.CostParams.IsZero() {
-		params = cfg.CostParams
-	}
-	mem := cfg.MemoryPerExecutor
-	if mem == 0 {
-		peak, err := calibrateMemory(spec, cfg.Executors, cfg.Cores, cfg.Scale, params)
-		if err != nil {
-			return nil, err
-		}
-		frac := cfg.MemoryFraction
-		if frac == 0 {
-			frac = spec.MemFraction
-		}
-		if frac == 0 {
-			frac = 0.5
-		}
-		mem = int64(float64(peak) * frac)
-		if mem < 2048 {
-			mem = 2048
-		}
-	}
-	sys, err := buildSystem(cfg, spec)
+	mem, err := p.memory()
 	if err != nil {
 		return nil, err
 	}
-	return runDirect(cfg, spec, params, mem, sys, nil)
+	return runDirect(p.cfg, p.spec, p.params, mem, p.sys, p.hook)
 }
 
 func TestServerRunBitIdentical(t *testing.T) {

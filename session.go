@@ -263,6 +263,14 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return openSession(cfg, nil, nil)
+}
+
+// openSession builds the system, the private one-session server and the
+// stream for a validated config, and attaches durability when the config
+// asks for it. rs and restored are the loaded checkpoint when resuming,
+// nil for a fresh session.
+func openSession(cfg SessionConfig, rs *engine.ResumeState, restored *sessionClientState) (*Session, error) {
 	sys, err := buildStreamSystem(cfg)
 	if err != nil {
 		return nil, err
@@ -293,8 +301,11 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 		return nil, err
 	}
 	s := &Session{cfg: cfg, annotated: sys.annotated, srv: srv, st: st, window: 1}
+	if rs != nil {
+		s.resuming, s.resumeWindow, s.restored = true, rs.Window, restored
+	}
 	if cfg.CheckpointDir != "" {
-		if err := s.enableDurability(sys.ctl, nil); err != nil {
+		if err := s.enableDurability(sys.ctl, rs); err != nil {
 			st.Close()
 			srv.Close()
 			return nil, err
@@ -339,45 +350,7 @@ func ResumeSession(cfg SessionConfig) (*Session, error) {
 			return nil, fmt.Errorf("blaze: decode checkpoint client state: %w", err)
 		}
 	}
-	sys, err := buildStreamSystem(cfg)
-	if err != nil {
-		return nil, err
-	}
-	params := EvalParams(1.0)
-	if !cfg.CostParams.IsZero() {
-		params = cfg.CostParams
-	}
-	srv, err := server.New(server.Config{
-		Executors:         cfg.Executors,
-		CoresPerExecutor:  cfg.Cores,
-		MemoryPerExecutor: cfg.MemoryPerExecutor,
-		Parallelism:       cfg.Parallelism,
-	})
-	if err != nil {
-		return nil, err
-	}
-	st, err := srv.SubmitStream(server.JobSpec{
-		Controller:  sys.ctl,
-		Params:      params,
-		AlluxioMode: sys.alluxio,
-		EventLog:    cfg.EventLog,
-		Parallelism: cfg.Parallelism,
-		Vectorized:  cfg.Vectorized,
-	})
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	s := &Session{
-		cfg: cfg, annotated: sys.annotated, srv: srv, st: st, window: 1,
-		resuming: true, resumeWindow: rs.Window, restored: restored,
-	}
-	if err := s.enableDurability(sys.ctl, rs); err != nil {
-		st.Close()
-		srv.Close()
-		return nil, err
-	}
-	return s, nil
+	return openSession(cfg, rs, restored)
 }
 
 // enableDurability attaches the checkpointer and the event WAL to the

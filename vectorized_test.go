@@ -9,31 +9,29 @@ import (
 
 func runVec(t *testing.T, sys blaze.SystemID, wl blaze.WorkloadID, par int, vec bool, faults *blaze.FaultConfig) (*blaze.Result, *blaze.EventLog) {
 	t.Helper()
-	log := blaze.NewEventLog()
-	res, err := blaze.Run(blaze.RunConfig{
-		System:      sys,
-		Workload:    wl,
-		Executors:   4,
-		Scale:       0.25,
-		Parallelism: par,
-		Vectorized:  vec,
-		EventLog:    log,
-		Faults:      faults,
-	})
-	if err != nil {
-		t.Fatalf("%s/%s parallelism=%d vectorized=%v: %v", sys, wl, par, vec, err)
-	}
-	return res, log
+	return runVecCfg(t, blaze.RunConfig{System: sys, Workload: wl, Parallelism: par, Vectorized: vec, Faults: faults})
 }
 
-// TestVectorizedIdentity is the columnar loop's core guarantee: running
-// eligible stages on typed batches instead of boxed rows changes only
-// wall-clock time. For every registered system, a Vectorized run at
+// runVecCfg runs cfg at the sweep's cluster shape with a fresh event log.
+func runVecCfg(t *testing.T, cfg blaze.RunConfig) (*blaze.Result, *blaze.EventLog) {
+	t.Helper()
+	cfg.Executors, cfg.Scale, cfg.EventLog = 4, 0.25, blaze.NewEventLog()
+	res, err := blaze.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s/%s parallelism=%d vectorized=%v realBytes=%v: %v",
+			cfg.System, cfg.Workload, cfg.Parallelism, cfg.Vectorized, cfg.RealBytes, err)
+	}
+	return res, cfg.EventLog
+}
+
+// TestVectorizedIdentity is the columnar plane's core guarantee:
+// running eligible stages on typed batches instead of boxed rows changes
+// only wall-clock time. For every registered system, a Vectorized run at
 // Parallelism 1 and 8 must produce bit-identical virtual-time metrics
-// AND an identical event log to the row run. runTaskBodyVec,
-// materializeVec and fetchShuffleVec in internal/engine/vectorized.go
-// are line-for-line mirrors of the row functions; this sweep is what
-// catches a missed mirror edit.
+// AND an identical event log to the row run. The task loop is written
+// once over both planes (internal/engine/vectorized.go); this sweep
+// catches a plane whose container operations are not observationally
+// equal to the row plane's.
 func TestVectorizedIdentity(t *testing.T) {
 	for _, wl := range []blaze.WorkloadID{blaze.PR, blaze.KMeans} {
 		for _, sys := range allSystems() {
@@ -46,6 +44,32 @@ func TestVectorizedIdentity(t *testing.T) {
 				assertIdentical(t, fmt.Sprintf("%s/%s/P8", wl, sys), rowRes, vec8Res, rowLog, vec8Log)
 			})
 		}
+	}
+	// RealBytes × Vectorized: the direct path hands both flags to one
+	// engine, so batches box into gob-encoded memory blocks and spill
+	// files. The memory fraction is low enough that every case spills;
+	// Blaze is there because its cost lineage reacts to every controller
+	// callback, where the LRU of spark-memdisk ignores some (and Blaze
+	// never spills k-means).
+	for _, c := range []struct {
+		wl  blaze.WorkloadID
+		sys blaze.SystemID
+	}{{blaze.PR, blaze.SysSparkMemDisk}, {blaze.PR, blaze.SysBlaze}, {blaze.KMeans, blaze.SysSparkMemDisk}} {
+		label := fmt.Sprintf("%s/%s/realbytes", c.wl, c.sys)
+		t.Run(label, func(t *testing.T) {
+			cfg := blaze.RunConfig{System: c.sys, Workload: c.wl, MemoryFraction: 0.1, RealBytes: true}
+			rowRes, rowLog := runVecCfg(t, cfg)
+			cfg.Vectorized = true
+			before := blaze.VecTasksExecuted()
+			vecRes, vecLog := runVecCfg(t, cfg)
+			assertIdentical(t, label, rowRes, vecRes, rowLog, vecLog)
+			if written, _ := rowRes.DiskFootprint(); written == 0 {
+				t.Error("run did not spill; lower MemoryFraction")
+			}
+			if blaze.VecTasksExecuted() == before {
+				t.Error("no task ran on the columnar plane")
+			}
+		})
 	}
 }
 
@@ -66,8 +90,8 @@ func TestVectorizedIdentitySVDPP(t *testing.T) {
 // TestVectorizedIdentityUnderFaults repeats the row-vs-batch identity
 // check with the exec-death and bucket-loss fault classes active: the
 // recovery paths (regeneration, recompute, fault accounting) must issue
-// identical charges and events from both loops. Regenerated stages drop
-// back to the row loop by the eligibility gate, so this also covers the
+// identical charges and events on both planes. Regenerated stages drop
+// back to the row plane by the eligibility gate, so this also covers the
 // mixed row/vec shuffle-storage conversions.
 func TestVectorizedIdentityUnderFaults(t *testing.T) {
 	systems := []blaze.SystemID{blaze.SysSparkMemDisk, blaze.SysMRD, blaze.SysBlaze}
@@ -89,7 +113,7 @@ func TestVectorizedIdentityUnderFaults(t *testing.T) {
 
 // TestVectorizedPathEngages guards against the identity sweep passing
 // vacuously: a Vectorized PageRank run must actually execute tasks on
-// the columnar loop. (Nothing in metrics or events can reveal this —
+// the columnar plane. (Nothing in metrics or events can reveal this —
 // that is the point — so the process-global counter is the witness.)
 func TestVectorizedPathEngages(t *testing.T) {
 	before := blaze.VecTasksExecuted()
