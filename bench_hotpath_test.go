@@ -7,9 +7,14 @@ package blaze_test
 // CI benchstat job report the row-vs-batch delta directly.
 
 import (
+	"fmt"
 	"testing"
+	"time"
 
+	"blaze/internal/core"
+	"blaze/internal/costmodel"
 	"blaze/internal/dataflow"
+	"blaze/internal/engine"
 	"blaze/internal/graphx"
 	"blaze/internal/mllib"
 	"blaze/internal/storage"
@@ -202,5 +207,137 @@ func TestBatchedPRKernelAllocCeiling(t *testing.T) {
 	const ceiling = 32
 	if allocs > ceiling {
 		t.Fatalf("batched PR kernel allocates %.0f allocs per %d-record partition (ceiling %d): the columnar path has a per-record allocation", allocs, benchVerts, ceiling)
+	}
+}
+
+// --- victim selection on a wide cache -------------------------------------
+
+// wideAdmitter is a one-executor Blaze cluster whose memory is exactly
+// full with 6 datasets × 64 partitions of a narrow chain, plus a seventh
+// dataset waiting outside: every admit evicts, and what was evicted
+// queues up to be admitted again. One admit call is what the engine does
+// for one computed partition under memory pressure — OnComputed,
+// PlaceComputed, SelectVictims, the evictions, the put.
+type wideAdmitter struct {
+	ctl      *core.Controller
+	c        *engine.Cluster
+	ex       *engine.Executor
+	byID     map[int]*dataflow.Dataset
+	queue    []storage.BlockID // ring of non-resident blocks
+	head     int
+	calls    int
+	admitted int
+}
+
+const (
+	wideDatasets = 6
+	wideParts    = 64
+	// wideBlock is large enough that spilling a block costs more than
+	// recomputing it from a resident parent, so prices follow the lineage.
+	wideBlock = 1 << 20
+)
+
+func newWideAdmitter(tb testing.TB) *wideAdmitter {
+	ctl := core.NewBlaze()
+	ctx := dataflow.NewContext()
+	c, err := engine.NewCluster(engine.Config{
+		Executors:         1,
+		MemoryPerExecutor: wideDatasets * wideParts * wideBlock,
+		Params:            costmodel.Default(),
+		Controller:        ctl,
+	}, ctx)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := &wideAdmitter{ctl: ctl, c: c, ex: c.Executors()[0], byID: make(map[int]*dataflow.Dataset)}
+	offsets := make(map[string][]int)
+	ds := ctx.Source("w0@0", wideParts, func(int) []dataflow.Record { return nil })
+	for k := 0; ; k++ {
+		offsets[fmt.Sprintf("w%d", k)] = []int{0, 1000} // referenced again far ahead: worth caching
+		w.byID[ds.ID()] = ds
+		ctl.Lineage().RegisterDataset(ds, 0)
+		for p := 0; p < wideParts; p++ {
+			id := storage.BlockID{Dataset: ds.ID(), Partition: p}
+			ctl.Lineage().ObservePartition(ds.ID(), p, wideBlock, time.Duration(1+k+p%5)*time.Millisecond)
+			if k == wideDatasets {
+				w.queue = append(w.queue, id)
+			} else if _, err := w.ex.Mem.Put(id, nil, wideBlock, 0, 0); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if k == wideDatasets {
+			break
+		}
+		ds = ds.Map(fmt.Sprintf("w%d@0", k+1), func(r dataflow.Record) dataflow.Record { return r })
+	}
+	ctl.WithSkeleton(&core.Skeleton{RefOffsets: offsets})
+	return w
+}
+
+func (w *wideAdmitter) admit() {
+	id := w.queue[w.head]
+	ds := w.byID[id.Dataset]
+	w.calls++
+	// Each partition takes a little longer to compute than the last, so
+	// some resident block is always cheaper to lose than the new one.
+	w.ctl.OnComputed(w.ex, ds, id.Partition, wideBlock, time.Millisecond+time.Duration(w.calls)*time.Microsecond)
+	if primary, _ := w.ctl.PlaceComputed(w.ex, ds, id.Partition, wideBlock); primary != engine.PlaceMemory {
+		w.head = (w.head + 1) % len(w.queue)
+		return
+	}
+	for _, v := range w.ctl.SelectVictims(w.ex, wideBlock) {
+		if v.ToDisk {
+			w.c.SpillBlock(w.ex, v.ID)
+		} else {
+			w.c.DropBlock(w.ex, v.ID)
+		}
+		w.queue[w.head] = v.ID // one in, one out: blocks are the same size
+	}
+	w.head = (w.head + 1) % len(w.queue)
+	if _, err := w.ex.Mem.Put(id, nil, wideBlock, 0, 0); err != nil {
+		panic(err)
+	}
+	w.admitted++
+}
+
+func BenchmarkHotpathSelectVictimsWide(b *testing.B) {
+	w := newWideAdmitter(b)
+	for i := 0; i < 4*wideParts; i++ {
+		w.admit()
+	}
+	w.admitted = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.admit()
+	}
+	if w.admitted < b.N/2 {
+		b.Fatalf("only %d of %d partitions were admitted: not an admit-one/evict-one loop", w.admitted, b.N)
+	}
+}
+
+// TestSelectVictimsAllocCeiling pins the allocations of one steady-state
+// admission under memory pressure. The victim order, the cost memo and
+// the dataset facts are all standing state, so what remains is the
+// admitted block's store entry and metadata and the victim list handed
+// to the engine; re-listing, re-sorting or re-memoizing the cache per
+// admission shows up here as a multiple of that.
+func TestSelectVictimsAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is noisy under -short harnesses")
+	}
+	w := newWideAdmitter(t)
+	for i := 0; i < 4*wideParts; i++ {
+		w.admit() // reach the steady state: every scratch slice at capacity
+	}
+	w.admitted = 0
+	const runs = 200
+	allocs := testing.AllocsPerRun(runs, w.admit)
+	if w.admitted < runs/2 {
+		t.Fatalf("only %d of %d partitions were admitted: not an admit-one/evict-one loop", w.admitted, runs)
+	}
+	const ceiling = 4
+	if allocs > ceiling {
+		t.Fatalf("one admission under pressure allocates %.1f times (ceiling %d): something per-cache is rebuilt per admission", allocs, ceiling)
 	}
 }

@@ -31,6 +31,7 @@ func chaosEnvInt64(name string, def int64) int64 {
 }
 
 func TestChaosSoak(t *testing.T) {
+	verifyCachedCosts(t)
 	baseSeed := chaosEnvInt64("BLAZE_CHAOS_SEED", 1)
 	n := int(chaosEnvInt64("BLAZE_CHAOS_N", 50))
 	if testing.Short() {

@@ -30,12 +30,7 @@ type Policy interface {
 
 // tieBreak provides a deterministic final ordering criterion so that runs
 // are reproducible regardless of map iteration order upstream.
-func tieBreak(a, b *storage.BlockMeta) bool {
-	if a.ID.Dataset != b.ID.Dataset {
-		return a.ID.Dataset < b.ID.Dataset
-	}
-	return a.ID.Partition < b.ID.Partition
-}
+func tieBreak(a, b *storage.BlockMeta) bool { return a.ID.Compare(b.ID) < 0 }
 
 func sorted(blocks []*storage.BlockMeta, less func(a, b *storage.BlockMeta) bool) []*storage.BlockMeta {
 	out := append([]*storage.BlockMeta(nil), blocks...)

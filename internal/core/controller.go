@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"blaze/internal/cachepolicy"
 	"blaze/internal/dataflow"
 	"blaze/internal/engine"
 	"blaze/internal/storage"
@@ -40,14 +39,24 @@ type Controller struct {
 
 	// est is the driver-context estimator, used by the ILP solver and by
 	// any decision made outside a task (job and stage boundaries). perEst
-	// holds one estimator per executor for task-path decisions: the
-	// estimator memoizes per decision round, and sharing one memo across
+	// holds one estimator per executor for task-path decisions, and
+	// victims the eviction order each maintains: sharing one memo across
 	// concurrently admitting executors would race. Each instance reads
 	// only lineage observations and block states homed on its executor
 	// (the engine's parallel-eligibility gate guarantees this), so the
 	// per-executor estimates equal the sequential shared-instance ones.
-	est    *Estimator
-	perEst []*Estimator
+	est     *Estimator
+	perEst  []*Estimator
+	victims []*victimIndex
+
+	// epoch counts the driver-side changes to what a cost estimate reads
+	// outside its partition column — lineage structure and reference
+	// offsets (job start, skeleton, restore), the current job, retirement
+	// — and cursor the stage-cursor moves. Together with the cluster's
+	// DriverEpoch they decide how long estimates and the victim order
+	// stay valid (Estimator, victims.go). Written in driver context only.
+	epoch  uint64
+	cursor uint64
 
 	// profiled records whether a dependency-extraction skeleton seeded
 	// the lineage (§7.5 compares with and without).
@@ -61,16 +70,6 @@ type Controller struct {
 	// targetState holds the ILP's desired placements for existing
 	// blocks, consulted when deciding disk-read promotions.
 	targetState map[storage.BlockID]engine.Placement
-
-	// accessed marks blocks already consumed by the running stage, one
-	// map per executor (indexed by executor ID); combined with the
-	// reference index this gives partition-granularity liveness: a block
-	// whose dataset has no references beyond the current stage and whose
-	// own partition has been read is dead, hence a free eviction victim.
-	// A block is only ever read on its home executor, so splitting the
-	// map per executor changes nothing semantically while letting
-	// parallel workers record accesses without locking.
-	accessed []map[storage.BlockID]bool
 
 	// ilpDiskCapacity, when positive, adds the optional per-executor
 	// disk capacity constraint of Eq. 6 and solves the full ILP by
@@ -103,7 +102,7 @@ type Controller struct {
 	// solve assigned — the warm seed for the next boundary delta solve.
 	curWindow   int
 	winFirstJob int
-	retired     map[NodeKey]bool
+	retired     map[*Node]bool
 	lastChosen  []map[storage.BlockID]bool
 
 	// coldVerify runs a from-scratch solve alongside every boundary
@@ -166,6 +165,7 @@ func (b *Controller) WithSkeleton(sk *Skeleton) *Controller {
 	b.lin.ApplySkeleton(sk)
 	b.lin.Extrapolate = false // profiled offsets are complete
 	b.profiled = true
+	b.epoch++
 	return b
 }
 
@@ -220,12 +220,12 @@ func (b *Controller) Bind(c *engine.Cluster) {
 	b.est = b.newEstimator(c)
 	n := len(c.Executors())
 	b.perEst = make([]*Estimator, n)
-	b.accessed = make([]map[storage.BlockID]bool, n)
+	b.victims = make([]*victimIndex, n)
 	b.ilpMemo = make([]*solveMemo, n)
 	b.lastChosen = make([]map[storage.BlockID]bool, n)
 	for i := 0; i < n; i++ {
 		b.perEst[i] = b.newEstimator(c)
-		b.accessed[i] = make(map[storage.BlockID]bool)
+		b.victims[i] = newVictimIndex()
 		b.ilpMemo[i] = &solveMemo{}
 		b.lastChosen[i] = make(map[storage.BlockID]bool)
 	}
@@ -236,6 +236,8 @@ func (b *Controller) newEstimator(c *engine.Cluster) *Estimator {
 	e.ShuffleOK = c.ShuffleComplete
 	e.Executors = len(c.Executors())
 	e.AliveAt = b.aliveAt
+	e.ColumnVersion = b.columnVersion
+	e.Epoch = b.epochNow
 	return e
 }
 
@@ -262,12 +264,8 @@ func (b *Controller) ParallelCaps() engine.ParallelCaps {
 
 // aliveAt reports whether a node's partitions will still be retained at
 // the given job: auto-unpersist reclaims them after their last reference.
-func (b *Controller) aliveAt(key NodeKey, job int) bool {
-	if b.retired[key] {
-		return false
-	}
-	n := b.lin.NodeByKey(key)
-	if n == nil {
+func (b *Controller) aliveAt(n *Node, job int) bool {
+	if n == nil || b.retired[n] {
 		return false
 	}
 	return b.lin.LastRefJob(n) >= job
@@ -320,6 +318,7 @@ func (b *Controller) blockState(datasetID, part int) BlockState {
 func (b *Controller) OnJobStart(j *engine.Job) {
 	b.curJob = j.ID
 	b.curStageIdx = 0
+	b.epoch++
 
 	// Register the full lineage of the target (not the cache-truncated
 	// stage pipelines) so ancestor edges are always known.
@@ -355,8 +354,9 @@ func (b *Controller) OnStageEnd(st *engine.Stage, idle []time.Duration) {
 	if st.Job != nil {
 		b.curStageIdx = st.Index + 1
 	}
-	for i := range b.accessed {
-		b.accessed[i] = make(map[storage.BlockID]bool)
+	b.cursor++
+	for _, v := range b.victims {
+		clear(v.accessed)
 	}
 	// In windowed (micro-batch streaming) mode, reference-count
 	// reclamation defers to lifetime retirement at window boundaries: a
@@ -440,7 +440,8 @@ var debugPlace = os.Getenv("BLAZE_DEBUG_PLACE") != ""
 // memory only when the partition's potential recovery cost beats the
 // residents it would displace.
 func (b *Controller) PlaceComputed(ex *engine.Executor, ds *dataflow.Dataset, part int, size int64) (engine.Placement, engine.Placement) {
-	if b.strictFutureRefs(ds.ID()) == 0 {
+	f := b.factsFor(b.victims[ex.ID], ds.ID())
+	if !f.reused {
 		return engine.PlaceNone, engine.PlaceNone
 	}
 	if !b.feat.ILP {
@@ -453,12 +454,11 @@ func (b *Controller) PlaceComputed(ex *engine.Executor, ds *dataflow.Dataset, pa
 	// Full Blaze without an ILP verdict for this partition: compare the
 	// new partition's cost against the cheapest residents it would evict.
 	est := b.estFor(ex)
-	if size <= ex.Mem.Free() {
-		return engine.PlaceMemory, b.offMemoryPlacement(est, ds.ID(), part)
-	}
-	n := b.lin.Node(ds.ID())
 	est.Reset()
-	newCost := est.RecoveryCostAt(n, part, b.horizonForAdmission(n, ds.ID()))
+	if size <= ex.Mem.Free() {
+		return engine.PlaceMemory, b.offMemoryPlacement(est, f, part)
+	}
+	newCost := est.RecoveryCostAt(f.node, part, f.admitHorizon)
 	var victimCost time.Duration
 	var freed int64
 	for _, meta := range b.victimOrder(ex) {
@@ -469,9 +469,9 @@ func (b *Controller) PlaceComputed(ex *engine.Executor, ds *dataflow.Dataset, pa
 		freed += meta.Size
 	}
 	if freed >= size-ex.Mem.Free() && victimCost < newCost {
-		return engine.PlaceMemory, b.offMemoryPlacement(est, ds.ID(), part)
+		return engine.PlaceMemory, b.offMemoryPlacement(est, f, part)
 	}
-	off := b.offMemoryPlacement(est, ds.ID(), part)
+	off := b.offMemoryPlacement(est, f, part)
 	if debugPlace {
 		fmt.Fprintf(os.Stderr, "PLACE-OFF %s p%d -> %v (newCost=%v victimCost=%v freed=%d size=%d free=%d job=%d stage=%d)\n",
 			ds.Name(), part, off, newCost, victimCost, freed, size, ex.Mem.Free(), b.curJob, b.curStageIdx)
@@ -491,15 +491,15 @@ func (b *Controller) diskBudgetAllows(ex *engine.Executor, size int64) bool {
 // offMemoryPlacement chooses the partition's state when it cannot or
 // should not stay in memory: disk when the disk cost is the smaller
 // potential recovery cost, otherwise unpersisted (§4.2).
-func (b *Controller) offMemoryPlacement(est *Estimator, datasetID, part int) engine.Placement {
+func (b *Controller) offMemoryPlacement(est *Estimator, f datasetFacts, part int) engine.Placement {
 	if !b.feat.DiskEnabled {
 		return engine.PlaceNone
 	}
 	if !b.feat.ILP {
 		return engine.PlaceDisk
 	}
-	n := b.lin.Node(datasetID)
-	if n == nil || !est.PreferDiskAt(n, part, b.horizonForAdmission(n, datasetID)) {
+	n := f.node
+	if n == nil || !est.PreferDiskAt(n, part, f.admitHorizon) {
 		return engine.PlaceNone
 	}
 	if size, ok := b.lin.PartitionSize(n, part); ok {
@@ -508,51 +508,6 @@ func (b *Controller) offMemoryPlacement(est *Estimator, datasetID, part int) eng
 		}
 	}
 	return engine.PlaceDisk
-}
-
-// victimOrder ranks the executor's resident blocks for eviction and
-// attaches their potential recovery costs to the metadata.
-func (b *Controller) victimOrder(ex *engine.Executor) []*storage.BlockMeta {
-	blocks := ex.Mem.Blocks()
-	if !b.feat.CostAware {
-		return cachepolicy.LRU{}.Order(blocks)
-	}
-	est := b.estFor(ex)
-	est.Reset()
-	for _, m := range blocks {
-		n := b.lin.Node(m.ID.Dataset)
-		if n == nil {
-			// Outside this session's lineage. Standalone that means no
-			// future benefit; in a shared pool the block belongs to
-			// another live session, so keep the cost its owner last
-			// stamped (its victimOrder or an ILP solve) instead of
-			// pricing the neighbor's cache at zero and churning it.
-			if !b.c.SharedPool() {
-				m.Cost = 0
-			}
-			continue
-		}
-		if b.futureRefs(m.ID.Dataset) == 0 {
-			m.Cost = 0 // no future benefit: free to evict
-			continue
-		}
-		if b.feat.ILP && b.strictFutureRefs(m.ID.Dataset) == 0 && b.accessed[ex.ID][m.ID] {
-			// Partition-granularity liveness: this block's only remaining
-			// reference was the current stage, and its partition has been
-			// consumed — it is dead regardless of the dataset-level view.
-			m.Cost = 0
-			continue
-		}
-		var c time.Duration
-		if b.feat.ILP {
-			// min(cost_d, cost_r) at the block's next recovery horizon
-			c = est.RecoveryCostAt(n, m.ID.Partition, b.horizonFor(n, m.ID.Dataset))
-		} else {
-			c = est.DiskCost(n, m.ID.Partition) // +CostAware: disk cost only
-		}
-		m.Cost = c.Seconds()
-	}
-	return cachepolicy.CostAscending{}.Order(blocks)
 }
 
 // SelectVictims implements cost-aware eviction with per-victim state
@@ -570,15 +525,15 @@ func (b *Controller) SelectVictims(ex *engine.Executor, need int64) []engine.Vic
 		}
 		toDisk := b.feat.DiskEnabled
 		if b.feat.ILP && toDisk {
-			n := b.lin.Node(m.ID.Dataset)
-			if n == nil && b.c.SharedPool() {
+			f := b.factsFor(b.victims[ex.ID], m.ID.Dataset)
+			if f.node == nil && b.c.SharedPool() {
 				// Another session's block: its owner can still recover it
 				// from disk, so a valuable foreign victim spills rather
 				// than vanishing.
 				toDisk = m.Cost > 0 && b.diskBudgetAllows(ex, m.Size)
 			} else {
-				toDisk = n != nil && m.Cost > 0 && b.futureRefs(m.ID.Dataset) > 0 &&
-					est.PreferDiskAt(n, m.ID.Partition, b.horizonFor(n, m.ID.Dataset)) &&
+				toDisk = f.node != nil && m.Cost > 0 && f.live &&
+					est.PreferDiskAt(f.node, m.ID.Partition, f.horizon) &&
 					b.diskBudgetAllows(ex, m.Size)
 			}
 		}
@@ -598,10 +553,10 @@ func (b *Controller) PromoteOnDiskRead(ex *engine.Executor, id storage.BlockID) 
 }
 
 // OnBlockAccess records per-partition consumption for liveness tracking
-// on the accessing executor's own map (blocks are only read on their
-// home executor, so no other worker touches the same map).
+// on the accessing executor's own index (blocks are only read on their
+// home executor, so no other worker touches the same index).
 func (b *Controller) OnBlockAccess(ex *engine.Executor, id storage.BlockID) {
-	b.accessed[ex.ID][id] = true
+	b.victims[ex.ID].markAccessed(id)
 }
 
 // OnBlockAdmitted implements engine.Controller.
@@ -615,6 +570,7 @@ func (b *Controller) OnBlockRemoved(ex *engine.Executor, id storage.BlockID) {}
 func (b *Controller) OnComputed(ex *engine.Executor, ds *dataflow.Dataset, part int, size int64, cost time.Duration) {
 	if b.lin.Node(ds.ID()) == nil {
 		b.lin.RegisterDataset(ds, b.curJob)
+		b.epoch++
 	}
 	b.lin.ObservePartition(ds.ID(), part, size, cost)
 }

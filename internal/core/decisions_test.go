@@ -194,3 +194,38 @@ func TestPlaceComputedSkipsZeroRefData(t *testing.T) {
 		t.Fatalf("one-shot data occupies %d bytes after its job", used)
 	}
 }
+
+// TestPlaceComputedIntoFreeMemorySeesEviction is the regression case for
+// the admission fast path: with memory free, PlaceComputed only chooses
+// the off-memory fallback, and that choice must be priced under the
+// states of this round — here, right after the partition's only ancestor
+// left both tiers — not under whatever an earlier round memoized.
+func TestPlaceComputedIntoFreeMemorySeesEviction(t *testing.T) {
+	f := newDecisionFixture(t)
+	lin := f.ctl.Lineage()
+	ex := f.c.Executors()[0]
+	var src *dataflow.Dataset
+	for _, ds := range f.ctx.Datasets() {
+		if ds.Name() == "bigcheap-src@0" {
+			src = ds
+		}
+	}
+	srcID := storage.BlockID{Dataset: src.ID(), Partition: 0}
+	if !ex.Mem.Contains(srcID) {
+		t.Fatal("setup: the ancestor is not cached")
+	}
+	// Recomputing the partition is free while its ancestor is resident
+	// and takes 10s once it is not; spilling 1 KB sits in between.
+	lin.ObservePartition(f.a.ID(), 0, 1024, time.Nanosecond)
+	lin.ObservePartition(src.ID(), 0, 1024, 10*time.Second)
+
+	primary, fallback := f.ctl.PlaceComputed(ex, f.a, 0, 1024)
+	if primary != engine.PlaceMemory || fallback != engine.PlaceNone {
+		t.Fatalf("with the ancestor resident: placement = %v/%v, want memory/none", primary, fallback)
+	}
+	f.c.DropBlock(ex, srcID)
+	primary, fallback = f.ctl.PlaceComputed(ex, f.a, 0, 1024)
+	if primary != engine.PlaceMemory || fallback != engine.PlaceDisk {
+		t.Fatalf("right after the ancestor was evicted: placement = %v/%v, want memory/disk", primary, fallback)
+	}
+}

@@ -20,8 +20,22 @@ type StateFunc func(datasetID, part int) BlockState
 // Estimator computes the potential recovery costs of §5.4: the disk
 // access cost (Eq. 3) and the recursive recomputation cost (Eq. 4),
 // combined into the potential recovery cost (Eq. 2). Costs change as
-// partition states change (§4.3), so estimates are memoized per decision
-// round and reset between rounds.
+// partition states change (§4.3), so every memoized cost records what it
+// was computed from and is reused only while that is unchanged:
+//
+//   - Everything the recursion for (node, partition p) reads is local to
+//     partition index p — the metrics of p, the residency of ancestors'
+//     partition p — as long as each step maps p onto p. Such an entry
+//     records ColumnVersion(p) and survives decision rounds until the
+//     column changes.
+//   - The inputs that are not column-local (lineage structure, reference
+//     offsets, retirement, shuffle completeness, the slot→executor map)
+//     are summarized by Epoch; the memo is dropped when it moves.
+//   - An entry that read another column (a parent with a different
+//     partition count), that was priced under a hypothetical assignment,
+//     or that was cut off by the depth bound is valid for the current
+//     round only, as is every entry of an estimator without the two
+//     version hooks.
 type Estimator struct {
 	L           *CostLineage
 	Params      costmodel.Params
@@ -42,40 +56,71 @@ type Estimator struct {
 	// (referenced) at the given job index; ancestors that die before the
 	// recovery horizon cannot be counted on as recomputation shortcuts
 	// (§4.3's dynamically changing dependencies). Nil means always alive.
-	AliveAt func(key NodeKey, job int) bool
+	AliveAt func(n *Node, job int) bool
+
+	// ColumnVersion and Epoch, when both set, let entries outlive a round
+	// (see the type comment). ColumnVersion(p) must move whenever a
+	// metric of partition index p or the residency State reports for an
+	// (ancestor, p) changes; Epoch whenever anything else the recursion
+	// reads does.
+	ColumnVersion func(part int) uint64
+	Epoch         func() uint64
 
 	// hypoMem optionally overrides memory residency for a set of blocks,
 	// letting the ILP fixed-point loop evaluate costs under a candidate
 	// assignment before applying it.
 	hypoMem map[storage.BlockID]bool
 
-	memo map[partKey]time.Duration
+	memo  map[partKey]costEntry
+	round uint64 // current decision round, from 1
+	epoch uint64 // Epoch() reading the memo's entries were computed under
 }
 
 type partKey struct {
-	key     NodeKey
+	node    *Node
 	part    int
 	horizon int
 }
 
+// costEntry is one memoized recomputation cost. A round-scoped entry is
+// valid while the estimator is in round stamp; any other, computed under
+// the real states, whenever those are asked about and the column version
+// of its partition equals stamp.
+type costEntry struct {
+	cost   time.Duration
+	stamp  uint64
+	scoped bool
+}
+
 // NewEstimator builds an estimator over the lineage.
 func NewEstimator(l *CostLineage, params costmodel.Params, diskEnabled bool, state StateFunc) *Estimator {
-	return &Estimator{L: l, Params: params, DiskEnabled: diskEnabled, State: state, memo: make(map[partKey]time.Duration)}
+	return &Estimator{L: l, Params: params, DiskEnabled: diskEnabled, State: state, memo: make(map[partKey]costEntry), round: 1}
 }
 
-// Reset clears the memoized costs; call at the start of each decision
-// round (costs are state-dependent).
-func (e *Estimator) Reset() {
-	e.memo = make(map[partKey]time.Duration)
-	e.hypoMem = nil
+// Reset starts a decision round under the real partition states:
+// round-scoped entries expire, column-versioned ones stay while they
+// validate, and an Epoch move empties the memo. It allocates nothing.
+func (e *Estimator) Reset() { e.begin(nil) }
+
+// SetHypothetical starts a decision round that overrides memory
+// residency with the given assignment for nodes that have real dataset
+// ids; used by the ILP fixed point. A hypothetical assignment is not a
+// store state, so everything computed in the round is round-scoped.
+func (e *Estimator) SetHypothetical(inMem map[storage.BlockID]bool) { e.begin(inMem) }
+
+func (e *Estimator) begin(hypo map[storage.BlockID]bool) {
+	e.round++
+	e.hypoMem = hypo
+	if !e.persistent() {
+		clear(e.memo)
+	} else if ep := e.Epoch(); ep != e.epoch {
+		clear(e.memo)
+		e.epoch = ep
+	}
 }
 
-// SetHypothetical overrides memory residency with the given assignment
-// for nodes that have real dataset ids; used by the ILP fixed point.
-func (e *Estimator) SetHypothetical(inMem map[storage.BlockID]bool) {
-	e.memo = make(map[partKey]time.Duration)
-	e.hypoMem = inMem
-}
+// persistent reports whether entries may outlive the round.
+func (e *Estimator) persistent() bool { return e.ColumnVersion != nil && e.Epoch != nil }
 
 // alive reports whether the node's partitions can be counted on to still
 // exist at the recovery horizon. Horizon <= 0 means "now".
@@ -83,7 +128,7 @@ func (e *Estimator) alive(n *Node, horizon int) bool {
 	if horizon < 0 || e.AliveAt == nil {
 		return true
 	}
-	return e.AliveAt(n.Key, horizon)
+	return e.AliveAt(n, horizon)
 }
 
 func (e *Estimator) inMemory(n *Node, part, horizon int) bool {
@@ -131,37 +176,65 @@ func (e *Estimator) RecomputeCost(n *Node, part int) time.Duration {
 // reference precedes the horizon will have been auto-unpersisted and
 // cannot shortcut the chain).
 func (e *Estimator) RecomputeCostAt(n *Node, part, horizon int) time.Duration {
-	return e.recompute(n, part, 0, horizon)
+	cost, _ := e.recomputeCostAt(n, part, horizon)
+	return cost
 }
 
-func (e *Estimator) recompute(n *Node, part, depth, horizon int) time.Duration {
-	if n == nil || depth > maxRecursionDepth {
-		return 0
+// recomputeCostAt is RecomputeCostAt plus whether the answer read
+// nothing beyond column part, the epoch and the real states — that is,
+// whether it still holds for as long as those do.
+func (e *Estimator) recomputeCostAt(n *Node, part, horizon int) (time.Duration, bool) {
+	return e.recompute(n, part, 0, horizon, e.hypoMem == nil && e.persistent())
+}
+
+// recompute returns the Eq. 4 cost of (n, part) and whether the result
+// may be kept beyond this round. keep says the chain from the priced
+// partition down to here stayed inside column part under real states;
+// below a step that left the column nothing is kept, so no state homed
+// on another executor is ever cached.
+func (e *Estimator) recompute(n *Node, part, depth, horizon int, keep bool) (time.Duration, bool) {
+	if n == nil {
+		return 0, keep
 	}
-	k := partKey{key: n.Key, part: part, horizon: horizon}
-	if v, ok := e.memo[k]; ok {
-		return v
+	if depth > maxRecursionDepth {
+		return 0, false // a property of the path taken here, not of the column
+	}
+	k := partKey{node: n, part: part, horizon: horizon}
+	if m, ok := e.memo[k]; ok {
+		if m.scoped {
+			if m.stamp == e.round {
+				return m.cost, false
+			}
+		} else if e.hypoMem == nil && m.stamp == e.ColumnVersion(part) {
+			return m.cost, keep
+		}
 	}
 	// Mark in-progress to cut accidental cycles at zero.
-	e.memo[k] = 0
+	e.memo[k] = costEntry{stamp: e.round, scoped: true}
 
 	own, _ := e.L.PartitionCost(n, part) // cost_{k→i}: generating p_i from its inputs
+	kept := keep
 	var worst time.Duration
 	for _, edge := range n.Parents {
-		if edge.Shuffle && e.ShuffleOK != nil && e.ShuffleOK(edge.ShuffleID) && e.shuffleAlive(edge, horizon) {
-			// The shuffle's outputs persist on local disks; recomputing
-			// the child rereads them, which is already part of cost_{k→i}.
+		if edge.Shuffle && e.ShuffleOK != nil && e.ShuffleOK(edge.ShuffleID) && e.alive(edge.node, horizon) {
+			// The shuffle's outputs persist on local disks and its
+			// producing parent is still alive at the horizon (releasing
+			// it cleans the shuffle); recomputing the child rereads them,
+			// which is already part of cost_{k→i}.
 			continue
 		}
-		pn := e.L.NodeByKey(edge.Parent)
+		pn := edge.node
 		if pn == nil {
 			continue
 		}
 		pp := mapPartition(part, n.Parts, pn.Parts)
+		sameColumn := keep && pp == part
+		kept = kept && sameColumn
 		if e.inMemory(pn, pp, horizon) {
 			continue // (1-m_k) zeroes the ancestor term
 		}
-		rec := e.recoveryCost(pn, pp, depth+1, horizon)
+		rec, sub := e.recoveryCost(pn, pp, depth+1, horizon, sameColumn)
+		kept = kept && sub
 		if edge.Shuffle && e.Executors > 0 && pn.Parts > e.Executors {
 			// Regenerating a cleaned shuffle re-runs the whole parent
 			// stage: ceil(parts/executors) waves of parallel tasks.
@@ -173,34 +246,28 @@ func (e *Estimator) recompute(n *Node, part, depth, horizon int) time.Duration {
 		}
 	}
 	total := worst + own
-	e.memo[k] = total
-	return total
-}
-
-// shuffleAlive reports whether the shuffle's outputs can be counted on at
-// the horizon: the producing parent must still be alive then (releasing
-// it cleans the shuffle).
-func (e *Estimator) shuffleAlive(edge Edge, horizon int) bool {
-	if horizon < 0 || e.AliveAt == nil {
-		return true
+	if kept {
+		e.memo[k] = costEntry{cost: total, stamp: e.ColumnVersion(part)}
+	} else {
+		e.memo[k] = costEntry{cost: total, stamp: e.round, scoped: true}
 	}
-	return e.AliveAt(edge.Parent, horizon)
+	return total, kept
 }
 
 // recoveryCost implements Eq. 2 for an ancestor during the recursion: the
 // cheaper of reading it back from disk (only possible if it is there) and
 // recomputing it.
-func (e *Estimator) recoveryCost(n *Node, part, depth, horizon int) time.Duration {
-	rec := e.recompute(n, part, depth, horizon)
+func (e *Estimator) recoveryCost(n *Node, part, depth, horizon int, keep bool) (time.Duration, bool) {
+	rec, keep := e.recompute(n, part, depth, horizon, keep)
 	if e.DiskEnabled && e.onDisk(n, part, horizon) {
 		if size, ok := e.L.PartitionSize(n, part); ok {
 			d := e.Params.DiskRead(size)
 			if d < rec {
-				return d
+				return d, keep
 			}
 		}
 	}
-	return rec
+	return rec, keep
 }
 
 // RecoveryCost implements Eq. 2 at the "now" horizon.
@@ -212,18 +279,25 @@ func (e *Estimator) RecoveryCost(n *Node, part int) time.Duration {
 // of the potential disk cost and the potential recomputation cost (only
 // the latter when the disk tier is disabled).
 func (e *Estimator) RecoveryCostAt(n *Node, part, horizon int) time.Duration {
-	rec := e.RecomputeCostAt(n, part, horizon)
+	cost, _ := e.recoveryCostAt(n, part, horizon)
+	return cost
+}
+
+// recoveryCostAt is RecoveryCostAt plus recomputeCostAt's second result
+// (the disk cost reads column part only).
+func (e *Estimator) recoveryCostAt(n *Node, part, horizon int) (time.Duration, bool) {
+	rec, kept := e.recomputeCostAt(n, part, horizon)
 	if !e.DiskEnabled {
-		return rec
+		return rec, kept
 	}
 	d := e.DiskCost(n, part)
 	if d == 0 {
-		return rec
+		return rec, kept
 	}
 	if d < rec {
-		return d
+		return d, kept
 	}
-	return rec
+	return rec, kept
 }
 
 // PreferDisk reports whether evicting the partition to disk is cheaper

@@ -18,6 +18,8 @@ import (
 // evaluator exactly. Non-iterative DAGs with random releases are the
 // stress case for the on-the-run reference induction.
 func TestBlazeFuzzEquivalence(t *testing.T) {
+	VerifyCachedCosts(true)
+	defer VerifyCachedCosts(false)
 	makers := []func() *Controller{NewBlaze, NewBlazeMemOnly, NewAutoCache, NewCostAware}
 	for seed := int64(1); seed <= 10; seed++ {
 		want := enginetest.RefChecksums(seed)
@@ -50,6 +52,8 @@ func TestBlazeFuzzEquivalence(t *testing.T) {
 // TestBlazeFuzzWithFailureInjection combines Blaze with random block loss
 // after every job.
 func TestBlazeFuzzWithFailureInjection(t *testing.T) {
+	VerifyCachedCosts(true)
+	defer VerifyCachedCosts(false)
 	for seed := int64(1); seed <= 6; seed++ {
 		want := enginetest.RefChecksums(seed)
 		ctx := dataflow.NewContext()

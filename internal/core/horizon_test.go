@@ -74,7 +74,7 @@ func TestHorizonKillsDeadAncestors(t *testing.T) {
 	st[storage.BlockID{Dataset: parent.ID(), Partition: 0}] = BlockState{InMemory: true}
 	e := NewEstimator(l, costmodel.Default(), true, st.fn)
 	// ...but its role dies at job 0 (no future offsets).
-	e.AliveAt = func(key NodeKey, job int) bool { return job <= 0 }
+	e.AliveAt = func(n *Node, job int) bool { return job <= 0 }
 
 	tail := l.Node(chain[4].ID())
 	// At the "now" horizon the parent shortcuts the chain: 1s.
@@ -83,7 +83,7 @@ func TestHorizonKillsDeadAncestors(t *testing.T) {
 	}
 	// At a future horizon the parent is gone: the full chain (5 nodes).
 	e.Reset()
-	e.AliveAt = func(key NodeKey, job int) bool { return job <= 0 }
+	e.AliveAt = func(n *Node, job int) bool { return job <= 0 }
 	if got := e.RecomputeCostAt(tail, 0, 3); got != 5*time.Second {
 		t.Fatalf("future-horizon cost = %v, want 5s", got)
 	}

@@ -139,7 +139,7 @@ func (b *Controller) gatherCandidates(ex *engine.Executor) []candidate {
 		}
 		seen[id] = true
 		n := b.lin.Node(id.Dataset)
-		if n == nil || b.retired[n.Key] {
+		if n == nil || b.retired[n] {
 			// Unknown to this session's lineage, or retired by windowed
 			// lifetime management: not a candidate.
 			return

@@ -52,6 +52,12 @@ type Edge struct {
 	// ShuffleID identifies the shuffle whose persisted outputs (when
 	// still present) make recomputation across this edge cheap.
 	ShuffleID int
+
+	// node is Parent resolved on the lineage that holds the edge, so the
+	// cost recursion follows pointers instead of hashing keys. Set where
+	// edges enter a lineage (RegisterDataset, resolveEdges); unexported,
+	// so skeletons and snapshots carry the key only.
+	node *Node
 }
 
 // Node is one dataset role instance on the CostLineage with its observed
@@ -133,6 +139,14 @@ type CostLineage struct {
 
 	// jobsSeen counts jobs registered from the real run.
 	jobsSeen int
+
+	// observed counts ObservePartition calls per partition index: every
+	// metric PartitionSize/PartitionCost can return for partition p —
+	// the node's own observation or the role regression for p — changes
+	// only there, so an estimate that read partition p's metrics stays
+	// valid while observed[p] does. Sized with the nodes (driver
+	// context); element p is written and read only by p's home executor.
+	observed []uint64
 }
 
 // NewCostLineage creates an empty lineage (the on-the-run mode). Apply a
@@ -214,10 +228,11 @@ func (l *CostLineage) RegisterDataset(ds *dataflow.Dataset, jobIdx int) *Node {
 		n.costs = make([]time.Duration, n.Parts)
 		n.observed = make([]bool, n.Parts)
 	}
+	l.observed = grown(l.observed, n.Parts)
 	if len(n.Parents) == 0 {
 		for _, dep := range ds.Deps() {
 			if pn, ok := l.byID[dep.Parent.ID()]; ok {
-				n.Parents = append(n.Parents, Edge{Parent: pn.Key, Shuffle: dep.Shuffle, ShuffleID: dep.ShuffleID})
+				n.Parents = append(n.Parents, Edge{Parent: pn.Key, Shuffle: dep.Shuffle, ShuffleID: dep.ShuffleID, node: pn})
 			}
 		}
 	}
@@ -331,6 +346,7 @@ func (l *CostLineage) ObservePartition(datasetID, part int, size int64, cost tim
 	n.sizes[part] = size
 	n.costs[part] = cost
 	n.observed[part] = true
+	l.observed[part]++
 
 	rm := l.roleMetrics[n.Key.Role]
 	if rm == nil {
@@ -343,6 +359,33 @@ func (l *CostLineage) ObservePartition(datasetID, part int, size int64, cost tim
 	}
 	rm.size[part].Observe(float64(n.Key.Iter), float64(size))
 	rm.cost[part].Observe(float64(n.Key.Iter), float64(cost))
+}
+
+// grown returns s extended with zeros to at least n elements.
+func grown(s []uint64, n int) []uint64 {
+	if n > len(s) {
+		s = append(s, make([]uint64, n-len(s))...)
+	}
+	return s
+}
+
+// Observations returns how many times partition index part has been
+// observed, across all datasets (see CostLineage.observed).
+func (l *CostLineage) Observations(part int) uint64 {
+	if part < len(l.observed) {
+		return l.observed[part]
+	}
+	return 0
+}
+
+// resolveEdges points every edge at its parent node; call after nodes
+// were inserted by key (ApplySkeleton, RestoreState).
+func (l *CostLineage) resolveEdges() {
+	for _, n := range l.nodes {
+		for i := range n.Parents {
+			n.Parents[i].node = l.nodes[n.Parents[i].Parent]
+		}
+	}
 }
 
 // PartitionSize returns the partition's size: the observation when

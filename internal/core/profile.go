@@ -121,4 +121,5 @@ func (l *CostLineage) ApplySkeleton(sk *Skeleton) {
 			Parts:       n.Parts,
 		}
 	}
+	l.resolveEdges()
 }

@@ -7,10 +7,11 @@ package core
 // windowed-lineage retirement set; the last solved memory assignment
 // per executor; the optimizer's target states and solution memo) into
 // a self-contained gob payload, and RestoreState rehydrates a freshly
-// Bind-ed controller from one. The estimators are deliberately not
-// serialized — they are stateless between decision rounds and hold a
-// pointer to the lineage, which is why RestoreState mutates the bound
-// lineage in place instead of swapping the pointer.
+// Bind-ed controller from one. The estimators and victim orders are
+// deliberately not serialized — what they keep between decision rounds
+// is a cache, dropped by the epoch bump below and rebuilt on demand —
+// and they hold a pointer to the lineage, which is why RestoreState
+// mutates the bound lineage in place instead of swapping the pointer.
 
 import (
 	"bytes"
@@ -111,8 +112,8 @@ func (b *Controller) SnapshotState() ([]byte, error) {
 		rm := b.lin.roleMetrics[role]
 		w.RoleSeries = append(w.RoleSeries, roleSeriesWire{Role: role, Size: rm.size, Cost: rm.cost})
 	}
-	for key := range b.retired {
-		w.Retired = append(w.Retired, key)
+	for n := range b.retired {
+		w.Retired = append(w.Retired, n.Key)
 	}
 	sort.Slice(w.Retired, func(i, j int) bool { return keyLess(w.Retired[i], w.Retired[j]) })
 	for _, m := range b.ilpMemo {
@@ -163,7 +164,9 @@ func (b *Controller) RestoreState(data []byte) error {
 		if n.DatasetID >= 0 {
 			lin.byID[n.DatasetID] = n
 		}
+		lin.observed = grown(lin.observed, n.Parts)
 	}
+	lin.resolveEdges()
 	lin.roleRefOffsets = w.RoleRefOffsets
 	if lin.roleRefOffsets == nil {
 		lin.roleRefOffsets = make(map[string][]int)
@@ -185,10 +188,11 @@ func (b *Controller) RestoreState(data []byte) error {
 	b.winFirstJob = w.WinFirstJob
 	b.curStageIdx = 0
 	b.stageRefs = make(map[int][]int)
-	b.retired = make(map[NodeKey]bool, len(w.Retired))
+	b.retired = make(map[*Node]bool, len(w.Retired))
 	for _, key := range w.Retired {
-		b.retired[key] = true
+		b.retired[lin.nodes[key]] = true
 	}
+	b.epoch++
 	b.lastChosen = w.LastChosen
 	for i := range b.lastChosen {
 		if b.lastChosen[i] == nil {
@@ -223,7 +227,7 @@ type StateSummary struct {
 func (b *Controller) Summary() StateSummary {
 	var s StateSummary
 	for _, n := range b.lin.Nodes() {
-		if b.retired[n.Key] {
+		if b.retired[n] {
 			continue
 		}
 		id := fmt.Sprintf("%s@%d", n.Key.Role, n.Key.Iter)

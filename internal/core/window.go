@@ -53,8 +53,9 @@ func (b *Controller) WithColdVerify(on bool) *Controller {
 //     (window > 1 only; window 1 has no predecessor to delta from).
 func (b *Controller) AdvanceWindow(window, nextJob int) {
 	if b.retired == nil {
-		b.retired = make(map[NodeKey]bool)
+		b.retired = make(map[*Node]bool)
 	}
+	b.epoch++
 	retireBefore := b.winFirstJob
 	prevWindow := b.curWindow
 	b.curWindow = window
@@ -76,10 +77,10 @@ func (b *Controller) AdvanceWindow(window, nextJob int) {
 func (b *Controller) retireDeadLineage(window, retireBefore int) {
 	met := b.c.Metrics()
 	for _, n := range b.lin.Nodes() {
-		if b.retired[n.Key] || n.TouchedJob >= retireBefore {
+		if b.retired[n] || n.TouchedJob >= retireBefore {
 			continue
 		}
-		b.retired[n.Key] = true
+		b.retired[n] = true
 		if n.DatasetID < 0 {
 			continue
 		}

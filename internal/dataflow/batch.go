@@ -564,7 +564,21 @@ func MergeBatchByKeyF64(in *Batch, f func(a, b float64) float64) *Batch {
 	out.NonNil = true // mergeByKey returns a non-nil (possibly empty) slice
 	oc := NewF64Column(in.Len())
 	out.Col = oc
-	idx := make(map[int64]int, 64)
+	if in.Len() <= smallCombine {
+	next:
+		for i, k := range in.Keys {
+			for j, seen := range out.Keys {
+				if seen == k {
+					oc.Vals[j] = f(oc.Vals[j], fc.Vals[i])
+					continue next
+				}
+			}
+			out.Keys = append(out.Keys, k)
+			oc.Vals = append(oc.Vals, fc.Vals[i])
+		}
+		return out
+	}
+	idx := make(map[int64]int, min(in.Len(), 64))
 	for i, k := range in.Keys {
 		if j, seen := idx[k]; seen {
 			oc.Vals[j] = f(oc.Vals[j], fc.Vals[i])

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -150,4 +151,43 @@ func TestRegisteredColumnSelected(t *testing.T) {
 		t.Errorf("registered builder not used, got %T", b.Col)
 	}
 	b.Release()
+}
+
+// TestCombineSmallAndLargeAgree checks both combines on both sides of the
+// smallCombine threshold against a plain map-based reference: same keys
+// in first-seen order, and per key the same left-to-right accumulation
+// (a non-associative combiner makes any reordering visible).
+func TestCombineSmallAndLargeAgree(t *testing.T) {
+	f := func(a, b float64) float64 { return a*1.5 - b }
+	rng := rand.New(rand.NewSource(11))
+	for n := 0; n <= 3*smallCombine; n++ {
+		recs := make([]Record, n)
+		for i := range recs {
+			recs[i] = Record{Key: int64(rng.Intn(1 + n/2)), Value: rng.Float64()}
+		}
+		acc := make(map[int64]float64)
+		var order []int64
+		for _, r := range recs {
+			if v, seen := acc[r.Key]; seen {
+				acc[r.Key] = f(v, r.Value.(float64))
+			} else {
+				acc[r.Key] = r.Value.(float64)
+				order = append(order, r.Key)
+			}
+		}
+		want := make([]Record, 0, len(order))
+		for _, k := range order {
+			want = append(want, Record{Key: k, Value: acc[k]})
+		}
+		if got := mergeByKey(recs, func(a, b any) any { return f(a.(float64), b.(float64)) }); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: row combine\ngot:  %v\nwant: %v", n, got, want)
+		}
+		in := FromRecords(recs)
+		out := MergeBatchByKeyF64(in, f)
+		if got := out.Records(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: batch combine\ngot:  %v\nwant: %v", n, got, want)
+		}
+		in.Release()
+		out.Release()
+	}
 }

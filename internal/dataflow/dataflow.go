@@ -371,11 +371,33 @@ func Barrier(name string, class OpClass, left, right *Dataset, f func(part int, 
 		})
 }
 
+// smallCombine is the input size up to which a combine finds a record's
+// key by scanning the keys already emitted instead of building a map: a
+// wide shuffle routes a handful of records to each of thousands of
+// buckets, where the map costs more than the few comparisons it saves.
+// Either way keys come out in first-seen order and each key's values
+// combine in input order, so the result is the same.
+const smallCombine = 16
+
 // mergeByKey aggregates records by key with combine, preserving first-seen
 // key order for determinism.
 func mergeByKey(in []Record, combine CombineFunc) []Record {
-	acc := make(map[int64]any, 64)
-	order := make([]int64, 0, 64)
+	if len(in) <= smallCombine {
+		out := make([]Record, 0, len(in))
+	next:
+		for _, r := range in {
+			for j := range out {
+				if out[j].Key == r.Key {
+					out[j].Value = combine(out[j].Value, r.Value)
+					continue next
+				}
+			}
+			out = append(out, r)
+		}
+		return out
+	}
+	acc := make(map[int64]any, min(len(in), 64))
+	order := make([]int64, 0, min(len(in), 64))
 	for _, r := range in {
 		if v, seen := acc[r.Key]; seen {
 			acc[r.Key] = combine(v, r.Value)

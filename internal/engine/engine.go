@@ -99,9 +99,16 @@ type Controller interface {
 	PromoteOnDiskRead(ex *Executor, id storage.BlockID) bool
 	// OnBlockAccess notifies cache hits for policy bookkeeping.
 	OnBlockAccess(ex *Executor, id storage.BlockID)
-	// OnBlockAdmitted notifies that a block entered the memory store.
+	// OnBlockAdmitted notifies that a block entered the memory store
+	// through the engine (admission, promotion, checkpoint restore). Disk
+	// writes are not announced.
 	OnBlockAdmitted(ex *Executor, id storage.BlockID)
-	// OnBlockRemoved notifies that a block left the given store tier.
+	// OnBlockRemoved notifies that a block left a store tier through an
+	// eviction, spill, drop, unpersist or injected loss (once per block
+	// when both tiers lose it). It is not issued on every path — the
+	// session-exit purge (DropNamespaceBlocks) removes blocks silently —
+	// so state that must track residency exactly reads the stores (or
+	// their ColumnVersion), not this.
 	OnBlockRemoved(ex *Executor, id storage.BlockID)
 	// OnComputed reports the observed metrics of a computed partition
 	// (Blaze records these on its CostLineage, §5.3).
@@ -476,7 +483,10 @@ type Cluster struct {
 	// assign maps partition slots (partition index mod E) to executor
 	// indices. It starts as the identity; executor deaths rebalance the
 	// dead executor's slots round-robin over the sorted survivors.
-	assign []int
+	// assignEpoch counts its writes (see DriverEpoch); both are written
+	// only through setAssign, in driver context.
+	assign      []int
+	assignEpoch uint64
 	// faultLost marks blocks destroyed by injected faults with the fault
 	// class that destroyed them; when such a block is recomputed, the
 	// cost is attributed as recovery for that class.
@@ -609,7 +619,7 @@ func NewCluster(cfg Config, ctx *dataflow.Context) (*Cluster, error) {
 		faultLostMaps:     make(map[int]map[int]string),
 	}
 	for i := range c.assign {
-		c.assign[i] = i
+		c.setAssign(i, i)
 	}
 	c.par = cfg.Parallelism
 	if c.par == 0 {
@@ -648,7 +658,7 @@ func NewCluster(cfg Config, ctx *dataflow.Context) (*Cluster, error) {
 		// session admitted after an executor death never schedules tasks
 		// onto a dead executor.
 		for i := range c.assign {
-			c.assign[i] = live[i%len(live)]
+			c.setAssign(i, live[i%len(live)])
 		}
 		ctx.SetRunner(c)
 		c.ctl.Bind(c)
@@ -746,6 +756,20 @@ func (c *Cluster) LiveExecutors() []*Executor {
 func (c *Cluster) ExecutorFor(part int) *Executor {
 	return c.execs[c.assign[part%len(c.execs)]]
 }
+
+// setAssign homes a partition slot on an executor.
+func (c *Cluster) setAssign(slot, exec int) {
+	c.assign[slot] = exec
+	c.assignEpoch++
+}
+
+// DriverEpoch counts the driver-side transitions that change what a
+// lineage walk sees without touching any block store: a shuffle's
+// completeness flipping, and a partition slot moving to another
+// executor. Both happen only between tasks, so a controller may keep a
+// cost estimate across decisions for as long as the reading (and the
+// stores it read) stay the same.
+func (c *Cluster) DriverEpoch() uint64 { return c.assignEpoch + c.shuffle.SealEpoch() }
 
 // Params returns the cost model parameters.
 func (c *Cluster) Params() costmodel.Params { return c.cfg.Params }

@@ -141,7 +141,7 @@ func (c *Cluster) InjectExecutorDeath(ex *Executor) bool {
 			continue
 		}
 		recv := survivors[migrated%len(survivors)]
-		c.assign[slot] = recv.ID
+		c.setAssign(slot, recv.ID)
 		recv.PickCore().Advance(perSlot)
 		c.met.Executors[recv.ID].RebalanceTime += perSlot
 		migrated++

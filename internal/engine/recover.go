@@ -317,7 +317,9 @@ func (c *Cluster) finishResume() {
 	c.curWindow = rs.Window
 	c.startTime = rs.StartTime
 	c.parallelStages = rs.ParallelStages
-	copy(c.assign, rs.Assign)
+	for slot, exec := range rs.Assign {
+		c.setAssign(slot, exec)
+	}
 	if rs.DiskBase != nil && c.diskBase != nil {
 		copy(c.diskBase, rs.DiskBase)
 	}

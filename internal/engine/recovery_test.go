@@ -414,8 +414,15 @@ func TestExecutorDeathMigratesPartitions(t *testing.T) {
 			out := inner.RunJob(target, action)
 			jobs++
 			if jobs == 1 {
+				// Seal-epoch moves aside, the slot reassignment itself must
+				// move DriverEpoch: controllers cache costs that depend on
+				// which executor a partition index is homed on.
+				assigned := c.assignEpoch
 				if !c.InjectExecutorDeath(victim) {
 					t.Fatal("death injection refused")
+				}
+				if c.assignEpoch == assigned {
+					t.Error("executor death moved partition slots without moving the assignment epoch")
 				}
 			}
 			return out

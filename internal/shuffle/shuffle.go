@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"blaze/internal/dataflow"
 )
@@ -94,6 +95,11 @@ type Service struct {
 	outputs map[int]*output
 	// totalWritten accumulates bytes ever written, for reporting.
 	totalWritten int64
+	// sealEpoch counts the transitions that can flip some shuffle's
+	// completeness. Whoever caches a conclusion drawn from Complete
+	// records the count and revalidates when it has moved; atomic so that
+	// check costs no lock on the task path.
+	sealEpoch atomic.Uint64
 }
 
 // NewService creates an empty shuffle service.
@@ -180,8 +186,14 @@ func (s *Service) MarkComplete(shuffleID int) {
 	defer s.mu.Unlock()
 	if o, ok := s.outputs[shuffleID]; ok && o.allPresent() {
 		o.sealed = true
+		s.sealEpoch.Add(1)
 	}
 }
+
+// SealEpoch returns a counter that moves whenever any shuffle's
+// completeness may have changed (sealed, cleaned, partially lost or
+// restored). Equal readings mean every Complete answer is unchanged.
+func (s *Service) SealEpoch() uint64 { return s.sealEpoch.Load() }
 
 // Complete reports whether the shuffle's outputs are all available.
 func (s *Service) Complete(shuffleID int) bool {
@@ -286,6 +298,7 @@ func (s *Service) Clean(shuffleID int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.outputs, shuffleID)
+	s.sealEpoch.Add(1)
 }
 
 // LostMapOutput identifies one invalidated map output and the bytes it
@@ -313,6 +326,7 @@ func (s *Service) LoseBucket(shuffleID, mapPart, bucket int) (int64, bool) {
 	bytes := o.maps[mapPart].bytes[bucket]
 	o.maps[mapPart] = nil
 	o.sealed = false
+	s.sealEpoch.Add(1)
 	return bytes, true
 }
 
@@ -340,6 +354,7 @@ func (s *Service) LoseExecutorOutputs(executor int) []LostMapOutput {
 			}
 			o.maps[m] = nil
 			o.sealed = false
+			s.sealEpoch.Add(1)
 			lost = append(lost, LostMapOutput{Shuffle: id, MapPart: m, Bytes: bytes})
 		}
 	}

@@ -235,3 +235,36 @@ func TestBucketRefsAndCompleteIDs(t *testing.T) {
 		t.Fatalf("bucket refs after loss = %v, want 2 entries", got)
 	}
 }
+
+// TestSealEpochMovesWithCompleteness pins the contract cost caches rely
+// on: every transition that can change a Complete answer moves SealEpoch,
+// and operations that cannot leave it alone.
+func TestSealEpochMovesWithCompleteness(t *testing.T) {
+	s := NewService()
+	step := func(name string, wantMove bool, f func()) {
+		t.Helper()
+		before := s.SealEpoch()
+		f()
+		if moved := s.SealEpoch() != before; moved != wantMove {
+			t.Errorf("%s: seal epoch moved = %v, want %v", name, moved, wantMove)
+		}
+	}
+	write := func(id, mapPart, exec int) {
+		if err := s.SetMapOutput(id, mapPart, exec, [][]dataflow.Record{recs(1), recs(2)}, []int64{10, 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step("Ensure", false, func() { s.Ensure(1, 2, 2) })
+	step("SetMapOutput", false, func() { write(1, 0, 0) })
+	step("MarkComplete with a map missing", false, func() { s.MarkComplete(1) })
+	write(1, 1, 1)
+	step("MarkComplete", true, func() { s.MarkComplete(1) })
+	step("Complete", false, func() { s.Complete(1) })
+	step("LoseBucket", true, func() { s.LoseBucket(1, 0, 1) })
+	write(1, 0, 0)
+	s.MarkComplete(1)
+	step("LoseExecutorOutputs", true, func() { s.LoseExecutorOutputs(1) })
+	snap := s.Snapshot()
+	step("Clean", true, func() { s.Clean(1) })
+	step("Restore", true, func() { s.Restore(snap) })
+}

@@ -67,6 +67,7 @@ func (s *Service) Restore(snap *Snapshot) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.totalWritten = snap.TotalWritten
+	s.sealEpoch.Add(1)
 	s.outputs = make(map[int]*output, len(snap.Outputs))
 	for _, os := range snap.Outputs {
 		o := &output{numBuckets: os.NumBuckets, sealed: os.Sealed, maps: make([]*mapOutput, len(os.Maps))}

@@ -46,11 +46,7 @@ func (m *MemoryStore) Restore(meta BlockMeta, recs []dataflow.Record) error {
 		recs = nil
 	}
 	mc := meta
-	m.blocks[id] = &memEntry{records: recs, data: data, meta: &mc}
-	m.used += meta.Size
-	if m.used > m.peak {
-		m.peak = m.used
-	}
+	m.insert(&memEntry{records: recs, data: data, meta: &mc})
 	return nil
 }
 
@@ -109,11 +105,7 @@ func (d *DiskStore) Restore(id BlockID, recs []dataflow.Record, size int64) erro
 	} else {
 		e.records = recs
 	}
-	d.blocks[id] = e
-	d.current += e.size
-	if d.current > d.peak {
-		d.peak = d.current
-	}
+	d.add(id, e)
 	return nil
 }
 

@@ -25,10 +25,12 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -44,6 +46,38 @@ type BlockID struct {
 
 // String renders the block id like "rdd_12_3", following Spark's naming.
 func (b BlockID) String() string { return fmt.Sprintf("rdd_%d_%d", b.Dataset, b.Partition) }
+
+// Compare orders block ids by (dataset, partition) — the deterministic
+// listing order of both stores and the final tie-break of every eviction
+// policy.
+func (b BlockID) Compare(o BlockID) int {
+	if b.Dataset != o.Dataset {
+		return cmp.Compare(b.Dataset, o.Dataset)
+	}
+	return cmp.Compare(b.Partition, o.Partition)
+}
+
+// columnVersions counts, per partition index, how many times a store's
+// residency changed for that index (a block of any dataset inserted or
+// removed). Cost estimates cached by a controller record the count they
+// were computed at and are reused only while it is unchanged. A column is
+// written only through its store, which only its executor's worker (or
+// the driver between stages) mutates.
+type columnVersions []uint64
+
+func (v *columnVersions) bump(part int) {
+	if part >= len(*v) {
+		*v = append(*v, make([]uint64, part+1-len(*v))...)
+	}
+	(*v)[part]++
+}
+
+func (v columnVersions) at(part int) uint64 {
+	if part < len(v) {
+		return v[part]
+	}
+	return 0
+}
 
 // Sized lets workload value types report their in-memory footprint so the
 // cache sees realistic, skewed partition sizes (§2.2). The sizing rules
@@ -104,7 +138,11 @@ type MemoryStore struct {
 	used     int64
 	peak     int64
 	blocks   map[BlockID]*memEntry
-	seq      int64
+	// sorted lists the resident metadata in BlockID order, maintained on
+	// every insert and removal so listing never sorts.
+	sorted []*BlockMeta
+	colVer columnVersions
+	seq    int64
 
 	real  bool
 	meter *Meter
@@ -296,12 +334,28 @@ func (m *MemoryStore) putEntry(id BlockID, recs []dataflow.Record, data []byte, 
 	if m.real {
 		recs = nil
 	}
-	m.blocks[id] = &memEntry{records: recs, data: data, meta: meta}
-	m.used += size
+	m.insert(&memEntry{records: recs, data: data, meta: meta})
+	return meta, nil
+}
+
+// insert makes an entry resident: the one place (with dropEntry) the
+// block map, the sorted listing and the column version are written.
+func (m *MemoryStore) insert(e *memEntry) {
+	id := e.meta.ID
+	m.blocks[id] = e
+	m.sorted = slices.Insert(m.sorted, m.sortedIndex(id), e.meta)
+	m.colVer.bump(id.Partition)
+	m.used += e.meta.Size
 	if m.used > m.peak {
 		m.peak = m.used
 	}
-	return meta, nil
+}
+
+// sortedIndex is the position of id in the sorted listing, or where it
+// would be inserted.
+func (m *MemoryStore) sortedIndex(id BlockID) int {
+	at, _ := slices.BinarySearchFunc(m.sorted, id, func(b *BlockMeta, id BlockID) int { return b.ID.Compare(id) })
+	return at
 }
 
 // PeakUsed returns the maximum bytes ever resident, used to calibrate
@@ -335,6 +389,9 @@ func (m *MemoryStore) dropEntry(id BlockID) (*memEntry, bool) {
 		return nil, false
 	}
 	delete(m.blocks, id)
+	at := m.sortedIndex(id)
+	m.sorted = slices.Delete(m.sorted, at, at+1)
+	m.colVer.bump(id.Partition)
 	m.used -= e.meta.Size
 	m.cacheDrop(id)
 	if m.quota != nil {
@@ -344,20 +401,17 @@ func (m *MemoryStore) dropEntry(id BlockID) (*memEntry, bool) {
 }
 
 // Blocks returns the metadata of all resident blocks in deterministic
-// (dataset, partition) order.
-func (m *MemoryStore) Blocks() []*BlockMeta {
-	out := make([]*BlockMeta, 0, len(m.blocks))
-	for _, e := range m.blocks {
-		out = append(out, e.meta)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ID.Dataset != out[j].ID.Dataset {
-			return out[i].ID.Dataset < out[j].ID.Dataset
-		}
-		return out[i].ID.Partition < out[j].ID.Partition
-	})
-	return out
-}
+// (dataset, partition) order. The slice is the caller's: it stays valid
+// while the caller removes or admits blocks.
+func (m *MemoryStore) Blocks() []*BlockMeta { return slices.Clone(m.sorted) }
+
+// BlocksView is Blocks without the copy: the store's own listing, to be
+// read only, and only until the next admission or removal.
+func (m *MemoryStore) BlocksView() []*BlockMeta { return m.sorted }
+
+// ColumnVersion counts the residency changes of partition index part in
+// this store (see columnVersions).
+func (m *MemoryStore) ColumnVersion(part int) uint64 { return m.colVer.at(part) }
 
 type diskEntry struct {
 	records   []dataflow.Record // virtual mode only
@@ -372,6 +426,7 @@ type diskEntry struct {
 // one file named after its BlockID under the store's directory.
 type DiskStore struct {
 	blocks       map[BlockID]diskEntry
+	colVer       columnVersions
 	current      int64
 	peak         int64
 	totalWritten int64
@@ -461,14 +516,26 @@ func (d *DiskStore) PutEncoded(id BlockID, data []byte, size int64) error {
 	return nil
 }
 
+// insert makes an entry resident and counts it as written.
 func (d *DiskStore) insert(id BlockID, e diskEntry) {
-	d.blocks[id] = e
-	d.current += e.size
+	d.add(id, e)
 	d.totalWritten += e.size
+}
+
+// add makes an entry resident: the one place (with Remove) the block map
+// and the column version are written.
+func (d *DiskStore) add(id BlockID, e diskEntry) {
+	d.blocks[id] = e
+	d.colVer.bump(id.Partition)
+	d.current += e.size
 	if d.current > d.peak {
 		d.peak = d.current
 	}
 }
+
+// ColumnVersion counts the residency changes of partition index part in
+// this store (see columnVersions).
+func (d *DiskStore) ColumnVersion(part int) uint64 { return d.colVer.at(part) }
 
 // Get reads a block from disk. In real-bytes mode the block's file is
 // read and deserialized, with the combined wall-clock time measured as
@@ -528,6 +595,7 @@ func (d *DiskStore) Remove(id BlockID) (int64, bool) {
 		return 0, false
 	}
 	delete(d.blocks, id)
+	d.colVer.bump(id.Partition)
 	d.current -= e.size
 	if d.real {
 		if err := os.Remove(d.path(id)); err != nil && !os.IsNotExist(err) {
@@ -553,12 +621,7 @@ func (d *DiskStore) Blocks() []BlockID {
 	for id := range d.blocks {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dataset != out[j].Dataset {
-			return out[i].Dataset < out[j].Dataset
-		}
-		return out[i].Partition < out[j].Partition
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
 	return out
 }
 

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -575,5 +576,88 @@ func TestVirtualStoresRejectEncodedAPI(t *testing.T) {
 	}
 	if _, _, ok := d.GetEncoded(BlockID{1, 0}); ok {
 		t.Fatal("virtual disk store must not serve GetEncoded")
+	}
+}
+
+func sampleRecords(n int) []dataflow.Record {
+	out := make([]dataflow.Record, n)
+	for i := range out {
+		out[i] = dataflow.Record{Key: int64(i), Value: float64(i)}
+	}
+	return out
+}
+
+// TestColumnVersionCountsEveryResidencyChange pins the contract cost
+// caches rely on: every way a block enters or leaves either store moves
+// the version of its partition index, and of no other.
+func TestColumnVersionCountsEveryResidencyChange(t *testing.T) {
+	dir := t.TempDir()
+	enc, err := EncodeRecords(sampleRecords(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := BlockID{Dataset: 4, Partition: 2}
+	moved := func(name string, version func(int) uint64, change func()) {
+		t.Helper()
+		before, other := version(2), version(1)
+		change()
+		if version(2) == before {
+			t.Errorf("%s did not move the column version", name)
+		}
+		if version(1) != other {
+			t.Errorf("%s moved another column's version", name)
+		}
+	}
+	for _, real := range []bool{false, true} {
+		m := NewMemoryStore(1 << 20)
+		if real {
+			m = NewMemoryStoreReal(1<<20, nil, 2)
+		}
+		moved("MemoryStore.Put", m.ColumnVersion, func() { m.Put(id, sampleRecords(3), 100, 0, 0) })
+		moved("MemoryStore.Remove", m.ColumnVersion, func() { m.Remove(id) })
+		moved("MemoryStore.Restore", m.ColumnVersion, func() { m.Restore(BlockMeta{ID: id, Size: 100}, sampleRecords(3)) })
+		if real {
+			moved("MemoryStore.RemoveEncoded", m.ColumnVersion, func() { m.RemoveEncoded(id) })
+			moved("MemoryStore.PutEncoded", m.ColumnVersion, func() { m.PutEncoded(id, enc, 100, 0, 0) })
+		}
+
+		d := NewDiskStore()
+		if real {
+			d = NewDiskStoreReal(dir, nil)
+		}
+		moved("DiskStore.Put", d.ColumnVersion, func() { d.Put(id, sampleRecords(3), 100) })
+		moved("DiskStore.Remove", d.ColumnVersion, func() { d.Remove(id) })
+		moved("DiskStore.Restore", d.ColumnVersion, func() { d.Restore(id, sampleRecords(3), 100) })
+		if real {
+			d.Remove(id)
+			moved("DiskStore.PutEncoded", d.ColumnVersion, func() { d.PutEncoded(id, enc, 100) })
+		}
+	}
+}
+
+// TestBlocksViewTracksResidency checks the maintained listing against
+// the block map through a random put/remove sequence.
+func TestBlocksViewTracksResidency(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := NewMemoryStore(1 << 30)
+	for step := 0; step < 2000; step++ {
+		id := BlockID{Dataset: rng.Intn(6), Partition: rng.Intn(8)}
+		if m.Contains(id) {
+			m.Remove(id)
+		} else if _, err := m.Put(id, nil, 1, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		view := m.BlocksView()
+		if len(view) != len(m.blocks) {
+			t.Fatalf("step %d: view lists %d blocks, store holds %d", step, len(view), len(m.blocks))
+		}
+		for i, meta := range view {
+			if e, ok := m.blocks[meta.ID]; !ok || e.meta != meta {
+				t.Fatalf("step %d: view entry %v is not the resident block's metadata", step, meta.ID)
+			}
+			if i > 0 && view[i-1].ID.Compare(meta.ID) >= 0 {
+				t.Fatalf("step %d: view out of order at %d: %v then %v", step, i, view[i-1].ID, meta.ID)
+			}
+		}
 	}
 }

@@ -5,7 +5,16 @@ import (
 	"testing"
 
 	"blaze"
+	"blaze/internal/core"
 )
+
+// verifyCachedCosts switches on, for the test, the Blaze controllers'
+// cached-vs-fresh check: every victim ordering they serve is compared
+// with one priced from scratch, and a difference panics the run.
+func verifyCachedCosts(t *testing.T) {
+	core.VerifyCachedCosts(true)
+	t.Cleanup(func() { core.VerifyCachedCosts(false) })
+}
 
 // allSystems lists every registered system id, including a
 // conventional-policy system, for the parallel-identity sweep.
@@ -61,6 +70,7 @@ func assertIdentical(t *testing.T, label string, seqRes, parRes *blaze.Result, s
 // registered system, a run at Parallelism 8 must produce bit-identical
 // virtual-time metrics AND an identical event log to the sequential run.
 func TestParallelMetricsIdentity(t *testing.T) {
+	verifyCachedCosts(t)
 	for _, sys := range allSystems() {
 		sys := sys
 		t.Run(string(sys), func(t *testing.T) {
@@ -76,6 +86,7 @@ func TestParallelMetricsIdentity(t *testing.T) {
 // (partition migration, map-output regeneration) must also be
 // interleaving-independent.
 func TestParallelMetricsIdentityUnderFaults(t *testing.T) {
+	verifyCachedCosts(t)
 	systems := []blaze.SystemID{blaze.SysSparkMemDisk, blaze.SysMRD, blaze.SysBlaze}
 	for _, class := range []blaze.FaultClass{blaze.FaultExecutorDeath, blaze.FaultBucketLoss} {
 		for _, sys := range systems {
