@@ -14,9 +14,7 @@ import (
 	"blaze/internal/core"
 	"blaze/internal/costmodel"
 	"blaze/internal/dataflow"
-	"blaze/internal/datagen"
 	"blaze/internal/engine"
-	"blaze/internal/ilp"
 	"blaze/internal/metrics"
 	"blaze/internal/storage"
 )
@@ -262,41 +260,4 @@ type LineageEdge = core.Edge
 // default is 0.02).
 func ProfileWorkload(spec WorkloadSpec, sampleScale float64) *Skeleton {
 	return core.Profile(core.Workload(spec.Plain), sampleScale)
-}
-
-// ---------------------------------------------------------------------
-// Input generators and model internals for benchmark tooling
-
-// BlobSpec describes a deterministic incompressible-blob input set for
-// real-bytes storage experiments; Blob(i) materializes blob i.
-type BlobSpec = datagen.BlobSpec
-
-// CostObserved carries measured storage throughputs from a real-bytes
-// run; CostParams.Calibrated re-derives model device speeds from it.
-type CostObserved = costmodel.Observed
-
-// ILPProblem, ILPSolution and ILPOptions expose the exact optimizer to
-// benchmark tooling: the same solver the Blaze controller runs on its
-// three-state caching instances, callable on standalone problems.
-type (
-	ILPProblem  = ilp.Problem
-	ILPSolution = ilp.Solution
-	ILPOptions  = ilp.Options
-)
-
-// ILPBenchProblem builds the canonical Blaze-shaped benchmark instance
-// for n partitions: the three-state model with a memory capacity
-// constraint, the instance family the solver benchmarks report on.
-func ILPBenchProblem(parts int, memCapacity int64) ILPProblem {
-	return ilp.BenchProblem(parts, memCapacity)
-}
-
-// ILPSolve runs the production solver (bounded-variable simplex with
-// warm-started branch and bound) on a standalone instance.
-func ILPSolve(p ILPProblem, o ILPOptions) (ILPSolution, error) { return ilp.Solve(p, o) }
-
-// ILPReferenceSolve runs the pre-rewrite dense reference solver — kept
-// for cross-checks and benchmarks; tractable only on small instances.
-func ILPReferenceSolve(p ILPProblem, o ILPOptions) (ILPSolution, error) {
-	return ilp.ReferenceSolve(p, o)
 }

@@ -93,7 +93,9 @@ type RunConfig struct {
 	// (WorkloadSpec.MemFraction): the memory-store capacity as a
 	// fraction of the calibrated peak cached bytes.
 	MemoryFraction float64
-	// Scale scales the input size (1.0 = the default workload size).
+	// Scale shrinks the input: a fraction in (0, 1] of the workload's
+	// default size (default 1.0). Larger inputs come from a workload
+	// registered with RegisterWorkload.
 	Scale float64
 	// ProfileScale is the sample fraction for Blaze's dependency
 	// extraction phase (default 0.02, the analogue of <1 MB samples).
@@ -160,6 +162,16 @@ const (
 	ILPWindowCurrentJobOnly = -1
 )
 
+// validateScale checks an input scale factor. The built-in workloads
+// clamp their input at the default size, so a factor above 1 would run
+// the default workload while reporting the requested one.
+func validateScale(scale float64) error {
+	if scale < 0 || scale > 1 {
+		return fmt.Errorf("blaze: Scale must be in (0, 1] (0 means default 1.0), got %g; inputs larger than a workload's default size come from a workload registered with RegisterWorkload", scale)
+	}
+	return nil
+}
+
 func (c RunConfig) withDefaults() RunConfig {
 	if c.Executors == 0 {
 		c.Executors = 8
@@ -196,8 +208,8 @@ func (c RunConfig) Validate() error {
 	if c.MemoryFraction < 0 {
 		return fmt.Errorf("blaze: MemoryFraction must be >= 0 (0 means the workload default), got %g", c.MemoryFraction)
 	}
-	if c.Scale < 0 {
-		return fmt.Errorf("blaze: Scale must be positive (0 means default 1.0), got %g", c.Scale)
+	if err := validateScale(c.Scale); err != nil {
+		return err
 	}
 	if c.ProfileScale < 0 || c.ProfileScale > 1 {
 		return fmt.Errorf("blaze: ProfileScale must be in (0, 1] (0 means default 0.02), got %g", c.ProfileScale)

@@ -1,6 +1,7 @@
 // Command blazebench regenerates the tables and figures of the paper's
 // evaluation (§7). Each figure is printed as an aligned text table with
-// the same rows/series the paper plots.
+// the same rows/series the paper plots; -faults prints the chaos table
+// instead. Wall-clock benchmarking lives in bench/.
 //
 // Usage:
 //
@@ -11,200 +12,14 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"blaze"
 	"blaze/harness"
 )
-
-// parallelEntry is one row of the parallel speedup benchmark.
-type parallelEntry struct {
-	Workload   string  `json:"workload"`
-	System     string  `json:"system"`
-	SeqWallMs  float64 `json:"seq_wall_ms"`
-	ParWallMs  float64 `json:"par_wall_ms"`
-	Speedup    float64 `json:"speedup"`
-	ActMatched bool    `json:"act_matched"`
-}
-
-type parallelReport struct {
-	Cores       int     `json:"cores"`
-	Parallelism int     `json:"parallelism"`
-	Executors   int     `json:"executors"`
-	Scale       float64 `json:"scale"`
-	// SkippedSpeedupCheck is set when the host has fewer than 4 cores:
-	// a speedup of ~1.0 is then expected and the CI smoke must not
-	// apply its threshold. Machine-readable so tooling does not have to
-	// parse the prose note.
-	SkippedSpeedupCheck bool            `json:"skipped_speedup_check"`
-	Entries             []parallelEntry `json:"entries"`
-	Note                string          `json:"note"`
-}
-
-// wallClock runs one workload/system at the given parallelism and
-// returns the best-of-n wall time plus the (virtual) ACT for the
-// identity cross-check.
-func wallClock(sys blaze.SystemID, wl blaze.WorkloadID, executors int, scale float64, par, n int) (time.Duration, time.Duration) {
-	best := time.Duration(1<<63 - 1)
-	var act time.Duration
-	for i := 0; i < n; i++ {
-		start := time.Now()
-		res, err := blaze.Run(blaze.RunConfig{
-			System:      sys,
-			Workload:    wl,
-			Executors:   executors,
-			Scale:       scale,
-			Parallelism: par,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "blazebench: %v\n", err)
-			os.Exit(1)
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-		act = res.ACT()
-	}
-	return best, act
-}
-
-// runParallelBench measures wall-clock speedup of multi-core stage
-// execution (Parallelism=NumCPU vs 1) and writes the report as JSON.
-// The virtual-time ACT must be identical at both settings — parallelism
-// only changes how fast the simulation itself runs.
-func runParallelBench(path string, executors int, scale float64) {
-	cores := runtime.NumCPU()
-	rep := parallelReport{
-		Cores:               cores,
-		Parallelism:         cores,
-		Executors:           executors,
-		Scale:               scale,
-		SkippedSpeedupCheck: cores < 4,
-		Note:                "speedup threshold applies only when cores >= 4; skipped_speedup_check reports whether this host is below that floor",
-	}
-	for _, wl := range []blaze.WorkloadID{blaze.PR, blaze.KMeans} {
-		sys := blaze.SysSparkMemDisk
-		seq, seqACT := wallClock(sys, wl, executors, scale, 1, 2)
-		par, parACT := wallClock(sys, wl, executors, scale, cores, 2)
-		rep.Entries = append(rep.Entries, parallelEntry{
-			Workload:   string(wl),
-			System:     string(sys),
-			SeqWallMs:  float64(seq.Microseconds()) / 1000,
-			ParWallMs:  float64(par.Microseconds()) / 1000,
-			Speedup:    float64(seq) / float64(par),
-			ActMatched: seqACT == parACT,
-		})
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "blazebench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "blazebench: %v\n", err)
-		os.Exit(1)
-	}
-	for _, e := range rep.Entries {
-		fmt.Printf("%-10s %-14s seq %8.1fms  par %8.1fms  speedup %.2fx  act-match %v\n",
-			e.Workload, e.System, e.SeqWallMs, e.ParWallMs, e.Speedup, e.ActMatched)
-	}
-	fmt.Printf("(%d cores; report written to %s)\n", cores, path)
-}
-
-// ilpEntry is one instance size of the optimizer benchmark.
-type ilpEntry struct {
-	Parts     int     `json:"parts"`
-	Vars      int     `json:"vars"`
-	BoundedMs float64 `json:"bounded_ms"`
-	Nodes     int     `json:"nodes"`
-	Optimal   bool    `json:"optimal"`
-	DenseMs   float64 `json:"dense_ms,omitempty"`
-	Speedup   float64 `json:"speedup,omitempty"`
-}
-
-type ilpReport struct {
-	Entries []ilpEntry `json:"entries"`
-	Note    string     `json:"note"`
-}
-
-// runILPBench benchmarks the exact optimizer on the shared Blaze-shaped
-// instances (blaze.ILPBenchProblem): wall time and branch-and-bound nodes of
-// the bounded-variable warm-started solver at n ∈ {16, 32, 128, 256}
-// partitions, against the dense reference solver where it is still
-// tractable (n ≤ 32). The JSON report mirrors BENCH_parallel.json and
-// feeds the CI smoke job.
-func runILPBench(path string) {
-	rep := ilpReport{
-		Note: "bounded = bounded-variable simplex with warm-started branch and bound; dense = pre-rewrite reference solver (internal/ilp/dense.go), run only at sizes where it is tractable",
-	}
-	for _, parts := range []int{16, 32, 128, 256} {
-		prob := blaze.ILPBenchProblem(parts, int64(parts))
-		reps := 3
-		if parts > 32 {
-			reps = 1
-		}
-		var sol blaze.ILPSolution
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < reps; i++ {
-			start := time.Now()
-			s, err := blaze.ILPSolve(prob, blaze.ILPOptions{})
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "blazebench: ilp n=%d: %v\n", parts, err)
-				os.Exit(1)
-			}
-			if d := time.Since(start); d < best {
-				best = d
-			}
-			sol = s
-		}
-		e := ilpEntry{
-			Parts:     parts,
-			Vars:      3 * parts,
-			BoundedMs: float64(best.Microseconds()) / 1000,
-			Nodes:     sol.Nodes,
-			Optimal:   sol.Optimal,
-		}
-		if parts <= 32 {
-			dBest := time.Duration(1<<63 - 1)
-			for i := 0; i < reps; i++ {
-				start := time.Now()
-				if _, err := blaze.ILPReferenceSolve(prob, blaze.ILPOptions{}); err != nil {
-					fmt.Fprintf(os.Stderr, "blazebench: dense ilp n=%d: %v\n", parts, err)
-					os.Exit(1)
-				}
-				if d := time.Since(start); d < dBest {
-					dBest = d
-				}
-			}
-			e.DenseMs = float64(dBest.Microseconds()) / 1000
-			e.Speedup = float64(dBest) / float64(best)
-		}
-		rep.Entries = append(rep.Entries, e)
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "blazebench: %v\n", err)
-		os.Exit(1)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "blazebench: %v\n", err)
-		os.Exit(1)
-	}
-	for _, e := range rep.Entries {
-		line := fmt.Sprintf("n=%-4d vars=%-4d bounded %9.2fms  nodes %6d  optimal %v",
-			e.Parts, e.Vars, e.BoundedMs, e.Nodes, e.Optimal)
-		if e.DenseMs > 0 {
-			line += fmt.Sprintf("  dense %9.2fms  speedup %.2fx", e.DenseMs, e.Speedup)
-		}
-		fmt.Println(line)
-	}
-	fmt.Printf("(report written to %s)\n", path)
-}
 
 // runFaultBench runs every end-to-end system on one workload under the
 // fault schedule and resilience knobs, printing a per-system table of
@@ -260,73 +75,14 @@ func runFaultBench(workload string, executors int, scale float64, faultSpec, res
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 3,4,5,9,10,11,12,13,summary or 'all'")
 	executors := flag.Int("executors", 8, "number of simulated executors")
-	scale := flag.Float64("scale", 1.0, "input scale factor for every workload")
+	scale := flag.Float64("scale", 1.0, "input scale factor for every workload, in (0, 1]")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON instead of text tables")
-	parallel := flag.String("parallel", "", "run the multi-core speedup benchmark and write the JSON report to this path")
-	throughputPath := flag.String("throughput", "", "run the columnar hot-path benchmark (row vs. batch records/s, allocs/record, bit-identity) and write the JSON report to this path")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the -throughput run to this path")
-	memProfile := flag.String("memprofile", "", "write a heap profile of the -throughput run to this path")
-	ilpPath := flag.String("ilp", "", "run the exact-optimizer benchmark and write the JSON report to this path")
-	storagePath := flag.String("storage", "", "run the real-bytes storage benchmark (measured vs modeled) and write the JSON report to this path")
-	serverPath := flag.String("server", "", "run the multi-tenant job-server benchmark (shared Blaze cache vs static partitioning) and write the JSON report to this path")
-	streamPath := flag.String("stream", "", "run the micro-batch streaming benchmark (windowed lineage + incremental ILP re-solve) and write the JSON report to this path")
-	recoveryPath := flag.String("recovery", "", "run the crash-recovery benchmark (checkpoint overhead, mid-stream kill + resume, bit-identity check) and write the JSON report to this path")
 	faultSpec := flag.String("faults", "", "run the fault soak instead of figures: comma-separated classes (exec, block, shuffle, exec-death, bucket, task-flake, fetch-flake, straggler, permanent, transient, all)")
 	resSpec := flag.String("resilience", "", "resilience knobs for the fault soak: retries=3,fetch-retries=2,backoff=2ms,spec=2,blacklist=3,cooldown=2")
 	workload := flag.String("workload", "pr", "workload for the fault soak: pr, cc, lr, kmeans, gbt, svdpp")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the fault soak's deterministic injector")
 	flag.Parse()
 
-	if *parallel != "" {
-		runParallelBench(*parallel, *executors, *scale)
-		return
-	}
-	if *throughputPath != "" {
-		harness.RunThroughputBench(*throughputPath, *cpuProfile, *memProfile)
-		return
-	}
-	if *cpuProfile != "" || *memProfile != "" {
-		fmt.Fprintln(os.Stderr, "blazebench: -cpuprofile/-memprofile apply to the -throughput benchmark")
-		os.Exit(1)
-	}
-	if *ilpPath != "" {
-		runILPBench(*ilpPath)
-		return
-	}
-	if *storagePath != "" {
-		runStorageBench(*storagePath, *scale)
-		return
-	}
-	if *streamPath != "" {
-		runStreamBench(*streamPath, *executors, *scale)
-		return
-	}
-	if *recoveryPath != "" {
-		// Like the server bench, the documented operating point is scale
-		// 0.5 unless -scale was given explicitly.
-		recScale := 0.5
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				recScale = *scale
-			}
-		})
-		runRecoveryBench(*recoveryPath, *executors, recScale)
-		return
-	}
-	if *serverPath != "" {
-		// The server bench's documented operating point is scale 0.5 —
-		// moderate contention, where a shared cache's flexibility pays.
-		// At full scale every arm is capacity-saturated. An explicit
-		// -scale overrides.
-		srvScale := 0.5
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "scale" {
-				srvScale = *scale
-			}
-		})
-		runServerBench(*serverPath, *executors, srvScale)
-		return
-	}
 	if *faultSpec != "" {
 		runFaultBench(*workload, *executors, *scale, *faultSpec, *resSpec, *faultSeed)
 		return
@@ -345,7 +101,6 @@ func main() {
 		names = harness.AllFigures()
 	}
 	start := time.Now()
-	_ = start
 	for _, name := range names {
 		m, err := h.Figure(name)
 		if err != nil {

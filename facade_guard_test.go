@@ -11,14 +11,15 @@ import (
 )
 
 // TestFacadeHygiene enforces the facade boundary mechanically: nothing
-// under examples/ or cmd/ may import blaze/internal/... — those trees
-// are the demonstration that the public surface (blaze.Run, Session,
-// the type aliases in api.go) is sufficient to build real programs. A
-// new example or tool that reaches into internal packages either needs
-// a facade addition or is using the wrong entry point.
+// under examples/, cmd/ or harness/ may import blaze/internal/... —
+// those trees are the demonstration that the public surface (blaze.Run,
+// Session, the type aliases in api.go) is sufficient to build real
+// programs, the paper's figures included. A new example or tool that
+// reaches into internal packages either needs a facade addition or is
+// using the wrong entry point.
 func TestFacadeHygiene(t *testing.T) {
 	fset := token.NewFileSet()
-	for _, root := range []string{"examples", "cmd"} {
+	for _, root := range []string{"examples", "cmd", "harness"} {
 		err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 			if err != nil {
 				return err
@@ -37,7 +38,7 @@ func TestFacadeHygiene(t *testing.T) {
 					continue
 				}
 				if p == "blaze/internal" || strings.HasPrefix(p, "blaze/internal/") {
-					t.Errorf("%s imports %s: examples and commands must use the public facade only",
+					t.Errorf("%s imports %s: examples, commands and the figures harness must use the public facade only",
 						path, p)
 				}
 			}

@@ -21,6 +21,13 @@
 // ErrNoCheckpoint, and the caller re-runs from scratch (lineage
 // recomputation from the sources). Old windows are pruned at write so
 // at most two boundary snapshots exist at a time.
+//
+// Durability is against a process crash, not power loss: Write never
+// syncs a file, the directory or the WAL, so a committed checkpoint
+// survives kill -9 of the process (the kernel holds the pages) but a
+// power cut can leave a manifest naming blocks that never reached the
+// disk. Adding the syncs is the ROADMAP item "Make the durable-stream
+// commit path durable, then cheap".
 package checkpoint
 
 import (

@@ -1,7 +1,7 @@
 package graphx
 
 // Exported hot-path surfaces for the throughput benchmarks
-// (bench_hotpath_test.go and blazebench -throughput): deterministic
+// (bench_hotpath_test.go and bench/'s kernel layer): deterministic
 // PageRank partition builders plus the row closure and batch kernel of
 // the contributions operator, the workload's hottest stage. The row
 // function is the same logic the workload registers; the batch function

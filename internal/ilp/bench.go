@@ -10,9 +10,9 @@ import (
 // unpersist), a "pick exactly one state" equality row per partition, and
 // memory and disk capacity rows sized so both constraints bind (~40% of
 // total demand fits in memory, ~80% on disk). This is the instance shape
-// internal/core emits for the disk-constrained case, reused by
-// bench_test.go and blazebench -ilp so benchmark numbers are comparable
-// across tools.
+// internal/core emits for the disk-constrained case, shared by this
+// package's tests and benchmarks and by bench/'s ilp layer so their
+// numbers are comparable.
 func BenchProblem(parts int, seed int64) Problem {
 	rng := rand.New(rand.NewSource(seed))
 	n := parts * 3

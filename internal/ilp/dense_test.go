@@ -10,9 +10,10 @@ import (
 // two-phase simplex whose tableau appends every variable upper bound as
 // an explicit <= 1 row and rebuilds the reduced problem from scratch at
 // every node. It exists ONLY as the differential-testing oracle and the
-// benchmark baseline (bench_test.go, blazebench -ilp) — production code
-// must call Solve, which runs the bounded-variable simplex on a tableau
-// ~4x smaller and reuses one workspace across the whole search.
+// benchmark baseline (BenchmarkBranchAndBound) — a _test.go file so it
+// is never linked into a binary; production code calls Solve, which
+// runs the bounded-variable simplex on a tableau ~4x smaller and reuses
+// one workspace across the whole search.
 
 // ReferenceSolve finds a minimum-cost binary assignment with the
 // original dense algorithm. Semantics match Solve (same pruning rule,

@@ -10,7 +10,7 @@ import (
 // solver: every sampled problem is solved by the new warm-started branch
 // and bound AND by at least one independent implementation — BruteForce
 // (exhaustive, the ground truth) for small n, the dense ReferenceSolve
-// and denseSolveLP (the pre-rewrite solver, kept in dense.go exactly for
+// and denseSolveLP (the pre-rewrite solver, kept in dense_test.go exactly for
 // this purpose) for everything. Objectives must agree to 1e-6 and every
 // returned assignment must satisfy the constraints. The seed corpus runs
 // on every CI build (go test -run Fuzz).

@@ -57,7 +57,7 @@ var errNodeBudget = errors.New("ilp: node budget exhausted before any feasible s
 // Solve finds a minimum-cost binary assignment by branch and bound on
 // the LP relaxation.
 //
-// Unlike the dense reference (ReferenceSolve), the entire search shares
+// Unlike the dense reference (dense_test.go), the entire search shares
 // one bounded-variable simplex workspace: branching fixes a variable by
 // shrinking its box to [v,v] in place, the child starts from the parent
 // basis, and backtracking restores the box — no per-node problem

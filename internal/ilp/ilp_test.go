@@ -1,6 +1,7 @@
 package ilp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -433,6 +434,51 @@ func TestSolveMatchesDenseReference(t *testing.T) {
 		if math.Abs(got.Objective-ref.Objective) > 1e-6 {
 			t.Fatalf("trial %d: bounded obj %v != dense obj %v\nproblem %+v",
 				trial, got.Objective, ref.Objective, p)
+		}
+	}
+}
+
+// TestSolveBenchProblemNodes pins the search effort on the shared
+// Blaze-shaped instances: the solver is deterministic, so the default
+// node budget proves optimality in exactly these many nodes. A change
+// that moves a count changed the search (pivot rule, branch order,
+// pruning), not just its speed.
+func TestSolveBenchProblemNodes(t *testing.T) {
+	for _, tc := range []struct{ parts, nodes int }{
+		{16, 67}, {32, 27}, {128, 1419}, {256, 3035},
+	} {
+		if tc.parts == 256 && testing.Short() {
+			continue // ~15 s
+		}
+		sol, err := Solve(BenchProblem(tc.parts, int64(tc.parts)), Options{})
+		if err != nil {
+			t.Fatalf("n=%d: %v", tc.parts, err)
+		}
+		if !sol.Optimal || sol.Nodes != tc.nodes {
+			t.Errorf("n=%d: optimal=%v in %d nodes, want proven optimal in %d",
+				tc.parts, sol.Optimal, sol.Nodes, tc.nodes)
+		}
+	}
+}
+
+// BenchmarkBranchAndBound times the exact solver on the full (m,d,u)
+// formulation with a disk constraint: the bounded-variable warm-started
+// solver against the dense reference it replaced (dense_test.go), at
+// sizes where the latter is still tractable.
+func BenchmarkBranchAndBound(b *testing.B) {
+	for _, parts := range []int{8, 32} {
+		prob := BenchProblem(parts, int64(parts))
+		for _, solver := range []struct {
+			name  string
+			solve func(Problem, Options) (Solution, error)
+		}{{"bounded", Solve}, {"dense", ReferenceSolve}} {
+			b.Run(fmt.Sprintf("%s/n=%d", solver.name, parts), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := solver.solve(prob, Options{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

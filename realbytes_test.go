@@ -95,6 +95,19 @@ func TestRealBytesMeasuresWork(t *testing.T) {
 	if st.FilesWritten == 0 || st.FileBytesPeak == 0 {
 		t.Errorf("no block files written: files=%d peakBytes=%d", st.FilesWritten, st.FileBytesPeak)
 	}
+	// Measured and modeled time describe the same operations, so they
+	// may differ by a host's device speeds but not by a unit: a band of
+	// three decades either way catches ns-for-ms and per-op-for-per-byte
+	// charging mistakes without depending on the machine.
+	for _, c := range st.Categories() {
+		if c.Stats.Wall <= 0 || c.Stats.Modeled <= 0 {
+			continue
+		}
+		if r := c.Stats.Ratio(); r < 1e-3 || r > 1e3 {
+			t.Errorf("%s: measured %v / modeled %v = %.2e over %d ops, outside [1e-3, 1e3]",
+				c.Category, c.Stats.Wall, c.Stats.Modeled, r, c.Stats.Ops)
+		}
+	}
 }
 
 // TestRealBytesAlluxioDecodesEveryRead checks the AlluxioMode contract

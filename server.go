@@ -78,7 +78,7 @@ type JobSpec struct {
 	// System and Workload select what to run, as in RunConfig.
 	System   SystemID
 	Workload WorkloadID
-	// Scale scales the input size (default 1.0).
+	// Scale shrinks the input, as in RunConfig: (0, 1], default 1.0.
 	Scale float64
 	// ProfileScale is the dependency-extraction sample fraction for the
 	// Blaze systems (default 0.02).

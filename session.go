@@ -203,7 +203,7 @@ func (cur cumSnap) diff(prev cumSnap, window int) WindowStats {
 // CheckpointStat records one committed window-boundary checkpoint:
 // which boundary, how many carried-state blocks it persisted, their
 // serialized size and the wall-clock commit time (the checkpoint
-// overhead blazebench -recovery reports).
+// overhead bench/'s stream-durable workload reports).
 type CheckpointStat struct {
 	Window int
 	Blocks int

@@ -88,6 +88,16 @@ func TestStreamCrashResumeBitIdentity(t *testing.T) {
 								i+1, baseRes.Windows[i], res.Windows[i])
 						}
 					}
+					// The resumed process commits the remaining boundaries
+					// itself, each with real carried state.
+					if got, want := len(res.Checkpoints), 4-k; got != want {
+						t.Errorf("resumed run committed %d checkpoints, want %d", got, want)
+					}
+					for _, ck := range res.Checkpoints {
+						if ck.Window <= k || ck.Blocks == 0 || ck.Bytes == 0 {
+							t.Errorf("implausible checkpoint after resume at %d: %+v", k, ck)
+						}
+					}
 					if res.Metrics.ILPColdMismatches != 0 {
 						t.Errorf("post-resume delta solves disagreed with cold solves %d times",
 							res.Metrics.ILPColdMismatches)

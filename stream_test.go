@@ -7,10 +7,12 @@ import (
 	"blaze"
 )
 
-func runStream(t *testing.T, wl blaze.StreamWorkloadID, par int, disk int64) (*blaze.StreamResult, *blaze.EventLog) {
+// runStream runs a stream workload at the tests' quarter-scale point
+// (4 windows, 4 executors, 1 MiB each); tune overrides it.
+func runStream(t *testing.T, wl blaze.StreamWorkloadID, par int, disk int64, tune ...func(*blaze.StreamConfig)) (*blaze.StreamResult, *blaze.EventLog) {
 	t.Helper()
 	log := blaze.NewEventLog()
-	res, err := blaze.RunStream(blaze.StreamConfig{
+	cfg := blaze.StreamConfig{
 		Workload:          wl,
 		Windows:           4,
 		Scale:             0.25,
@@ -20,7 +22,11 @@ func runStream(t *testing.T, wl blaze.StreamWorkloadID, par int, disk int64) (*b
 		DiskCapacity:      disk,
 		EventLog:          log,
 		ColdSolveVerify:   true,
-	})
+	}
+	for _, f := range tune {
+		f(&cfg)
+	}
+	res, err := blaze.RunStream(cfg)
 	if err != nil {
 		t.Fatalf("%s parallelism=%d: %v", wl, par, err)
 	}
@@ -89,18 +95,38 @@ func TestStreamWindowDeterminism(t *testing.T) {
 // branch-and-bound path: a disk tier makes the boundary instance a full
 // three-state ILP rather than a memory knapsack. The delta solve must
 // still select the cold solve's cache set while exploring no more
-// search nodes than it.
+// search nodes than it — and at full scale with memory tight enough
+// that the optimizer must choose (6 windows, 8 executors × 256 KiB),
+// the delta path (boundary memo for executors whose instance did not
+// move, warm-started search for the rest) must at least halve the
+// search on every stream.
 func TestStreamBoundaryExactILP(t *testing.T) {
-	res, _ := runStream(t, blaze.StreamPR, 8, 1<<20)
-	if res.Metrics.ILPColdSolves == 0 {
-		t.Fatal("cold verification requested but no cold solves ran")
+	tight := func(c *blaze.StreamConfig) {
+		c.Windows, c.Scale, c.Executors, c.MemoryPerExecutor = 6, 1, 8, 256<<10
 	}
-	if res.Metrics.ILPColdMismatches != 0 {
-		t.Errorf("delta re-solve disagreed with cold solve %d times", res.Metrics.ILPColdMismatches)
+	check := func(name string, wl blaze.StreamWorkloadID, coldOver int, tune ...func(*blaze.StreamConfig)) {
+		t.Run(name, func(t *testing.T) {
+			res, _ := runStream(t, wl, 8, 1<<20, tune...)
+			m := res.Metrics
+			if m.ILPColdSolves == 0 {
+				t.Fatal("cold verification requested but no cold solves ran")
+			}
+			if m.ILPColdMismatches != 0 {
+				t.Errorf("delta re-solve disagreed with cold solve %d times", m.ILPColdMismatches)
+			}
+			if m.PartitionsRetired == 0 {
+				t.Error("no partitions retired: windowed lifetime management inactive")
+			}
+			t.Logf("delta %d nodes vs cold %d nodes over %d boundary solves", m.ILPDeltaNodes, m.ILPColdNodes, m.ILPDeltaSolves)
+			if coldOver*m.ILPDeltaNodes > m.ILPColdNodes {
+				t.Errorf("delta solves explored %d nodes, cold solves %d: want cold >= %d × delta",
+					m.ILPDeltaNodes, m.ILPColdNodes, coldOver)
+			}
+		})
 	}
-	if res.Metrics.ILPDeltaNodes > res.Metrics.ILPColdNodes {
-		t.Errorf("delta solves explored more nodes (%d) than cold solves (%d)",
-			res.Metrics.ILPDeltaNodes, res.Metrics.ILPColdNodes)
+	check("quarter-scale/"+string(blaze.StreamPR), blaze.StreamPR, 1)
+	for _, wl := range blaze.AllStreamWorkloads() {
+		check("tight/"+string(wl), wl, 2, tight)
 	}
 }
 

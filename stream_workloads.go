@@ -161,7 +161,7 @@ type StreamConfig struct {
 	RecoveryLog   *EventLog
 	// Workload names the streaming workload; Windows is how many
 	// micro-batch windows to run (default 4); Scale shrinks the
-	// per-window input (default 1.0).
+	// per-window input: (0, 1], default 1.0.
 	Workload StreamWorkloadID
 	Windows  int
 	Scale    float64
@@ -210,6 +210,9 @@ func runStream(cfg StreamConfig, open func(SessionConfig) (*Session, error)) (*S
 	}
 	if windows < 1 {
 		return nil, fmt.Errorf("blaze: StreamConfig.Windows must be >= 1, got %d", windows)
+	}
+	if err := validateScale(cfg.Scale); err != nil {
+		return nil, err
 	}
 	scale := cfg.Scale
 	if scale == 0 {

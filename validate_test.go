@@ -31,6 +31,7 @@ func TestRunConfigValidate(t *testing.T) {
 		{"negative memory", func(c *blaze.RunConfig) { c.MemoryPerExecutor = -1 }, "MemoryPerExecutor"},
 		{"negative memory fraction", func(c *blaze.RunConfig) { c.MemoryFraction = -0.5 }, "MemoryFraction"},
 		{"negative scale", func(c *blaze.RunConfig) { c.Scale = -1 }, "Scale"},
+		{"scale above one", func(c *blaze.RunConfig) { c.Scale = 2 }, "RegisterWorkload"},
 		{"profile scale above one", func(c *blaze.RunConfig) { c.ProfileScale = 1.5 }, "ProfileScale"},
 		{"negative disk capacity", func(c *blaze.RunConfig) { c.DiskCapacity = -1 }, "DiskCapacity"},
 		{"unknown system", func(c *blaze.RunConfig) { c.System = "nope" }, "unknown system"},
@@ -68,6 +69,11 @@ func TestRunConfigValidate(t *testing.T) {
 				t.Fatal("Run accepted a config Validate rejects")
 			}
 		})
+	}
+	// StreamConfig carries its own Scale; the same rule applies.
+	if _, err := blaze.RunStream(blaze.StreamConfig{Workload: blaze.StreamPR, Scale: 2}); err == nil ||
+		!strings.Contains(err.Error(), "RegisterWorkload") {
+		t.Fatalf("RunStream with Scale 2 = %v, want an error pointing at RegisterWorkload", err)
 	}
 }
 
