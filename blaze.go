@@ -534,6 +534,23 @@ func (s systemSpec) drive(spec WorkloadSpec, ctx *dataflow.Context, scale float6
 	}
 }
 
+// tuneBlaze applies the facade's optimizer knobs to a Blaze controller:
+// a positive DiskCapacity adds the Eq. 6 disk row, and the ILPWindow
+// sentinels map onto the controller's successor-job count (the zero
+// value keeps its default of 1).
+func tuneBlaze(b *core.Controller, diskCapacity int64, ilpWindow int) *core.Controller {
+	if diskCapacity > 0 {
+		b.WithDiskCapacity(diskCapacity)
+	}
+	switch {
+	case ilpWindow > 0:
+		b.WithWindow(ilpWindow)
+	case ilpWindow == ILPWindowCurrentJobOnly:
+		b.WithWindow(0)
+	}
+	return b
+}
+
 // buildSystem constructs the execution recipe for a system id.
 func buildSystem(cfg RunConfig, spec WorkloadSpec) (systemSpec, error) {
 	profileSkeleton := func() *core.Skeleton {
@@ -560,16 +577,7 @@ func buildSystem(cfg RunConfig, spec WorkloadSpec) (systemSpec, error) {
 		return systemSpec{ctl: core.NewCostAware().WithSkeleton(profileSkeleton()), profiled: true}, nil
 	case SysBlaze:
 		b := core.NewBlaze().WithSkeleton(profileSkeleton())
-		if cfg.DiskCapacity > 0 {
-			b.WithDiskCapacity(cfg.DiskCapacity)
-		}
-		switch {
-		case cfg.ILPWindow > 0:
-			b.WithWindow(cfg.ILPWindow)
-		case cfg.ILPWindow == ILPWindowCurrentJobOnly:
-			b.WithWindow(0)
-		}
-		return systemSpec{ctl: b, profiled: true}, nil
+		return systemSpec{ctl: tuneBlaze(b, cfg.DiskCapacity, cfg.ILPWindow), profiled: true}, nil
 	case SysBlazeMem:
 		return systemSpec{ctl: core.NewBlazeMemOnly().WithSkeleton(profileSkeleton()), profiled: true}, nil
 	case SysBlazeNoProfile:

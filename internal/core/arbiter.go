@@ -118,7 +118,7 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 	}
 
 	// Every session's targetState is rebuilt from this solve, exactly as
-	// runILP rebuilds it at the top of a local solve.
+	// replan rebuilds it at the top of a local solve.
 	for _, s := range live {
 		s.ctl.targetState = make(map[storage.BlockID]engine.Placement)
 	}
@@ -177,7 +177,7 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 				values = append(values, v...)
 				weights = append(weights, w...)
 			}
-			key := knapKey(values, weights, capEff)
+			key := knapKey(0, values, weights, capEff)
 			if prev := memo.exactMatch(key); prev != nil {
 				return prev.chosen, 0, true, true
 			}
@@ -186,7 +186,7 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 			return chosen, nodes, exact, false
 		}
 
-		// Fixed point on the recursive recomputation costs, as in runILP:
+		// Fixed point on the recursive recomputation costs, as in replan:
 		// solve, re-price every session under the union assignment, solve
 		// again (a no-change re-pricing hits the memo for free).
 		chosen, nodes, _, reused1 := solveUnion()

@@ -339,7 +339,7 @@ func (b *Controller) OnJobStart(j *engine.Job) {
 		// declines (returns false) when it has nothing to add — e.g. a
 		// single registered session — and the local solve runs as before.
 		if b.arbiter == nil || !b.arbiter.ArbitrateJobStart(b) {
-			b.runILP()
+			b.replan(b.jobStartPass())
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"blaze/internal/engine"
 	"blaze/internal/eventlog"
 	"blaze/internal/ilp"
+	"blaze/internal/metrics"
 	"blaze/internal/storage"
 )
 
@@ -30,12 +32,69 @@ type candidate struct {
 // later-referenced residents as worthless.
 const ilpWindowDiscount = 0.5
 
-// runILP solves Eq. 5-6 for every executor independently (partitions are
+// solvePass is what differs between the three callers of the placement
+// fixed point (replan):
+//
+//	caller          | memo            | kind  | warm start | accounting
+//	job start       | consult + store | 0 / 1 | none       | ILPSolves, ilp_solve
+//	window boundary | consult + store | 2 / 3 | bound-only | ILPDelta*, ilp_delta_solve
+//	plan repair     | none            | —     | bound-only | Repair*, ilp_repair_solve
+//
+// Cold verification is not a pass of its own: it re-solves a delta
+// pass's instance with the zero solveMode (no memo, no warm start).
+type solvePass struct {
+	// delta marks a re-solve on top of a previous assignment: the
+	// instance carries the tie-breaking perturbation (window.go), each
+	// solve is warm-started bound-only from that assignment, and with
+	// WithColdVerify each solve is checked against a from-scratch one.
+	delta bool
+	// memoised consults and feeds the executor's solution memo. Plan
+	// repair must not: storing would evict pre-crash entries (repair.go).
+	memoised bool
+	// event, window and emit describe the one event each solve emits.
+	event  eventlog.Kind
+	window int
+	emit   func(eventlog.Event)
+	// tally books one solve; cold books its verification solve and
+	// whether two proven optima disagreed (delta passes only).
+	tally func(met *metrics.App, r solveResult, wall time.Duration)
+	cold  func(met *metrics.App, cr solveResult, wall time.Duration, mismatch bool)
+}
+
+// jobStartPass is the pass OnJobStart runs: every solve bumps ILPSolves,
+// adds its wall-clock time to ILPSolveTime and emits one ilp_solve
+// event. ILPSolveTime is wall-clock; everything else, including the
+// event's virtual timestamp, is deterministic at any engine parallelism
+// because the solve executes driver-side.
+func (b *Controller) jobStartPass() solvePass {
+	return solvePass{
+		memoised: true, event: eventlog.ILPSolve, emit: b.c.EmitEvent,
+		tally: func(met *metrics.App, r solveResult, wall time.Duration) {
+			met.ILPSolves++
+			met.ILPSolveTime += wall
+			tallyILP(met, r)
+		},
+	}
+}
+
+// tallyILP books what job-start and boundary solves share: search nodes
+// into ILPNodes, degraded outcomes into ILPFallbacks, memo hits into
+// ILPReused.
+func tallyILP(met *metrics.App, r solveResult) {
+	met.ILPNodes += r.nodes
+	if r.fallback {
+		met.ILPFallbacks++
+	}
+	if r.reused {
+		met.ILPReused++
+	}
+}
+
+// replan solves Eq. 5-6 for every executor independently (partitions are
 // pinned to their home executors by locality, §6) and applies the
-// resulting state transitions: spills (m→d), unpersists (m→u, d→u) and
-// promotions (d→m). Results for not-yet-computed partitions are kept in
-// targetState and honored at admission time.
-func (b *Controller) runILP() {
+// resulting state transitions. Results for not-yet-computed partitions
+// are kept in targetState and honored at admission time.
+func (b *Controller) replan(p solvePass) {
 	b.targetState = make(map[storage.BlockID]engine.Placement)
 
 	for _, ex := range b.c.Executors() {
@@ -43,31 +102,77 @@ func (b *Controller) runILP() {
 		if len(cands) == 0 {
 			continue
 		}
+		price := func(hypo map[storage.BlockID]bool) {
+			b.priceCandidates(cands, hypo)
+			if p.delta {
+				perturbBoundaryCosts(cands)
+			}
+		}
 
 		// Fixed point on the recursive recomputation costs (Eq. 4
 		// depends on ancestor states): price under current states, solve,
 		// re-price under the candidate assignment, solve again. When the
 		// re-pricing leaves the costs unchanged the second solve is a
 		// fingerprint hit in the solution memo and costs nothing.
-		b.priceCandidates(cands, nil)
-		chosen := b.solve(ex, cands)
+		price(nil)
+		var warm []bool
+		if p.delta {
+			warm = b.warmFrom(ex, cands)
+		}
+		chosen := b.solveStep(ex, cands, warm, p)
 		hypo := make(map[storage.BlockID]bool, len(cands))
 		for i, c := range cands {
 			hypo[c.id] = chosen[i]
 		}
-		b.priceCandidates(cands, hypo)
-		chosen = b.solve(ex, cands)
+		price(hypo)
+		if p.delta {
+			warm = chosen
+		}
+		chosen = b.solveStep(ex, cands, warm, p)
 
 		b.applyAssignment(ex, cands, chosen)
 	}
 }
 
+// solveStep runs one optimizer invocation of a pass with its accounting
+// and event, then — on a delta pass under WithColdVerify — solves the
+// identical instance from scratch and reports whether two proven optima
+// picked different cache sets (expected never: the warm start only
+// prunes the search).
+func (b *Controller) solveStep(ex *engine.Executor, cands []candidate, warm []bool, p solvePass) []bool {
+	memCap := float64(ex.Mem.Capacity())
+	mode := solveMode{warm: warm}
+	if p.delta {
+		mode.kind = 2
+	}
+	if p.memoised {
+		mode.memo = b.ilpMemo[ex.ID]
+	}
+	met := b.c.Metrics()
+	start := time.Now()
+	r := b.solvePlacement(memCap, cands, mode)
+	p.tally(met, r, time.Since(start))
+	p.emit(eventlog.Event{
+		Kind: p.event, Time: b.c.Now(), Job: b.curJob,
+		Executor: ex.ID, Vars: r.vars, Nodes: r.nodes,
+		Optimal: r.optimal, Fallback: r.fallback, Reused: r.reused,
+		Window: p.window,
+	})
+
+	if p.delta && b.coldVerify {
+		start = time.Now()
+		cr := b.solvePlacement(memCap, cands, solveMode{})
+		p.cold(met, cr, time.Since(start), r.optimal && cr.optimal && !slices.Equal(r.chosen, cr.chosen))
+	}
+	return r.chosen
+}
+
 // applyAssignment records the target states of a solved memory
 // assignment and migrates existing blocks accordingly: spills (m→d),
-// unpersists (m→u, d→u) and promotions (d→m). Shared by the
-// per-executor runILP and by cluster-wide arbitration, which solves the
-// union of several sessions' candidates and applies each session's
-// slice through its own controller.
+// unpersists (m→u, d→u) and promotions (d→m). Shared by replan and by
+// cluster-wide arbitration, which solves the union of several sessions'
+// candidates and applies each session's slice through its own
+// controller.
 func (b *Controller) applyAssignment(ex *engine.Executor, cands []candidate, chosen []bool) {
 	// Remember this executor's memory set: the next window boundary's
 	// delta solve warm-starts from it.
@@ -237,12 +342,16 @@ type memoEntry struct {
 // executor. Iterative workloads resubmit near-identical candidate sets
 // every job, so an exact fingerprint match answers the solve outright
 // and a same-shape near-match seeds the branch and bound's incumbent.
+// A nil *solveMemo is the bypass: it never matches and stores nothing.
 type solveMemo struct {
 	entries []memoEntry
 }
 
 // exactMatch returns the newest exact entry whose fingerprint equals key.
 func (m *solveMemo) exactMatch(key []float64) *memoEntry {
+	if m == nil {
+		return nil
+	}
 	for i := len(m.entries) - 1; i >= 0; i-- {
 		e := &m.entries[i]
 		if e.exact && keysEqual(e.key, key) {
@@ -255,6 +364,9 @@ func (m *solveMemo) exactMatch(key []float64) *memoEntry {
 // newestWith returns the newest entry with the given kind marker whose
 // assignment covers n candidates (for incumbent seeding).
 func (m *solveMemo) newestWith(kind float64, n int) *memoEntry {
+	if m == nil {
+		return nil
+	}
 	for i := len(m.entries) - 1; i >= 0; i-- {
 		e := &m.entries[i]
 		if len(e.key) > 0 && e.key[0] == kind && len(e.chosen) == n {
@@ -267,6 +379,9 @@ func (m *solveMemo) newestWith(kind float64, n int) *memoEntry {
 // store records a solution, replacing any entry with the same key and
 // evicting the oldest entry beyond the cap.
 func (m *solveMemo) store(key []float64, chosen []bool, exact bool) {
+	if m == nil {
+		return
+	}
 	for i := range m.entries {
 		if keysEqual(m.entries[i].key, key) {
 			m.entries = append(m.entries[:i], m.entries[i+1:]...)
@@ -293,15 +408,6 @@ func keysEqual(a, b []float64) bool {
 	return true
 }
 
-// memoFor returns the executor's solution memo, or a throwaway one when
-// the controller was driven without Bind (direct-solve tests).
-func (b *Controller) memoFor(ex *engine.Executor) *solveMemo {
-	if ex.ID < len(b.ilpMemo) && b.ilpMemo[ex.ID] != nil {
-		return b.ilpMemo[ex.ID]
-	}
-	return &solveMemo{}
-}
-
 // solveResult describes one optimizer invocation for accounting: the
 // decided memory set, the model size and search effort, and the outcome
 // classification (proven optimum / degraded fallback / memo reuse).
@@ -312,35 +418,6 @@ type solveResult struct {
 	optimal  bool
 	fallback bool
 	reused   bool
-}
-
-// solve picks the memory set and accounts the invocation uniformly
-// across all solver paths: every call bumps ILPSolves, adds its search
-// nodes to ILPNodes, its wall-clock time to ILPSolveTime, counts
-// degraded outcomes in ILPFallbacks and memo hits in ILPReused, and
-// emits one ilp_solve event. ILPSolveTime is the sole wall-clock metric;
-// everything else, including the event's virtual timestamp, is
-// deterministic at any engine parallelism because runILP executes
-// driver-side.
-func (b *Controller) solve(ex *engine.Executor, cands []candidate) []bool {
-	start := time.Now()
-	r := b.solveExecutor(ex, cands)
-	met := b.c.Metrics()
-	met.ILPSolves++
-	met.ILPNodes += r.nodes
-	met.ILPSolveTime += time.Since(start)
-	if r.fallback {
-		met.ILPFallbacks++
-	}
-	if r.reused {
-		met.ILPReused++
-	}
-	b.c.EmitEvent(eventlog.Event{
-		Kind: eventlog.ILPSolve, Time: b.c.Now(), Job: b.curJob,
-		Executor: ex.ID, Vars: r.vars, Nodes: r.nodes,
-		Optimal: r.optimal, Fallback: r.fallback, Reused: r.reused,
-	})
-	return r.chosen
 }
 
 // knapsackInputs builds the knapsack reduction: a partition left out of
@@ -359,20 +436,38 @@ func (b *Controller) knapsackInputs(cands []candidate) (values, weights []float6
 	return values, weights
 }
 
-// knapKey fingerprints a knapsack instance (kind marker 0).
-func knapKey(values, weights []float64, capacity float64) []float64 {
+// knapKey fingerprints a knapsack instance under the given kind marker.
+func knapKey(kind float64, values, weights []float64, capacity float64) []float64 {
 	key := make([]float64, 0, 3+2*len(values))
-	key = append(key, 0, float64(len(values)), capacity)
+	key = append(key, kind, float64(len(values)), capacity)
 	key = append(key, values...)
 	key = append(key, weights...)
 	return key
 }
 
-// solveExecutor runs one optimizer invocation. With abundant disk (the
+// solveMode carries what differs between solvePlacement's callers; the
+// zero value is a from-scratch solve (cold verification).
+type solveMode struct {
+	// memo is consulted before searching and stores the outcome; nil
+	// bypasses it in both directions.
+	memo *solveMemo
+	// kind is the fingerprint marker of the knapsack form (0 at job
+	// start, 2 at window boundaries, so the two never answer each
+	// other's instances); the three-state form uses kind+1. snapshot.go
+	// persists the markers inside the memo keys.
+	kind float64
+	// warm, when non-nil, is the delta warm start: a previous assignment
+	// that seeds only the search's pruning bound, never its answer
+	// (ilp.SolveFrom / ilp.KnapsackSearchFrom), so the solve selects the
+	// same cache set a from-scratch one would.
+	warm []bool
+}
+
+// solvePlacement runs one optimizer invocation. With abundant disk (the
 // paper's default) the ILP reduces exactly to a knapsack — see the
 // reduction note on ilp.Knapsack. With a disk capacity constraint the
-// full binary program is solved by warm-started branch and bound, with
-// a three-way fallback taxonomy:
+// full binary program is solved by branch and bound, with a three-way
+// fallback taxonomy:
 //
 //   - more than maxExactVars active candidates: knapsack relaxation
 //     (the apply step still enforces the disk budget greedily);
@@ -380,24 +475,26 @@ func knapKey(values, weights []float64, capacity float64) []float64 {
 //     used (it satisfies every constraint, including disk capacity);
 //   - no feasible assignment found at all: knapsack relaxation.
 //
-// All three are counted as fallbacks. Before solving, the executor's
-// memo is consulted: an exact fingerprint match returns the cached
-// assignment without searching, and otherwise the newest same-shape
-// solution seeds the branch and bound's incumbent (cross-job warm
+// All three are counted as fallbacks. Before searching, the memo is
+// consulted: an exact fingerprint match returns the cached assignment
+// outright, and a solve without a warm start seeds the branch and
+// bound's incumbent from the newest same-shape solution (cross-job warm
 // start).
-func (b *Controller) solveExecutor(ex *engine.Executor, cands []candidate) solveResult {
-	memo := b.memoFor(ex)
-	memCap := float64(ex.Mem.Capacity())
+func (b *Controller) solvePlacement(memCap float64, cands []candidate, mode solveMode) solveResult {
+	knapsack := func(memo *solveMemo) (chosen []bool, nodes int, exact, reused bool) {
+		values, weights := b.knapsackInputs(cands)
+		key := knapKey(mode.kind, values, weights, memCap)
+		if prev := memo.exactMatch(key); prev != nil {
+			return prev.chosen, 0, true, true
+		}
+		chosen, _, nodes, exact = ilp.KnapsackSearchFrom(values, weights, memCap, mode.warm)
+		memo.store(key, chosen, exact)
+		return chosen, nodes, exact, false
+	}
 
 	if b.ilpDiskCapacity <= 0 {
-		values, weights := b.knapsackInputs(cands)
-		key := knapKey(values, weights, memCap)
-		if prev := memo.exactMatch(key); prev != nil {
-			return solveResult{chosen: prev.chosen, vars: len(cands), optimal: true, reused: true}
-		}
-		chosen, _, nodes, exact := ilp.KnapsackSearch(values, weights, memCap)
-		memo.store(key, chosen, exact)
-		return solveResult{chosen: chosen, vars: len(cands), nodes: nodes, optimal: exact, fallback: !exact}
+		chosen, nodes, exact, reused := knapsack(mode.memo)
+		return solveResult{chosen: chosen, vars: len(cands), nodes: nodes, optimal: exact, fallback: !exact, reused: reused}
 	}
 
 	// Full ILP with the optional disk capacity constraint (Eq. 6
@@ -422,23 +519,17 @@ func (b *Controller) solveExecutor(ex *engine.Executor, cands []candidate) solve
 		// result is not a proven optimum of the full model, so the solve
 		// counts as a fallback even when the knapsack search itself is
 		// exact; the apply step enforces the disk budget greedily.
-		values, weights := b.knapsackInputs(cands)
-		key := knapKey(values, weights, memCap)
-		if prev := memo.exactMatch(key); prev != nil {
-			return solveResult{chosen: prev.chosen, vars: len(cands), fallback: true, reused: true}
-		}
-		ch, _, nodes, exact := ilp.KnapsackSearch(values, weights, memCap)
-		memo.store(key, ch, exact)
-		return solveResult{chosen: ch, vars: len(cands), nodes: nodes, fallback: true}
+		ch, nodes, _, reused := knapsack(mode.memo)
+		return solveResult{chosen: ch, vars: len(cands), nodes: nodes, fallback: true, reused: reused}
 	}
 
 	key := make([]float64, 0, 6+3*n)
-	key = append(key, 1, float64(len(cands)), memCap, float64(b.ilpDiskCapacity), boolKey(b.feat.DiskEnabled), float64(n))
+	key = append(key, mode.kind+1, float64(len(cands)), memCap, float64(b.ilpDiskCapacity), boolKey(b.feat.DiskEnabled), float64(n))
 	for _, idx := range active {
 		c := cands[idx]
 		key = append(key, float64(c.size), c.costD*c.weight, c.costR*c.weight)
 	}
-	if prev := memo.exactMatch(key); prev != nil && len(prev.chosen) == len(cands) {
+	if prev := mode.memo.exactMatch(key); prev != nil && len(prev.chosen) == len(cands) {
 		return solveResult{chosen: prev.chosen, vars: 3 * n, optimal: true, reused: true}
 	}
 
@@ -467,26 +558,34 @@ func (b *Controller) solveExecutor(ex *engine.Executor, cands []candidate) solve
 		ilp.Constraint{Coeffs: diskRow, Rel: ilp.LE, RHS: float64(b.ilpDiskCapacity)},
 	)
 	opts := ilp.Options{MaxNodes: ilpNodeBudget}
-	if prev := memo.newestWith(1, len(cands)); prev != nil {
-		opts.Incumbent = b.incumbentFrom(prev.chosen, cands, active)
+	var sol ilp.Solution
+	var err error
+	if mode.warm != nil {
+		sol, err = ilp.SolveFrom(prob, b.incumbentFrom(mode.warm, cands, active), opts)
+	} else {
+		// SolveFrom would discard the incumbent on its way to a plain
+		// Solve, so the seeded solve calls Solve itself.
+		if prev := mode.memo.newestWith(mode.kind+1, len(cands)); prev != nil {
+			opts.Incumbent = b.incumbentFrom(prev.chosen, cands, active)
+		}
+		sol, err = ilp.Solve(prob, opts)
 	}
-	sol, err := ilp.Solve(prob, opts)
 	if err != nil {
 		// Budget exhausted before any feasible assignment was found:
 		// genuinely out of options for the exact model, so degrade to
-		// the knapsack relaxation.
-		values, weights := b.knapsackInputs(cands)
-		ch, _, nodes, _ := ilp.KnapsackSearch(values, weights, memCap)
+		// the knapsack relaxation — unmemoised, so this degraded answer
+		// never evicts a proven optimum from the bounded memo.
+		ch, nodes, _, _ := knapsack(nil)
 		return solveResult{chosen: ch, vars: 3 * n, nodes: nodes, fallback: true}
 	}
 	for j, idx := range active {
 		chosen[idx] = sol.X[3*j] == 1
 	}
-	memo.store(key, chosen, sol.Optimal)
+	mode.memo.store(key, chosen, sol.Optimal)
 	return solveResult{chosen: chosen, vars: 3 * n, nodes: sol.Nodes, optimal: sol.Optimal, fallback: !sol.Optimal}
 }
 
-// incumbentFrom maps a previous job's memory assignment onto the current
+// incumbentFrom maps a previous memory assignment onto the current
 // active set as a feasible 0/1 seed: kept partitions stay m, the rest go
 // d or u by cost comparison, mirroring the apply step's placement rule.
 // ilp.Solve validates the seed and ignores it if infeasible.

@@ -10,7 +10,7 @@ import (
 )
 
 // newSolveFixture creates a bound controller and one executor for
-// driving Controller.solve directly with synthetic candidates.
+// driving single job-start solves directly with synthetic candidates.
 func newSolveFixture(t *testing.T, ctl *Controller, mem int64, log *eventlog.Log) (*engine.Cluster, *engine.Executor) {
 	t.Helper()
 	ctx := dataflow.NewContext()
@@ -25,6 +25,11 @@ func newSolveFixture(t *testing.T, ctl *Controller, mem int64, log *eventlog.Log
 		t.Fatal(err)
 	}
 	return c, c.Executors()[0]
+}
+
+// solve runs one accounted job-start solve.
+func (b *Controller) solve(ex *engine.Executor, cands []candidate) []bool {
+	return b.solveStep(ex, cands, nil, b.jobStartPass())
 }
 
 // syntheticCands builds n deterministic candidates whose sizes sum to

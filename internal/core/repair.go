@@ -21,114 +21,41 @@ package core
 import (
 	"time"
 
-	"blaze/internal/engine"
 	"blaze/internal/eventlog"
-	"blaze/internal/ilp"
-	"blaze/internal/storage"
+	"blaze/internal/metrics"
 )
 
 // RepairPlan implements engine.PlanRepairer: one full re-solve of the
-// placement problem over the current (surviving) candidates, mirroring
-// the window-boundary fixed point — price, solve warm-started from the
-// last assignment, re-price under the hypothetical, solve again, apply.
-// Events are emitted through emit so callers can route them to the main
-// log (executor death, where repair is part of the run) or to a
-// recovery-only log (crash resume, where the main log must stay
-// bit-identical to an uninterrupted run). window is stamped on the
-// events; pass 0 outside streaming.
+// placement problem over the current (surviving) candidates — the
+// placement fixed point (replan) as a memo-less delta pass, warm-started
+// from the last assignment. Events are emitted through emit so callers
+// can route them to the main log (executor death, where repair is part
+// of the run) or to a recovery-only log (crash resume, where the main
+// log must stay bit-identical to an uninterrupted run). window is
+// stamped on the events; pass 0 outside streaming. With cold
+// verification enabled each solve is checked against a from-scratch one
+// into RepairMismatches (expected to stay zero).
 func (b *Controller) RepairPlan(window int, emit func(eventlog.Event)) {
 	if !b.feat.ILP {
 		return
 	}
-	b.targetState = make(map[storage.BlockID]engine.Placement)
-
-	for _, ex := range b.c.Executors() {
-		cands := b.gatherCandidates(ex)
-		if len(cands) == 0 {
-			continue
-		}
-
-		b.priceCandidates(cands, nil)
-		perturbBoundaryCosts(cands)
-		chosen := b.repairSolve(ex, cands, b.warmFrom(ex, cands), window, emit)
-		hypo := make(map[storage.BlockID]bool, len(cands))
-		for i, c := range cands {
-			hypo[c.id] = chosen[i]
-		}
-		b.priceCandidates(cands, hypo)
-		perturbBoundaryCosts(cands)
-		chosen = b.repairSolve(ex, cands, chosen, window, emit)
-
-		b.applyAssignment(ex, cands, chosen)
-	}
+	b.replan(b.repairPass(window, emit))
 }
 
-// repairSolve runs one memo-less repair solve with Repair* accounting
-// and one ilp_repair_solve event. With cold verification enabled the
-// identical instance is additionally solved from scratch and proven
-// optima are compared into RepairMismatches (expected to stay zero —
-// the warm seed only prunes the search, never changes the optimum).
-func (b *Controller) repairSolve(ex *engine.Executor, cands []candidate, warm []bool, window int, emit func(eventlog.Event)) []bool {
-	start := time.Now()
-	r := b.repairSolveExecutor(ex, cands, warm)
-	met := b.c.Metrics()
-	met.RepairSolves++
-	met.RepairNodes += r.nodes
-	met.RepairSolveTime += time.Since(start)
-	emit(eventlog.Event{
-		Kind: eventlog.ILPRepairSolve, Time: b.c.Now(), Job: b.curJob,
-		Executor: ex.ID, Vars: r.vars, Nodes: r.nodes,
-		Optimal: r.optimal, Fallback: r.fallback,
-		Window: window,
-	})
-
-	if b.coldVerify {
-		cr := b.coldSolveExecutor(ex, cands)
-		if r.optimal && cr.optimal && !boolsEqual(r.chosen, cr.chosen) {
-			met.RepairMismatches++
-		}
+// repairPass is the pass RepairPlan runs: memo-less, booked to the
+// Repair* metrics only, one ilp_repair_solve event per solve.
+func (b *Controller) repairPass(window int, emit func(eventlog.Event)) solvePass {
+	return solvePass{
+		delta: true, event: eventlog.ILPRepairSolve, window: window, emit: emit,
+		tally: func(met *metrics.App, r solveResult, wall time.Duration) {
+			met.RepairSolves++
+			met.RepairNodes += r.nodes
+			met.RepairSolveTime += wall
+		},
+		cold: func(met *metrics.App, _ solveResult, _ time.Duration, mismatch bool) {
+			if mismatch {
+				met.RepairMismatches++
+			}
+		},
 	}
-	return r.chosen
-}
-
-// repairSolveExecutor is solveBoundaryExecutor without the memo: the
-// same knapsack fast path / exact branch-and-bound split, warm-started
-// through the bound-only delta entry points.
-func (b *Controller) repairSolveExecutor(ex *engine.Executor, cands []candidate, warm []bool) solveResult {
-	memCap := float64(ex.Mem.Capacity())
-
-	if b.ilpDiskCapacity <= 0 {
-		values, weights := b.knapsackInputs(cands)
-		chosen, _, nodes, exact := ilp.KnapsackSearchFrom(values, weights, memCap, warm)
-		return solveResult{chosen: chosen, vars: len(cands), nodes: nodes, optimal: exact, fallback: !exact}
-	}
-
-	active := make([]int, 0, len(cands))
-	for i, c := range cands {
-		if c.costD > 0 || c.costR > 0 {
-			active = append(active, i)
-		}
-	}
-	chosen := make([]bool, len(cands))
-	n := len(active)
-	if n == 0 {
-		return solveResult{chosen: chosen, optimal: true}
-	}
-	if n > maxExactVars {
-		values, weights := b.knapsackInputs(cands)
-		ch, _, nodes, _ := ilp.KnapsackSearchFrom(values, weights, memCap, warm)
-		return solveResult{chosen: ch, vars: len(cands), nodes: nodes, fallback: true}
-	}
-
-	prob := b.boundaryProblem(cands, active, memCap)
-	sol, err := ilp.SolveFrom(prob, b.incumbentFrom(warm, cands, active), ilp.Options{MaxNodes: ilpNodeBudget})
-	if err != nil {
-		values, weights := b.knapsackInputs(cands)
-		ch, _, nodes, _ := ilp.KnapsackSearchFrom(values, weights, memCap, warm)
-		return solveResult{chosen: ch, vars: 3 * n, nodes: nodes, fallback: true}
-	}
-	for j, idx := range active {
-		chosen[idx] = sol.X[3*j] == 1
-	}
-	return solveResult{chosen: chosen, vars: 3 * n, nodes: sol.Nodes, optimal: sol.Optimal, fallback: !sol.Optimal}
 }

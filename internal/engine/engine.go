@@ -278,10 +278,6 @@ type Config struct {
 	// concurrent execution. Call Close when done to remove the block
 	// files.
 	RealBytes bool
-	// StorageDir overrides the parent directory for RealBytes block
-	// files (default: the OS temp dir). The run creates and owns a
-	// unique subdirectory inside it.
-	StorageDir string
 	// Pool attaches the cluster to a shared executor pool instead of
 	// creating private executors: Executors, CoresPerExecutor and
 	// MemoryPerExecutor are ignored (the pool's shape wins), the pool's
@@ -670,7 +666,7 @@ func NewCluster(cfg Config, ctx *dataflow.Context) (*Cluster, error) {
 	}
 	if cfg.RealBytes {
 		c.meter = storage.NewMeter()
-		dir, err := os.MkdirTemp(cfg.StorageDir, "blaze-storage-*")
+		dir, err := os.MkdirTemp("", "blaze-storage-*")
 		if err != nil {
 			return nil, fmt.Errorf("engine: real-bytes storage dir: %w", err)
 		}

@@ -563,13 +563,10 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// Close stops admission, cancels queued (not yet active) sessions, and
-// waits for active sessions to drain.
-func (s *Server) Close() {
-	s.mu.Lock()
+// stopAdmissionLocked closes the server to new sessions and cancels
+// every queued (not yet active) one. Idempotent; s.mu must be held.
+func (s *Server) stopAdmissionLocked() {
 	if s.closed {
-		s.mu.Unlock()
-		s.wg.Wait()
 		return
 	}
 	s.closed = true
@@ -583,6 +580,13 @@ func (s *Server) Close() {
 		t.queue = nil
 	}
 	s.pending = 0
+}
+
+// Close stops admission, cancels queued (not yet active) sessions, and
+// waits for active sessions to drain.
+func (s *Server) Close() {
+	s.mu.Lock()
+	s.stopAdmissionLocked()
 	s.mu.Unlock()
 	s.wg.Wait()
 }
@@ -597,19 +601,7 @@ func (s *Server) Close() {
 // them for the drain to complete.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if !s.closed {
-		s.closed = true
-		for _, t := range s.tenants {
-			for _, sess := range t.queue {
-				sess.cancelled = true
-				sess.err = ErrCancelled
-				t.cancelled++
-				close(sess.done)
-			}
-			t.queue = nil
-		}
-		s.pending = 0
-	}
+	s.stopAdmissionLocked()
 	s.mu.Unlock()
 
 	drained := make(chan struct{})

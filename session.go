@@ -164,39 +164,35 @@ func (w WindowStats) EqualDeterministic(o WindowStats) bool {
 	return w == o
 }
 
-// cumSnap is the cumulative-counter snapshot WindowStats deltas are
-// computed from.
-type cumSnap struct {
-	memHits, diskHits, misses, evictions  int
-	retired, deltaSolves, deltaNodes      int
-	coldSolves, coldNodes, coldMismatches int
-	deltaTime, coldTime                   time.Duration
-}
-
-func snapFrom(m *metrics.App) cumSnap {
-	return cumSnap{
-		memHits: m.CacheHits, diskHits: m.DiskHits, misses: m.Misses, evictions: m.Evictions,
-		retired: m.PartitionsRetired, deltaSolves: m.ILPDeltaSolves, deltaNodes: m.ILPDeltaNodes,
-		coldSolves: m.ILPColdSolves, coldNodes: m.ILPColdNodes, coldMismatches: m.ILPColdMismatches,
-		deltaTime: m.ILPDeltaSolveTime, coldTime: m.ILPColdSolveTime,
+// cumulativeStats reads the run's cumulative counters as an
+// absolute-valued WindowStats (Window 0); a window's entry is the
+// difference of the snapshots at its two boundaries.
+func cumulativeStats(m *metrics.App) WindowStats {
+	return WindowStats{
+		MemHits: m.CacheHits, DiskHits: m.DiskHits, Misses: m.Misses, Evictions: m.Evictions,
+		PartitionsRetired: m.PartitionsRetired, ILPDeltaSolves: m.ILPDeltaSolves, ILPDeltaNodes: m.ILPDeltaNodes,
+		ILPColdSolves: m.ILPColdSolves, ILPColdNodes: m.ILPColdNodes, ILPColdMismatches: m.ILPColdMismatches,
+		ILPDeltaSolveTime: m.ILPDeltaSolveTime, ILPColdSolveTime: m.ILPColdSolveTime,
 	}
 }
 
-func (cur cumSnap) diff(prev cumSnap, window int) WindowStats {
+// since returns window's share of the run: cur minus the snapshot prev
+// taken at the window's start boundary.
+func (cur WindowStats) since(prev WindowStats, window int) WindowStats {
 	return WindowStats{
 		Window:            window,
-		MemHits:           cur.memHits - prev.memHits,
-		DiskHits:          cur.diskHits - prev.diskHits,
-		Misses:            cur.misses - prev.misses,
-		Evictions:         cur.evictions - prev.evictions,
-		PartitionsRetired: cur.retired - prev.retired,
-		ILPDeltaSolves:    cur.deltaSolves - prev.deltaSolves,
-		ILPDeltaNodes:     cur.deltaNodes - prev.deltaNodes,
-		ILPColdSolves:     cur.coldSolves - prev.coldSolves,
-		ILPColdNodes:      cur.coldNodes - prev.coldNodes,
-		ILPColdMismatches: cur.coldMismatches - prev.coldMismatches,
-		ILPDeltaSolveTime: cur.deltaTime - prev.deltaTime,
-		ILPColdSolveTime:  cur.coldTime - prev.coldTime,
+		MemHits:           cur.MemHits - prev.MemHits,
+		DiskHits:          cur.DiskHits - prev.DiskHits,
+		Misses:            cur.Misses - prev.Misses,
+		Evictions:         cur.Evictions - prev.Evictions,
+		PartitionsRetired: cur.PartitionsRetired - prev.PartitionsRetired,
+		ILPDeltaSolves:    cur.ILPDeltaSolves - prev.ILPDeltaSolves,
+		ILPDeltaNodes:     cur.ILPDeltaNodes - prev.ILPDeltaNodes,
+		ILPColdSolves:     cur.ILPColdSolves - prev.ILPColdSolves,
+		ILPColdNodes:      cur.ILPColdNodes - prev.ILPColdNodes,
+		ILPColdMismatches: cur.ILPColdMismatches - prev.ILPColdMismatches,
+		ILPDeltaSolveTime: cur.ILPDeltaSolveTime - prev.ILPDeltaSolveTime,
+		ILPColdSolveTime:  cur.ILPColdSolveTime - prev.ILPColdSolveTime,
 	}
 }
 
@@ -213,23 +209,11 @@ type CheckpointStat struct {
 
 // sessionClientState is the driver-side payload persisted inside each
 // checkpoint: the per-window stats captured so far and the cumulative
-// snapshot they are diffed against. cumSnap's fields are unexported, so
-// the snapshot travels as an absolute-valued WindowStats (Window 0).
+// snapshot (cumulativeStats) the next window is diffed against.
 type sessionClientState struct {
 	Window  int
 	Prev    WindowStats
 	Windows []WindowStats
-}
-
-// snapOf inverts cumSnap.diff(cumSnap{}, 0): it rebuilds the cumulative
-// snapshot from its absolute-valued WindowStats wire form.
-func snapOf(w WindowStats) cumSnap {
-	return cumSnap{
-		memHits: w.MemHits, diskHits: w.DiskHits, misses: w.Misses, evictions: w.Evictions,
-		retired: w.PartitionsRetired, deltaSolves: w.ILPDeltaSolves, deltaNodes: w.ILPDeltaNodes,
-		coldSolves: w.ILPColdSolves, coldNodes: w.ILPColdNodes, coldMismatches: w.ILPColdMismatches,
-		deltaTime: w.ILPDeltaSolveTime, coldTime: w.ILPColdSolveTime,
-	}
 }
 
 // Session is a micro-batch streaming run. Create one with NewSession,
@@ -242,7 +226,7 @@ type Session struct {
 	srv       *server.Server
 	st        *server.StreamSession
 	window    int
-	prev      cumSnap
+	prev      WindowStats // cumulativeStats at the open window's start
 	windows   []WindowStats
 	closed    bool
 
@@ -427,7 +411,7 @@ func (s *Session) enableDurability(ctl engine.Controller, rs *engine.ResumeState
 // goroutine during a boundary, while the client goroutine is blocked
 // inside NextWindow — the fields are stable.
 func (s *Session) clientState() ([]byte, error) {
-	st := sessionClientState{Window: s.window, Prev: s.prev.diff(cumSnap{}, 0), Windows: s.windows}
+	st := sessionClientState{Window: s.window, Prev: s.prev, Windows: s.windows}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
 		return nil, err
@@ -440,17 +424,7 @@ func (s *Session) clientState() ([]byte, error) {
 // the run), annotation-based systems reuse the batch recipes.
 func buildStreamSystem(cfg SessionConfig) (systemSpec, error) {
 	blazeSpec := func(b *core.Controller) systemSpec {
-		if cfg.DiskCapacity > 0 {
-			b.WithDiskCapacity(cfg.DiskCapacity)
-		}
-		switch {
-		case cfg.ILPWindow > 0:
-			b.WithWindow(cfg.ILPWindow)
-		case cfg.ILPWindow == ILPWindowCurrentJobOnly:
-			b.WithWindow(0)
-		}
-		b.WithColdVerify(cfg.ColdSolveVerify)
-		return systemSpec{ctl: b}
+		return systemSpec{ctl: tuneBlaze(b, cfg.DiskCapacity, cfg.ILPWindow).WithColdVerify(cfg.ColdSolveVerify)}
 	}
 	switch cfg.System {
 	case SysBlaze, SysBlazeNoProfile:
@@ -510,7 +484,7 @@ func (s *Session) NextWindow() (int, error) {
 		s.resuming = false
 		if s.restored != nil {
 			s.windows = append(s.windows[:0], s.restored.Windows...)
-			s.prev = snapOf(s.restored.Prev)
+			s.prev = s.restored.Prev
 			s.restored = nil
 		}
 	}
@@ -521,7 +495,7 @@ func (s *Session) NextWindow() (int, error) {
 // a resuming session are skipped: their stats were captured by the
 // crashed run and are restored wholesale at the rehydrate boundary.
 func (s *Session) capture() error {
-	var cur cumSnap
+	var cur WindowStats
 	replaying := false
 	err := s.st.Do(func(ctx *dataflow.Context) {
 		if cl, ok := ctx.Runner().(*engine.Cluster); ok {
@@ -529,7 +503,7 @@ func (s *Session) capture() error {
 				replaying = true
 				return
 			}
-			cur = snapFrom(cl.Metrics())
+			cur = cumulativeStats(cl.Metrics())
 		}
 	})
 	if err != nil {
@@ -538,7 +512,7 @@ func (s *Session) capture() error {
 	if replaying {
 		return nil
 	}
-	s.windows = append(s.windows, cur.diff(s.prev, s.window))
+	s.windows = append(s.windows, cur.since(s.prev, s.window))
 	s.prev = cur
 	return nil
 }

@@ -13,8 +13,9 @@ import (
 // durableStreamConfig builds the crash-recovery test configuration: a
 // durable streaming run over 4 windows at quarter scale with cold-solve
 // verification on, checkpointing into dir and (optionally) crashing at
-// window boundary k.
-func durableStreamConfig(wl blaze.StreamWorkloadID, par int, dir string, crashWindow int,
+// window boundary k. A positive disk caps each executor's disk tier, so
+// every solve — plan repair included — runs the exact three-state ILP.
+func durableStreamConfig(wl blaze.StreamWorkloadID, par int, disk int64, dir string, crashWindow int,
 	log, recLog *blaze.EventLog) blaze.StreamConfig {
 	return blaze.StreamConfig{
 		Workload:          wl,
@@ -23,6 +24,7 @@ func durableStreamConfig(wl blaze.StreamWorkloadID, par int, dir string, crashWi
 		Executors:         4,
 		Parallelism:       par,
 		MemoryPerExecutor: 1 << 20,
+		DiskCapacity:      disk,
 		EventLog:          log,
 		ColdSolveVerify:   true,
 		CheckpointDir:     dir,
@@ -35,23 +37,31 @@ func durableStreamConfig(wl blaze.StreamWorkloadID, par int, dir string, crashWi
 // invariant: a streaming session killed at ANY window boundary and
 // resumed from its checkpoint produces bit-identical metrics, event
 // logs and per-window stats to a run that never crashed — at every
-// Parallelism. The baseline runs without checkpointing at all, so the
-// comparison also proves that durability itself perturbs nothing.
+// Parallelism, on the knapsack path and (diskcap: 1 MiB per executor)
+// through the exact ILP. The baseline runs without checkpointing at all,
+// so the comparison also proves that durability itself perturbs nothing.
 func TestStreamCrashResumeBitIdentity(t *testing.T) {
 	for _, wl := range blaze.AllStreamWorkloads() {
 		wl := wl
-		for _, par := range []int{1, 8} {
-			par := par
-			baseRes, baseLog := runStream(t, wl, par, 0)
+		for _, c := range []struct {
+			par  int
+			disk int64
+		}{{1, 0}, {8, 0}, {1, 1 << 20}, {8, 1 << 20}} {
+			par, disk := c.par, c.disk
+			baseRes, baseLog := runStream(t, wl, par, disk)
 			// Every boundary k (window 1 has no boundary checkpoint).
 			for k := 2; k <= 4; k++ {
 				k := k
-				t.Run(fmt.Sprintf("%s/p%d/k%d", wl, par, k), func(t *testing.T) {
+				name := fmt.Sprintf("%s/p%d/k%d", wl, par, k)
+				if disk > 0 {
+					name += "/diskcap"
+				}
+				t.Run(name, func(t *testing.T) {
 					dir := t.TempDir()
 
 					// Crash the run at boundary k.
 					crashLog := blaze.NewEventLog()
-					_, err := blaze.RunStream(durableStreamConfig(wl, par, dir, k, crashLog, nil))
+					_, err := blaze.RunStream(durableStreamConfig(wl, par, disk, dir, k, crashLog, nil))
 					if !errors.Is(err, blaze.ErrSessionCrashed) {
 						t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
 					}
@@ -61,7 +71,7 @@ func TestStreamCrashResumeBitIdentity(t *testing.T) {
 					// re-fire).
 					resLog := blaze.NewEventLog()
 					recLog := blaze.NewEventLog()
-					res, err := blaze.ResumeStream(durableStreamConfig(wl, par, dir, k, resLog, recLog))
+					res, err := blaze.ResumeStream(durableStreamConfig(wl, par, disk, dir, k, resLog, recLog))
 					if err != nil {
 						t.Fatalf("resume: %v", err)
 					}
@@ -145,7 +155,7 @@ func TestResumeFallbackToPreviousBoundary(t *testing.T) {
 	dir := t.TempDir()
 
 	crashLog := blaze.NewEventLog()
-	_, err := blaze.RunStream(durableStreamConfig(blaze.StreamPR, 1, dir, 4, crashLog, nil))
+	_, err := blaze.RunStream(durableStreamConfig(blaze.StreamPR, 1, 0, dir, 4, crashLog, nil))
 	if !errors.Is(err, blaze.ErrSessionCrashed) {
 		t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
 	}
@@ -163,7 +173,7 @@ func TestResumeFallbackToPreviousBoundary(t *testing.T) {
 
 	resLog := blaze.NewEventLog()
 	recLog := blaze.NewEventLog()
-	res, err := blaze.ResumeStream(durableStreamConfig(blaze.StreamPR, 1, dir, 0, resLog, recLog))
+	res, err := blaze.ResumeStream(durableStreamConfig(blaze.StreamPR, 1, 0, dir, 0, resLog, recLog))
 	if err != nil {
 		t.Fatalf("fallback resume: %v", err)
 	}
@@ -193,7 +203,7 @@ func TestResumeFallbackToPreviousBoundary(t *testing.T) {
 // and the caller's fallback — a plain run — still works.
 func TestResumeWithoutCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	cfg := durableStreamConfig(blaze.StreamKMeans, 1, dir, 0, blaze.NewEventLog(), nil)
+	cfg := durableStreamConfig(blaze.StreamKMeans, 1, 0, dir, 0, blaze.NewEventLog(), nil)
 	if _, err := blaze.ResumeStream(cfg); !errors.Is(err, blaze.ErrNoCheckpoint) {
 		t.Fatalf("resume on empty dir: err = %v, want ErrNoCheckpoint", err)
 	}
