@@ -168,9 +168,9 @@ type Sized = storage.Sized
 
 // RegisterValueType registers a concrete record value type with the
 // partition codec (gob). Workloads registered via RegisterWorkload must
-// register every value type their cached datasets carry, or spills in
-// VerifyCodec and RealBytes runs will fail to encode; the built-in
-// workloads' types are pre-registered.
+// register every value type their cached datasets carry, or RealBytes
+// runs will fail to encode them; the built-in workloads' types are
+// pre-registered.
 func RegisterValueType(v any) { storage.RegisterValueType(v) }
 
 // NewContext creates an empty dataflow context to pass to a workload

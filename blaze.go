@@ -135,20 +135,22 @@ type RunConfig struct {
 	// horizon to that many successors. Only meaningful for the Blaze
 	// systems.
 	ILPWindow int
-	// RealBytes backs the storage tier with real bytes: memory blocks
-	// are gob-serialized buffers, disk blocks are files under a
-	// run-scoped temp directory (removed when Run returns), and the run
-	// measures its wall-clock (de)serialization and file I/O alongside
-	// the virtual-time charges. The virtual-time metrics and event log
-	// are bit-identical to a default-mode run; the measurements land in
-	// Result.Storage for modeled-vs-measured comparison.
+	// RealBytes backs the storage tier with real bytes: Run's one-session
+	// server builds its executor pool in real-bytes mode, so memory
+	// blocks are gob-serialized buffers, disk blocks are files under a
+	// run-scoped temp directory (removed on every return path of Run),
+	// and the run measures its wall-clock (de)serialization and file I/O
+	// alongside the virtual-time charges. The virtual-time metrics and
+	// event log are bit-identical to a default-mode run; the
+	// measurements land in Result.Storage for modeled-vs-measured
+	// comparison.
 	RealBytes bool
 	// Vectorized runs eligible stages on the engine's columnar task
 	// loop: typed batches and pooled buffers instead of per-record
-	// boxing, for real wall-clock throughput (see blazebench
-	// -throughput). Like Parallelism, it changes only wall-clock time:
-	// virtual-time metrics and the event log are bit-identical with the
-	// flag on or off.
+	// boxing, for real wall-clock throughput (see `go test -bench
+	// Hotpath .` and the bench/ pr-dataplane workload). Like
+	// Parallelism, it changes only wall-clock time: virtual-time metrics
+	// and the event log are bit-identical with the flag on or off.
 	Vectorized bool
 }
 
@@ -348,9 +350,9 @@ func calibrateMemory(spec WorkloadSpec, execs, cores int, scale float64, params 
 }
 
 // runPlan is everything a batch run derives from its RunConfig before it
-// touches a cluster. Run, Server.Submit and the direct path all start
-// from planRun, so defaults, validation order and system construction
-// cannot drift between them.
+// touches a cluster. Run and Server.Submit both start from planRun, so
+// defaults, validation order and system construction cannot drift
+// between them.
 type runPlan struct {
 	cfg    RunConfig // defaults applied
 	spec   WorkloadSpec
@@ -423,30 +425,34 @@ func (p *runPlan) jobSpec(tenant string) server.JobSpec {
 // Run executes one workload under one system and returns its metrics.
 //
 // Run is a thin one-application session over the job server: it creates
-// a private single-tenant Server sized exactly like the requested
-// cluster, submits the workload as its only session and waits for it.
-// With one session the server layer adds nothing observable — no
-// quotas, no arbitration, dataset ids starting at 0 — so the metrics
-// and event log are bit-identical to the pre-server standalone engine
-// (the direct path, kept for RealBytes runs, which are incompatible
-// with a shared pool).
+// a private single-tenant Server sized (and, for RealBytes, backed)
+// exactly like the requested cluster, submits the workload as its only
+// session and waits for it. With one session the server layer adds
+// nothing observable — no quotas, no arbitration, dataset ids starting
+// at 0 — so the metrics and event log are bit-identical to a standalone
+// engine.NewCluster running the same driver (TestServerRunBitIdentical
+// holds the two together).
 func Run(cfg RunConfig) (*Result, error) {
 	p, err := planRun(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return p.run()
+}
+
+// run executes the plan on its one-session server. Closing the server
+// on every return removes a RealBytes run's block files whether the
+// submission was refused, the session failed or it completed.
+func (p *runPlan) run() (*Result, error) {
 	mem, err := p.memory()
 	if err != nil {
 		return nil, err
 	}
-	if p.cfg.RealBytes {
-		return runDirect(p.cfg, p.spec, p.params, mem, p.sys, p.hook)
-	}
-
 	srv, err := server.New(server.Config{
 		Executors:         p.cfg.Executors,
 		CoresPerExecutor:  p.cfg.Cores,
 		MemoryPerExecutor: mem,
+		RealBytes:         p.cfg.RealBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -459,42 +465,8 @@ func Run(cfg RunConfig) (*Result, error) {
 	if err := sess.Wait(); err != nil {
 		return nil, err
 	}
-	return &Result{System: p.cfg.System, Workload: p.cfg.Workload, Metrics: sess.Metrics(), MemoryPerExecutor: mem}, nil
-}
-
-// runDirect executes the run on a private standalone cluster — the
-// pre-server execution path, retained because RealBytes storage is
-// incompatible with a shared pool (block files and decode caches are
-// scoped to one run). The server path reproduces this path's metrics
-// and event log bit-identically; TestServerRunBitIdentical holds the
-// two together.
-func runDirect(cfg RunConfig, spec WorkloadSpec, params costmodel.Params, mem int64, sys systemSpec, hook engine.Hook) (*Result, error) {
-	ctx := dataflow.NewContext()
-	cluster, err := engine.NewCluster(engine.Config{
-		Executors:         cfg.Executors,
-		CoresPerExecutor:  cfg.Cores,
-		Parallelism:       cfg.Parallelism,
-		MemoryPerExecutor: mem,
-		Params:            params,
-		Controller:        sys.ctl,
-		AlluxioMode:       sys.alluxio,
-		EventLog:          cfg.EventLog,
-		Hook:              hook,
-		Resilience:        cfg.Resilience,
-		RealBytes:         cfg.RealBytes,
-		Vectorized:        cfg.Vectorized,
-	}, ctx)
-	if err != nil {
-		return nil, err
-	}
-	// Remove the run-scoped block-file directory even when the workload
-	// panics (RealBytes runs only; Close is a no-op otherwise).
-	defer cluster.Close()
-	cluster.AddProfilingTime(sys.profilingOverhead())
-	sys.drive(spec, ctx, cfg.Scale)
-	m := cluster.Finish()
-	res := &Result{System: cfg.System, Workload: cfg.Workload, Metrics: m, MemoryPerExecutor: mem}
-	if meter := cluster.Meter(); meter != nil {
+	res := &Result{System: p.cfg.System, Workload: p.cfg.Workload, Metrics: sess.Metrics(), MemoryPerExecutor: mem}
+	if meter := srv.Pool().Meter(); meter != nil {
 		snap := StorageMeasurement(meter.Snapshot())
 		res.Storage = &snap
 	}

@@ -6,9 +6,11 @@ package blaze
 // before it could reach the controller).
 
 import (
+	"path/filepath"
 	"testing"
 
 	"blaze/internal/core"
+	"blaze/internal/dataflow"
 )
 
 func TestWithDefaults(t *testing.T) {
@@ -148,5 +150,75 @@ func TestILPWindowReachesController(t *testing.T) {
 	}
 	if got := window(3); got != 3 {
 		t.Fatalf("ILPWindow 3 = %d, want 3", got)
+	}
+}
+
+// TestRunRemovesBlockFilesOnEveryExit: a RealBytes run's block-file
+// directory must not outlive Run, whichever way Run returns — validation
+// error, refused submission, failed session or success.
+func TestRunRemovesBlockFilesOnEveryExit(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	storageDirs := func() []string {
+		dirs, err := filepath.Glob(filepath.Join(tmp, "blaze-storage-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dirs
+	}
+	// The driver spills a cached dataset through the real stores, notes
+	// that the directory exists while it runs, and fails on request.
+	var sawDir, fail bool
+	const id WorkloadID = "realbytes-exit-paths"
+	if err := RegisterWorkload(WorkloadSpec{ID: id, SerFactor: 1, Plain: func(ctx *dataflow.Context, _ float64) {
+		ds := ctx.Source("big", 4, func(part int) []dataflow.Record {
+			out := make([]dataflow.Record, 200)
+			for i := range out {
+				out[i] = dataflow.Record{Key: int64(part*200 + i), Value: float64(i)}
+			}
+			return out
+		})
+		ds.Cache()
+		ds.Count()
+		files, _ := filepath.Glob(filepath.Join(tmp, "blaze-storage-*", "exec-*", "rdd_*"))
+		sawDir = len(files) > 0
+		if fail {
+			ds.Map("explode", func(dataflow.Record) dataflow.Record { panic("driver failed") }).Count()
+		}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := RunConfig{System: SysSparkMemDisk, Workload: id, Executors: 2, MemoryPerExecutor: 2 << 10, RealBytes: true}
+
+	check := func(exit string, wantErr bool, err error) {
+		t.Helper()
+		if (err != nil) != wantErr {
+			t.Fatalf("%s: err = %v", exit, err)
+		}
+		if left := storageDirs(); len(left) != 0 {
+			t.Fatalf("%s: block-file directory survived Run: %v", exit, left)
+		}
+	}
+
+	bad := cfg
+	bad.System = "no-such-system"
+	_, err := Run(bad)
+	check("validation error", true, err)
+
+	p, err := planRun(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.sys.ctl = nil // the server refuses a submission without a controller
+	_, err = p.run()
+	check("failed submit", true, err)
+
+	for _, fail = range []bool{true, false} {
+		sawDir = false
+		_, err = Run(cfg)
+		check(map[bool]string{true: "failed session", false: "success"}[fail], fail, err)
+		if !sawDir {
+			t.Fatalf("fail=%v: the run wrote no block file under TMPDIR; the check is vacuous", fail)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package blaze_test
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -47,5 +48,83 @@ func TestFacadeHygiene(t *testing.T) {
 		if err != nil {
 			t.Fatalf("walking %s: %v", root, err)
 		}
+	}
+}
+
+// TestRealBytesIsThePoolsBusiness keeps the storage mode where ISSUE 19
+// put it. How a resident block is held is a private decision of
+// internal/storage, and which kind of store exists is decided once, by
+// the pool that builds the stores: in the non-test files of
+// internal/engine the name RealBytes may appear only in the Config and
+// PoolConfig declarations, in NewPool, and on the one line of NewCluster
+// that forwards it to the private pool. The per-representation method
+// twins, the keys-only codec check and the second run path the mode used
+// to need must not come back anywhere in the module outside bench/.
+func TestRealBytesIsThePoolsBusiness(t *testing.T) {
+	// Two names are spelled in halves so that grepping the tree for them
+	// finds nothing, this file included.
+	gone := map[string]bool{"PutEncoded": true, "RemoveEncoded": true, "GetEncoded": true, "Verify" + "Codec": true, "run" + "Direct": true}
+	fset := token.NewFileSet()
+	forwardLines := map[int]bool{}
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			return nil
+		}
+		engine := filepath.Dir(path) == filepath.Join("internal", "engine") && !strings.HasSuffix(path, "_test.go")
+		for _, decl := range f.Decls {
+			home := "" // the enclosing top-level func or type, for the engine rule
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				home = d.Name.Name
+			case *ast.GenDecl:
+				if len(d.Specs) == 1 {
+					if ts, ok := d.Specs[0].(*ast.TypeSpec); ok {
+						home = ts.Name.Name
+					}
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				pos := fset.Position(id.Pos())
+				if gone[id.Name] {
+					t.Errorf("%s: identifier %s is back", pos, id.Name)
+				}
+				if !engine || id.Name != "RealBytes" {
+					return true
+				}
+				switch home {
+				case "Config", "PoolConfig", "NewPool":
+				case "NewCluster":
+					forwardLines[pos.Line] = true
+				default:
+					t.Errorf("%s: RealBytes consulted in %s; the mode belongs to the pool that builds the stores", pos, home)
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(forwardLines) != 1 {
+		t.Errorf("NewCluster names RealBytes on %d lines, want exactly the one forwarding it to the private pool", len(forwardLines))
 	}
 }

@@ -250,7 +250,7 @@ func (h *cachedHarness) randomEvent(betweenJobs bool) {
 				did = "memory put"
 			}
 		} else if !ex.Disk.Contains(id) {
-			if err := ex.Disk.Put(id, nil, size); err != nil {
+			if err := ex.Disk.Put(id, storage.Fresh(nil), size); err != nil {
 				h.t.Fatal(err)
 			}
 			did = "disk put"

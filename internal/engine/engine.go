@@ -14,7 +14,6 @@ package engine
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -32,11 +31,6 @@ import (
 
 // debugEvict enables eviction tracing for diagnostics.
 var debugEvict = os.Getenv("BLAZE_DEBUG_EVICT") != ""
-
-// realDecodeCacheBlocks bounds the per-executor decode cache in
-// RealBytes mode (outside AlluxioMode): the most recently read decoded
-// partitions kept to amortize hot re-reads within a stage.
-const realDecodeCacheBlocks = 8
 
 // Placement is a desired location for a cached partition, mirroring the
 // paper's per-partition states m (memory), d (disk) and u (unpersisted).
@@ -234,11 +228,6 @@ type Config struct {
 	// EventLog, when non-nil, records structured execution events
 	// (jobs, stages, tasks, cache lifecycle) for post-run auditing.
 	EventLog *eventlog.Log
-	// VerifyCodec round-trips every spilled block through the real
-	// encoding/gob codec and panics on any mismatch — a serialization
-	// correctness mode for tests (workload value types must be
-	// registered with storage.RegisterValueType).
-	VerifyCodec bool
 	// Hook, when non-nil, observes job and top-level stage boundaries.
 	// internal/faults implements it to inject failures between
 	// scheduling units, turning the recovery paths (recomputation, disk
@@ -267,23 +256,23 @@ type Config struct {
 	// (task retries, speculative execution, blacklisting). The zero value
 	// selects the documented defaults.
 	Resilience Resilience
-	// RealBytes backs the block stores with real bytes: the memory store
-	// holds gob-serialized buffers (decoding on read through a bounded
-	// decode cache) and the disk store writes one file per block under a
-	// run-scoped temp directory. Virtual-time charging is unchanged — the
-	// same modeled costs advance the same clocks — but every charge site
-	// additionally records measured wall-clock work into the cluster's
-	// Meter, enabling modeled-vs-measured comparison. Stages run on the
-	// sequential task loop so measurements are not perturbed by
-	// concurrent execution. Call Close when done to remove the block
-	// files.
+	// RealBytes makes the cluster's private pool a real-bytes one (it is
+	// forwarded to PoolConfig.RealBytes and read nowhere else): the memory
+	// stores hold gob-serialized buffers (decoding on read through a
+	// bounded decode cache) and the disk stores write one file per block
+	// under a run-scoped temp directory. Virtual-time charging is
+	// unchanged — the same modeled costs advance the same clocks — but
+	// every charge site additionally records measured wall-clock work
+	// into the pool's Meter, enabling modeled-vs-measured comparison.
+	// Stages of a metered cluster run on the sequential task loop so
+	// measurements are not perturbed by concurrent execution. Call Close
+	// when done to remove the block files.
 	RealBytes bool
-	// Pool attaches the cluster to a shared executor pool instead of
-	// creating private executors: Executors, CoresPerExecutor and
-	// MemoryPerExecutor are ignored (the pool's shape wins), the pool's
+	// Pool attaches the cluster to a shared executor pool instead of a
+	// private one: Executors, CoresPerExecutor, MemoryPerExecutor and
+	// RealBytes are ignored (the pool's shape and mode win), the pool's
 	// stores and clocks are shared with every other attached cluster,
 	// and jobs serialize through Gate (or the pool's own lock).
-	// Incompatible with RealBytes.
 	Pool *Pool
 	// Gate, when non-nil (requires Pool), brokers job admission: the
 	// engine calls Gate.AcquireJob/ReleaseJob around each job instead of
@@ -520,29 +509,25 @@ type Cluster struct {
 	// (driver-context bookkeeping, see ParallelStagesRan).
 	parallelStages int
 
-	// meter collects measured storage work in RealBytes mode (nil in
-	// virtual mode; all Meter methods are nil-safe no-ops then).
-	meter *storage.Meter
-	// storageDir is the run-scoped directory holding RealBytes block
-	// files, removed by Close ("" in virtual mode).
-	storageDir string
-
-	// pool, gate and quota are set when the cluster leases a shared
-	// executor pool (Config.Pool): jobs serialize through gate (or the
-	// pool's lock), and memory admissions answer to quota. inJob marks
-	// that this cluster currently holds pool exclusivity via the job
-	// path, so driver-path accessors must not re-acquire it.
+	// pool is the executor pool the cluster runs on: Config.Pool, or a
+	// private one NewCluster built (and Close closes). Jobs serialize
+	// through gate (or the pool's lock), memory admissions answer to the
+	// pool's quota and measured storage work goes to its meter — each nil
+	// where there is none (Meter methods are nil-safe no-ops). inJob marks
+	// that this cluster holds pool exclusivity via the job path, so
+	// driver-path accessors must not re-acquire it.
 	pool  *Pool
 	gate  JobGate
 	quota storage.QuotaController
+	meter *storage.Meter
 	inJob bool
-	// startTime is the pool timeline's Now at session creation; pooled
-	// ACT is measured from it, so a session admitted late is not charged
-	// for history it never saw (but is charged for contention while it
-	// runs, which the shared clocks impose naturally).
+	// startTime is the pool timeline's Now at cluster creation; ACT is
+	// measured from it, so a session admitted late to a shared pool is not
+	// charged for history it never saw (but is charged for contention
+	// while it runs, which the shared clocks impose naturally).
 	startTime time.Duration
 	// diskBase snapshots each pool executor's cumulative disk-written
-	// bytes at session creation; Finish reports the session's delta.
+	// bytes at cluster creation; Finish reports the cluster's delta.
 	diskBase []int64
 
 	// curWindow is the 1-based index of the open micro-batch window on a
@@ -579,21 +564,8 @@ type taskTrace struct {
 // NewCluster creates a cluster bound to the context and installs itself
 // as the context's job runner.
 func NewCluster(cfg Config, ctx *dataflow.Context) (*Cluster, error) {
-	if cfg.Pool != nil {
-		if cfg.RealBytes {
-			return nil, fmt.Errorf("engine: RealBytes is incompatible with a shared pool")
-		}
-		cfg.Executors = cfg.Pool.Config().Executors
-		cfg.CoresPerExecutor = cfg.Pool.Config().CoresPerExecutor
-		cfg.MemoryPerExecutor = cfg.Pool.Config().MemoryPerExecutor
-	} else if cfg.Gate != nil {
+	if cfg.Pool == nil && cfg.Gate != nil {
 		return nil, fmt.Errorf("engine: a job gate requires a shared pool")
-	}
-	if cfg.Executors <= 0 {
-		return nil, fmt.Errorf("engine: need at least one executor, got %d", cfg.Executors)
-	}
-	if cfg.MemoryPerExecutor <= 0 {
-		return nil, fmt.Errorf("engine: memory per executor must be positive, got %d", cfg.MemoryPerExecutor)
 	}
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -601,21 +573,35 @@ func NewCluster(cfg Config, ctx *dataflow.Context) (*Cluster, error) {
 	if cfg.Controller == nil {
 		return nil, fmt.Errorf("engine: a cache controller is required")
 	}
+	pool := cfg.Pool
+	if pool == nil {
+		var err error
+		pool, err = NewPool(PoolConfig{Executors: cfg.Executors, CoresPerExecutor: cfg.CoresPerExecutor,
+			MemoryPerExecutor: cfg.MemoryPerExecutor, RealBytes: cfg.RealBytes})
+		if err != nil {
+			return nil, err
+		}
+	}
+	execs := pool.Executors()
 	c := &Cluster{
 		cfg:               cfg,
 		ctx:               ctx,
+		execs:             execs,
 		shuffle:           shuffle.NewService(),
-		met:               metrics.NewApp(cfg.Executors),
+		met:               metrics.NewApp(len(execs)),
 		ctl:               cfg.Controller,
 		log:               cfg.EventLog,
 		computedOnce:      make(map[storage.BlockID]bool),
-		assign:            make([]int, cfg.Executors),
+		assign:            make([]int, len(execs)),
 		faultLost:         make(map[storage.BlockID]string),
 		faultLostShuffles: make(map[int]bool),
 		faultLostMaps:     make(map[int]map[int]string),
-	}
-	for i := range c.assign {
-		c.setAssign(i, i)
+		curTrace:          make([]*taskTrace, len(execs)),
+		pool:              pool,
+		gate:              cfg.Gate,
+		quota:             pool.Quota(),
+		meter:             pool.Meter(),
+		diskBase:          make([]int64, len(execs)),
 	}
 	c.par = cfg.Parallelism
 	if c.par == 0 {
@@ -628,73 +614,26 @@ func NewCluster(cfg Config, ctx *dataflow.Context) (*Cluster, error) {
 	if th, ok := cfg.Hook.(TaskHook); ok {
 		c.taskHook = th
 	}
-	c.curTrace = make([]*taskTrace, cfg.Executors)
-	if cfg.Pool != nil {
-		c.pool = cfg.Pool
-		c.gate = cfg.Gate
-		c.quota = cfg.Pool.Quota()
-		c.execs = cfg.Pool.Executors()
-		c.pool.Acquire()
-		// Session baselines: pooled ACT and disk-written bytes are deltas
-		// from the session's admission instant on the shared timeline.
-		c.startTime = c.Now()
-		c.diskBase = make([]int64, len(c.execs))
-		live := make([]int, 0, len(c.execs))
-		for i, ex := range c.execs {
-			c.diskBase[i] = ex.Disk.TotalWritten()
-			if !ex.dead {
-				live = append(live, i)
-			}
+	// Baselines: ACT and disk-written bytes are deltas from the cluster's
+	// admission instant on the pool's timeline (zero on a private pool).
+	pool.Acquire()
+	c.startTime = c.Now()
+	live := make([]int, 0, len(execs))
+	for i, ex := range execs {
+		c.diskBase[i] = ex.Disk.TotalWritten()
+		if !ex.dead {
+			live = append(live, i)
 		}
-		c.pool.Release()
-		if len(live) == 0 {
-			return nil, fmt.Errorf("engine: shared pool has no live executors")
-		}
-		// Home partitions round-robin over the live executors, so a
-		// session admitted after an executor death never schedules tasks
-		// onto a dead executor.
-		for i := range c.assign {
-			c.setAssign(i, live[i%len(live)])
-		}
-		ctx.SetRunner(c)
-		c.ctl.Bind(c)
-		return c, nil
 	}
-	cores := cfg.CoresPerExecutor
-	if cores <= 0 {
-		cores = 1
+	pool.Release()
+	if len(live) == 0 {
+		return nil, fmt.Errorf("engine: shared pool has no live executors")
 	}
-	if cfg.RealBytes {
-		c.meter = storage.NewMeter()
-		dir, err := os.MkdirTemp("", "blaze-storage-*")
-		if err != nil {
-			return nil, fmt.Errorf("engine: real-bytes storage dir: %w", err)
-		}
-		c.storageDir = dir
-	}
-	for i := 0; i < cfg.Executors; i++ {
-		ex := &Executor{ID: i, cores: make([]costmodel.Clock, cores)}
-		if cfg.RealBytes {
-			// AlluxioMode models per-read deserialization, so its real
-			// counterpart must decode on every read: no decode cache.
-			// Other systems keep a small hot-read cache, like Spark's
-			// deserialized memory level amortizes repeated reads.
-			cacheBlocks := realDecodeCacheBlocks
-			if cfg.AlluxioMode {
-				cacheBlocks = 0
-			}
-			dir := filepath.Join(c.storageDir, fmt.Sprintf("exec-%d", i))
-			if err := os.Mkdir(dir, 0o755); err != nil {
-				os.RemoveAll(c.storageDir)
-				return nil, fmt.Errorf("engine: real-bytes executor dir: %w", err)
-			}
-			ex.Mem = storage.NewMemoryStoreReal(cfg.MemoryPerExecutor, c.meter, cacheBlocks)
-			ex.Disk = storage.NewDiskStoreReal(dir, c.meter)
-		} else {
-			ex.Mem = storage.NewMemoryStore(cfg.MemoryPerExecutor)
-			ex.Disk = storage.NewDiskStore()
-		}
-		c.execs = append(c.execs, ex)
+	// Home partitions round-robin over the live executors (the identity
+	// on a private pool), so a session admitted after an executor death
+	// never schedules tasks onto a dead executor.
+	for i := range c.assign {
+		c.setAssign(i, live[i%len(live)])
 	}
 	ctx.SetRunner(c)
 	c.ctl.Bind(c)
@@ -704,11 +643,11 @@ func NewCluster(cfg Config, ctx *dataflow.Context) (*Cluster, error) {
 // Context returns the driver context.
 func (c *Cluster) Context() *dataflow.Context { return c.ctx }
 
-// SharedPool reports whether this cluster leases a shared executor pool
-// (a multi-session job server), where other sessions' blocks live in
-// the same stores. Controllers consult it to avoid pricing a
-// neighbor's cache at zero.
-func (c *Cluster) SharedPool() bool { return c.pool != nil }
+// SharedPool reports whether the cluster's pool was handed in (a
+// multi-session job server) rather than built privately, so other
+// sessions' blocks may live in the same stores. Controllers consult it
+// to avoid pricing a neighbor's cache at zero.
+func (c *Cluster) SharedPool() bool { return c.cfg.Pool != nil }
 
 // DropNamespaceBlocks silently removes every resident block whose
 // dataset id falls in [lo, hi) from all pool executors — no events, no
@@ -857,24 +796,19 @@ func (c *Cluster) anyStraggling() bool {
 // Metrics returns the application metrics.
 func (c *Cluster) Metrics() *metrics.App { return c.met }
 
-// Meter returns the measured-storage meter (nil unless Config.RealBytes).
+// Meter returns the pool's measured-storage meter (nil unless the pool
+// is a RealBytes one).
 func (c *Cluster) Meter() *storage.Meter { return c.meter }
 
-// StorageDir returns the run-scoped directory holding RealBytes block
-// files ("" in virtual mode).
-func (c *Cluster) StorageDir() string { return c.storageDir }
-
-// Close releases run-scoped resources: in RealBytes mode it removes the
-// block-file directory. Safe to call multiple times and on virtual-mode
-// clusters (no-op); callers should defer it right after NewCluster so
-// failure paths clean up too.
+// Close closes the cluster's private pool (removing a RealBytes pool's
+// block files); a pool that was handed in is its owner's to close. Safe
+// to call multiple times; callers should defer it right after NewCluster
+// so failure paths clean up too.
 func (c *Cluster) Close() error {
-	if c.storageDir == "" {
+	if c.SharedPool() {
 		return nil
 	}
-	dir := c.storageDir
-	c.storageDir = ""
-	return os.RemoveAll(dir)
+	return c.pool.Close()
 }
 
 // ShuffleComplete reports whether a shuffle's outputs are currently
@@ -948,11 +882,10 @@ func (c *Cluster) Now() time.Duration {
 }
 
 // lockDriver serializes a driver-path mutation (Finish, Unpersist,
-// Release, DropDataset) against a shared pool. Inside a job the gate
-// already holds pool exclusivity, and standalone clusters own their
-// executors outright; both cases need no locking.
+// Release, DropDataset) against the pool. Inside a job the gate already
+// holds pool exclusivity and nothing is taken.
 func (c *Cluster) lockDriver() func() {
-	if c.pool == nil || c.inJob {
+	if c.inJob {
 		return func() {}
 	}
 	c.pool.Acquire()
@@ -960,10 +893,10 @@ func (c *Cluster) lockDriver() func() {
 }
 
 // Finish seals the run: synchronizes clocks, records the ACT and final
-// storage statistics. Call once after the workload completes. On a
-// shared pool the session's ACT is measured from its admission instant
-// and its disk-written bytes are the session's delta; per-executor
-// DiskPeakBytes remains the pool-lifetime peak (the stores are shared).
+// storage statistics. Call once after the workload completes. The ACT is
+// measured from the cluster's admission instant on its pool and its
+// disk-written bytes are the cluster's delta; per-executor DiskPeakBytes
+// remains the pool-lifetime peak (on a shared pool the stores are shared).
 func (c *Cluster) Finish() *metrics.App {
 	unlock := c.lockDriver()
 	defer unlock()
@@ -974,18 +907,10 @@ func (c *Cluster) Finish() *metrics.App {
 		}
 		ex.SyncTo(end)
 	}
-	act := end
-	if c.pool != nil {
-		act -= c.startTime
-	}
-	c.met.ACT = act + c.met.ProfilingTime
+	c.met.ACT = end - c.startTime + c.met.ProfilingTime
 	c.met.DiskBytesWritten = 0
 	for i, ex := range c.execs {
-		written := ex.Disk.TotalWritten()
-		if c.diskBase != nil {
-			written -= c.diskBase[i]
-		}
-		c.met.DiskBytesWritten += written
+		c.met.DiskBytesWritten += ex.Disk.TotalWritten() - c.diskBase[i]
 		// Per-executor peaks are reported separately; the cluster-wide
 		// DiskPeakBytes is maintained on every disk write, because the
 		// executors' individual peaks occur at different virtual times
@@ -1092,18 +1017,10 @@ func (c *Cluster) DropBlock(ex *Executor, id storage.BlockID) {
 // SpillBlock moves a block from memory to disk (m→d), charging the write
 // to the executor clock and the disk-I/O-for-caching bucket.
 func (c *Cluster) SpillBlock(ex *Executor, id storage.BlockID) bool {
-	// In RealBytes mode the memory copy is already serialized; spilling
-	// moves the encoded buffer to its block file without a decode/encode
-	// round trip (as Spark spills serialized bytes).
-	var recs []dataflow.Record
-	var data []byte
-	var size int64
-	var ok bool
-	if c.cfg.RealBytes {
-		data, size, ok = ex.Mem.RemoveEncoded(id)
-	} else {
-		recs, size, ok = ex.Mem.Remove(id)
-	}
+	// The payload moves as the memory store held it: a real-bytes block
+	// reaches its file without a decode/encode round trip (as Spark
+	// spills serialized bytes).
+	payload, size, ok := ex.Mem.Remove(id)
 	if !ok {
 		return false
 	}
@@ -1113,59 +1030,16 @@ func (c *Cluster) SpillBlock(ex *Executor, id storage.BlockID) bool {
 	c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockSpilled, Time: ex.Clock().Now(), Job: c.curJob,
 		Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: size})
 	c.ctl.OnBlockRemoved(ex, id)
-	wrote := false
-	if !ex.Disk.Contains(id) {
-		if c.cfg.VerifyCodec && !c.cfg.RealBytes {
-			// RealBytes blocks round-trip through the codec by
-			// construction; verify only the virtual-mode objects.
-			c.verifyCodec(id, recs)
-		}
-		cost := c.cfg.Params.DiskWrite(size)
-		ex.Clock().Advance(cost)
-		c.met.Executors[ex.ID].Breakdown.DiskIO += cost
+	// A to-disk eviction is only counted when bytes were actually
+	// written; a victim whose disk copy was retained from an earlier
+	// spill is an m→u drop of the memory copy, not a second m→d.
+	wrote := c.writeToDisk(ex, id, payload, size)
+	if wrote {
 		c.met.Executors[ex.ID].EvictedToDiskBytes += size
-		c.meter.AddModeled(storage.DiskWrite, cost)
-		var err error
-		if c.cfg.RealBytes {
-			err = ex.Disk.PutEncoded(id, data, size)
-		} else {
-			err = ex.Disk.Put(id, recs, size)
-		}
-		if err != nil {
-			// Unreachable for duplicates (Contains was checked above);
-			// a real-bytes file-write failure is fatal.
-			panic(err)
-		}
-		c.noteDiskWrite(ex, size)
-		// A to-disk eviction is only counted when bytes were actually
-		// written; a victim whose disk copy was retained from an earlier
-		// spill is an m→u drop of the memory copy, not a second m→d.
-		wrote = true
 	}
 	c.met.Executors[ex.ID].EvictedBytes += size
 	c.met.IncEviction(wrote)
 	return true
-}
-
-// verifyCodec round-trips records through the gob codec, panicking on
-// loss — enabled by Config.VerifyCodec.
-func (c *Cluster) verifyCodec(id storage.BlockID, recs []dataflow.Record) {
-	data, err := storage.EncodeRecords(recs)
-	if err != nil {
-		panic(fmt.Sprintf("engine: codec verify encode %v: %v", id, err))
-	}
-	back, err := storage.DecodeRecords(data)
-	if err != nil {
-		panic(fmt.Sprintf("engine: codec verify decode %v: %v", id, err))
-	}
-	if len(back) != len(recs) {
-		panic(fmt.Sprintf("engine: codec verify %v: %d records became %d", id, len(recs), len(back)))
-	}
-	for i := range recs {
-		if back[i].Key != recs[i].Key {
-			panic(fmt.Sprintf("engine: codec verify %v: key %d mismatch", id, i))
-		}
-	}
 }
 
 // dropFromMemory removes a block from memory only (m→u under pressure).
@@ -1213,23 +1087,13 @@ func (c *Cluster) PromoteBlock(ex *Executor, id storage.BlockID, chargeClock boo
 	}
 	c.met.Executors[ex.ID].Breakdown.DiskIO += cost
 	c.meter.AddModeled(storage.DiskRead, cost)
-	var err error
-	if c.cfg.RealBytes {
-		// Move the encoded buffer up without a decode/encode round trip;
-		// it will be decoded on first read like any memory block.
-		data, _, ok := ex.Disk.GetEncoded(id)
-		if !ok {
-			return false
-		}
-		_, err = ex.Mem.PutEncoded(id, data, size, ex.ID, ex.Clock().Now())
-	} else {
-		recs, _, ok := ex.Disk.Get(id)
-		if !ok {
-			return false
-		}
-		_, err = ex.Mem.Put(id, recs, size, ex.ID, ex.Clock().Now())
+	// The payload moves up as the disk store held it; a real-bytes block
+	// is decoded on first read like any memory block.
+	payload, _, ok := ex.Disk.Load(id)
+	if !ok {
+		return false
 	}
-	if err != nil {
+	if _, err := ex.Mem.Admit(id, payload, size, ex.ID, ex.Clock().Now()); err != nil {
 		return false
 	}
 	c.ctl.OnBlockAdmitted(ex, id)

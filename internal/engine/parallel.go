@@ -41,10 +41,11 @@ func (c *Cluster) parallelPlan(st *Stage, taskParts []int) (map[*Executor][]int,
 	if c.par <= 1 || st.Regenerated || len(taskParts) < 2 {
 		return nil, nil
 	}
-	// RealBytes runs measure wall-clock (de)serialization and file I/O;
-	// concurrent workers would contend for cores and disk and distort the
-	// measurements, so measured stages always take the sequential loop.
-	if c.cfg.RealBytes {
+	// A metered (RealBytes) pool measures wall-clock (de)serialization and
+	// file I/O; concurrent workers would contend for cores and disk and
+	// distort the measurements, so measured stages always take the
+	// sequential loop.
+	if c.meter != nil {
 		return nil, nil
 	}
 	// Quota-enforced pools charge a cluster-wide tenant ledger on the

@@ -101,13 +101,13 @@ func TestRealBytesSpillWritesFiles(t *testing.T) {
 	ds.Count()
 	c.Finish()
 
-	if c.StorageDir() == "" {
+	if c.pool.Dir() == "" {
 		t.Fatal("real-bytes cluster has no storage dir")
 	}
 	blocks, files := 0, 0
 	for _, ex := range c.Executors() {
-		if !ex.Disk.Real() {
-			t.Fatal("disk store is not in real mode")
+		if filepath.Dir(ex.Disk.Dir()) != c.pool.Dir() {
+			t.Fatalf("disk store dir %q is not under the pool's %q", ex.Disk.Dir(), c.pool.Dir())
 		}
 		for _, id := range ex.Disk.Blocks() {
 			blocks++
@@ -133,7 +133,7 @@ func TestRealBytesSpillWritesFiles(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(c.Executors()[0].Disk.Dir()); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Dir(c.Executors()[0].Disk.Dir())); !os.IsNotExist(err) {
 		t.Fatalf("Close left the storage dir behind: %v", err)
 	}
 	if err := c.Close(); err != nil {
@@ -151,7 +151,7 @@ func TestRealBytesPromoteRoundTrip(t *testing.T) {
 	id := storage.BlockID{Dataset: 3, Partition: 1}
 	recs := []dataflow.Record{{Key: 7, Value: 1.5}, {Key: 9, Value: 2.5}}
 
-	if err := ex.Disk.Put(id, recs, 128); err != nil {
+	if err := ex.Disk.Put(id, storage.Fresh(recs), 128); err != nil {
 		t.Fatal(err)
 	}
 	if !c.PromoteBlock(ex, id, true) {
@@ -160,6 +160,9 @@ func TestRealBytesPromoteRoundTrip(t *testing.T) {
 	if !ex.Mem.Contains(id) {
 		t.Fatal("block not in memory after promote")
 	}
+	if snap := c.Meter().Snapshot(); snap.MemDecode.Ops != 0 || snap.MemEncode.Ops != 0 {
+		t.Fatalf("promotion must move the file's bytes up as they are: %d decodes, %d encodes", snap.MemDecode.Ops, snap.MemEncode.Ops)
+	}
 	got, _, ok := ex.Mem.Get(id, 0)
 	if !ok || len(got) != 2 || got[0].Value.(float64) != 1.5 || got[1].Value.(float64) != 2.5 {
 		t.Fatalf("promoted block decoded wrong: %+v ok=%v", got, ok)
@@ -167,5 +170,48 @@ func TestRealBytesPromoteRoundTrip(t *testing.T) {
 	snap := c.Meter().Snapshot()
 	if snap.DiskRead.Ops == 0 || snap.DiskRead.Modeled <= 0 {
 		t.Fatalf("promotion not measured as a disk read: %+v", snap.DiskRead)
+	}
+}
+
+// TestAlluxioReadsPastDecodeCache re-reads the same memory-resident
+// blocks on a real-bytes pool. The decode cache belongs to the store, the
+// "every read deserializes" rule to the reading cluster: with AlluxioMode
+// every memory hit pays a real decode and none is served from the cache,
+// without it the re-reads are cache hits.
+func TestAlluxioReadsPastDecodeCache(t *testing.T) {
+	storage.RegisterValueType(float64(0))
+	for _, alluxio := range []bool{false, true} {
+		ctx := dataflow.NewContext()
+		c, err := NewCluster(Config{
+			Executors:         2,
+			MemoryPerExecutor: 1 << 20,
+			Params:            costmodel.Default(),
+			Controller:        NewSparkMemDisk(),
+			RealBytes:         true,
+			AlluxioMode:       alluxio,
+		}, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		ds := ctx.Source("src", 4, func(part int) []dataflow.Record {
+			return []dataflow.Record{{Key: int64(part), Value: float64(part)}}
+		})
+		ds.Cache()
+		for i := 0; i < 3; i++ {
+			ds.Count()
+		}
+		hits := c.Finish().CacheHits
+		snap := c.Meter().Snapshot()
+		if hits != 8 {
+			t.Fatalf("alluxio=%v: %d memory hits, want 8 (4 blocks re-read twice)", alluxio, hits)
+		}
+		if alluxio && (snap.DecodeCacheHits != 0 || snap.MemDecode.Ops != hits) {
+			t.Errorf("AlluxioMode must decode on every memory hit: %d hits, %d decodes, %d served from the decode cache",
+				hits, snap.MemDecode.Ops, snap.DecodeCacheHits)
+		}
+		if !alluxio && snap.DecodeCacheHits == 0 {
+			t.Errorf("without AlluxioMode the re-reads must hit the decode cache: %d decodes", snap.MemDecode.Ops)
+		}
 	}
 }

@@ -161,9 +161,7 @@ func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 		StartTime:      c.startTime,
 		ParallelStages: c.parallelStages,
 		Assign:         append([]int(nil), c.assign...),
-	}
-	if c.diskBase != nil {
-		rs.DiskBase = append([]int64(nil), c.diskBase...)
+		DiskBase:       append([]int64(nil), c.diskBase...),
 	}
 	rs.ComputedOnce = make(map[storage.BlockID]bool, len(c.computedOnce))
 	for id, v := range c.computedOnce {
@@ -320,9 +318,7 @@ func (c *Cluster) finishResume() {
 	for slot, exec := range rs.Assign {
 		c.setAssign(slot, exec)
 	}
-	if rs.DiskBase != nil && c.diskBase != nil {
-		copy(c.diskBase, rs.DiskBase)
-	}
+	copy(c.diskBase, rs.DiskBase)
 	c.computedOnce = rs.ComputedOnce
 	if c.computedOnce == nil {
 		c.computedOnce = make(map[storage.BlockID]bool)

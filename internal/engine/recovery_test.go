@@ -180,9 +180,9 @@ func TestClusterDiskPeakIsConcurrent(t *testing.T) {
 	a := storage.BlockID{Dataset: 100, Partition: 0}
 	b := storage.BlockID{Dataset: 101, Partition: 1}
 
-	c.writeToDisk(ex0, a, recs, 100) // cluster footprint 100
-	c.DropBlock(ex0, a)              // back to 0
-	c.writeToDisk(ex1, b, recs, 60)  // cluster footprint 60
+	c.writeToDisk(ex0, a, storage.Fresh(recs), 100) // cluster footprint 100
+	c.DropBlock(ex0, a)                             // back to 0
+	c.writeToDisk(ex1, b, storage.Fresh(recs), 60)  // cluster footprint 60
 
 	m := c.Finish()
 	if m.DiskPeakBytes != 100 {

@@ -208,16 +208,12 @@ func (c *Cluster) RunJob(target *dataflow.Dataset, action string) [][]dataflow.R
 	return results
 }
 
-// beginJob takes pool exclusivity for one job when the cluster leases a
-// shared pool: through the server's gate when one is installed (which
-// may park the session until fair-share admission picks it), else the
-// pool's own lock. Nested stage regenerations go through runStage, not
-// RunJob, so the job-level bracket is never re-entered. Standalone
-// clusters are unaffected.
+// beginJob takes pool exclusivity for one job: through the server's gate
+// when one is installed (which may park the session until fair-share
+// admission picks it), else the pool's own lock. Nested stage
+// regenerations go through runStage, not RunJob, so the job-level
+// bracket is never re-entered.
 func (c *Cluster) beginJob() {
-	if c.pool == nil {
-		return
-	}
 	if c.gate != nil {
 		c.gate.AcquireJob(c)
 	} else {
@@ -231,9 +227,6 @@ func (c *Cluster) beginJob() {
 // leave the pool unlocked itself: the panic propagates before inJob is
 // set, so this deferred release is a no-op then.
 func (c *Cluster) endJob() {
-	if c.pool == nil {
-		return
-	}
 	if !c.inJob {
 		return
 	}
@@ -636,10 +629,11 @@ func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Da
 	stats := &c.met.Executors[ex.ID]
 
 	// 1. Memory store.
-	if recs, meta, ok := ex.Mem.Get(id, ex.Clock().Now()); ok {
+	if recs, meta, ok := ex.Mem.Read(id, ex.Clock().Now(), c.cfg.AlluxioMode); ok {
 		if c.cfg.AlluxioMode {
 			// The external store serves serialized bytes even from its
-			// memory tier; every read pays deserialization (§7.2).
+			// memory tier; every read pays deserialization (§7.2) — the
+			// read above went past the store's decode cache.
 			cost := params.Serialize(meta.Size)
 			ex.Clock().Advance(cost)
 			stats.Breakdown.DiskIO += cost
@@ -737,7 +731,7 @@ func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Da
 		placed = c.admitToMemory(ex, id, recs, size)
 	}
 	if !placed && (primary == PlaceDisk || (primary == PlaceMemory && fallback == PlaceDisk)) {
-		c.writeToDisk(ex, id, recs, size)
+		c.writeToDisk(ex, id, storage.Fresh(recs), size)
 	}
 	return out
 }
@@ -785,23 +779,23 @@ func (c *Cluster) admitToMemory(ex *Executor, id storage.BlockID, recs []dataflo
 	return true
 }
 
-// writeToDisk stores a freshly computed block on disk (the d state),
-// charging the write.
-func (c *Cluster) writeToDisk(ex *Executor, id storage.BlockID, recs []dataflow.Record, size int64) {
+// writeToDisk stores a block on disk (the d state) — freshly computed
+// records, or the payload a spill took out of memory — charging the
+// write. It reports false, charging nothing, when the disk already holds
+// the block.
+func (c *Cluster) writeToDisk(ex *Executor, id storage.BlockID, payload storage.Payload, size int64) bool {
 	if ex.Disk.Contains(id) {
-		return
-	}
-	if c.cfg.VerifyCodec && !c.cfg.RealBytes {
-		c.verifyCodec(id, recs)
+		return false
 	}
 	cost := c.cfg.Params.DiskWrite(size)
 	ex.Clock().Advance(cost)
 	c.met.Executors[ex.ID].Breakdown.DiskIO += cost
 	c.meter.AddModeled(storage.DiskWrite, cost)
-	if err := ex.Disk.Put(id, recs, size); err != nil {
-		panic(err) // Contains was checked above
+	if err := ex.Disk.Put(id, payload, size); err != nil {
+		panic(err) // not a duplicate; a real-bytes file-write failure is fatal
 	}
 	c.noteDiskWrite(ex, size)
+	return true
 }
 
 // fetchShuffleOn reads one reduce bucket, regenerating the parent stage

@@ -2,9 +2,9 @@ package graphx
 
 import "blaze/internal/storage"
 
-// init registers the workload value types with the gob codec so the
-// engine's VerifyCodec mode (and any external serialization of blocks)
-// can round-trip real partitions.
+// init registers the workload value types with the gob codec so
+// real-bytes stores (and any external serialization of blocks) can
+// round-trip real partitions.
 func init() {
 	storage.RegisterValueType(AdjList{})
 	storage.RegisterValueType(VertexRank{})

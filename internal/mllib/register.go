@@ -2,8 +2,8 @@ package mllib
 
 import "blaze/internal/storage"
 
-// init registers the workload value types with the gob codec so the
-// engine's VerifyCodec mode can round-trip real partitions.
+// init registers the workload value types with the gob codec so
+// real-bytes stores can round-trip real partitions.
 func init() {
 	storage.RegisterValueType(LabeledPoint{})
 	storage.RegisterValueType(Vector{})

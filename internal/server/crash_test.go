@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"blaze/internal/dataflow"
 	"blaze/internal/engine"
 	"blaze/internal/enginetest"
+	"blaze/internal/eventlog"
 	"blaze/internal/faults"
 )
 
@@ -167,5 +170,92 @@ func TestStreamSessionDoubleClose(t *testing.T) {
 	}
 	if err := st.Do(func(*dataflow.Context) {}); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("Do after Close: err = %v, want ErrStreamClosed", err)
+	}
+}
+
+// TestDriverPanicFailsOnlyItsSession: a panic that is neither a
+// cancellation nor an injected crash — here a task's own function blowing
+// up mid-job, with the gate held, the way a real-bytes block file going
+// unreadable would — is the session's error, not the process's death.
+// The failed session goes through the whole teardown (gate returned,
+// blocks dropped, quota released, session_end emitted) and the other
+// session on the server runs to completion.
+func TestDriverPanicFailsOnlyItsSession(t *testing.T) {
+	boom := errors.New("block file unreadable")
+	srvLog := eventlog.New()
+	s, err := New(Config{
+		Executors:         2,
+		MemoryPerExecutor: 1 << 16,
+		Tenants:           []TenantConfig{{Name: "doomed", MemoryQuota: 1 << 20}, {Name: "bystander"}},
+		EventLog:          srvLog,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	doomed, err := s.Submit(JobSpec{
+		Tenant:     "doomed",
+		Controller: engine.NewSparkMemDisk(),
+		Params:     costmodel.Default(),
+		Driver: func(ctx *dataflow.Context) {
+			src := ctx.Source("src", 4, func(part int) []dataflow.Record {
+				return []dataflow.Record{{Key: int64(part), Value: int64(part)}}
+			})
+			src.Cache()
+			src.Count() // one clean job: the session holds cached blocks
+			src.Map("explode", func(r dataflow.Record) dataflow.Record { panic(boom) }).Count()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sums []int64
+	bystander, err := s.Submit(programSpec("bystander", 11, engine.NewSparkMemDisk(), &sums))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	err = doomed.Wait()
+	if !errors.Is(err, boom) {
+		t.Fatalf("panicked session: err = %v, want it to wrap the panic value", err)
+	}
+	if !strings.Contains(err.Error(), "TestDriverPanicFailsOnlyItsSession") {
+		t.Fatalf("panicked session's error carries no stack of the panic site:\n%v", err)
+	}
+	if doomed.Metrics() != nil {
+		t.Fatal("a failed session must not report sealed metrics")
+	}
+	if err := bystander.Wait(); err != nil {
+		t.Fatalf("the other session must keep running: %v", err)
+	}
+	ref := dataflow.NewContext()
+	dataflow.NewLocalRunner(ref)
+	if want := enginetest.BuildRandomProgram(11, ref); fmt.Sprint(sums) != fmt.Sprint(want) {
+		t.Fatalf("bystander checksums %v, want %v", sums, want)
+	}
+
+	if peak := s.Quota().Peak("doomed"); peak == 0 {
+		t.Fatal("the doomed session cached nothing; the release check is vacuous")
+	}
+	if used := s.Quota().Usage("doomed"); used != 0 {
+		t.Fatalf("quota ledger holds %d bytes after the failed session, want 0", used)
+	}
+	for _, ex := range s.Pool().Executors() {
+		if n := len(ex.Mem.Blocks()) + len(ex.Disk.Blocks()); n != 0 {
+			t.Fatalf("executor %d still holds %d blocks after both sessions ended", ex.ID, n)
+		}
+	}
+	ends := 0
+	for _, e := range srvLog.Events() {
+		if e.Kind == eventlog.SessionEnd {
+			ends++
+		}
+	}
+	if ends != 2 {
+		t.Fatalf("server log has %d session_end events, want 2", ends)
+	}
+	if st := s.Stats(); st.ActiveSessions != 0 {
+		t.Fatalf("sessions still counted active: %+v", st)
 	}
 }

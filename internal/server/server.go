@@ -26,6 +26,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -74,6 +75,9 @@ type Config struct {
 	Executors         int
 	CoresPerExecutor  int
 	MemoryPerExecutor int64
+	// RealBytes makes the shared pool a real-bytes one (forwarded to
+	// engine.PoolConfig.RealBytes); Close removes its block files.
+	RealBytes bool
 	// Parallelism is the default engine parallelism for sessions that do
 	// not override it.
 	Parallelism int
@@ -229,6 +233,7 @@ func New(cfg Config) (*Server, error) {
 		CoresPerExecutor:  cfg.CoresPerExecutor,
 		MemoryPerExecutor: cfg.MemoryPerExecutor,
 		Quota:             q,
+		RealBytes:         cfg.RealBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -582,13 +587,15 @@ func (s *Server) stopAdmissionLocked() {
 	s.pending = 0
 }
 
-// Close stops admission, cancels queued (not yet active) sessions, and
-// waits for active sessions to drain.
+// Close stops admission, cancels queued (not yet active) sessions, waits
+// for active sessions to drain and closes the pool (removing a
+// real-bytes pool's block files).
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.stopAdmissionLocked()
 	s.mu.Unlock()
 	s.wg.Wait()
+	s.pool.Close()
 }
 
 // Shutdown stops admission like Close, then drains gracefully: it waits
@@ -607,6 +614,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	drained := make(chan struct{})
 	go func() {
 		s.wg.Wait()
+		s.pool.Close()
 		close(drained)
 	}()
 	select {
@@ -745,23 +753,30 @@ func (sess *Session) run() {
 
 	func() {
 		defer func() {
-			if r := recover(); r != nil {
-				if err, ok := r.(error); ok && errors.Is(err, ErrCancelled) {
-					sess.err = ErrCancelled
-					return
+			// Whatever unwound the driver becomes the session's error, and
+			// the session falls through the normal teardown below (the job
+			// bracket's deferred release already returned the gate): its
+			// blocks leave the shared cache and its quota bytes are
+			// released, exactly like a completed session, and the other
+			// sessions keep running. After an injected server crash the
+			// client's move is to resume from the checkpoint directory; any
+			// other panic (an engine invariant, a real-bytes I/O failure)
+			// is reported with the stack that raised it.
+			r := recover()
+			if r == nil {
+				return
+			}
+			err, isErr := r.(error)
+			switch {
+			case errors.Is(err, ErrCancelled):
+				sess.err = ErrCancelled
+			case errors.Is(err, faults.ErrServerCrash):
+				sess.err = err
+			default:
+				if !isErr {
+					err = fmt.Errorf("%v", r)
 				}
-				if err, ok := r.(error); ok && errors.Is(err, faults.ErrServerCrash) {
-					// An injected server crash killed the session
-					// mid-stream. The session dies with this error — and
-					// falls through the normal teardown below, so its
-					// blocks leave the shared cache and every byte the
-					// quota ledger charged it is released, exactly like a
-					// completed session. Recovery is the client's move:
-					// resume from the checkpoint directory.
-					sess.err = err
-					return
-				}
-				panic(r)
+				sess.err = fmt.Errorf("server: session %d: driver panicked: %w\n%s", sess.idx, err, debug.Stack())
 			}
 		}()
 		sess.spec.Driver(ctx)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -15,6 +17,7 @@ import (
 	"blaze/internal/enginetest"
 	"blaze/internal/eventlog"
 	"blaze/internal/metrics"
+	"blaze/internal/storage"
 )
 
 // programSpec builds a JobSpec running the seeded random program and
@@ -369,5 +372,120 @@ func TestCloseCancelsQueuedAndRejectsSubmit(t *testing.T) {
 	}
 	if _, err := s.Submit(programSpec("", 6, engine.NewSparkMemDisk(), nil)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Submit after Close: err = %v, want ErrClosed", err)
+	}
+}
+
+// blockFileProbe lists the pool's block files at a session's first job
+// start and counts them at every job end.
+type blockFileProbe struct {
+	dir      string
+	started  bool
+	atStart  []string
+	maxAtEnd int
+}
+
+func (p *blockFileProbe) files() []string {
+	names, _ := filepath.Glob(filepath.Join(p.dir, "exec-*", "rdd_*"))
+	return names
+}
+
+func (p *blockFileProbe) OnJobStart(*engine.Cluster, *engine.Job) {
+	if !p.started {
+		p.started, p.atStart = true, p.files()
+	}
+}
+func (p *blockFileProbe) OnStageEnd(*engine.Cluster, *engine.Stage) {}
+func (p *blockFileProbe) OnJobEnd(*engine.Cluster, *engine.Job) {
+	p.maxAtEnd = max(p.maxAtEnd, len(p.files()))
+}
+
+// TestTwoSessionsRealPoolMatchVirtual runs the same two sessions, one
+// after the other, on a real-bytes server and on a virtual one: how the
+// shared pool holds blocks must not show in any session's deterministic
+// metrics or event log, a session's block files must be gone before the
+// next session's first job, and the directory gone after Close.
+func TestTwoSessionsRealPoolMatchVirtual(t *testing.T) {
+	storage.RegisterValueType(float64(0))
+	// A cached dataset larger than the memory stores, read twice and never
+	// unpersisted: its spilled blocks are on disk when the session ends.
+	driver := func(ctx *dataflow.Context) {
+		ds := ctx.Source("big", 8, func(part int) []dataflow.Record {
+			out := make([]dataflow.Record, 100)
+			for i := range out {
+				out[i] = dataflow.Record{Key: int64(part*100 + i), Value: float64(i)}
+			}
+			return out
+		}).Map("wide", func(r dataflow.Record) dataflow.Record { return r })
+		ds.Cache()
+		ds.Count()
+		ds.Count()
+	}
+	type outcome struct {
+		met *metrics.App
+		log []byte
+	}
+	run := func(real bool) [2]outcome {
+		s, err := New(Config{Executors: 2, MemoryPerExecutor: 4 << 10, MaxActiveSessions: 1, RealBytes: real})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		dir := s.Pool().Dir()
+		if (dir != "") != real {
+			t.Fatalf("real=%v pool has storage dir %q", real, dir)
+		}
+		var sessions [2]*Session
+		var probes [2]*blockFileProbe
+		var logs [2]*eventlog.Log
+		for k := range sessions {
+			probes[k], logs[k] = &blockFileProbe{dir: dir}, eventlog.New()
+			sessions[k], err = s.Submit(JobSpec{Controller: engine.NewSparkMemDisk(), Params: costmodel.Default(),
+				Driver: driver, EventLog: logs[k], Hook: probes[k]})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var out [2]outcome
+		for k, sess := range sessions {
+			if err := sess.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := logs[k].WriteJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out[k] = outcome{sess.Metrics(), buf.Bytes()}
+			if !real {
+				continue
+			}
+			if probes[k].maxAtEnd == 0 {
+				t.Fatalf("session %d left no block file at any job end; the purge check is vacuous", k)
+			}
+			if len(probes[k].atStart) != 0 {
+				t.Fatalf("session %d's first job started with block files present: %v", k, probes[k].atStart)
+			}
+		}
+		if real {
+			if snap := s.Pool().Meter().Snapshot(); snap.DiskWrite.Ops == 0 || snap.DiskRead.Ops == 0 || snap.MemEncode.Ops == 0 {
+				t.Fatalf("the shared real pool measured no work: %+v", snap)
+			}
+			s.Close()
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Fatalf("Close left the storage dir behind: %v", err)
+			}
+		}
+		return out
+	}
+	virt, real := run(false), run(true)
+	for k := range virt {
+		if !metrics.EqualDeterministic(virt[k].met, real[k].met) {
+			t.Errorf("session %d metrics differ:\nvirtual %+v\nreal    %+v", k, virt[k].met, real[k].met)
+		}
+		if !bytes.Equal(virt[k].log, real[k].log) {
+			t.Errorf("session %d event logs differ between the virtual and the real-bytes pool", k)
+		}
+		if virt[k].met.DiskBytesWritten == 0 {
+			t.Errorf("session %d did not spill; shrink the memory store", k)
+		}
 	}
 }

@@ -156,8 +156,8 @@ func TestEstimateTracksGobOnWorkloadTypes(t *testing.T) {
 
 // TestWorkloadTypesRoundTrip ensures every workload partition above
 // survives the codec loss-free at the key level and record count (value
-// equality is exercised by the engine's VerifyCodec mode and the
-// real-bytes stores).
+// equality is exercised by the real-bytes stores, end to end in
+// TestRealBytesCodecOnRealWorkloads).
 func TestWorkloadTypesRoundTrip(t *testing.T) {
 	for name, recs := range workloadPartitions() {
 		t.Run(name, func(t *testing.T) {

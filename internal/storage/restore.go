@@ -9,45 +9,13 @@ package storage
 // quota controller: re-admitting a tenant's surviving blocks is what
 // re-balances the ledger after the crash zeroed it.
 
-import (
-	"fmt"
-	"os"
-	"time"
-
-	"blaze/internal/dataflow"
-)
+import "blaze/internal/dataflow"
 
 // Restore inserts a checkpointed block with its original metadata. The
 // store must not already hold the block; capacity and tenant quota are
 // enforced exactly as at first admission.
 func (m *MemoryStore) Restore(meta BlockMeta, recs []dataflow.Record) error {
-	id := meta.ID
-	if _, exists := m.blocks[id]; exists {
-		return fmt.Errorf("storage: restore: block %v already in memory", id)
-	}
-	if meta.Size > m.Free() {
-		return fmt.Errorf("storage: restore: block %v (%d bytes) exceeds free memory (%d bytes)", id, meta.Size, m.Free())
-	}
-	if m.quota != nil && !m.quota.Admit(id, meta.Size) {
-		return fmt.Errorf("storage: restore: block %v (%d bytes) exceeds tenant %q memory quota", id, meta.Size, m.quota.Owner(id))
-	}
-	var data []byte
-	if m.real {
-		start := time.Now()
-		d, err := EncodeRecords(recs)
-		if err != nil {
-			if m.quota != nil {
-				m.quota.Release(id, meta.Size)
-			}
-			return fmt.Errorf("storage: restore: block %v failed to encode: %w", id, err)
-		}
-		m.meter.addMeasured(MemEncode, int64(len(d)), time.Since(start))
-		data = d
-		recs = nil
-	}
-	mc := meta
-	m.insert(&memEntry{records: recs, data: data, meta: &mc})
-	return nil
+	return m.admit(&meta, Fresh(recs))
 }
 
 // Records returns a block's records without touching its access
@@ -59,14 +27,8 @@ func (m *MemoryStore) Records(id BlockID) ([]dataflow.Record, bool) {
 	if !ok {
 		return nil, false
 	}
-	if !m.real {
-		return e.records, true
-	}
-	recs, err := DecodeRecords(e.data)
-	if err != nil {
-		return nil, false
-	}
-	return recs, true
+	recs, err := e.p.records()
+	return recs, err == nil
 }
 
 // Counters returns the store's insert sequence and peak usage for a
@@ -86,27 +48,7 @@ func (m *MemoryStore) SetCounters(seq, peak int64) {
 // size, without counting it toward TotalWritten (the crashed run
 // already wrote it; SetCounters reinstates the cumulative figure).
 func (d *DiskStore) Restore(id BlockID, recs []dataflow.Record, size int64) error {
-	if _, exists := d.blocks[id]; exists {
-		return fmt.Errorf("storage: restore: block %v already on disk", id)
-	}
-	e := diskEntry{size: size}
-	if d.real {
-		start := time.Now()
-		data, err := EncodeRecords(recs)
-		if err != nil {
-			return fmt.Errorf("storage: restore: block %v failed to encode: %w", id, err)
-		}
-		if err := os.WriteFile(d.path(id), data, 0o644); err != nil {
-			return fmt.Errorf("storage: restore: block %v: %w", id, err)
-		}
-		d.meter.addMeasured(DiskWrite, int64(len(data)), time.Since(start))
-		d.meter.addFile(int64(len(data)))
-		e.fileBytes = int64(len(data))
-	} else {
-		e.records = recs
-	}
-	d.add(id, e)
-	return nil
+	return d.store(id, Fresh(recs), size)
 }
 
 // Records returns a disk block's records without any metering — the
@@ -116,18 +58,12 @@ func (d *DiskStore) Records(id BlockID) ([]dataflow.Record, bool) {
 	if !ok {
 		return nil, false
 	}
-	if !d.real {
-		return e.records, true
-	}
-	data, err := os.ReadFile(d.path(id))
+	p, err := d.read(id, e)
 	if err != nil {
 		return nil, false
 	}
-	recs, err := DecodeRecords(data)
-	if err != nil {
-		return nil, false
-	}
-	return recs, true
+	recs, err := p.records()
+	return recs, err == nil
 }
 
 // Counters returns the disk store's peak footprint and cumulative

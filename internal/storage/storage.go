@@ -21,6 +21,11 @@
 // engine passes in, so controller decisions (admission, eviction,
 // spilling) are identical across modes; real encoded byte counts are
 // tracked separately by the Meter.
+//
+// Which mode a store runs in is fixed by whoever constructs it (the
+// engine's executor pool); how a resident block is held is known only
+// here. Callers hand records in and get records out, and move a block
+// between the tiers of one executor as an opaque Payload.
 package storage
 
 import (
@@ -124,10 +129,61 @@ type BlockMeta struct {
 	Cost float64
 }
 
+// Payload is a block's contents in the representation of the store that
+// packed it: live records from a virtual store, gob bytes from a
+// real-bytes one. It is opaque outside this package, so a tier move hands
+// what one store released to the other store of the same executor without
+// the caller knowing, or converting, the representation. Fresh wraps
+// records no store has packed yet; a packed payload is only accepted by a
+// store of the mode that packed it.
+type Payload struct {
+	recs []dataflow.Record
+	data []byte
+	form payloadForm
+}
+
+type payloadForm uint8
+
+const (
+	formFresh   payloadForm = iota // records straight from a task, unpacked
+	formLive                       // packed by a virtual store: the records themselves
+	formEncoded                    // packed by a real-bytes store: data, or the block's file
+)
+
+// Fresh wraps freshly computed records for admission; the admitting store
+// packs them into its own representation.
+func Fresh(recs []dataflow.Record) Payload { return Payload{recs: recs} }
+
+// pack brings a payload into the representation of a store in the given
+// mode: fresh records are kept (virtual) or serialized (real bytes), a
+// packed payload passes only if a store of the same mode packed it.
+func pack(real bool, id BlockID, p Payload) (Payload, error) {
+	switch {
+	case p.form == formFresh && !real:
+		return Payload{recs: p.recs, form: formLive}, nil
+	case p.form == formFresh:
+		data, err := EncodeRecords(p.recs)
+		if err != nil {
+			return Payload{}, fmt.Errorf("storage: block %v failed to encode: %w", id, err)
+		}
+		return Payload{data: data, form: formEncoded}, nil
+	case (p.form == formEncoded) != real:
+		return Payload{}, fmt.Errorf("storage: block %v was packed by a store of the other mode", id)
+	}
+	return p, nil
+}
+
+// records unpacks the payload, deserializing encoded bytes.
+func (p Payload) records() ([]dataflow.Record, error) {
+	if p.form != formEncoded {
+		return p.recs, nil
+	}
+	return DecodeRecords(p.data)
+}
+
 type memEntry struct {
-	records []dataflow.Record // virtual mode: the live objects
-	data    []byte            // real mode: the serialized bytes
-	meta    *BlockMeta
+	p    Payload
+	meta *BlockMeta
 }
 
 // MemoryStore is a capacity-bounded in-memory block store. In real-bytes
@@ -179,9 +235,6 @@ func NewMemoryStoreReal(capacity int64, meter *Meter, decodeCacheBlocks int) *Me
 	return m
 }
 
-// Real reports whether the store holds serialized bytes.
-func (m *MemoryStore) Real() bool { return m.real }
-
 // SetQuota attaches a per-tenant quota controller; admissions charge the
 // owning tenant and fail past its limit. Call before any block is stored.
 func (m *MemoryStore) SetQuota(q QuotaController) { m.quota = q }
@@ -204,38 +257,41 @@ func (m *MemoryStore) Contains(id BlockID) bool {
 	return ok
 }
 
-// Get returns the block's records and metadata, updating access stats.
-// In real-bytes mode the records are deserialized from the stored buffer
-// unless the decode cache holds them.
+// Get is Read through the decode cache.
 func (m *MemoryStore) Get(id BlockID, now time.Duration) ([]dataflow.Record, *BlockMeta, bool) {
+	return m.Read(id, now, false)
+}
+
+// Read returns the block's records and metadata, updating access stats.
+// A real-bytes block is deserialized from its buffer unless the decode
+// cache holds it; uncached makes this read deserialize regardless and
+// leave the cache alone — how a reader whose store serves serialized
+// bytes even from memory (Spark+Alluxio) pays for every read.
+func (m *MemoryStore) Read(id BlockID, now time.Duration, uncached bool) ([]dataflow.Record, *BlockMeta, bool) {
 	e, ok := m.blocks[id]
 	if !ok {
 		return nil, nil, false
 	}
 	e.meta.LastAccess = now
 	e.meta.AccessCount++
-	if !m.real {
-		return e.records, e.meta, true
+	if e.p.form != formEncoded {
+		return e.p.recs, e.meta, true
 	}
-	return m.decode(id, e), e.meta, true
-}
-
-// decode returns the decoded records for a real-mode entry, consulting
-// and maintaining the decode cache.
-func (m *MemoryStore) decode(id BlockID, e *memEntry) []dataflow.Record {
-	if recs, hit := m.cache[id]; hit {
+	if recs, hit := m.cache[id]; hit && !uncached {
 		m.meter.addDecodeCacheHit()
 		m.cacheTouch(id)
-		return recs
+		return recs, e.meta, true
 	}
 	start := time.Now()
-	recs, err := DecodeRecords(e.data)
+	recs, err := e.p.records()
 	if err != nil {
 		panic(fmt.Sprintf("storage: memory block %v failed to decode: %v", id, err))
 	}
-	m.meter.addMeasured(MemDecode, int64(len(e.data)), time.Since(start))
-	m.cacheInsert(id, recs)
-	return recs
+	m.meter.addMeasured(MemDecode, int64(len(e.p.data)), time.Since(start))
+	if !uncached {
+		m.cacheInsert(id, recs)
+	}
+	return recs, e.meta, true
 }
 
 func (m *MemoryStore) cacheTouch(id BlockID) {
@@ -282,63 +338,56 @@ func (m *MemoryStore) Peek(id BlockID) (*BlockMeta, bool) {
 	return e.meta, true
 }
 
-// Put inserts a block. It returns an error if the block would exceed the
-// remaining capacity — the caller must evict first, which keeps eviction
-// decisions in the controller where they belong. In real-bytes mode the
-// records are serialized into the stored buffer (measured into the
-// meter); size remains the caller's analytic estimate so capacity
-// accounting is identical across modes.
+// Put admits freshly computed records: Admit of Fresh(recs).
 func (m *MemoryStore) Put(id BlockID, recs []dataflow.Record, size int64, executor int, now time.Duration) (*BlockMeta, error) {
-	var data []byte
-	if m.real {
-		start := time.Now()
-		d, err := EncodeRecords(recs)
-		if err != nil {
-			return nil, fmt.Errorf("storage: block %v failed to encode: %w", id, err)
-		}
-		m.meter.addMeasured(MemEncode, int64(len(d)), time.Since(start))
-		data = d
-	}
-	return m.putEntry(id, recs, data, size, executor, now)
+	return m.Admit(id, Fresh(recs), size, executor, now)
 }
 
-// PutEncoded inserts an already-serialized block (real-bytes mode only;
-// used to promote a block from disk without a decode/encode round trip).
-func (m *MemoryStore) PutEncoded(id BlockID, data []byte, size int64, executor int, now time.Duration) (*BlockMeta, error) {
-	if !m.real {
-		return nil, fmt.Errorf("storage: PutEncoded on a virtual-mode store")
-	}
-	return m.putEntry(id, nil, data, size, executor, now)
-}
-
-func (m *MemoryStore) putEntry(id BlockID, recs []dataflow.Record, data []byte, size int64, executor int, now time.Duration) (*BlockMeta, error) {
-	if _, exists := m.blocks[id]; exists {
-		return nil, fmt.Errorf("storage: block %v already in memory", id)
-	}
-	if size > m.Free() {
-		return nil, fmt.Errorf("storage: block %v (%d bytes) exceeds free memory (%d bytes)", id, size, m.Free())
-	}
-	if m.quota != nil && !m.quota.Admit(id, size) {
-		// Backstop: the engine prechecks quotas before charging I/O, so a
-		// refusal here means a caller bypassed the precheck.
-		return nil, fmt.Errorf("storage: block %v (%d bytes) exceeds tenant %q memory quota", id, size, m.quota.Owner(id))
+// Admit inserts a block. It returns an error if the block would exceed
+// the remaining capacity — the caller must evict first, which keeps
+// eviction decisions in the controller where they belong. A fresh payload
+// is packed here (a real-bytes store serializes it, measured as
+// MemEncode); one a disk store of the same mode loaded is admitted as it
+// is, so a promotion pays no decode/encode round trip. size is the
+// caller's analytic estimate, so capacity accounting is identical across
+// modes.
+func (m *MemoryStore) Admit(id BlockID, p Payload, size int64, executor int, now time.Duration) (*BlockMeta, error) {
+	meta := &BlockMeta{ID: id, Size: size, Executor: executor, LastAccess: now, InsertSeq: m.seq + 1}
+	if err := m.admit(meta, p); err != nil {
+		return nil, err
 	}
 	m.seq++
-	meta := &BlockMeta{
-		ID:         id,
-		Size:       size,
-		Executor:   executor,
-		LastAccess: now,
-		InsertSeq:  m.seq,
-	}
-	if m.real {
-		recs = nil
-	}
-	m.insert(&memEntry{records: recs, data: data, meta: meta})
 	return meta, nil
 }
 
-// insert makes an entry resident: the one place (with dropEntry) the
+// admit is the one admission path, shared with Restore: capacity, pack
+// (the one encode-and-meter site), tenant quota, insert.
+func (m *MemoryStore) admit(meta *BlockMeta, p Payload) error {
+	id := meta.ID
+	if _, exists := m.blocks[id]; exists {
+		return fmt.Errorf("storage: block %v already in memory", id)
+	}
+	if meta.Size > m.Free() {
+		return fmt.Errorf("storage: block %v (%d bytes) exceeds free memory (%d bytes)", id, meta.Size, m.Free())
+	}
+	start := time.Now()
+	packed, err := pack(m.real, id, p)
+	if err != nil {
+		return err
+	}
+	if p.form == formFresh && packed.form == formEncoded {
+		m.meter.addMeasured(MemEncode, int64(len(packed.data)), time.Since(start))
+	}
+	if m.quota != nil && !m.quota.Admit(id, meta.Size) {
+		// Backstop: the engine prechecks quotas before charging I/O, so a
+		// refusal here means a caller bypassed the precheck.
+		return fmt.Errorf("storage: block %v (%d bytes) exceeds tenant %q memory quota", id, meta.Size, m.quota.Owner(id))
+	}
+	m.insert(&memEntry{p: packed, meta: meta})
+	return nil
+}
+
+// insert makes an entry resident: the one place (with Remove) the
 // block map, the sorted listing and the column version are written.
 func (m *MemoryStore) insert(e *memEntry) {
 	id := e.meta.ID
@@ -362,31 +411,12 @@ func (m *MemoryStore) sortedIndex(id BlockID) int {
 // memory-store capacities the way the paper does empirically (§7.1).
 func (m *MemoryStore) PeakUsed() int64 { return m.peak }
 
-// Remove drops a block and returns its records (for spilling) and size.
-// In real-bytes mode the records return nil — callers that need the
-// payload use RemoveEncoded instead, avoiding a decode on eviction.
-func (m *MemoryStore) Remove(id BlockID) ([]dataflow.Record, int64, bool) {
-	e, ok := m.dropEntry(id)
-	if !ok {
-		return nil, 0, false
-	}
-	return e.records, e.meta.Size, true
-}
-
-// RemoveEncoded drops a block and returns its serialized bytes
-// (real-bytes mode only; used to spill without re-serializing).
-func (m *MemoryStore) RemoveEncoded(id BlockID) ([]byte, int64, bool) {
-	e, ok := m.dropEntry(id)
-	if !ok {
-		return nil, 0, false
-	}
-	return e.data, e.meta.Size, true
-}
-
-func (m *MemoryStore) dropEntry(id BlockID) (*memEntry, bool) {
+// Remove drops a block and returns its payload as stored (for spilling:
+// a real-bytes block moves to disk without a decode) and its size.
+func (m *MemoryStore) Remove(id BlockID) (Payload, int64, bool) {
 	e, ok := m.blocks[id]
 	if !ok {
-		return nil, false
+		return Payload{}, 0, false
 	}
 	delete(m.blocks, id)
 	at := m.sortedIndex(id)
@@ -397,7 +427,7 @@ func (m *MemoryStore) dropEntry(id BlockID) (*memEntry, bool) {
 	if m.quota != nil {
 		m.quota.Release(id, e.meta.Size)
 	}
-	return e, true
+	return e.p, e.meta.Size, true
 }
 
 // Blocks returns the metadata of all resident blocks in deterministic
@@ -414,9 +444,9 @@ func (m *MemoryStore) BlocksView() []*BlockMeta { return m.sorted }
 func (m *MemoryStore) ColumnVersion(part int) uint64 { return m.colVer.at(part) }
 
 type diskEntry struct {
-	records   []dataflow.Record // virtual mode only
-	size      int64             // accounted (estimated) size
-	fileBytes int64             // real mode: encoded bytes on disk
+	p         Payload // an encoded payload's bytes live in the block's file, not here
+	size      int64   // accounted (estimated) size
+	fileBytes int64   // real mode: encoded bytes on disk
 }
 
 // DiskStore is the secondary block store used by MEM_AND_DISK storage
@@ -452,9 +482,6 @@ func NewDiskStoreReal(dir string, meter *Meter) *DiskStore {
 	return d
 }
 
-// Real reports whether the store writes actual files.
-func (d *DiskStore) Real() bool { return d.real }
-
 // Dir returns the store's directory ("" in virtual mode).
 func (d *DiskStore) Dir() string { return d.dir }
 
@@ -469,113 +496,109 @@ func (d *DiskStore) Contains(id BlockID) bool {
 	return ok
 }
 
-// Put writes a block to disk. In real-bytes mode the records are
-// serialized and written to the block's file, with the combined
-// wall-clock time measured as DiskWrite (the cost model likewise folds
-// serialization into its DiskWrite charge).
-func (d *DiskStore) Put(id BlockID, recs []dataflow.Record, size int64) error {
-	if _, exists := d.blocks[id]; exists {
-		return fmt.Errorf("storage: block %v already on disk", id)
+// Put writes a block to disk: a payload a memory store of the same mode
+// released (a spill: real bytes go to the block's file as they are), or
+// Fresh records, which a real-bytes store serializes first. The
+// wall-clock time of both is measured as DiskWrite (the cost model
+// likewise folds serialization into its DiskWrite charge).
+func (d *DiskStore) Put(id BlockID, p Payload, size int64) error {
+	if err := d.store(id, p, size); err != nil {
+		return err
 	}
-	e := diskEntry{size: size}
-	if d.real {
-		start := time.Now()
-		data, err := EncodeRecords(recs)
-		if err != nil {
-			return fmt.Errorf("storage: block %v failed to encode: %w", id, err)
-		}
-		if err := os.WriteFile(d.path(id), data, 0o644); err != nil {
-			return fmt.Errorf("storage: block %v: %w", id, err)
-		}
-		d.meter.addMeasured(DiskWrite, int64(len(data)), time.Since(start))
-		d.meter.addFile(int64(len(data)))
-		e.fileBytes = int64(len(data))
-	} else {
-		e.records = recs
-	}
-	d.insert(id, e)
+	d.totalWritten += size
 	return nil
 }
 
-// PutEncoded writes an already-serialized block to its file (real-bytes
-// mode only; used to spill a memory block without re-serializing).
-func (d *DiskStore) PutEncoded(id BlockID, data []byte, size int64) error {
-	if !d.real {
-		return fmt.Errorf("storage: PutEncoded on a virtual-mode store")
-	}
+// store packs a payload and makes it resident; shared with Restore. The
+// one place (with Remove) the block map and the column version are
+// written, and the one place a block file is.
+func (d *DiskStore) store(id BlockID, p Payload, size int64) error {
 	if _, exists := d.blocks[id]; exists {
 		return fmt.Errorf("storage: block %v already on disk", id)
 	}
 	start := time.Now()
-	if err := os.WriteFile(d.path(id), data, 0o644); err != nil {
-		return fmt.Errorf("storage: block %v: %w", id, err)
+	p, err := pack(d.real, id, p)
+	if err != nil {
+		return err
 	}
-	d.meter.addMeasured(DiskWrite, int64(len(data)), time.Since(start))
-	d.meter.addFile(int64(len(data)))
-	d.insert(id, diskEntry{size: size, fileBytes: int64(len(data))})
-	return nil
-}
-
-// insert makes an entry resident and counts it as written.
-func (d *DiskStore) insert(id BlockID, e diskEntry) {
-	d.add(id, e)
-	d.totalWritten += e.size
-}
-
-// add makes an entry resident: the one place (with Remove) the block map
-// and the column version are written.
-func (d *DiskStore) add(id BlockID, e diskEntry) {
+	e := diskEntry{p: p, size: size}
+	if p.form == formEncoded {
+		if err := os.WriteFile(d.path(id), p.data, 0o644); err != nil {
+			return fmt.Errorf("storage: block %v: %w", id, err)
+		}
+		e.fileBytes = int64(len(p.data))
+		e.p.data = nil
+		d.meter.addMeasured(DiskWrite, e.fileBytes, time.Since(start))
+		d.meter.addFile(e.fileBytes)
+	}
 	d.blocks[id] = e
 	d.colVer.bump(id.Partition)
 	d.current += e.size
 	if d.current > d.peak {
 		d.peak = d.current
 	}
+	return nil
 }
 
 // ColumnVersion counts the residency changes of partition index part in
 // this store (see columnVersions).
 func (d *DiskStore) ColumnVersion(part int) uint64 { return d.colVer.at(part) }
 
-// Get reads a block from disk. In real-bytes mode the block's file is
-// read and deserialized, with the combined wall-clock time measured as
-// DiskRead.
+// read returns a resident block's payload as stored — for a real-bytes
+// block, the contents of its file (the one place a block file is read).
+func (d *DiskStore) read(id BlockID, e diskEntry) (Payload, error) {
+	p := e.p
+	if p.form == formEncoded {
+		data, err := os.ReadFile(d.path(id))
+		if err != nil {
+			return p, err
+		}
+		p.data = data
+	}
+	return p, nil
+}
+
+// readDone finishes an engine-path read begun at start: a failure is
+// fatal, and a real-bytes read is measured as DiskRead.
+func (d *DiskStore) readDone(id BlockID, p Payload, start time.Time, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("storage: disk block %v unreadable: %v", id, err))
+	}
+	if p.form == formEncoded {
+		d.meter.addMeasured(DiskRead, int64(len(p.data)), time.Since(start))
+	}
+}
+
+// Get reads a block's records from disk. In real-bytes mode the block's
+// file is read and deserialized, with the combined wall-clock time
+// measured as DiskRead.
 func (d *DiskStore) Get(id BlockID) ([]dataflow.Record, int64, bool) {
 	e, ok := d.blocks[id]
 	if !ok {
 		return nil, 0, false
 	}
-	if !d.real {
-		return e.records, e.size, true
-	}
 	start := time.Now()
-	data, err := os.ReadFile(d.path(id))
-	if err != nil {
-		panic(fmt.Sprintf("storage: disk block %v unreadable: %v", id, err))
+	p, err := d.read(id, e)
+	var recs []dataflow.Record
+	if err == nil {
+		recs, err = p.records()
 	}
-	recs, err := DecodeRecords(data)
-	if err != nil {
-		panic(fmt.Sprintf("storage: disk block %v failed to decode: %v", id, err))
-	}
-	d.meter.addMeasured(DiskRead, int64(len(data)), time.Since(start))
+	d.readDone(id, p, start, err)
 	return recs, e.size, true
 }
 
-// GetEncoded reads a block's raw bytes without decoding (real-bytes mode
-// only; used to promote a block to memory without a decode/encode round
-// trip). The read is measured as DiskRead.
-func (d *DiskStore) GetEncoded(id BlockID) ([]byte, int64, bool) {
+// Load reads a block's payload without unpacking it, for promotion into
+// the memory store of the same executor (no decode/encode round trip in
+// real-bytes mode). The read is measured as DiskRead.
+func (d *DiskStore) Load(id BlockID) (Payload, int64, bool) {
 	e, ok := d.blocks[id]
-	if !ok || !d.real {
-		return nil, 0, false
+	if !ok {
+		return Payload{}, 0, false
 	}
 	start := time.Now()
-	data, err := os.ReadFile(d.path(id))
-	if err != nil {
-		panic(fmt.Sprintf("storage: disk block %v unreadable: %v", id, err))
-	}
-	d.meter.addMeasured(DiskRead, int64(len(data)), time.Since(start))
-	return data, e.size, true
+	p, err := d.read(id, e)
+	d.readDone(id, p, start, err)
+	return p, e.size, true
 }
 
 // Size returns a block's accounted size without touching its payload
@@ -597,7 +620,7 @@ func (d *DiskStore) Remove(id BlockID) (int64, bool) {
 	delete(d.blocks, id)
 	d.colVer.bump(id.Partition)
 	d.current -= e.size
-	if d.real {
+	if e.p.form == formEncoded {
 		if err := os.Remove(d.path(id)); err != nil && !os.IsNotExist(err) {
 			panic(fmt.Sprintf("storage: disk block %v: %v", id, err))
 		}

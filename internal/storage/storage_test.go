@@ -121,10 +121,10 @@ func TestMemoryStoreBlocksDeterministicOrder(t *testing.T) {
 
 func TestDiskStoreAccounting(t *testing.T) {
 	d := NewDiskStore()
-	if err := d.Put(BlockID{1, 0}, nil, 100); err != nil {
+	if err := d.Put(BlockID{1, 0}, Fresh(nil), 100); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Put(BlockID{1, 1}, nil, 200); err != nil {
+	if err := d.Put(BlockID{1, 1}, Fresh(nil), 200); err != nil {
 		t.Fatal(err)
 	}
 	if d.CurrentBytes() != 300 || d.PeakBytes() != 300 || d.TotalWritten() != 300 {
@@ -136,13 +136,13 @@ func TestDiskStoreAccounting(t *testing.T) {
 	if d.CurrentBytes() != 200 || d.PeakBytes() != 300 {
 		t.Fatalf("cur=%d peak=%d after remove", d.CurrentBytes(), d.PeakBytes())
 	}
-	if err := d.Put(BlockID{1, 2}, nil, 50); err != nil {
+	if err := d.Put(BlockID{1, 2}, Fresh(nil), 50); err != nil {
 		t.Fatal(err)
 	}
 	if d.TotalWritten() != 350 {
 		t.Fatalf("totalWritten = %d, want 350", d.TotalWritten())
 	}
-	if err := d.Put(BlockID{1, 2}, nil, 50); err == nil {
+	if err := d.Put(BlockID{1, 2}, Fresh(nil), 50); err == nil {
 		t.Fatal("duplicate disk put should fail")
 	}
 }
@@ -272,7 +272,7 @@ func TestDiskStoreAccessors(t *testing.T) {
 		t.Fatal("remove of absent block should fail")
 	}
 	recs := []dataflow.Record{{Key: 5, Value: int64(5)}}
-	if err := d.Put(BlockID{2, 1}, recs, 64); err != nil {
+	if err := d.Put(BlockID{2, 1}, Fresh(recs), 64); err != nil {
 		t.Fatal(err)
 	}
 	if !d.Contains(BlockID{2, 1}) {
@@ -282,7 +282,7 @@ func TestDiskStoreAccessors(t *testing.T) {
 	if !ok || size != 64 || len(got) != 1 || got[0].Key != 5 {
 		t.Fatalf("get = %v %d %v", got, size, ok)
 	}
-	if err := d.Put(BlockID{1, 0}, nil, 32); err != nil {
+	if err := d.Put(BlockID{1, 0}, Fresh(nil), 32); err != nil {
 		t.Fatal(err)
 	}
 	blocks := d.Blocks()
@@ -391,9 +391,6 @@ func TestMemoryStoreRealRoundTrip(t *testing.T) {
 	RegisterValueType(float64(0))
 	meter := NewMeter()
 	m := NewMemoryStoreReal(1<<20, meter, 2)
-	if !m.Real() {
-		t.Fatal("store not in real mode")
-	}
 	id := BlockID{Dataset: 1, Partition: 0}
 	recs := []dataflow.Record{{Key: 1, Value: 1.5}, {Key: 2, Value: 2.5}}
 	if _, err := m.Put(id, recs, 128, 0, 0); err != nil {
@@ -467,32 +464,73 @@ func TestMemoryStoreZeroCacheDecodesEveryRead(t *testing.T) {
 	}
 }
 
-func TestMemoryStoreRemoveEncoded(t *testing.T) {
+// TestPayloadTierMoves walks one block put → spill → promote → read on
+// real-bytes stores and requires the payload to move as packed: exactly
+// one encode (the put), one file write (the spill), one file read (the
+// promotion) and no decode until the first read.
+func TestPayloadTierMoves(t *testing.T) {
 	RegisterValueType(float64(0))
-	m := NewMemoryStoreReal(1<<20, nil, 2)
+	meter := NewMeter()
+	m := NewMemoryStoreReal(1<<20, meter, 2)
+	d := NewDiskStoreReal(t.TempDir(), meter)
 	id := BlockID{1, 0}
-	recs := []dataflow.Record{{Key: 3, Value: 4.5}}
-	if _, err := m.Put(id, recs, 64, 0, 0); err != nil {
+	if _, err := m.Put(id, []dataflow.Record{{Key: 3, Value: 4.5}}, 64, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	data, size, ok := m.RemoveEncoded(id)
-	if !ok || size != 64 || len(data) == 0 {
-		t.Fatalf("RemoveEncoded = %d bytes, size %d, ok %v", len(data), size, ok)
+	p, size, ok := m.Remove(id)
+	if !ok || size != 64 {
+		t.Fatalf("Remove = size %d, ok %v", size, ok)
 	}
 	if m.Contains(id) || m.Used() != 0 {
-		t.Fatal("block still resident after RemoveEncoded")
+		t.Fatal("block still resident after Remove")
 	}
-	back, err := DecodeRecords(data)
-	if err != nil || len(back) != 1 || back[0].Value.(float64) != 4.5 {
-		t.Fatalf("encoded payload corrupt: %+v err=%v", back, err)
-	}
-	// PutEncoded re-admits the same bytes without re-encoding.
-	if _, err := m.PutEncoded(id, data, 64, 0, 0); err != nil {
+	if err := d.Put(id, p, size); err != nil {
 		t.Fatal(err)
+	}
+	p, size, ok = d.Load(id)
+	if !ok || size != 64 {
+		t.Fatalf("Load = size %d, ok %v", size, ok)
+	}
+	if _, err := m.Admit(id, p, size, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	snap := meter.Snapshot()
+	if snap.MemEncode.Ops != 1 || snap.DiskWrite.Ops != 1 || snap.DiskRead.Ops != 1 || snap.MemDecode.Ops != 0 {
+		t.Fatalf("put → spill → promote must measure 1 encode, 1 write, 1 read, 0 decodes: %+v", snap)
+	}
+	if snap.DiskWrite.Bytes != snap.MemEncode.Bytes || snap.DiskRead.Bytes != snap.MemEncode.Bytes {
+		t.Fatalf("the same bytes must move through every tier: %+v", snap)
 	}
 	got, _, ok := m.Get(id, 0)
 	if !ok || got[0].Value.(float64) != 4.5 {
-		t.Fatalf("re-admitted block decoded wrong: %+v", got)
+		t.Fatalf("promoted block decoded wrong: %+v", got)
+	}
+	if snap := meter.Snapshot(); snap.MemDecode.Ops != 1 || snap.MemEncode.Ops != 1 {
+		t.Fatalf("first read must be the one decode: %+v", snap)
+	}
+}
+
+// TestReadUncachedBypassesDecodeCache: an uncached read deserializes
+// even when the decode cache holds the block, and leaves the cache as
+// it found it.
+func TestReadUncachedBypassesDecodeCache(t *testing.T) {
+	RegisterValueType(float64(0))
+	meter := NewMeter()
+	m := NewMemoryStoreReal(1<<20, meter, 2)
+	id := BlockID{1, 0}
+	if _, err := m.Put(id, []dataflow.Record{{Key: 1, Value: 1.0}}, 64, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.Get(id, 0) // decodes and caches
+	for i := 0; i < 2; i++ {
+		if got, _, ok := m.Read(id, 0, true); !ok || got[0].Value.(float64) != 1.0 {
+			t.Fatalf("uncached read wrong: %+v ok=%v", got, ok)
+		}
+	}
+	m.Get(id, 0) // still cached
+	snap := meter.Snapshot()
+	if snap.MemDecode.Ops != 3 || snap.DecodeCacheHits != 1 {
+		t.Fatalf("want 3 decodes (1 cached read + 2 uncached) and 1 cache hit, got %+v hits=%d", snap.MemDecode, snap.DecodeCacheHits)
 	}
 }
 
@@ -500,12 +538,9 @@ func TestDiskStoreRealFiles(t *testing.T) {
 	RegisterValueType(float64(0))
 	meter := NewMeter()
 	d := NewDiskStoreReal(t.TempDir(), meter)
-	if !d.Real() {
-		t.Fatal("store not in real mode")
-	}
 	id := BlockID{Dataset: 2, Partition: 3}
 	recs := []dataflow.Record{{Key: 1, Value: 9.5}}
-	if err := d.Put(id, recs, 100); err != nil {
+	if err := d.Put(id, Fresh(recs), 100); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(d.Dir(), "rdd_2_3.gob")
@@ -532,9 +567,8 @@ func TestDiskStoreRealFiles(t *testing.T) {
 		t.Fatalf("read not measured: %+v", snap.DiskRead)
 	}
 
-	data, _, ok := d.GetEncoded(id)
-	if !ok || int64(len(data)) != info.Size() {
-		t.Fatalf("GetEncoded = %d bytes, ok %v", len(data), ok)
+	if p, _, ok := d.Load(id); !ok || int64(len(p.data)) != info.Size() {
+		t.Fatalf("Load = %d bytes, ok %v", len(p.data), ok)
 	}
 
 	if _, ok := d.Remove(id); !ok {
@@ -547,35 +581,70 @@ func TestDiskStoreRealFiles(t *testing.T) {
 
 func TestDiskStorePutEncodedSkipsSerialization(t *testing.T) {
 	RegisterValueType(float64(0))
-	d := NewDiskStoreReal(t.TempDir(), nil)
-	data, err := EncodeRecords([]dataflow.Record{{Key: 5, Value: 0.5}})
-	if err != nil {
+	meter := NewMeter()
+	m := NewMemoryStoreReal(1<<20, meter, 0)
+	d := NewDiskStoreReal(t.TempDir(), meter)
+	id := BlockID{1, 1}
+	if _, err := m.Put(id, []dataflow.Record{{Key: 5, Value: 0.5}}, 80, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	id := BlockID{1, 1}
-	if err := d.PutEncoded(id, data, 80); err != nil {
+	p, _, _ := m.Remove(id)
+	encoded := meter.Snapshot().MemEncode
+	if err := d.Put(id, p, 80); err != nil {
 		t.Fatal(err)
+	}
+	if snap := meter.Snapshot(); snap.MemEncode != encoded || snap.DiskWrite.Bytes != encoded.Bytes {
+		t.Fatalf("an encoded payload must reach its file as it is: %+v", snap)
 	}
 	got, size, ok := d.Get(id)
 	if !ok || size != 80 || got[0].Value.(float64) != 0.5 {
 		t.Fatalf("encoded put round trip wrong: %+v size=%d ok=%v", got, size, ok)
 	}
-	if err := d.PutEncoded(id, data, 80); err == nil {
-		t.Fatal("duplicate PutEncoded must fail")
+	if err := d.Put(id, p, 80); err == nil {
+		t.Fatal("duplicate Put must fail")
 	}
 }
 
+// A payload is only accepted by a store of the mode that packed it;
+// fresh records are accepted by both.
 func TestVirtualStoresRejectEncodedAPI(t *testing.T) {
-	m := NewMemoryStore(1 << 10)
-	if _, err := m.PutEncoded(BlockID{1, 0}, []byte("x"), 8, 0, 0); err == nil {
-		t.Fatal("virtual memory store must reject PutEncoded")
+	RegisterValueType(float64(0))
+	id := BlockID{1, 0}
+	packedBy := func(m *MemoryStore) Payload {
+		t.Helper()
+		if _, err := m.Put(id, sampleRecords(2), 8, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		p, _, _ := m.Remove(id)
+		return p
 	}
-	d := NewDiskStore()
-	if err := d.PutEncoded(BlockID{1, 0}, []byte("x"), 8); err == nil {
-		t.Fatal("virtual disk store must reject PutEncoded")
+	encoded := packedBy(NewMemoryStoreReal(1<<10, nil, 0))
+	live := packedBy(NewMemoryStore(1 << 10))
+
+	if _, err := NewMemoryStore(1<<10).Admit(id, encoded, 8, 0, 0); err == nil {
+		t.Error("virtual memory store must reject an encoded payload")
 	}
-	if _, _, ok := d.GetEncoded(BlockID{1, 0}); ok {
-		t.Fatal("virtual disk store must not serve GetEncoded")
+	if err := NewDiskStore().Put(id, encoded, 8); err == nil {
+		t.Error("virtual disk store must reject an encoded payload")
+	}
+	if _, err := NewMemoryStoreReal(1<<10, nil, 0).Admit(id, live, 8, 0, 0); err == nil {
+		t.Error("real-bytes memory store must reject a live payload")
+	}
+	d := NewDiskStoreReal(t.TempDir(), nil)
+	if err := d.Put(id, live, 8); err == nil {
+		t.Error("real-bytes disk store must reject a live payload")
+	}
+	if d.Contains(id) || d.TotalWritten() != 0 {
+		t.Error("a rejected payload must leave the store untouched")
+	}
+	if err := NewDiskStore().Put(id, live, 8); err != nil {
+		t.Errorf("virtual disk store must take a live payload: %v", err)
+	}
+	if err := d.Put(id, Fresh(sampleRecords(2)), 8); err != nil {
+		t.Errorf("real-bytes disk store must take fresh records: %v", err)
+	}
+	if _, _, ok := NewDiskStore().Load(id); ok {
+		t.Error("Load must report an absent block")
 	}
 }
 
@@ -592,10 +661,6 @@ func sampleRecords(n int) []dataflow.Record {
 // the version of its partition index, and of no other.
 func TestColumnVersionCountsEveryResidencyChange(t *testing.T) {
 	dir := t.TempDir()
-	enc, err := EncodeRecords(sampleRecords(3))
-	if err != nil {
-		t.Fatal(err)
-	}
 	id := BlockID{Dataset: 4, Partition: 2}
 	moved := func(name string, version func(int) uint64, change func()) {
 		t.Helper()
@@ -616,22 +681,19 @@ func TestColumnVersionCountsEveryResidencyChange(t *testing.T) {
 		moved("MemoryStore.Put", m.ColumnVersion, func() { m.Put(id, sampleRecords(3), 100, 0, 0) })
 		moved("MemoryStore.Remove", m.ColumnVersion, func() { m.Remove(id) })
 		moved("MemoryStore.Restore", m.ColumnVersion, func() { m.Restore(BlockMeta{ID: id, Size: 100}, sampleRecords(3)) })
-		if real {
-			moved("MemoryStore.RemoveEncoded", m.ColumnVersion, func() { m.RemoveEncoded(id) })
-			moved("MemoryStore.PutEncoded", m.ColumnVersion, func() { m.PutEncoded(id, enc, 100, 0, 0) })
-		}
+		var p Payload
+		moved("MemoryStore.Remove (payload)", m.ColumnVersion, func() { p, _, _ = m.Remove(id) })
+		moved("MemoryStore.Admit", m.ColumnVersion, func() { m.Admit(id, p, 100, 0, 0) })
 
 		d := NewDiskStore()
 		if real {
 			d = NewDiskStoreReal(dir, nil)
 		}
-		moved("DiskStore.Put", d.ColumnVersion, func() { d.Put(id, sampleRecords(3), 100) })
+		moved("DiskStore.Put", d.ColumnVersion, func() { d.Put(id, Fresh(sampleRecords(3)), 100) })
 		moved("DiskStore.Remove", d.ColumnVersion, func() { d.Remove(id) })
 		moved("DiskStore.Restore", d.ColumnVersion, func() { d.Restore(id, sampleRecords(3), 100) })
-		if real {
-			d.Remove(id)
-			moved("DiskStore.PutEncoded", d.ColumnVersion, func() { d.PutEncoded(id, enc, 100) })
-		}
+		d.Remove(id)
+		moved("DiskStore.Put (payload)", d.ColumnVersion, func() { d.Put(id, p, 100) })
 	}
 }
 

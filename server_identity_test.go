@@ -1,9 +1,9 @@
 package blaze
 
-// The seed-identity regression for the Run redesign: Run now executes
-// every (non-RealBytes) application as the single session of a private
-// job server, and must reproduce the pre-server standalone engine —
-// runDirect — bit for bit: every deterministic metric equal and the
+// The identity regression for the one run path: Run executes every
+// application — RealBytes included — as the single session of a private
+// job server, and must reproduce a standalone engine.NewCluster running
+// the same driver bit for bit: every deterministic metric equal and the
 // event log byte-identical, for every Fig. 9 system, at sequential and
 // parallel engine settings.
 
@@ -11,11 +11,15 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"blaze/internal/dataflow"
+	"blaze/internal/engine"
 )
 
-// directRun is Run's prelude (planRun + memory calibration) executed on
-// the standalone path.
-func directRun(cfg RunConfig) (*Result, error) {
+// standaloneRun is the reference arm: Run's plan executed on a standalone
+// cluster (private pool, no server, no gate), built here because no
+// program path does so any more.
+func standaloneRun(cfg RunConfig) (*Result, error) {
 	p, err := planRun(cfg)
 	if err != nil {
 		return nil, err
@@ -24,48 +28,97 @@ func directRun(cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runDirect(p.cfg, p.spec, p.params, mem, p.sys, p.hook)
+	ctx := dataflow.NewContext()
+	cluster, err := engine.NewCluster(engine.Config{
+		Executors:         p.cfg.Executors,
+		CoresPerExecutor:  p.cfg.Cores,
+		Parallelism:       p.cfg.Parallelism,
+		MemoryPerExecutor: mem,
+		Params:            p.params,
+		Controller:        p.sys.ctl,
+		AlluxioMode:       p.sys.alluxio,
+		EventLog:          p.cfg.EventLog,
+		Hook:              p.hook,
+		Resilience:        p.cfg.Resilience,
+		RealBytes:         p.cfg.RealBytes,
+		Vectorized:        p.cfg.Vectorized,
+	}, ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer cluster.Close()
+	cluster.AddProfilingTime(p.sys.profilingOverhead())
+	p.sys.drive(p.spec, ctx, p.cfg.Scale)
+	res := &Result{System: p.cfg.System, Workload: p.cfg.Workload, Metrics: cluster.Finish(), MemoryPerExecutor: mem}
+	if meter := cluster.Meter(); meter != nil {
+		snap := StorageMeasurement(meter.Snapshot())
+		res.Storage = &snap
+	}
+	return res, nil
 }
 
 func TestServerRunBitIdentical(t *testing.T) {
+	type row struct {
+		name string
+		cfg  RunConfig
+	}
+	var rows []row
 	for _, w := range []WorkloadID{PR, KMeans} {
 		for _, sys := range Fig9Systems() {
 			for _, par := range []int{1, 8} {
-				t.Run(fmt.Sprintf("%s/%s/par%d", w, sys, par), func(t *testing.T) {
-					base := RunConfig{System: sys, Workload: w, Scale: 0.25, Parallelism: par}
-
-					refCfg := base
-					refCfg.EventLog = NewEventLog()
-					ref, err := directRun(refCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					srvCfg := base
-					srvCfg.EventLog = NewEventLog()
-					got, err := Run(srvCfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-
-					if got.MemoryPerExecutor != ref.MemoryPerExecutor {
-						t.Fatalf("memory differs: direct %d, server %d", ref.MemoryPerExecutor, got.MemoryPerExecutor)
-					}
-					if !MetricsEqualDeterministic(ref.Metrics, got.Metrics) {
-						t.Fatalf("metrics differ:\ndirect %+v\nserver %+v", ref.Metrics, got.Metrics)
-					}
-					var refBuf, gotBuf bytes.Buffer
-					if err := refCfg.EventLog.WriteJSON(&refBuf); err != nil {
-						t.Fatal(err)
-					}
-					if err := srvCfg.EventLog.WriteJSON(&gotBuf); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(refBuf.Bytes(), gotBuf.Bytes()) {
-						t.Fatalf("event logs differ (direct %d bytes, server %d bytes)", refBuf.Len(), gotBuf.Len())
-					}
-				})
+				rows = append(rows, row{fmt.Sprintf("%s/%s/par%d", w, sys, par),
+					RunConfig{System: sys, Workload: w, Scale: 0.25, Parallelism: par}})
 			}
 		}
+		// RealBytes under memory pressure, so every storage category
+		// (encode, decode, file write, file read) does measured work.
+		for _, sys := range []SystemID{SysSparkMemDisk, SysSparkAlluxio, SysBlaze} {
+			rows = append(rows, row{fmt.Sprintf("%s/%s/realbytes", w, sys),
+				RunConfig{System: sys, Workload: w, Scale: 0.25, MemoryFraction: 0.25, RealBytes: true}})
+		}
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			refCfg := r.cfg
+			refCfg.EventLog = NewEventLog()
+			ref, err := standaloneRun(refCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			srvCfg := r.cfg
+			srvCfg.EventLog = NewEventLog()
+			got, err := Run(srvCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if got.MemoryPerExecutor != ref.MemoryPerExecutor {
+				t.Fatalf("memory differs: standalone %d, server %d", ref.MemoryPerExecutor, got.MemoryPerExecutor)
+			}
+			if !MetricsEqualDeterministic(ref.Metrics, got.Metrics) {
+				t.Fatalf("metrics differ:\nstandalone %+v\nserver %+v", ref.Metrics, got.Metrics)
+			}
+			var refBuf, gotBuf bytes.Buffer
+			if err := refCfg.EventLog.WriteJSON(&refBuf); err != nil {
+				t.Fatal(err)
+			}
+			if err := srvCfg.EventLog.WriteJSON(&gotBuf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(refBuf.Bytes(), gotBuf.Bytes()) {
+				t.Fatalf("event logs differ (standalone %d bytes, server %d bytes)", refBuf.Len(), gotBuf.Len())
+			}
+			if (got.Storage != nil) != r.cfg.RealBytes || (ref.Storage != nil) != r.cfg.RealBytes {
+				t.Fatalf("Storage must be reported exactly by RealBytes runs: standalone %v, server %v", ref.Storage != nil, got.Storage != nil)
+			}
+			if got.Storage != nil {
+				for _, c := range got.Storage.Categories() {
+					if c.Stats.Ops == 0 || c.Stats.Bytes == 0 || c.Stats.Wall <= 0 {
+						t.Errorf("%s not measured on the server path: %+v", c.Category, c.Stats)
+					}
+				}
+			}
+		})
 	}
 }
