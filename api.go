@@ -167,10 +167,13 @@ type Record = dataflow.Record
 type Sized = storage.Sized
 
 // RegisterValueType registers a concrete record value type with the
-// partition codec (gob). Workloads registered via RegisterWorkload must
-// register every value type their cached datasets carry, or RealBytes
-// runs will fail to encode them; the built-in workloads' types are
-// pre-registered.
+// partition codec's gob fallback. It is needed only for value types
+// without a registered column: a partition whose values are all float64,
+// int64, []float64 or one of the built-in workloads' columnar types is
+// stored as its flat arrays and never reaches gob. Workloads registered
+// via RegisterWorkload must register every other value type their cached
+// datasets carry, or RealBytes runs and durable-stream checkpoints will
+// fail to encode them; the built-in workloads' types are pre-registered.
 func RegisterValueType(v any) { storage.RegisterValueType(v) }
 
 // NewContext creates an empty dataflow context to pass to a workload

@@ -8,6 +8,7 @@ package blaze_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -174,7 +175,66 @@ func BenchmarkHotpathCodecRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathBlockCodecVector times the typed block codec on one
+// k-means points partition (mllib.Vector values, the km-spill-realbytes
+// block shape), encode and decode apart, in ns per record.
+func BenchmarkHotpathBlockCodecVector(b *testing.B) {
+	recs, _, _, _ := mllib.BenchKMeansPartition(benchPts, benchDim, benchK)
+	enc, err := storage.EncodeRecords(recs)
+	if err != nil || enc[0] != dataflow.BlockTyped {
+		b.Fatalf("points partition is not a typed block (marker %d, err %v)", enc[0], err)
+	}
+	perRec := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/rec")
+	}
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if enc, err = storage.EncodeRecords(recs); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRec(b)
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if sinkRecs, err = storage.DecodeRecords(enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRec(b)
+	})
+}
+
 // --- CI alloc-ceiling smoke ---------------------------------------------
+
+// TestBlockDecodeAllocCeiling pins what decoding a typed block may
+// allocate: the batch's arrays and the row slice once per block, and one
+// box per record for the Vector header — nothing per element. A decoder
+// that goes back to make+copy per record (or per-record reflection)
+// doubles the count and fails here rather than in a benchmark.
+func TestBlockDecodeAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is noisy under -short harnesses")
+	}
+	recs, _, _, _ := mllib.BenchKMeansPartition(benchPts, benchDim, benchK)
+	enc, err := storage.EncodeRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if sinkRecs, err = storage.DecodeRecords(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ceiling := float64(len(recs) + 16); allocs > ceiling {
+		t.Fatalf("decoding a %d-record Vector block allocates %.0f objects (ceiling %.0f)", len(recs), allocs, ceiling)
+	}
+	if !reflect.DeepEqual(sinkRecs, recs) {
+		t.Fatal("decoded partition differs from the encoded one")
+	}
+}
 
 // TestBatchedPRKernelAllocCeiling pins the allocation budget of the
 // batched PageRank contributions kernel. The row loop allocates one

@@ -8,10 +8,13 @@
 //	win_0004/           one directory per checkpointed window boundary
 //	  manifest.json     window, event count, per-file checksums — the
 //	                    commit record, written (tmp+rename) LAST
-//	  state.gob         engine.ResumeState minus block records/events
+//	  state.gob         engine.ResumeState minus block records/events;
+//	                    its shuffle snapshot carries each bucket as an
+//	                    encoded block
 //	  client.gob        opaque driver-side payload (window stats)
-//	  mem_0000.gob …    one gob-encoded record payload per memory block
-//	  disk_0000.gob …   one per disk block
+//	  mem_0000.blk …    one encoded block (storage.EncodeRecords: typed
+//	                    columnar, or marked gob fallback) per memory block
+//	  disk_0000.blk …   one per disk block
 //
 // A checkpoint is valid only once its manifest exists and every
 // checksum it lists matches; a crash mid-write leaves a directory
@@ -47,8 +50,9 @@ import (
 )
 
 // ManifestVersion is the manifest schema version; manifests with a
-// different version are rejected (treated as corrupt).
-const ManifestVersion = 1
+// different version are rejected (treated as corrupt). Version 1 held
+// gob block files and row-form shuffle buckets in state.gob.
+const ManifestVersion = 2
 
 // ErrNoCheckpoint reports that the checkpoint directory holds no usable
 // window snapshot; the caller must recover by recomputation instead.
@@ -130,7 +134,7 @@ func Write(dir string, rs *engine.ResumeState, clientState []byte, summary any) 
 		if err != nil {
 			return 0, 0, fmt.Errorf("checkpoint: encode memory block %v: %w", b.Meta.ID, err)
 		}
-		e, err := writeFile(wd, fmt.Sprintf("mem_%04d.gob", i), data)
+		e, err := writeFile(wd, fmt.Sprintf("mem_%04d.blk", i), data)
 		if err != nil {
 			return 0, 0, fmt.Errorf("checkpoint: write memory block %v: %w", b.Meta.ID, err)
 		}
@@ -142,7 +146,7 @@ func Write(dir string, rs *engine.ResumeState, clientState []byte, summary any) 
 		if err != nil {
 			return 0, 0, fmt.Errorf("checkpoint: encode disk block %v: %w", b.ID, err)
 		}
-		e, err := writeFile(wd, fmt.Sprintf("disk_%04d.gob", i), data)
+		e, err := writeFile(wd, fmt.Sprintf("disk_%04d.blk", i), data)
 		if err != nil {
 			return 0, 0, fmt.Errorf("checkpoint: write disk block %v: %w", b.ID, err)
 		}

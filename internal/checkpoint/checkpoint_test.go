@@ -9,9 +9,15 @@ package checkpoint_test
 // production writes.
 
 import (
+	"bytes"
+	"encoding/gob"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -145,6 +151,69 @@ func TestLoadFallsBackToPreviousWindow(t *testing.T) {
 	corrupt("win_0002/state.gob")
 	if _, _, err := checkpoint.Load(dir); !errors.Is(err, checkpoint.ErrNoCheckpoint) {
 		t.Fatalf("all-corrupt load: err = %v, want ErrNoCheckpoint", err)
+	}
+}
+
+// TestLoadSkipsVersion1Directory rewrites a checkpoint into the layout
+// manifest version 1 described — gob block files named *.gob — with
+// valid sizes and checksums, as a process upgraded across the format
+// change would find it. Load must skip every such window on the version
+// alone and report ErrNoCheckpoint (the caller recomputes from the
+// sources); it must not hand gob bytes to the block decoder.
+func TestLoadSkipsVersion1Directory(t *testing.T) {
+	dir := cloneDir(t, sourceDir(t))
+	type v1Record struct {
+		Key   int64
+		Value any
+	}
+	type v1Partition struct {
+		NonNil bool
+		Recs   []v1Record
+	}
+	var v1Block bytes.Buffer
+	if err := gob.NewEncoder(&v1Block).Encode(v1Partition{NonNil: true, Recs: []v1Record{{Key: 1, Value: 2.5}}}); err != nil {
+		t.Fatal(err)
+	}
+	sum := fnv.New64a()
+	sum.Write(v1Block.Bytes())
+	for _, win := range []string{"win_0002", "win_0003"} {
+		mpath := filepath.Join(dir, win, "manifest.json")
+		mdata, err := os.ReadFile(mpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m checkpoint.Manifest
+		if err := json.Unmarshal(mdata, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m.Version != checkpoint.ManifestVersion || len(m.Blocks) == 0 {
+			t.Fatalf("%s: version %d with %d blocks is no basis for this test", win, m.Version, len(m.Blocks))
+		}
+		m.Version = 1
+		for i := range m.Blocks {
+			b := &m.Blocks[i]
+			if err := os.Remove(filepath.Join(dir, win, b.File)); err != nil {
+				t.Fatal(err)
+			}
+			b.File = strings.TrimSuffix(b.File, ".blk") + ".gob"
+			b.Bytes, b.Checksum = int64(v1Block.Len()), fmt.Sprintf("%016x", sum.Sum64())
+			if err := os.WriteFile(filepath.Join(dir, win, b.File), v1Block.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if mdata, err = json.Marshal(&m); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(mpath, mdata, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs, _, err := checkpoint.Load(dir)
+	if !errors.Is(err, checkpoint.ErrNoCheckpoint) || rs != nil {
+		t.Fatalf("version-1 directory: state %v, err %v; want ErrNoCheckpoint", rs != nil, err)
+	}
+	if !strings.Contains(err.Error(), "manifest version 1") {
+		t.Errorf("rejection does not name the version: %v", err)
 	}
 }
 

@@ -55,7 +55,7 @@ type Batch struct {
 	Col  Column
 	// NonNil records whether the equivalent row slice is non-nil. The
 	// row operators distinguish the two (Map returns a non-nil empty
-	// slice for empty input, FlatMap/Filter return nil), and the gob
+	// slice for empty input, FlatMap/Filter return nil), and the block
 	// codec round-trips the distinction, so batches must carry it too.
 	NonNil bool
 }
@@ -467,9 +467,13 @@ var columnBuilders sync.Map // reflect.Type -> func(capHint int) Column
 
 // RegisterColumnType installs a typed column builder for values with the
 // same dynamic type as sample, the way RegisterValueType does for gob.
-// Workload packages register their payload columns from init.
+// Workload packages register their payload columns from init. A column
+// that is a FlatColumn also becomes decodable from typed blocks.
 func RegisterColumnType(sample any, builder func(capHint int) Column) {
 	columnBuilders.Store(reflect.TypeOf(sample), builder)
+	proto := builder(0)
+	registerFlat(proto)
+	proto.Release()
 }
 
 // columnFor picks the column for a partition's first value.

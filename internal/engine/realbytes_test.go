@@ -111,7 +111,7 @@ func TestRealBytesSpillWritesFiles(t *testing.T) {
 		}
 		for _, id := range ex.Disk.Blocks() {
 			blocks++
-			path := filepath.Join(ex.Disk.Dir(), id.String()+".gob")
+			path := filepath.Join(ex.Disk.Dir(), id.String()+".blk")
 			info, err := os.Stat(path)
 			if err != nil {
 				t.Fatalf("spilled block %v has no file: %v", id, err)

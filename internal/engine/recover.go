@@ -199,9 +199,9 @@ func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 			es.Clocks[ci] = ex.cores[ci].Now()
 		}
 		for _, m := range ex.Mem.Blocks() {
-			recs, ok := ex.Mem.Records(m.ID)
-			if !ok {
-				return nil, fmt.Errorf("engine: capture: memory block %v unreadable", m.ID)
+			recs, err := ex.Mem.Records(m.ID)
+			if err != nil {
+				return nil, fmt.Errorf("engine: capture: %w", err)
 			}
 			rs.MemBlocks = append(rs.MemBlocks, ResumeBlock{Executor: i, Meta: *m, Records: recs})
 		}
@@ -209,9 +209,9 @@ func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 		rs.MemCounters = append(rs.MemCounters, ResumeCounters{Seq: seq, Peak: peak})
 		for _, id := range ex.Disk.Blocks() {
 			size, _ := ex.Disk.Size(id)
-			recs, ok := ex.Disk.Records(id)
-			if !ok {
-				return nil, fmt.Errorf("engine: capture: disk block %v unreadable", id)
+			recs, err := ex.Disk.Records(id)
+			if err != nil {
+				return nil, fmt.Errorf("engine: capture: %w", err)
 			}
 			rs.DiskBlocks = append(rs.DiskBlocks, ResumeDiskBlock{Executor: i, ID: id, Size: size, Records: recs})
 		}
@@ -222,7 +222,10 @@ func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 	m := metrics.NewApp(len(c.execs))
 	m.CopyFrom(c.met)
 	rs.Metrics = m
-	rs.Shuffle = c.shuffle.Snapshot()
+	var err error
+	if rs.Shuffle, err = c.shuffle.Snapshot(); err != nil {
+		return nil, fmt.Errorf("engine: capture: %w", err)
+	}
 	if ss, ok := c.ctl.(StateSnapshotter); ok {
 		data, err := ss.SnapshotState()
 		if err != nil {
@@ -308,7 +311,9 @@ func (c *Cluster) finishResume() {
 	}
 
 	c.met.CopyFrom(rs.Metrics)
-	c.shuffle.Restore(rs.Shuffle)
+	if err := c.shuffle.Restore(rs.Shuffle); err != nil {
+		panic(fmt.Sprintf("engine: resume: %v", err))
+	}
 	c.jobSeq = rs.JobSeq
 	c.stageSeq = rs.StageSeq
 	c.curJob = rs.CurJob

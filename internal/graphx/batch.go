@@ -50,6 +50,14 @@ func (c *AdjListColumn) Value(i int) any {
 	return AdjList{Dsts: out}
 }
 
+func (c *AdjListColumn) View(i int) any {
+	return AdjList{Dsts: dataflow.Span(c.Flat, c.Off, i)}
+}
+
+func (c *AdjListColumn) Layout() (string, []dataflow.Array) {
+	return "graphx.AdjList", []dataflow.Array{{Off: &c.Off}, {I64: &c.Flat}}
+}
+
 func (c *AdjListColumn) AppendValue(v any) bool {
 	x, ok := v.(AdjList)
 	if !ok {
@@ -116,6 +124,14 @@ func (c *VertexRankColumn) Value(i int) any {
 	return VertexRank{Adj: adj, Rank: c.Ranks[i]}
 }
 
+func (c *VertexRankColumn) View(i int) any {
+	return VertexRank{Adj: dataflow.Span(c.AdjFlat, c.AdjOff, i), Rank: c.Ranks[i]}
+}
+
+func (c *VertexRankColumn) Layout() (string, []dataflow.Array) {
+	return "graphx.VertexRank", []dataflow.Array{{F64: &c.Ranks}, {Off: &c.AdjOff}, {I64: &c.AdjFlat}}
+}
+
 func (c *VertexRankColumn) AppendValue(v any) bool {
 	x, ok := v.(VertexRank)
 	if !ok {
@@ -178,6 +194,14 @@ func (c *FactorsColumn) Value(i int) any {
 		copy(v, c.Flat[lo:hi])
 	}
 	return Factors{V: v}
+}
+
+func (c *FactorsColumn) View(i int) any {
+	return Factors{V: dataflow.Span(c.Flat, c.Off, i)}
+}
+
+func (c *FactorsColumn) Layout() (string, []dataflow.Array) {
+	return "graphx.Factors", []dataflow.Array{{Off: &c.Off}, {F64: &c.Flat}}
 }
 
 func (c *FactorsColumn) AppendValue(v any) bool {

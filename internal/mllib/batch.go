@@ -48,6 +48,14 @@ func (c *VectorColumn) Value(i int) any {
 	return Vector{V: v}
 }
 
+func (c *VectorColumn) View(i int) any {
+	return Vector{V: dataflow.Span(c.Flat, c.Off, i)}
+}
+
+func (c *VectorColumn) Layout() (string, []dataflow.Array) {
+	return "mllib.Vector", []dataflow.Array{{Off: &c.Off}, {F64: &c.Flat}}
+}
+
 func (c *VectorColumn) AppendValue(v any) bool {
 	x, ok := v.(Vector)
 	if !ok {
@@ -112,6 +120,14 @@ func (c *SumCountColumn) Value(i int) any {
 		copy(sum, c.Flat[lo:hi])
 	}
 	return sumCount{Sum: sum, N: c.N[i]}
+}
+
+func (c *SumCountColumn) View(i int) any {
+	return sumCount{Sum: dataflow.Span(c.Flat, c.Off, i), N: c.N[i]}
+}
+
+func (c *SumCountColumn) Layout() (string, []dataflow.Array) {
+	return "mllib.sumCount", []dataflow.Array{{F64: &c.N}, {Off: &c.Off}, {F64: &c.Flat}}
 }
 
 func (c *SumCountColumn) AppendValue(v any) bool {

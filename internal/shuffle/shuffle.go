@@ -49,18 +49,6 @@ func (m *mapOutput) bucketRecords(b int) []dataflow.Record {
 	return m.buckets[b]
 }
 
-// allBuckets returns every bucket in row form, for snapshotting.
-func (m *mapOutput) allBuckets() [][]dataflow.Record {
-	if m.batches == nil {
-		return m.buckets
-	}
-	out := make([][]dataflow.Record, len(m.batches))
-	for b := range m.batches {
-		out[b] = m.bucketRecords(b)
-	}
-	return out
-}
-
 type output struct {
 	numBuckets int
 	// router is the memoized bucket router for this shuffle's reduce

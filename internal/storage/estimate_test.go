@@ -1,13 +1,12 @@
 package storage_test
 
 // External-package test: compares the analytic size estimator against
-// real gob-encoded sizes for every exported value type the registered
+// real encoded sizes for every exported value type the registered
 // workloads cache (importing graphx and mllib runs their init-time
-// RegisterValueType calls, exactly as the engine sees them). The
-// estimator does not have to match gob byte-for-byte — it models
-// in-memory footprint, not wire size — but it must stay within a small
-// constant factor on realistic partitions so cost ordering between
-// blocks is preserved.
+// registrations, exactly as the engine sees them). The estimator does not
+// have to match the bytes at rest one for one — it models in-memory
+// footprint — but it must stay within a small constant factor on
+// realistic partitions so cost ordering between blocks is preserved.
 
 import (
 	"fmt"
@@ -132,10 +131,14 @@ func workloadPartitions() map[string][]dataflow.Record {
 	}
 }
 
-// TestEstimateTracksGobOnWorkloadTypes checks the analytic estimate
-// against the real encoded size for each workload value type: within a
-// factor of 6 either way (plus slack for tiny partitions, where gob's
-// one-time type descriptors dominate).
+// TestEstimateTracksGobOnWorkloadTypes (the name predates the typed
+// codec) checks the analytic estimate against the real encoded size for
+// each workload value type. A type with a flat column is stored as the
+// same arrays the estimate counts — the estimate only adds the slice and
+// interface headers the rows carry in memory — so it must land within
+// [0.5, 3] of the real bytes. The gob fallback types keep the loose
+// factor-6 band (plus slack for tiny partitions, where gob's one-time
+// type descriptors dominate).
 func TestEstimateTracksGobOnWorkloadTypes(t *testing.T) {
 	for name, recs := range workloadPartitions() {
 		t.Run(name, func(t *testing.T) {
@@ -145,11 +148,18 @@ func TestEstimateTracksGobOnWorkloadTypes(t *testing.T) {
 				t.Fatalf("encode: %v", err)
 			}
 			real := int64(len(data))
-			if est < real/6 || est > real*6+1024 {
-				t.Errorf("estimate %d vs real gob %d (ratio %.2f) out of band",
-					est, real, float64(est)/float64(real))
+			ratio := float64(est) / float64(real)
+			switch data[0] {
+			case dataflow.BlockTyped:
+				if ratio < 0.5 || ratio > 3 {
+					t.Errorf("estimate %d vs typed block %d (ratio %.2f) outside [0.5, 3]", est, real, ratio)
+				}
+			default:
+				if est < real/6 || est > real*6+1024 {
+					t.Errorf("estimate %d vs real gob %d (ratio %.2f) out of band", est, real, ratio)
+				}
 			}
-			t.Logf("estimate %d, gob %d, ratio %.2f", est, real, float64(est)/float64(real))
+			t.Logf("marker %d: estimate %d, encoded %d, ratio %.2f", data[0], est, real, ratio)
 		})
 	}
 }

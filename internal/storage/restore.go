@@ -9,7 +9,11 @@ package storage
 // quota controller: re-admitting a tenant's surviving blocks is what
 // re-balances the ledger after the crash zeroed it.
 
-import "blaze/internal/dataflow"
+import (
+	"fmt"
+
+	"blaze/internal/dataflow"
+)
 
 // Restore inserts a checkpointed block with its original metadata. The
 // store must not already hold the block; capacity and tenant quota are
@@ -22,13 +26,16 @@ func (m *MemoryStore) Restore(meta BlockMeta, recs []dataflow.Record) error {
 // statistics — checkpoint capture must not perturb the LRU/LFU state it
 // is snapshotting. Real-mode entries decode outside the decode cache so
 // the cache's contents (and its measured hit counters) stay untouched.
-func (m *MemoryStore) Records(id BlockID) ([]dataflow.Record, bool) {
+func (m *MemoryStore) Records(id BlockID) ([]dataflow.Record, error) {
 	e, ok := m.blocks[id]
 	if !ok {
-		return nil, false
+		return nil, fmt.Errorf("storage: block %v not in memory", id)
 	}
 	recs, err := e.p.records()
-	return recs, err == nil
+	if err != nil {
+		return nil, fmt.Errorf("storage: memory block %v: %w", id, err)
+	}
+	return recs, nil
 }
 
 // Counters returns the store's insert sequence and peak usage for a
@@ -53,17 +60,16 @@ func (d *DiskStore) Restore(id BlockID, recs []dataflow.Record, size int64) erro
 
 // Records returns a disk block's records without any metering — the
 // checkpoint-capture counterpart of Get.
-func (d *DiskStore) Records(id BlockID) ([]dataflow.Record, bool) {
+func (d *DiskStore) Records(id BlockID) ([]dataflow.Record, error) {
 	e, ok := d.blocks[id]
 	if !ok {
-		return nil, false
+		return nil, fmt.Errorf("storage: block %v not on disk", id)
 	}
-	p, err := d.read(id, e)
+	_, recs, err := d.readRecords(id, e)
 	if err != nil {
-		return nil, false
+		return nil, fmt.Errorf("storage: disk block %v (%s): %w", id, d.path(id), err)
 	}
-	recs, err := p.records()
-	return recs, err == nil
+	return recs, nil
 }
 
 // Counters returns the disk store's peak footprint and cumulative

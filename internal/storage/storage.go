@@ -10,7 +10,7 @@
 //   - Virtual (the default): records are retained as live Go objects and
 //     the cost model charges modeled serialization and device time. This
 //     mode is deterministic and bit-identical at any parallelism.
-//   - Real bytes: the memory store holds gob-serialized byte buffers
+//   - Real bytes: the memory store holds encoded blocks (EncodeRecords)
 //     (with a bounded decode cache for hot reads) and the disk store
 //     writes one file per block under a run-scoped directory. The stores
 //     measure the wall-clock (de)serialization and file I/O they perform
@@ -33,6 +33,7 @@ import (
 	"cmp"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -130,7 +131,7 @@ type BlockMeta struct {
 }
 
 // Payload is a block's contents in the representation of the store that
-// packed it: live records from a virtual store, gob bytes from a
+// packed it: live records from a virtual store, an encoded block from a
 // real-bytes one. It is opaque outside this package, so a tier move hands
 // what one store released to the other store of the same executor without
 // the caller knowing, or converting, the representation. Fresh wraps
@@ -461,9 +462,10 @@ type DiskStore struct {
 	peak         int64
 	totalWritten int64
 
-	real  bool
-	dir   string
-	meter *Meter
+	real    bool
+	dir     string
+	meter   *Meter
+	readBuf []byte // see readRecords
 }
 
 // NewDiskStore creates an empty virtual-mode disk store.
@@ -485,9 +487,9 @@ func NewDiskStoreReal(dir string, meter *Meter) *DiskStore {
 // Dir returns the store's directory ("" in virtual mode).
 func (d *DiskStore) Dir() string { return d.dir }
 
-// path returns the block's file path, e.g. dir/rdd_12_3.gob.
+// path returns the block's file path, e.g. dir/rdd_12_3.blk.
 func (d *DiskStore) path(id BlockID) string {
-	return filepath.Join(d.dir, id.String()+".gob")
+	return filepath.Join(d.dir, id.String()+".blk")
 }
 
 // Contains reports whether a block is on disk.
@@ -545,7 +547,7 @@ func (d *DiskStore) store(id BlockID, p Payload, size int64) error {
 func (d *DiskStore) ColumnVersion(part int) uint64 { return d.colVer.at(part) }
 
 // read returns a resident block's payload as stored — for a real-bytes
-// block, the contents of its file (the one place a block file is read).
+// block, the contents of its file, in a buffer the caller may keep.
 func (d *DiskStore) read(id BlockID, e diskEntry) (Payload, error) {
 	p := e.p
 	if p.form == formEncoded {
@@ -556,6 +558,31 @@ func (d *DiskStore) read(id BlockID, e diskEntry) (Payload, error) {
 		p.data = data
 	}
 	return p, nil
+}
+
+// readRecords reads and unpacks a resident block. A block file's bytes
+// are decoded at once and none of them kept, so they pass through the
+// store's own read buffer instead of costing one more block-sized
+// allocation per disk hit; the returned payload's data is valid only
+// until the next call.
+func (d *DiskStore) readRecords(id BlockID, e diskEntry) (Payload, []dataflow.Record, error) {
+	p := e.p
+	if p.form == formEncoded {
+		f, err := os.Open(d.path(id))
+		if err != nil {
+			return p, nil, err
+		}
+		defer f.Close()
+		if int64(cap(d.readBuf)) < e.fileBytes {
+			d.readBuf = make([]byte, e.fileBytes)
+		}
+		p.data = d.readBuf[:e.fileBytes]
+		if _, err := io.ReadFull(f, p.data); err != nil {
+			return p, nil, err
+		}
+	}
+	recs, err := p.records()
+	return p, recs, err
 }
 
 // readDone finishes an engine-path read begun at start: a failure is
@@ -578,11 +605,7 @@ func (d *DiskStore) Get(id BlockID) ([]dataflow.Record, int64, bool) {
 		return nil, 0, false
 	}
 	start := time.Now()
-	p, err := d.read(id, e)
-	var recs []dataflow.Record
-	if err == nil {
-		recs, err = p.records()
-	}
+	p, recs, err := d.readRecords(id, e)
 	d.readDone(id, p, start, err)
 	return recs, e.size, true
 }
@@ -648,13 +671,13 @@ func (d *DiskStore) Blocks() []BlockID {
 	return out
 }
 
-// gobRecord mirrors dataflow.Record for encoding.
+// gobRecord mirrors dataflow.Record for the fallback encoding.
 type gobRecord struct {
 	Key   int64
 	Value any
 }
 
-// gobPartition is the wire format for one encoded partition. NonNil
+// gobPartition is the wire format of a fallback-encoded partition. NonNil
 // distinguishes an empty partition from a nil one so the round trip is
 // exact: gob itself encodes both as zero-length, which would otherwise
 // turn empty slices into nil on decode.
@@ -663,12 +686,13 @@ type gobPartition struct {
 	Recs   []gobRecord
 }
 
-// RegisterValueType registers a concrete value type with the gob codec;
-// workloads call this for their payload types before using the codec.
+// RegisterValueType registers a concrete value type with the fallback gob
+// codec; workloads call this for payload types that have no flat column
+// (dataflow.RegisterColumnType) before using the codec.
 func RegisterValueType(v any) { gob.Register(v) }
 
-// Codec scratch pools. Every EncodeRecords call used to allocate a fresh
-// bytes.Buffer and []gobRecord staging slice, and every DecodeRecords a
+// Fallback codec scratch pools. Every gob encode used to allocate a fresh
+// bytes.Buffer and []gobRecord staging slice, and every gob decode a
 // fresh staging slice; on the real-bytes hot path that churn dominated
 // allocation profiles. The pools recycle only intermediate scratch: the
 // returned []byte and []dataflow.Record are always freshly allocated,
@@ -708,11 +732,60 @@ func putGobRecs(s []gobRecord) {
 	gobRecPool.Put(p)
 }
 
-// EncodeRecords serializes a partition with encoding/gob. Real-bytes
-// stores use it for every cached block; virtual mode uses it to validate
-// the analytic size estimator and to exercise a real serialization code
-// path in tests.
+// EncodeRecords serializes a partition into the block format of
+// dataflow/blockcodec.go: the typed columnar form when every value shares
+// one type that has a flat column, whole-block gob behind the BlockGob
+// marker otherwise. Real-bytes stores use it for every cached block, the
+// checkpoint for every block file; virtual mode uses it to validate the
+// analytic size estimator and to exercise a real serialization code path
+// in tests.
 func EncodeRecords(recs []dataflow.Record) ([]byte, error) {
+	b := dataflow.FromRecords(recs)
+	data, typed := dataflow.EncodeBlock(b)
+	b.Release()
+	if typed {
+		return data, nil
+	}
+	return encodeGob(recs)
+}
+
+// EncodeBatch is EncodeRecords for a partition already in columnar form
+// (a retained shuffle bucket): the same bytes, without boxing the rows.
+func EncodeBatch(b *dataflow.Batch) ([]byte, error) {
+	if data, typed := dataflow.EncodeBlock(b); typed {
+		return data, nil
+	}
+	return encodeGob(b.Records())
+}
+
+// DecodeRecords deserializes a partition written by EncodeRecords or
+// EncodeBatch. The round trip is exact for empty partitions: an empty
+// (non-nil) slice decodes as empty, a nil slice as nil. The values of a
+// typed block share backing arrays (dataflow.DecodeBlockRecords) and must
+// not be mutated.
+func DecodeRecords(data []byte) ([]dataflow.Record, error) {
+	if len(data) > 0 && data[0] == dataflow.BlockGob {
+		return decodeGob(data[1:])
+	}
+	return dataflow.DecodeBlockRecords(data)
+}
+
+// DecodeBatch is DecodeRecords into columnar form; the batch owns fresh,
+// unpooled arrays.
+func DecodeBatch(data []byte) (*dataflow.Batch, error) {
+	if len(data) > 0 && data[0] == dataflow.BlockGob {
+		recs, err := decodeGob(data[1:])
+		if err != nil {
+			return nil, err
+		}
+		return dataflow.FromRecords(recs), nil
+	}
+	return dataflow.DecodeBlock(data)
+}
+
+// encodeGob is the fallback block encoding: the BlockGob marker, then
+// the partition as one gob value.
+func encodeGob(recs []dataflow.Record) ([]byte, error) {
 	staged := getGobRecs(len(recs))
 	p := gobPartition{NonNil: recs != nil, Recs: staged}
 	for i, r := range recs {
@@ -725,6 +798,7 @@ func EncodeRecords(recs []dataflow.Record) ([]byte, error) {
 	} else {
 		buf = new(bytes.Buffer)
 	}
+	buf.WriteByte(dataflow.BlockGob)
 	err := gob.NewEncoder(buf).Encode(p)
 	putGobRecs(staged)
 	if err != nil {
@@ -737,10 +811,8 @@ func EncodeRecords(recs []dataflow.Record) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeRecords deserializes a partition written by EncodeRecords. The
-// round trip is exact for empty partitions: an empty (non-nil) slice
-// decodes as empty, a nil slice as nil.
-func DecodeRecords(data []byte) ([]dataflow.Record, error) {
+// decodeGob reads the gob stream of a fallback block (marker stripped).
+func decodeGob(data []byte) ([]dataflow.Record, error) {
 	p := gobPartition{Recs: getGobRecs(0)}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
 		putGobRecs(p.Recs)

@@ -1,9 +1,13 @@
 package storage
 
 import (
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -543,7 +547,7 @@ func TestDiskStoreRealFiles(t *testing.T) {
 	if err := d.Put(id, Fresh(recs), 100); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(d.Dir(), "rdd_2_3.gob")
+	path := filepath.Join(d.Dir(), "rdd_2_3.blk")
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatalf("block file missing: %v", err)
@@ -576,6 +580,64 @@ func TestDiskStoreRealFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
 		t.Fatalf("remove left the file behind: %v", err)
+	}
+}
+
+// TestRecordsReportsTheCause: checkpoint capture reads blocks through
+// Records, and a block that cannot be read back must say why — the file
+// and the decoder's complaint for a torn spill file, the os error for a
+// missing one — rather than a bare "unreadable".
+func TestRecordsReportsTheCause(t *testing.T) {
+	d := NewDiskStoreReal(t.TempDir(), nil)
+	id := BlockID{Dataset: 2, Partition: 3}
+	recs := []dataflow.Record{{Key: 1, Value: []float64{1, 2}}, {Key: 2, Value: []float64{3}}}
+	if err := d.Put(id, Fresh(recs), 100); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.Records(id); err != nil || !reflect.DeepEqual(got, recs) {
+		t.Fatalf("intact block: %+v, %v", got, err)
+	}
+	path := filepath.Join(d.Dir(), "rdd_2_3.blk")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), data...)
+	bad[len(bad)-3*8-4-4] ^= 0x40 // the last offset, before the count and the 3 floats of the flat array
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = d.Records(id)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "offsets array") {
+		t.Fatalf("damaged file: err = %v, want the path and the decoder's reason", err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = d.Records(id); !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("torn file: err = %v, want the path and an unexpected EOF", err)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = d.Records(id); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: err = %v, want it to wrap os.ErrNotExist", err)
+	}
+	if _, err := d.Records(BlockID{9, 9}); err == nil {
+		t.Fatal("a block the store does not hold is not an error")
+	}
+
+	m := NewMemoryStoreReal(1<<20, nil, 0)
+	if _, err := m.Records(id); err == nil {
+		t.Fatal("a block the memory store does not hold is not an error")
+	}
+	if _, err := m.Put(id, recs, 100, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	e := m.blocks[id]
+	e.p.data = e.p.data[:len(e.p.data)-5]
+	if _, err := m.Records(id); err == nil || !strings.Contains(err.Error(), "rdd_2_3") {
+		t.Fatalf("torn buffer: err = %v, want the block id and the cause", err)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"blaze"
+	"blaze/internal/dataflow"
+	"blaze/internal/storage"
 )
 
 // durableStreamConfig builds the crash-recovery test configuration: a
@@ -239,5 +241,169 @@ func TestSessionDoubleCloseAfterCrash(t *testing.T) {
 	}
 	if _, err := sess.Close(); !errors.Is(err, blaze.ErrSessionClosed) {
 		t.Fatalf("second Close: err = %v, want ErrSessionClosed", err)
+	}
+}
+
+// streamMixed is a streaming workload whose carried state reaches every
+// corner of the at-rest block format. Per window it caches a partition
+// set of string labels (no flat column: the gob fallback) in which every
+// fourth partition is empty but non-nil (Map over an empty source
+// partition), reduces a float64 shuffle it leaves uncached, and then
+// reads the previous window's labels and re-reads the previous window's
+// reduce — whose map outputs exist only in the shuffle service, so after
+// a resume they are fetched from the restored snapshot.
+const streamMixed blaze.StreamWorkloadID = "test-stream-mixed"
+
+func init() {
+	err := blaze.RegisterStreamWorkload(blaze.StreamWorkloadSpec{
+		ID: streamMixed, Title: "MixedCarriedState", SerFactor: 1,
+		Open: func(float64, bool) func(ctx *blaze.Context, window int) {
+			const parts = 8
+			var prevLabels, prevSums *blaze.Dataset
+			return func(ctx *blaze.Context, w int) {
+				src := ctx.Source(fmt.Sprintf("mix-src@%d", w), parts, func(p int) []blaze.Record {
+					if p%4 == 3 {
+						return nil
+					}
+					out := make([]blaze.Record, 40)
+					for i := range out {
+						out[i] = blaze.Record{Key: int64(w*1000 + p*40 + i), Value: float64(i) + 0.25*float64(w)}
+					}
+					return out
+				})
+				labels := src.Map(fmt.Sprintf("mix-labels@%d", w), func(r blaze.Record) blaze.Record {
+					return blaze.Record{Key: r.Key, Value: fmt.Sprintf("w%d/%d", w, r.Key)}
+				}).Cache()
+				sums := src.Map(fmt.Sprintf("mix-mod@%d", w), func(r blaze.Record) blaze.Record {
+					return blaze.Record{Key: r.Key % 17, Value: r.Value}
+				}).ReduceByKeyF64(fmt.Sprintf("mix-sums@%d", w), parts, func(a, b float64) float64 { return a + b })
+				labels.Count()
+				sums.Count()
+				if prevLabels != nil {
+					blaze.ZipDatasets(fmt.Sprintf("mix-zip@%d", w), blaze.OpLight, labels, prevLabels,
+						func(_ int, l, r []blaze.Record) []blaze.Record { return append(append([]blaze.Record{}, l...), r...) }).Count()
+					prevSums.Map(fmt.Sprintf("mix-again@%d", w), func(r blaze.Record) blaze.Record { return r }).Count()
+				}
+				prevLabels, prevSums = labels, sums
+			}
+		},
+	})
+	if err != nil {
+		panic(err)
+	}
+}
+
+// assertResumedEqualsBase compares a resumed stream with the
+// uninterrupted one: deterministic metrics, the main event log and every
+// window's stats.
+func assertResumedEqualsBase(t *testing.T, base, res *blaze.StreamResult, baseLog, resLog *blaze.EventLog) {
+	t.Helper()
+	if !blaze.MetricsEqualDeterministic(base.Metrics, res.Metrics) {
+		t.Errorf("resumed metrics differ from uninterrupted run\nbase: %+v\nres:  %+v", base.Metrics, res.Metrics)
+	}
+	be, re := baseLog.Events(), resLog.Events()
+	if len(be) != len(re) {
+		t.Fatalf("event counts differ: base=%d resumed=%d", len(be), len(re))
+	}
+	for i := range be {
+		if be[i] != re[i] {
+			t.Fatalf("event %d differs:\nbase: %+v\nres:  %+v", i, be[i], re[i])
+		}
+	}
+	if len(res.Windows) != len(base.Windows) {
+		t.Fatalf("window counts differ: base=%d resumed=%d", len(base.Windows), len(res.Windows))
+	}
+	for i := range base.Windows {
+		if !base.Windows[i].EqualDeterministic(res.Windows[i]) {
+			t.Errorf("window %d stats differ:\nbase: %+v\nres:  %+v", i+1, base.Windows[i], res.Windows[i])
+		}
+	}
+}
+
+// TestStreamCrashResumeFallbackAndEmptyBlocks crashes streamMixed at
+// every boundary. Its checkpoints must actually hold what the test is
+// about — a gob-fallback block and an empty non-nil typed block — and the
+// resumed run must equal the uninterrupted one.
+func TestStreamCrashResumeFallbackAndEmptyBlocks(t *testing.T) {
+	tune := func(c *blaze.StreamConfig) { c.System = blaze.SysSparkMemDisk }
+	base, baseLog := runStream(t, streamMixed, 1, 0, tune)
+	for k := 2; k <= 4; k++ {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableStreamConfig(streamMixed, 1, 0, dir, k, blaze.NewEventLog(), nil)
+			tune(&cfg)
+			if _, err := blaze.RunStream(cfg); !errors.Is(err, blaze.ErrSessionCrashed) {
+				t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
+			}
+			blocks, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("win_%04d", k), "*.blk"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fallback, emptyNonNil int
+			for _, path := range blocks {
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				recs, err := storage.DecodeRecords(data)
+				if err != nil {
+					t.Fatalf("%s: %v", path, err)
+				}
+				switch {
+				case data[0] == dataflow.BlockGob:
+					fallback++
+				case recs != nil && len(recs) == 0:
+					emptyNonNil++
+				}
+			}
+			if fallback == 0 || emptyNonNil == 0 {
+				t.Fatalf("boundary %d checkpoint holds %d blocks: %d gob-fallback, %d empty non-nil; want both kinds", k, len(blocks), fallback, emptyNonNil)
+			}
+
+			cfg.EventLog = blaze.NewEventLog()
+			res, err := blaze.ResumeStream(cfg)
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			assertResumedEqualsBase(t, base, res, baseLog, cfg.EventLog)
+		})
+	}
+}
+
+// TestResumedShuffleServesBothPlanes: the map outputs a resume restores
+// from the snapshot (typed blocks written from the row plane's slices or
+// the columnar plane's retained batches) must serve either plane's
+// fetches. The crashed and the resumed process each run with Vectorized
+// on or off, all four combinations; every resumed stream equals the
+// uninterrupted one, which a restored bucket served wrongly — or a map
+// stage re-run because its output went missing — would break.
+func TestResumedShuffleServesBothPlanes(t *testing.T) {
+	for _, wl := range []blaze.StreamWorkloadID{blaze.StreamPR, streamMixed} {
+		tune := func(c *blaze.StreamConfig) {
+			if wl == streamMixed {
+				c.System = blaze.SysSparkMemDisk
+			}
+		}
+		base, baseLog := runStream(t, wl, 1, 0, tune)
+		for _, crashVec := range []bool{false, true} {
+			for _, resumeVec := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/crash-vec=%v/resume-vec=%v", wl, crashVec, resumeVec), func(t *testing.T) {
+					dir := t.TempDir()
+					cfg := durableStreamConfig(wl, 1, 0, dir, 3, blaze.NewEventLog(), nil)
+					tune(&cfg)
+					cfg.Vectorized = crashVec
+					if _, err := blaze.RunStream(cfg); !errors.Is(err, blaze.ErrSessionCrashed) {
+						t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
+					}
+					cfg.Vectorized = resumeVec
+					cfg.EventLog = blaze.NewEventLog()
+					res, err := blaze.ResumeStream(cfg)
+					if err != nil {
+						t.Fatalf("resume: %v", err)
+					}
+					assertResumedEqualsBase(t, base, res, baseLog, cfg.EventLog)
+				})
+			}
+		}
 	}
 }
