@@ -6,9 +6,13 @@ package blaze
 // before it could reach the controller).
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"blaze/internal/checkpoint"
 	"blaze/internal/core"
 	"blaze/internal/dataflow"
 )
@@ -220,5 +224,72 @@ func TestRunRemovesBlockFilesOnEveryExit(t *testing.T) {
 		if !sawDir {
 			t.Fatalf("fail=%v: the run wrote no block file under TMPDIR; the check is vacuous", fail)
 		}
+	}
+}
+
+// TestResumeKilledBeforeWALRenameResumesAgain kills a resume between the
+// two steps that replace the WAL — the new one seeded beside the old,
+// and its rename over it. The old WAL is the only copy of the events
+// both retained checkpoints count on (a resume that truncated it in
+// place and died re-seeding it would leave neither loadable), so it must
+// be untouched, and a second resume must finish the stream bit-identical
+// to one that never crashed.
+func TestResumeKilledBeforeWALRenameResumesAgain(t *testing.T) {
+	config := func(dir string, crashWindow int, log *EventLog) StreamConfig {
+		return StreamConfig{Workload: StreamPR, Windows: 4, Scale: 0.25, Executors: 4, Parallelism: 1,
+			MemoryPerExecutor: 1 << 20, EventLog: log, CheckpointDir: dir, CrashWindow: crashWindow}
+	}
+	baseLog := NewEventLog()
+	base, err := RunStream(config("", 0, baseLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := RunStream(config(dir, 3, NewEventLog())); !errors.Is(err, ErrSessionCrashed) {
+		t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
+	}
+	walBefore, err := os.ReadFile(checkpoint.WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The first resume: checkpoint loaded, new WAL seeded — killed.
+	rs, _, err := checkpoint.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal, err := seedWAL(dir, rs.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.Close()
+	if walAfter, err := os.ReadFile(checkpoint.WALPath(dir)); err != nil || !bytes.Equal(walAfter, walBefore) {
+		t.Fatalf("seeding the new WAL touched the old one (err %v, %d -> %d bytes)", err, len(walBefore), len(walAfter))
+	}
+
+	resLog := NewEventLog()
+	res, err := ResumeStream(config(dir, 0, resLog))
+	if err != nil {
+		t.Fatalf("second resume: %v", err)
+	}
+	if !MetricsEqualDeterministic(base.Metrics, res.Metrics) {
+		t.Errorf("resumed metrics differ from the uninterrupted run\nbase: %+v\nres:  %+v", base.Metrics, res.Metrics)
+	}
+	be, re := baseLog.Events(), resLog.Events()
+	if len(be) != len(re) {
+		t.Fatalf("event counts differ: base=%d resumed=%d", len(be), len(re))
+	}
+	for i := range be {
+		if be[i] != re[i] {
+			t.Fatalf("event %d differs:\nbase: %+v\nres:  %+v", i, be[i], re[i])
+		}
+	}
+	for i := range base.Windows {
+		if !base.Windows[i].EqualDeterministic(res.Windows[i]) {
+			t.Errorf("window %d stats differ:\nbase: %+v\nres:  %+v", i+1, base.Windows[i], res.Windows[i])
+		}
+	}
+	if _, err := os.Stat(checkpoint.WALPath(dir) + ".tmp"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("the seeded WAL was not renamed into place: stat err %v", err)
 	}
 }

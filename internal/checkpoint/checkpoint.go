@@ -6,72 +6,96 @@
 //	events.wal          append-only JSON-lines event log (the WAL the
 //	                    session facade maintains; see internal/eventlog)
 //	win_0004/           one directory per checkpointed window boundary
-//	  manifest.json     window, event count, per-file checksums — the
-//	                    commit record, written (tmp+rename) LAST
-//	  state.gob         engine.ResumeState minus block records/events;
-//	                    its shuffle snapshot carries each bucket as an
-//	                    encoded block
-//	  client.gob        opaque driver-side payload (window stats)
-//	  mem_0000.blk …    one encoded block (storage.EncodeRecords: typed
-//	                    columnar, or marked gob fallback) per memory block
-//	  disk_0000.blk …   one per disk block
+//	  segment           every payload of the boundary, back to back: one
+//	                    encoded block (storage.EncodeRecords: typed
+//	                    columnar, or marked gob fallback) per memory
+//	                    block, then per disk block; the shuffle
+//	                    snapshot's encoded buckets; the controller
+//	                    snapshot; the state gob (engine.ResumeState with
+//	                    all of the above and the events stripped — gob
+//	                    carries metadata only); the opaque driver-side
+//	                    client payload (window stats)
+//	  manifest.json     window, event count and {offset, bytes, crc} per
+//	                    segment entry — the commit record, written
+//	                    (tmp+rename) LAST
 //
-// A checkpoint is valid only once its manifest exists and every
-// checksum it lists matches; a crash mid-write leaves a directory
-// without a manifest (or with dangling files) that Load skips. Load
-// takes the newest valid window and falls back to the previous one on
-// any corruption; only when no window is usable does it return
+// The blocks of one boundary are born and pruned together, so they share
+// one file: a commit creates two files however many blocks it holds, and
+// every payload byte is written once, through one buffered writer.
+//
+// Commit order: write the segment and sync it; write manifest.json.tmp
+// and sync it; sync the WAL; rename the manifest in; sync the window
+// directory, then the checkpoint directory; only then prune. A
+// checkpoint is valid only once its manifest exists, its entries tile
+// the segment exactly and every CRC-32C matches; a crash mid-write
+// leaves a directory without a manifest that Load skips. Load takes the
+// newest valid window and falls back to the previous one on any
+// corruption; only when no window is usable does it return
 // ErrNoCheckpoint, and the caller re-runs from scratch (lineage
 // recomputation from the sources). Old windows are pruned at write so
 // at most two boundary snapshots exist at a time.
 //
-// Durability is against a process crash, not power loss: Write never
-// syncs a file, the directory or the WAL, so a committed checkpoint
-// survives kill -9 of the process (the kernel holds the pages) but a
-// power cut can leave a manifest naming blocks that never reached the
-// disk. Adding the syncs is the ROADMAP item "Make the durable-stream
-// commit path durable, then cheap".
+// A committed checkpoint survives power loss, not only a process crash:
+// by the time the manifest's name is durable, the segment bytes it
+// describes and the WAL prefix it counts have been synced, so no crash
+// point leaves a manifest naming bytes that never reached the disk
+// (TestCrashConsistencyAtEveryStep drops every un-synced write, rename
+// and mkdir after each step of a commit).
 package checkpoint
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 
+	"blaze/internal/dataflow"
 	"blaze/internal/engine"
 	"blaze/internal/eventlog"
+	"blaze/internal/shuffle"
 	"blaze/internal/storage"
 )
 
 // ManifestVersion is the manifest schema version; manifests with a
 // different version are rejected (treated as corrupt). Version 1 held
-// gob block files and row-form shuffle buckets in state.gob.
-const ManifestVersion = 2
+// gob block files and row-form shuffle buckets in state.gob; version 2
+// held one FNV-checksummed file per block and the encoded buckets inside
+// state.gob.
+const ManifestVersion = 3
 
 // ErrNoCheckpoint reports that the checkpoint directory holds no usable
 // window snapshot; the caller must recover by recomputation instead.
 var ErrNoCheckpoint = errors.New("checkpoint: no usable checkpoint")
 
-// walName is the event WAL file inside the checkpoint directory.
-const walName = "events.wal"
+const (
+	// walName is the event WAL file inside the checkpoint directory.
+	walName      = "events.wal"
+	segmentName  = "segment"
+	manifestName = "manifest.json"
+)
 
-// FileEntry names one payload file of a window snapshot with its
+// castagnoli is the CRC-32C table; hash/crc32 computes it with the CPU's
+// CRC instructions where they exist.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// Entry locates one payload inside a window's segment file with its
 // integrity data.
-type FileEntry struct {
-	File     string `json:"file"`
-	Bytes    int64  `json:"bytes"`
-	Checksum string `json:"checksum"`
+type Entry struct {
+	Offset int64  `json:"offset"`
+	Bytes  int64  `json:"bytes"`
+	CRC    uint32 `json:"crc"`
 }
 
 // Manifest is the commit record of one window snapshot. It is written
-// after every payload file, atomically (tmp+rename), so its presence
-// certifies a complete write.
+// after the segment, atomically (tmp+rename), so its presence certifies
+// a complete write. Its entries tile the segment in the order Blocks,
+// Shuffle, Controller, State, Client.
 type Manifest struct {
 	Version int `json:"version"`
 	// Window is the boundary the snapshot was taken at: windows
@@ -79,14 +103,51 @@ type Manifest struct {
 	Window int `json:"window"`
 	// EventCount is the length of the main event log at the boundary;
 	// resume replays exactly this prefix of the WAL.
-	EventCount int         `json:"event_count"`
-	State      FileEntry   `json:"state"`
-	Client     *FileEntry  `json:"client,omitempty"`
-	Blocks     []FileEntry `json:"blocks"`
+	EventCount int `json:"event_count"`
+	// Blocks holds one entry per memory block, then one per disk block,
+	// in the state's order.
+	Blocks []Entry `json:"blocks"`
+	// Shuffle spans every bucket of the shuffle snapshot, concatenated
+	// in snapshot order; the state gob holds their lengths.
+	Shuffle Entry `json:"shuffle"`
+	// Controller is the controller snapshot (absent for stateless
+	// controllers).
+	Controller *Entry `json:"controller,omitempty"`
+	State      Entry  `json:"state"`
+	Client     *Entry `json:"client,omitempty"`
 	// Summary is an optional human-readable digest of the controller
 	// state (see core.StateSummary) for operators inspecting a
 	// checkpoint by hand; resume ignores it.
 	Summary any `json:"summary,omitempty"`
+}
+
+// entries lists the manifest's entries in segment order.
+func (m *Manifest) entries() []*Entry {
+	out := make([]*Entry, 0, len(m.Blocks)+4)
+	for i := range m.Blocks {
+		out = append(out, &m.Blocks[i])
+	}
+	out = append(out, &m.Shuffle)
+	if m.Controller != nil {
+		out = append(out, m.Controller)
+	}
+	out = append(out, &m.State)
+	if m.Client != nil {
+		out = append(out, m.Client)
+	}
+	return out
+}
+
+// stateRecord is what the state gob holds: the ResumeState with every
+// payload stripped (block records, shuffle buckets, controller snapshot,
+// events) and what re-attaches them: the byte length of every stripped
+// bucket, one slice per map output in snapshot order, with which Load
+// cuts the manifest's Shuffle entry back into buckets, and the event
+// count — the manifest's copy is for the reader; this one is under a CRC.
+type stateRecord struct {
+	State      engine.ResumeState
+	BucketLens [][]int
+	EventCount int
 }
 
 // WALPath returns the event WAL location inside a checkpoint directory.
@@ -96,128 +157,235 @@ func winDir(dir string, window int) string {
 	return filepath.Join(dir, fmt.Sprintf("win_%04d", window))
 }
 
-func checksum(data []byte) string {
-	h := fnv.New64a()
-	h.Write(data)
-	return fmt.Sprintf("%016x", h.Sum64())
+// segmentBufSize is the segment writer's buffer: payloads are a few
+// hundred bytes (buckets) to a few tens of KB (blocks), so a commit of a
+// few MB reaches the file in a dozen or so large writes.
+const segmentBufSize = 256 << 10
+
+// writer commits window snapshots through fs. Its buffer outlives a
+// commit, so a Checkpointer's commits share one. The zero value writes
+// to the operating system's files.
+type writer struct {
+	fs  fileSystem
+	buf *bufio.Writer
 }
 
-// writeFile writes one payload file and returns its manifest entry.
-func writeFile(dir, name string, data []byte) (FileEntry, error) {
-	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
-		return FileEntry{}, err
-	}
-	return FileEntry{File: name, Bytes: int64(len(data)), Checksum: checksum(data)}, nil
+// segment appends payloads to one file and hands back the manifest entry
+// of each. Write errors stick to the bufio.Writer and surface at Flush.
+type segment struct {
+	w   *bufio.Writer
+	cur Entry
 }
 
-// Write persists one window snapshot. The block records and the event
-// slice are stripped out of the state gob — records go to per-block
-// files through the storage codec, events are recovered from the WAL —
-// and the manifest commits the whole snapshot last. Returns the number
-// of block payloads and total bytes written.
+// Write appends p to the entry being built.
+func (s *segment) Write(p []byte) (int, error) {
+	s.cur.Bytes += int64(len(p))
+	s.cur.CRC = crc32.Update(s.cur.CRC, castagnoli, p)
+	return s.w.Write(p)
+}
+
+// end closes the entry being built and starts the next where it stops.
+func (s *segment) end() Entry {
+	e := s.cur
+	s.cur = Entry{Offset: e.Offset + e.Bytes}
+	return e
+}
+
+// Write persists one window snapshot. Block records, shuffle buckets and
+// the controller snapshot are stripped out of the state gob and appended
+// to the segment as they are — records through the storage codec, the
+// rest already encoded — events are recovered from the WAL, and the
+// manifest commits the whole snapshot last. Returns the number of block
+// payloads and total bytes written.
 func Write(dir string, rs *engine.ResumeState, clientState []byte, summary any) (blocks int, written int64, err error) {
+	var w writer
+	return w.write(dir, rs, clientState, summary)
+}
+
+func (w *writer) write(dir string, rs *engine.ResumeState, clientState []byte, summary any) (blocks int, written int64, err error) {
+	if w.fs == nil {
+		w.fs = osFS{}
+	}
+	if w.buf == nil {
+		w.buf = bufio.NewWriterSize(nil, segmentBufSize)
+	}
+	fs := w.fs
 	wd := winDir(dir, rs.Window)
-	// A leftover directory from a crashed earlier attempt at the same
-	// window cannot be valid (its manifest was never renamed in, or we
-	// would not be writing again); start clean.
-	if err := os.RemoveAll(wd); err != nil {
+	// A leftover directory from an earlier attempt at the same window
+	// (crashed before its manifest was renamed in, or found corrupt by
+	// the Load this session resumed from) is not worth keeping; start
+	// clean.
+	if err := fs.RemoveAll(wd); err != nil {
 		return 0, 0, fmt.Errorf("checkpoint: clear %s: %w", wd, err)
 	}
-	if err := os.MkdirAll(wd, 0o755); err != nil {
+	if err := fs.Mkdir(wd); err != nil {
 		return 0, 0, fmt.Errorf("checkpoint: mkdir %s: %w", wd, err)
 	}
 
 	m := &Manifest{Version: ManifestVersion, Window: rs.Window, EventCount: len(rs.Events), Summary: summary}
-
-	for i, b := range rs.MemBlocks {
-		data, err := storage.EncodeRecords(b.Records)
-		if err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: encode memory block %v: %w", b.Meta.ID, err)
-		}
-		e, err := writeFile(wd, fmt.Sprintf("mem_%04d.blk", i), data)
-		if err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: write memory block %v: %w", b.Meta.ID, err)
-		}
-		m.Blocks = append(m.Blocks, e)
-		written += e.Bytes
-	}
-	for i, b := range rs.DiskBlocks {
-		data, err := storage.EncodeRecords(b.Records)
-		if err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: encode disk block %v: %w", b.ID, err)
-		}
-		e, err := writeFile(wd, fmt.Sprintf("disk_%04d.blk", i), data)
-		if err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: write disk block %v: %w", b.ID, err)
-		}
-		m.Blocks = append(m.Blocks, e)
-		written += e.Bytes
-	}
-	blocks = len(m.Blocks)
-
-	stripped := *rs
-	stripped.Events = nil
-	stripped.MemBlocks = make([]engine.ResumeBlock, len(rs.MemBlocks))
-	for i, b := range rs.MemBlocks {
-		b.Records = nil
-		stripped.MemBlocks[i] = b
-	}
-	stripped.DiskBlocks = make([]engine.ResumeDiskBlock, len(rs.DiskBlocks))
-	for i, b := range rs.DiskBlocks {
-		b.Records = nil
-		stripped.DiskBlocks[i] = b
-	}
-	var sb bytes.Buffer
-	if err := gob.NewEncoder(&sb).Encode(&stripped); err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: encode state: %w", err)
-	}
-	se, err := writeFile(wd, "state.gob", sb.Bytes())
+	f, err := fs.Create(filepath.Join(wd, segmentName))
 	if err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: write state: %w", err)
+		return 0, 0, fmt.Errorf("checkpoint: create segment: %w", err)
 	}
-	m.State = se
-	written += se.Bytes
-
-	if clientState != nil {
-		ce, err := writeFile(wd, "client.gob", clientState)
-		if err != nil {
-			return 0, 0, fmt.Errorf("checkpoint: write client state: %w", err)
-		}
-		m.Client = &ce
-		written += ce.Bytes
+	w.buf.Reset(f)
+	seg := segment{w: w.buf}
+	written, err = seg.fill(m, rs, clientState)
+	w.buf.Reset(nil) // do not hold the file past the commit
+	if err := syncClose(f, err); err != nil {
+		return 0, 0, fmt.Errorf("checkpoint: write segment: %w", err)
 	}
 
 	mdata, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return 0, 0, fmt.Errorf("checkpoint: encode manifest: %w", err)
 	}
-	tmp := filepath.Join(wd, "manifest.json.tmp")
-	if err := os.WriteFile(tmp, mdata, 0o644); err != nil {
+	tmp := filepath.Join(wd, manifestName+".tmp")
+	if err := writeSynced(fs, tmp, mdata); err != nil {
 		return 0, 0, fmt.Errorf("checkpoint: write manifest: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(wd, "manifest.json")); err != nil {
+	// The manifest counts on a WAL prefix: it must be on disk before the
+	// manifest's name is.
+	if err := syncPath(fs, WALPath(dir)); err != nil {
+		return 0, 0, fmt.Errorf("checkpoint: sync wal: %w", err)
+	}
+	if err := fs.Rename(tmp, filepath.Join(wd, manifestName)); err != nil {
 		return 0, 0, fmt.Errorf("checkpoint: commit manifest: %w", err)
+	}
+	// The window directory's entries, then its own name in the
+	// checkpoint directory.
+	for _, d := range []string{wd, dir} {
+		if err := syncPath(fs, d); err != nil {
+			return 0, 0, fmt.Errorf("checkpoint: sync %s: %w", d, err)
+		}
 	}
 	written += int64(len(mdata))
 
-	prune(dir, rs.Window)
-	return blocks, written, nil
+	prune(fs, dir, rs.Window)
+	return len(m.Blocks), written, nil
+}
+
+// fill appends every payload of the snapshot to the segment, recording
+// each entry in the manifest, and flushes. Returns the segment's size.
+func (seg *segment) fill(m *Manifest, rs *engine.ResumeState, clientState []byte) (int64, error) {
+	block := func(kind string, id storage.BlockID, recs []dataflow.Record) error {
+		data, err := storage.EncodeRecords(recs)
+		if err != nil {
+			return fmt.Errorf("encode %s block %v: %w", kind, id, err)
+		}
+		seg.Write(data)
+		m.Blocks = append(m.Blocks, seg.end())
+		return nil
+	}
+	rec := stateRecord{State: *rs, EventCount: len(rs.Events)}
+	st := &rec.State
+	st.Events = nil
+	st.MemBlocks = make([]engine.ResumeBlock, len(rs.MemBlocks))
+	for i, b := range rs.MemBlocks {
+		if err := block("memory", b.Meta.ID, b.Records); err != nil {
+			return 0, err
+		}
+		b.Records = nil
+		st.MemBlocks[i] = b
+	}
+	st.DiskBlocks = make([]engine.ResumeDiskBlock, len(rs.DiskBlocks))
+	for i, b := range rs.DiskBlocks {
+		if err := block("disk", b.ID, b.Records); err != nil {
+			return 0, err
+		}
+		b.Records = nil
+		st.DiskBlocks[i] = b
+	}
+
+	if rs.Shuffle != nil {
+		// Strip a copy: the caller's snapshot keeps its buckets.
+		snap := *rs.Shuffle
+		snap.Outputs = append([]shuffle.OutputSnapshot(nil), snap.Outputs...)
+		for oi := range snap.Outputs {
+			snap.Outputs[oi].Maps = append([]shuffle.MapSnapshot(nil), snap.Outputs[oi].Maps...)
+		}
+		st.Shuffle = &snap
+		for _, mo := range mapOutputs(&snap) {
+			lens := make([]int, len(mo.Buckets))
+			for b, data := range mo.Buckets {
+				seg.Write(data)
+				lens[b] = len(data)
+			}
+			rec.BucketLens = append(rec.BucketLens, lens)
+			mo.Buckets = nil
+		}
+	}
+	m.Shuffle = seg.end()
+
+	if rs.Controller != nil {
+		seg.Write(rs.Controller)
+		e := seg.end()
+		m.Controller = &e
+		st.Controller = nil
+	}
+
+	if err := gob.NewEncoder(seg).Encode(&rec); err != nil {
+		return 0, fmt.Errorf("encode state: %w", err)
+	}
+	m.State = seg.end()
+
+	if clientState != nil {
+		seg.Write(clientState)
+		e := seg.end()
+		m.Client = &e
+	}
+	return seg.cur.Offset, seg.w.Flush()
+}
+
+// syncClose finishes a file whose writes returned err: synced if they all
+// succeeded, closed either way. Returns the first failure.
+func syncClose(f file, err error) error {
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// writeSynced creates path holding data and syncs it.
+func writeSynced(fs fileSystem, path string, data []byte) error {
+	f, err := fs.Create(path)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	return syncClose(f, err)
+}
+
+// syncPath syncs an existing file or directory: a file's bytes, a
+// directory's entries (the names created in, renamed into and removed
+// from it).
+func syncPath(fs fileSystem, path string) error {
+	f, err := fs.Open(path)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	f.Close()
+	return err
 }
 
 // prune removes window directories older than the previous boundary:
 // after committing window k, only win_k and win_{k-1} remain (the
-// previous one is the fallback if win_k later proves corrupt).
-func prune(dir string, window int) {
-	for _, w := range windows(dir) {
+// previous one is the fallback if win_k later proves corrupt). It is
+// not synced: a removal the disk forgets leaves an extra, older window.
+func prune(fs fileSystem, dir string, window int) {
+	for _, w := range windows(fs, dir) {
 		if w < window-1 {
-			os.RemoveAll(winDir(dir, w))
+			fs.RemoveAll(winDir(dir, w))
 		}
 	}
 }
 
 // windows lists the win_* directory indices in ascending order.
-func windows(dir string) []int {
-	entries, err := os.ReadDir(dir)
+func windows(fs fileSystem, dir string) []int {
+	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
@@ -232,28 +400,13 @@ func windows(dir string) []int {
 	return out
 }
 
-// readFile loads one payload file and verifies its manifest entry.
-func readFile(wd string, e FileEntry) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(wd, e.File))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(data)) != e.Bytes {
-		return nil, fmt.Errorf("checkpoint: %s: %d bytes, manifest says %d", e.File, len(data), e.Bytes)
-	}
-	if cs := checksum(data); cs != e.Checksum {
-		return nil, fmt.Errorf("checkpoint: %s: checksum %s, manifest says %s", e.File, cs, e.Checksum)
-	}
-	return data, nil
-}
-
 // Load restores the newest usable window snapshot from the checkpoint
-// directory: state, re-attached block records, client payload, and the
-// event-log prefix replayed from the WAL. Corrupt or incomplete windows
-// are skipped in favor of older ones; ErrNoCheckpoint reports that
-// nothing was usable.
+// directory: state, re-attached block records, shuffle buckets and
+// controller snapshot, client payload, and the event-log prefix replayed
+// from the WAL. Corrupt or incomplete windows are skipped in favor of
+// older ones; ErrNoCheckpoint reports that nothing was usable.
 func Load(dir string) (rs *engine.ResumeState, clientState []byte, err error) {
-	ws := windows(dir)
+	ws := windows(osFS{}, dir)
 	var firstErr error
 	for i := len(ws) - 1; i >= 0; i-- {
 		rs, clientState, err = loadWindow(dir, ws[i])
@@ -270,10 +423,14 @@ func Load(dir string) (rs *engine.ResumeState, clientState []byte, err error) {
 	return nil, nil, ErrNoCheckpoint
 }
 
-// loadWindow validates and loads one window directory.
+// loadWindow validates and loads one window directory. The segment is
+// read once; nothing in it is decoded, and nothing is allocated from a
+// length the manifest claims, before the entries are known to tile the
+// bytes actually read and each CRC matches. The returned buckets,
+// controller snapshot and client payload alias the segment.
 func loadWindow(dir string, window int) (*engine.ResumeState, []byte, error) {
 	wd := winDir(dir, window)
-	mdata, err := os.ReadFile(filepath.Join(wd, "manifest.json"))
+	mdata, err := os.ReadFile(filepath.Join(wd, manifestName))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -288,43 +445,58 @@ func loadWindow(dir string, window int) (*engine.ResumeState, []byte, error) {
 		return nil, nil, fmt.Errorf("checkpoint: manifest window %d in win_%04d", m.Window, window)
 	}
 
-	sdata, err := readFile(wd, m.State)
+	seg, err := os.ReadFile(filepath.Join(wd, segmentName))
 	if err != nil {
 		return nil, nil, err
 	}
-	var rs engine.ResumeState
-	if err := gob.NewDecoder(bytes.NewReader(sdata)).Decode(&rs); err != nil {
+	var pos int64
+	for i, e := range m.entries() {
+		if e.Offset != pos || e.Bytes < 0 || e.Bytes > int64(len(seg))-pos {
+			return nil, nil, fmt.Errorf("checkpoint: entry %d spans [%d, +%d) of a %d-byte segment, want offset %d",
+				i, e.Offset, e.Bytes, len(seg), pos)
+		}
+		pos += e.Bytes
+		if crc := crc32.Checksum(seg[e.Offset:pos], castagnoli); crc != e.CRC {
+			return nil, nil, fmt.Errorf("checkpoint: entry %d: crc %08x, manifest says %08x", i, crc, e.CRC)
+		}
+	}
+	if pos != int64(len(seg)) {
+		return nil, nil, fmt.Errorf("checkpoint: segment holds %d bytes, manifest accounts for %d", len(seg), pos)
+	}
+	payload := func(e Entry) []byte { return seg[e.Offset : e.Offset+e.Bytes : e.Offset+e.Bytes] }
+
+	var rec stateRecord
+	if err := gob.NewDecoder(bytes.NewReader(payload(m.State))).Decode(&rec); err != nil {
 		return nil, nil, fmt.Errorf("checkpoint: decode state: %w", err)
 	}
+	rs := &rec.State
 	if rs.Window != window {
 		return nil, nil, fmt.Errorf("checkpoint: state window %d in win_%04d", rs.Window, window)
+	}
+	if rec.EventCount != m.EventCount {
+		return nil, nil, fmt.Errorf("checkpoint: manifest counts %d events, state %d", m.EventCount, rec.EventCount)
 	}
 	if len(m.Blocks) != len(rs.MemBlocks)+len(rs.DiskBlocks) {
 		return nil, nil, fmt.Errorf("checkpoint: manifest lists %d blocks, state has %d",
 			len(m.Blocks), len(rs.MemBlocks)+len(rs.DiskBlocks))
 	}
-
 	for i := range rs.MemBlocks {
-		data, err := readFile(wd, m.Blocks[i])
-		if err != nil {
-			return nil, nil, err
+		b := &rs.MemBlocks[i]
+		if b.Records, err = storage.DecodeRecords(payload(m.Blocks[i])); err != nil {
+			return nil, nil, fmt.Errorf("checkpoint: decode memory block %v: %w", b.Meta.ID, err)
 		}
-		recs, err := storage.DecodeRecords(data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("checkpoint: decode memory block %v: %w", rs.MemBlocks[i].Meta.ID, err)
-		}
-		rs.MemBlocks[i].Records = recs
 	}
 	for i := range rs.DiskBlocks {
-		data, err := readFile(wd, m.Blocks[len(rs.MemBlocks)+i])
-		if err != nil {
-			return nil, nil, err
+		b := &rs.DiskBlocks[i]
+		if b.Records, err = storage.DecodeRecords(payload(m.Blocks[len(rs.MemBlocks)+i])); err != nil {
+			return nil, nil, fmt.Errorf("checkpoint: decode disk block %v: %w", b.ID, err)
 		}
-		recs, err := storage.DecodeRecords(data)
-		if err != nil {
-			return nil, nil, fmt.Errorf("checkpoint: decode disk block %v: %w", rs.DiskBlocks[i].ID, err)
-		}
-		rs.DiskBlocks[i].Records = recs
+	}
+	if err := attachBuckets(rs.Shuffle, rec.BucketLens, payload(m.Shuffle)); err != nil {
+		return nil, nil, err
+	}
+	if m.Controller != nil {
+		rs.Controller = payload(*m.Controller)
 	}
 
 	events, err := eventlog.ReplayWAL(WALPath(dir))
@@ -338,10 +510,48 @@ func loadWindow(dir string, window int) (*engine.ResumeState, []byte, error) {
 
 	var client []byte
 	if m.Client != nil {
-		client, err = readFile(wd, *m.Client)
-		if err != nil {
-			return nil, nil, err
+		client = payload(*m.Client)
+	}
+	return rs, client, nil
+}
+
+// mapOutputs lists a shuffle snapshot's map outputs in snapshot order.
+func mapOutputs(snap *shuffle.Snapshot) []*shuffle.MapSnapshot {
+	var out []*shuffle.MapSnapshot
+	if snap != nil {
+		for oi := range snap.Outputs {
+			for mi := range snap.Outputs[oi].Maps {
+				out = append(out, &snap.Outputs[oi].Maps[mi])
+			}
 		}
 	}
-	return &rs, client, nil
+	return out
+}
+
+// attachBuckets cuts the segment's shuffle region back into the buckets
+// of the snapshot's map outputs; lens must account for every map output
+// and every byte.
+func attachBuckets(snap *shuffle.Snapshot, lens [][]int, data []byte) error {
+	maps := mapOutputs(snap)
+	if len(maps) != len(lens) {
+		return fmt.Errorf("checkpoint: state holds bucket lengths for %d map outputs, snapshot has %d", len(lens), len(maps))
+	}
+	for i, mo := range maps {
+		if len(lens[i]) > 0 {
+			mo.Buckets = make([][]byte, len(lens[i]))
+		}
+		for b, n := range lens[i] {
+			if n < 0 || n > len(data) {
+				return fmt.Errorf("checkpoint: map output %d bucket %d: %d bytes, %d left in the segment's shuffle entry", i, b, n, len(data))
+			}
+			if n > 0 {
+				mo.Buckets[b] = data[:n:n]
+			}
+			data = data[n:]
+		}
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("checkpoint: shuffle buckets leave %d bytes of their entry unaccounted for", len(data))
+	}
+	return nil
 }

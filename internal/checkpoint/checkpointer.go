@@ -39,6 +39,9 @@ type Checkpointer struct {
 	// OnWrite, when set, observes each committed checkpoint (wall-clock
 	// duration, for overhead reporting).
 	OnWrite func(window, blocks int, bytes int64, d time.Duration)
+
+	// w carries the segment buffer from one boundary's commit to the next.
+	w writer
 }
 
 // OnWindowBoundary implements engine.WindowCheckpointer. Write failures
@@ -62,7 +65,7 @@ func (cp *Checkpointer) OnWindowBoundary(c *engine.Cluster, window int) {
 	if cp.Summary != nil {
 		summary = cp.Summary()
 	}
-	blocks, bytes, err := Write(cp.Dir, rs, client, summary)
+	blocks, bytes, err := cp.w.write(cp.Dir, rs, client, summary)
 	if err != nil {
 		panic(fmt.Sprintf("checkpoint: window %d: %v", window, err))
 	}

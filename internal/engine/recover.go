@@ -112,7 +112,9 @@ type ResumeDiskCounters struct {
 
 // ResumeState is the complete engine-side snapshot of a streaming
 // session at a window boundary. All fields are exported for gob; the
-// checkpoint layer strips Records and Events into separate files.
+// checkpoint layer strips every payload (block Records, the shuffle
+// snapshot's Buckets, Controller) out of the gob into its segment file
+// and recovers Events from the WAL.
 type ResumeState struct {
 	// Window is the boundary the snapshot was taken at: windows
 	// 1..Window-1 are complete and the boundary-Window re-solve has run.

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 // WAL is an append-only, per-record-flushed event log file.
@@ -61,6 +62,36 @@ func (w *WAL) AppendAll(events []Event) error {
 	}
 	if err := w.buf.Flush(); err != nil {
 		return fmt.Errorf("eventlog: wal flush: %w", err)
+	}
+	return nil
+}
+
+// Sync flushes and forces the file's bytes to stable storage.
+func (w *WAL) Sync() error {
+	if err := w.buf.Flush(); err != nil {
+		return fmt.Errorf("eventlog: wal flush: %w", err)
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("eventlog: wal sync: %w", err)
+	}
+	return nil
+}
+
+// Rename moves the WAL's file over path — atomically replacing a WAL
+// already there — and syncs the directory, so after a power cut path
+// names either the old file or this one, whole as of its last Sync. The
+// WAL keeps appending to the moved file.
+func (w *WAL) Rename(path string) error {
+	if err := os.Rename(w.f.Name(), path); err != nil {
+		return fmt.Errorf("eventlog: wal rename: %w", err)
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("eventlog: wal rename: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("eventlog: wal rename: sync directory: %w", err)
 	}
 	return nil
 }

@@ -98,3 +98,60 @@ func TestWALReplayMissingFile(t *testing.T) {
 		t.Fatal("replaying a missing WAL should fail")
 	}
 }
+
+// TestWALRenameReplacesWhole: a WAL seeded beside a live one leaves it
+// untouched until Rename, replaces it in one step, and keeps appending
+// to the file under its new name.
+func TestWALRenameReplacesWhole(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.wal")
+	old, err := CreateWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := old.AppendAll(walEvents(7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	replayed := func() int {
+		t.Helper()
+		got, err := ReplayWAL(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(got)
+	}
+
+	w, err := CreateWAL(path + ".tmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendAll(walEvents(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := replayed(); n != 7 {
+		t.Fatalf("before the rename the WAL replays %d events, want the old 7", n)
+	}
+	if err := w.Rename(path); err != nil {
+		t.Fatal(err)
+	}
+	if n := replayed(); n != 3 {
+		t.Fatalf("after the rename the WAL replays %d events, want the seeded 3", n)
+	}
+	if err := w.Append(walEvents(1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := replayed(); n != 4 {
+		t.Fatalf("an append after the rename did not reach the renamed file: %d events", n)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("the seed file is still there: %v", err)
+	}
+}

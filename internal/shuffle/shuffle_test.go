@@ -309,8 +309,8 @@ func snapshotFixture(t *testing.T) *Service {
 }
 
 // TestSnapshotRestoresBothPlanes: a snapshot taken from row- and
-// batch-written outputs survives the gob envelope state.gob puts it in
-// and restores a service both planes fetch from exactly like the
+// batch-written outputs survives a gob round trip (the checkpoint's
+// state gob carries its metadata, the segment its buckets) and restores a service both planes fetch from exactly like the
 // original; buckets travel as typed blocks unless their values have no
 // flat column.
 func TestSnapshotRestoresBothPlanes(t *testing.T) {

@@ -736,7 +736,7 @@ func putGobRecs(s []gobRecord) {
 // dataflow/blockcodec.go: the typed columnar form when every value shares
 // one type that has a flat column, whole-block gob behind the BlockGob
 // marker otherwise. Real-bytes stores use it for every cached block, the
-// checkpoint for every block file; virtual mode uses it to validate the
+// checkpoint for every carried block; virtual mode uses it to validate the
 // analytic size estimator and to exercise a real serialization code path
 // in tests.
 func EncodeRecords(recs []dataflow.Record) ([]byte, error) {

@@ -360,11 +360,6 @@ func (s *Session) enableDurability(ctl engine.Controller, rs *engine.ResumeState
 	}
 	var setupErr error
 	doErr := s.st.Do(func(ctx *dataflow.Context) {
-		wal, err := eventlog.CreateWAL(checkpoint.WALPath(s.cfg.CheckpointDir))
-		if err != nil {
-			setupErr = err
-			return
-		}
 		// Seed the WAL with the history so far: a fresh session's events
 		// (the window-1 open boundary), or — on resume — the crashed
 		// run's exact event prefix, replacing the old WAL wholesale.
@@ -374,8 +369,14 @@ func (s *Session) enableDurability(ctl engine.Controller, rs *engine.ResumeState
 		} else if s.cfg.EventLog != nil {
 			seed = s.cfg.EventLog.Events()
 		}
-		if err := wal.AppendAll(seed); err != nil {
-			wal.Close()
+		wal, err := seedWAL(s.cfg.CheckpointDir, seed)
+		if err == nil {
+			err = wal.Rename(checkpoint.WALPath(s.cfg.CheckpointDir))
+		}
+		if err != nil {
+			if wal != nil {
+				wal.Close()
+			}
 			setupErr = err
 			return
 		}
@@ -404,6 +405,26 @@ func (s *Session) enableDurability(ctl engine.Controller, rs *engine.ResumeState
 		return doErr
 	}
 	return setupErr
+}
+
+// seedWAL writes the history into a new WAL beside the checkpoint
+// directory's live one (events.wal.tmp) and syncs it; the caller renames
+// it into place. The old WAL is the only copy of the events both retained
+// checkpoints count on, so it is never truncated in place: a resume
+// killed before the rename leaves it whole and can simply be run again.
+func seedWAL(dir string, seed []eventlog.Event) (*eventlog.WAL, error) {
+	wal, err := eventlog.CreateWAL(checkpoint.WALPath(dir) + ".tmp")
+	if err != nil {
+		return nil, err
+	}
+	if err = wal.AppendAll(seed); err == nil {
+		err = wal.Sync()
+	}
+	if err != nil {
+		wal.Close()
+		return nil, err
+	}
+	return wal, nil
 }
 
 // clientState serializes the facade's window bookkeeping for the

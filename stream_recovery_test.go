@@ -1,6 +1,7 @@
 package blaze_test
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"blaze"
+	"blaze/internal/checkpoint"
 	"blaze/internal/dataflow"
 	"blaze/internal/storage"
 )
@@ -335,19 +337,25 @@ func TestStreamCrashResumeFallbackAndEmptyBlocks(t *testing.T) {
 			if _, err := blaze.RunStream(cfg); !errors.Is(err, blaze.ErrSessionCrashed) {
 				t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
 			}
-			blocks, err := filepath.Glob(filepath.Join(dir, fmt.Sprintf("win_%04d", k), "*.blk"))
+			wd := filepath.Join(dir, fmt.Sprintf("win_%04d", k))
+			mdata, err := os.ReadFile(filepath.Join(wd, "manifest.json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m checkpoint.Manifest
+			if err := json.Unmarshal(mdata, &m); err != nil {
+				t.Fatal(err)
+			}
+			segment, err := os.ReadFile(filepath.Join(wd, "segment"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var fallback, emptyNonNil int
-			for _, path := range blocks {
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for i, e := range m.Blocks {
+				data := segment[e.Offset : e.Offset+e.Bytes]
 				recs, err := storage.DecodeRecords(data)
 				if err != nil {
-					t.Fatalf("%s: %v", path, err)
+					t.Fatalf("block %d: %v", i, err)
 				}
 				switch {
 				case data[0] == dataflow.BlockGob:
@@ -357,7 +365,7 @@ func TestStreamCrashResumeFallbackAndEmptyBlocks(t *testing.T) {
 				}
 			}
 			if fallback == 0 || emptyNonNil == 0 {
-				t.Fatalf("boundary %d checkpoint holds %d blocks: %d gob-fallback, %d empty non-nil; want both kinds", k, len(blocks), fallback, emptyNonNil)
+				t.Fatalf("boundary %d checkpoint holds %d blocks: %d gob-fallback, %d empty non-nil; want both kinds", k, len(m.Blocks), fallback, emptyNonNil)
 			}
 
 			cfg.EventLog = blaze.NewEventLog()
