@@ -86,13 +86,6 @@ func (g *GlobalArbiter) Unregister(b *Controller) {
 	}
 }
 
-// Sessions returns the number of currently registered sessions.
-func (g *GlobalArbiter) Sessions() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.sessions)
-}
-
 // Runs returns how many cluster-wide arbitrations have executed.
 func (g *GlobalArbiter) Runs() int {
 	g.mu.Lock()

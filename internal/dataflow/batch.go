@@ -512,9 +512,6 @@ func (d *Dataset) WithBatchKernel(fn BatchFunc) *Dataset {
 	return d
 }
 
-// HasBatchKernel reports whether a columnar kernel is attached.
-func (d *Dataset) HasBatchKernel() bool { return d.batchFn != nil }
-
 // BatchCompute computes a partition in columnar form, using the attached
 // kernel when one accepts the inputs and otherwise boxing through the
 // row compute function. The fallback copies payloads both ways, so it is

@@ -187,10 +187,6 @@ func (c *Context) SetIDBase(base int) {
 	c.nextID = base
 }
 
-// IDBase returns the context's dataset-id base (0 unless SetIDBase was
-// called).
-func (c *Context) IDBase() int { return c.idBase }
-
 // SetRunner installs the job runner (the engine).
 func (c *Context) SetRunner(r JobRunner) { c.runner = r }
 

@@ -151,10 +151,6 @@ func (ex *Executor) Dead() bool { return ex.dead }
 // flaky-executor cooldown window.
 func (ex *Executor) Blacklisted() bool { return ex.blacklisted }
 
-// Straggling reports whether the executor is inside an injected
-// straggler window.
-func (ex *Executor) Straggling() bool { return ex.slowTasks > 0 }
-
 // Clock returns the clock of the core running the current task; costs
 // incurred by the task (compute, I/O, migrations) advance it.
 func (ex *Executor) Clock() *costmodel.Clock { return &ex.cores[ex.cur] }
@@ -765,10 +761,6 @@ func (c *Cluster) StartWindow() int {
 	}
 	return c.curWindow
 }
-
-// CurrentWindow returns the open micro-batch window index (0 when the
-// session is not windowed).
-func (c *Cluster) CurrentWindow() int { return c.curWindow }
 
 // anyBlacklisted reports whether any executor is sitting out a
 // flaky-executor cooldown (driver-context read).

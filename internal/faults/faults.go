@@ -83,7 +83,8 @@ const (
 	// execution when the scheduler has it enabled.
 	Straggler
 	// ServerCrash kills the whole session process deterministically at a
-	// configured window boundary (Config.CrashWindow), immediately after
+	// configured window boundary (blaze.SessionConfig.CrashWindow, carried
+	// to checkpoint.Checkpointer.CrashWindow), immediately after
 	// the boundary's checkpoint has been written. It models a driver or
 	// job-server crash rather than a cluster-internal loss, so it is
 	// excluded from AllClasses and from the Injector's draw pools: the
@@ -240,12 +241,6 @@ type Config struct {
 	// StragglerWindow is the number of task executions a straggler
 	// window spans (default 3).
 	StragglerWindow int
-	// CrashWindow schedules a ServerCrash fault at the given 1-based
-	// window boundary of a streaming session: the checkpointer panics
-	// with ErrServerCrash immediately after persisting that boundary's
-	// checkpoint. 0 disables; boundaries start at 2 (window 1 opens
-	// before any checkpoint exists).
-	CrashWindow int
 }
 
 // String renders the schedule as a stable key=value summary. The classes
@@ -278,9 +273,6 @@ func (cfg Config) String() string {
 	if cfg.StragglerWindow != 0 {
 		parts = append(parts, fmt.Sprintf("straggler-window=%d", cfg.StragglerWindow))
 	}
-	if cfg.CrashWindow != 0 {
-		parts = append(parts, fmt.Sprintf("crash-window=%d", cfg.CrashWindow))
-	}
 	return strings.Join(parts, ",")
 }
 
@@ -303,25 +295,12 @@ func (cfg Config) Validate() error {
 	if cfg.StragglerWindow < 0 {
 		return fmt.Errorf("faults: StragglerWindow must be >= 0 (0 means default 3), got %d", cfg.StragglerWindow)
 	}
-	if cfg.CrashWindow != 0 && cfg.CrashWindow < 2 {
-		return fmt.Errorf("faults: CrashWindow must be 0 (off) or >= 2 (window 1 opens before any checkpoint exists), got %d", cfg.CrashWindow)
-	}
 	for _, cl := range cfg.Classes {
 		if cl < ExecutorCacheLoss || cl > ServerCrash {
 			return fmt.Errorf("faults: unknown fault class %d", int(cl))
 		}
 	}
 	return nil
-}
-
-// HasClass reports whether the schedule includes the class.
-func (cfg Config) HasClass(c Class) bool {
-	for _, cl := range cfg.Classes {
-		if cl == c {
-			return true
-		}
-	}
-	return false
 }
 
 // Injector injects faults at cluster boundaries (permanent classes) and
@@ -349,11 +328,10 @@ type Injector struct {
 	taskClasses []Class
 	fetchFlake  bool
 
-	// mu guards the injection counters, which transient classes update
+	// mu guards the injection counter, which transient classes update
 	// from concurrent task contexts. Leaf lock.
 	mu       sync.Mutex
 	injected int
-	byClass  map[Class]int
 }
 
 // New creates an injector for the schedule. Zero-valued knobs take their
@@ -373,9 +351,8 @@ func New(cfg Config) *Injector {
 		cfg.StragglerWindow = 3
 	}
 	in := &Injector{
-		cfg:     cfg,
-		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		byClass: make(map[Class]int),
+		cfg: cfg,
+		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
 	seen := make(map[Class]bool)
 	for _, cl := range cfg.Classes {
@@ -389,7 +366,7 @@ func New(cfg Config) *Injector {
 		case FetchFlake:
 			in.fetchFlake = true
 		case ServerCrash:
-			// Scheduled (CrashWindow), never drawn: adding it to a pool
+			// Scheduled by the checkpointer, never drawn: adding it to a pool
 			// would shift the permanent draw sequence of existing seeds.
 		default:
 			in.perm = append(in.perm, cl)
@@ -405,18 +382,10 @@ func (in *Injector) Injected() int {
 	return in.injected
 }
 
-// InjectedByClass returns the number of injected faults of one class.
-func (in *Injector) InjectedByClass(c Class) int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.byClass[c]
-}
-
-// count records one successful injection of the class.
-func (in *Injector) count(c Class) {
+// count records one successful injection.
+func (in *Injector) count() {
 	in.mu.Lock()
 	in.injected++
-	in.byClass[c]++
 	in.mu.Unlock()
 }
 
@@ -453,7 +422,7 @@ func (in *Injector) tick(c *engine.Cluster) {
 	}
 	class := in.perm[in.rng.Intn(len(in.perm))]
 	if in.inject(c, class) {
-		in.count(class)
+		in.count()
 	}
 }
 
@@ -499,11 +468,11 @@ func (in *Injector) OnTaskStart(c *engine.Cluster, ex *engine.Executor, st *engi
 	}
 	switch class {
 	case TaskFlake:
-		in.count(TaskFlake)
+		in.count()
 		return true
 	case Straggler:
 		if c.InjectStraggler(ex, in.cfg.StragglerFactor, in.cfg.StragglerWindow) {
-			in.count(Straggler)
+			in.count()
 		}
 	}
 	return false
@@ -522,7 +491,7 @@ func (in *Injector) OnFetch(c *engine.Cluster, ex *engine.Executor, shuffleID, p
 	}
 	_, ok := in.taskDraw([]Class{FetchFlake}, 2, uint64(c.CurrentJob()), uint64(shuffleID), uint64(part), uint64(ex.ID), uint64(attempt))
 	if ok {
-		in.count(FetchFlake)
+		in.count()
 	}
 	return ok
 }

@@ -3,10 +3,10 @@ package graphx
 // Exported hot-path surfaces for the throughput benchmarks
 // (bench_hotpath_test.go and bench/'s kernel layer): deterministic
 // PageRank partition builders plus the row closure and batch kernel of
-// the contributions operator, the workload's hottest stage. The row
-// function is the same logic the workload registers; the batch function
-// is the same kernel the engine runs, so kernel-level measurements
-// reflect the real per-task data plane.
+// the contributions operator, the workload's hottest stage. Both call
+// what the workload registers — rankContribs and contribsKernel — so
+// kernel-level measurements reflect the real per-task data plane by
+// construction.
 
 import (
 	"blaze/internal/dataflow"
@@ -27,23 +27,12 @@ func BenchPRPartition(verts, deg int) ([]dataflow.Record, *dataflow.Batch) {
 }
 
 // BenchContribsRow runs the contributions FlatMap the way the row task
-// loop does: one closure call and one boxed []Record per input record.
+// loop does: one rankContribs call and one boxed []Record per input
+// record.
 func BenchContribsRow(recs []dataflow.Record) []dataflow.Record {
-	f := func(r dataflow.Record) []dataflow.Record {
-		v := r.Value.(VertexRank)
-		if len(v.Adj) == 0 {
-			return nil
-		}
-		share := v.Rank / float64(len(v.Adj))
-		out := make([]dataflow.Record, len(v.Adj))
-		for i, dst := range v.Adj {
-			out[i] = dataflow.Record{Key: dst, Value: share}
-		}
-		return out
-	}
 	var out []dataflow.Record
 	for _, r := range recs {
-		out = append(out, f(r)...)
+		out = append(out, rankContribs(r)...)
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package graphx
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"blaze/internal/dataflow"
@@ -222,4 +223,63 @@ func TestPageRankRanksSumToVertexCount(t *testing.T) {
 	if total < 250 || total > 350 {
 		t.Fatalf("total rank %v strayed from |V|=300", total)
 	}
+}
+
+// dagShape lists the context's dataset names in creation order and the
+// names the driver released, in release-set id order. Names and creation
+// order fix dataset ids and the role@iteration lineage keys Blaze's
+// decisions are made on.
+func dagShape(ctx *dataflow.Context, lr *dataflow.LocalRunner) (names, released []string) {
+	for _, d := range ctx.Datasets() {
+		names = append(names, d.Name())
+		if lr.Released[d.ID()] {
+			released = append(released, d.Name())
+		}
+	}
+	return names, released
+}
+
+// TestPageRankDAGShape pins the graph batch PageRank and the first two
+// windows of the stream build: both are the one pageRankDriver, so a
+// refactor of it must not move a dataset, rename a role or change what
+// is released.
+func TestPageRankDAGShape(t *testing.T) {
+	spec := datagen.GraphSpec{Seed: 4, Vertices: 64, AvgDegree: 3}
+	check := func(label string, ctx *dataflow.Context, lr *dataflow.LocalRunner, want, wantReleased []string) {
+		t.Helper()
+		names, released := dagShape(ctx, lr)
+		if !reflect.DeepEqual(names, want) {
+			t.Errorf("%s datasets:\n got %q\nwant %q", label, names, want)
+		}
+		if !reflect.DeepEqual(released, wantReleased) {
+			t.Errorf("%s released:\n got %q\nwant %q", label, released, wantReleased)
+		}
+	}
+
+	ctx := dataflow.NewContext()
+	lr := dataflow.NewLocalRunner(ctx)
+	PageRank(ctx, PageRankConfig{Graph: spec, Parts: 2, Iters: 3})
+	check("PageRank", ctx, lr, []string{
+		"pr-adj@0", "pr-graph@0",
+		"pr-contribs@1", "pr-sums@1", "pr-graph@1",
+		"pr-contribs@2", "pr-sums@2", "pr-graph@2",
+		"pr-contribs@3", "pr-sums@3", "pr-graph@3",
+	}, []string{"pr-graph@0", "pr-contribs@1"})
+
+	ctx = dataflow.NewContext()
+	lr = dataflow.NewLocalRunner(ctx)
+	step := PageRankStream(PageRankStreamConfig{Graph: spec, Parts: 2, ItersPerWindow: 2})
+	step(ctx, 1)
+	window1 := []string{
+		"spr-adj@0", "spr-graph@0",
+		"spr-contribs@1", "spr-sums@1", "spr-graph@1",
+		"spr-contribs@2", "spr-sums@2", "spr-graph@2",
+	}
+	check("PageRankStream window 1", ctx, lr, window1, nil)
+	step(ctx, 2)
+	check("PageRankStream windows 1-2", ctx, lr, append(window1,
+		"spr-adj@3", "spr-graph@3",
+		"spr-contribs@4", "spr-sums@4", "spr-graph@4",
+		"spr-contribs@5", "spr-sums@5", "spr-graph@5",
+	), []string{"spr-graph@0", "spr-contribs@1", "spr-graph@1", "spr-contribs@2"})
 }

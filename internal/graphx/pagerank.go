@@ -47,76 +47,30 @@ func (c PageRankConfig) withDefaults() PageRankConfig {
 }
 
 // PageRank runs the algorithm and returns the final ranks per vertex.
-// One job is submitted per iteration; each iteration derives a new rank
-// graph from the previous one, caches it, and releases the superseded
-// graph and messages — exactly the Fig. 1 choreography.
+// It is window 1 of the streaming driver (stream.go) under the "pr"
+// prefix: one job per iteration, each deriving a new rank graph from the
+// previous one, caching it, and releasing the superseded graph and
+// messages — exactly the Fig. 1 choreography.
 func PageRank(ctx *dataflow.Context, cfg PageRankConfig) map[int64]float64 {
 	cfg = cfg.withDefaults()
-	adj := adjacencySource(ctx, "pr-adj@0", cfg.Graph, cfg.Parts)
-	graph := adj.Map("pr-graph@0", func(r dataflow.Record) dataflow.Record {
-		return dataflow.Record{Key: r.Key, Value: VertexRank{Adj: r.Value.(AdjList).Dsts, Rank: 1}}
-	}).WithBatchKernel(rankInitKernel())
-	if cfg.Annotate {
-		graph.Cache()
+	return pageRankDriver("pr", PageRankStreamConfig{
+		Graph: cfg.Graph, Parts: cfg.Parts, ItersPerWindow: cfg.Iters,
+		ResetProb: cfg.ResetProb, Annotate: cfg.Annotate,
+	})(ctx, 1)
+}
+
+// rankContribs is the contributions FlatMap: a vertex sends rank/degree
+// to each out-neighbour, in edge order (nil for a dangling vertex).
+// contribsKernel is its columnar twin.
+func rankContribs(r dataflow.Record) []dataflow.Record {
+	v := r.Value.(VertexRank)
+	if len(v.Adj) == 0 {
+		return nil
 	}
-
-	// Superseded generations are released with one extra iteration of
-	// lag, modeling Spark's asynchronous ContextCleaner: shuffle files
-	// linger briefly after an RDD goes out of scope, so recomputation
-	// chains span a bounded number of iterations.
-	var releaseQueue []*dataflow.Dataset
-	for it := 1; it <= cfg.Iters; it++ {
-		contribs := graph.FlatMap(name("pr-contribs", it), func(r dataflow.Record) []dataflow.Record {
-			v := r.Value.(VertexRank)
-			if len(v.Adj) == 0 {
-				return nil
-			}
-			share := v.Rank / float64(len(v.Adj))
-			out := make([]dataflow.Record, len(v.Adj))
-			for i, dst := range v.Adj {
-				out[i] = dataflow.Record{Key: dst, Value: share}
-			}
-			return out
-		}).WithBatchKernel(contribsKernel())
-		sums := contribs.ReduceByKeyF64(name("pr-sums", it), cfg.Parts, func(a, b float64) float64 {
-			return a + b
-		})
-		newGraph := dataflow.Zip(name("pr-graph", it), dataflow.OpLight, graph, sums,
-			func(_ int, gs, ss []dataflow.Record) []dataflow.Record {
-				sum := vertexMap(ss)
-				out := make([]dataflow.Record, len(gs))
-				for i, g := range gs {
-					v := g.Value.(VertexRank)
-					s := 0.0
-					if sv, ok := sum[g.Key]; ok {
-						s = sv.(float64)
-					}
-					out[i] = dataflow.Record{Key: g.Key, Value: VertexRank{Adj: v.Adj, Rank: cfg.ResetProb + (1-cfg.ResetProb)*s}}
-				}
-				return out
-			}).WithBatchKernel(rankUpdateKernel(cfg.ResetProb))
-		if cfg.Annotate {
-			newGraph.Cache()
-		}
-		newGraph.Count() // the iteration's job
-
-		// GraphX unpersists the previous iteration's graph and messages
-		// once the new graph is materialized; releasing them also cleans
-		// their shuffle outputs, which is what extends recomputation
-		// lineages across iterations (Fig. 5).
-		releaseQueue = append(releaseQueue, graph, contribs)
-		for len(releaseQueue) > 4 {
-			releaseQueue[0].Release()
-			releaseQueue = releaseQueue[1:]
-		}
-		graph = newGraph
-	}
-
-	out := make(map[int64]float64)
-	for _, part := range graph.Collect() {
-		for _, r := range part {
-			out[r.Key] = r.Value.(VertexRank).Rank
-		}
+	share := v.Rank / float64(len(v.Adj))
+	out := make([]dataflow.Record, len(v.Adj))
+	for i, dst := range v.Adj {
+		out[i] = dataflow.Record{Key: dst, Value: share}
 	}
 	return out
 }

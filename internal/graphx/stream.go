@@ -14,7 +14,7 @@ import (
 // Dataset names use a global iteration numbering so every window's
 // generations are distinct lineage nodes; once a window's intermediate
 // generations stop being referenced, the windowed-lifetime machinery
-// retires them.
+// retires them. Batch PageRank is window 1 of the same driver.
 
 // PageRankStreamConfig parameterizes the sliding-window PageRank stream.
 type PageRankStreamConfig struct {
@@ -50,8 +50,20 @@ func (c PageRankStreamConfig) withDefaults() PageRankStreamConfig {
 // graph); calling it with window w submits window w's jobs and returns
 // the ranks after that window's iterations.
 func PageRankStream(cfg PageRankStreamConfig) func(ctx *dataflow.Context, window int) map[int64]float64 {
+	return pageRankDriver("spr", cfg)
+}
+
+// pageRankDriver is the one PageRank iteration choreography, naming its
+// datasets prefix-adj, prefix-graph, prefix-contribs and prefix-sums.
+// Window 1 bootstraps ranks from the adjacency; every later window
+// re-keys the carried rank graph onto the drifted adjacency.
+func pageRankDriver(prefix string, cfg PageRankStreamConfig) func(ctx *dataflow.Context, window int) map[int64]float64 {
 	cfg = cfg.withDefaults()
 	var carried *dataflow.Dataset
+	// Superseded generations are released with one extra iteration of
+	// lag, modeling Spark's asynchronous ContextCleaner: shuffle files
+	// linger briefly after an RDD goes out of scope, so recomputation
+	// chains span a bounded number of iterations.
 	var releaseQueue []*dataflow.Dataset
 	return func(ctx *dataflow.Context, window int) map[int64]float64 {
 		spec := cfg.Graph
@@ -61,16 +73,16 @@ func PageRankStream(cfg PageRankStreamConfig) func(ctx *dataflow.Context, window
 		// collide across windows.
 		base := (window - 1) * (cfg.ItersPerWindow + 1)
 
-		adj := adjacencySource(ctx, name("spr-adj", base), spec, cfg.Parts)
+		adj := adjacencySource(ctx, name(prefix+"-adj", base), spec, cfg.Parts)
 		var graph *dataflow.Dataset
 		if carried == nil {
-			graph = adj.Map(name("spr-graph", base), func(r dataflow.Record) dataflow.Record {
+			graph = adj.Map(name(prefix+"-graph", base), func(r dataflow.Record) dataflow.Record {
 				return dataflow.Record{Key: r.Key, Value: VertexRank{Adj: r.Value.(AdjList).Dsts, Rank: 1}}
 			}).WithBatchKernel(rankInitKernel())
 		} else {
 			// Re-key the carried ranks onto the drifted adjacency:
 			// vertices keep their converged rank, the edges are new.
-			graph = dataflow.Zip(name("spr-graph", base), dataflow.OpLight, adj, carried,
+			graph = dataflow.Zip(name(prefix+"-graph", base), dataflow.OpLight, adj, carried,
 				func(_ int, as, cs []dataflow.Record) []dataflow.Record {
 					prev := vertexMap(cs)
 					out := make([]dataflow.Record, len(as))
@@ -94,22 +106,11 @@ func PageRankStream(cfg PageRankStreamConfig) func(ctx *dataflow.Context, window
 
 		for i := 1; i <= cfg.ItersPerWindow; i++ {
 			it := base + i
-			contribs := graph.FlatMap(name("spr-contribs", it), func(r dataflow.Record) []dataflow.Record {
-				v := r.Value.(VertexRank)
-				if len(v.Adj) == 0 {
-					return nil
-				}
-				share := v.Rank / float64(len(v.Adj))
-				out := make([]dataflow.Record, len(v.Adj))
-				for j, dst := range v.Adj {
-					out[j] = dataflow.Record{Key: dst, Value: share}
-				}
-				return out
-			}).WithBatchKernel(contribsKernel())
-			sums := contribs.ReduceByKeyF64(name("spr-sums", it), cfg.Parts, func(a, b float64) float64 {
+			contribs := graph.FlatMap(name(prefix+"-contribs", it), rankContribs).WithBatchKernel(contribsKernel())
+			sums := contribs.ReduceByKeyF64(name(prefix+"-sums", it), cfg.Parts, func(a, b float64) float64 {
 				return a + b
 			})
-			newGraph := dataflow.Zip(name("spr-graph", it), dataflow.OpLight, graph, sums,
+			newGraph := dataflow.Zip(name(prefix+"-graph", it), dataflow.OpLight, graph, sums,
 				func(_ int, gs, ss []dataflow.Record) []dataflow.Record {
 					sum := vertexMap(ss)
 					out := make([]dataflow.Record, len(gs))
@@ -128,6 +129,10 @@ func PageRankStream(cfg PageRankStreamConfig) func(ctx *dataflow.Context, window
 			}
 			newGraph.Count() // the iteration's job
 
+			// GraphX unpersists the previous iteration's graph and
+			// messages once the new graph is materialized; releasing them
+			// also cleans their shuffle outputs, which is what extends
+			// recomputation lineages across iterations (Fig. 5).
 			releaseQueue = append(releaseQueue, graph, contribs)
 			for len(releaseQueue) > 4 {
 				releaseQueue[0].Release()

@@ -1,8 +1,8 @@
 package mllib
 
 // Columnar payload columns and batch kernels for the ML workloads. Each
-// kernel is the vectorized twin of a row compute function in kmeans.go /
-// stream.go and must stay observationally identical to it: same records,
+// kernel is the vectorized twin of a row compute function in kmeans.go
+// and must stay observationally identical to it: same records,
 // same order, bit-equal floats (identical accumulation order). Kernels
 // type-assert their input columns and return nil to decline, dropping
 // the partition back onto the row escape hatch.

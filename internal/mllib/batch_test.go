@@ -61,23 +61,27 @@ func TestStatsKernelMatchesRowClosure(t *testing.T) {
 }
 
 // TestStatsKernelAbsentCenters covers a broadcast with fewer centers
-// than K (nil tail entries in the kernel's dense table, a shorter sweep
-// in the row closure): both paths must skip the absent clusters
-// identically.
+// than K — a missing tail (clusters 5..7) and a hole (cluster 3, the
+// shape an emptied cluster leaves): both paths must skip the absent
+// clusters identically.
 func TestStatsKernelAbsentCenters(t *testing.T) {
 	const k = 8
 	for _, dim := range []int{2, 4, 8} {
-		ps := mkPoints(100, dim)
-		cs := mkCenters(5, dim, nil)
-		row := BenchStatsRow(ps, cs, k)
-		out := statsKernel(k)(0, []*dataflow.Batch{dataflow.FromRecords(ps), dataflow.FromRecords(cs)})
-		if out == nil {
-			t.Fatalf("dim=%d: kernel declined", dim)
+		for _, cs := range [][]dataflow.Record{
+			mkCenters(5, dim, nil),
+			mkCenters(k, dim, map[int]bool{3: true}),
+		} {
+			ps := mkPoints(100, dim)
+			row := BenchStatsRow(ps, cs, k)
+			out := statsKernel(k)(0, []*dataflow.Batch{dataflow.FromRecords(ps), dataflow.FromRecords(cs)})
+			if out == nil {
+				t.Fatalf("dim=%d, %d centers: kernel declined", dim, len(cs))
+			}
+			if got := out.Records(); !reflect.DeepEqual(got, row) {
+				t.Fatalf("dim=%d, %d centers: mismatch with absent centers\nrow: %+v\nkernel: %+v", dim, len(cs), row, got)
+			}
+			out.Release()
 		}
-		if got := out.Records(); !reflect.DeepEqual(got, row) {
-			t.Fatalf("dim=%d: mismatch with absent centers\nrow: %+v\nkernel: %+v", dim, row, got)
-		}
-		out.Release()
 	}
 }
 

@@ -3,12 +3,11 @@ package mllib
 // Exported hot-path surfaces for the throughput benchmarks: a
 // deterministic k-means partition builder plus the row closure and
 // batch kernel of the assignment Barrier (km-stats), the workload's
-// hottest stage. Both sides run the exact logic the engine runs, so
-// kernel-level measurements reflect the real per-task data plane.
+// hottest stage. Both call what the workload registers — assignStats and
+// statsKernel — so kernel-level measurements reflect the real per-task
+// data plane by construction.
 
 import (
-	"math"
-
 	"blaze/internal/dataflow"
 )
 
@@ -38,44 +37,7 @@ func BenchKMeansPartition(n, dim, k int) (ps []dataflow.Record, cs []dataflow.Re
 // BenchStatsRow runs the assignment Barrier the way the row task loop
 // does: boxed records, a map of *sumCount accumulators.
 func BenchStatsRow(ps, cs []dataflow.Record, k int) []dataflow.Record {
-	centers := make([][]float64, len(cs))
-	for _, c := range cs {
-		centers[c.Key] = c.Value.(Vector).V
-	}
-	acc := make(map[int64]*sumCount)
-	for _, p := range ps {
-		x := p.Value.(Vector).V
-		best, bestD := 0, math.Inf(1)
-		for c, ctr := range centers {
-			if ctr == nil {
-				continue
-			}
-			d := 0.0
-			for j := range x {
-				diff := x[j] - ctr[j]
-				d += diff * diff
-			}
-			if d < bestD {
-				best, bestD = c, d
-			}
-		}
-		sc := acc[int64(best)]
-		if sc == nil {
-			sc = &sumCount{Sum: make([]float64, len(x))}
-			acc[int64(best)] = sc
-		}
-		for j := range x {
-			sc.Sum[j] += x[j]
-		}
-		sc.N++
-	}
-	var out []dataflow.Record
-	for c := int64(0); c < int64(k); c++ {
-		if sc := acc[c]; sc != nil {
-			out = append(out, dataflow.Record{Key: c, Value: *sc})
-		}
-	}
-	return out
+	return assignStats(k)(0, ps, cs)
 }
 
 // BenchStatsBatch runs the assignment kernel the way the vectorized

@@ -66,94 +66,14 @@ func KMeans(ctx *dataflow.Context, cfg KMeansConfig) ([][]float64, float64) {
 	if cfg.Annotate {
 		points.Cache()
 	}
-	// Initial centroids: the first K points (MLlib uses sampling; the
-	// first points of a uniform dataset serve the same role
-	// deterministically).
-	centroids := ctx.Source("km-cent@0", 1, func(int) []dataflow.Record {
-		out := make([]dataflow.Record, spec.K)
-		for c := 0; c < spec.K; c++ {
-			x, _ := spec.Point(int64(c))
-			out[c] = dataflow.Record{Key: int64(c), Value: Vector{V: x}}
-		}
-		return out
-	})
-
-	assignStats := func(it int, cents *dataflow.Dataset) *dataflow.Dataset {
-		return dataflow.Barrier(name("km-stats", it), dataflow.OpHeavy, points, cents,
-			func(_ int, ps, cs []dataflow.Record) []dataflow.Record {
-				centers := make([][]float64, len(cs))
-				for i, c := range cs {
-					centers[c.Key] = c.Value.(Vector).V
-					_ = i
-				}
-				acc := make(map[int64]*sumCount)
-				for _, p := range ps {
-					x := p.Value.(Vector).V
-					best, bestD := 0, math.Inf(1)
-					for c, ctr := range centers {
-						if ctr == nil {
-							continue
-						}
-						d := 0.0
-						for j := range x {
-							diff := x[j] - ctr[j]
-							d += diff * diff
-						}
-						if d < bestD {
-							best, bestD = c, d
-						}
-					}
-					sc := acc[int64(best)]
-					if sc == nil {
-						sc = &sumCount{Sum: make([]float64, len(x))}
-						acc[int64(best)] = sc
-					}
-					for j := range x {
-						sc.Sum[j] += x[j]
-					}
-					sc.N++
-				}
-				var out []dataflow.Record
-				for c := int64(0); c < int64(spec.K); c++ {
-					if sc := acc[c]; sc != nil {
-						out = append(out, dataflow.Record{Key: c, Value: *sc})
-					}
-				}
-				return out
-			}).WithBatchKernel(statsKernel(spec.K))
-	}
+	centroids := initialCentroids(ctx, "km-cent@0", spec)
 
 	prevCenters := make([][]float64, 0, spec.K)
 	var prevStats, prevCentDS *dataflow.Dataset
 	var centers [][]float64
 	for it := 1; it <= cfg.MaxIters; it++ {
-		stats := assignStats(it, centroids)
-		agg := stats.ReduceByKey(name("km-agg", it), 1, func(a, b any) any {
-			av, bv := a.(sumCount), b.(sumCount)
-			sum := make([]float64, len(av.Sum))
-			for j := range sum {
-				sum[j] = av.Sum[j] + bv.Sum[j]
-			}
-			return sumCount{Sum: sum, N: av.N + bv.N}
-		})
-		newCent := agg.Map(name("km-cent", it), func(r dataflow.Record) dataflow.Record {
-			sc := r.Value.(sumCount)
-			v := make([]float64, len(sc.Sum))
-			for j := range v {
-				v[j] = sc.Sum[j] / math.Max(sc.N, 1)
-			}
-			return dataflow.Record{Key: r.Key, Value: Vector{V: v}}
-		})
-		if cfg.Annotate {
-			newCent.Cache()
-		}
-
-		centers = make([][]float64, spec.K)
-		for _, part := range newCent.Collect() { // the iteration's job
-			for _, r := range part {
-				centers[r.Key] = r.Value.(Vector).V
-			}
-		}
+		stats, newCent := kmeansIteration(points, centroids, "km", it, spec.K, cfg.Annotate)
+		centers = collectCenters(newCent, spec.K)
 
 		if prevStats != nil {
 			prevStats.Release()
@@ -224,6 +144,111 @@ func KMeans(ctx *dataflow.Context, cfg KMeansConfig) ([][]float64, float64) {
 		}
 	}
 	return centers, total
+}
+
+// initialCentroids is the centroid seed: the first K points of spec
+// (MLlib uses sampling; the first points of a uniform dataset serve the
+// same role deterministically).
+func initialCentroids(ctx *dataflow.Context, dsName string, spec datagen.ClusterSpec) *dataflow.Dataset {
+	return ctx.Source(dsName, 1, func(int) []dataflow.Record {
+		out := make([]dataflow.Record, spec.K)
+		for c := 0; c < spec.K; c++ {
+			x, _ := spec.Point(int64(c))
+			out[c] = dataflow.Record{Key: int64(c), Value: Vector{V: x}}
+		}
+		return out
+	})
+}
+
+// kmeansIteration builds one Lloyd's step over k clusters: assign every
+// point to its nearest centroid (prefix-stats@it), sum the assignments
+// per cluster (prefix-agg@it) and divide them into the new centroids
+// (prefix-cent@it). The caller submits the job (collectCenters) and
+// releases what the step supersedes.
+func kmeansIteration(points, centroids *dataflow.Dataset, prefix string, it, k int, annotate bool) (stats, newCent *dataflow.Dataset) {
+	stats = dataflow.Barrier(name(prefix+"-stats", it), dataflow.OpHeavy, points, centroids, assignStats(k)).
+		WithBatchKernel(statsKernel(k))
+	agg := stats.ReduceByKey(name(prefix+"-agg", it), 1, func(a, b any) any {
+		av, bv := a.(sumCount), b.(sumCount)
+		sum := make([]float64, len(av.Sum))
+		for j := range sum {
+			sum[j] = av.Sum[j] + bv.Sum[j]
+		}
+		return sumCount{Sum: sum, N: av.N + bv.N}
+	})
+	newCent = agg.Map(name(prefix+"-cent", it), func(r dataflow.Record) dataflow.Record {
+		sc := r.Value.(sumCount)
+		v := make([]float64, len(sc.Sum))
+		for j := range v {
+			v[j] = sc.Sum[j] / math.Max(sc.N, 1)
+		}
+		return dataflow.Record{Key: r.Key, Value: Vector{V: v}}
+	})
+	if annotate {
+		newCent.Cache()
+	}
+	return stats, newCent
+}
+
+// assignStats is the assignment Barrier's row closure: every point joins
+// its nearest present centroid's running sum (strict less-than, so ties
+// go to the lowest cluster), and the partition emits one sumCount per
+// cluster 0..k-1 that received points. The centroid table has k slots
+// whatever the broadcast holds, so an emptied cluster is a nil slot, as
+// in statsKernel, its columnar twin.
+func assignStats(k int) func(int, []dataflow.Record, []dataflow.Record) []dataflow.Record {
+	return func(_ int, ps, cs []dataflow.Record) []dataflow.Record {
+		centers := make([][]float64, k)
+		for _, c := range cs {
+			centers[c.Key] = c.Value.(Vector).V
+		}
+		acc := make(map[int64]*sumCount)
+		for _, p := range ps {
+			x := p.Value.(Vector).V
+			best, bestD := 0, math.Inf(1)
+			for c, ctr := range centers {
+				if ctr == nil {
+					continue
+				}
+				d := 0.0
+				for j := range x {
+					diff := x[j] - ctr[j]
+					d += diff * diff
+				}
+				if d < bestD {
+					best, bestD = c, d
+				}
+			}
+			sc := acc[int64(best)]
+			if sc == nil {
+				sc = &sumCount{Sum: make([]float64, len(x))}
+				acc[int64(best)] = sc
+			}
+			for j := range x {
+				sc.Sum[j] += x[j]
+			}
+			sc.N++
+		}
+		var out []dataflow.Record
+		for c := int64(0); c < int64(k); c++ {
+			if sc := acc[c]; sc != nil {
+				out = append(out, dataflow.Record{Key: c, Value: *sc})
+			}
+		}
+		return out
+	}
+}
+
+// collectCenters submits the iteration's job and returns the centroids
+// in a k-slot table (nil for a cluster that received no points).
+func collectCenters(newCent *dataflow.Dataset, k int) [][]float64 {
+	centers := make([][]float64, k)
+	for _, part := range newCent.Collect() {
+		for _, r := range part {
+			centers[r.Key] = r.Value.(Vector).V
+		}
+	}
+	return centers
 }
 
 // KMeansWorkload wraps KMeans as a profile-compatible workload.

@@ -2,10 +2,13 @@ package mllib
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"blaze/internal/costmodel"
 	"blaze/internal/dataflow"
 	"blaze/internal/datagen"
+	"blaze/internal/engine"
 )
 
 func localCtx() *dataflow.Context {
@@ -154,5 +157,101 @@ func TestVectorAndPointSizes(t *testing.T) {
 	}
 	if (sumCount{Sum: make([]float64, 2)}).SizeBytes() != 40+16 {
 		t.Fatal("sumCount size wrong")
+	}
+}
+
+// TestKMeansDAGShape pins the graph batch k-means and window 1 of the
+// stream build from the shared iteration step: dataset names in creation
+// order (they fix dataset ids and the role@iteration lineage keys) and
+// what each driver releases.
+func TestKMeansDAGShape(t *testing.T) {
+	spec := datagen.ClusterSpec{Seed: 3, N: 120, Dim: 2, K: 3, Spread: 1}
+	shape := func(ctx *dataflow.Context, lr *dataflow.LocalRunner) (names, released []string) {
+		for _, d := range ctx.Datasets() {
+			names = append(names, d.Name())
+			if lr.Released[d.ID()] {
+				released = append(released, d.Name())
+			}
+		}
+		return names, released
+	}
+	for _, c := range []struct {
+		label              string
+		run                func(*dataflow.Context)
+		names, wantRelease []string
+	}{
+		{"KMeans", func(ctx *dataflow.Context) {
+			KMeans(ctx, KMeansConfig{Data: spec, Parts: 2, MaxIters: 3, Epsilon: -1})
+		}, []string{
+			"km-points@0", "km-cent@0",
+			"km-stats@1", "km-agg@1", "km-cent@1",
+			"km-stats@2", "km-agg@2", "km-cent@2",
+			"km-stats@3", "km-agg@3", "km-cent@3",
+			"km-wcss@0", "km-wcss-agg@0",
+		}, []string{"km-cent@0", "km-stats@1", "km-cent@1", "km-stats@2"}},
+		{"KMeansStream window 1", func(ctx *dataflow.Context) {
+			KMeansStream(KMeansStreamConfig{Data: spec, Parts: 2, ItersPerWindow: 3})(ctx, 1)
+		}, []string{
+			"skm-points@0", "skm-cent@0",
+			"skm-stats@1", "skm-agg@1", "skm-cent@1",
+			"skm-stats@2", "skm-agg@2", "skm-cent@2",
+			"skm-stats@3", "skm-agg@3", "skm-cent@3",
+		}, []string{"skm-stats@1", "skm-cent@1", "skm-stats@2"}},
+	} {
+		ctx := dataflow.NewContext()
+		lr := dataflow.NewLocalRunner(ctx)
+		c.run(ctx)
+		names, released := shape(ctx, lr)
+		if !reflect.DeepEqual(names, c.names) {
+			t.Errorf("%s datasets:\n got %q\nwant %q", c.label, names, c.names)
+		}
+		if !reflect.DeepEqual(released, c.wantRelease) {
+			t.Errorf("%s released:\n got %q\nwant %q", c.label, released, c.wantRelease)
+		}
+	}
+}
+
+// TestKMeansEmptyClusterRowMatchesVectorized: when a cluster empties,
+// the row plane and the columnar plane must both keep going with a nil
+// slot for it. A row closure that sizes its centroid table by the
+// broadcast's length rather than K indexes past the table here; the
+// LocalRunner run (row closures only) must equal a Vectorized engine run
+// bit for bit.
+func TestKMeansEmptyClusterRowMatchesVectorized(t *testing.T) {
+	cfg := KMeansConfig{
+		Data:  datagen.ClusterSpec{Seed: 2, N: 32, Dim: 1, K: 16, Spread: 100},
+		Parts: 2, MaxIters: 10, Epsilon: -1,
+	}
+	rowCenters, rowWCSS := KMeans(localCtx(), cfg)
+	empty := 0
+	for _, c := range rowCenters {
+		if c == nil {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatal("no cluster emptied: the spec no longer exercises the empty-cluster path")
+	}
+
+	ctx := dataflow.NewContext()
+	c, err := engine.NewCluster(engine.Config{
+		Executors:         2,
+		MemoryPerExecutor: 1 << 20,
+		Params:            costmodel.Default(),
+		Controller:        engine.NewSparkMemDisk(),
+		Vectorized:        true,
+	}, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := engine.VecTasksExecuted()
+	vecCenters, vecWCSS := KMeans(ctx, cfg)
+	c.Finish()
+	if engine.VecTasksExecuted() == before {
+		t.Fatal("no task ran on the columnar plane")
+	}
+	if !reflect.DeepEqual(rowCenters, vecCenters) || rowWCSS != vecWCSS {
+		t.Fatalf("row plane diverges from the columnar plane\nrow: %v (wcss %v)\nvec: %v (wcss %v)",
+			rowCenters, rowWCSS, vecCenters, vecWCSS)
 	}
 }

@@ -101,10 +101,6 @@ func RecordSize(r dataflow.Record) int64 { return dataflow.RecordSize(r) }
 // EstimateRecords estimates the footprint of a whole partition.
 func EstimateRecords(recs []dataflow.Record) int64 { return dataflow.EstimateRecords(recs) }
 
-// EstimateBatch estimates the footprint of a columnar partition; by
-// construction it equals EstimateRecords(b.Records()).
-func EstimateBatch(b *dataflow.Batch) int64 { return b.EstimateSize() }
-
 // BlockMeta carries the per-block bookkeeping used by eviction policies
 // and by Blaze's cost estimator.
 type BlockMeta struct {
