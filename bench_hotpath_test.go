@@ -9,12 +9,15 @@ package blaze_test
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
+	"blaze"
 	"blaze/internal/core"
 	"blaze/internal/costmodel"
 	"blaze/internal/dataflow"
+	"blaze/internal/datagen"
 	"blaze/internal/engine"
 	"blaze/internal/graphx"
 	"blaze/internal/mllib"
@@ -267,6 +270,48 @@ func TestBatchedPRKernelAllocCeiling(t *testing.T) {
 	const ceiling = 32
 	if allocs > ceiling {
 		t.Fatalf("batched PR kernel allocates %.0f allocs per %d-record partition (ceiling %d): the columnar path has a per-record allocation", allocs, benchVerts, ceiling)
+	}
+}
+
+// TestEnginePRAllocCeiling pins what a whole PageRank run on the columnar
+// plane allocates per vertex and iteration: Blaze, memory under pressure
+// (a quarter of the working set), Parallelism 2, at the pr-dataplane
+// benchmark's shape. Cached partitions stay typed, a count boxes
+// nothing, and the map side combines once into exactly-sized buckets, so
+// what is left is per task and per block, not per record; boxing a
+// partition at the store or the driver, or a Go map per combine, costs
+// several allocations per vertex-iteration and fails here.
+func TestEnginePRAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is noisy under -short harnesses")
+	}
+	const verts, iters = 24000, 10
+	id := blaze.WorkloadID("hotpath/pr-dataplane")
+	if _, err := blaze.Workload(id); err != nil {
+		pr := graphx.PageRankConfig{Graph: datagen.GraphSpec{Seed: 1, Vertices: verts, AvgDegree: 8}, Parts: 32, Iters: iters}
+		if err := blaze.RegisterWorkload(blaze.WorkloadSpec{ID: id, SerFactor: 2.5, MemFraction: 0.25,
+			Plain: graphx.PageRankWorkload(pr)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg := blaze.RunConfig{System: blaze.SysBlaze, Workload: id, Executors: 8, Parallelism: 2, Vectorized: true}
+	run := func() {
+		if _, err := blaze.Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // memory calibration, the generated graph, warm pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perVertexIter := float64(after.Mallocs-before.Mallocs) / (verts * iters)
+	// Measured 0.95 (linux/amd64, go1.24); boxing every cached partition
+	// and every counted graph, with a Go map per combine, reads 5.7.
+	const ceiling = 1.4
+	if perVertexIter > ceiling {
+		t.Fatalf("a columnar PageRank run allocates %.2f times per vertex-iteration (ceiling %.1f): something per record is back on the engine path",
+			perVertexIter, ceiling)
 	}
 }
 

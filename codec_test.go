@@ -97,30 +97,26 @@ func (a *blockAudit) OnJobEnd(c *engine.Cluster, _ *engine.Job) {
 		}
 		a.byType[typ][marker]++
 	}
-	block := func(recs []dataflow.Record) {
-		data, err := storage.EncodeRecords(recs)
+	block := func(data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		recs, err := storage.DecodeRecords(data)
 		if err != nil {
 			a.t.Fatal(err)
 		}
 		note(recs, data[0])
 	}
 	for _, b := range rs.MemBlocks {
-		block(b.Records)
+		block(b.Data)
 	}
 	for _, b := range rs.DiskBlocks {
-		block(b.Records)
+		block(b.Data)
 	}
 	for _, o := range rs.Shuffle.Outputs {
 		for _, m := range o.Maps {
 			for _, data := range m.Buckets {
-				if len(data) == 0 {
-					continue
-				}
-				recs, err := storage.DecodeRecords(data)
-				if err != nil {
-					a.t.Fatal(err)
-				}
-				note(recs, data[0])
+				block(data)
 			}
 		}
 	}

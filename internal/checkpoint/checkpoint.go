@@ -7,9 +7,10 @@
 //	                    session facade maintains; see internal/eventlog)
 //	win_0004/           one directory per checkpointed window boundary
 //	  segment           every payload of the boundary, back to back: one
-//	                    encoded block (storage.EncodeRecords: typed
-//	                    columnar, or marked gob fallback) per memory
-//	                    block, then per disk block; the shuffle
+//	                    encoded block (storage.EncodeRecords or
+//	                    EncodeBatch: typed columnar, or marked gob
+//	                    fallback) per memory block, then per disk
+//	                    block; the shuffle
 //	                    snapshot's encoded buckets; the controller
 //	                    snapshot; the state gob (engine.ResumeState with
 //	                    all of the above and the events stripped — gob
@@ -55,7 +56,6 @@ import (
 	"path/filepath"
 	"sort"
 
-	"blaze/internal/dataflow"
 	"blaze/internal/engine"
 	"blaze/internal/eventlog"
 	"blaze/internal/shuffle"
@@ -139,7 +139,7 @@ func (m *Manifest) entries() []*Entry {
 }
 
 // stateRecord is what the state gob holds: the ResumeState with every
-// payload stripped (block records, shuffle buckets, controller snapshot,
+// payload stripped (block data, shuffle buckets, controller snapshot,
 // events) and what re-attaches them: the byte length of every stripped
 // bucket, one slice per map output in snapshot order, with which Load
 // cuts the manifest's Shuffle entry back into buckets, and the event
@@ -191,12 +191,11 @@ func (s *segment) end() Entry {
 	return e
 }
 
-// Write persists one window snapshot. Block records, shuffle buckets and
-// the controller snapshot are stripped out of the state gob and appended
-// to the segment as they are — records through the storage codec, the
-// rest already encoded — events are recovered from the WAL, and the
-// manifest commits the whole snapshot last. Returns the number of block
-// payloads and total bytes written.
+// Write persists one window snapshot. Block data, shuffle buckets and
+// the controller snapshot — all already encoded — are stripped out of
+// the state gob and appended to the segment as they are, events are
+// recovered from the WAL, and the manifest commits the whole snapshot
+// last. Returns the number of block payloads and total bytes written.
 func Write(dir string, rs *engine.ResumeState, clientState []byte, summary any) (blocks int, written int64, err error) {
 	var w writer
 	return w.write(dir, rs, clientState, summary)
@@ -267,32 +266,23 @@ func (w *writer) write(dir string, rs *engine.ResumeState, clientState []byte, s
 // fill appends every payload of the snapshot to the segment, recording
 // each entry in the manifest, and flushes. Returns the segment's size.
 func (seg *segment) fill(m *Manifest, rs *engine.ResumeState, clientState []byte) (int64, error) {
-	block := func(kind string, id storage.BlockID, recs []dataflow.Record) error {
-		data, err := storage.EncodeRecords(recs)
-		if err != nil {
-			return fmt.Errorf("encode %s block %v: %w", kind, id, err)
-		}
+	block := func(data []byte) {
 		seg.Write(data)
 		m.Blocks = append(m.Blocks, seg.end())
-		return nil
 	}
 	rec := stateRecord{State: *rs, EventCount: len(rs.Events)}
 	st := &rec.State
 	st.Events = nil
 	st.MemBlocks = make([]engine.ResumeBlock, len(rs.MemBlocks))
 	for i, b := range rs.MemBlocks {
-		if err := block("memory", b.Meta.ID, b.Records); err != nil {
-			return 0, err
-		}
-		b.Records = nil
+		block(b.Data)
+		b.Data = nil
 		st.MemBlocks[i] = b
 	}
 	st.DiskBlocks = make([]engine.ResumeDiskBlock, len(rs.DiskBlocks))
 	for i, b := range rs.DiskBlocks {
-		if err := block("disk", b.ID, b.Records); err != nil {
-			return 0, err
-		}
-		b.Records = nil
+		block(b.Data)
+		b.Data = nil
 		st.DiskBlocks[i] = b
 	}
 
@@ -401,7 +391,7 @@ func windows(fs fileSystem, dir string) []int {
 }
 
 // Load restores the newest usable window snapshot from the checkpoint
-// directory: state, re-attached block records, shuffle buckets and
+// directory: state, re-attached block data, shuffle buckets and
 // controller snapshot, client payload, and the event-log prefix replayed
 // from the WAL. Corrupt or incomplete windows are skipped in favor of
 // older ones; ErrNoCheckpoint reports that nothing was usable.
@@ -480,15 +470,20 @@ func loadWindow(dir string, window int) (*engine.ResumeState, []byte, error) {
 		return nil, nil, fmt.Errorf("checkpoint: manifest lists %d blocks, state has %d",
 			len(m.Blocks), len(rs.MemBlocks)+len(rs.DiskBlocks))
 	}
+	// A block the capture read raw (a real-bytes spill file) was never
+	// decoded on its way here, so each one is decoded once now: a block
+	// that does not decode fails this window, not the resume.
 	for i := range rs.MemBlocks {
 		b := &rs.MemBlocks[i]
-		if b.Records, err = storage.DecodeRecords(payload(m.Blocks[i])); err != nil {
+		b.Data = payload(m.Blocks[i])
+		if _, err := storage.DecodeBatch(b.Data); err != nil {
 			return nil, nil, fmt.Errorf("checkpoint: decode memory block %v: %w", b.Meta.ID, err)
 		}
 	}
 	for i := range rs.DiskBlocks {
 		b := &rs.DiskBlocks[i]
-		if b.Records, err = storage.DecodeRecords(payload(m.Blocks[len(rs.MemBlocks)+i])); err != nil {
+		b.Data = payload(m.Blocks[len(rs.MemBlocks)+i])
+		if _, err := storage.DecodeBatch(b.Data); err != nil {
 			return nil, nil, fmt.Errorf("checkpoint: decode disk block %v: %w", b.ID, err)
 		}
 	}

@@ -308,10 +308,10 @@ func testState(t *testing.T, window, nblocks, nevents int) (*engine.ResumeState,
 		}
 		id := storage.BlockID{Dataset: window, Partition: p}
 		rs.MemBlocks = append(rs.MemBlocks, engine.ResumeBlock{
-			Meta: storage.BlockMeta{ID: id, Size: int64(16 * len(recs)), InsertSeq: int64(p)}, Records: recs})
+			Meta: storage.BlockMeta{ID: id, Size: int64(16 * len(recs)), InsertSeq: int64(p)}, Data: encode(t, recs)})
 	}
 	rs.DiskBlocks = []engine.ResumeDiskBlock{{ID: storage.BlockID{Dataset: window, Partition: 99}, Size: 24,
-		Records: []dataflow.Record{{Key: 1, Value: "no flat column"}}}}
+		Data: encode(t, []dataflow.Record{{Key: 1, Value: "no flat column"}})}}
 	bucket, err := storage.EncodeRecords([]dataflow.Record{{Key: int64(window), Value: int64(window)}})
 	if err != nil {
 		t.Fatal(err)
@@ -323,6 +323,16 @@ func testState(t *testing.T, window, nblocks, nevents int) (*engine.ResumeState,
 			{Present: true, Executor: 1, Buckets: [][]byte{nil, bucket}, Bytes: []int64{0, 16}},
 		}}}}
 	return rs, []byte(fmt.Sprintf("client state at window %d", window))
+}
+
+// encode is a block's contents as capture hands them to Write.
+func encode(t *testing.T, recs []dataflow.Record) []byte {
+	t.Helper()
+	data, err := storage.EncodeRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // loaded is a boundary snapshot as Write takes it and Load hands it
@@ -451,5 +461,44 @@ func TestCommitCreatesTwoFiles(t *testing.T) {
 		if want := []string{manifestName, segmentName}; !reflect.DeepEqual(names, want) {
 			t.Errorf("%d blocks: window directory holds %v, want %v", blocks, names, want)
 		}
+	}
+}
+
+// TestLoadRejectsUndecodableBlock: capture copies a real-bytes spill
+// file into the segment without decoding it, so a file damaged on disk
+// before the boundary is committed under a valid CRC. Load decodes every
+// carried block and must fail that window, naming the block, and fall
+// back to the previous one.
+func TestLoadRejectsUndecodableBlock(t *testing.T) {
+	dir := t.TempDir()
+	wal, err := eventlog.CreateWAL(WALPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.AppendAll(testEvents(8)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for w := 2; w <= 3; w++ {
+		rs, client := testState(t, w, 4, 4*w-4)
+		if w == 3 {
+			b := &rs.DiskBlocks[0]
+			b.Data = b.Data[:len(b.Data)-3] // a torn spill file
+		}
+		if _, _, err := Write(dir, rs, client, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := loadWindow(dir, 3); err == nil || !strings.Contains(err.Error(), "decode disk block rdd_3_99") {
+		t.Fatalf("window 3 with a torn block: err = %v, want a decode failure naming the block", err)
+	}
+	rs, _, err := Load(dir)
+	if err != nil {
+		t.Fatalf("Load: %v; want the fallback to window 2", err)
+	}
+	if rs.Window != 2 {
+		t.Fatalf("Load served window %d, want the fallback to window 2", rs.Window)
 	}
 }

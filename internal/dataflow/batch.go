@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math"
 	"reflect"
 	"sync"
 )
@@ -9,21 +10,28 @@ import (
 // engine's vectorized task loop. A Batch stores one partition as a
 // dense key column plus a typed value column, so narrow operator chains
 // can run as flat loops without boxing one Record interface value per
-// element. The row representation remains the source of truth at every
-// storage and driver boundary: batches convert losslessly to and from
-// []Record, and EstimateSize matches EstimateRecords on the equivalent
-// rows exactly, which is what keeps virtual-time metrics bit-identical
-// between the row and batched loops.
+// element. Batches convert losslessly to and from []Record (the driver
+// boundary and the row plane), and EstimateSize matches EstimateRecords
+// on the equivalent rows exactly, which is what keeps virtual-time
+// metrics bit-identical between the row and batched loops.
 //
-// Ownership rules (see DESIGN.md "Hot path & columnar execution"):
-//   - A batch's backing arrays may come from sync.Pools. Whoever created
-//     a batch releases it once its single consumer is done.
+// Ownership rules (see DESIGN.md "Pooling ownership rules"):
+//   - A batch's backing arrays may come from sync.Pools. A batch has one
+//     owner at a time, and the owner releases it exactly once: the task
+//     loop for a partition in flight; a block store for a cached block,
+//     until the block is dropped, evicted without a spill, retired or
+//     purged (a spill hands it to the disk store); the shuffle service
+//     for a retained bucket, until the shuffle is cleaned or the map
+//     output lost (a broadcast output fills every bucket and is released
+//     once).
+//   - Owners never share arrays: a store admits a copy of the task's
+//     batch (CloneExact: a long-lived owner holds arrays of exactly its
+//     size, never pooled ones), and a task clones a cached batch before
+//     using it.
 //   - Column.Value boxes a copy of any backing storage; boxed values
 //     never alias pooled arrays.
 //   - Batch kernels must return a fresh batch and must not retain their
 //     input batches past the call.
-//   - Batches handed to the shuffle service (routed buckets, broadcast
-//     outputs) are retained, never released; they outlive the task.
 
 // Column stores the values of one batch.
 type Column interface {
@@ -143,6 +151,109 @@ func FromRecords(recs []Record) *Batch {
 	return b
 }
 
+// Clone returns a copy of the batch for a task, on pooled arrays. A flat
+// column is copied through its Layout, one bulk copy per array; any other
+// column (the boxed AnyColumn, whose values are immutable and shared)
+// element by element.
+func (b *Batch) Clone() *Batch { return b.clone(true) }
+
+// CloneExact is Clone onto arrays of exactly the batch's size, for an
+// owner that keeps it (a block store, the shuffle service): a pooled
+// array can be many times larger than a small block, and would stay
+// pinned for as long as the block is resident. Released, the arrays feed
+// the pools like any other.
+func (b *Batch) CloneExact() *Batch { return b.clone(false) }
+
+func (b *Batch) clone(pooled bool) *Batch {
+	out := &Batch{Keys: appendArray(nil, b.Keys, pooled, GetI64Slice), NonNil: b.NonNil}
+	switch c := b.Col.(type) {
+	case nil:
+	case FlatColumn:
+		_, src := c.Layout()
+		dst := reflect.New(reflect.TypeOf(c).Elem()).Interface().(FlatColumn)
+		_, arrays := dst.Layout()
+		appendArrays(arrays, src, pooled)
+		out.Col = dst
+	default:
+		out.Col = c.NewEmpty(c.Len())
+		for i := 0; i < c.Len(); i++ {
+			out.Col.AppendFrom(c, i)
+		}
+	}
+	return out
+}
+
+// AppendBatch appends every record of src: one bulk append per array
+// when both columns have the same concrete type, record by record (as
+// AppendFromBatch) otherwise.
+func (b *Batch) AppendBatch(src *Batch) {
+	n := src.Len()
+	if n == 0 {
+		return
+	}
+	if b.Col == nil {
+		b.Col = src.Col.NewEmpty(max(cap(b.Keys), n))
+	}
+	if d, ok := b.Col.(*F64Column); ok { // a shuffle bucket: no Layout slices to allocate
+		if s, ok := src.Col.(*F64Column); ok {
+			b.Keys = append(b.Keys, src.Keys...)
+			d.Vals = append(d.Vals, s.Vals...)
+			return
+		}
+	}
+	if d, ok := b.Col.(FlatColumn); ok {
+		if s, ok := src.Col.(FlatColumn); ok {
+			dn, da := d.Layout()
+			if sn, sa := s.Layout(); dn == sn {
+				b.Keys = append(b.Keys, src.Keys...)
+				appendArrays(da, sa, true)
+				return
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		b.AppendFromBatch(src, i)
+	}
+}
+
+// appendArrays appends the arrays of one flat column's Layout to the
+// same arrays of another column of its type (appendArray). Offsets are
+// rebased onto the destination's delimited array, whose length the
+// destination's last offset records, so an Off array is appended before
+// the array it delimits (Layout order guarantees that).
+func appendArrays(dst, src []Array, pooled bool) {
+	for i, d := range dst {
+		s := src[i]
+		switch {
+		case d.F64 != nil:
+			*d.F64 = appendArray(*d.F64, *s.F64, pooled, GetF64Slice)
+		case d.I64 != nil:
+			*d.I64 = appendArray(*d.I64, *s.I64, pooled, GetI64Slice)
+		case len(*d.Off) == 0:
+			*d.Off = appendArray(*d.Off, *s.Off, pooled, GetI32Slice)
+		default:
+			base := (*d.Off)[len(*d.Off)-1]
+			for _, o := range (*s.Off)[1:] {
+				*d.Off = append(*d.Off, base+o)
+			}
+		}
+	}
+}
+
+// appendArray appends src to dst. An empty destination starts on an
+// array sized to src: from the pool (get), or allocated to exactly that
+// size.
+func appendArray[T any](dst, src []T, pooled bool, get func(int) []T) []T {
+	if cap(dst) == 0 {
+		if pooled {
+			dst = get(len(src))
+		} else {
+			dst = make([]T, 0, len(src))
+		}
+	}
+	return append(dst, src...)
+}
+
 // EstimateSize returns the analytic footprint of the equivalent rows:
 // exactly EstimateRecords(b.Records()), computed without boxing.
 func (b *Batch) EstimateSize() int64 {
@@ -186,6 +297,21 @@ var (
 	anySlicePool sync.Pool
 )
 
+// poisonReleased makes every Put fill the released array with a sentinel
+// (NaN, math.MinInt64, math.MinInt32) over its whole capacity, so a
+// reader that kept a released batch sees garbage instead of plausible
+// stale values. Only tests set it.
+var poisonReleased bool
+
+func poison[T any](s []T, v T) {
+	if poisonReleased {
+		s = s[:cap(s)]
+		for i := range s {
+			s[i] = v
+		}
+	}
+}
+
 // GetI64Slice returns an empty []int64 with at least capHint capacity,
 // reusing pooled storage when possible.
 func GetI64Slice(capHint int) []int64 {
@@ -206,6 +332,7 @@ func PutI64Slice(s []int64) {
 	if cap(s) == 0 || cap(s) > maxPooledCap {
 		return
 	}
+	poison(s, math.MinInt64)
 	p := new([]int64)
 	*p = s[:0]
 	i64SlicePool.Put(p)
@@ -230,6 +357,7 @@ func PutF64Slice(s []float64) {
 	if cap(s) == 0 || cap(s) > maxPooledCap {
 		return
 	}
+	poison(s, math.NaN())
 	p := new([]float64)
 	*p = s[:0]
 	f64SlicePool.Put(p)
@@ -254,6 +382,7 @@ func PutI32Slice(s []int32) {
 	if cap(s) == 0 || cap(s) > maxPooledCap {
 		return
 	}
+	poison(s, math.MinInt32)
 	p := new([]int32)
 	*p = s[:0]
 	i32SlicePool.Put(p)
@@ -579,15 +708,63 @@ func MergeBatchByKeyF64(in *Batch, f func(a, b float64) float64) *Batch {
 		}
 		return out
 	}
-	idx := make(map[int64]int, min(in.Len(), 64))
+	idx := getKeyIndex(in.Len())
 	for i, k := range in.Keys {
-		if j, seen := idx[k]; seen {
+		if s := idx.slot(k, out.Keys); *s != 0 {
+			j := *s - 1
 			oc.Vals[j] = f(oc.Vals[j], fc.Vals[i])
 		} else {
-			idx[k] = len(oc.Vals)
+			*s = int32(len(out.Keys) + 1)
 			out.Keys = append(out.Keys, k)
 			oc.Vals = append(oc.Vals, fc.Vals[i])
 		}
 	}
+	keyIndexPool.Put(idx)
 	return out
+}
+
+// keyIndex finds a key's position in the key column a combine is
+// building: open addressing with linear probing over a power-of-two
+// table at most half full. It stores positions only (the keys are read
+// back from the column) and is pooled, so a combine allocates no index.
+// Slots are addressed by the top bits of a Fibonacci hash, not by mix64:
+// every key of one shuffle bucket shares mix64's low bits (Router), and
+// would pile into a fraction of the table.
+type keyIndex struct {
+	slots []int32 // position+1; 0 marks an empty slot
+	shift uint
+}
+
+var keyIndexPool sync.Pool // *keyIndex
+
+// getKeyIndex returns an empty index with room for n keys.
+func getKeyIndex(n int) *keyIndex {
+	bitsN := uint(4)
+	for 1<<bitsN < 2*n {
+		bitsN++
+	}
+	t, _ := keyIndexPool.Get().(*keyIndex)
+	if t == nil {
+		t = &keyIndex{}
+	}
+	if size := 1 << bitsN; cap(t.slots) < size {
+		t.slots = make([]int32, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.shift = 64 - bitsN
+	return t
+}
+
+// slot returns the slot holding key's position in keys, or the empty
+// slot where it belongs.
+func (t *keyIndex) slot(key int64, keys []int64) *int32 {
+	mask := uint64(len(t.slots) - 1)
+	for h := (uint64(key) * 0x9e3779b97f4a7c15) >> t.shift; ; h = (h + 1) & mask {
+		s := &t.slots[h]
+		if *s == 0 || keys[*s-1] == key {
+			return s
+		}
+	}
 }

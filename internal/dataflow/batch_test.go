@@ -191,3 +191,69 @@ func TestCombineSmallAndLargeAgree(t *testing.T) {
 		out.Release()
 	}
 }
+
+// TestResidentCopiesAreExact: whatever large arrays the pools hold, a
+// copy for a long-lived owner (CloneExact, a routed bucket) sits on
+// arrays of exactly its size, so a small cached block or retained bucket
+// never pins a large released array.
+func TestResidentCopiesAreExact(t *testing.T) {
+	for i := 0; i < 4; i++ {
+		PutI64Slice(make([]int64, 1<<16))
+		PutF64Slice(make([]float64, 1<<16))
+		PutI32Slice(make([]int32, 1<<16))
+	}
+	exact := func(what string, b *Batch) {
+		t.Helper()
+		_, arrays := b.Col.(FlatColumn).Layout()
+		if cap(b.Keys) != len(b.Keys) {
+			t.Errorf("%s: %d keys on an array of %d", what, len(b.Keys), cap(b.Keys))
+		}
+		for i, a := range arrays {
+			var n, c int
+			switch {
+			case a.F64 != nil:
+				n, c = len(*a.F64), cap(*a.F64)
+			case a.I64 != nil:
+				n, c = len(*a.I64), cap(*a.I64)
+			default:
+				n, c = len(*a.Off), cap(*a.Off)
+			}
+			if n != c {
+				t.Errorf("%s: column array %d holds %d on an array of %d", what, i, n, c)
+			}
+		}
+	}
+	floats := FromRecords([]Record{{Key: 1, Value: []float64{1, 2}}, {Key: 2, Value: []float64{3}}})
+	exact("CloneExact", floats.CloneExact())
+	sums := FromRecords([]Record{{Key: 1, Value: 1.0}, {Key: 2, Value: 2.0}, {Key: 3, Value: 3.0}})
+	for _, in := range []*Batch{sums, floats} {
+		for _, bb := range NewRouter(2).Split(in) {
+			if bb != nil {
+				exact("Split bucket", bb)
+			}
+		}
+	}
+}
+
+// TestCloneAndAppendBatch: a Clone shares no array with its source, and
+// AppendBatch concatenates flat and boxed columns like AppendFromBatch
+// record by record.
+func TestCloneAndAppendBatch(t *testing.T) {
+	for name, recs := range map[string][]Record{
+		"f64":    {{Key: 1, Value: 1.5}, {Key: 2, Value: -2.0}},
+		"floats": {{Key: 3, Value: []float64{1, 2}}, {Key: 4, Value: []float64(nil)}, {Key: 5, Value: []float64{3}}},
+		"any":    {{Key: 6, Value: "s"}, {Key: 7, Value: 2.0}},
+	} {
+		src := FromRecords(recs)
+		c := src.Clone()
+		src.Release()
+		if got := c.Records(); !reflect.DeepEqual(got, recs) {
+			t.Errorf("%s: clone reads %v after its source was released, want %v", name, got, recs)
+		}
+		want := append(append([]Record(nil), recs...), recs...)
+		c.AppendBatch(FromRecords(recs))
+		if got := c.Records(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: AppendBatch gives %v, want %v", name, got, want)
+		}
+	}
+}

@@ -12,6 +12,7 @@ package dataflow
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // Record is the element type flowing through datasets. Key drives shuffle
@@ -146,7 +147,10 @@ func (d *Dataset) Release() {
 
 // JobRunner executes actions; the engine provides the implementation.
 type JobRunner interface {
-	// RunJob computes every partition of target and returns them.
+	// RunJob computes every partition of target and returns them, one
+	// slice per partition. For the "count" action only each slice's
+	// length is meaningful: a runner may answer with Counted slices and
+	// skip handing the records to the driver.
 	RunJob(target *Dataset, action string) [][]Record
 	// Unpersist drops cached blocks of the dataset.
 	Unpersist(d *Dataset)
@@ -414,20 +418,42 @@ func MergeByKey(in []Record, combine CombineFunc) []Record { return mergeByKey(i
 
 // Collect runs a job computing every partition of the dataset and returns
 // them. It is an action: it triggers execution through the engine.
-func (d *Dataset) Collect() [][]Record {
-	if d.ctx.runner == nil {
-		panic("dataflow: no runner attached to context")
-	}
-	return d.ctx.runner.RunJob(d, "collect")
-}
+func (d *Dataset) Collect() [][]Record { return d.run("collect") }
 
-// Count runs a job and returns the total number of records.
+// Count runs a job and returns the total number of records. It asks the
+// runner for the "count" action, so the records need not reach the
+// driver.
 func (d *Dataset) Count() int {
 	n := 0
-	for _, part := range d.Collect() {
+	for _, part := range d.run("count") {
 		n += len(part)
 	}
 	return n
+}
+
+// run submits an action on the dataset to the context's runner.
+func (d *Dataset) run(action string) [][]Record {
+	if d.ctx.runner == nil {
+		panic("dataflow: no runner attached to context")
+	}
+	return d.ctx.runner.RunJob(d, action)
+}
+
+// zeroRecords backs every Counted slice; it only grows.
+var zeroRecords atomic.Pointer[[]Record]
+
+// Counted is a runner's answer for one partition of a "count" action: n
+// zero Records on one shared, read-only backing array, so reporting a
+// count allocates nothing per record. Only its length means anything,
+// and it must not be written.
+func Counted(n int) []Record {
+	p := zeroRecords.Load()
+	if p != nil && len(*p) >= n {
+		return (*p)[:n:n]
+	}
+	z := make([]Record, max(n, 1024))
+	zeroRecords.Store(&z)
+	return z[:n:n]
 }
 
 // Ancestors returns every transitive parent of d (excluding d), in

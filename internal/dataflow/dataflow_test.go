@@ -387,3 +387,36 @@ func TestCollectWithoutRunnerPanics(t *testing.T) {
 	}()
 	ds.Collect()
 }
+
+// countRunner answers every job with Counted partitions and records the
+// actions it was asked for.
+type countRunner struct{ actions []string }
+
+func (r *countRunner) RunJob(target *Dataset, action string) [][]Record {
+	r.actions = append(r.actions, action)
+	out := make([][]Record, target.Partitions())
+	for p := range out {
+		out[p] = Counted(1000 * (p + 1))
+	}
+	return out
+}
+func (r *countRunner) Unpersist(*Dataset) {}
+func (r *countRunner) Release(*Dataset)   {}
+
+// TestCountIsAnAction: Count asks the runner for "count", not "collect",
+// and sums the lengths of whatever it answers — Counted slices included.
+func TestCountIsAnAction(t *testing.T) {
+	ctx := NewContext()
+	r := &countRunner{}
+	ctx.SetRunner(r)
+	ds := ctx.Source("s", 3, func(int) []Record { return nil })
+	if n := ds.Count(); n != 1000+2000+3000 {
+		t.Fatalf("Count = %d, want 6000", n)
+	}
+	if len(r.actions) != 1 || r.actions[0] != "count" {
+		t.Fatalf("runner saw actions %v, want [count]", r.actions)
+	}
+	if c := Counted(5); len(c) != 5 || cap(c) != 5 || c[4] != (Record{}) {
+		t.Fatalf("Counted(5) = len %d cap %d, last %+v", len(c), cap(c), c[4])
+	}
+}

@@ -40,7 +40,9 @@ func NewLocalRunner(ctx *Context) *LocalRunner {
 	return r
 }
 
-// RunJob evaluates every partition of target.
+// RunJob evaluates every partition of target. Both actions return the
+// memoized partitions: for "count" their lengths are the answer, and
+// nothing was boxed to produce them.
 func (r *LocalRunner) RunJob(target *Dataset, action string) [][]Record {
 	r.JobTargets = append(r.JobTargets, target)
 	out := make([][]Record, target.Partitions())

@@ -79,6 +79,60 @@ func (r Router) Bucket(key int64) int {
 	}
 }
 
+// Split routes a batch into one batch per bucket, each keeping the input
+// order, on arrays of exactly the bucket's size: the shuffle service
+// keeps buckets until the shuffle is cleaned, and a pooled array could
+// pin many times what a bucket holds. Rows are counted per bucket first,
+// so a float64 column is scattered straight into its buckets with no
+// call through the Column interface; any other column is appended record
+// by record and then copied to size. An empty bucket is nil and a
+// non-empty one is NonNil, like the row slices routing appends into. The
+// input is left to the caller.
+func (r Router) Split(in *Batch) []*Batch {
+	out := make([]*Batch, r.parts)
+	n := in.Len()
+	if n == 0 {
+		return out
+	}
+	at := GetI32Slice(n)[:n]
+	counts := make([]int32, r.parts)
+	for i, k := range in.Keys {
+		b := r.Bucket(k)
+		at[i] = int32(b)
+		counts[b]++
+	}
+	for b, c := range counts {
+		if c > 0 {
+			out[b] = &Batch{Keys: make([]int64, 0, c), NonNil: true}
+		}
+	}
+	if fc, ok := in.Col.(*F64Column); ok {
+		cols := make([]*F64Column, r.parts)
+		for b, c := range counts {
+			if c > 0 {
+				cols[b] = &F64Column{Vals: make([]float64, 0, c)}
+				out[b].Col = cols[b]
+			}
+		}
+		for i, b := range at {
+			out[b].Keys = append(out[b].Keys, in.Keys[i])
+			cols[b].Vals = append(cols[b].Vals, fc.Vals[i])
+		}
+	} else {
+		for i, b := range at {
+			out[b].AppendFromBatch(in, i)
+		}
+		for b, bb := range out {
+			if bb != nil {
+				out[b] = bb.CloneExact()
+				bb.Release()
+			}
+		}
+	}
+	PutI32Slice(at)
+	return out
+}
+
 // mix64 is the splitmix64 finalizer, spreading keys uniformly.
 func mix64(x uint64) uint64 {
 	x ^= x >> 30

@@ -655,7 +655,7 @@ func (c *Cluster) DropNamespaceBlocks(lo, hi int) {
 	for _, ex := range c.execs {
 		for _, m := range ex.Mem.Blocks() {
 			if m.ID.Dataset >= lo && m.ID.Dataset < hi {
-				ex.Mem.Remove(m.ID)
+				ex.Mem.Drop(m.ID)
 			}
 		}
 		for _, id := range ex.Disk.Blocks() {
@@ -974,7 +974,7 @@ func (c *Cluster) dropDataset(d *dataflow.Dataset) {
 	for _, ex := range c.execs {
 		for p := 0; p < d.Partitions(); p++ {
 			id := storage.BlockID{Dataset: d.ID(), Partition: p}
-			if _, _, ok := ex.Mem.Remove(id); ok {
+			if _, ok := ex.Mem.Drop(id); ok {
 				c.ctl.OnBlockRemoved(ex, id)
 				dropped = true
 			}
@@ -993,7 +993,7 @@ func (c *Cluster) dropDataset(d *dataflow.Dataset) {
 // and counts the unpersist.
 func (c *Cluster) DropBlock(ex *Executor, id storage.BlockID) {
 	dropped := false
-	if _, _, ok := ex.Mem.Remove(id); ok {
+	if _, ok := ex.Mem.Drop(id); ok {
 		c.ctl.OnBlockRemoved(ex, id)
 		dropped = true
 	}
@@ -1028,6 +1028,8 @@ func (c *Cluster) SpillBlock(ex *Executor, id storage.BlockID) bool {
 	wrote := c.writeToDisk(ex, id, payload, size)
 	if wrote {
 		c.met.Executors[ex.ID].EvictedToDiskBytes += size
+	} else {
+		payload.Release() // the disk's own copy stays; this one is dropped
 	}
 	c.met.Executors[ex.ID].EvictedBytes += size
 	c.met.IncEviction(wrote)
@@ -1036,7 +1038,7 @@ func (c *Cluster) SpillBlock(ex *Executor, id storage.BlockID) bool {
 
 // dropFromMemory removes a block from memory only (m→u under pressure).
 func (c *Cluster) dropFromMemory(ex *Executor, id storage.BlockID) bool {
-	_, size, ok := ex.Mem.Remove(id)
+	size, ok := ex.Mem.Drop(id)
 	if !ok {
 		return false
 	}
@@ -1086,6 +1088,7 @@ func (c *Cluster) PromoteBlock(ex *Executor, id storage.BlockID, chargeClock boo
 		return false
 	}
 	if _, err := ex.Mem.Admit(id, payload, size, ex.ID, ex.Clock().Now()); err != nil {
+		payload.Release()
 		return false
 	}
 	c.ctl.OnBlockAdmitted(ex, id)

@@ -22,7 +22,7 @@ import (
 func (c *Cluster) loseBlock(ex *Executor, id storage.BlockID, class string) (int64, bool) {
 	var bytes int64
 	lost := false
-	if _, size, ok := ex.Mem.Remove(id); ok {
+	if size, ok := ex.Mem.Drop(id); ok {
 		c.ctl.OnBlockRemoved(ex, id)
 		bytes += size
 		lost = true

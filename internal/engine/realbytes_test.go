@@ -22,7 +22,7 @@ func TestAdmitDuplicateChargesNothing(t *testing.T) {
 	id := storage.BlockID{Dataset: 1, Partition: 0}
 	recs := []dataflow.Record{{Key: 1, Value: float64(1)}}
 
-	if !c.admitToMemory(ex, id, recs, 256) {
+	if !c.admitToMemory(ex, id, storage.Fresh(recs), 256) {
 		t.Fatal("first admit failed")
 	}
 	clock := ex.Clock().Now()
@@ -31,7 +31,7 @@ func TestAdmitDuplicateChargesNothing(t *testing.T) {
 	}
 	diskIO := c.Metrics().Executors[ex.ID].Breakdown.DiskIO
 
-	if c.admitToMemory(ex, id, recs, 256) {
+	if c.admitToMemory(ex, id, storage.Fresh(recs), 256) {
 		t.Fatal("duplicate admit must be rejected")
 	}
 	if got := ex.Clock().Now(); got != clock {

@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"blaze/internal/dataflow"
 	"blaze/internal/eventlog"
 	"blaze/internal/metrics"
 	"blaze/internal/shuffle"
@@ -83,11 +82,12 @@ type ResumeExecutor struct {
 }
 
 // ResumeBlock is one checkpointed memory block: its full metadata
-// (access stats, insert sequence, stamped cost) and its records.
+// (access stats, insert sequence, stamped cost) and its contents in the
+// block format (storage.EncodeRecords / EncodeBatch).
 type ResumeBlock struct {
 	Executor int
 	Meta     storage.BlockMeta
-	Records  []dataflow.Record
+	Data     []byte
 }
 
 // ResumeDiskBlock is one checkpointed disk block.
@@ -95,7 +95,7 @@ type ResumeDiskBlock struct {
 	Executor int
 	ID       storage.BlockID
 	Size     int64
-	Records  []dataflow.Record
+	Data     []byte
 }
 
 // ResumeCounters pins a memory store's internal counters.
@@ -112,7 +112,7 @@ type ResumeDiskCounters struct {
 
 // ResumeState is the complete engine-side snapshot of a streaming
 // session at a window boundary. All fields are exported for gob; the
-// checkpoint layer strips every payload (block Records, the shuffle
+// checkpoint layer strips every payload (block Data, the shuffle
 // snapshot's Buckets, Controller) out of the gob into its segment file
 // and recovers Events from the WAL.
 type ResumeState struct {
@@ -151,9 +151,11 @@ type ResumeState struct {
 
 // CaptureResumeState snapshots the cluster at a window boundary. Must
 // run in driver context under pool exclusivity (the window-boundary
-// hook provides both). Slices referencing live data (block records,
-// shuffle buckets, metrics sub-objects) are shared, not deep-copied:
-// the caller serializes the snapshot before any further execution.
+// hook provides both). Every block is captured in the block format: a
+// live batch or rows encoded, a real-bytes block's stored bytes as they
+// are. Slices referencing live data (a real-bytes memory block's bytes,
+// metrics sub-objects) are shared, not deep-copied: the caller
+// serializes the snapshot before any further execution.
 func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 	rs := &ResumeState{
 		Window:         c.curWindow,
@@ -201,21 +203,21 @@ func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 			es.Clocks[ci] = ex.cores[ci].Now()
 		}
 		for _, m := range ex.Mem.Blocks() {
-			recs, err := ex.Mem.Records(m.ID)
+			data, err := ex.Mem.Encoded(m.ID)
 			if err != nil {
 				return nil, fmt.Errorf("engine: capture: %w", err)
 			}
-			rs.MemBlocks = append(rs.MemBlocks, ResumeBlock{Executor: i, Meta: *m, Records: recs})
+			rs.MemBlocks = append(rs.MemBlocks, ResumeBlock{Executor: i, Meta: *m, Data: data})
 		}
 		seq, peak := ex.Mem.Counters()
 		rs.MemCounters = append(rs.MemCounters, ResumeCounters{Seq: seq, Peak: peak})
 		for _, id := range ex.Disk.Blocks() {
 			size, _ := ex.Disk.Size(id)
-			recs, err := ex.Disk.Records(id)
+			data, err := ex.Disk.Encoded(id)
 			if err != nil {
 				return nil, fmt.Errorf("engine: capture: %w", err)
 			}
-			rs.DiskBlocks = append(rs.DiskBlocks, ResumeDiskBlock{Executor: i, ID: id, Size: size, Records: recs})
+			rs.DiskBlocks = append(rs.DiskBlocks, ResumeDiskBlock{Executor: i, ID: id, Size: size, Data: data})
 		}
 		dpeak, dwritten := ex.Disk.Counters()
 		rs.DiskCounters = append(rs.DiskCounters, ResumeDiskCounters{Peak: dpeak, TotalWritten: dwritten})
@@ -295,7 +297,7 @@ func (c *Cluster) finishResume() {
 		}
 	}
 	for _, b := range rs.MemBlocks {
-		if err := c.execs[b.Executor].Mem.Restore(b.Meta, b.Records); err != nil {
+		if err := c.execs[b.Executor].Mem.Restore(b.Meta, b.Data); err != nil {
 			panic(fmt.Sprintf("engine: resume: %v", err))
 		}
 		c.ctl.OnBlockAdmitted(c.execs[b.Executor], b.Meta.ID)
@@ -304,7 +306,7 @@ func (c *Cluster) finishResume() {
 		ex.Mem.SetCounters(rs.MemCounters[i].Seq, rs.MemCounters[i].Peak)
 	}
 	for _, b := range rs.DiskBlocks {
-		if err := c.execs[b.Executor].Disk.Restore(b.ID, b.Records, b.Size); err != nil {
+		if err := c.execs[b.Executor].Disk.Restore(b.ID, b.Data, b.Size); err != nil {
 			panic(fmt.Sprintf("engine: resume: %v", err))
 		}
 	}

@@ -24,6 +24,9 @@ type Job struct {
 	// pipelines, sorted by id. Dependency-aware policies (LRC, MRD) and
 	// Blaze derive reference information from it.
 	Datasets []*dataflow.Dataset
+	// count marks a "count" action: the result stage reports partition
+	// lengths (dataflow.Counted) instead of boxing rows for the driver.
+	count bool
 }
 
 // Stage is a pipelined set of operators executed as parallel tasks, cut
@@ -161,12 +164,14 @@ func (c *Cluster) buildJob(target *dataflow.Dataset) *Job {
 }
 
 // RunJob implements dataflow.JobRunner: build the stage DAG, run stages
-// in topological order with barriers, and return the result partitions.
+// in topological order with barriers, and return the result partitions —
+// for a "count", Counted slices of their lengths.
 func (c *Cluster) RunJob(target *dataflow.Dataset, action string) [][]dataflow.Record {
 	if c.replay {
 		// Resumed-driver fast-forward: the job's effects are already in
 		// the checkpoint being replayed toward. Empty (not nil) partition
-		// results keep replay-safe drivers iterating without executing.
+		// results — a count of zero — keep replay-safe drivers iterating
+		// without executing.
 		return make([][]dataflow.Record, target.Partitions())
 	}
 	c.beginJob()
@@ -183,6 +188,7 @@ func (c *Cluster) RunJob(target *dataflow.Dataset, action string) [][]dataflow.R
 		fmt.Fprintf(os.Stderr, "JOB %d target=%s missing=%v\n", c.jobSeq, target.Name(), missing)
 	}
 	job := c.buildJob(target)
+	job.count = action == "count"
 	c.jobSeq++
 	c.curJob = job.ID
 	c.met.Jobs++
@@ -591,8 +597,8 @@ func (c *Cluster) runTaskBody(ex *Executor, st *Stage, part int) []dataflow.Reco
 
 // runTaskOn materializes one partition of the stage boundary and, for
 // map stages, writes the shuffle output. The result stage returns rows
-// (the driver boundary); map stages return nil because runStage ignores
-// map-task results.
+// (the driver boundary), or only their number for a count; map stages
+// return nil because runStage ignores map-task results.
 func runTaskOn[P any](c *Cluster, pl plane[P], ex *Executor, st *Stage, part int) []dataflow.Record {
 	ex.Clock().Advance(c.cfg.Params.TaskOverhead)
 	c.met.Executors[ex.ID].Tasks++
@@ -600,7 +606,12 @@ func runTaskOn[P any](c *Cluster, pl plane[P], ex *Executor, st *Stage, part int
 	c.emitEx(ex, eventlog.Event{Kind: eventlog.TaskEnd, Time: ex.Clock().Now(), Job: c.curJob,
 		Stage: st.ID, Executor: ex.ID, Dataset: st.Boundary.ID(), Partition: part})
 	if st.IsResult {
-		recs := pl.rows(out)
+		var recs []dataflow.Record
+		if st.Job.count {
+			recs = dataflow.Counted(pl.count(out))
+		} else {
+			recs = pl.rows(out)
+		}
 		pl.release(out)
 		return recs
 	}
@@ -620,16 +631,17 @@ func runTaskOn[P any](c *Cluster, pl plane[P], ex *Executor, st *Stage, part int
 
 // materializeOn produces partition (ds, part) on the executor: memory
 // hit, disk hit, or recursive recomputation from parents — the three
-// recovery paths of Fig. 2. The block stores are row-typed: a hit is
-// loaded into the plane's container, and a recomputed partition is boxed
-// into rows at most once, and only if the controller places it.
+// recovery paths of Fig. 2. The block stores keep the plane's own form:
+// a hit is copied into a partition the task owns, and a recomputed
+// partition the controller places is copied (or, with real bytes,
+// encoded) by the store it lands in.
 func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Dataset, part int) P {
 	id := storage.BlockID{Dataset: ds.ID(), Partition: part}
 	params := c.cfg.Params
 	stats := &c.met.Executors[ex.ID]
 
 	// 1. Memory store.
-	if recs, meta, ok := ex.Mem.Read(id, ex.Clock().Now(), c.cfg.AlluxioMode); ok {
+	if block, meta, ok := ex.Mem.Read(id, ex.Clock().Now(), c.cfg.AlluxioMode); ok {
 		if c.cfg.AlluxioMode {
 			// The external store serves serialized bytes even from its
 			// memory tier; every read pays deserialization (§7.2) — the
@@ -643,11 +655,11 @@ func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Da
 		c.ctl.OnBlockAccess(ex, id)
 		c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockHit, Time: ex.Clock().Now(), Job: c.curJob,
 			Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: meta.Size})
-		return pl.load(recs)
+		return pl.load(block)
 	}
 
 	// 2. Disk store.
-	if recs, size, ok := ex.Disk.Get(id); ok {
+	if block, size, ok := ex.Disk.Read(id); ok {
 		cost := params.DiskRead(size)
 		ex.Clock().Advance(cost)
 		stats.Breakdown.DiskIO += cost
@@ -660,9 +672,9 @@ func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Da
 			// The disk copy is retained (as Spark's DiskStore retains
 			// spilled blocks until unpersist); a later re-eviction of the
 			// promoted block therefore pays no second write.
-			c.admitToMemory(ex, id, recs, size)
+			c.admitToMemory(ex, id, block, size)
 		}
-		return pl.load(recs)
+		return pl.load(block)
 	}
 
 	// 3. Recompute from parents.
@@ -722,23 +734,19 @@ func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Da
 	c.ctl.OnComputed(ex, ds, part, size, cost+fetchCost)
 
 	primary, fallback := c.ctl.PlaceComputed(ex, ds, part, size)
-	var recs []dataflow.Record
-	if primary == PlaceMemory || primary == PlaceDisk {
-		recs = pl.rows(out) // the one boxing; the disk fallback reuses it
-	}
 	placed := false
 	if primary == PlaceMemory {
-		placed = c.admitToMemory(ex, id, recs, size)
+		placed = c.admitToMemory(ex, id, pl.stored(out), size)
 	}
 	if !placed && (primary == PlaceDisk || (primary == PlaceMemory && fallback == PlaceDisk)) {
-		c.writeToDisk(ex, id, storage.Fresh(recs), size)
+		c.writeToDisk(ex, id, pl.stored(out), size)
 	}
 	return out
 }
 
 // admitToMemory caches a block in executor memory, evicting victims as
 // the controller directs. Returns false if space could not be freed.
-func (c *Cluster) admitToMemory(ex *Executor, id storage.BlockID, recs []dataflow.Record, size int64) bool {
+func (c *Cluster) admitToMemory(ex *Executor, id storage.BlockID, block storage.Payload, size int64) bool {
 	if ex.Mem.Contains(id) {
 		// A duplicate admit must be rejected before any cost is charged:
 		// Put would refuse it anyway, and charging the AlluxioMode
@@ -770,7 +778,7 @@ func (c *Cluster) admitToMemory(ex *Executor, id storage.BlockID, recs []dataflo
 		c.met.Executors[ex.ID].Breakdown.DiskIO += cost
 		c.meter.AddModeled(storage.MemEncode, cost)
 	}
-	if _, err := ex.Mem.Put(id, recs, size, ex.ID, ex.Clock().Now()); err != nil {
+	if _, err := ex.Mem.Admit(id, block, size, ex.ID, ex.Clock().Now()); err != nil {
 		return false
 	}
 	c.ctl.OnBlockAdmitted(ex, id)

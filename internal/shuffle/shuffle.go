@@ -29,7 +29,10 @@ import (
 // bucket is stored either as a row slice (buckets) or as a columnar
 // batch (batches) depending on which data plane produced it; both
 // representations are equivalent and convert on demand at fetch time, so
-// row and vectorized stages interoperate freely within one run.
+// row and vectorized stages interoperate freely within one run. The
+// service owns a batch-stored output's batches: every fetch copies out
+// of them, and they go back to the pool when the output leaves the
+// service (release).
 type mapOutput struct {
 	buckets  [][]dataflow.Record
 	batches  []*dataflow.Batch
@@ -47,6 +50,18 @@ func (m *mapOutput) bucketRecords(b int) []dataflow.Record {
 		return nil
 	}
 	return m.buckets[b]
+}
+
+// release returns a batch-stored output's batches to the pool once it
+// has left the service. A broadcast output holds one batch in every
+// bucket; Batch.Release is idempotent, so it is released once.
+func (m *mapOutput) release() {
+	if m == nil {
+		return
+	}
+	for _, bb := range m.batches {
+		bb.Release()
+	}
 }
 
 type output struct {
@@ -150,9 +165,9 @@ func (s *Service) SetMapOutput(shuffleID, mapPart, executor int, buckets [][]dat
 }
 
 // SetMapOutputBatch stores one map task's bucket set in columnar form,
-// with the same replacement rules as SetMapOutput. The service retains
-// the batches (they are never pool-released), so the caller must hand
-// over ownership.
+// with the same replacement rules as SetMapOutput. The caller hands over
+// ownership: the service releases the batches when the output is cleaned
+// or lost.
 func (s *Service) SetMapOutputBatch(shuffleID, mapPart, executor int, batches []*dataflow.Batch, bytes []int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -230,10 +245,11 @@ func (s *Service) Fetch(shuffleID, bucket int) ([]dataflow.Record, int64, error)
 }
 
 // FetchBatch returns one reduce bucket in columnar form, concatenating
-// map outputs in map-partition order exactly like Fetch. Batch-stored
-// buckets copy column storage directly; row-stored buckets box in. The
-// returned batch is fresh and owned by the caller. NonNil mirrors
-// Fetch's result: nil only when no records were appended.
+// map outputs in map-partition order exactly like Fetch. A batch-stored
+// bucket is one bulk append per array (Batch.AppendBatch); row-stored
+// buckets box in. The returned batch is fresh, sized exactly and owned by
+// the caller. NonNil mirrors Fetch's result: nil only when no records
+// were appended.
 func (s *Service) FetchBatch(shuffleID, bucket int) (*dataflow.Batch, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -254,10 +270,7 @@ func (s *Service) FetchBatch(shuffleID, bucket int) (*dataflow.Batch, int64, err
 	for _, mo := range o.maps {
 		bytes += mo.bytes[bucket]
 		if mo.batches != nil {
-			bb := mo.batches[bucket]
-			for i := 0; i < bb.Len(); i++ {
-				out.AppendFromBatch(bb, i)
-			}
+			out.AppendBatch(mo.batches[bucket])
 		} else {
 			for _, r := range mo.buckets[bucket] {
 				out.Append(r.Key, r.Value)
@@ -285,8 +298,18 @@ func (s *Service) Router(shuffleID int) (dataflow.Router, bool) {
 func (s *Service) Clean(shuffleID int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if o, ok := s.outputs[shuffleID]; ok {
+		o.release()
+	}
 	delete(s.outputs, shuffleID)
 	s.sealEpoch.Add(1)
+}
+
+// release returns every retained batch of the shuffle to the pool.
+func (o *output) release() {
+	for _, m := range o.maps {
+		m.release()
+	}
 }
 
 // LostMapOutput identifies one invalidated map output and the bytes it
@@ -312,6 +335,7 @@ func (s *Service) LoseBucket(shuffleID, mapPart, bucket int) (int64, bool) {
 		return 0, false
 	}
 	bytes := o.maps[mapPart].bytes[bucket]
+	o.maps[mapPart].release()
 	o.maps[mapPart] = nil
 	o.sealed = false
 	s.sealEpoch.Add(1)
@@ -340,6 +364,7 @@ func (s *Service) LoseExecutorOutputs(executor int) []LostMapOutput {
 			for _, b := range mo.bytes {
 				bytes += b
 			}
+			mo.release()
 			o.maps[m] = nil
 			o.sealed = false
 			s.sealEpoch.Add(1)

@@ -401,3 +401,42 @@ func TestSnapshotAndRestoreReturnErrors(t *testing.T) {
 		t.Fatal("a failed Restore changed the service")
 	}
 }
+
+// TestRetainedBatchesReleasedWhenOutputLeaves: the service owns the
+// batches a map task hands it. They stay intact while fetches copy out of
+// them, and go back to the pool when their output is lost or the shuffle
+// cleaned — a broadcast output, one batch in every bucket, once.
+func TestRetainedBatchesReleasedWhenOutputLeaves(t *testing.T) {
+	s := NewService()
+	s.Ensure(1, 2, 3)
+	routed := []*dataflow.Batch{dataflow.FromRecords(recs(2, 4)), dataflow.FromRecords(recs(1))}
+	lost := []*dataflow.Batch{dataflow.FromRecords(recs(6)), nil}
+	bcast := dataflow.FromRecords(recs(7, 8))
+	for m, bs := range [][]*dataflow.Batch{routed, lost, {bcast, bcast}} {
+		if err := s.SetMapOutputBatch(1, m, m, bs, []int64{1, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.MarkComplete(1)
+	got, _, err := s.FetchBatch(1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := recs(2, 4, 6, 7, 8); !reflect.DeepEqual(got.Records(), want) {
+		t.Fatalf("bucket 0 = %v, want %v", got.Records(), want)
+	}
+	got.Release() // the fetched batch is the caller's copy
+	if routed[0].Len() != 2 || bcast.Len() != 2 {
+		t.Fatal("a fetch released a retained batch")
+	}
+	if _, ok := s.LoseBucket(1, 1, 0); !ok || lost[0].Len() != 0 {
+		t.Fatal("a lost map output's batches were not released")
+	}
+	if routed[0].Len() != 2 {
+		t.Fatal("losing one map output released another's batches")
+	}
+	s.Clean(1)
+	if routed[0].Len()+routed[1].Len()+bcast.Len() != 0 {
+		t.Fatal("Clean left retained batches unreleased")
+	}
+}

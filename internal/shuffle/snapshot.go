@@ -124,6 +124,9 @@ func (s *Service) Restore(snap *Snapshot) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, o := range s.outputs {
+		o.release()
+	}
 	s.totalWritten = snap.TotalWritten
 	s.sealEpoch.Add(1)
 	s.outputs = outputs

@@ -7,14 +7,15 @@
 // unpersist is decided by a cache controller in internal/engine or
 // internal/core. Each store runs in one of two modes:
 //
-//   - Virtual (the default): records are retained as live Go objects and
-//     the cost model charges modeled serialization and device time. This
-//     mode is deterministic and bit-identical at any parallelism.
-//   - Real bytes: the memory store holds encoded blocks (EncodeRecords)
-//     (with a bounded decode cache for hot reads) and the disk store
-//     writes one file per block under a run-scoped directory. The stores
-//     measure the wall-clock (de)serialization and file I/O they perform
-//     into a Meter, alongside the virtual charges, so modeled and
+//   - Virtual (the default): a block is retained as live Go objects — the
+//     records, or a typed batch the store owns — and the cost model
+//     charges modeled serialization and device time. This mode is
+//     deterministic and bit-identical at any parallelism.
+//   - Real bytes: the memory store holds encoded blocks (EncodeRecords or
+//     EncodeBatch, with a bounded decode cache for hot reads) and the disk
+//     store writes one file per block under a run-scoped directory. The
+//     stores measure the wall-clock (de)serialization and file I/O they
+//     perform into a Meter, alongside the virtual charges, so modeled and
 //     measured costs can be compared per category.
 //
 // In both modes capacity accounting uses the analytic size estimates the
@@ -24,8 +25,9 @@
 //
 // Which mode a store runs in is fixed by whoever constructs it (the
 // engine's executor pool); how a resident block is held is known only
-// here. Callers hand records in and get records out, and move a block
-// between the tiers of one executor as an opaque Payload.
+// here. Callers hand records or a batch in and read either form back,
+// and move a block between the tiers of one executor as an opaque
+// Payload.
 package storage
 
 import (
@@ -127,39 +129,50 @@ type BlockMeta struct {
 }
 
 // Payload is a block's contents in the representation of the store that
-// packed it: live records from a virtual store, an encoded block from a
-// real-bytes one. It is opaque outside this package, so a tier move hands
-// what one store released to the other store of the same executor without
-// the caller knowing, or converting, the representation. Fresh wraps
-// records no store has packed yet; a packed payload is only accepted by a
-// store of the mode that packed it.
+// packed it: a batch or records from a virtual store, an encoded block
+// from a real-bytes one. It is opaque outside this package, so a tier
+// move hands what one store released to the other store of the same
+// executor without the caller knowing, or converting, the
+// representation. Fresh and FreshBatch wrap a partition no store has
+// packed — what a task computed or a read returned — and a packed
+// payload is only accepted by a store of the mode that packed it.
 type Payload struct {
-	recs []dataflow.Record
-	data []byte
-	form payloadForm
+	recs  []dataflow.Record
+	batch *dataflow.Batch
+	data  []byte
+	form  payloadForm
 }
 
 type payloadForm uint8
 
 const (
-	formFresh   payloadForm = iota // records straight from a task, unpacked
+	formFresh   payloadForm = iota // recs or batch from a task or a read, unpacked and not the store's
 	formLive                       // packed by a virtual store: the records themselves
+	formBatch                      // packed by a virtual store: a batch the store owns
 	formEncoded                    // packed by a real-bytes store: data, or the block's file
 )
 
-// Fresh wraps freshly computed records for admission; the admitting store
-// packs them into its own representation.
+// Fresh wraps records for admission; a virtual store keeps them as they
+// are, a real-bytes store serializes them.
 func Fresh(recs []dataflow.Record) Payload { return Payload{recs: recs} }
 
+// FreshBatch wraps a batch for admission. The caller keeps it: a virtual
+// store admits a copy sized to the block (Batch.CloneExact), a real-bytes
+// store its encoding.
+func FreshBatch(b *dataflow.Batch) Payload { return Payload{batch: b} }
+
 // pack brings a payload into the representation of a store in the given
-// mode: fresh records are kept (virtual) or serialized (real bytes), a
-// packed payload passes only if a store of the same mode packed it.
+// mode: fresh records are kept, a fresh batch copied (virtual), either is
+// serialized (real bytes); a packed payload passes only if a store of the
+// same mode packed it.
 func pack(real bool, id BlockID, p Payload) (Payload, error) {
 	switch {
+	case p.form == formFresh && !real && p.batch != nil:
+		return Payload{batch: p.batch.CloneExact(), form: formBatch}, nil
 	case p.form == formFresh && !real:
 		return Payload{recs: p.recs, form: formLive}, nil
 	case p.form == formFresh:
-		data, err := EncodeRecords(p.recs)
+		data, err := p.encoded()
 		if err != nil {
 			return Payload{}, fmt.Errorf("storage: block %v failed to encode: %w", id, err)
 		}
@@ -170,12 +183,47 @@ func pack(real bool, id BlockID, p Payload) (Payload, error) {
 	return p, nil
 }
 
-// records unpacks the payload, deserializing encoded bytes.
-func (p Payload) records() ([]dataflow.Record, error) {
-	if p.form != formEncoded {
-		return p.recs, nil
+// encoded returns the payload's block encoding: the bytes a real-bytes
+// store holds as they are, a batch or records encoded.
+func (p Payload) encoded() ([]byte, error) {
+	switch {
+	case p.form == formEncoded:
+		return p.data, nil
+	case p.batch != nil:
+		return EncodeBatch(p.batch)
 	}
-	return DecodeRecords(p.data)
+	return EncodeRecords(p.recs)
+}
+
+// view is what a read of a virtual store's block returns: its contents,
+// unpacked and borrowed until the block leaves the store.
+func (p Payload) view() Payload { return Payload{recs: p.recs, batch: p.batch} }
+
+// Records returns the rows of a payload a read returned: the records
+// themselves, or a batch boxed.
+func (p Payload) Records() []dataflow.Record {
+	if p.batch != nil {
+		return p.batch.Records()
+	}
+	return p.recs
+}
+
+// Batch returns the partition of a payload a read returned as a batch the
+// caller owns: a Clone of a batch (one bulk copy per array, onto pooled
+// arrays), or the records columnarized.
+func (p Payload) Batch() *dataflow.Batch {
+	if p.batch != nil {
+		return p.batch.Clone()
+	}
+	return dataflow.FromRecords(p.recs)
+}
+
+// Release discards a payload a store handed over (MemoryStore.Remove)
+// that no store will take: a batch the store owned goes back to the pool.
+func (p Payload) Release() {
+	if p.form == formBatch {
+		p.batch.Release()
+	}
 }
 
 type memEntry struct {
@@ -254,33 +302,36 @@ func (m *MemoryStore) Contains(id BlockID) bool {
 	return ok
 }
 
-// Get is Read through the decode cache.
+// Get is Read through the decode cache, as rows.
 func (m *MemoryStore) Get(id BlockID, now time.Duration) ([]dataflow.Record, *BlockMeta, bool) {
-	return m.Read(id, now, false)
+	p, meta, ok := m.Read(id, now, false)
+	return p.Records(), meta, ok
 }
 
-// Read returns the block's records and metadata, updating access stats.
-// A real-bytes block is deserialized from its buffer unless the decode
+// Read returns the block's contents and metadata, updating access stats.
+// A virtual block comes back as it is held, borrowed: the caller copies
+// what it keeps (Payload.Batch) before the block can leave the store. A
+// real-bytes block is deserialized from its buffer unless the decode
 // cache holds it; uncached makes this read deserialize regardless and
 // leave the cache alone — how a reader whose store serves serialized
 // bytes even from memory (Spark+Alluxio) pays for every read.
-func (m *MemoryStore) Read(id BlockID, now time.Duration, uncached bool) ([]dataflow.Record, *BlockMeta, bool) {
+func (m *MemoryStore) Read(id BlockID, now time.Duration, uncached bool) (Payload, *BlockMeta, bool) {
 	e, ok := m.blocks[id]
 	if !ok {
-		return nil, nil, false
+		return Payload{}, nil, false
 	}
 	e.meta.LastAccess = now
 	e.meta.AccessCount++
 	if e.p.form != formEncoded {
-		return e.p.recs, e.meta, true
+		return e.p.view(), e.meta, true
 	}
 	if recs, hit := m.cache[id]; hit && !uncached {
 		m.meter.addDecodeCacheHit()
 		m.cacheTouch(id)
-		return recs, e.meta, true
+		return Fresh(recs), e.meta, true
 	}
 	start := time.Now()
-	recs, err := e.p.records()
+	recs, err := DecodeRecords(e.p.data)
 	if err != nil {
 		panic(fmt.Sprintf("storage: memory block %v failed to decode: %v", id, err))
 	}
@@ -288,7 +339,7 @@ func (m *MemoryStore) Read(id BlockID, now time.Duration, uncached bool) ([]data
 	if !uncached {
 		m.cacheInsert(id, recs)
 	}
-	return recs, e.meta, true
+	return Fresh(recs), e.meta, true
 }
 
 func (m *MemoryStore) cacheTouch(id BlockID) {
@@ -378,6 +429,9 @@ func (m *MemoryStore) admit(meta *BlockMeta, p Payload) error {
 	if m.quota != nil && !m.quota.Admit(id, meta.Size) {
 		// Backstop: the engine prechecks quotas before charging I/O, so a
 		// refusal here means a caller bypassed the precheck.
+		if p.form == formFresh {
+			packed.Release() // the copy pack made; a packed payload stays the caller's
+		}
 		return fmt.Errorf("storage: block %v (%d bytes) exceeds tenant %q memory quota", id, meta.Size, m.quota.Owner(id))
 	}
 	m.insert(&memEntry{p: packed, meta: meta})
@@ -408,8 +462,17 @@ func (m *MemoryStore) sortedIndex(id BlockID) int {
 // memory-store capacities the way the paper does empirically (§7.1).
 func (m *MemoryStore) PeakUsed() int64 { return m.peak }
 
-// Remove drops a block and returns its payload as stored (for spilling:
-// a real-bytes block moves to disk without a decode) and its size.
+// Drop removes a block and discards its payload: a batch the store owned
+// goes back to the pool. Every removal except a spill is a Drop.
+func (m *MemoryStore) Drop(id BlockID) (int64, bool) {
+	p, size, ok := m.Remove(id)
+	p.Release()
+	return size, ok
+}
+
+// Remove takes a block out of the store and hands its payload as stored
+// to the caller (for spilling: a real-bytes block moves to disk without a
+// decode, a batch without a copy) with its size.
 func (m *MemoryStore) Remove(id BlockID) (Payload, int64, bool) {
 	e, ok := m.blocks[id]
 	if !ok {
@@ -461,7 +524,7 @@ type DiskStore struct {
 	real    bool
 	dir     string
 	meter   *Meter
-	readBuf []byte // see readRecords
+	readBuf []byte // see Read
 }
 
 // NewDiskStore creates an empty virtual-mode disk store.
@@ -495,8 +558,9 @@ func (d *DiskStore) Contains(id BlockID) bool {
 }
 
 // Put writes a block to disk: a payload a memory store of the same mode
-// released (a spill: real bytes go to the block's file as they are), or
-// Fresh records, which a real-bytes store serializes first. The
+// released (a spill: real bytes go to the block's file as they are, a
+// batch is taken over), or a fresh partition, which a real-bytes store
+// serializes first and a virtual one keeps (a batch as an exact copy). The
 // wall-clock time of both is measured as DiskWrite (the cost model
 // likewise folds serialization into its DiskWrite charge).
 func (d *DiskStore) Put(id BlockID, p Payload, size int64) error {
@@ -542,82 +606,81 @@ func (d *DiskStore) store(id BlockID, p Payload, size int64) error {
 // this store (see columnVersions).
 func (d *DiskStore) ColumnVersion(part int) uint64 { return d.colVer.at(part) }
 
-// read returns a resident block's payload as stored — for a real-bytes
-// block, the contents of its file, in a buffer the caller may keep.
-func (d *DiskStore) read(id BlockID, e diskEntry) (Payload, error) {
-	p := e.p
-	if p.form == formEncoded {
-		data, err := os.ReadFile(d.path(id))
-		if err != nil {
-			return p, err
-		}
-		p.data = data
+// readFile reads a real-bytes block's file into buf, which it grows to
+// the file's size; a file shorter than the block is io.ErrUnexpectedEOF.
+func (d *DiskStore) readFile(id BlockID, e diskEntry, buf []byte) ([]byte, error) {
+	f, err := os.Open(d.path(id))
+	if err != nil {
+		return nil, err
 	}
-	return p, nil
+	defer f.Close()
+	if int64(cap(buf)) < e.fileBytes {
+		buf = make([]byte, e.fileBytes)
+	}
+	buf = buf[:e.fileBytes]
+	_, err = io.ReadFull(f, buf)
+	return buf, err
 }
 
-// readRecords reads and unpacks a resident block. A block file's bytes
-// are decoded at once and none of them kept, so they pass through the
-// store's own read buffer instead of costing one more block-sized
-// allocation per disk hit; the returned payload's data is valid only
-// until the next call.
-func (d *DiskStore) readRecords(id BlockID, e diskEntry) (Payload, []dataflow.Record, error) {
-	p := e.p
-	if p.form == formEncoded {
-		f, err := os.Open(d.path(id))
-		if err != nil {
-			return p, nil, err
-		}
-		defer f.Close()
-		if int64(cap(d.readBuf)) < e.fileBytes {
-			d.readBuf = make([]byte, e.fileBytes)
-		}
-		p.data = d.readBuf[:e.fileBytes]
-		if _, err := io.ReadFull(f, p.data); err != nil {
-			return p, nil, err
-		}
-	}
-	recs, err := p.records()
-	return p, recs, err
-}
-
-// readDone finishes an engine-path read begun at start: a failure is
-// fatal, and a real-bytes read is measured as DiskRead.
-func (d *DiskStore) readDone(id BlockID, p Payload, start time.Time, err error) {
+// readDone finishes an engine-path read of n file bytes begun at start:
+// a failure is fatal, and the read is measured as DiskRead.
+func (d *DiskStore) readDone(id BlockID, n int, start time.Time, err error) {
 	if err != nil {
 		panic(fmt.Sprintf("storage: disk block %v unreadable: %v", id, err))
 	}
-	if p.form == formEncoded {
-		d.meter.addMeasured(DiskRead, int64(len(p.data)), time.Since(start))
-	}
+	d.meter.addMeasured(DiskRead, int64(n), time.Since(start))
 }
 
-// Get reads a block's records from disk. In real-bytes mode the block's
-// file is read and deserialized, with the combined wall-clock time
-// measured as DiskRead.
-func (d *DiskStore) Get(id BlockID) ([]dataflow.Record, int64, bool) {
+// Read returns a block's contents like MemoryStore.Read: a virtual block
+// as it is held, borrowed until it leaves the store; a real-bytes
+// block's file read and deserialized, the combined wall-clock time
+// measured as DiskRead. The file's bytes are decoded at once and none of
+// them kept, so they pass through the store's own read buffer instead of
+// costing one more block-sized allocation per disk hit.
+func (d *DiskStore) Read(id BlockID) (Payload, int64, bool) {
 	e, ok := d.blocks[id]
 	if !ok {
-		return nil, 0, false
+		return Payload{}, 0, false
+	}
+	if e.p.form != formEncoded {
+		return e.p.view(), e.size, true
 	}
 	start := time.Now()
-	p, recs, err := d.readRecords(id, e)
-	d.readDone(id, p, start, err)
-	return recs, e.size, true
+	data, err := d.readFile(id, e, d.readBuf)
+	d.readBuf = data
+	var recs []dataflow.Record
+	if err == nil {
+		recs, err = DecodeRecords(data)
+	}
+	d.readDone(id, len(data), start, err)
+	return Fresh(recs), e.size, true
+}
+
+// Get is Read as rows.
+func (d *DiskStore) Get(id BlockID) ([]dataflow.Record, int64, bool) {
+	p, size, ok := d.Read(id)
+	return p.Records(), size, ok
 }
 
 // Load reads a block's payload without unpacking it, for promotion into
 // the memory store of the same executor (no decode/encode round trip in
-// real-bytes mode). The read is measured as DiskRead.
+// real-bytes mode; the read is measured as DiskRead). The disk keeps its
+// copy, so a batch is handed over as another (Batch.CloneExact).
 func (d *DiskStore) Load(id BlockID) (Payload, int64, bool) {
 	e, ok := d.blocks[id]
 	if !ok {
 		return Payload{}, 0, false
 	}
+	switch e.p.form {
+	case formBatch:
+		return Payload{batch: e.p.batch.CloneExact(), form: formBatch}, e.size, true
+	case formLive:
+		return e.p, e.size, true
+	}
 	start := time.Now()
-	p, err := d.read(id, e)
-	d.readDone(id, p, start, err)
-	return p, e.size, true
+	data, err := d.readFile(id, e, nil)
+	d.readDone(id, len(data), start, err)
+	return Payload{data: data, form: formEncoded}, e.size, true
 }
 
 // Size returns a block's accounted size without touching its payload
@@ -630,7 +693,8 @@ func (d *DiskStore) Size(id BlockID) (int64, bool) {
 	return e.size, true
 }
 
-// Remove deletes a block from disk (and its file, in real-bytes mode).
+// Remove deletes a block from disk (and its file, in real-bytes mode); a
+// batch the store owned goes back to the pool.
 func (d *DiskStore) Remove(id BlockID) (int64, bool) {
 	e, ok := d.blocks[id]
 	if !ok {
@@ -639,6 +703,7 @@ func (d *DiskStore) Remove(id BlockID) (int64, bool) {
 	delete(d.blocks, id)
 	d.colVer.bump(id.Partition)
 	d.current -= e.size
+	e.p.Release()
 	if e.p.form == formEncoded {
 		if err := os.Remove(d.path(id)); err != nil && !os.IsNotExist(err) {
 			panic(fmt.Sprintf("storage: disk block %v: %v", id, err))
@@ -746,12 +811,19 @@ func EncodeRecords(recs []dataflow.Record) ([]byte, error) {
 }
 
 // EncodeBatch is EncodeRecords for a partition already in columnar form
-// (a retained shuffle bucket): the same bytes, without boxing the rows.
+// (a cached block, a retained shuffle bucket): exactly the bytes of
+// EncodeRecords(b.Records()), without boxing the rows of a flat column.
+// An empty batch or one without a flat column goes through the rows,
+// since which column it carries is not part of the canonical encoding.
 func EncodeBatch(b *dataflow.Batch) ([]byte, error) {
-	if data, typed := dataflow.EncodeBlock(b); typed {
-		return data, nil
+	if b.Len() > 0 {
+		if _, flat := b.Col.(dataflow.FlatColumn); flat {
+			data, _ := dataflow.EncodeBlock(b)
+			data[1] = 1 // NonNil: the rows of a non-empty batch are never nil
+			return data, nil
+		}
 	}
-	return encodeGob(b.Records())
+	return EncodeRecords(b.Records())
 }
 
 // DecodeRecords deserializes a partition written by EncodeRecords or

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"math/rand"
@@ -527,7 +528,7 @@ func TestReadUncachedBypassesDecodeCache(t *testing.T) {
 	}
 	m.Get(id, 0) // decodes and caches
 	for i := 0; i < 2; i++ {
-		if got, _, ok := m.Read(id, 0, true); !ok || got[0].Value.(float64) != 1.0 {
+		if got, _, ok := m.Read(id, 0, true); !ok || got.Records()[0].Value.(float64) != 1.0 {
 			t.Fatalf("uncached read wrong: %+v ok=%v", got, ok)
 		}
 	}
@@ -583,61 +584,85 @@ func TestDiskStoreRealFiles(t *testing.T) {
 	}
 }
 
-// TestRecordsReportsTheCause: checkpoint capture reads blocks through
-// Records, and a block that cannot be read back must say why — the file
-// and the decoder's complaint for a torn spill file, the os error for a
-// missing one — rather than a bare "unreadable".
-func TestRecordsReportsTheCause(t *testing.T) {
+// TestEncodedReportsTheCause: checkpoint capture reads blocks through
+// Encoded — a real-bytes block's bytes as stored, undecoded — and a
+// block that cannot be read back must say why: the file and the os error
+// for a torn or missing spill file, rather than a bare "unreadable".
+func TestEncodedReportsTheCause(t *testing.T) {
 	d := NewDiskStoreReal(t.TempDir(), nil)
 	id := BlockID{Dataset: 2, Partition: 3}
 	recs := []dataflow.Record{{Key: 1, Value: []float64{1, 2}}, {Key: 2, Value: []float64{3}}}
 	if err := d.Put(id, Fresh(recs), 100); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := d.Records(id); err != nil || !reflect.DeepEqual(got, recs) {
-		t.Fatalf("intact block: %+v, %v", got, err)
-	}
 	path := filepath.Join(d.Dir(), "rdd_2_3.blk")
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := append([]byte(nil), data...)
-	bad[len(bad)-3*8-4-4] ^= 0x40 // the last offset, before the count and the 3 floats of the flat array
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = d.Records(id)
-	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "offsets array") {
-		t.Fatalf("damaged file: err = %v, want the path and the decoder's reason", err)
+	if got, err := d.Encoded(id); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("intact block: %d bytes (file %d), %v", len(got), len(data), err)
 	}
 	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err = d.Records(id); !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), path) {
+	if _, err = d.Encoded(id); !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), path) {
 		t.Fatalf("torn file: err = %v, want the path and an unexpected EOF", err)
 	}
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err = d.Records(id); !errors.Is(err, os.ErrNotExist) {
+	if _, err = d.Encoded(id); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want it to wrap os.ErrNotExist", err)
 	}
-	if _, err := d.Records(BlockID{9, 9}); err == nil {
+	if _, err := d.Encoded(BlockID{9, 9}); err == nil {
 		t.Fatal("a block the store does not hold is not an error")
 	}
 
 	m := NewMemoryStoreReal(1<<20, nil, 0)
-	if _, err := m.Records(id); err == nil {
+	if _, err := m.Encoded(id); err == nil {
 		t.Fatal("a block the memory store does not hold is not an error")
 	}
 	if _, err := m.Put(id, recs, 100, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	e := m.blocks[id]
-	e.p.data = e.p.data[:len(e.p.data)-5]
-	if _, err := m.Records(id); err == nil || !strings.Contains(err.Error(), "rdd_2_3") {
-		t.Fatalf("torn buffer: err = %v, want the block id and the cause", err)
+	if got, err := m.Encoded(id); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("memory block: %d bytes (file %d), %v", len(got), len(data), err)
+	}
+}
+
+// TestEncodedIsTheRowEncoding: whatever form a block is held in — live
+// records, a store-owned batch, real bytes in memory or in a file —
+// Encoded returns exactly EncodeRecords of its rows, so a checkpoint's
+// bytes do not depend on which plane cached the block.
+func TestEncodedIsTheRowEncoding(t *testing.T) {
+	RegisterValueType(float64(0))
+	recs := sampleRecords(5)
+	want, err := EncodeRecords(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := dataflow.FromRecords(recs)
+	b.NonNil = false // a kernel's batch need not set it when non-empty
+	id := BlockID{Dataset: 1, Partition: 0}
+	for _, real := range []bool{false, true} {
+		for _, p := range []Payload{Fresh(recs), FreshBatch(b)} {
+			m, d := NewMemoryStore(1<<20), NewDiskStore()
+			if real {
+				m, d = NewMemoryStoreReal(1<<20, nil, 0), NewDiskStoreReal(t.TempDir(), nil)
+			}
+			if _, err := m.Admit(id, p, 100, 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Put(id, p, 100); err != nil {
+				t.Fatal(err)
+			}
+			for name, enc := range map[string]func(BlockID) ([]byte, error){"memory": m.Encoded, "disk": d.Encoded} {
+				if got, err := enc(id); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("real=%v batch=%v %s: Encoded differs from EncodeRecords (err %v)", real, p.batch != nil, name, err)
+				}
+			}
+		}
 	}
 }
 
@@ -710,6 +735,47 @@ func TestVirtualStoresRejectEncodedAPI(t *testing.T) {
 	}
 }
 
+// TestBatchBlockOwnership walks a batch through the virtual tiers —
+// admit, hit, spill, promote, drop — and releases every copy handed out
+// as soon as its holder is done. Each store keeps a copy of its own, so
+// every read still returns the rows that were admitted.
+func TestBatchBlockOwnership(t *testing.T) {
+	recs := sampleRecords(6)
+	want := dataflow.FromRecords(recs).Records()
+	check := func(step string, got []dataflow.Record) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: read %v, want %v", step, got, want)
+		}
+	}
+	m, d := NewMemoryStore(1<<20), NewDiskStore()
+	id := BlockID{Dataset: 3, Partition: 1}
+	task := dataflow.FromRecords(recs)
+	if _, err := m.Admit(id, FreshBatch(task), 200, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	task.Release() // the task's batch is its own: the store took a copy
+	p, _, _ := m.Read(id, 0, false)
+	hit := p.Batch()
+	hit.Release() // a hit is a copy too
+	got, _, _ := m.Get(id, 0)
+	check("memory after the task and a hit released", got)
+
+	spilled, size, _ := m.Remove(id)
+	if err := d.Put(id, spilled, size); err != nil { // the disk takes the batch over
+		t.Fatal(err)
+	}
+	got, _, _ = d.Get(id)
+	check("disk after a spill", got)
+	promoted, _, _ := d.Load(id)
+	if _, err := m.Admit(id, promoted, size, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	m.Drop(id) // releases the promoted copy, not the disk's
+	got, _, _ = d.Get(id)
+	check("disk after the promoted copy was dropped", got)
+}
+
 func sampleRecords(n int) []dataflow.Record {
 	out := make([]dataflow.Record, n)
 	for i := range out {
@@ -735,6 +801,10 @@ func TestColumnVersionCountsEveryResidencyChange(t *testing.T) {
 			t.Errorf("%s moved another column's version", name)
 		}
 	}
+	data, err := EncodeRecords(sampleRecords(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, real := range []bool{false, true} {
 		m := NewMemoryStore(1 << 20)
 		if real {
@@ -742,7 +812,7 @@ func TestColumnVersionCountsEveryResidencyChange(t *testing.T) {
 		}
 		moved("MemoryStore.Put", m.ColumnVersion, func() { m.Put(id, sampleRecords(3), 100, 0, 0) })
 		moved("MemoryStore.Remove", m.ColumnVersion, func() { m.Remove(id) })
-		moved("MemoryStore.Restore", m.ColumnVersion, func() { m.Restore(BlockMeta{ID: id, Size: 100}, sampleRecords(3)) })
+		moved("MemoryStore.Restore", m.ColumnVersion, func() { m.Restore(BlockMeta{ID: id, Size: 100}, data) })
 		var p Payload
 		moved("MemoryStore.Remove (payload)", m.ColumnVersion, func() { p, _, _ = m.Remove(id) })
 		moved("MemoryStore.Admit", m.ColumnVersion, func() { m.Admit(id, p, 100, 0, 0) })
@@ -753,7 +823,7 @@ func TestColumnVersionCountsEveryResidencyChange(t *testing.T) {
 		}
 		moved("DiskStore.Put", d.ColumnVersion, func() { d.Put(id, Fresh(sampleRecords(3)), 100) })
 		moved("DiskStore.Remove", d.ColumnVersion, func() { d.Remove(id) })
-		moved("DiskStore.Restore", d.ColumnVersion, func() { d.Restore(id, sampleRecords(3), 100) })
+		moved("DiskStore.Restore", d.ColumnVersion, func() { d.Restore(id, data, 100) })
 		d.Remove(id)
 		moved("DiskStore.Put (payload)", d.ColumnVersion, func() { d.Put(id, p, 100) })
 	}

@@ -45,6 +45,7 @@ func durableStreamConfig(wl blaze.StreamWorkloadID, par int, disk int64, dir str
 // through the exact ILP. The baseline runs without checkpointing at all,
 // so the comparison also proves that durability itself perturbs nothing.
 func TestStreamCrashResumeBitIdentity(t *testing.T) {
+	poisonPools(t)
 	for _, wl := range blaze.AllStreamWorkloads() {
 		wl := wl
 		for _, c := range []struct {
@@ -386,6 +387,7 @@ func TestStreamCrashResumeFallbackAndEmptyBlocks(t *testing.T) {
 // uninterrupted one, which a restored bucket served wrongly — or a map
 // stage re-run because its output went missing — would break.
 func TestResumedShuffleServesBothPlanes(t *testing.T) {
+	poisonPools(t)
 	for _, wl := range []blaze.StreamWorkloadID{blaze.StreamPR, streamMixed} {
 		tune := func(c *blaze.StreamConfig) {
 			if wl == streamMixed {

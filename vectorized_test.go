@@ -12,9 +12,11 @@ func runVec(t *testing.T, sys blaze.SystemID, wl blaze.WorkloadID, par int, vec 
 	return runVecCfg(t, blaze.RunConfig{System: sys, Workload: wl, Parallelism: par, Vectorized: vec, Faults: faults})
 }
 
-// runVecCfg runs cfg at the sweep's cluster shape with a fresh event log.
+// runVecCfg runs cfg at the sweep's cluster shape with a fresh event
+// log, with released pool arrays poisoned.
 func runVecCfg(t *testing.T, cfg blaze.RunConfig) (*blaze.Result, *blaze.EventLog) {
 	t.Helper()
+	poisonPools(t)
 	cfg.Executors, cfg.Scale, cfg.EventLog = 4, 0.25, blaze.NewEventLog()
 	res, err := blaze.Run(cfg)
 	if err != nil {
@@ -132,6 +134,7 @@ func TestVectorizedPathEngages(t *testing.T) {
 // streaming: N windows through a vectorized session must be bit-equal
 // to the row session, including per-window stats and boundary events.
 func TestVectorizedStreamIdentity(t *testing.T) {
+	poisonPools(t)
 	run := func(vec bool) (*blaze.StreamResult, *blaze.EventLog) {
 		log := blaze.NewEventLog()
 		res, err := blaze.RunStream(blaze.StreamConfig{
