@@ -183,12 +183,10 @@ func NewContext() *Context { return dataflow.NewContext() }
 // HashPartition returns the partition a key hashes to.
 func HashPartition(key int64, parts int) int { return dataflow.HashPartition(key, parts) }
 
-// VecTasksExecuted returns the process-wide count of tasks that ran on
-// the columnar data plane. A Vectorized run's metrics and events are
-// bit-identical to a row-plane run's by design, so this counter
-// is the only way for tests and benchmarks to confirm the columnar path
-// actually engaged.
-func VecTasksExecuted() int64 { return engine.VecTasksExecuted() }
+// VecTasksExecuted returns the process-wide count of executed tasks.
+//
+// Deprecated: there is one task loop, so this counts every task.
+func VecTasksExecuted() int64 { return engine.TasksExecuted() }
 
 // ZipDatasets combines two co-partitioned datasets partition-wise with
 // a narrow dependency on both (Spark's zipPartitions).

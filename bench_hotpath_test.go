@@ -161,6 +161,41 @@ func BenchmarkHotpathCombineBatch(b *testing.B) {
 	}
 }
 
+// --- row-form passthrough -------------------------------------------------
+
+// BenchmarkHotpathRowOperator runs one job of operators without kernels
+// through the engine — a Map, then a ReduceByKey over 8 partitions — so
+// every partition stays in row form: row functions' results wrapped,
+// routed and combined by rows, fetched and reduced. It guards what the
+// task loop costs workloads that never go columnar.
+func BenchmarkHotpathRowOperator(b *testing.B) {
+	const parts = 8
+	input := make([][]dataflow.Record, parts)
+	for p := range input {
+		for k := 0; k < benchVerts; k++ {
+			input[p] = append(input[p], dataflow.Record{Key: int64(k*parts + p), Value: int64(k)})
+		}
+	}
+	ctx := dataflow.NewContext()
+	if _, err := engine.NewCluster(engine.Config{Executors: 4, MemoryPerExecutor: 1 << 30, Params: costmodel.Default(),
+		Controller: engine.NewSparkMemOnly(), Parallelism: 1}, ctx); err != nil {
+		b.Fatal(err)
+	}
+	src := ctx.Source("rows@0", parts, func(part int) []dataflow.Record { return input[part] })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mapped := src.Map(fmt.Sprintf("mapped@%d", i), func(r dataflow.Record) dataflow.Record {
+			return dataflow.Record{Key: r.Key % 1024, Value: r.Value.(int64) + 1}
+		})
+		sums := mapped.ReduceByKey(fmt.Sprintf("sums@%d", i), parts, func(a, b any) any { return a.(int64) + b.(int64) })
+		if n := sums.Count(); n != 1024 {
+			b.Fatalf("%d keys reduced, want 1024", n)
+		}
+		mapped.Release()
+	}
+}
+
 // --- codec round-trip ---------------------------------------------------
 
 func BenchmarkHotpathCodecRoundTrip(b *testing.B) {
@@ -273,18 +308,16 @@ func TestBatchedPRKernelAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestEnginePRAllocCeiling pins what a whole PageRank run on the columnar
-// plane allocates per vertex and iteration: Blaze, memory under pressure
-// (a quarter of the working set), Parallelism 2, at the pr-dataplane
-// benchmark's shape. Cached partitions stay typed, a count boxes
-// nothing, and the map side combines once into exactly-sized buckets, so
-// what is left is per task and per block, not per record; boxing a
-// partition at the store or the driver, or a Go map per combine, costs
-// several allocations per vertex-iteration and fails here.
-func TestEnginePRAllocCeiling(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc measurement is noisy under -short harnesses")
-	}
+// prAllocCeiling bounds what a PageRank run allocates per vertex and
+// iteration (prAllocsPerVertexIter). Measured 0.95 (linux/amd64,
+// go1.24); boxing every cached partition and every counted graph, with a
+// Go map per combine, reads 5.7.
+const prAllocCeiling = 1.4
+
+// prAllocsPerVertexIter measures what a whole PageRank run allocates per
+// vertex and iteration: Blaze, memory under pressure (a quarter of the
+// working set), Parallelism 2, at the pr-dataplane benchmark's shape.
+func prAllocsPerVertexIter(t *testing.T) float64 {
 	const verts, iters = 24000, 10
 	id := blaze.WorkloadID("hotpath/pr-dataplane")
 	if _, err := blaze.Workload(id); err != nil {
@@ -294,24 +327,69 @@ func TestEnginePRAllocCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cfg := blaze.RunConfig{System: blaze.SysBlaze, Workload: id, Executors: 8, Parallelism: 2, Vectorized: true}
+	return float64(runMallocs(t, blaze.RunConfig{System: blaze.SysBlaze, Workload: id, Executors: 8, Parallelism: 2})) / (verts * iters)
+}
+
+// runMallocs returns the heap allocations of one blaze.Run of cfg, after
+// a first run has calibrated memory, generated the input and warmed the
+// pools.
+func runMallocs(t *testing.T, cfg blaze.RunConfig) uint64 {
 	run := func() {
 		if _, err := blaze.Run(cfg); err != nil {
 			t.Fatal(err)
 		}
 	}
-	run() // memory calibration, the generated graph, warm pools
+	run()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	perVertexIter := float64(after.Mallocs-before.Mallocs) / (verts * iters)
-	// Measured 0.95 (linux/amd64, go1.24); boxing every cached partition
-	// and every counted graph, with a Go map per combine, reads 5.7.
-	const ceiling = 1.4
-	if perVertexIter > ceiling {
-		t.Fatalf("a columnar PageRank run allocates %.2f times per vertex-iteration (ceiling %.1f): something per record is back on the engine path",
-			perVertexIter, ceiling)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestRowOperatorAllocCeiling pins what whole runs of the workloads
+// whose operators have no kernel allocate: their partitions stay in row
+// form, shared and never copied per record, so the one task loop must
+// cost them no more than the row plane it replaced. The baselines are
+// that row plane's allocations per run, measured at commit fb81882
+// (linux/amd64, go1.24, spark-memdisk, 8 executors, Parallelism 1); a
+// run may allocate at most 10% more.
+func TestRowOperatorAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is noisy under -short harnesses")
+	}
+	for wl, base := range map[blaze.WorkloadID]uint64{
+		blaze.LR:     24_719,
+		blaze.CC:     127_005,
+		blaze.GBT:    507_027,
+		blaze.KMeans: 8_499,
+	} {
+		got := runMallocs(t, blaze.RunConfig{System: blaze.SysSparkMemDisk, Workload: wl, Executors: 8, Parallelism: 1})
+		t.Logf("%s: %d allocations per run (row plane %d)", wl, got, base)
+		if ceiling := base * 11 / 10; got > ceiling {
+			t.Errorf("%s: a run allocates %d times (ceiling %d, the row plane's %d + 10%%): a row-form partition is copied or boxed per record",
+				wl, got, ceiling, base)
+		}
+	}
+}
+
+// TestEnginePRAllocCeiling pins what a whole PageRank run allocates per
+// vertex and iteration. Every PageRank operator has a kernel and the
+// adjacency is a typed source, so the run is columnar throughout: cached
+// partitions stay typed, a count boxes nothing, and the map side combines
+// once into exactly-sized buckets. What is left is per task and per
+// block, not per record; boxing a partition at the store or the driver,
+// or a Go map per combine, costs several allocations per vertex-iteration
+// and fails here.
+func TestEnginePRAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is noisy under -short harnesses")
+	}
+	got := prAllocsPerVertexIter(t)
+	t.Logf("%.2f allocations per vertex-iteration", got)
+	if got > prAllocCeiling {
+		t.Fatalf("a PageRank run allocates %.2f times per vertex-iteration (ceiling %.1f): something per record is back on the engine path",
+			got, prAllocCeiling)
 	}
 }
 

@@ -145,12 +145,10 @@ type RunConfig struct {
 	// measurements land in Result.Storage for modeled-vs-measured
 	// comparison.
 	RealBytes bool
-	// Vectorized runs eligible stages on the engine's columnar task
-	// loop: typed batches and pooled buffers instead of per-record
-	// boxing, for real wall-clock throughput (see `go test -bench
-	// Hotpath .` and the bench/ pr-dataplane workload). Like
-	// Parallelism, it changes only wall-clock time: virtual-time metrics
-	// and the event log are bit-identical with the flag on or off.
+	// Vectorized is ignored: the engine has one task loop, in which every
+	// partition keeps the form its producer gave it.
+	//
+	// Deprecated: nothing reads this field.
 	Vectorized bool
 }
 
@@ -418,7 +416,6 @@ func (p *runPlan) jobSpec(tenant string) server.JobSpec {
 		Hook:              p.hook,
 		Resilience:        p.cfg.Resilience,
 		Parallelism:       p.cfg.Parallelism,
-		Vectorized:        p.cfg.Vectorized,
 	}
 }
 

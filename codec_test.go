@@ -125,53 +125,72 @@ func (a *blockAudit) OnJobEnd(c *engine.Cluster, _ *engine.Job) {
 // TestWorkloadBlocksTakeTypedPath keeps the benchmark workloads' bytes
 // on the typed columnar codec: the cached blocks and shuffle buckets of
 // PageRank, PageRankStream, KMeans and SVD++ — rank graphs (adjacency
-// included), contributions, points, centroid statistics, factors — encode with the
-// typed marker on both data planes. A value-type change that silently
-// drops one of them back onto per-record gob fails here.
+// included), contributions, points, centroid statistics, factors —
+// encode with the typed marker whether they are held columnar (the
+// default run, "vectorized=true") or in row form (every kernel declined).
+// A value-type change that silently drops one of them back onto
+// per-record gob fails here. The metrics cannot show a kernel computing
+// a wrong value, so the default run's results must also equal the
+// declined arm's, bit for bit. PageRank's adjacency is a typed source,
+// so its kernels run on virtual stores; k-means and SVD++ read their
+// inputs from row functions, and run on real-bytes stores, where a
+// cached block of kernelInput reads back decoded into columns.
 func TestWorkloadBlocksTakeTypedPath(t *testing.T) {
 	drivers := map[string]struct {
-		drive func(ctx *dataflow.Context)
-		typed []string // value types that must occur, typed only
+		drive       func(ctx *dataflow.Context) any
+		typed       []string // value types that must occur, typed only
+		kernelInput string   // real bytes: the datasets a kernel maps over
 	}{
-		"pr": {func(ctx *dataflow.Context) {
-			graphx.PageRank(ctx, graphx.PageRankConfig{
+		"pr": {func(ctx *dataflow.Context) any {
+			return graphx.PageRank(ctx, graphx.PageRankConfig{
 				Graph: datagen.GraphSpec{Seed: 1, Vertices: 400, AvgDegree: 8}, Parts: 8, Iters: 3, Annotate: true})
-		}, []string{"graphx.VertexRank", "float64"}},
-		"pr-stream": {func(ctx *dataflow.Context) {
+		}, []string{"graphx.VertexRank", "float64"}, ""},
+		"pr-stream": {func(ctx *dataflow.Context) any {
 			step := graphx.PageRankStream(graphx.PageRankStreamConfig{
 				Graph: datagen.GraphSpec{Seed: 11, Vertices: 400, AvgDegree: 8}, Parts: 8, Annotate: true})
-			step(ctx, 1)
-			step(ctx, 2)
-		}, []string{"graphx.VertexRank", "float64"}},
-		"kmeans": {func(ctx *dataflow.Context) {
-			mllib.KMeans(ctx, mllib.KMeansConfig{
+			return []map[int64]float64{step(ctx, 1), step(ctx, 2)}
+		}, []string{"graphx.VertexRank", "float64"}, ""},
+		"kmeans": {func(ctx *dataflow.Context) any {
+			centers, wcss := mllib.KMeans(ctx, mllib.KMeansConfig{
 				Data: datagen.ClusterSpec{Seed: 13, N: 800, Dim: 4, K: 4, Spread: 2.0}, Parts: 8, MaxIters: 3, Epsilon: -1, Annotate: true})
-		}, []string{"mllib.Vector", "mllib.sumCount"}},
-		"svdpp": {func(ctx *dataflow.Context) {
-			graphx.SVDPP(ctx, graphx.SVDPPConfig{
+			return []any{centers, wcss}
+		}, []string{"mllib.Vector", "mllib.sumCount"}, "km-points@"},
+		"svdpp": {func(ctx *dataflow.Context) any {
+			return graphx.SVDPP(ctx, graphx.SVDPPConfig{
 				Ratings: datagen.RatingsSpec{Seed: 5, Users: 200, Items: 100, ItemsPerUser: 8}, Parts: 8, Rank: 4, Iters: 3, Annotate: true})
-		}, []string{"graphx.Factors"}},
+		}, []string{"graphx.Factors"}, "svd-itemf@"},
 	}
 	// The types still served by the gob fallback: they have no flat column.
 	fallback := map[string]bool{"graphx.RatingList": true}
+	declinedOut := map[string]any{}
 	for name, d := range drivers {
 		for _, vec := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/vectorized=%v", name, vec), func(t *testing.T) {
+				poisonPools(t)
 				audit := &blockAudit{t: t, byType: map[string]map[byte]int{}}
 				ctx := dataflow.NewContext()
+				log := blaze.NewEventLog()
 				c, err := engine.NewCluster(engine.Config{
 					Executors:         2,
 					MemoryPerExecutor: 64 * 1024, // room for some blocks, pressure for spills
 					Params:            blaze.EvalParams(1),
 					Controller:        engine.NewSparkMemDisk(), // caches exactly what the drivers annotate
-					Vectorized:        vec,
 					Hook:              audit,
+					EventLog:          log,
+					RealBytes:         d.kernelInput != "",
 				}, ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer c.Close()
-				d.drive(ctx)
+				if !vec {
+					withKernelsDeclined(func() { declinedOut[name] = d.drive(ctx) })
+				} else if !reflect.DeepEqual(d.drive(ctx), declinedOut[name]) {
+					t.Error("the results differ from the declined arm's")
+				}
+				if vec && d.kernelInput != "" && cachedReads(log, d.kernelInput) == 0 {
+					t.Errorf("no cached %s* block was read back: no kernel saw a decoded, columnar input", d.kernelInput)
+				}
 				for _, typ := range d.typed {
 					if audit.byType[typ][dataflow.BlockTyped] == 0 {
 						t.Errorf("no %s block or bucket was seen on the typed path: %v", typ, audit.byType)

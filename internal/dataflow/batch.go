@@ -3,24 +3,30 @@ package dataflow
 import (
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 )
 
-// This file implements the columnar batch representation used by the
-// engine's vectorized task loop. A Batch stores one partition as a
-// dense key column plus a typed value column, so narrow operator chains
-// can run as flat loops without boxing one Record interface value per
-// element. Batches convert losslessly to and from []Record (the driver
-// boundary and the row plane), and EstimateSize matches EstimateRecords
-// on the equivalent rows exactly, which is what keeps virtual-time
-// metrics bit-identical between the row and batched loops.
+// This file implements the Batch, the one container of the engine's task
+// loop. A batch holds one partition in one of two forms:
+//
+//   - Columnar: a dense key column plus a typed value column, so narrow
+//     operator chains run as flat loops without boxing one Record
+//     interface value per element. A kernel's output, a decoded block and
+//     a typed source are columnar.
+//   - Row form (Rows): the []Record a row function returned, shared and
+//     never copied per record. Its records must not be mutated.
+//
+// Either form converts losslessly to []Record, and EstimateSize matches
+// EstimateRecords on the equivalent rows exactly, which is what keeps
+// virtual-time metrics independent of the form a partition takes.
 //
 // Ownership rules (see DESIGN.md "Pooling ownership rules"):
-//   - A batch's backing arrays may come from sync.Pools. A batch has one
-//     owner at a time, and the owner releases it exactly once: the task
-//     loop for a partition in flight; a block store for a cached block,
-//     until the block is dropped, evicted without a spill, retired or
-//     purged (a spill hands it to the disk store); the shuffle service
+//   - A columnar batch's backing arrays may come from sync.Pools. It has
+//     one owner at a time, and the owner releases it exactly once: the
+//     task loop for a partition in flight; a block store for a cached
+//     block, until the block is dropped, evicted without a spill, retired
+//     or purged (a spill hands it to the disk store); the shuffle service
 //     for a retained bucket, until the shuffle is cleaned or the map
 //     output lost (a broadcast output fills every bucket and is released
 //     once).
@@ -28,6 +34,8 @@ import (
 //     batch (CloneExact: a long-lived owner holds arrays of exactly its
 //     size, never pooled ones), and a task clones a cached batch before
 //     using it.
+//   - A row-form batch owns nothing pooled and never changes, so it is
+//     its own clone and Release leaves it alone: owners share it.
 //   - Column.Value boxes a copy of any backing storage; boxed values
 //     never alias pooled arrays.
 //   - Batch kernels must return a fresh batch and must not retain their
@@ -57,7 +65,8 @@ type Column interface {
 	Release()
 }
 
-// Batch is the columnar form of one partition's []Record.
+// Batch is one partition: columnar, or in row form, when Col is the
+// records themselves and Keys is empty (see Rows).
 type Batch struct {
 	Keys []int64
 	Col  Column
@@ -68,9 +77,65 @@ type Batch struct {
 	NonNil bool
 }
 
-// NewBatch returns an empty batch with pooled key storage.
+// NewBatch returns an empty columnar batch with pooled key storage.
 func NewBatch(capHint int) *Batch {
 	return &Batch{Keys: GetI64Slice(capHint)}
+}
+
+// rowBatch is a row-form batch and its column in one allocation. The
+// records live in the column rather than in a Batch field, which keeps
+// every columnar Batch in the smaller allocation size class.
+type rowBatch struct {
+	b    Batch
+	recs rowsColumn
+}
+
+func (r *rowBatch) batch() *Batch {
+	r.b = Batch{Col: &r.recs, NonNil: r.recs != nil}
+	return &r.b
+}
+
+// noRows is Rows(nil). A row-form batch never changes, so one serves all.
+var noRows = new(rowBatch).batch()
+
+// Rows wraps records in a row-form batch without copying them.
+func Rows(recs []Record) *Batch {
+	if recs == nil {
+		return noRows
+	}
+	return (&rowBatch{recs: recs}).batch()
+}
+
+// RowsEach is Rows of every slice, with the batches allocated together.
+func RowsEach(parts [][]Record) []*Batch {
+	out := make([]*Batch, len(parts))
+	slab := make([]rowBatch, len(parts))
+	for i, recs := range parts {
+		out[i] = noRows
+		if recs != nil {
+			slab[i].recs = recs
+			out[i] = slab[i].batch()
+		}
+	}
+	return out
+}
+
+// rows returns a row-form batch's records.
+func (b *Batch) rows() (rowsColumn, bool) {
+	if b == nil {
+		return nil, false
+	}
+	c, ok := b.Col.(*rowsColumn)
+	if !ok {
+		return nil, false
+	}
+	return *c, true
+}
+
+// RowForm reports whether the batch is in row form.
+func (b *Batch) RowForm() bool {
+	_, ok := b.rows()
+	return ok
 }
 
 // Len returns the number of records in the batch.
@@ -78,7 +143,11 @@ func (b *Batch) Len() int {
 	if b == nil {
 		return 0
 	}
-	return len(b.Keys)
+	if len(b.Keys) > 0 { // columnar: the common case on the hot path
+		return len(b.Keys)
+	}
+	recs, _ := b.rows()
+	return len(recs)
 }
 
 // Append adds one record, choosing a typed column from the first value.
@@ -123,9 +192,12 @@ func (b *Batch) migrate() {
 	b.Col = ac
 }
 
-// Records boxes the batch back into the row representation, preserving
-// the nil-vs-empty distinction.
+// Records returns the batch as rows, preserving the nil-vs-empty
+// distinction: a row-form batch's own records, a columnar one boxed.
 func (b *Batch) Records() []Record {
+	if recs, ok := b.rows(); ok {
+		return recs
+	}
 	if b == nil || len(b.Keys) == 0 {
 		if b != nil && b.NonNil {
 			return []Record{}
@@ -139,9 +211,9 @@ func (b *Batch) Records() []Record {
 	return out
 }
 
-// FromRecords builds a batch from rows. The batch copies every payload,
-// so it stays valid independent of the source slice (which may belong to
-// a cache).
+// FromRecords builds a columnar batch from rows. The batch copies every
+// payload, so it stays valid independent of the source slice (which may
+// belong to a cache).
 func FromRecords(recs []Record) *Batch {
 	b := NewBatch(len(recs))
 	b.NonNil = recs != nil
@@ -154,7 +226,7 @@ func FromRecords(recs []Record) *Batch {
 // Clone returns a copy of the batch for a task, on pooled arrays. A flat
 // column is copied through its Layout, one bulk copy per array; any other
 // column (the boxed AnyColumn, whose values are immutable and shared)
-// element by element.
+// element by element. A row-form batch is its own clone.
 func (b *Batch) Clone() *Batch { return b.clone(true) }
 
 // CloneExact is Clone onto arrays of exactly the batch's size, for an
@@ -165,6 +237,9 @@ func (b *Batch) Clone() *Batch { return b.clone(true) }
 func (b *Batch) CloneExact() *Batch { return b.clone(false) }
 
 func (b *Batch) clone(pooled bool) *Batch {
+	if b.RowForm() {
+		return b
+	}
 	out := &Batch{Keys: appendArray(nil, b.Keys, pooled, GetI64Slice), NonNil: b.NonNil}
 	switch c := b.Col.(type) {
 	case nil:
@@ -260,17 +335,18 @@ func (b *Batch) EstimateSize() int64 {
 	if b == nil {
 		return 24
 	}
-	s := int64(24) + 16*int64(len(b.Keys))
+	s := int64(24) + 16*int64(b.Len())
 	if b.Col != nil {
 		s += b.Col.SizeBytes()
 	}
 	return s
 }
 
-// Release returns the batch's pooled storage. Safe to call on nil and
-// idempotent; the batch must not be used afterwards.
+// Release returns a columnar batch's pooled storage. Safe to call on nil
+// and idempotent; the batch must not be used afterwards. A row-form
+// batch, shared by its owners, is left as it is.
 func (b *Batch) Release() {
-	if b == nil {
+	if b == nil || b.RowForm() {
 		return
 	}
 	if b.Keys != nil {
@@ -290,12 +366,46 @@ func (b *Batch) Release() {
 // doesn't pin memory forever.
 const maxPooledCap = 1 << 21
 
+// slicePool recycles arrays of one element type. A pooled array travels
+// in a *[]T header, and emptied headers wait in spare, so a round trip
+// through the pool allocates nothing once both are warm.
+type slicePool[T any] struct {
+	arrays, spare sync.Pool // *[]T: holding an array / emptied
+}
+
 var (
-	i64SlicePool sync.Pool
-	f64SlicePool sync.Pool
-	i32SlicePool sync.Pool
-	anySlicePool sync.Pool
+	i64SlicePool slicePool[int64]
+	f64SlicePool slicePool[float64]
+	i32SlicePool slicePool[int32]
+	anySlicePool slicePool[any]
 )
+
+// get returns an empty slice with at least capHint capacity, reusing the
+// pooled array it draws when that is large enough.
+func (p *slicePool[T]) get(capHint int) []T {
+	if h, _ := p.arrays.Get().(*[]T); h != nil {
+		s := *h
+		*h = nil
+		p.spare.Put(h)
+		if cap(s) >= capHint {
+			return s[:0]
+		}
+	}
+	return make([]T, 0, max(capHint, 8))
+}
+
+// put pools s's array unless it is empty or too large to keep.
+func (p *slicePool[T]) put(s []T) {
+	if cap(s) == 0 || cap(s) > maxPooledCap {
+		return
+	}
+	h, _ := p.spare.Get().(*[]T)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = s[:0]
+	p.arrays.Put(h)
+}
 
 // poisonReleased makes every Put fill the released array with a sentinel
 // (NaN, math.MinInt64, math.MinInt32) over its whole capacity, so a
@@ -314,103 +424,40 @@ func poison[T any](s []T, v T) {
 
 // GetI64Slice returns an empty []int64 with at least capHint capacity,
 // reusing pooled storage when possible.
-func GetI64Slice(capHint int) []int64 {
-	if v := i64SlicePool.Get(); v != nil {
-		s := *(v.(*[]int64))
-		if cap(s) >= capHint {
-			return s[:0]
-		}
-	}
-	if capHint < 8 {
-		capHint = 8
-	}
-	return make([]int64, 0, capHint)
-}
+func GetI64Slice(capHint int) []int64 { return i64SlicePool.get(capHint) }
 
 // PutI64Slice recycles a slice obtained from GetI64Slice.
 func PutI64Slice(s []int64) {
-	if cap(s) == 0 || cap(s) > maxPooledCap {
-		return
-	}
 	poison(s, math.MinInt64)
-	p := new([]int64)
-	*p = s[:0]
-	i64SlicePool.Put(p)
+	i64SlicePool.put(s)
 }
 
 // GetF64Slice returns an empty []float64 with at least capHint capacity.
-func GetF64Slice(capHint int) []float64 {
-	if v := f64SlicePool.Get(); v != nil {
-		s := *(v.(*[]float64))
-		if cap(s) >= capHint {
-			return s[:0]
-		}
-	}
-	if capHint < 8 {
-		capHint = 8
-	}
-	return make([]float64, 0, capHint)
-}
+func GetF64Slice(capHint int) []float64 { return f64SlicePool.get(capHint) }
 
 // PutF64Slice recycles a slice obtained from GetF64Slice.
 func PutF64Slice(s []float64) {
-	if cap(s) == 0 || cap(s) > maxPooledCap {
-		return
-	}
 	poison(s, math.NaN())
-	p := new([]float64)
-	*p = s[:0]
-	f64SlicePool.Put(p)
+	f64SlicePool.put(s)
 }
 
 // GetI32Slice returns an empty []int32 with at least capHint capacity.
-func GetI32Slice(capHint int) []int32 {
-	if v := i32SlicePool.Get(); v != nil {
-		s := *(v.(*[]int32))
-		if cap(s) >= capHint {
-			return s[:0]
-		}
-	}
-	if capHint < 8 {
-		capHint = 8
-	}
-	return make([]int32, 0, capHint)
-}
+func GetI32Slice(capHint int) []int32 { return i32SlicePool.get(capHint) }
 
 // PutI32Slice recycles a slice obtained from GetI32Slice.
 func PutI32Slice(s []int32) {
-	if cap(s) == 0 || cap(s) > maxPooledCap {
-		return
-	}
 	poison(s, math.MinInt32)
-	p := new([]int32)
-	*p = s[:0]
-	i32SlicePool.Put(p)
+	i32SlicePool.put(s)
 }
 
-func getAnySlice(capHint int) []any {
-	if v := anySlicePool.Get(); v != nil {
-		s := *(v.(*[]any))
-		if cap(s) >= capHint {
-			return s[:0]
-		}
-	}
-	if capHint < 8 {
-		capHint = 8
-	}
-	return make([]any, 0, capHint)
-}
+func getAnySlice(capHint int) []any { return anySlicePool.get(capHint) }
 
 func putAnySlice(s []any) {
-	for i := range s {
-		s[i] = nil // drop references so the pool doesn't pin values
-	}
 	if cap(s) == 0 || cap(s) > maxPooledCap {
 		return
 	}
-	p := new([]any)
-	*p = s[:0]
-	anySlicePool.Put(p)
+	clear(s) // drop references so the pool doesn't pin values
+	anySlicePool.put(s)
 }
 
 // --- built-in columns ------------------------------------------------
@@ -547,6 +594,27 @@ func (c *FloatsColumn) Release() {
 	c.Off, c.Flat = nil, nil
 }
 
+// rowsColumn is the column of a row-form batch: the records themselves,
+// keys included, shared and never written.
+type rowsColumn []Record
+
+func (c *rowsColumn) Len() int                    { return len(*c) }
+func (c *rowsColumn) Value(i int) any             { return (*c)[i].Value }
+func (c *rowsColumn) AppendValue(any) bool        { return false }
+func (c *rowsColumn) AppendFrom(Column, int) bool { return false }
+func (c *rowsColumn) SizeAt(i int) int64          { return ValueSize((*c)[i].Value) }
+
+func (c *rowsColumn) SizeBytes() int64 {
+	var s int64
+	for _, r := range *c {
+		s += ValueSize(r.Value)
+	}
+	return s
+}
+
+func (c *rowsColumn) NewEmpty(capHint int) Column { return NewAnyColumn(capHint) }
+func (c *rowsColumn) Release()                    {}
+
 // AnyColumn is the boxed escape hatch: it stores values as-is, so any
 // record type works and sizes fall back to ValueSize. Stored values are
 // ordinary heap values (never pooled storage), so Value returns them
@@ -625,44 +693,77 @@ func columnFor(v any, capHint int) Column {
 
 // --- batch kernels ---------------------------------------------------
 
-// BatchFunc is the columnar analogue of ComputeFunc. A kernel may return
-// nil to decline the inputs (e.g. an unexpected column type), in which
-// case BatchCompute falls back to the row ComputeFunc; an empty result
-// must therefore be an empty non-nil *Batch with NonNil set to mirror
-// the row function's nil-vs-empty convention.
+// BatchFunc is the columnar analogue of ComputeFunc. Its inputs are
+// columnar. A kernel may return nil to decline them (e.g. an unexpected
+// column type), in which case BatchCompute falls back to the row
+// ComputeFunc; an empty result must therefore be an empty non-nil *Batch
+// with NonNil set to mirror the row function's nil-vs-empty convention.
 type BatchFunc func(part int, ins []*Batch) *Batch
 
 // WithBatchKernel attaches a columnar kernel to the dataset. The kernel
 // must be observationally identical to the row compute function: same
 // records, same order, bit-equal floats (accumulate in the same order).
-// Returns the dataset for chaining.
+// Attached to a source, it makes the source typed. Returns the dataset
+// for chaining.
 func (d *Dataset) WithBatchKernel(fn BatchFunc) *Dataset {
 	d.batchFn = fn
 	return d
 }
 
-// BatchCompute computes a partition in columnar form, using the attached
-// kernel when one accepts the inputs and otherwise boxing through the
-// row compute function. The fallback copies payloads both ways, so it is
-// always safe — just slower.
+// declineKernels makes every dataset compute through its row function,
+// so a whole run stays in row form: the reference every kernel is tested
+// against. Only tests set it.
+var declineKernels bool
+
+// BatchCompute computes a partition, keeping the form its inputs give
+// it. The kernel runs when the first input — the partition it maps over
+// — is columnar, or when there is no input (a typed source); any other
+// input in row form, a broadcast table or a side input, is columnarized
+// for it. Otherwise, or when the kernel declines, the row function runs
+// on the inputs' records (a row-form input is shared, a columnar one
+// boxed) and its result stays in row form, uncopied.
 func (d *Dataset) BatchCompute(part int, ins []*Batch) *Batch {
-	if d.batchFn != nil {
-		if out := d.batchFn(part, ins); out != nil {
+	if d.batchFn != nil && !declineKernels && (len(ins) == 0 || !ins[0].RowForm()) {
+		if out := d.runKernel(part, ins); out != nil {
 			return out
 		}
 	}
-	rows := make([][]Record, len(ins))
-	for i, b := range ins {
-		rows[i] = b.Records()
+	// One allocation holds both the row function's input headers and the
+	// batch its result becomes, so a row-form task allocates no more than
+	// the row function's own inputs would.
+	call := new(struct {
+		out rowBatch
+		ins [2][]Record
+	})
+	rows := call.ins[:0] // more than two inputs grow onto the heap
+	for _, b := range ins {
+		rows = append(rows, b.Records())
 	}
-	return FromRecords(d.fn(part, rows))
+	call.out.recs = d.fn(part, rows)
+	call.ins = [2][]Record{} // the result must not keep its inputs alive
+	if call.out.recs == nil {
+		return noRows
+	}
+	return call.out.batch()
+}
+
+// runKernel calls the kernel with every input columnar. The kernel gets
+// its own slice, so ins never escapes: a caller may keep it on its stack.
+func (d *Dataset) runKernel(part int, ins []*Batch) *Batch {
+	typed := slices.Clone(ins)
+	for i, in := range typed {
+		if in.RowForm() {
+			typed[i] = FromRecords(in.Records())
+			defer typed[i].Release()
+		}
+	}
+	return d.batchFn(part, typed)
 }
 
 // ReduceByKeyF64 is ReduceByKey for float64 values: semantically
-// identical (the boxed Combine is still installed for the row path and
-// map-side combining), but the dependency additionally carries the
-// unboxed combiner so the vectorized loop can merge key columns without
-// boxing.
+// identical (the boxed Combine is still installed for row-form inputs),
+// but the dependency additionally carries the unboxed combiner so
+// columnar partitions merge key columns without boxing.
 func (d *Dataset) ReduceByKeyF64(name string, parts int, f func(a, b float64) float64) *Dataset {
 	combine := CombineFunc(func(a, b any) any { return f(a.(float64), b.(float64)) })
 	c := d.ctx

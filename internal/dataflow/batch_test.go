@@ -26,18 +26,52 @@ func TestBatchRoundTrip(t *testing.T) {
 		"sized":  {{Key: 1, Value: sizedVal{N: 8}}, {Key: 2, Value: sizedVal{N: 0}}},
 	}
 	for name, recs := range cases {
-		b := FromRecords(recs)
-		got := b.Records()
-		if (recs == nil) != (got == nil) {
-			t.Errorf("%s: nil-ness not preserved: in=%v out=%v", name, recs == nil, got == nil)
+		for _, b := range []*Batch{FromRecords(recs), Rows(recs)} {
+			got := b.Records()
+			if (recs == nil) != (got == nil) {
+				t.Errorf("%s (row form %v): nil-ness not preserved: in=%v out=%v", name, b.RowForm(), recs == nil, got == nil)
+			}
+			if !reflect.DeepEqual(recs, got) || b.Len() != len(recs) {
+				t.Errorf("%s (row form %v): round trip mismatch:\nin:  %+v\nout: %+v", name, b.RowForm(), recs, got)
+			}
+			if want := EstimateRecords(recs); b.EstimateSize() != want {
+				t.Errorf("%s (row form %v): EstimateSize=%d, EstimateRecords=%d", name, b.RowForm(), b.EstimateSize(), want)
+			}
+			b.Release()
 		}
-		if !reflect.DeepEqual(recs, got) {
-			t.Errorf("%s: round trip mismatch:\nin:  %+v\nout: %+v", name, recs, got)
-		}
-		if want := EstimateRecords(recs); b.EstimateSize() != want {
-			t.Errorf("%s: EstimateSize=%d, EstimateRecords=%d", name, b.EstimateSize(), want)
-		}
-		b.Release()
+	}
+}
+
+// TestRowFormIsShared: a row-form batch is its own clone, and releasing
+// it leaves it intact for every other owner.
+func TestRowFormIsShared(t *testing.T) {
+	recs := []Record{{Key: 1, Value: 1.5}, {Key: 2, Value: "x"}}
+	b := Rows(recs)
+	if b.Clone() != b || b.CloneExact() != b {
+		t.Fatal("cloning a row-form batch copied it")
+	}
+	b.Release()
+	if got := b.Records(); !b.RowForm() || len(got) != 2 || &got[0] != &recs[0] {
+		t.Fatalf("Release changed a row-form batch: %+v", got)
+	}
+}
+
+// TestSlicePoolRoundTripAllocatesNothing: once warm, drawing an array
+// from a pool and putting it back allocates nothing — not even the
+// header the pool carries it in.
+func TestSlicePoolRoundTripAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop what it is given")
+	}
+	roundTrip := func() {
+		PutI64Slice(GetI64Slice(64))
+		PutF64Slice(GetF64Slice(64))
+		PutI32Slice(GetI32Slice(64))
+		putAnySlice(getAnySlice(64))
+	}
+	roundTrip()
+	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
+		t.Fatalf("a get/put round trip through the slice pools allocates %.1f times", allocs)
 	}
 }
 

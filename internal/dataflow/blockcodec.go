@@ -207,7 +207,13 @@ func (r *blockReader) array(elemSize int) (n int, raw []byte) {
 // against the bytes and the named column's Layout before it is used, and
 // the encoding must be exactly what EncodeBlock writes (no trailing
 // bytes), so a torn file is an error here.
-func DecodeBlock(data []byte) (*Batch, error) {
+func DecodeBlock(data []byte) (*Batch, error) { return decodeBlock(data, false) }
+
+// DecodeBlockPooled is DecodeBlock onto arrays drawn from the slice
+// pools, for a batch its one owner releases when done with it.
+func DecodeBlockPooled(data []byte) (*Batch, error) { return decodeBlock(data, true) }
+
+func decodeBlock(data []byte, pooled bool) (*Batch, error) {
 	r := blockReader{p: data}
 	h := r.take(3) // marker, NonNil, name length
 	if h == nil {
@@ -233,19 +239,19 @@ func DecodeBlock(data []byte) (*Batch, error) {
 		n, raw := r.array(a.elemSize())
 		switch {
 		case a.F64 != nil:
-			s := make([]float64, n)
+			s := decodeArray(n, pooled, GetF64Slice)
 			for i := range s {
 				s[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 			}
 			*a.F64 = s
 		case a.I64 != nil:
-			s := make([]int64, n)
+			s := decodeArray(n, pooled, GetI64Slice)
 			for i := range s {
 				s[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
 			}
 			*a.I64 = s
 		default:
-			s := make([]int32, n)
+			s := decodeArray(n, pooled, GetI32Slice)
 			for i := range s {
 				s[i] = int32(binary.LittleEndian.Uint32(raw[4*i:]))
 			}
@@ -264,6 +270,15 @@ func DecodeBlock(data []byte) (*Batch, error) {
 		return nil, fmt.Errorf("dataflow: block of column %q: %w", name, err)
 	}
 	return b, nil
+}
+
+// decodeArray returns an n-element array for a decode to fill: drawn from
+// the pool (get), or allocated to exactly that size.
+func decodeArray[T any](n int, pooled bool, get func(int) []T) []T {
+	if pooled {
+		return get(n)[:n]
+	}
+	return make([]T, n)
 }
 
 // checkShape verifies decoded column arrays describe n elements: a dense

@@ -51,9 +51,10 @@ type Dependency struct {
 	// shuffle write, like Spark's reduceByKey combiner.
 	Combine CombineFunc
 	// CombineF64 is the unboxed form of Combine for float64 values, set
-	// by ReduceByKeyF64. When present the vectorized loop combines key
-	// columns without boxing; Combine stays authoritative for the row
-	// path and both produce identical values.
+	// by ReduceByKeyF64. When present a columnar float64 map output
+	// combines its key columns without boxing; Combine stays
+	// authoritative for row-form outputs and both produce identical
+	// values.
 	CombineF64 func(a, b float64) float64
 }
 

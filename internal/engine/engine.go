@@ -237,16 +237,10 @@ type Config struct {
 	// sequential task subsequence), and only stages proven free of
 	// cross-executor effects run in parallel — see parallelPlan.
 	Parallelism int
-	// Vectorized enables the columnar data plane: stages proven isolated
-	// (the PR 3 home-locality gate, with spill-only-eviction semantics —
-	// a single task has no concurrent evictor, so memory hits are stable)
-	// move data between narrow operators as typed dataflow.Batch columns
-	// with pooled scratch instead of boxed Record slices. Purely a data-
-	// plane change: every virtual-time charge, controller callback and
-	// event is issued by the one task loop both planes share, so metrics
-	// and event logs are bit-identical with the flag on or off, at any
-	// Parallelism and under faults (see vectorized.go and
-	// TestVectorizedIdentity).
+	// Vectorized is ignored: every partition keeps the form its producer
+	// gave it (see dataplane.go).
+	//
+	// Deprecated: there is one task loop; nothing reads this field.
 	Vectorized bool
 	// Resilience configures the scheduler's transient-failure machinery
 	// (task retries, speculative execution, blacklisting). The zero value

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"blaze/internal/cachepolicy"
 	"blaze/internal/costmodel"
@@ -36,18 +37,26 @@ func TestFuzzEquivalenceAcrossSystems(t *testing.T) {
 			return engine.NewAnnotation("gdwheel", engine.MemDisk, cachepolicy.GDWheel{}, false)
 		},
 	}
-	vecBefore := engine.VecTasksExecuted()
+	poisonReleased = true
+	defer func() { poisonReleased, declineKernels = false, false }()
+	// decodedReads counts, per controller, the cached blocks the default
+	// arm read back decoded (int64 values decode columnar): the witness
+	// that its row functions were fed decoded blocks at all.
+	decodedReads := make([]int, len(controllers))
 	for seed := int64(1); seed <= 12; seed++ {
 		want := enginetest.RefChecksums(seed)
 		for i, mk := range controllers {
-			// Both data planes: the random programs are the only ones that
-			// drive the columnar plane through kernel-less datasets
-			// (BatchCompute fallback, AnyColumn, group/join/broadcast
-			// buckets) under eviction pressure, and everything observable
-			// must equal the row plane's.
-			var rowMet *metrics.App
-			var rowLog []byte
-			for _, vec := range []bool{false, true} {
+			// Two arms: the reference with every kernel declined, and the
+			// default run. The random programs have no kernels, so declining
+			// them changes nothing, and the arms differ in one axis only:
+			// the default arm runs on real-bytes stores, where decoded
+			// blocks come back columnar and the row functions box them —
+			// under eviction pressure, and with everything observable equal
+			// to the reference.
+			var refMet *metrics.App
+			var refLog []byte
+			for _, declined := range []bool{true, false} {
+				declineKernels = declined
 				ctl := mk()
 				ctx := dataflow.NewContext()
 				log := eventlog.New()
@@ -57,44 +66,59 @@ func TestFuzzEquivalenceAcrossSystems(t *testing.T) {
 					Params:            costmodel.Default(),
 					Controller:        ctl,
 					EventLog:          log,
-					Vectorized:        vec,
+					RealBytes:         !declined,
 				}, ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
 				got := enginetest.BuildRandomProgram(seed, ctx)
+				met := c.Finish()
+				c.Close()
 				if len(got) != len(want) {
-					t.Fatalf("seed %d ctl %d (%s) vec=%v: %d checksums, want %d", seed, i, ctl.Name(), vec, len(got), len(want))
+					t.Fatalf("seed %d ctl %d (%s) declined=%v: %d checksums, want %d", seed, i, ctl.Name(), declined, len(got), len(want))
 				}
 				for k := range want {
 					if got[k] != want[k] {
-						t.Fatalf("seed %d ctl %d (%s) vec=%v: checksum %d = %d, want %d",
-							seed, i, ctl.Name(), vec, k, got[k], want[k])
+						t.Fatalf("seed %d ctl %d (%s) declined=%v: checksum %d = %d, want %d",
+							seed, i, ctl.Name(), declined, k, got[k], want[k])
 					}
 				}
-				met := c.Finish()
 				var buf bytes.Buffer
 				if err := log.WriteJSON(&buf); err != nil {
 					t.Fatal(err)
 				}
-				if !vec {
-					rowMet, rowLog = met, buf.Bytes()
+				if declined {
+					refMet, refLog = met, buf.Bytes()
 					continue
 				}
-				if !metrics.EqualDeterministic(rowMet, met) {
-					t.Fatalf("seed %d ctl %d (%s): metrics differ between planes\nrow: %+v\nvec: %+v", seed, i, ctl.Name(), rowMet, met)
+				decodedReads[i] += met.CacheHits + met.DiskHits
+				if !metrics.EqualDeterministic(refMet, met) {
+					t.Fatalf("seed %d ctl %d (%s): metrics differ from the declined arm\nref: %+v\ngot: %+v", seed, i, ctl.Name(), refMet, met)
 				}
-				if !bytes.Equal(rowLog, buf.Bytes()) {
-					t.Fatalf("seed %d ctl %d (%s): event logs differ between planes (row %d bytes, vec %d bytes)",
-						seed, i, ctl.Name(), len(rowLog), buf.Len())
+				if !bytes.Equal(refLog, buf.Bytes()) {
+					t.Fatalf("seed %d ctl %d (%s): event logs differ from the declined arm (ref %d bytes, got %d bytes)",
+						seed, i, ctl.Name(), len(refLog), buf.Len())
 				}
 			}
 		}
 	}
-	if engine.VecTasksExecuted() == vecBefore {
-		t.Fatal("no task ran on the columnar plane; the plane comparison is vacuous")
+	for i, n := range decodedReads {
+		if n == 0 {
+			t.Errorf("ctl %d (%s): the real-bytes arm never read a cached block back, so the comparison is vacuous",
+				i, controllers[i]().Name())
+		}
 	}
 }
+
+// declineKernels and poisonReleased are internal/dataflow's test-only
+// switches: every dataset computes through its row function, and every
+// array released to the slice pools is overwritten with a sentinel.
+//
+//go:linkname declineKernels blaze/internal/dataflow.declineKernels
+var declineKernels bool
+
+//go:linkname poisonReleased blaze/internal/dataflow.poisonReleased
+var poisonReleased bool
 
 // TestFailureInjection drops random cached and disk blocks between jobs —
 // modeling executor cache loss — and asserts results stay correct: the

@@ -7,15 +7,48 @@ import (
 	"testing"
 
 	"blaze/internal/dataflow"
+	"blaze/internal/storage"
 )
 
-// TestCombineThenRouteEqualsRouteThenCombine: the columnar plane combines
-// a map task's whole output once and then routes it; the row plane routes
-// first and combines each bucket. Every key lands in one bucket, so the
-// two must agree bucket for bucket — keys in first-seen order, float bits,
-// the nil-vs-empty distinction and the accounted bytes. The combiner is
-// not associative or commutative (a*0.5+b), so any change to the order in
-// which a key's values accumulate shows in the bits.
+// rowRoute is the reference every route must equal: a map task's output
+// split into numBuckets reduce buckets record by record, then each bucket
+// combined map-side.
+func rowRoute(dep dataflow.Dependency, numBuckets int, out []dataflow.Record) ([][]dataflow.Record, []int64, int64) {
+	buckets := make([][]dataflow.Record, numBuckets)
+	if dep.Broadcast {
+		for b := range buckets {
+			buckets[b] = out
+		}
+	} else {
+		for _, r := range out {
+			b := dataflow.HashPartition(r.Key, numBuckets)
+			buckets[b] = append(buckets[b], r)
+		}
+	}
+	bucketBytes := make([]int64, numBuckets)
+	var written int64
+	for b, brs := range buckets {
+		if len(brs) == 0 {
+			continue
+		}
+		if dep.Combine != nil {
+			brs = dataflow.MergeByKey(brs, dep.Combine)
+			buckets[b] = brs
+		}
+		bucketBytes[b] = storage.EstimateRecords(brs)
+		written += bucketBytes[b]
+	}
+	return buckets, bucketBytes, written
+}
+
+// TestCombineThenRouteEqualsRouteThenCombine: a columnar map output is
+// combined whole once and then routed; the reference routes first and
+// combines each bucket. Every key lands in one bucket, so the two must
+// agree bucket for bucket — keys in first-seen order, float bits, the
+// nil-vs-empty distinction and the accounted bytes. The combiner is not
+// associative or commutative (a*0.5+b), so any change to the order in
+// which a key's values accumulate shows in the bits. The same output in
+// row form, routed by rows, must agree too.
 func TestCombineThenRouteEqualsRouteThenCombine(t *testing.T) {
 	f := func(a, b float64) float64 { return a*0.5 + b }
 	dep := dataflow.Dependency{Shuffle: true, CombineF64: f,
@@ -32,30 +65,32 @@ func TestCombineThenRouteEqualsRouteThenCombine(t *testing.T) {
 			for i := range recs {
 				recs[i] = dataflow.Record{Key: rng.Int63n(span) - span/2, Value: rng.NormFloat64()}
 			}
-			name := fmt.Sprintf("buckets %d, %d records over %d keys", buckets, n, span)
-
-			want, wantBytes, wantWritten := rowPlane{}.route(dep, buckets, recs)
-			got, gotBytes, gotWritten := vecPlane{}.route(dep, dataflow.NewRouter(buckets), dataflow.FromRecords(recs))
-			if len(got) != buckets || gotWritten != wantWritten {
-				t.Fatalf("%s: %d buckets, %d bytes written; want %d, %d", name, len(got), gotWritten, buckets, wantWritten)
-			}
-			for b, rows := range want {
-				bb := got[b]
-				if gotBytes[b] != wantBytes[b] {
-					t.Fatalf("%s: bucket %d accounts %d bytes, want %d", name, b, gotBytes[b], wantBytes[b])
+			want, wantBytes, wantWritten := rowRoute(dep, buckets, recs)
+			for _, in := range []*dataflow.Batch{dataflow.FromRecords(recs), dataflow.Rows(recs)} {
+				name := fmt.Sprintf("buckets %d, %d records over %d keys, row form %v", buckets, n, span, in.RowForm())
+				got, gotBytes, gotWritten := route(dep, dataflow.NewRouter(buckets), in)
+				if len(got) != buckets || gotWritten != wantWritten {
+					t.Fatalf("%s: %d buckets, %d bytes written; want %d, %d", name, len(got), gotWritten, buckets, wantWritten)
 				}
-				if (bb.Records() == nil) != (rows == nil) || bb.Len() != len(rows) {
-					t.Fatalf("%s: bucket %d holds %d records (nil %v), want %d (nil %v)",
-						name, b, bb.Len(), bb.Records() == nil, len(rows), rows == nil)
-				}
-				for i, r := range rows {
-					v := bb.Col.(*dataflow.F64Column).Vals[i]
-					if bb.Keys[i] != r.Key || math.Float64bits(v) != math.Float64bits(r.Value.(float64)) {
-						t.Fatalf("%s: bucket %d record %d is (%d, %x), want (%d, %x)", name, b, i,
-							bb.Keys[i], math.Float64bits(v), r.Key, math.Float64bits(r.Value.(float64)))
+				for b, rows := range want {
+					bb := got[b]
+					if gotBytes[b] != wantBytes[b] {
+						t.Fatalf("%s: bucket %d accounts %d bytes, want %d", name, b, gotBytes[b], wantBytes[b])
 					}
+					have := bb.Records()
+					if (have == nil) != (rows == nil) || len(have) != len(rows) {
+						t.Fatalf("%s: bucket %d holds %d records (nil %v), want %d (nil %v)",
+							name, b, len(have), have == nil, len(rows), rows == nil)
+					}
+					for i, r := range rows {
+						g := have[i]
+						if g.Key != r.Key || math.Float64bits(g.Value.(float64)) != math.Float64bits(r.Value.(float64)) {
+							t.Fatalf("%s: bucket %d record %d is (%d, %x), want (%d, %x)", name, b, i,
+								g.Key, math.Float64bits(g.Value.(float64)), r.Key, math.Float64bits(r.Value.(float64)))
+						}
+					}
+					bb.Release()
 				}
-				bb.Release()
 			}
 		}
 	}

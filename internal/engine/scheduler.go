@@ -56,11 +56,6 @@ type Stage struct {
 	// Regenerated marks stages re-run mid-job to recover cleaned shuffle
 	// data (Spark's stage resubmission on missing shuffle files).
 	Regenerated bool
-	// vec marks this stage execution for the columnar data plane. Set
-	// once per execution in runStage (driver context) when the cluster
-	// is Vectorized and the stage passes the home-locality gate; the
-	// choice only swaps the data plane, never the charges or events.
-	vec bool
 }
 
 // shuffleRef pairs a shuffle dependency with the dataset that owns it,
@@ -271,16 +266,6 @@ func (c *Cluster) runStage(st *Stage) [][]dataflow.Record {
 		c.shuffle.Ensure(sid, st.NumBuckets, st.Boundary.Partitions())
 		taskParts = c.shuffle.MissingMaps(sid)
 	}
-	// Columnar eligibility reuses the PR 3 isolation gate. Spill-only
-	// semantics are correct here even for drop-on-evict controllers: a
-	// task has no concurrent evictor on its own executor, so a memory
-	// hit observed by the walk stays readable for that task. The gate
-	// keeps stages headed for mid-task shuffle regeneration on the row
-	// plane (a columnar fetch still handles the mid-stage-eviction edge
-	// case identically); either plane produces bit-identical metrics and
-	// events regardless — the gate is an engineering boundary, not a
-	// correctness one.
-	st.vec = c.cfg.Vectorized && !st.Regenerated && c.stageIsolated(st, taskParts, true)
 	// A stage recreating a shuffle an injected fault destroyed is
 	// recovery work, whether it runs nested (regeneration mid-task) or as
 	// a top-level stage the next job resubmitted; the core time the whole
@@ -584,38 +569,28 @@ func (c *Cluster) speculationTarget(ex *Executor) (*Executor, *costmodel.Clock) 
 	return best, bestClock
 }
 
-// runTaskBody runs one task on the stage's data plane: rows, or typed
-// columns when runStage marked the stage vec. The plane is chosen here,
-// once; everything below is written once over either container.
-func (c *Cluster) runTaskBody(ex *Executor, st *Stage, part int) []dataflow.Record {
-	if st.vec {
-		vecTasksTotal.Add(1)
-		return runTaskOn[*dataflow.Batch](c, vecPlane{}, ex, st, part)
-	}
-	return runTaskOn[[]dataflow.Record](c, rowPlane{}, ex, st, part)
-}
-
-// runTaskOn materializes one partition of the stage boundary and, for
+// runTaskBody materializes one partition of the stage boundary and, for
 // map stages, writes the shuffle output. The result stage returns rows
 // (the driver boundary), or only their number for a count; map stages
 // return nil because runStage ignores map-task results.
-func runTaskOn[P any](c *Cluster, pl plane[P], ex *Executor, st *Stage, part int) []dataflow.Record {
+func (c *Cluster) runTaskBody(ex *Executor, st *Stage, part int) []dataflow.Record {
+	tasksTotal.Add(1)
 	ex.Clock().Advance(c.cfg.Params.TaskOverhead)
 	c.met.Executors[ex.ID].Tasks++
-	out := materializeOn(c, pl, ex, st.Boundary, part)
+	out := c.materialize(ex, st.Boundary, part)
 	c.emitEx(ex, eventlog.Event{Kind: eventlog.TaskEnd, Time: ex.Clock().Now(), Job: c.curJob,
 		Stage: st.ID, Executor: ex.ID, Dataset: st.Boundary.ID(), Partition: part})
 	if st.IsResult {
 		var recs []dataflow.Record
 		if st.Job.count {
-			recs = dataflow.Counted(pl.count(out))
+			recs = dataflow.Counted(out.Len())
 		} else {
-			recs = pl.rows(out)
+			recs = out.Records()
 		}
-		pl.release(out)
+		out.Release()
 		return recs
 	}
-	written, err := pl.writeMapOutput(c.shuffle, st, part, ex.ID, out)
+	written, err := c.writeMapOutput(st, part, ex.ID, out)
 	if err != nil {
 		panic(err) // stage was Ensure'd and only missing maps re-run
 	}
@@ -629,13 +604,12 @@ func runTaskOn[P any](c *Cluster, pl plane[P], ex *Executor, st *Stage, part int
 	return nil
 }
 
-// materializeOn produces partition (ds, part) on the executor: memory
+// materialize produces partition (ds, part) on the executor: memory
 // hit, disk hit, or recursive recomputation from parents — the three
-// recovery paths of Fig. 2. The block stores keep the plane's own form:
-// a hit is copied into a partition the task owns, and a recomputed
-// partition the controller places is copied (or, with real bytes,
-// encoded) by the store it lands in.
-func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Dataset, part int) P {
+// recovery paths of Fig. 2. A hit returns a batch the task owns
+// (Payload.Batch), and a recomputed partition the controller places is
+// copied (or, with real bytes, encoded) by the store it lands in.
+func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) *dataflow.Batch {
 	id := storage.BlockID{Dataset: ds.ID(), Partition: part}
 	params := c.cfg.Params
 	stats := &c.met.Executors[ex.ID]
@@ -655,7 +629,7 @@ func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Da
 		c.ctl.OnBlockAccess(ex, id)
 		c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockHit, Time: ex.Clock().Now(), Job: c.curJob,
 			Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: meta.Size})
-		return pl.load(block)
+		return block.Batch()
 	}
 
 	// 2. Disk store.
@@ -674,29 +648,35 @@ func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Da
 			// promoted block therefore pays no second write.
 			c.admitToMemory(ex, id, block, size)
 		}
-		return pl.load(block)
+		return block.Batch()
 	}
 
 	// 3. Recompute from parents.
 	c.mu.Lock()
 	wasComputed := c.computedOnce[id]
 	c.mu.Unlock()
-	ins := make([]P, len(ds.Deps()))
+	var buf [2]*dataflow.Batch // operators have at most two inputs; more go to the heap
+	ins := buf[:0]
 	totalIn := 0
 	var fetchCost time.Duration
-	for i, dep := range ds.Deps() {
+	for _, dep := range ds.Deps() {
+		var in *dataflow.Batch
 		if dep.Shuffle {
 			var fc time.Duration
-			ins[i], fc = fetchShuffleOn(c, pl, ex, dep, ds.Partitions(), part)
+			in, fc = c.fetchShuffle(ex, dep, ds.Partitions(), part)
 			fetchCost += fc
 		} else {
-			ins[i] = materializeOn(c, pl, ex, dep.Parent, part)
+			in = c.materialize(ex, dep.Parent, part)
 		}
-		totalIn += pl.count(ins[i])
+		ins = append(ins, in)
+		totalIn += in.Len()
 	}
-	out := pl.compute(ds, part, ins)
-	n := max(totalIn, pl.count(out))
-	size := pl.size(out)
+	out := ds.BatchCompute(part, ins)
+	for _, in := range ins {
+		in.Release() // kernels must not retain inputs; see batch.go
+	}
+	n := max(totalIn, out.Len())
+	size := out.EstimateSize()
 	cost := params.Compute(costmodel.OpClass(ds.Class()), n)
 	if len(ds.Deps()) == 0 {
 		// Source partitions additionally pay the external input scan.
@@ -736,10 +716,10 @@ func materializeOn[P any](c *Cluster, pl plane[P], ex *Executor, ds *dataflow.Da
 	primary, fallback := c.ctl.PlaceComputed(ex, ds, part, size)
 	placed := false
 	if primary == PlaceMemory {
-		placed = c.admitToMemory(ex, id, pl.stored(out), size)
+		placed = c.admitToMemory(ex, id, storage.FreshBatch(out), size)
 	}
 	if !placed && (primary == PlaceDisk || (primary == PlaceMemory && fallback == PlaceDisk)) {
-		c.writeToDisk(ex, id, pl.stored(out), size)
+		c.writeToDisk(ex, id, storage.FreshBatch(out), size)
 	}
 	return out
 }
@@ -806,12 +786,12 @@ func (c *Cluster) writeToDisk(ex *Executor, id storage.BlockID, payload storage.
 	return true
 }
 
-// fetchShuffleOn reads one reduce bucket, regenerating the parent stage
+// fetchShuffle reads one reduce bucket, regenerating the parent stage
 // if the shuffle outputs were cleaned. It returns the bucket and the
 // direct fetch cost (excluding any regeneration, which is charged to its
 // own stage's tasks, and excluding transient fetch-flake backoff, which
 // must not pollute the incremental cost estimates controllers build on).
-func fetchShuffleOn[P any](c *Cluster, pl plane[P], ex *Executor, dep dataflow.Dependency, childParts, part int) (P, time.Duration) {
+func (c *Cluster) fetchShuffle(ex *Executor, dep dataflow.Dependency, childParts, part int) (*dataflow.Batch, time.Duration) {
 	if !c.shuffle.Complete(dep.ShuffleID) {
 		c.regenerateShuffle(dep, childParts)
 	}
@@ -834,7 +814,7 @@ func fetchShuffleOn[P any](c *Cluster, pl plane[P], ex *Executor, dep dataflow.D
 				Executor: ex.ID, Shuffle: dep.ShuffleID, Partition: part, Attempt: attempt, Cost: backoff})
 		}
 	}
-	bucket, bytes, err := pl.fetch(c.shuffle, dep.ShuffleID, part)
+	bucket, bytes, err := c.shuffle.FetchBatch(dep.ShuffleID, part)
 	if err != nil {
 		panic(err) // regeneration above guarantees completeness
 	}

@@ -396,85 +396,12 @@ func f64Map(b *dataflow.Batch) (map[int64]float64, bool) {
 
 // --- SVD++ kernels -----------------------------------------------------
 
-// factorsInitKernel vectorizes the factor bootstrap Map, which derives
-// each vector from the record key alone.
-func factorsInitKernel(rank int, salt uint64) dataflow.BatchFunc {
-	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
-		in := ins[0]
-		out := dataflow.NewBatch(in.Len())
-		out.NonNil = true
-		if in.Len() == 0 {
-			return out
-		}
-		oc := NewFactorsColumn(in.Len())
-		out.Col = oc
-		out.Keys = append(out.Keys, in.Keys...)
-		for _, k := range in.Keys {
-			oc.AppendValue(initFactors(k, rank, salt))
-		}
-		return out
-	}
-}
-
-// mergeFactorsKernel vectorizes the item-gradient ReduceByKey: same-key
-// factor vectors sum elementwise in arrival order, first-seen key order
-// preserved (mergeByKey's contract). Mismatched vector lengths fall back
-// to the boxed merge, which mirrors the row combiner exactly.
-func mergeFactorsKernel() dataflow.BatchFunc {
-	boxed := func(in *dataflow.Batch) *dataflow.Batch {
-		out := dataflow.FromRecords(dataflow.MergeByKey(in.Records(), func(a, b any) any {
-			av, bv := a.(Factors), b.(Factors)
-			sum := make([]float64, len(av.V))
-			for d := range sum {
-				sum[d] = av.V[d] + bv.V[d]
-			}
-			return Factors{V: sum}
-		}))
-		out.NonNil = true
-		return out
-	}
-	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
-		in := ins[0]
-		out := dataflow.NewBatch(in.Len())
-		out.NonNil = true // mergeByKey returns a non-nil slice
-		if in.Len() == 0 {
-			return out
-		}
-		fc, ok := in.Col.(*FactorsColumn)
-		if !ok {
-			out.Release()
-			return nil
-		}
-		oc := NewFactorsColumn(in.Len())
-		out.Col = oc
-		idx := make(map[int64]int, 64)
-		for i, k := range in.Keys {
-			lo, hi := fc.Off[i], fc.Off[i+1]
-			if j, seen := idx[k]; seen {
-				dlo, dhi := oc.Off[j], oc.Off[j+1]
-				if dhi-dlo != hi-lo {
-					out.Release()
-					return boxed(in)
-				}
-				dst := oc.Flat[dlo:dhi]
-				src := fc.Flat[lo:hi]
-				for d := range dst {
-					dst[d] += src[d]
-				}
-			} else {
-				idx[k] = len(out.Keys)
-				out.Keys = append(out.Keys, k)
-				oc.Flat = append(oc.Flat, fc.Flat[lo:hi]...)
-				oc.Off = append(oc.Off, int32(len(oc.Flat)))
-			}
-		}
-		return out
-	}
-}
-
 // factorsStepKernel vectorizes the item-factor Zip: each factor vector
 // is copied and, when a gradient exists for its key, stepped by
 // learnRate in place — the same order of operations as the row closure.
+// Its first input, the item factors, is columnar when a cached block of
+// them is read back decoded (real bytes); the gradients, a shuffle of a
+// row function's output, arrive in row form and are columnarized.
 func factorsStepKernel(learnRate float64) dataflow.BatchFunc {
 	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
 		fs, gs := ins[0], ins[1]

@@ -73,7 +73,12 @@ func pageRankDriver(prefix string, cfg PageRankStreamConfig) func(ctx *dataflow.
 		// collide across windows.
 		base := (window - 1) * (cfg.ItersPerWindow + 1)
 
+		// A typed source: every PageRank operator has a kernel, so the
+		// adjacency is columnarized once, where it is produced.
 		adj := adjacencySource(ctx, name(prefix+"-adj", base), spec, cfg.Parts)
+		adj.WithBatchKernel(func(part int, _ []*dataflow.Batch) *dataflow.Batch {
+			return dataflow.FromRecords(adj.Compute(part, nil))
+		})
 		var graph *dataflow.Dataset
 		if carried == nil {
 			graph = adj.Map(name(prefix+"-graph", base), func(r dataflow.Record) dataflow.Record {

@@ -104,7 +104,7 @@ func SVDPP(ctx *dataflow.Context, cfg SVDPPConfig) float64 {
 	}
 	userF := ratings.Map("svd-userf@0", func(r dataflow.Record) dataflow.Record {
 		return dataflow.Record{Key: r.Key, Value: initFactors(r.Key, cfg.Rank, 0xabcd)}
-	}).WithBatchKernel(factorsInitKernel(cfg.Rank, 0xabcd))
+	})
 	itemF := ctx.Source("svd-itemf@0", cfg.Parts, func(part int) []dataflow.Record {
 		var out []dataflow.Record
 		for it := int64(0); it < int64(spec.Items); it++ {
@@ -209,7 +209,7 @@ func SVDPP(ctx *dataflow.Context, cfg SVDPPConfig) float64 {
 				sum[d] = av.V[d] + bv.V[d]
 			}
 			return Factors{V: sum}
-		}).WithBatchKernel(mergeFactorsKernel())
+		})
 		newItemF := dataflow.Zip(name("svd-itemf", it), dataflow.OpMedium, itemF, itemGrads,
 			func(_ int, fs, gs []dataflow.Record) []dataflow.Record {
 				grad := vertexMap(gs)

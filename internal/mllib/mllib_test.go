@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"blaze/internal/costmodel"
 	"blaze/internal/dataflow"
@@ -212,11 +213,13 @@ func TestKMeansDAGShape(t *testing.T) {
 }
 
 // TestKMeansEmptyClusterRowMatchesVectorized: when a cluster empties,
-// the row plane and the columnar plane must both keep going with a nil
-// slot for it. A row closure that sizes its centroid table by the
-// broadcast's length rather than K indexes past the table here; the
-// LocalRunner run (row closures only) must equal a Vectorized engine run
-// bit for bit.
+// the row closures and the kernels must both keep going with a nil slot
+// for it. A row closure that sizes its centroid table by the broadcast's
+// length rather than K indexes past the table here. The LocalRunner run
+// (row closures only), an engine run with every kernel declined and a
+// default engine run must agree bit for bit. The engine caches the points
+// on real-bytes stores, so every iteration reads them back decoded into
+// columns and the assignment kernel runs on them.
 func TestKMeansEmptyClusterRowMatchesVectorized(t *testing.T) {
 	cfg := KMeansConfig{
 		Data:  datagen.ClusterSpec{Seed: 2, N: 32, Dim: 1, K: 16, Spread: 100},
@@ -233,25 +236,41 @@ func TestKMeansEmptyClusterRowMatchesVectorized(t *testing.T) {
 		t.Fatal("no cluster emptied: the spec no longer exercises the empty-cluster path")
 	}
 
-	ctx := dataflow.NewContext()
-	c, err := engine.NewCluster(engine.Config{
-		Executors:         2,
-		MemoryPerExecutor: 1 << 20,
-		Params:            costmodel.Default(),
-		Controller:        engine.NewSparkMemDisk(),
-		Vectorized:        true,
-	}, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := engine.VecTasksExecuted()
-	vecCenters, vecWCSS := KMeans(ctx, cfg)
-	c.Finish()
-	if engine.VecTasksExecuted() == before {
-		t.Fatal("no task ran on the columnar plane")
-	}
-	if !reflect.DeepEqual(rowCenters, vecCenters) || rowWCSS != vecWCSS {
-		t.Fatalf("row plane diverges from the columnar plane\nrow: %v (wcss %v)\nvec: %v (wcss %v)",
-			rowCenters, rowWCSS, vecCenters, vecWCSS)
+	poisonReleased = true
+	defer func() { poisonReleased, declineKernels = false, false }()
+	cfg.Annotate = true
+	for _, declined := range []bool{true, false} {
+		declineKernels = declined
+		ctx := dataflow.NewContext()
+		c, err := engine.NewCluster(engine.Config{
+			Executors:         2,
+			MemoryPerExecutor: 1 << 20,
+			Params:            costmodel.Default(),
+			Controller:        engine.NewSparkMemDisk(),
+			RealBytes:         true,
+		}, ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		centers, wcss := KMeans(ctx, cfg)
+		met := c.Finish()
+		c.Close()
+		if met.CacheHits == 0 {
+			t.Fatal("no cached points were read back: no kernel saw a columnar partition")
+		}
+		if !reflect.DeepEqual(rowCenters, centers) || rowWCSS != wcss {
+			t.Fatalf("declined=%v: the engine diverges from the row closures\nrow: %v (wcss %v)\ngot: %v (wcss %v)",
+				declined, rowCenters, rowWCSS, centers, wcss)
+		}
 	}
 }
+
+// declineKernels and poisonReleased are internal/dataflow's test-only
+// switches: every dataset computes through its row function, and every
+// array released to the slice pools is overwritten with a sentinel.
+//
+//go:linkname declineKernels blaze/internal/dataflow.declineKernels
+var declineKernels bool
+
+//go:linkname poisonReleased blaze/internal/dataflow.poisonReleased
+var poisonReleased bool

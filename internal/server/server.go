@@ -125,8 +125,9 @@ type JobSpec struct {
 	// Parallelism overrides Config.Parallelism for this session when
 	// positive.
 	Parallelism int
-	// Vectorized runs the session's eligible stages on the engine's
-	// columnar task loop; virtual-time metrics and events are unchanged.
+	// Vectorized is ignored, as engine.Config.Vectorized.
+	//
+	// Deprecated: nothing reads this field.
 	Vectorized bool
 }
 
@@ -720,7 +721,6 @@ func (sess *Session) run() {
 		EventLog:    sess.spec.EventLog,
 		Hook:        sess.spec.Hook,
 		Parallelism: par,
-		Vectorized:  sess.spec.Vectorized,
 		Resilience:  sess.spec.Resilience,
 		Pool:        s.pool,
 		Gate:        s,

@@ -24,37 +24,21 @@ import (
 	"blaze/internal/dataflow"
 )
 
-// mapOutput is one map task's contribution: one bucket of records and a
-// byte count per reduce bucket, tagged with the producing executor. A
-// bucket is stored either as a row slice (buckets) or as a columnar
-// batch (batches) depending on which data plane produced it; both
-// representations are equivalent and convert on demand at fetch time, so
-// row and vectorized stages interoperate freely within one run. The
-// service owns a batch-stored output's batches: every fetch copies out
-// of them, and they go back to the pool when the output leaves the
-// service (release).
+// mapOutput is one map task's contribution: one batch (nil when empty)
+// and a byte count per reduce bucket, tagged with the producing executor.
+// A bucket keeps the form its map task gave it, columnar or row form.
+// The service owns the batches: every fetch copies out of them, and a
+// columnar one goes back to the pool when the output leaves the service
+// (release).
 type mapOutput struct {
-	buckets  [][]dataflow.Record
 	batches  []*dataflow.Batch
 	bytes    []int64
 	executor int
 }
 
-// bucketRecords returns one bucket in row form, boxing a batch-stored
-// bucket on demand.
-func (m *mapOutput) bucketRecords(b int) []dataflow.Record {
-	if m.batches != nil {
-		if bb := m.batches[b]; bb != nil {
-			return bb.Records()
-		}
-		return nil
-	}
-	return m.buckets[b]
-}
-
-// release returns a batch-stored output's batches to the pool once it
-// has left the service. A broadcast output holds one batch in every
-// bucket; Batch.Release is idempotent, so it is released once.
+// release returns the output's batches to the pool once it has left the
+// service. A broadcast output holds one batch in every bucket;
+// Batch.Release is idempotent, so it is released once.
 func (m *mapOutput) release() {
 	if m == nil {
 		return
@@ -147,27 +131,16 @@ func (s *Service) checkSet(shuffleID, mapPart, nBuckets, nBytes int) (*output, e
 	return o, nil
 }
 
-// SetMapOutput stores one map task's complete bucket set, replacing
-// nothing: the map output must be currently missing (fresh or
-// invalidated), which is exactly the set of tasks the engine re-runs.
+// SetMapOutput is SetMapOutputBatch of row-form buckets.
 func (s *Service) SetMapOutput(shuffleID, mapPart, executor int, buckets [][]dataflow.Record, bytes []int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, err := s.checkSet(shuffleID, mapPart, len(buckets), len(bytes))
-	if err != nil {
-		return err
-	}
-	o.maps[mapPart] = &mapOutput{buckets: buckets, bytes: bytes, executor: executor}
-	for _, b := range bytes {
-		s.totalWritten += b
-	}
-	return nil
+	return s.SetMapOutputBatch(shuffleID, mapPart, executor, dataflow.RowsEach(buckets), bytes)
 }
 
-// SetMapOutputBatch stores one map task's bucket set in columnar form,
-// with the same replacement rules as SetMapOutput. The caller hands over
-// ownership: the service releases the batches when the output is cleaned
-// or lost.
+// SetMapOutputBatch stores one map task's complete bucket set, replacing
+// nothing: the map output must be currently missing (fresh or
+// invalidated), which is exactly the set of tasks the engine re-runs. The
+// caller hands over ownership: the service releases the batches when the
+// output is cleaned or lost.
 func (s *Service) SetMapOutputBatch(shuffleID, mapPart, executor int, batches []*dataflow.Batch, bytes []int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,31 +198,25 @@ func (s *Service) MissingMaps(shuffleID int) []int {
 	return out
 }
 
-// Fetch returns the records and byte size of one reduce bucket,
-// concatenating map outputs in map-partition order (the order the
-// original sequential task execution produced).
+// Fetch is FetchBatch as rows.
 func (s *Service) Fetch(shuffleID, bucket int) ([]dataflow.Record, int64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o, ok := s.outputs[shuffleID]
-	if !ok || !o.sealed {
-		return nil, 0, fmt.Errorf("shuffle: shuffle %d not complete", shuffleID)
+	b, bytes, err := s.FetchBatch(shuffleID, bucket)
+	if err != nil {
+		return nil, 0, err
 	}
-	var recs []dataflow.Record
-	var bytes int64
-	for _, mo := range o.maps {
-		recs = append(recs, mo.bucketRecords(bucket)...)
-		bytes += mo.bytes[bucket]
-	}
+	recs := b.Records()
+	b.Release()
 	return recs, bytes, nil
 }
 
-// FetchBatch returns one reduce bucket in columnar form, concatenating
-// map outputs in map-partition order exactly like Fetch. A batch-stored
-// bucket is one bulk append per array (Batch.AppendBatch); row-stored
-// buckets box in. The returned batch is fresh, sized exactly and owned by
-// the caller. NonNil mirrors Fetch's result: nil only when no records
-// were appended.
+// FetchBatch returns the records and byte size of one reduce bucket,
+// concatenating map outputs in map-partition order (the order the
+// original sequential task execution produced). The bucket is in row
+// form when some map output holds its records in row form, a columnar
+// bucket boxed in (or, when that output holds all of them, its batch
+// itself); otherwise it is columnar, one bulk append per array
+// (Batch.AppendBatch), fresh and exactly sized. The caller owns the
+// returned batch; its rows are nil only when no records were appended.
 func (s *Service) FetchBatch(shuffleID, bucket int) (*dataflow.Batch, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,25 +224,31 @@ func (s *Service) FetchBatch(shuffleID, bucket int) (*dataflow.Batch, int64, err
 	if !ok || !o.sealed {
 		return nil, 0, fmt.Errorf("shuffle: shuffle %d not complete", shuffleID)
 	}
-	total := 0
+	total, holders, rows := 0, 0, false
+	var bytes int64
+	var last *dataflow.Batch
 	for _, mo := range o.maps {
-		if mo.batches != nil {
-			total += mo.batches[bucket].Len()
-		} else {
-			total += len(mo.buckets[bucket])
+		if bb := mo.batches[bucket]; bb.Len() > 0 {
+			total += bb.Len()
+			holders++
+			last = bb
+			rows = rows || bb.RowForm()
 		}
+		bytes += mo.bytes[bucket]
+	}
+	switch {
+	case rows && holders == 1:
+		return last, bytes, nil // a row-form batch never changes: share it
+	case rows:
+		recs := make([]dataflow.Record, 0, total)
+		for _, mo := range o.maps {
+			recs = append(recs, mo.batches[bucket].Records()...)
+		}
+		return dataflow.Rows(recs), bytes, nil
 	}
 	out := dataflow.NewBatch(total)
-	var bytes int64
 	for _, mo := range o.maps {
-		bytes += mo.bytes[bucket]
-		if mo.batches != nil {
-			out.AppendBatch(mo.batches[bucket])
-		} else {
-			for _, r := range mo.buckets[bucket] {
-				out.Append(r.Key, r.Value)
-			}
-		}
+		out.AppendBatch(mo.batches[bucket])
 	}
 	out.NonNil = out.Len() > 0
 	return out, bytes, nil

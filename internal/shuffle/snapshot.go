@@ -3,10 +3,9 @@ package shuffle
 // Checkpoint support: Snapshot captures the complete shuffle state —
 // every output's bucket contents, byte counts, producing executors and
 // seal status — and Restore rebuilds a Service from one. Bucket contents
-// are carried as encoded blocks (storage.EncodeBatch / EncodeRecords, the
-// format of every other at-rest partition), written straight from the
-// retained batch or row slice, so a snapshot shares nothing with the live
-// service.
+// are carried as encoded blocks (storage.EncodeBatch, the format of every
+// other at-rest partition), written straight from the retained batch, so
+// a snapshot shares nothing with the live service.
 
 import (
 	"fmt"
@@ -26,19 +25,15 @@ type MapSnapshot struct {
 	Bytes    []int64
 }
 
-// encodeBuckets encodes every non-empty bucket of a map output from the
-// representation it is retained in.
+// encodeBuckets encodes every non-empty bucket of a map output.
 func (m *mapOutput) encodeBuckets() ([][]byte, error) {
 	out := make([][]byte, len(m.bytes))
-	for b := range out {
-		var err error
-		switch {
-		case m.batches != nil && m.batches[b].Len() > 0:
-			out[b], err = storage.EncodeBatch(m.batches[b])
-		case m.batches == nil && len(m.buckets[b]) > 0:
-			out[b], err = storage.EncodeRecords(m.buckets[b])
+	for b, bb := range m.batches {
+		if bb.Len() == 0 {
+			continue
 		}
-		if err != nil {
+		var err error
+		if out[b], err = storage.EncodeBatch(bb); err != nil {
 			return nil, fmt.Errorf("bucket %d: %w", b, err)
 		}
 	}
@@ -89,7 +84,8 @@ func (s *Service) Snapshot() (*Snapshot, error) {
 }
 
 // Restore replaces the service's state with the snapshot's; restored map
-// outputs are held in columnar form. On error the service is unchanged.
+// outputs hold their buckets as storage.DecodeBatch returns them. On
+// error the service is unchanged.
 func (s *Service) Restore(snap *Snapshot) error {
 	outputs := make(map[int]*output, len(snap.Outputs))
 	for _, os := range snap.Outputs {

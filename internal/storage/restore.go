@@ -17,7 +17,7 @@ import (
 
 // restored is the payload a store of the given mode holds for a
 // checkpointed block: a copy of its bytes (real bytes; the checkpoint's
-// buffer is not the store's), or its decoded batch (virtual).
+// buffer is not the store's), or its decoded batch (virtual, DecodeBatch).
 func restored(real bool, data []byte) (Payload, error) {
 	if real {
 		return Payload{data: bytes.Clone(data), form: formEncoded}, nil
@@ -44,8 +44,8 @@ func (m *MemoryStore) Restore(meta BlockMeta, data []byte) error {
 // Encoded returns a block's block encoding for a checkpoint without
 // touching its access statistics — capture must not perturb the LRU/LFU
 // state it is snapshotting — or the decode cache: a real-bytes block's
-// bytes as they are held, a live block encoded (EncodeBatch for a batch,
-// so the same bytes as its rows would give).
+// bytes as they are held, a live block encoded (EncodeBatch: the same
+// bytes as its rows would give).
 func (m *MemoryStore) Encoded(id BlockID) ([]byte, error) {
 	e, ok := m.blocks[id]
 	if !ok {

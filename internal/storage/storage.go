@@ -7,13 +7,15 @@
 // unpersist is decided by a cache controller in internal/engine or
 // internal/core. Each store runs in one of two modes:
 //
-//   - Virtual (the default): a block is retained as live Go objects — the
-//     records, or a typed batch the store owns — and the cost model
-//     charges modeled serialization and device time. This mode is
-//     deterministic and bit-identical at any parallelism.
-//   - Real bytes: the memory store holds encoded blocks (EncodeRecords or
-//     EncodeBatch, with a bounded decode cache for hot reads) and the disk
-//     store writes one file per block under a run-scoped directory. The
+//   - Virtual (the default): a block is retained as a live batch — a
+//     columnar copy the store owns, or a row-form batch shared with the
+//     task that computed it — and the cost model charges modeled
+//     serialization and device time. This mode is deterministic and
+//     bit-identical at any parallelism.
+//   - Real bytes: the memory store holds encoded blocks (EncodeBatch,
+//     decoded by DecodeBatch through a bounded decode cache for hot reads)
+//     and the disk store writes one file per block under a run-scoped
+//     directory. The
 //     stores measure the wall-clock (de)serialization and file I/O they
 //     perform into a Meter, alongside the virtual charges, so modeled and
 //     measured costs can be compared per category.
@@ -129,48 +131,46 @@ type BlockMeta struct {
 }
 
 // Payload is a block's contents in the representation of the store that
-// packed it: a batch or records from a virtual store, an encoded block
-// from a real-bytes one. It is opaque outside this package, so a tier
-// move hands what one store released to the other store of the same
-// executor without the caller knowing, or converting, the
-// representation. Fresh and FreshBatch wrap a partition no store has
-// packed — what a task computed or a read returned — and a packed
-// payload is only accepted by a store of the mode that packed it.
+// packed it: a batch from a virtual store, an encoded block from a
+// real-bytes one. It is opaque outside this package, so a tier move hands
+// what one store released to the other store of the same executor
+// without the caller knowing, or converting, the representation. Fresh
+// and FreshBatch wrap a partition no store has packed — what a task
+// computed or a read returned — and a packed payload is only accepted by
+// a store of the mode that packed it.
 type Payload struct {
-	recs  []dataflow.Record
 	batch *dataflow.Batch
 	data  []byte
 	form  payloadForm
+	// owned marks a read's fresh decode, which no store or decode cache
+	// keeps: Batch hands it over instead of copying it.
+	owned bool
 }
 
 type payloadForm uint8
 
 const (
-	formFresh   payloadForm = iota // recs or batch from a task or a read, unpacked and not the store's
-	formLive                       // packed by a virtual store: the records themselves
+	formFresh   payloadForm = iota // a batch from a task or a read, unpacked and not the store's
 	formBatch                      // packed by a virtual store: a batch the store owns
 	formEncoded                    // packed by a real-bytes store: data, or the block's file
 )
 
-// Fresh wraps records for admission; a virtual store keeps them as they
-// are, a real-bytes store serializes them.
-func Fresh(recs []dataflow.Record) Payload { return Payload{recs: recs} }
+// Fresh wraps records for admission: FreshBatch of their row form.
+func Fresh(recs []dataflow.Record) Payload { return FreshBatch(dataflow.Rows(recs)) }
 
 // FreshBatch wraps a batch for admission. The caller keeps it: a virtual
-// store admits a copy sized to the block (Batch.CloneExact), a real-bytes
-// store its encoding.
+// store admits its own copy (Batch.CloneExact: a columnar batch on arrays
+// sized to the block, a row-form one shared), a real-bytes store its
+// encoding.
 func FreshBatch(b *dataflow.Batch) Payload { return Payload{batch: b} }
 
 // pack brings a payload into the representation of a store in the given
-// mode: fresh records are kept, a fresh batch copied (virtual), either is
-// serialized (real bytes); a packed payload passes only if a store of the
-// same mode packed it.
+// mode: a fresh batch is copied (virtual) or serialized (real bytes); a
+// packed payload passes only if a store of the same mode packed it.
 func pack(real bool, id BlockID, p Payload) (Payload, error) {
 	switch {
-	case p.form == formFresh && !real && p.batch != nil:
-		return Payload{batch: p.batch.CloneExact(), form: formBatch}, nil
 	case p.form == formFresh && !real:
-		return Payload{recs: p.recs, form: formLive}, nil
+		return Payload{batch: p.batch.CloneExact(), form: formBatch}, nil
 	case p.form == formFresh:
 		data, err := p.encoded()
 		if err != nil {
@@ -184,38 +184,31 @@ func pack(real bool, id BlockID, p Payload) (Payload, error) {
 }
 
 // encoded returns the payload's block encoding: the bytes a real-bytes
-// store holds as they are, a batch or records encoded.
+// store holds as they are, or the batch encoded.
 func (p Payload) encoded() ([]byte, error) {
-	switch {
-	case p.form == formEncoded:
+	if p.form == formEncoded {
 		return p.data, nil
-	case p.batch != nil:
-		return EncodeBatch(p.batch)
 	}
-	return EncodeRecords(p.recs)
+	return EncodeBatch(p.batch)
 }
 
-// view is what a read of a virtual store's block returns: its contents,
-// unpacked and borrowed until the block leaves the store.
-func (p Payload) view() Payload { return Payload{recs: p.recs, batch: p.batch} }
+// view is what a read of a block returns: its batch, unpacked and
+// borrowed until the block leaves the store (or the decode cache).
+func (p Payload) view() Payload { return Payload{batch: p.batch} }
 
-// Records returns the rows of a payload a read returned: the records
-// themselves, or a batch boxed.
-func (p Payload) Records() []dataflow.Record {
-	if p.batch != nil {
-		return p.batch.Records()
-	}
-	return p.recs
-}
+// Records returns the rows of a payload a read returned: a row-form
+// batch's own records, a columnar one boxed.
+func (p Payload) Records() []dataflow.Record { return p.batch.Records() }
 
 // Batch returns the partition of a payload a read returned as a batch the
-// caller owns: a Clone of a batch (one bulk copy per array, onto pooled
-// arrays), or the records columnarized.
+// caller owns, once per read: a fresh decode as it is, anything a store
+// or decode cache keeps as a Clone (one bulk copy per array onto pooled
+// arrays, or the row-form batch itself).
 func (p Payload) Batch() *dataflow.Batch {
-	if p.batch != nil {
-		return p.batch.Clone()
+	if p.owned {
+		return p.batch
 	}
-	return dataflow.FromRecords(p.recs)
+	return p.batch.Clone()
 }
 
 // Release discards a payload a store handed over (MemoryStore.Remove)
@@ -249,8 +242,9 @@ type MemoryStore struct {
 	meter *Meter
 	// decode cache: most-recently-read decoded partitions, bounded by
 	// cacheCap blocks (0 disables caching, so every read deserializes).
+	// A cached batch is never released: readers copy out of it.
 	cacheCap int
-	cache    map[BlockID][]dataflow.Record
+	cache    map[BlockID]*dataflow.Batch
 	cacheLRU []BlockID // oldest first
 
 	// quota, when set, charges every admission to the owning tenant's
@@ -275,7 +269,7 @@ func NewMemoryStoreReal(capacity int64, meter *Meter, decodeCacheBlocks int) *Me
 	m.meter = meter
 	m.cacheCap = decodeCacheBlocks
 	if m.cacheCap > 0 {
-		m.cache = make(map[BlockID][]dataflow.Record, m.cacheCap)
+		m.cache = make(map[BlockID]*dataflow.Batch, m.cacheCap)
 	}
 	return m
 }
@@ -309,12 +303,14 @@ func (m *MemoryStore) Get(id BlockID, now time.Duration) ([]dataflow.Record, *Bl
 }
 
 // Read returns the block's contents and metadata, updating access stats.
-// A virtual block comes back as it is held, borrowed: the caller copies
-// what it keeps (Payload.Batch) before the block can leave the store. A
-// real-bytes block is deserialized from its buffer unless the decode
-// cache holds it; uncached makes this read deserialize regardless and
-// leave the cache alone — how a reader whose store serves serialized
-// bytes even from memory (Spark+Alluxio) pays for every read.
+// The block comes back borrowed: the caller copies what it keeps
+// (Payload.Batch) before the block can leave the store. A virtual block
+// is returned as it is held. A real-bytes block is decoded to a batch
+// (DecodeBatch) unless the decode cache holds it; uncached makes this
+// read decode regardless and leave the cache alone — how a reader whose
+// store serves serialized bytes even from memory (Spark+Alluxio) pays
+// for every read. A decode the cache does not keep is the caller's, on
+// pooled arrays.
 func (m *MemoryStore) Read(id BlockID, now time.Duration, uncached bool) (Payload, *BlockMeta, bool) {
 	e, ok := m.blocks[id]
 	if !ok {
@@ -325,21 +321,23 @@ func (m *MemoryStore) Read(id BlockID, now time.Duration, uncached bool) (Payloa
 	if e.p.form != formEncoded {
 		return e.p.view(), e.meta, true
 	}
-	if recs, hit := m.cache[id]; hit && !uncached {
+	if b, hit := m.cache[id]; hit && !uncached {
 		m.meter.addDecodeCacheHit()
 		m.cacheTouch(id)
-		return Fresh(recs), e.meta, true
+		return FreshBatch(b), e.meta, true
 	}
+	handOver := uncached || m.cacheCap <= 0
 	start := time.Now()
-	recs, err := DecodeRecords(e.p.data)
+	b, err := decodeBatch(e.p.data, handOver)
 	if err != nil {
 		panic(fmt.Sprintf("storage: memory block %v failed to decode: %v", id, err))
 	}
 	m.meter.addMeasured(MemDecode, int64(len(e.p.data)), time.Since(start))
-	if !uncached {
-		m.cacheInsert(id, recs)
+	if handOver {
+		return Payload{batch: b, owned: true}, e.meta, true
 	}
-	return Fresh(recs), e.meta, true
+	m.cacheInsert(id, b)
+	return FreshBatch(b), e.meta, true
 }
 
 func (m *MemoryStore) cacheTouch(id BlockID) {
@@ -351,16 +349,13 @@ func (m *MemoryStore) cacheTouch(id BlockID) {
 	}
 }
 
-func (m *MemoryStore) cacheInsert(id BlockID, recs []dataflow.Record) {
-	if m.cacheCap <= 0 {
-		return
-	}
+func (m *MemoryStore) cacheInsert(id BlockID, b *dataflow.Batch) {
 	if len(m.cacheLRU) >= m.cacheCap {
 		oldest := m.cacheLRU[0]
 		m.cacheLRU = m.cacheLRU[1:]
 		delete(m.cache, oldest)
 	}
-	m.cache[id] = recs
+	m.cache[id] = b
 	m.cacheLRU = append(m.cacheLRU, id)
 }
 
@@ -560,7 +555,7 @@ func (d *DiskStore) Contains(id BlockID) bool {
 // Put writes a block to disk: a payload a memory store of the same mode
 // released (a spill: real bytes go to the block's file as they are, a
 // batch is taken over), or a fresh partition, which a real-bytes store
-// serializes first and a virtual one keeps (a batch as an exact copy). The
+// serializes first and a virtual one keeps (Batch.CloneExact). The
 // wall-clock time of both is measured as DiskWrite (the cost model
 // likewise folds serialization into its DiskWrite charge).
 func (d *DiskStore) Put(id BlockID, p Payload, size int64) error {
@@ -633,10 +628,11 @@ func (d *DiskStore) readDone(id BlockID, n int, start time.Time, err error) {
 
 // Read returns a block's contents like MemoryStore.Read: a virtual block
 // as it is held, borrowed until it leaves the store; a real-bytes
-// block's file read and deserialized, the combined wall-clock time
-// measured as DiskRead. The file's bytes are decoded at once and none of
-// them kept, so they pass through the store's own read buffer instead of
-// costing one more block-sized allocation per disk hit.
+// block's file read and decoded, onto pooled arrays, to a batch the
+// caller owns, the combined wall-clock time measured as DiskRead. The file's
+// bytes are decoded at once and none of them kept, so they pass through
+// the store's own read buffer instead of costing one more block-sized
+// allocation per disk hit.
 func (d *DiskStore) Read(id BlockID) (Payload, int64, bool) {
 	e, ok := d.blocks[id]
 	if !ok {
@@ -648,12 +644,12 @@ func (d *DiskStore) Read(id BlockID) (Payload, int64, bool) {
 	start := time.Now()
 	data, err := d.readFile(id, e, d.readBuf)
 	d.readBuf = data
-	var recs []dataflow.Record
+	var b *dataflow.Batch
 	if err == nil {
-		recs, err = DecodeRecords(data)
+		b, err = decodeBatch(data, true)
 	}
 	d.readDone(id, len(data), start, err)
-	return Fresh(recs), e.size, true
+	return Payload{batch: b, owned: true}, e.size, true
 }
 
 // Get is Read as rows.
@@ -671,11 +667,8 @@ func (d *DiskStore) Load(id BlockID) (Payload, int64, bool) {
 	if !ok {
 		return Payload{}, 0, false
 	}
-	switch e.p.form {
-	case formBatch:
+	if e.p.form == formBatch {
 		return Payload{batch: e.p.batch.CloneExact(), form: formBatch}, e.size, true
-	case formLive:
-		return e.p, e.size, true
 	}
 	start := time.Now()
 	data, err := d.readFile(id, e, nil)
@@ -810,18 +803,17 @@ func EncodeRecords(recs []dataflow.Record) ([]byte, error) {
 	return encodeGob(recs)
 }
 
-// EncodeBatch is EncodeRecords for a partition already in columnar form
-// (a cached block, a retained shuffle bucket): exactly the bytes of
+// EncodeBatch is EncodeRecords for a partition held as a batch (a cached
+// block, a retained shuffle bucket): exactly the bytes of
 // EncodeRecords(b.Records()), without boxing the rows of a flat column.
-// An empty batch or one without a flat column goes through the rows,
-// since which column it carries is not part of the canonical encoding.
+// A row-form or empty batch, or one without a flat column, goes through
+// the rows, since which column it carries is not part of the canonical
+// encoding.
 func EncodeBatch(b *dataflow.Batch) ([]byte, error) {
-	if b.Len() > 0 {
-		if _, flat := b.Col.(dataflow.FlatColumn); flat {
-			data, _ := dataflow.EncodeBlock(b)
-			data[1] = 1 // NonNil: the rows of a non-empty batch are never nil
-			return data, nil
-		}
+	if _, flat := b.Col.(dataflow.FlatColumn); flat && b.Len() > 0 {
+		data, _ := dataflow.EncodeBlock(b)
+		data[1] = 1 // NonNil: the rows of a non-empty batch are never nil
+		return data, nil
 	}
 	return EncodeRecords(b.Records())
 }
@@ -838,15 +830,23 @@ func DecodeRecords(data []byte) ([]dataflow.Record, error) {
 	return dataflow.DecodeBlockRecords(data)
 }
 
-// DecodeBatch is DecodeRecords into columnar form; the batch owns fresh,
-// unpooled arrays.
-func DecodeBatch(data []byte) (*dataflow.Batch, error) {
+// DecodeBatch is DecodeRecords into a batch: a typed block columnar, on
+// fresh unpooled arrays the batch owns; a gob block in row form.
+func DecodeBatch(data []byte) (*dataflow.Batch, error) { return decodeBatch(data, false) }
+
+// decodeBatch is DecodeBatch, with a typed block's arrays drawn from the
+// slice pools when pooled: for a decode handed to a task, which releases
+// it, rather than kept.
+func decodeBatch(data []byte, pooled bool) (*dataflow.Batch, error) {
 	if len(data) > 0 && data[0] == dataflow.BlockGob {
 		recs, err := decodeGob(data[1:])
 		if err != nil {
 			return nil, err
 		}
-		return dataflow.FromRecords(recs), nil
+		return dataflow.Rows(recs), nil
+	}
+	if pooled {
+		return dataflow.DecodeBlockPooled(data)
 	}
 	return dataflow.DecodeBlock(data)
 }

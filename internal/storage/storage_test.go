@@ -776,6 +776,40 @@ func TestBatchBlockOwnership(t *testing.T) {
 	check("disk after the promoted copy was dropped", got)
 }
 
+// TestDecodedReadIsHandedOver: a real-bytes read whose decode nothing
+// keeps — every disk read, and a memory read past the decode cache —
+// gives the caller that batch, not a copy of it; a batch the decode
+// cache keeps is copied, so releasing the copy leaves the cache intact.
+func TestDecodedReadIsHandedOver(t *testing.T) {
+	recs := sampleRecords(6)
+	id := BlockID{Dataset: 5, Partition: 0}
+	d := NewDiskStoreReal(t.TempDir(), nil)
+	if err := d.Put(id, Fresh(recs), 200); err != nil {
+		t.Fatal(err)
+	}
+	if p, _, _ := d.Read(id); p.Batch() != p.batch {
+		t.Error("a disk read copied its own decode")
+	}
+	m := NewMemoryStoreReal(1<<20, nil, 1)
+	if _, err := m.Admit(id, Fresh(recs), 200, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if p, _, _ := m.Read(id, 0, true); p.Batch() != p.batch {
+		t.Error("an uncached memory read copied its own decode")
+	}
+	for range 2 { // a decode, then a decode-cache hit
+		p, _, _ := m.Read(id, 0, false)
+		b := p.Batch()
+		if b == p.batch {
+			t.Fatal("a read handed out the decode cache's batch")
+		}
+		b.Release()
+	}
+	if got, _, _ := m.Get(id, 0); !reflect.DeepEqual(got, dataflow.FromRecords(recs).Records()) {
+		t.Errorf("decode cache after released reads: %v", got)
+	}
+}
+
 func sampleRecords(n int) []dataflow.Record {
 	out := make([]dataflow.Record, n)
 	for i := range out {

@@ -25,6 +25,21 @@ func poisonPools(t *testing.T) {
 	t.Cleanup(func() { poisonReleased = false })
 }
 
+// declineKernels is internal/dataflow's other test-only switch: while it
+// is set, every dataset computes through its row function, so a run
+// stays in row form — the reference arm every kernel is compared
+// against.
+//
+//go:linkname declineKernels blaze/internal/dataflow.declineKernels
+var declineKernels bool
+
+// withKernelsDeclined runs fn as the reference arm.
+func withKernelsDeclined(fn func()) {
+	declineKernels = true
+	defer func() { declineKernels = false }()
+	fn()
+}
+
 // TestPoisonReachesThePools: the switch above is dataflow's, so a
 // released array reads as the sentinel.
 func TestPoisonReachesThePools(t *testing.T) {

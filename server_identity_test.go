@@ -42,7 +42,6 @@ func standaloneRun(cfg RunConfig) (*Result, error) {
 		Hook:              p.hook,
 		Resilience:        p.cfg.Resilience,
 		RealBytes:         p.cfg.RealBytes,
-		Vectorized:        p.cfg.Vectorized,
 	}, ctx)
 	if err != nil {
 		return nil, err

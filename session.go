@@ -42,9 +42,9 @@ type SessionConfig struct {
 	// Parallelism is the engine's OS-level worker count; it changes only
 	// wall-clock time, never metrics or event logs.
 	Parallelism int
-	// Vectorized runs eligible stages on the columnar task loop; like
-	// Parallelism it changes only wall-clock time, never metrics or
-	// event logs.
+	// Vectorized is ignored, as RunConfig.Vectorized.
+	//
+	// Deprecated: nothing reads this field.
 	Vectorized bool
 	// MemoryPerExecutor fixes the memory-store capacity and must be
 	// positive: a session hosts arbitrary window DAGs, so there is no
@@ -278,7 +278,6 @@ func openSession(cfg SessionConfig, rs *engine.ResumeState, restored *sessionCli
 		AlluxioMode: sys.alluxio,
 		EventLog:    cfg.EventLog,
 		Parallelism: cfg.Parallelism,
-		Vectorized:  cfg.Vectorized,
 	})
 	if err != nil {
 		srv.Close()

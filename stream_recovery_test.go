@@ -380,12 +380,12 @@ func TestStreamCrashResumeFallbackAndEmptyBlocks(t *testing.T) {
 }
 
 // TestResumedShuffleServesBothPlanes: the map outputs a resume restores
-// from the snapshot (typed blocks written from the row plane's slices or
-// the columnar plane's retained batches) must serve either plane's
-// fetches. The crashed and the resumed process each run with Vectorized
-// on or off, all four combinations; every resumed stream equals the
-// uninterrupted one, which a restored bucket served wrongly — or a map
-// stage re-run because its output went missing — would break.
+// from the snapshot (typed blocks written from row-form or columnar
+// buckets) must serve whichever form the resumed tasks compute in. The
+// crashed and the resumed process each run by default ("vec=true") or
+// with every kernel declined, all four combinations; every resumed stream
+// equals the uninterrupted one, which a restored bucket served wrongly —
+// or a map stage re-run because its output went missing — would break.
 func TestResumedShuffleServesBothPlanes(t *testing.T) {
 	poisonPools(t)
 	for _, wl := range []blaze.StreamWorkloadID{blaze.StreamPR, streamMixed} {
@@ -401,13 +401,21 @@ func TestResumedShuffleServesBothPlanes(t *testing.T) {
 					dir := t.TempDir()
 					cfg := durableStreamConfig(wl, 1, 0, dir, 3, blaze.NewEventLog(), nil)
 					tune(&cfg)
-					cfg.Vectorized = crashVec
-					if _, err := blaze.RunStream(cfg); !errors.Is(err, blaze.ErrSessionCrashed) {
+					var err error
+					arm := func(vec bool, run func()) {
+						if vec {
+							run()
+						} else {
+							withKernelsDeclined(run)
+						}
+					}
+					arm(crashVec, func() { _, err = blaze.RunStream(cfg) })
+					if !errors.Is(err, blaze.ErrSessionCrashed) {
 						t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
 					}
-					cfg.Vectorized = resumeVec
 					cfg.EventLog = blaze.NewEventLog()
-					res, err := blaze.ResumeStream(cfg)
+					var res *blaze.StreamResult
+					arm(resumeVec, func() { res, err = blaze.ResumeStream(cfg) })
 					if err != nil {
 						t.Fatalf("resume: %v", err)
 					}

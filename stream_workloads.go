@@ -145,7 +145,6 @@ type StreamConfig struct {
 	Executors         int
 	Cores             int
 	Parallelism       int
-	Vectorized        bool
 	MemoryPerExecutor int64
 	CostParams        CostParams
 	DiskCapacity      int64
@@ -227,7 +226,6 @@ func runStream(cfg StreamConfig, open func(SessionConfig) (*Session, error)) (*S
 		Executors:         cfg.Executors,
 		Cores:             cfg.Cores,
 		Parallelism:       cfg.Parallelism,
-		Vectorized:        cfg.Vectorized,
 		MemoryPerExecutor: cfg.MemoryPerExecutor,
 		CostParams:        params,
 		DiskCapacity:      cfg.DiskCapacity,

@@ -2,99 +2,134 @@ package blaze_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"blaze"
+	"blaze/internal/eventlog"
 )
 
-func runVec(t *testing.T, sys blaze.SystemID, wl blaze.WorkloadID, par int, vec bool, faults *blaze.FaultConfig) (*blaze.Result, *blaze.EventLog) {
+func runArm(t *testing.T, sys blaze.SystemID, wl blaze.WorkloadID, par int, declined bool, faults *blaze.FaultConfig) (*blaze.Result, *blaze.EventLog) {
 	t.Helper()
-	return runVecCfg(t, blaze.RunConfig{System: sys, Workload: wl, Parallelism: par, Vectorized: vec, Faults: faults})
+	return runArmCfg(t, blaze.RunConfig{System: sys, Workload: wl, Parallelism: par, Faults: faults}, declined)
 }
 
-// runVecCfg runs cfg at the sweep's cluster shape with a fresh event
-// log, with released pool arrays poisoned.
-func runVecCfg(t *testing.T, cfg blaze.RunConfig) (*blaze.Result, *blaze.EventLog) {
+// runArmCfg runs cfg at the sweep's cluster shape with a fresh event log,
+// with released pool arrays poisoned: the default run, or with declined
+// the reference arm, every kernel declined.
+func runArmCfg(t *testing.T, cfg blaze.RunConfig, declined bool) (*blaze.Result, *blaze.EventLog) {
 	t.Helper()
 	poisonPools(t)
 	cfg.Executors, cfg.Scale, cfg.EventLog = 4, 0.25, blaze.NewEventLog()
-	res, err := blaze.Run(cfg)
+	var res *blaze.Result
+	var err error
+	run := func() { res, err = blaze.Run(cfg) }
+	if declined {
+		withKernelsDeclined(run)
+	} else {
+		run()
+	}
 	if err != nil {
-		t.Fatalf("%s/%s parallelism=%d vectorized=%v realBytes=%v: %v",
-			cfg.System, cfg.Workload, cfg.Parallelism, cfg.Vectorized, cfg.RealBytes, err)
+		t.Fatalf("%s/%s parallelism=%d declined=%v realBytes=%v: %v",
+			cfg.System, cfg.Workload, cfg.Parallelism, declined, cfg.RealBytes, err)
 	}
 	return res, cfg.EventLog
 }
 
-// TestVectorizedIdentity is the columnar plane's core guarantee:
-// running eligible stages on typed batches instead of boxed rows changes
-// only wall-clock time. For every registered system, a Vectorized run at
-// Parallelism 1 and 8 must produce bit-identical virtual-time metrics
-// AND an identical event log to the row run. The task loop is written
-// once over both planes (internal/engine/vectorized.go); this sweep
-// catches a plane whose container operations are not observationally
-// equal to the row plane's.
+// TestVectorizedIdentity is the columnar form's core guarantee: a
+// partition's form changes only wall-clock time. For every registered
+// system, the default run at Parallelism 1 and 8 must produce
+// bit-identical virtual-time metrics AND an identical event log to the
+// reference arm, where every dataset runs its row function. The P8 run
+// sets the deprecated Vectorized, which nothing reads.
 func TestVectorizedIdentity(t *testing.T) {
 	for _, wl := range []blaze.WorkloadID{blaze.PR, blaze.KMeans} {
 		for _, sys := range allSystems() {
 			sys, wl := sys, wl
 			t.Run(fmt.Sprintf("%s/%s", wl, sys), func(t *testing.T) {
-				rowRes, rowLog := runVec(t, sys, wl, 1, false, nil)
-				vecRes, vecLog := runVec(t, sys, wl, 1, true, nil)
-				assertIdentical(t, fmt.Sprintf("%s/%s/P1", wl, sys), rowRes, vecRes, rowLog, vecLog)
-				vec8Res, vec8Log := runVec(t, sys, wl, 8, true, nil)
-				assertIdentical(t, fmt.Sprintf("%s/%s/P8", wl, sys), rowRes, vec8Res, rowLog, vec8Log)
+				refRes, refLog := runArm(t, sys, wl, 1, true, nil)
+				res, log := runArm(t, sys, wl, 1, false, nil)
+				assertIdentical(t, fmt.Sprintf("%s/%s/P1", wl, sys), refRes, res, refLog, log)
+				res8, log8 := runArmCfg(t, blaze.RunConfig{System: sys, Workload: wl, Parallelism: 8, Vectorized: true}, false)
+				assertIdentical(t, fmt.Sprintf("%s/%s/P8", wl, sys), refRes, res8, refLog, log8)
 			})
 		}
 	}
-	// RealBytes × Vectorized: the direct path hands both flags to one
-	// engine, so batches box into gob-encoded memory blocks and spill
-	// files. The memory fraction is low enough that every case spills;
-	// Blaze is there because its cost lineage reacts to every controller
-	// callback, where the LRU of spark-memdisk ignores some (and Blaze
-	// never spills k-means).
+	// RealBytes: every cached block is encoded, and a read decodes it into
+	// columns, so here the k-means kernels run too. The memory fraction is
+	// low enough that every case spills; Blaze is there because its cost
+	// lineage reacts to every controller callback, where the LRU of
+	// spark-memdisk ignores some (and Blaze never spills k-means).
 	for _, c := range []struct {
-		wl  blaze.WorkloadID
-		sys blaze.SystemID
-	}{{blaze.PR, blaze.SysSparkMemDisk}, {blaze.PR, blaze.SysBlaze}, {blaze.KMeans, blaze.SysSparkMemDisk}} {
+		wl          blaze.WorkloadID
+		sys         blaze.SystemID
+		kernelInput string
+	}{
+		{blaze.PR, blaze.SysSparkMemDisk, "pr-graph@"},
+		{blaze.PR, blaze.SysBlaze, "pr-graph@"},
+		{blaze.KMeans, blaze.SysSparkMemDisk, "km-points@"},
+	} {
 		label := fmt.Sprintf("%s/%s/realbytes", c.wl, c.sys)
 		t.Run(label, func(t *testing.T) {
-			cfg := blaze.RunConfig{System: c.sys, Workload: c.wl, MemoryFraction: 0.1, RealBytes: true}
-			rowRes, rowLog := runVecCfg(t, cfg)
-			cfg.Vectorized = true
-			before := blaze.VecTasksExecuted()
-			vecRes, vecLog := runVecCfg(t, cfg)
-			assertIdentical(t, label, rowRes, vecRes, rowLog, vecLog)
-			if written, _ := rowRes.DiskFootprint(); written == 0 {
-				t.Error("run did not spill; lower MemoryFraction")
-			}
-			if blaze.VecTasksExecuted() == before {
-				t.Error("no task ran on the columnar plane")
-			}
+			assertRealBytesIdentity(t, blaze.RunConfig{System: c.sys, Workload: c.wl}, c.kernelInput)
 		})
 	}
+}
+
+// assertRealBytesIdentity runs cfg on spilling real-bytes stores with
+// and without kernels, and requires identical metrics and events. It
+// fails unless the default run read back a cached block of kernelInput,
+// the datasets a kernel maps over: decoded, that block is columnar, so
+// the kernel ran on it instead of the row function.
+func assertRealBytesIdentity(t *testing.T, cfg blaze.RunConfig, kernelInput string) {
+	t.Helper()
+	cfg.MemoryFraction, cfg.RealBytes = 0.1, true
+	refRes, refLog := runArmCfg(t, cfg, true)
+	res, log := runArmCfg(t, cfg, false)
+	assertIdentical(t, fmt.Sprintf("%s/%s/realbytes", cfg.Workload, cfg.System), refRes, res, refLog, log)
+	if written, _ := refRes.DiskFootprint(); written == 0 {
+		t.Error("run did not spill; lower MemoryFraction")
+	}
+	if cachedReads(log, kernelInput) == 0 {
+		t.Errorf("no cached %s* block was read back: no kernel saw a decoded, columnar input", kernelInput)
+	}
+}
+
+// cachedReads counts the memory and disk hits on blocks of the datasets
+// whose names start with prefix.
+func cachedReads(log *blaze.EventLog, prefix string) int {
+	n := 0
+	for _, e := range log.Events() {
+		if (e.Kind == eventlog.BlockHit || e.Kind == eventlog.BlockDiskHit) && strings.HasPrefix(e.DatasetNm, prefix) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestVectorizedIdentitySVDPP extends the sweep to the
 // serialization-heavy workload whose kernels mix typed columns
-// (Factors) with the boxed escape hatch (RatingList, []any pairs).
+// (Factors) with the boxed escape hatch (RatingList, []any pairs). Its
+// sources are row functions, so only real bytes give the item-factor
+// step kernel a columnar input: a cached factor block read back decoded.
 func TestVectorizedIdentitySVDPP(t *testing.T) {
 	for _, sys := range []blaze.SystemID{blaze.SysSparkMemDisk, blaze.SysMRD, blaze.SysBlaze} {
 		sys := sys
 		t.Run(string(sys), func(t *testing.T) {
-			rowRes, rowLog := runVec(t, sys, blaze.SVDPP, 1, false, nil)
-			vecRes, vecLog := runVec(t, sys, blaze.SVDPP, 8, true, nil)
-			assertIdentical(t, string(sys), rowRes, vecRes, rowLog, vecLog)
+			refRes, refLog := runArm(t, sys, blaze.SVDPP, 1, true, nil)
+			res, log := runArm(t, sys, blaze.SVDPP, 8, false, nil)
+			assertIdentical(t, string(sys), refRes, res, refLog, log)
+		})
+		t.Run(string(sys)+"/realbytes", func(t *testing.T) {
+			assertRealBytesIdentity(t, blaze.RunConfig{System: sys, Workload: blaze.SVDPP}, "svd-itemf@")
 		})
 	}
 }
 
-// TestVectorizedIdentityUnderFaults repeats the row-vs-batch identity
-// check with the exec-death and bucket-loss fault classes active: the
-// recovery paths (regeneration, recompute, fault accounting) must issue
-// identical charges and events on both planes. Regenerated stages drop
-// back to the row plane by the eligibility gate, so this also covers the
-// mixed row/vec shuffle-storage conversions.
+// TestVectorizedIdentityUnderFaults repeats the identity check with the
+// exec-death and bucket-loss fault classes active: the recovery paths
+// (regeneration, recompute, fault accounting) must issue identical
+// charges and events whatever form the regenerated partitions take.
 func TestVectorizedIdentityUnderFaults(t *testing.T) {
 	systems := []blaze.SystemID{blaze.SysSparkMemDisk, blaze.SysMRD, blaze.SysBlaze}
 	for _, class := range []blaze.FaultClass{blaze.FaultExecutorDeath, blaze.FaultBucketLoss} {
@@ -102,40 +137,41 @@ func TestVectorizedIdentityUnderFaults(t *testing.T) {
 			class, sys := class, sys
 			t.Run(fmt.Sprintf("%s/%s", class, sys), func(t *testing.T) {
 				fc := &blaze.FaultConfig{Seed: 7, Every: 3, Classes: []blaze.FaultClass{class}}
-				rowRes, rowLog := runVec(t, sys, blaze.PR, 1, false, fc)
-				vecRes, vecLog := runVec(t, sys, blaze.PR, 8, true, fc)
-				if rowRes.Metrics.FaultsInjected == 0 {
+				refRes, refLog := runArm(t, sys, blaze.PR, 1, true, fc)
+				res, log := runArm(t, sys, blaze.PR, 8, false, fc)
+				if refRes.Metrics.FaultsInjected == 0 {
 					t.Fatalf("fault schedule injected nothing; raise Rate")
 				}
-				assertIdentical(t, fmt.Sprintf("%s/%s", class, sys), rowRes, vecRes, rowLog, vecLog)
+				assertIdentical(t, fmt.Sprintf("%s/%s", class, sys), refRes, res, refLog, log)
 			})
 		}
 	}
 }
 
-// TestVectorizedPathEngages guards against the identity sweep passing
-// vacuously: a Vectorized PageRank run must actually execute tasks on
-// the columnar plane. (Nothing in metrics or events can reveal this —
-// that is the point — so the process-global counter is the witness.)
+// TestVectorizedPathEngages guards against the identity sweeps passing
+// vacuously. Nothing in metrics or events shows which form a partition
+// took — that is the point — so allocations are the witness: the
+// PageRank run TestEnginePRAllocCeiling keeps under its ceiling must
+// exceed it with every kernel declined, where every record is boxed.
 func TestVectorizedPathEngages(t *testing.T) {
-	before := blaze.VecTasksExecuted()
-	if _, err := blaze.Run(blaze.RunConfig{
-		System: blaze.SysSparkMemDisk, Workload: blaze.PR,
-		Executors: 4, Scale: 0.25, Vectorized: true,
-	}); err != nil {
-		t.Fatal(err)
+	if testing.Short() {
+		t.Skip("alloc measurement is noisy under -short harnesses")
 	}
-	if got := blaze.VecTasksExecuted() - before; got == 0 {
-		t.Fatal("Vectorized run executed zero columnar tasks; eligibility gate never fired")
+	var got float64
+	withKernelsDeclined(func() { got = prAllocsPerVertexIter(t) })
+	t.Logf("%.2f allocations per vertex-iteration with every kernel declined", got)
+	if got <= prAllocCeiling {
+		t.Fatalf("with every kernel declined, PageRank allocates %.2f times per vertex-iteration, within the kernels' ceiling %.1f: the ceiling no longer tells the forms apart",
+			got, prAllocCeiling)
 	}
 }
 
 // TestVectorizedStreamIdentity extends the guarantee to micro-batch
-// streaming: N windows through a vectorized session must be bit-equal
-// to the row session, including per-window stats and boundary events.
+// streaming: N windows of the default session must be bit-equal to the
+// reference arm's, including per-window stats and boundary events.
 func TestVectorizedStreamIdentity(t *testing.T) {
 	poisonPools(t)
-	run := func(vec bool) (*blaze.StreamResult, *blaze.EventLog) {
+	run := func() (*blaze.StreamResult, *blaze.EventLog) {
 		log := blaze.NewEventLog()
 		res, err := blaze.RunStream(blaze.StreamConfig{
 			Workload:          blaze.StreamPR,
@@ -143,36 +179,37 @@ func TestVectorizedStreamIdentity(t *testing.T) {
 			Scale:             0.25,
 			Executors:         4,
 			Parallelism:       4,
-			Vectorized:        vec,
 			MemoryPerExecutor: 1 << 20,
 			EventLog:          log,
 		})
 		if err != nil {
-			t.Fatalf("vectorized=%v: %v", vec, err)
+			t.Fatalf("declined=%v: %v", declineKernels, err)
 		}
 		return res, log
 	}
-	rowRes, rowLog := run(false)
-	vecRes, vecLog := run(true)
-	if !blaze.MetricsEqualDeterministic(rowRes.Metrics, vecRes.Metrics) {
-		t.Errorf("metrics differ between row and vectorized streams\nrow: %+v\nvec: %+v",
-			rowRes.Metrics, vecRes.Metrics)
+	var refRes *blaze.StreamResult
+	var refLog *blaze.EventLog
+	withKernelsDeclined(func() { refRes, refLog = run() })
+	res, log := run()
+	if !blaze.MetricsEqualDeterministic(refRes.Metrics, res.Metrics) {
+		t.Errorf("metrics differ from the reference stream\nref: %+v\ngot: %+v",
+			refRes.Metrics, res.Metrics)
 	}
-	re, ve := rowLog.Events(), vecLog.Events()
-	if len(re) != len(ve) {
-		t.Fatalf("event counts differ: row=%d vec=%d", len(re), len(ve))
+	re, ge := refLog.Events(), log.Events()
+	if len(re) != len(ge) {
+		t.Fatalf("event counts differ: ref=%d got=%d", len(re), len(ge))
 	}
 	for i := range re {
-		if re[i] != ve[i] {
-			t.Fatalf("event %d differs:\nrow: %+v\nvec: %+v", i, re[i], ve[i])
+		if re[i] != ge[i] {
+			t.Fatalf("event %d differs:\nref: %+v\ngot: %+v", i, re[i], ge[i])
 		}
 	}
-	if len(rowRes.Windows) != len(vecRes.Windows) {
-		t.Fatalf("window counts differ: row=%d vec=%d", len(rowRes.Windows), len(vecRes.Windows))
+	if len(refRes.Windows) != len(res.Windows) {
+		t.Fatalf("window counts differ: ref=%d got=%d", len(refRes.Windows), len(res.Windows))
 	}
-	for i := range rowRes.Windows {
-		if !rowRes.Windows[i].EqualDeterministic(vecRes.Windows[i]) {
-			t.Errorf("window %d stats differ:\nrow: %+v\nvec: %+v", i, rowRes.Windows[i], vecRes.Windows[i])
+	for i := range refRes.Windows {
+		if !refRes.Windows[i].EqualDeterministic(res.Windows[i]) {
+			t.Errorf("window %d stats differ:\nref: %+v\ngot: %+v", i, refRes.Windows[i], res.Windows[i])
 		}
 	}
 }
