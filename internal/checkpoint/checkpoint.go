@@ -42,6 +42,21 @@
 // point leaves a manifest naming bytes that never reached the disk
 // (TestCrashConsistencyAtEveryStep drops every un-synced write, rename
 // and mkdir after each step of a commit).
+//
+// A Checkpointer splits each boundary in two. On the driver, while the
+// cluster holds still, it captures the ResumeState, encodes everything
+// that shares live data (the state gob, the summary) and flushes the
+// WAL's buffer to the file, leaving a snapshot made only of immutable
+// bytes. One committer goroutine then writes that snapshot — segment
+// fill and CRCs, manifest, the five syncs in the order above, rename,
+// prune — while the next window runs. The commit is joined at the start
+// of the next boundary, before the CrashWindow crash (so "crash after
+// commit" keeps its meaning) and at session teardown on every path (the
+// join is registered with the cluster, engine.Cluster.AtTeardown); a
+// failed commit is the session's error. So boundary k is durable only
+// once the next boundary, the session's Close or the crash hook has
+// returned; a crash before that resumes from boundary k-1, which is
+// still whole.
 package checkpoint
 
 import (
@@ -140,10 +155,11 @@ func (m *Manifest) entries() []*Entry {
 
 // stateRecord is what the state gob holds: the ResumeState with every
 // payload stripped (block data, shuffle buckets, controller snapshot,
-// events) and what re-attaches them: the byte length of every stripped
-// bucket, one slice per map output in snapshot order, with which Load
-// cuts the manifest's Shuffle entry back into buckets, and the event
-// count — the manifest's copy is for the reader; this one is under a CRC.
+// events and their count) and what re-attaches them: the byte length of
+// every stripped bucket, one slice per map output in snapshot order,
+// with which Load cuts the manifest's Shuffle entry back into buckets,
+// and the event count — the manifest's copy is for the reader; this one
+// is under a CRC.
 type stateRecord struct {
 	State      engine.ResumeState
 	BucketLens [][]int
@@ -162,9 +178,81 @@ func winDir(dir string, window int) string {
 // few MB reaches the file in a dozen or so large writes.
 const segmentBufSize = 256 << 10
 
+// snapshot is one boundary made ready to commit: every payload encoded,
+// in segment order, beside the manifest fields known before the segment
+// is written. It holds only bytes nothing mutates, so a committer can
+// write it while the next window runs.
+type snapshot struct {
+	window, eventCount int
+	// summary is the manifest's operator digest, JSON-encoded (nil: none).
+	summary json.RawMessage
+	blocks  [][]byte
+	// buckets holds every bucket of the shuffle snapshot, in snapshot
+	// order; the state gob holds their lengths.
+	buckets [][]byte
+	// controller and client are nil when absent; state is the gob of the
+	// stripped stateRecord.
+	controller, state, client []byte
+}
+
+// prepare encodes a captured boundary into a snapshot. It must run
+// before any further execution: the state shares live data (metrics
+// sub-objects, map outputs' sizes) until its gob is taken. The payloads
+// already encoded — block data, shuffle buckets, the controller
+// snapshot — are stripped out of the gob and kept as they are.
+func prepare(rs *engine.ResumeState, clientState []byte, summary any) (*snapshot, error) {
+	s := &snapshot{window: rs.Window, eventCount: rs.EventCount, controller: rs.Controller, client: clientState}
+	if summary != nil {
+		data, err := json.Marshal(summary)
+		if err != nil {
+			return nil, fmt.Errorf("encode summary: %w", err)
+		}
+		s.summary = data
+	}
+	rec := stateRecord{State: *rs, EventCount: rs.EventCount}
+	st := &rec.State
+	st.Events, st.EventCount, st.Controller = nil, 0, nil
+	st.MemBlocks = make([]engine.ResumeBlock, len(rs.MemBlocks))
+	for i, b := range rs.MemBlocks {
+		s.blocks = append(s.blocks, b.Data)
+		b.Data = nil
+		st.MemBlocks[i] = b
+	}
+	st.DiskBlocks = make([]engine.ResumeDiskBlock, len(rs.DiskBlocks))
+	for i, b := range rs.DiskBlocks {
+		s.blocks = append(s.blocks, b.Data)
+		b.Data = nil
+		st.DiskBlocks[i] = b
+	}
+	if rs.Shuffle != nil {
+		// Strip a copy: the caller's snapshot keeps its buckets.
+		snap := *rs.Shuffle
+		snap.Outputs = append([]shuffle.OutputSnapshot(nil), snap.Outputs...)
+		for oi := range snap.Outputs {
+			snap.Outputs[oi].Maps = append([]shuffle.MapSnapshot(nil), snap.Outputs[oi].Maps...)
+		}
+		st.Shuffle = &snap
+		for _, mo := range mapOutputs(&snap) {
+			lens := make([]int, len(mo.Buckets))
+			for b, data := range mo.Buckets {
+				s.buckets = append(s.buckets, data)
+				lens[b] = len(data)
+			}
+			rec.BucketLens = append(rec.BucketLens, lens)
+			mo.Buckets = nil
+		}
+	}
+	var state bytes.Buffer
+	if err := gob.NewEncoder(&state).Encode(&rec); err != nil {
+		return nil, fmt.Errorf("encode state: %w", err)
+	}
+	s.state = state.Bytes()
+	return s, nil
+}
+
 // writer commits window snapshots through fs. Its buffer outlives a
-// commit, so a Checkpointer's commits share one. The zero value writes
-// to the operating system's files.
+// commit, so a Checkpointer's commits share one; one commit at a time.
+// The zero value writes to the operating system's files.
 type writer struct {
 	fs  fileSystem
 	buf *bufio.Writer
@@ -191,25 +279,35 @@ func (s *segment) end() Entry {
 	return e
 }
 
-// Write persists one window snapshot. Block data, shuffle buckets and
-// the controller snapshot — all already encoded — are stripped out of
-// the state gob and appended to the segment as they are, events are
-// recovered from the WAL, and the manifest commits the whole snapshot
-// last. Returns the number of block payloads and total bytes written.
+// Write persists one window snapshot: it encodes the state, writes the
+// segment and commits the manifest last, all before it returns (a
+// Checkpointer runs the second half in the background). Events are
+// recovered from the WAL. Returns the number of block payloads and total
+// bytes written.
 func Write(dir string, rs *engine.ResumeState, clientState []byte, summary any) (blocks int, written int64, err error) {
 	var w writer
 	return w.write(dir, rs, clientState, summary)
 }
 
 func (w *writer) write(dir string, rs *engine.ResumeState, clientState []byte, summary any) (blocks int, written int64, err error) {
+	s, err := prepare(rs, clientState, summary)
+	if err != nil {
+		return 0, 0, fmt.Errorf("checkpoint: %w", err)
+	}
+	return w.commit(dir, s)
+}
+
+// commit writes a prepared snapshot under dir: the segment, then the
+// manifest, in the order the package comment proves safe, then prunes.
+func (w *writer) commit(dir string, s *snapshot) (blocks int, written int64, err error) {
 	if w.fs == nil {
-		w.fs = osFS{}
+		w.fs = diskFS
 	}
 	if w.buf == nil {
 		w.buf = bufio.NewWriterSize(nil, segmentBufSize)
 	}
 	fs := w.fs
-	wd := winDir(dir, rs.Window)
+	wd := winDir(dir, s.window)
 	// A leftover directory from an earlier attempt at the same window
 	// (crashed before its manifest was renamed in, or found corrupt by
 	// the Load this session resumed from) is not worth keeping; start
@@ -221,14 +319,17 @@ func (w *writer) write(dir string, rs *engine.ResumeState, clientState []byte, s
 		return 0, 0, fmt.Errorf("checkpoint: mkdir %s: %w", wd, err)
 	}
 
-	m := &Manifest{Version: ManifestVersion, Window: rs.Window, EventCount: len(rs.Events), Summary: summary}
+	m := &Manifest{Version: ManifestVersion, Window: s.window, EventCount: s.eventCount}
+	if s.summary != nil {
+		m.Summary = s.summary
+	}
 	f, err := fs.Create(filepath.Join(wd, segmentName))
 	if err != nil {
 		return 0, 0, fmt.Errorf("checkpoint: create segment: %w", err)
 	}
 	w.buf.Reset(f)
 	seg := segment{w: w.buf}
-	written, err = seg.fill(m, rs, clientState)
+	written, err = seg.fill(m, s)
 	w.buf.Reset(nil) // do not hold the file past the commit
 	if err := syncClose(f, err); err != nil {
 		return 0, 0, fmt.Errorf("checkpoint: write segment: %w", err)
@@ -259,67 +360,30 @@ func (w *writer) write(dir string, rs *engine.ResumeState, clientState []byte, s
 	}
 	written += int64(len(mdata))
 
-	prune(fs, dir, rs.Window)
+	prune(fs, dir, s.window)
 	return len(m.Blocks), written, nil
 }
 
 // fill appends every payload of the snapshot to the segment, recording
 // each entry in the manifest, and flushes. Returns the segment's size.
-func (seg *segment) fill(m *Manifest, rs *engine.ResumeState, clientState []byte) (int64, error) {
-	block := func(data []byte) {
+func (seg *segment) fill(m *Manifest, s *snapshot) (int64, error) {
+	for _, data := range s.blocks {
 		seg.Write(data)
 		m.Blocks = append(m.Blocks, seg.end())
 	}
-	rec := stateRecord{State: *rs, EventCount: len(rs.Events)}
-	st := &rec.State
-	st.Events = nil
-	st.MemBlocks = make([]engine.ResumeBlock, len(rs.MemBlocks))
-	for i, b := range rs.MemBlocks {
-		block(b.Data)
-		b.Data = nil
-		st.MemBlocks[i] = b
-	}
-	st.DiskBlocks = make([]engine.ResumeDiskBlock, len(rs.DiskBlocks))
-	for i, b := range rs.DiskBlocks {
-		block(b.Data)
-		b.Data = nil
-		st.DiskBlocks[i] = b
-	}
-
-	if rs.Shuffle != nil {
-		// Strip a copy: the caller's snapshot keeps its buckets.
-		snap := *rs.Shuffle
-		snap.Outputs = append([]shuffle.OutputSnapshot(nil), snap.Outputs...)
-		for oi := range snap.Outputs {
-			snap.Outputs[oi].Maps = append([]shuffle.MapSnapshot(nil), snap.Outputs[oi].Maps...)
-		}
-		st.Shuffle = &snap
-		for _, mo := range mapOutputs(&snap) {
-			lens := make([]int, len(mo.Buckets))
-			for b, data := range mo.Buckets {
-				seg.Write(data)
-				lens[b] = len(data)
-			}
-			rec.BucketLens = append(rec.BucketLens, lens)
-			mo.Buckets = nil
-		}
+	for _, data := range s.buckets {
+		seg.Write(data)
 	}
 	m.Shuffle = seg.end()
-
-	if rs.Controller != nil {
-		seg.Write(rs.Controller)
+	if s.controller != nil {
+		seg.Write(s.controller)
 		e := seg.end()
 		m.Controller = &e
-		st.Controller = nil
 	}
-
-	if err := gob.NewEncoder(seg).Encode(&rec); err != nil {
-		return 0, fmt.Errorf("encode state: %w", err)
-	}
+	seg.Write(s.state)
 	m.State = seg.end()
-
-	if clientState != nil {
-		seg.Write(clientState)
+	if s.client != nil {
+		seg.Write(s.client)
 		e := seg.end()
 		m.Client = &e
 	}
@@ -501,7 +565,7 @@ func loadWindow(dir string, window int) (*engine.ResumeState, []byte, error) {
 	if len(events) < m.EventCount {
 		return nil, nil, fmt.Errorf("checkpoint: wal holds %d events, manifest needs %d", len(events), m.EventCount)
 	}
-	rs.Events = events[:m.EventCount]
+	rs.EventCount, rs.Events = m.EventCount, events[:m.EventCount]
 
 	var client []byte
 	if m.Client != nil {

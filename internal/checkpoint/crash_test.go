@@ -37,6 +37,10 @@ type memNode struct {
 	dir bool
 	// A file's bytes: as written, and as of its last Sync.
 	data, synced []byte
+	// backing, when set, names a real file another writer appends to
+	// (a buffered eventlog.WAL): what that writer has written to it is
+	// the node's data, so a Sync makes exactly that durable.
+	backing string
 	// A directory's entries: as they stand, and as of its last Sync.
 	entries, durable map[string]*memNode
 }
@@ -204,6 +208,7 @@ func (f *memFile) Sync() error {
 		return errPowerCut
 	}
 	f.fs.syncs++
+	f.n.readBacking()
 	if f.n.dir {
 		f.n.durable = make(map[string]*memNode, len(f.n.entries))
 		for name, n := range f.n.entries {
@@ -227,6 +232,7 @@ func (fs *memFS) materialize(t *testing.T, unsynced bool) string {
 		if !n.dir {
 			data := n.synced
 			if unsynced {
+				n.readBacking()
 				data = n.data
 			}
 			if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -274,6 +280,21 @@ func (fs *memFS) setWAL(t *testing.T, events []eventlog.Event, synced int) {
 	d.entries[walName], d.durable[walName] = n, n
 }
 
+// backWAL makes the real file at path, which a buffered eventlog.WAL
+// appends to, the WAL: durable as of its last Sync, starting empty.
+func (fs *memFS) backWAL(path string) {
+	n := &memNode{backing: path}
+	d := fs.root.entries["ckpt"]
+	d.entries[walName], d.durable[walName] = n, n
+}
+
+// readBacking refreshes a backed node's data from its real file.
+func (n *memNode) readBacking() {
+	if n.backing != "" {
+		n.data, _ = os.ReadFile(n.backing)
+	}
+}
+
 // testEvents is the event history the test states cut their prefixes
 // from.
 func testEvents(n int) []eventlog.Event {
@@ -299,7 +320,7 @@ func testState(t *testing.T, window, nblocks, nevents int) (*engine.ResumeState,
 		DiskCounters: []engine.ResumeDiskCounters{{TotalWritten: 7}},
 		Metrics:      metrics.NewApp(1),
 		Controller:   []byte(fmt.Sprintf("controller state at window %d", window)),
-		Events:       testEvents(nevents),
+		EventCount:   nevents,
 	}
 	for p := 0; p < nblocks-1; p++ {
 		recs := make([]dataflow.Record, 3+p%5)
@@ -352,7 +373,7 @@ func reference(t *testing.T, rs *engine.ResumeState, client []byte) loaded {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wal.AppendAll(rs.Events); err != nil {
+	if err := wal.AppendAll(testEvents(rs.EventCount)); err != nil {
 		t.Fatal(err)
 	}
 	if err := wal.Close(); err != nil {
@@ -370,7 +391,7 @@ func reference(t *testing.T, rs *engine.ResumeState, client []byte) loaded {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotClient, client) || !bytes.Equal(got.Controller, rs.Controller) ||
-		!reflect.DeepEqual(got.Events, rs.Events) || !reflect.DeepEqual(got.Shuffle, rs.Shuffle) ||
+		!reflect.DeepEqual(got.Events, testEvents(rs.EventCount)) || !reflect.DeepEqual(got.Shuffle, rs.Shuffle) ||
 		!reflect.DeepEqual(got.MemBlocks, rs.MemBlocks) || !reflect.DeepEqual(got.DiskBlocks, rs.DiskBlocks) {
 		t.Fatalf("window %d does not load back as written:\nwrote  %+v\nloaded %+v", rs.Window, rs, got)
 	}
@@ -383,27 +404,70 @@ func reference(t *testing.T, rs *engine.ResumeState, client []byte) loaded {
 // mix — and a window-4 manifest that survived must describe a segment
 // and a WAL prefix that survived too. The same holds when only the
 // process dies and every write that happened stays.
-func TestCrashConsistencyAtEveryStep(t *testing.T) {
+func TestCrashConsistencyAtEveryStep(t *testing.T) { crashAtEveryStep(t, false) }
+
+// TestCrashConsistencyBufferedWAL is the same power cut with the WAL a
+// real eventlog.WAL whose appends only buffer, each window's events
+// appended and flushed by nobody but the Checkpointer, committing the
+// way a session's boundaries do (encode and flush, commit in the
+// background, join): a surviving manifest never counts an event that the
+// synced WAL lacks.
+func TestCrashConsistencyBufferedWAL(t *testing.T) { crashAtEveryStep(t, true) }
+
+func crashAtEveryStep(t *testing.T, buffered bool) {
 	const blocks = 12
 	var states, refs [5]loaded
 	for w := 2; w <= 4; w++ {
 		rs, client := testState(t, w, blocks, 4*w)
 		states[w], refs[w] = loaded{rs, client}, reference(t, rs, client)
 	}
+	events := testEvents(states[4].rs.EventCount)
 	for _, unsynced := range []bool{false, true} {
 		for stop, done := 0, false; !done; stop++ {
 			fs := newMemFS()
-			w := writer{fs: fs}
-			// The WAL as the session leaves it at boundary 4: window 3's
-			// prefix was synced by that commit, the rest only written.
-			fs.setWAL(t, states[4].rs.Events, len(states[3].rs.Events))
+			var commit func(k int) error
+			closeWAL := func() {}
+			if buffered {
+				path := filepath.Join(t.TempDir(), walName)
+				wal, err := eventlog.CreateWAL(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				closeWAL = func() { wal.Close() }
+				fs.backWAL(path)
+				cp := &Checkpointer{Dir: memDir, WAL: wal}
+				cp.w.fs = fs
+				logged := 0
+				commit = func(k int) error {
+					st := states[k]
+					if err := wal.AppendAll(events[logged:st.rs.EventCount]); err != nil {
+						t.Fatal(err)
+					}
+					logged = st.rs.EventCount
+					cp.ClientState = func() ([]byte, error) { return st.client, nil }
+					if err := cp.begin(st.rs, 0, time.Now()); err != nil {
+						t.Fatal(err)
+					}
+					return cp.join()
+				}
+			} else {
+				// The WAL as the session leaves it at boundary 4: window 3's
+				// prefix was synced by that commit, the rest only written.
+				fs.setWAL(t, events, states[3].rs.EventCount)
+				w := writer{fs: fs}
+				commit = func(k int) error {
+					_, _, err := w.write(memDir, states[k].rs, states[k].client, nil)
+					return err
+				}
+			}
 			for k := 2; k <= 3; k++ {
-				if _, _, err := w.write(memDir, states[k].rs, states[k].client, nil); err != nil {
+				if err := commit(k); err != nil {
 					t.Fatal(err)
 				}
 			}
 			fs.steps, fs.stopAfter = 0, stop
-			_, _, err := w.write(memDir, states[4].rs, states[4].client, nil)
+			err := commit(4)
+			closeWAL()
 			done = err == nil
 			if !done && !errors.Is(err, errPowerCut) {
 				t.Fatalf("step %d: commit failed on its own: %v", stop, err)
@@ -438,7 +502,7 @@ func TestCommitCreatesTwoFiles(t *testing.T) {
 	for _, blocks := range []int{1, 10, 200} {
 		rs, client := testState(t, 2, blocks, 3)
 		fs := newMemFS()
-		fs.setWAL(t, rs.Events, 0)
+		fs.setWAL(t, testEvents(rs.EventCount), 0)
 		w := writer{fs: fs}
 		n, _, err := w.write(memDir, rs, client, nil)
 		if err != nil {

@@ -26,6 +26,11 @@ type file interface {
 	Close() error
 }
 
+// diskFS is what a writer without a file system of its own commits
+// through: osFS, except in a test that fails chosen operations of the
+// commits a session makes.
+var diskFS fileSystem = osFS{}
+
 type osFS struct{}
 
 func (osFS) Mkdir(path string) error                    { return os.Mkdir(path, 0o755) }

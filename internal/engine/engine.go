@@ -538,6 +538,9 @@ type Cluster struct {
 	// checkpointer, when set, observes streaming window boundaries to
 	// persist ResumeState snapshots.
 	checkpointer WindowCheckpointer
+	// teardown holds what AtTeardown registered: the join of a window
+	// checkpointer's background commit.
+	teardown []func() error
 }
 
 // taskTrace buffers one task's externally ordered side effects during

@@ -23,6 +23,7 @@ package engine
 // effort lands in the Repair* metric fields.
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -59,7 +60,9 @@ type PlanRepairer interface {
 // checkpointing. OnWindowBoundary runs in driver context under pool
 // exclusivity, after the controller's AdvanceWindow, for every boundary
 // past the first — so a checkpoint at window k captures windows 1..k-1
-// complete plus the boundary-k re-solve.
+// complete plus the boundary-k re-solve. What it captures must be copied
+// or encoded before it returns; writing those bytes out may continue in
+// the background past the boundary, joined through AtTeardown.
 type WindowCheckpointer interface {
 	OnWindowBoundary(c *Cluster, window int)
 }
@@ -67,6 +70,26 @@ type WindowCheckpointer interface {
 // SetWindowCheckpointer attaches the boundary observer. Call before the
 // first window advances.
 func (c *Cluster) SetWindowCheckpointer(w WindowCheckpointer) { c.checkpointer = w }
+
+// AtTeardown registers fn to run when the cluster's session ends, on
+// every path: the driver returned, panicked, was cancelled or crashed. A
+// window checkpointer registers the join of its background commit here,
+// so no commit outlives its session and a failed one is the session's
+// error. Call in driver context.
+func (c *Cluster) AtTeardown(fn func() error) { c.teardown = append(c.teardown, fn) }
+
+// Teardown runs what AtTeardown registered, in order, once, and returns
+// their errors joined. The session's owner calls it after its driver
+// has unwound, before Finish.
+func (c *Cluster) Teardown() error {
+	fns := c.teardown
+	c.teardown = nil
+	var errs []error
+	for _, fn := range fns {
+		errs = append(errs, fn())
+	}
+	return errors.Join(errs...)
+}
 
 // ResumeExecutor is one executor's scheduler-visible state in a
 // ResumeState snapshot.
@@ -113,8 +136,8 @@ type ResumeDiskCounters struct {
 // ResumeState is the complete engine-side snapshot of a streaming
 // session at a window boundary. All fields are exported for gob; the
 // checkpoint layer strips every payload (block Data, the shuffle
-// snapshot's Buckets, Controller) out of the gob into its segment file
-// and recovers Events from the WAL.
+// snapshot's Buckets, Controller) out of the gob into its segment file,
+// persists EventCount, and recovers Events from the WAL.
 type ResumeState struct {
 	// Window is the boundary the snapshot was taken at: windows
 	// 1..Window-1 are complete and the boundary-Window re-solve has run.
@@ -143,9 +166,11 @@ type ResumeState struct {
 	// Controller is the StateSnapshotter payload (nil for stateless
 	// controllers).
 	Controller []byte
-	// Events is the main event log up to and including this boundary.
-	// The checkpoint layer persists the count and rebuilds the slice
-	// from the write-ahead log at load time.
+	// EventCount is the length of the main event log at this boundary.
+	EventCount int
+	// Events is the main event log up to and including this boundary:
+	// nil as captured (the log itself is never copied), rebuilt from the
+	// write-ahead log's first EventCount records at load time.
 	Events []eventlog.Event
 }
 
@@ -153,9 +178,11 @@ type ResumeState struct {
 // run in driver context under pool exclusivity (the window-boundary
 // hook provides both). Every block is captured in the block format: a
 // live batch or rows encoded, a real-bytes block's stored bytes as they
-// are. Slices referencing live data (a real-bytes memory block's bytes,
-// metrics sub-objects) are shared, not deep-copied: the caller
-// serializes the snapshot before any further execution.
+// are. The payload bytes (blocks, shuffle buckets, the controller
+// snapshot) are immutable and may be written out while execution goes
+// on; everything else may share live data (metrics sub-objects, map
+// outputs' sizes), so the caller encodes it before any further
+// execution.
 func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 	rs := &ResumeState{
 		Window:         c.curWindow,
@@ -238,7 +265,7 @@ func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 		rs.Controller = data
 	}
 	if c.log != nil {
-		rs.Events = append([]eventlog.Event(nil), c.log.Events()...)
+		rs.EventCount = c.log.Len()
 	}
 	return rs, nil
 }

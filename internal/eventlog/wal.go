@@ -1,9 +1,14 @@
 package eventlog
 
 // Write-ahead logging for the event stream: a WAL persists every event
-// as one JSON line, flushed per record, so the exact event history of a
-// crashed run is recoverable up to (at least) the last checkpoint. The
-// record layout is identical to WriteJSON/ReadJSON — a WAL file is a
+// as one JSON line. Appends only buffer — records reach the file when the
+// buffer fills and at Flush, Sync and Close — so the history of a crashed
+// run is recoverable up to the last checkpoint, not per record: at every
+// window boundary the checkpointer flushes the WAL before it hands the
+// commit off, and the commit syncs the file before the manifest that
+// counts those events becomes durable. Events past the last checkpoint
+// may die with the buffer; a resume replays only the checkpoint's prefix.
+// The record layout is identical to WriteJSON/ReadJSON — a WAL file is a
 // valid JSON-lines event log — but replay additionally tolerates a torn
 // tail: a crash can leave a partially written final line, which is
 // discarded rather than failing the whole replay.
@@ -17,10 +22,15 @@ import (
 	"path/filepath"
 )
 
-// WAL is an append-only, per-record-flushed event log file.
+// walBufSize is the WAL's write buffer: a streaming window appends a few
+// hundred records of ~200 bytes, so it reaches the file in a few writes.
+const walBufSize = 64 << 10
+
+// WAL is an append-only, buffered event log file.
 type WAL struct {
 	f   *os.File
 	buf *bufio.Writer
+	enc *json.Encoder
 }
 
 // CreateWAL creates (truncating) the WAL file at path.
@@ -29,37 +39,32 @@ func CreateWAL(path string) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eventlog: create wal: %w", err)
 	}
-	return &WAL{f: f, buf: bufio.NewWriter(f)}, nil
+	buf := bufio.NewWriterSize(f, walBufSize)
+	return &WAL{f: f, buf: buf, enc: json.NewEncoder(buf)}, nil
 }
 
-// Append writes one event record and flushes it to the file.
+// Append buffers one event record (a JSON line, as json.Marshal encodes
+// it). A failed write of the buffer to the file is reported here or by
+// a later call.
 func (w *WAL) Append(e Event) error {
-	rec, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("eventlog: wal encode: %w", err)
-	}
-	rec = append(rec, '\n')
-	if _, err := w.buf.Write(rec); err != nil {
-		return fmt.Errorf("eventlog: wal write: %w", err)
-	}
-	if err := w.buf.Flush(); err != nil {
-		return fmt.Errorf("eventlog: wal flush: %w", err)
+	if err := w.enc.Encode(e); err != nil {
+		return fmt.Errorf("eventlog: wal append: %w", err)
 	}
 	return nil
 }
 
-// AppendAll writes a batch of events and flushes once at the end.
+// AppendAll buffers a batch of events.
 func (w *WAL) AppendAll(events []Event) error {
 	for _, e := range events {
-		rec, err := json.Marshal(e)
-		if err != nil {
-			return fmt.Errorf("eventlog: wal encode: %w", err)
-		}
-		rec = append(rec, '\n')
-		if _, err := w.buf.Write(rec); err != nil {
-			return fmt.Errorf("eventlog: wal write: %w", err)
+		if err := w.Append(e); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// Flush writes the buffered records to the file, without syncing it.
+func (w *WAL) Flush() error {
 	if err := w.buf.Flush(); err != nil {
 		return fmt.Errorf("eventlog: wal flush: %w", err)
 	}
@@ -68,8 +73,8 @@ func (w *WAL) AppendAll(events []Event) error {
 
 // Sync flushes and forces the file's bytes to stable storage.
 func (w *WAL) Sync() error {
-	if err := w.buf.Flush(); err != nil {
-		return fmt.Errorf("eventlog: wal flush: %w", err)
+	if err := w.Flush(); err != nil {
+		return err
 	}
 	if err := w.f.Sync(); err != nil {
 		return fmt.Errorf("eventlog: wal sync: %w", err)
@@ -98,9 +103,9 @@ func (w *WAL) Rename(path string) error {
 
 // Close flushes and closes the file.
 func (w *WAL) Close() error {
-	if err := w.buf.Flush(); err != nil {
+	if err := w.Flush(); err != nil {
 		w.f.Close()
-		return fmt.Errorf("eventlog: wal flush: %w", err)
+		return err
 	}
 	return w.f.Close()
 }

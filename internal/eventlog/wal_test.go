@@ -1,6 +1,8 @@
 package eventlog
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,6 +46,18 @@ func TestWALRoundTrip(t *testing.T) {
 		if got[i] != evs[i] {
 			t.Fatalf("event %d: got %+v, want %+v", i, got[i], evs[i])
 		}
+	}
+	// The file is exactly one json.Marshal line per event.
+	var want []byte
+	for _, e := range evs {
+		rec, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, rec...), '\n')
+	}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("wal bytes differ from one json.Marshal line per event (err %v):\n%s", err, data)
 	}
 }
 
@@ -101,7 +115,7 @@ func TestWALReplayMissingFile(t *testing.T) {
 
 // TestWALRenameReplacesWhole: a WAL seeded beside a live one leaves it
 // untouched until Rename, replaces it in one step, and keeps appending
-// to the file under its new name.
+// to the file under its new name — buffered until the next Flush.
 func TestWALRenameReplacesWhole(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.wal")
 	old, err := CreateWAL(path)
@@ -143,6 +157,12 @@ func TestWALRenameReplacesWhole(t *testing.T) {
 		t.Fatalf("after the rename the WAL replays %d events, want the seeded 3", n)
 	}
 	if err := w.Append(walEvents(1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if n := replayed(); n != 3 {
+		t.Fatalf("an append reached the file before a flush: %d events", n)
+	}
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if n := replayed(); n != 4 {

@@ -782,6 +782,17 @@ func (sess *Session) run() {
 		sess.spec.Driver(ctx)
 	}()
 
+	// Whatever the driver left running in the background (a window
+	// checkpointer's commit) is joined on every path before the session
+	// ends; a failure there is the session's error too.
+	if err := cl.Teardown(); err != nil {
+		err = fmt.Errorf("server: session %d: %w", sess.idx, err)
+		if sess.err != nil {
+			err = errors.Join(sess.err, err)
+		}
+		sess.err = err
+	}
+
 	if sess.err == nil {
 		sess.met = cl.Finish()
 	}

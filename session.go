@@ -76,7 +76,9 @@ type SessionConfig struct {
 	// the event log is teed into an append-only WAL there. A session
 	// killed mid-stream resumes from the newest snapshot with
 	// ResumeSession, producing bit-identical window results and event
-	// logs to a run that never crashed.
+	// logs to a run that never crashed. A boundary's snapshot is written
+	// while the next window runs: boundary k is durable once the next
+	// NextWindow or Close returns (see NextWindow).
 	CheckpointDir string
 	// CrashWindow, when >= 2, injects the server-crash fault: the session
 	// dies (methods return ErrSessionCrashed) at that window's boundary,
@@ -198,8 +200,12 @@ func (cur WindowStats) since(prev WindowStats, window int) WindowStats {
 
 // CheckpointStat records one committed window-boundary checkpoint:
 // which boundary, how many carried-state blocks it persisted, their
-// serialized size and the wall-clock commit time (the checkpoint
-// overhead bench/'s stream-durable workload reports).
+// serialized size and Wall, how long the boundary held the driver
+// (capture, encoding, and the wait for the previous boundary's commit;
+// the checkpoint overhead bench/'s stream-durable workload reports). The
+// files themselves are written in the background while the next window
+// runs, so a stat appears once that write is joined: at the next
+// boundary or at Close.
 type CheckpointStat struct {
 	Window int
 	Blocks int
@@ -379,7 +385,7 @@ func (s *Session) enableDurability(ctl engine.Controller, rs *engine.ResumeState
 			setupErr = err
 			return
 		}
-		s.wal = wal
+		s.wal, cp.WAL = wal, wal
 		if s.cfg.EventLog != nil {
 			s.cfg.EventLog.SetSink(func(e eventlog.Event) {
 				if err := wal.Append(e); err != nil {
@@ -484,6 +490,14 @@ func (s *Session) Window() int { return s.window }
 // placement ILP as a delta on the previous window's assignment. The
 // closing window's WindowStats entry is captured at the boundary.
 // Returns the new window index.
+//
+// On a durable session the boundary's checkpoint is captured before
+// NextWindow returns but written to disk while the next window runs, so
+// a returning NextWindow does not yet mean the boundary is durable: it is
+// once the next NextWindow or Close returns (or the CrashWindow crash
+// fires, which waits for it). A process killed before that resumes from
+// the previous boundary, which is still whole. A failed write is
+// returned by that next NextWindow or Close.
 func (s *Session) NextWindow() (int, error) {
 	if s.closed {
 		return 0, ErrSessionClosed
@@ -565,7 +579,8 @@ func (s *Session) Close() (*Result, error) {
 	captureErr := s.capture()
 	err := s.st.Close()
 	if s.wal != nil {
-		// The driver loop has exited, so nothing appends concurrently.
+		// The driver loop has exited and the session's teardown joined
+		// the last commit, so nothing appends or syncs concurrently.
 		if s.cfg.EventLog != nil {
 			s.cfg.EventLog.SetSink(nil)
 		}

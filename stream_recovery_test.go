@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"blaze"
@@ -424,4 +425,118 @@ func TestResumedShuffleServesBothPlanes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sessionRun is one stream driven through the Session API, window by
+// window, until a call fails; the stats are read after Close.
+type sessionRun struct {
+	res         *blaze.Result
+	windows     []blaze.WindowStats
+	checkpoints []blaze.CheckpointStat
+	err         error
+}
+
+// driveSession runs four windows of wl at quarter scale on a session
+// open builds from cfg, then closes it.
+func driveSession(t *testing.T, wl blaze.StreamWorkloadID, open func(blaze.SessionConfig) (*blaze.Session, error), cfg blaze.SessionConfig) sessionRun {
+	t.Helper()
+	spec, err := blaze.StreamWorkload(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.CostParams = blaze.EvalParams(spec.SerFactor)
+	sess, err := open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := spec.Open(0.25, false)
+	var run sessionRun
+	for w := 1; w <= 4 && run.err == nil; w++ {
+		if run.err = sess.Submit(func(ctx *blaze.Context) { step(ctx, w) }); run.err == nil && w < 4 {
+			_, run.err = sess.NextWindow()
+		}
+	}
+	res, err := sess.Close()
+	if run.err == nil {
+		run.res, run.err = res, err
+	}
+	run.windows, run.checkpoints = sess.WindowStats(), sess.CheckpointStats()
+	return run
+}
+
+// checkpointWindows lists the boundaries of a run's checkpoints, failing
+// on one that persisted nothing.
+func checkpointWindows(t *testing.T, cps []blaze.CheckpointStat) []int {
+	t.Helper()
+	var out []int
+	for _, ck := range cps {
+		if ck.Bytes == 0 {
+			t.Errorf("checkpoint at boundary %d wrote no bytes", ck.Window)
+		}
+		out = append(out, ck.Window)
+	}
+	return out
+}
+
+// TestDurableStreamBackgroundCommitRace crashes durable StreamPR and
+// StreamKMeans sessions at P=8 at every boundary and resumes them: each
+// boundary's commit runs on the committer goroutine while the next
+// window's jobs run on eight workers, and CheckpointStats is read after
+// Close. It is a race-detector test: CI runs it under -race, and it holds
+// at -count=10.
+func TestDurableStreamBackgroundCommitRace(t *testing.T) {
+	for _, wl := range []blaze.StreamWorkloadID{blaze.StreamPR, blaze.StreamKMeans} {
+		config := func(dir string, crash int, log, recLog *blaze.EventLog) blaze.SessionConfig {
+			return blaze.SessionConfig{Executors: 4, Parallelism: 8, MemoryPerExecutor: 1 << 20,
+				EventLog: log, CheckpointDir: dir, CrashWindow: crash, RecoveryLog: recLog}
+		}
+		baseLog := blaze.NewEventLog()
+		base := driveSession(t, wl, blaze.NewSession, config("", 0, baseLog, nil))
+		if base.err != nil {
+			t.Fatal(base.err)
+		}
+		for k := 2; k <= 4; k++ {
+			t.Run(fmt.Sprintf("%s/k%d", wl, k), func(t *testing.T) {
+				dir := t.TempDir()
+				crashed := driveSession(t, wl, blaze.NewSession, config(dir, k, blaze.NewEventLog(), nil))
+				if !errors.Is(crashed.err, blaze.ErrSessionCrashed) {
+					t.Fatalf("crash run: err = %v, want ErrSessionCrashed", crashed.err)
+				}
+				// The crash waits for its boundary's commit, so its stat is
+				// there too.
+				if got, want := fmt.Sprint(checkpointWindows(t, crashed.checkpoints)), fmt.Sprint(seq(2, k)); got != want {
+					t.Errorf("crashed run reports checkpoints at %s, want %s", got, want)
+				}
+
+				resLog := blaze.NewEventLog()
+				resumed := driveSession(t, wl, blaze.ResumeSession, config(dir, k, resLog, blaze.NewEventLog()))
+				if resumed.err != nil {
+					t.Fatalf("resume: %v", resumed.err)
+				}
+				if got, want := fmt.Sprint(checkpointWindows(t, resumed.checkpoints)), fmt.Sprint(seq(k+1, 4)); got != want {
+					t.Errorf("resumed run reports checkpoints at %s, want %s", got, want)
+				}
+				if !blaze.MetricsEqualDeterministic(base.res.Metrics, resumed.res.Metrics) {
+					t.Errorf("resumed metrics differ from the uninterrupted run")
+				}
+				if !reflect.DeepEqual(baseLog.Events(), resLog.Events()) {
+					t.Errorf("resumed event log differs from the uninterrupted run")
+				}
+				for i := range base.windows {
+					if !base.windows[i].EqualDeterministic(resumed.windows[i]) {
+						t.Errorf("window %d stats differ from the uninterrupted run", i+1)
+					}
+				}
+			})
+		}
+	}
+}
+
+// seq is the integers from..to.
+func seq(from, to int) []int {
+	var out []int
+	for i := from; i <= to; i++ {
+		out = append(out, i)
+	}
+	return out
 }
