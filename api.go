@@ -138,8 +138,8 @@ func MetricsEqualDeterministic(a, b *Metrics) bool { return metrics.EqualDetermi
 // per-category operation counts, real serialized bytes, wall-clock time
 // and the virtual time the cost model charged for the same operations
 // (fields MemEncode, MemDecode, DiskWrite, DiskRead of type
-// StorageOpStats), plus decode-cache hits and the real block-file
-// footprint. See Result.Storage.
+// StorageOpStats), plus the real block-file footprint. See
+// Result.Storage.
 type StorageMeasurement = storage.MeterSnapshot
 
 // StorageOpStats aggregates one category of measured storage work; its

@@ -137,13 +137,13 @@ type RunConfig struct {
 	ILPWindow int
 	// RealBytes backs the storage tier with real bytes: Run's one-session
 	// server builds its executor pool in real-bytes mode, so memory
-	// blocks are gob-serialized buffers, disk blocks are files under a
-	// run-scoped temp directory (removed on every return path of Run),
-	// and the run measures its wall-clock (de)serialization and file I/O
-	// alongside the virtual-time charges. The virtual-time metrics and
-	// event log are bit-identical to a default-mode run; the
-	// measurements land in Result.Storage for modeled-vs-measured
-	// comparison.
+	// blocks are encoded buffers (the columnar block codec), decoded on
+	// every read, disk blocks are files under a run-scoped temp directory
+	// (removed on every return path of Run), and the run measures its
+	// wall-clock (de)serialization and file I/O alongside the
+	// virtual-time charges. The virtual-time metrics and event log are
+	// bit-identical to a default-mode run; the measurements land in
+	// Result.Storage for modeled-vs-measured comparison.
 	RealBytes bool
 	// Vectorized is ignored: the engine has one task loop, in which every
 	// partition keeps the form its producer gave it.

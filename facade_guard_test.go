@@ -1,11 +1,13 @@
 package blaze_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -126,5 +128,117 @@ func TestRealBytesIsThePoolsBusiness(t *testing.T) {
 	}
 	if len(forwardLines) != 1 {
 		t.Errorf("NewCluster names RealBytes on %d lines, want exactly the one forwarding it to the private pool", len(forwardLines))
+	}
+}
+
+// TestNoTestOnlyInternalFuncs keeps internal/ free of API only tests
+// reach: every exported top-level func declared in a non-test file under
+// internal/ (the test-support package internal/enginetest aside) must be
+// referenced from some non-test file of the module other than its own
+// declaration — bench/, cmd/, examples/, harness/ and the root included.
+// A func with no such caller is deleted with its tests, or its tests move
+// onto the entry point the program uses.
+func TestNoTestOnlyInternalFuncs(t *testing.T) {
+	allowed := map[string]string{
+		"ilp.BruteForce":         "the exhaustive oracle the solver tests check ilp.Solve against",
+		"core.VerifyCachedCosts": "a switch only tests flip by design: it re-derives every memoised cost",
+		"cachepolicy.Names":      "the registry listing the policy-matrix tests walk",
+	}
+	type fn struct{ pkg, name string } // pkg is the import path
+	decls := map[fn]*ast.FuncDecl{}
+	type file struct {
+		*ast.File
+		pkg string
+	}
+	var files []file
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != "." || d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(path))
+		pkg := "blaze"
+		if dir != "." {
+			pkg += "/" + dir
+		}
+		files = append(files, file{f, pkg})
+		if !strings.HasPrefix(dir, "internal/") || dir == "internal/enginetest" {
+			return nil
+		}
+		for _, decl := range f.Decls {
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil && d.Name.IsExported() {
+				decls[fn{pkg, d.Name.Name}] = d
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[fn]bool{}
+	for _, f := range files {
+		imports := map[string]string{} // local name -> import path
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = p
+		}
+		for _, decl := range f.Decls {
+			var visit func(ast.Node) bool
+			visit = func(n ast.Node) bool {
+				var ref fn
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					x, ok := n.X.(*ast.Ident)
+					if !ok || imports[x.Name] == "" {
+						ast.Inspect(n.X, visit) // a field or method name is no reference
+						return false
+					}
+					ref = fn{imports[x.Name], n.Sel.Name}
+				case *ast.Ident:
+					ref = fn{f.pkg, n.Name}
+				default:
+					return true
+				}
+				if d := decls[ref]; d != nil && d != decl {
+					used[ref] = true
+				}
+				return false
+			}
+			ast.Inspect(decl, visit)
+		}
+	}
+	var unused []string
+	for k, d := range decls {
+		name := k.pkg[strings.LastIndex(k.pkg, "/")+1:] + "." + k.name
+		if _, ok := allowed[name]; ok {
+			delete(allowed, name)
+		} else if !used[k] {
+			unused = append(unused, fmt.Sprintf("%s: %s", fset.Position(d.Pos()), name))
+		}
+	}
+	slices.Sort(unused)
+	for _, u := range unused {
+		t.Errorf("%s is exported but reached only by tests: delete it, or move its tests onto the entry point the program uses", u)
+	}
+	for name := range allowed {
+		t.Errorf("allowlisted %s is no longer declared: drop it from the list", name)
 	}
 }

@@ -165,16 +165,11 @@ func (e *Estimator) DiskCost(n *Node, part int) time.Duration {
 // so this only guards against pathological chains.
 const maxRecursionDepth = 256
 
-// RecomputeCost implements Eq. 4 at the "now" horizon.
-func (e *Estimator) RecomputeCost(n *Node, part int) time.Duration {
-	return e.RecomputeCostAt(n, part, -1)
-}
-
 // RecomputeCostAt implements Eq. 4: the longest recomputation chain from
 // the nearest available ancestors, dynamically reflecting the partition
 // states expected at the given job horizon (ancestors whose last
 // reference precedes the horizon will have been auto-unpersisted and
-// cannot shortcut the chain).
+// cannot shortcut the chain). Horizon -1 is "now".
 func (e *Estimator) RecomputeCostAt(n *Node, part, horizon int) time.Duration {
 	cost, _ := e.recomputeCostAt(n, part, horizon)
 	return cost
@@ -270,11 +265,6 @@ func (e *Estimator) recoveryCost(n *Node, part, depth, horizon int, keep bool) (
 	return rec, keep
 }
 
-// RecoveryCost implements Eq. 2 at the "now" horizon.
-func (e *Estimator) RecoveryCost(n *Node, part int) time.Duration {
-	return e.RecoveryCostAt(n, part, -1)
-}
-
 // RecoveryCostAt implements Eq. 2 for a decision candidate: the minimum
 // of the potential disk cost and the potential recomputation cost (only
 // the latter when the disk tier is disabled).
@@ -300,14 +290,9 @@ func (e *Estimator) recoveryCostAt(n *Node, part, horizon int) (time.Duration, b
 	return rec, kept
 }
 
-// PreferDisk reports whether evicting the partition to disk is cheaper
-// than discarding and recomputing it — the per-victim state choice of
-// §4.2.
-func (e *Estimator) PreferDisk(n *Node, part int) bool {
-	return e.PreferDiskAt(n, part, -1)
-}
-
-// PreferDiskAt is PreferDisk at a job horizon.
+// PreferDiskAt reports whether evicting the partition to disk is cheaper
+// than discarding and recomputing it at a job horizon — the per-victim
+// state choice of §4.2.
 func (e *Estimator) PreferDiskAt(n *Node, part, horizon int) bool {
 	if !e.DiskEnabled {
 		return false

@@ -100,12 +100,12 @@ func TestRecomputeMonotoneUnderCaching(t *testing.T) {
 		st := fakeState{}
 		e := NewEstimator(l, costmodel.Default(), true, st.fn)
 		tail := l.Node(chain[len(chain)-1].ID())
-		base := e.RecomputeCost(tail, 0)
+		base := e.RecomputeCostAt(tail, 0, -1)
 		for _, ds := range chain[:len(chain)-1] {
 			e.SetHypothetical(map[storage.BlockID]bool{
 				{Dataset: ds.ID(), Partition: 0}: true,
 			})
-			withCache := e.RecomputeCost(tail, 0)
+			withCache := e.RecomputeCostAt(tail, 0, -1)
 			if withCache > base {
 				t.Fatalf("trial %d: caching %s increased cost %v -> %v", trial, ds.Name(), base, withCache)
 			}
@@ -121,7 +121,7 @@ func TestRecomputeMonotoneInDepth(t *testing.T) {
 		st := fakeState{}
 		e := NewEstimator(l, costmodel.Default(), true, st.fn)
 		tail := l.Node(chain[len(chain)-1].ID())
-		cost := e.RecomputeCost(tail, 0)
+		cost := e.RecomputeCostAt(tail, 0, -1)
 		if cost < prev {
 			t.Fatalf("depth %d cost %v < depth %d cost %v", depth, cost, depth-1, prev)
 		}

@@ -465,7 +465,7 @@ type solveMode struct {
 
 // solvePlacement runs one optimizer invocation. With abundant disk (the
 // paper's default) the ILP reduces exactly to a knapsack — see the
-// reduction note on ilp.Knapsack. With a disk capacity constraint the
+// reduction note on ilp.KnapsackSearch. With a disk capacity constraint the
 // full binary program is solved by branch and bound, with a three-way
 // fallback taxonomy:
 //

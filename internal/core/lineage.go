@@ -165,9 +165,6 @@ func NewCostLineage() *CostLineage {
 // Node returns the lineage node for a real dataset id, or nil.
 func (l *CostLineage) Node(datasetID int) *Node { return l.byID[datasetID] }
 
-// NodeByKey returns the node for a key, or nil.
-func (l *CostLineage) NodeByKey(k NodeKey) *Node { return l.nodes[k] }
-
 // Nodes returns all nodes sorted by key for deterministic iteration.
 func (l *CostLineage) Nodes() []*Node {
 	out := make([]*Node, 0, len(l.nodes))

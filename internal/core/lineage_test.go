@@ -57,7 +57,7 @@ func TestRegisterBuildsEdges(t *testing.T) {
 	if len(n.Parents) != 1 || !n.Parents[0].Shuffle {
 		t.Fatalf("parents = %+v, want one shuffle edge", n.Parents)
 	}
-	mapped := l.NodeByKey(n.Parents[0].Parent)
+	mapped := l.nodes[n.Parents[0].Parent]
 	if mapped == nil || mapped.Key.Role != "mapped" {
 		t.Fatalf("parent node = %+v", mapped)
 	}
@@ -198,13 +198,13 @@ func TestEstimatorEq4Recursion(t *testing.T) {
 
 	// Nothing cached: recompute(reduced) = own(2s) + own(mapped 5s) +
 	// own(src 10s) chained.
-	if got := e.RecomputeCost(reduced, 0); got != 17*time.Second {
+	if got := e.RecomputeCostAt(reduced, 0, -1); got != 17*time.Second {
 		t.Fatalf("full chain recompute = %v, want 17s", got)
 	}
 	// mapped in memory → chain cut: 2s.
 	st[storage.BlockID{Dataset: ds[1].ID(), Partition: 0}] = BlockState{InMemory: true}
 	e.Reset()
-	if got := e.RecomputeCost(reduced, 0); got != 2*time.Second {
+	if got := e.RecomputeCostAt(reduced, 0, -1); got != 2*time.Second {
 		t.Fatalf("recompute with cached parent = %v, want 2s", got)
 	}
 	// mapped on disk instead: recovery of mapped = min(diskRead, 15s);
@@ -212,7 +212,7 @@ func TestEstimatorEq4Recursion(t *testing.T) {
 	delete(st, storage.BlockID{Dataset: ds[1].ID(), Partition: 0})
 	st[storage.BlockID{Dataset: ds[1].ID(), Partition: 0}] = BlockState{OnDisk: true}
 	e.Reset()
-	got := e.RecomputeCost(reduced, 0)
+	got := e.RecomputeCostAt(reduced, 0, -1)
 	if got < 2*time.Second || got > 2*time.Second+10*time.Millisecond {
 		t.Fatalf("recompute with disk parent = %v, want ≈2s", got)
 	}
@@ -230,10 +230,10 @@ func TestEstimatorEq2MinAndPreferDisk(t *testing.T) {
 	l.ObservePartition(ds[1].ID(), 0, 1024, 30*time.Second)
 	l.ObservePartition(ds[0].ID(), 0, 1024, 30*time.Second)
 	e := NewEstimator(l, params, true, st.fn)
-	if !e.PreferDisk(n, 0) {
+	if !e.PreferDiskAt(n, 0, -1) {
 		t.Fatal("small+expensive partition should prefer disk")
 	}
-	if e.RecoveryCost(n, 0) != e.DiskCost(n, 0) {
+	if e.RecoveryCostAt(n, 0, -1) != e.DiskCost(n, 0) {
 		t.Fatal("recovery cost should be the (smaller) disk cost")
 	}
 
@@ -241,16 +241,16 @@ func TestEstimatorEq2MinAndPreferDisk(t *testing.T) {
 	l.ObservePartition(ds[1].ID(), 1, 4*1024*1024*1024, time.Millisecond)
 	l.ObservePartition(ds[0].ID(), 1, 1024, time.Millisecond)
 	e.Reset()
-	if e.PreferDisk(n, 1) {
+	if e.PreferDiskAt(n, 1, -1) {
 		t.Fatal("huge+cheap partition should prefer recomputation")
 	}
 
 	// Disk disabled → never prefer disk, recovery = recompute.
 	e2 := NewEstimator(l, params, false, st.fn)
-	if e2.PreferDisk(n, 0) {
+	if e2.PreferDiskAt(n, 0, -1) {
 		t.Fatal("disk disabled must never prefer disk")
 	}
-	if e2.RecoveryCost(n, 0) != e2.RecomputeCost(n, 0) {
+	if e2.RecoveryCostAt(n, 0, -1) != e2.RecomputeCostAt(n, 0, -1) {
 		t.Fatal("disk disabled recovery must equal recompute")
 	}
 }
@@ -265,13 +265,13 @@ func TestEstimatorHypothetical(t *testing.T) {
 	e := NewEstimator(l, params, true, st.fn)
 	reduced := l.Node(ds[2].ID())
 
-	if got := e.RecomputeCost(reduced, 0); got != 17*time.Second {
+	if got := e.RecomputeCostAt(reduced, 0, -1); got != 17*time.Second {
 		t.Fatalf("base = %v", got)
 	}
 	e.SetHypothetical(map[storage.BlockID]bool{
 		{Dataset: ds[1].ID(), Partition: 0}: true,
 	})
-	if got := e.RecomputeCost(reduced, 0); got != 2*time.Second {
+	if got := e.RecomputeCostAt(reduced, 0, -1); got != 2*time.Second {
 		t.Fatalf("hypothetical parent in memory = %v, want 2s", got)
 	}
 }

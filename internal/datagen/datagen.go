@@ -77,14 +77,6 @@ func (g GraphSpec) Neighbors(v int64) []int64 {
 	return out
 }
 
-// Adjacency returns the adjacency list of vertex v, including reverse
-// edges when Symmetric (approximated by mirroring a deterministic subset:
-// v also links back to the vertices that deterministically chose v via a
-// coarse inverse sample). For simulation purposes the undirected variant
-// simply adds each vertex's own out-list in both roles at message time,
-// so Adjacency returns the out-list; Symmetric affects message emission.
-func (g GraphSpec) Adjacency(v int64) []int64 { return g.Neighbors(v) }
-
 // PointsSpec describes labeled classification data (Criteo/HiBench
 // stand-in for LR and GBT).
 type PointsSpec struct {
@@ -160,50 +152,6 @@ func (c ClusterSpec) Point(i int64) ([]float64, int) {
 		x[d] = ctr[d] + rng.NormFloat64()*c.Spread
 	}
 	return x, cluster
-}
-
-// BlobSpec describes opaque byte payloads for storage soak tests: N
-// blobs of roughly BlobBytes each, deterministic per (seed, id). The
-// content is incompressible pseudo-random bytes so that encoded size
-// tracks the analytic estimate and real-bytes runs move genuine data
-// volumes — sized to exceed cluster memory, they force the spill and
-// reload paths to touch actual files.
-type BlobSpec struct {
-	Seed int64
-	N    int
-	// BlobBytes is the mean payload size; actual sizes vary ±25% so
-	// blocks are not all identical.
-	BlobBytes int
-}
-
-// Size returns blob i's payload size in bytes.
-func (b BlobSpec) Size(i int64) int {
-	if b.BlobBytes <= 0 {
-		return 0
-	}
-	// Deterministic ±25% jitter around the mean, never below 1 byte.
-	j := float64(mix64(uint64(b.Seed)^mix64(uint64(i)))%1000)/1000.0 - 0.5
-	n := int(float64(b.BlobBytes) * (1 + j/2))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Blob returns blob i's payload, generated with splitmix64 so it is
-// cheap, deterministic, and incompressible.
-func (b BlobSpec) Blob(i int64) []byte {
-	n := b.Size(i)
-	out := make([]byte, n)
-	state := mix64(uint64(b.Seed) ^ mix64(uint64(i)) ^ 0xb10bb10bb10bb10b)
-	for off := 0; off < n; off += 8 {
-		state += 0x9e3779b97f4a7c15
-		w := mix64(state)
-		for k := 0; k < 8 && off+k < n; k++ {
-			out[off+k] = byte(w >> (8 * k))
-		}
-	}
-	return out
 }
 
 // RatingsSpec describes user×item ratings (SVD++ input).

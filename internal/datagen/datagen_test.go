@@ -158,38 +158,3 @@ func TestRatingsDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestBlobSpecDeterministicAndSized(t *testing.T) {
-	spec := BlobSpec{Seed: 9, N: 64, BlobBytes: 4096}
-	var total int
-	for i := int64(0); i < int64(spec.N); i++ {
-		b1 := spec.Blob(i)
-		b2 := spec.Blob(i)
-		if len(b1) != spec.Size(i) {
-			t.Fatalf("blob %d: len %d != Size %d", i, len(b1), spec.Size(i))
-		}
-		if string(b1) != string(b2) {
-			t.Fatalf("blob %d not deterministic", i)
-		}
-		// ±25% jitter band around the mean.
-		if len(b1) < spec.BlobBytes*3/4 || len(b1) > spec.BlobBytes*5/4 {
-			t.Fatalf("blob %d size %d outside ±25%% of %d", i, len(b1), spec.BlobBytes)
-		}
-		total += len(b1)
-	}
-	mean := total / spec.N
-	if mean < spec.BlobBytes*9/10 || mean > spec.BlobBytes*11/10 {
-		t.Fatalf("mean blob size %d drifted from %d", mean, spec.BlobBytes)
-	}
-	// Different seeds and ids produce different payloads.
-	if string(spec.Blob(1)) == string(spec.Blob(2)) {
-		t.Fatal("distinct ids produced identical blobs")
-	}
-	other := BlobSpec{Seed: 10, N: 64, BlobBytes: 4096}
-	if string(spec.Blob(1)) == string(other.Blob(1)) {
-		t.Fatal("distinct seeds produced identical blobs")
-	}
-	if (BlobSpec{}).Size(3) != 0 {
-		t.Fatal("zero BlobBytes must yield zero size")
-	}
-}

@@ -248,9 +248,9 @@ type Config struct {
 	Resilience Resilience
 	// RealBytes makes the cluster's private pool a real-bytes one (it is
 	// forwarded to PoolConfig.RealBytes and read nowhere else): the memory
-	// stores hold gob-serialized buffers (decoding on read through a
-	// bounded decode cache) and the disk stores write one file per block
-	// under a run-scoped temp directory. Virtual-time charging is
+	// stores hold encoded buffers (the columnar block codec, decoded on
+	// every read) and the disk stores write one file per block under a
+	// run-scoped temp directory. Virtual-time charging is
 	// unchanged — the same modeled costs advance the same clocks — but
 	// every charge site additionally records measured wall-clock work
 	// into the pool's Meter, enabling modeled-vs-measured comparison.

@@ -58,12 +58,6 @@ type PoolConfig struct {
 	RealBytes bool
 }
 
-// realDecodeCacheBlocks bounds the per-executor decode cache of a
-// RealBytes pool: the most recently read decoded partitions kept to
-// amortize hot re-reads within a stage, like Spark's deserialized memory
-// level. AlluxioMode clusters read past it (see materializeOn).
-const realDecodeCacheBlocks = 8
-
 // NewPool creates the executors and their block stores — the only place
 // either is constructed; a cluster that is handed no pool builds a
 // private one through here. A RealBytes pool also owns a meter and a
@@ -94,7 +88,7 @@ func NewPool(pc PoolConfig) (*Pool, error) {
 				p.Close()
 				return nil, fmt.Errorf("engine: real-bytes executor dir: %w", err)
 			}
-			ex.Mem = storage.NewMemoryStoreReal(pc.MemoryPerExecutor, p.meter, realDecodeCacheBlocks)
+			ex.Mem = storage.NewMemoryStoreReal(pc.MemoryPerExecutor, p.meter, 0)
 			ex.Disk = storage.NewDiskStoreReal(dir, p.meter)
 		} else {
 			ex.Mem = storage.NewMemoryStore(pc.MemoryPerExecutor)

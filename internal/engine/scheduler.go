@@ -615,11 +615,10 @@ func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) *dat
 	stats := &c.met.Executors[ex.ID]
 
 	// 1. Memory store.
-	if block, meta, ok := ex.Mem.Read(id, ex.Clock().Now(), c.cfg.AlluxioMode); ok {
+	if block, meta, ok := ex.Mem.Read(id, ex.Clock().Now()); ok {
 		if c.cfg.AlluxioMode {
 			// The external store serves serialized bytes even from its
-			// memory tier; every read pays deserialization (§7.2) — the
-			// read above went past the store's decode cache.
+			// memory tier; every read pays deserialization (§7.2).
 			cost := params.Serialize(meta.Size)
 			ex.Clock().Advance(cost)
 			stats.Breakdown.DiskIO += cost

@@ -11,7 +11,6 @@ func init() {
 	storage.RegisterValueType(VertexLabel{})
 	storage.RegisterValueType(RatingList{})
 	storage.RegisterValueType(Factors{})
-	storage.RegisterValueType(pregelState{})
 	storage.RegisterValueType([]any{})
 	storage.RegisterValueType(float64(0))
 	storage.RegisterValueType(int64(0))

@@ -354,16 +354,8 @@ func feasible(p Problem, x []int) bool {
 	return true
 }
 
-// Knapsack solves the 0/1 knapsack problem exactly: choose items
-// maximizing total value with total weight <= capacity. See
-// KnapsackSearch for the mechanics; this wrapper keeps the original
-// two-value signature for callers that do not need the search counters.
-func Knapsack(values, weights []float64, capacity float64) (chosen []bool, total float64) {
-	chosen, total, _, _ = KnapsackSearch(values, weights, capacity)
-	return chosen, total
-}
-
-// KnapsackSearch is Knapsack plus accounting: it additionally reports
+// KnapsackSearch solves the 0/1 knapsack problem: choose items
+// maximizing total value with total weight <= capacity. It also reports
 // the number of branch-and-bound nodes explored and whether the search
 // ran to exhaustion (exact=true) or was truncated by the node budget.
 // It uses the classic Horowitz-Sahni branch and bound with a fractional

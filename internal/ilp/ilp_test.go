@@ -209,7 +209,7 @@ func TestKnapsackMatchesILP(t *testing.T) {
 			weights[i] = 1 + math.Round(rng.Float64()*9)
 		}
 		cap := math.Round(rng.Float64() * 25)
-		_, total := Knapsack(values, weights, cap)
+		_, total, _, _ := KnapsackSearch(values, weights, cap)
 
 		p := Problem{C: make([]float64, n)}
 		for i := range p.C {
@@ -239,7 +239,7 @@ func TestKnapsackRespectsCapacity(t *testing.T) {
 			weights[i] = rng.Float64() * 10
 		}
 		cap := rng.Float64() * 30
-		chosen, _ := Knapsack(values, weights, cap)
+		chosen, _, _, _ := KnapsackSearch(values, weights, cap)
 		w := 0.0
 		for i, c := range chosen {
 			if c && weights[i] > 0 {
@@ -254,7 +254,7 @@ func TestKnapsackRespectsCapacity(t *testing.T) {
 }
 
 func TestKnapsackZeroWeightAlwaysTaken(t *testing.T) {
-	chosen, total := Knapsack([]float64{5, 3}, []float64{0, 10}, 1)
+	chosen, total, _, _ := KnapsackSearch([]float64{5, 3}, []float64{0, 10}, 1)
 	if !chosen[0] || chosen[1] {
 		t.Fatalf("chosen = %v, want only the zero-weight item", chosen)
 	}
@@ -264,7 +264,7 @@ func TestKnapsackZeroWeightAlwaysTaken(t *testing.T) {
 }
 
 func TestKnapsackEmpty(t *testing.T) {
-	chosen, total := Knapsack(nil, nil, 10)
+	chosen, total, _, _ := KnapsackSearch(nil, nil, 10)
 	if len(chosen) != 0 || total != 0 {
 		t.Fatalf("empty knapsack should be empty, got %v %v", chosen, total)
 	}
@@ -387,7 +387,8 @@ func TestSolveIncumbentRejected(t *testing.T) {
 	}
 }
 
-// KnapsackSearch reports its search effort; the wrapper stays equal.
+// KnapsackSearch reports its search effort, and its total is the value
+// of its selection.
 func TestKnapsackSearchAccounting(t *testing.T) {
 	values := []float64{27, 2, 48, 1, 49, 28, 30, 33}
 	weights := []float64{3, 4, 8, 8, 6, 6, 2, 5}
@@ -398,14 +399,14 @@ func TestKnapsackSearchAccounting(t *testing.T) {
 	if nodes <= 0 {
 		t.Fatalf("nontrivial knapsack reported %d nodes", nodes)
 	}
-	c2, t2 := Knapsack(values, weights, 7)
-	if total != t2 {
-		t.Fatalf("wrapper total %v != search total %v", t2, total)
-	}
-	for i := range chosen {
-		if chosen[i] != c2[i] {
-			t.Fatalf("wrapper selection differs at %d", i)
+	sum := 0.0
+	for i, c := range chosen {
+		if c {
+			sum += values[i]
 		}
+	}
+	if total != sum {
+		t.Fatalf("reported total %v != value of the selection %v", total, sum)
 	}
 	// All-fits fast path: no search at all.
 	_, _, nodes, exact = KnapsackSearch([]float64{1, 2}, []float64{1, 1}, 10)

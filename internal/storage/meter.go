@@ -77,10 +77,9 @@ type Meter struct {
 	mu  sync.Mutex
 	ops [numOpCategories]OpStats
 
-	decodeCacheHits int
-	filesWritten    int
-	fileBytes       int64 // real bytes currently in block files
-	fileBytesPeak   int64
+	filesWritten  int
+	fileBytes     int64 // real bytes currently in block files
+	fileBytesPeak int64
 }
 
 // NewMeter creates an empty meter.
@@ -110,17 +109,6 @@ func (m *Meter) AddModeled(cat OpCategory, virtual time.Duration) {
 	m.mu.Unlock()
 }
 
-// addDecodeCacheHit counts a memory-store read served from the decode
-// cache (no deserialization performed).
-func (m *Meter) addDecodeCacheHit() {
-	if m == nil {
-		return
-	}
-	m.mu.Lock()
-	m.decodeCacheHits++
-	m.mu.Unlock()
-}
-
 // addFile tracks the real on-disk footprint as block files are written
 // (delta > 0) and removed (delta < 0).
 func (m *Meter) addFile(delta int64) {
@@ -146,8 +134,10 @@ type MeterSnapshot struct {
 	DiskWrite OpStats
 	DiskRead  OpStats
 
-	// DecodeCacheHits counts memory-store reads served from the decode
-	// cache without paying deserialization.
+	// DecodeCacheHits is always 0: every real-bytes memory read decodes
+	// (one MemDecode each).
+	//
+	// Deprecated: the decode cache it counted no longer exists.
 	DecodeCacheHits int
 	// FilesWritten counts block files written; FileBytesPeak is the peak
 	// real (serialized) on-disk footprint across all stores sharing the
@@ -165,13 +155,12 @@ func (m *Meter) Snapshot() MeterSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return MeterSnapshot{
-		MemEncode:       m.ops[MemEncode],
-		MemDecode:       m.ops[MemDecode],
-		DiskWrite:       m.ops[DiskWrite],
-		DiskRead:        m.ops[DiskRead],
-		DecodeCacheHits: m.decodeCacheHits,
-		FilesWritten:    m.filesWritten,
-		FileBytesPeak:   m.fileBytesPeak,
+		MemEncode:     m.ops[MemEncode],
+		MemDecode:     m.ops[MemDecode],
+		DiskWrite:     m.ops[DiskWrite],
+		DiskRead:      m.ops[DiskRead],
+		FilesWritten:  m.filesWritten,
+		FileBytesPeak: m.fileBytesPeak,
 	}
 }
 

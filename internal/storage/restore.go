@@ -43,9 +43,9 @@ func (m *MemoryStore) Restore(meta BlockMeta, data []byte) error {
 
 // Encoded returns a block's block encoding for a checkpoint without
 // touching its access statistics — capture must not perturb the LRU/LFU
-// state it is snapshotting — or the decode cache: a real-bytes block's
-// bytes as they are held, a live block encoded (EncodeBatch: the same
-// bytes as its rows would give).
+// state it is snapshotting: a real-bytes block's bytes as they are held,
+// a live block encoded (EncodeBatch: the same bytes as its rows would
+// give).
 func (m *MemoryStore) Encoded(id BlockID) ([]byte, error) {
 	e, ok := m.blocks[id]
 	if !ok {

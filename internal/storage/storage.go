@@ -13,12 +13,11 @@
 //     serialization and device time. This mode is deterministic and
 //     bit-identical at any parallelism.
 //   - Real bytes: the memory store holds encoded blocks (EncodeBatch,
-//     decoded by DecodeBatch through a bounded decode cache for hot reads)
-//     and the disk store writes one file per block under a run-scoped
-//     directory. The
-//     stores measure the wall-clock (de)serialization and file I/O they
-//     perform into a Meter, alongside the virtual charges, so modeled and
-//     measured costs can be compared per category.
+//     decoded on every read) and the disk store writes one file per block
+//     under a run-scoped directory. The stores measure the wall-clock
+//     (de)serialization and file I/O they perform into a Meter, alongside
+//     the virtual charges, so modeled and measured costs can be compared
+//     per category.
 //
 // In both modes capacity accounting uses the analytic size estimates the
 // engine passes in, so controller decisions (admission, eviction,
@@ -95,13 +94,6 @@ func (v columnVersions) at(part int) uint64 {
 // per-element sizes; these wrappers keep the historical storage API.
 type Sized = dataflow.Sized
 
-// ValueSize estimates the in-memory footprint of a record value.
-func ValueSize(v any) int64 { return dataflow.ValueSize(v) }
-
-// RecordSize estimates the footprint of one record (16 bytes of header
-// plus the value).
-func RecordSize(r dataflow.Record) int64 { return dataflow.RecordSize(r) }
-
 // EstimateRecords estimates the footprint of a whole partition.
 func EstimateRecords(recs []dataflow.Record) int64 { return dataflow.EstimateRecords(recs) }
 
@@ -142,8 +134,8 @@ type Payload struct {
 	batch *dataflow.Batch
 	data  []byte
 	form  payloadForm
-	// owned marks a read's fresh decode, which no store or decode cache
-	// keeps: Batch hands it over instead of copying it.
+	// owned marks a read's fresh decode, which no store keeps: Batch
+	// hands it over instead of copying it.
 	owned bool
 }
 
@@ -193,7 +185,7 @@ func (p Payload) encoded() ([]byte, error) {
 }
 
 // view is what a read of a block returns: its batch, unpacked and
-// borrowed until the block leaves the store (or the decode cache).
+// borrowed until the block leaves the store.
 func (p Payload) view() Payload { return Payload{batch: p.batch} }
 
 // Records returns the rows of a payload a read returned: a row-form
@@ -202,8 +194,8 @@ func (p Payload) Records() []dataflow.Record { return p.batch.Records() }
 
 // Batch returns the partition of a payload a read returned as a batch the
 // caller owns, once per read: a fresh decode as it is, anything a store
-// or decode cache keeps as a Clone (one bulk copy per array onto pooled
-// arrays, or the row-form batch itself).
+// keeps as a Clone (one bulk copy per array onto pooled arrays, or the
+// row-form batch itself).
 func (p Payload) Batch() *dataflow.Batch {
 	if p.owned {
 		return p.batch
@@ -225,8 +217,7 @@ type memEntry struct {
 }
 
 // MemoryStore is a capacity-bounded in-memory block store. In real-bytes
-// mode it holds serialized buffers and decodes on read through a bounded
-// decode cache.
+// mode it holds serialized buffers and decodes on every read.
 type MemoryStore struct {
 	capacity int64
 	used     int64
@@ -240,12 +231,6 @@ type MemoryStore struct {
 
 	real  bool
 	meter *Meter
-	// decode cache: most-recently-read decoded partitions, bounded by
-	// cacheCap blocks (0 disables caching, so every read deserializes).
-	// A cached batch is never released: readers copy out of it.
-	cacheCap int
-	cache    map[BlockID]*dataflow.Batch
-	cacheLRU []BlockID // oldest first
 
 	// quota, when set, charges every admission to the owning tenant's
 	// account and refuses admissions past the tenant's limit (shared-pool
@@ -259,18 +244,16 @@ func NewMemoryStore(capacity int64) *MemoryStore {
 	return &MemoryStore{capacity: capacity, blocks: make(map[BlockID]*memEntry)}
 }
 
-// NewMemoryStoreReal creates a real-bytes store: Put serializes records
-// into a byte buffer, Get deserializes through a decode cache holding at
-// most decodeCacheBlocks partitions. Measured work is recorded into the
-// meter (which may be nil).
-func NewMemoryStoreReal(capacity int64, meter *Meter, decodeCacheBlocks int) *MemoryStore {
+// NewMemoryStoreReal creates a real-bytes store: admission encodes a
+// block into a byte buffer, every read decodes it. Measured work is
+// recorded into the meter (which may be nil).
+//
+// Deprecated: the third parameter sized a decode cache that no longer
+// exists; it is ignored.
+func NewMemoryStoreReal(capacity int64, meter *Meter, _ int) *MemoryStore {
 	m := NewMemoryStore(capacity)
 	m.real = true
 	m.meter = meter
-	m.cacheCap = decodeCacheBlocks
-	if m.cacheCap > 0 {
-		m.cache = make(map[BlockID]*dataflow.Batch, m.cacheCap)
-	}
 	return m
 }
 
@@ -296,22 +279,19 @@ func (m *MemoryStore) Contains(id BlockID) bool {
 	return ok
 }
 
-// Get is Read through the decode cache, as rows.
+// Get is Read as rows.
 func (m *MemoryStore) Get(id BlockID, now time.Duration) ([]dataflow.Record, *BlockMeta, bool) {
-	p, meta, ok := m.Read(id, now, false)
+	p, meta, ok := m.Read(id, now)
 	return p.Records(), meta, ok
 }
 
 // Read returns the block's contents and metadata, updating access stats.
-// The block comes back borrowed: the caller copies what it keeps
-// (Payload.Batch) before the block can leave the store. A virtual block
-// is returned as it is held. A real-bytes block is decoded to a batch
-// (DecodeBatch) unless the decode cache holds it; uncached makes this
-// read decode regardless and leave the cache alone — how a reader whose
-// store serves serialized bytes even from memory (Spark+Alluxio) pays
-// for every read. A decode the cache does not keep is the caller's, on
-// pooled arrays.
-func (m *MemoryStore) Read(id BlockID, now time.Duration, uncached bool) (Payload, *BlockMeta, bool) {
+// A virtual block is returned as it is held, borrowed: the caller copies
+// what it keeps (Payload.Batch) before the block can leave the store. A
+// real-bytes block is decoded on every read (DecodeBatch), onto pooled
+// arrays, to a batch the caller owns — one read path for every memory
+// hit, as for every disk hit.
+func (m *MemoryStore) Read(id BlockID, now time.Duration) (Payload, *BlockMeta, bool) {
 	e, ok := m.blocks[id]
 	if !ok {
 		return Payload{}, nil, false
@@ -321,55 +301,13 @@ func (m *MemoryStore) Read(id BlockID, now time.Duration, uncached bool) (Payloa
 	if e.p.form != formEncoded {
 		return e.p.view(), e.meta, true
 	}
-	if b, hit := m.cache[id]; hit && !uncached {
-		m.meter.addDecodeCacheHit()
-		m.cacheTouch(id)
-		return FreshBatch(b), e.meta, true
-	}
-	handOver := uncached || m.cacheCap <= 0
 	start := time.Now()
-	b, err := decodeBatch(e.p.data, handOver)
+	b, err := decodeBatch(e.p.data, true)
 	if err != nil {
 		panic(fmt.Sprintf("storage: memory block %v failed to decode: %v", id, err))
 	}
 	m.meter.addMeasured(MemDecode, int64(len(e.p.data)), time.Since(start))
-	if handOver {
-		return Payload{batch: b, owned: true}, e.meta, true
-	}
-	m.cacheInsert(id, b)
-	return FreshBatch(b), e.meta, true
-}
-
-func (m *MemoryStore) cacheTouch(id BlockID) {
-	for i, c := range m.cacheLRU {
-		if c == id {
-			m.cacheLRU = append(append(m.cacheLRU[:i:i], m.cacheLRU[i+1:]...), id)
-			return
-		}
-	}
-}
-
-func (m *MemoryStore) cacheInsert(id BlockID, b *dataflow.Batch) {
-	if len(m.cacheLRU) >= m.cacheCap {
-		oldest := m.cacheLRU[0]
-		m.cacheLRU = m.cacheLRU[1:]
-		delete(m.cache, oldest)
-	}
-	m.cache[id] = b
-	m.cacheLRU = append(m.cacheLRU, id)
-}
-
-func (m *MemoryStore) cacheDrop(id BlockID) {
-	if _, ok := m.cache[id]; !ok {
-		return
-	}
-	delete(m.cache, id)
-	for i, c := range m.cacheLRU {
-		if c == id {
-			m.cacheLRU = append(m.cacheLRU[:i:i], m.cacheLRU[i+1:]...)
-			break
-		}
-	}
+	return Payload{batch: b, owned: true}, e.meta, true
 }
 
 // Peek returns metadata without touching access stats.
@@ -478,7 +416,6 @@ func (m *MemoryStore) Remove(id BlockID) (Payload, int64, bool) {
 	m.sorted = slices.Delete(m.sorted, at, at+1)
 	m.colVer.bump(id.Partition)
 	m.used -= e.meta.Size
-	m.cacheDrop(id)
 	if m.quota != nil {
 		m.quota.Release(id, e.meta.Size)
 	}
@@ -652,12 +589,6 @@ func (d *DiskStore) Read(id BlockID) (Payload, int64, bool) {
 	return Payload{batch: b, owned: true}, e.size, true
 }
 
-// Get is Read as rows.
-func (d *DiskStore) Get(id BlockID) ([]dataflow.Record, int64, bool) {
-	p, size, ok := d.Read(id)
-	return p.Records(), size, ok
-}
-
 // Load reads a block's payload without unpacking it, for promotion into
 // the memory store of the same executor (no decode/encode round trip in
 // real-bytes mode; the read is measured as DiskRead). The disk keeps its
@@ -750,10 +681,10 @@ func RegisterValueType(v any) { gob.Register(v) }
 // fresh staging slice; on the real-bytes hot path that churn dominated
 // allocation profiles. The pools recycle only intermediate scratch: the
 // returned []byte and []dataflow.Record are always freshly allocated,
-// because callers (the decode cache in particular) retain them. A fresh
-// gob.Encoder is created per call either way, so type definitions are
-// re-emitted identically and pooling cannot change the encoded bytes
-// (TestEncodeRecordsPoolingByteIdentical pins that).
+// because callers retain them. A fresh gob.Encoder is created per call
+// either way, so type definitions are re-emitted identically and pooling
+// cannot change the encoded bytes (TestEncodeRecordsPoolingByteIdentical
+// pins that).
 var (
 	encBufPool sync.Pool // *bytes.Buffer
 	gobRecPool sync.Pool // *[]gobRecord

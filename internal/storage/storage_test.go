@@ -37,8 +37,8 @@ func TestValueSizeKinds(t *testing.T) {
 		{struct{ a, b int }{}, 48}, // fallback
 	}
 	for _, c := range cases {
-		if got := ValueSize(c.v); got != c.want {
-			t.Errorf("ValueSize(%#v) = %d, want %d", c.v, got, c.want)
+		if got := dataflow.ValueSize(c.v); got != c.want {
+			t.Errorf("dataflow.ValueSize(%#v) = %d, want %d", c.v, got, c.want)
 		}
 	}
 }
@@ -270,7 +270,7 @@ func TestDiskStoreAccessors(t *testing.T) {
 	if d.Contains(BlockID{1, 0}) {
 		t.Fatal("empty store contains nothing")
 	}
-	if _, _, ok := d.Get(BlockID{1, 0}); ok {
+	if _, _, ok := d.Read(BlockID{1, 0}); ok {
 		t.Fatal("get of absent block should fail")
 	}
 	if _, ok := d.Remove(BlockID{1, 0}); ok {
@@ -283,8 +283,8 @@ func TestDiskStoreAccessors(t *testing.T) {
 	if !d.Contains(BlockID{2, 1}) {
 		t.Fatal("contains should see the block")
 	}
-	got, size, ok := d.Get(BlockID{2, 1})
-	if !ok || size != 64 || len(got) != 1 || got[0].Key != 5 {
+	p, size, ok := d.Read(BlockID{2, 1})
+	if got := p.Records(); !ok || size != 64 || len(got) != 1 || got[0].Key != 5 {
 		t.Fatalf("get = %v %d %v", got, size, ok)
 	}
 	if err := d.Put(BlockID{1, 0}, Fresh(nil), 32); err != nil {
@@ -310,8 +310,8 @@ func TestValueSizeMoreKinds(t *testing.T) {
 		{[]any{int64(1), "ab"}, 24 + (16 + 8) + (16 + 16 + 2)},
 	}
 	for _, c := range cases {
-		if got := ValueSize(c.v); got != c.want {
-			t.Errorf("ValueSize(%#v) = %d, want %d", c.v, got, c.want)
+		if got := dataflow.ValueSize(c.v); got != c.want {
+			t.Errorf("dataflow.ValueSize(%#v) = %d, want %d", c.v, got, c.want)
 		}
 	}
 }
@@ -371,8 +371,8 @@ func TestValueSizeNewKinds(t *testing.T) {
 		{struct{ a, b int }{}, 48}, // non-collection fallback unchanged
 	}
 	for _, c := range cases {
-		if got := ValueSize(c.v); got != c.want {
-			t.Errorf("ValueSize(%#v) = %d, want %d", c.v, got, c.want)
+		if got := dataflow.ValueSize(c.v); got != c.want {
+			t.Errorf("dataflow.ValueSize(%#v) = %d, want %d", c.v, got, c.want)
 		}
 	}
 }
@@ -384,9 +384,9 @@ func TestValueSizeMapDeterministic(t *testing.T) {
 	for i := int64(0); i < 100; i++ {
 		m[i] = "v"
 	}
-	first := ValueSize(m)
+	first := dataflow.ValueSize(m)
 	for i := 0; i < 10; i++ {
-		if got := ValueSize(m); got != first {
+		if got := dataflow.ValueSize(m); got != first {
 			t.Fatalf("map size changed across calls: %d != %d", got, first)
 		}
 	}
@@ -395,7 +395,7 @@ func TestValueSizeMapDeterministic(t *testing.T) {
 func TestMemoryStoreRealRoundTrip(t *testing.T) {
 	RegisterValueType(float64(0))
 	meter := NewMeter()
-	m := NewMemoryStoreReal(1<<20, meter, 2)
+	m := NewMemoryStoreReal(1<<20, meter, 0)
 	id := BlockID{Dataset: 1, Partition: 0}
 	recs := []dataflow.Record{{Key: 1, Value: 1.5}, {Key: 2, Value: 2.5}}
 	if _, err := m.Put(id, recs, 128, 0, 0); err != nil {
@@ -405,49 +405,18 @@ func TestMemoryStoreRealRoundTrip(t *testing.T) {
 	if snap.MemEncode.Ops != 1 || snap.MemEncode.Bytes == 0 {
 		t.Fatalf("put not measured as encode: %+v", snap.MemEncode)
 	}
-
-	got, _, ok := m.Get(id, time.Second)
-	if !ok || len(got) != 2 || got[1].Value.(float64) != 2.5 {
-		t.Fatalf("get decoded wrong: %+v ok=%v", got, ok)
-	}
-	snap = meter.Snapshot()
-	if snap.MemDecode.Ops != 1 {
-		t.Fatalf("first read must decode: %+v", snap.MemDecode)
-	}
-	// Second read is served from the decode cache.
-	if _, _, ok := m.Get(id, 2*time.Second); !ok {
-		t.Fatal("second get failed")
-	}
-	snap = meter.Snapshot()
-	if snap.MemDecode.Ops != 1 || snap.DecodeCacheHits != 1 {
-		t.Fatalf("second read must hit the cache: decodes=%+v cacheHits=%d",
-			snap.MemDecode, snap.DecodeCacheHits)
-	}
-}
-
-func TestMemoryStoreDecodeCacheEviction(t *testing.T) {
-	RegisterValueType(float64(0))
-	meter := NewMeter()
-	m := NewMemoryStoreReal(1<<20, meter, 2) // cache holds 2 blocks
-	ids := []BlockID{{1, 0}, {1, 1}, {1, 2}}
-	for i, id := range ids {
-		recs := []dataflow.Record{{Key: int64(i), Value: float64(i)}}
-		if _, err := m.Put(id, recs, 64, 0, 0); err != nil {
-			t.Fatal(err)
+	for i := 1; i <= 2; i++ {
+		got, meta, ok := m.Get(id, time.Duration(i)*time.Second)
+		if !ok || len(got) != 2 || got[1].Value.(float64) != 2.5 {
+			t.Fatalf("get %d decoded wrong: %+v ok=%v", i, got, ok)
 		}
-	}
-	for _, id := range ids { // decode all three; cache keeps the last two
-		m.Get(id, 0)
-	}
-	if snap := meter.Snapshot(); snap.MemDecode.Ops != 3 {
-		t.Fatalf("expected 3 decodes, got %+v", snap.MemDecode)
-	}
-	m.Get(ids[2], 0) // cached
-	m.Get(ids[0], 0) // evicted from cache → decodes again
-	snap := meter.Snapshot()
-	if snap.DecodeCacheHits != 1 || snap.MemDecode.Ops != 4 {
-		t.Fatalf("cache bound not enforced: hits=%d decodes=%+v",
-			snap.DecodeCacheHits, snap.MemDecode)
+		if meta.AccessCount != i || meta.LastAccess != time.Duration(i)*time.Second {
+			t.Fatalf("get %d: access stats %+v", i, meta)
+		}
+		// Every read decodes: there is no decode cache to serve a re-read.
+		if snap := meter.Snapshot(); snap.MemDecode.Ops != i || snap.MemDecode.Bytes != int64(i)*snap.MemEncode.Bytes || snap.DecodeCacheHits != 0 {
+			t.Fatalf("read %d must be decode %d of the encoded bytes: %+v", i, i, snap)
+		}
 	}
 }
 
@@ -464,7 +433,7 @@ func TestMemoryStoreZeroCacheDecodesEveryRead(t *testing.T) {
 	}
 	snap := meter.Snapshot()
 	if snap.MemDecode.Ops != 3 || snap.DecodeCacheHits != 0 {
-		t.Fatalf("zero-capacity cache must decode every read: %+v hits=%d",
+		t.Fatalf("every read must decode: %+v hits=%d",
 			snap.MemDecode, snap.DecodeCacheHits)
 	}
 }
@@ -476,7 +445,7 @@ func TestMemoryStoreZeroCacheDecodesEveryRead(t *testing.T) {
 func TestPayloadTierMoves(t *testing.T) {
 	RegisterValueType(float64(0))
 	meter := NewMeter()
-	m := NewMemoryStoreReal(1<<20, meter, 2)
+	m := NewMemoryStoreReal(1<<20, meter, 0)
 	d := NewDiskStoreReal(t.TempDir(), meter)
 	id := BlockID{1, 0}
 	if _, err := m.Put(id, []dataflow.Record{{Key: 3, Value: 4.5}}, 64, 0, 0); err != nil {
@@ -515,30 +484,6 @@ func TestPayloadTierMoves(t *testing.T) {
 	}
 }
 
-// TestReadUncachedBypassesDecodeCache: an uncached read deserializes
-// even when the decode cache holds the block, and leaves the cache as
-// it found it.
-func TestReadUncachedBypassesDecodeCache(t *testing.T) {
-	RegisterValueType(float64(0))
-	meter := NewMeter()
-	m := NewMemoryStoreReal(1<<20, meter, 2)
-	id := BlockID{1, 0}
-	if _, err := m.Put(id, []dataflow.Record{{Key: 1, Value: 1.0}}, 64, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	m.Get(id, 0) // decodes and caches
-	for i := 0; i < 2; i++ {
-		if got, _, ok := m.Read(id, 0, true); !ok || got.Records()[0].Value.(float64) != 1.0 {
-			t.Fatalf("uncached read wrong: %+v ok=%v", got, ok)
-		}
-	}
-	m.Get(id, 0) // still cached
-	snap := meter.Snapshot()
-	if snap.MemDecode.Ops != 3 || snap.DecodeCacheHits != 1 {
-		t.Fatalf("want 3 decodes (1 cached read + 2 uncached) and 1 cache hit, got %+v hits=%d", snap.MemDecode, snap.DecodeCacheHits)
-	}
-}
-
 func TestDiskStoreRealFiles(t *testing.T) {
 	RegisterValueType(float64(0))
 	meter := NewMeter()
@@ -564,8 +509,8 @@ func TestDiskStoreRealFiles(t *testing.T) {
 		t.Fatalf("Size = %d, %v", size, ok)
 	}
 
-	got, size, ok := d.Get(id)
-	if !ok || size != 100 || len(got) != 1 || got[0].Value.(float64) != 9.5 {
+	p, size, ok := d.Read(id)
+	if got := p.Records(); !ok || size != 100 || len(got) != 1 || got[0].Value.(float64) != 9.5 {
 		t.Fatalf("get from file wrong: %+v size=%d ok=%v", got, size, ok)
 	}
 	if snap := meter.Snapshot(); snap.DiskRead.Ops != 1 {
@@ -683,8 +628,8 @@ func TestDiskStorePutEncodedSkipsSerialization(t *testing.T) {
 	if snap := meter.Snapshot(); snap.MemEncode != encoded || snap.DiskWrite.Bytes != encoded.Bytes {
 		t.Fatalf("an encoded payload must reach its file as it is: %+v", snap)
 	}
-	got, size, ok := d.Get(id)
-	if !ok || size != 80 || got[0].Value.(float64) != 0.5 {
+	read, size, ok := d.Read(id)
+	if got := read.Records(); !ok || size != 80 || got[0].Value.(float64) != 0.5 {
 		t.Fatalf("encoded put round trip wrong: %+v size=%d ok=%v", got, size, ok)
 	}
 	if err := d.Put(id, p, 80); err == nil {
@@ -755,7 +700,7 @@ func TestBatchBlockOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	task.Release() // the task's batch is its own: the store took a copy
-	p, _, _ := m.Read(id, 0, false)
+	p, _, _ := m.Read(id, 0)
 	hit := p.Batch()
 	hit.Release() // a hit is a copy too
 	got, _, _ := m.Get(id, 0)
@@ -765,21 +710,21 @@ func TestBatchBlockOwnership(t *testing.T) {
 	if err := d.Put(id, spilled, size); err != nil { // the disk takes the batch over
 		t.Fatal(err)
 	}
-	got, _, _ = d.Get(id)
-	check("disk after a spill", got)
+	dp, _, _ := d.Read(id)
+	check("disk after a spill", dp.Records())
 	promoted, _, _ := d.Load(id)
 	if _, err := m.Admit(id, promoted, size, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Drop(id) // releases the promoted copy, not the disk's
-	got, _, _ = d.Get(id)
-	check("disk after the promoted copy was dropped", got)
+	dp, _, _ = d.Read(id)
+	check("disk after the promoted copy was dropped", dp.Records())
 }
 
-// TestDecodedReadIsHandedOver: a real-bytes read whose decode nothing
-// keeps — every disk read, and a memory read past the decode cache —
-// gives the caller that batch, not a copy of it; a batch the decode
-// cache keeps is copied, so releasing the copy leaves the cache intact.
+// TestDecodedReadIsHandedOver: a real-bytes read decodes afresh and
+// gives the caller that batch, not a copy of it — every disk read, and
+// every read of a memory store built the way the engine's pool builds
+// one, each a decode of its own.
 func TestDecodedReadIsHandedOver(t *testing.T) {
 	recs := sampleRecords(6)
 	id := BlockID{Dataset: 5, Partition: 0}
@@ -790,23 +735,28 @@ func TestDecodedReadIsHandedOver(t *testing.T) {
 	if p, _, _ := d.Read(id); p.Batch() != p.batch {
 		t.Error("a disk read copied its own decode")
 	}
-	m := NewMemoryStoreReal(1<<20, nil, 1)
+	meter := NewMeter()
+	m := NewMemoryStoreReal(1<<20, meter, 0)
 	if _, err := m.Admit(id, Fresh(recs), 200, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if p, _, _ := m.Read(id, 0, true); p.Batch() != p.batch {
-		t.Error("an uncached memory read copied its own decode")
-	}
-	for range 2 { // a decode, then a decode-cache hit
-		p, _, _ := m.Read(id, 0, false)
+	var prev *dataflow.Batch
+	for i := 1; i <= 2; i++ {
+		p, _, _ := m.Read(id, 0)
 		b := p.Batch()
-		if b == p.batch {
-			t.Fatal("a read handed out the decode cache's batch")
+		if b != p.batch {
+			t.Fatalf("memory read %d copied its own decode", i)
 		}
-		b.Release()
-	}
-	if got, _, _ := m.Get(id, 0); !reflect.DeepEqual(got, dataflow.FromRecords(recs).Records()) {
-		t.Errorf("decode cache after released reads: %v", got)
+		if b == prev {
+			t.Fatalf("memory read %d handed out the previous read's batch", i)
+		}
+		if !reflect.DeepEqual(b.Records(), dataflow.FromRecords(recs).Records()) {
+			t.Fatalf("memory read %d: %v", i, b.Records())
+		}
+		if snap := meter.Snapshot(); snap.MemDecode.Ops != i {
+			t.Fatalf("memory read %d: %d decodes, want one per read", i, snap.MemDecode.Ops)
+		}
+		prev = b
 	}
 }
 
@@ -842,7 +792,7 @@ func TestColumnVersionCountsEveryResidencyChange(t *testing.T) {
 	for _, real := range []bool{false, true} {
 		m := NewMemoryStore(1 << 20)
 		if real {
-			m = NewMemoryStoreReal(1<<20, nil, 2)
+			m = NewMemoryStoreReal(1<<20, nil, 0)
 		}
 		moved("MemoryStore.Put", m.ColumnVersion, func() { m.Put(id, sampleRecords(3), 100, 0, 0) })
 		moved("MemoryStore.Remove", m.ColumnVersion, func() { m.Remove(id) })
