@@ -91,13 +91,12 @@ func (r *Result) DiskFootprint() (written, peak int64) {
 }
 
 // OptimizerActivity returns the run's optimizer accounting: solver
-// invocations, branch-and-bound (or knapsack search) nodes expanded,
+// invocations, branch-and-bound (or knapsack search) nodes expanded and
 // degraded solves (knapsack relaxation of oversized instances, node
-// budget exhaustion) and solves answered from the cross-job solution
-// memo. Metrics.ILPSolveTime carries the wall-clock time spent inside
-// the solver.
-func (r *Result) OptimizerActivity() (solves, nodes, fallbacks, reused int) {
-	return r.Metrics.ILPSolves, r.Metrics.ILPNodes, r.Metrics.ILPFallbacks, r.Metrics.ILPReused
+// budget exhaustion). Metrics.ILPSolveTime carries the wall-clock time
+// spent inside the solver.
+func (r *Result) OptimizerActivity() (solves, nodes, fallbacks int) {
+	return r.Metrics.ILPSolves, r.Metrics.ILPNodes, r.Metrics.ILPFallbacks
 }
 
 // RecoveryActivity returns the run's fault-recovery durations keyed by
@@ -120,17 +119,17 @@ func (r *Result) ResilienceActivity() (taskRetries, fetchRetries, speculativeWin
 }
 
 // StreamActivity returns the streaming accounting of a Session run:
-// windows opened, partitions retired by windowed lifetime, and
-// incremental (delta) ILP re-solves at window boundaries. All zero for
-// one-shot Run results.
+// windows opened, partitions retired by windowed lifetime, and ILP
+// re-solves at window boundaries. All zero for one-shot Run results.
 func (r *Result) StreamActivity() (windows, partitionsRetired, deltaSolves int) {
 	return r.Metrics.WindowsRun, r.Metrics.PartitionsRetired, r.Metrics.ILPDeltaSolves
 }
 
 // MetricsEqualDeterministic reports whether two runs agree on every
-// deterministic metric. The optimizer's ILPSolveTime — the one
-// wall-clock field in Metrics — is excluded; identical schedules
-// legitimately differ on it across runs. This is the comparison the
+// deterministic metric. The wall-clock solve times (ILPSolveTime,
+// ILPDeltaSolveTime, RepairSolveTime) and the deprecated always-zero
+// counters are excluded; identical schedules legitimately differ on the
+// times across runs. This is the comparison the
 // parallel bit-identity invariant uses.
 func MetricsEqualDeterministic(a, b *Metrics) bool { return metrics.EqualDeterministic(a, b) }
 

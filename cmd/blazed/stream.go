@@ -44,7 +44,6 @@ func (c streamModeConfig) streamConfig(dir string, crashWindow int, log, recLog 
 		Parallelism:       c.parallelism,
 		MemoryPerExecutor: c.memory,
 		EventLog:          log,
-		ColdSolveVerify:   true,
 		CheckpointDir:     dir,
 		CrashWindow:       crashWindow,
 		RecoveryLog:       recLog,

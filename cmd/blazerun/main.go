@@ -126,8 +126,8 @@ func main() {
 	// deliberately not printed: blazerun's stdout must be bit-identical
 	// across repeated runs.
 	if m.ILPSolves > 0 {
-		fmt.Printf("ILP               solves=%d nodes=%d fallbacks=%d reused=%d\n",
-			m.ILPSolves, m.ILPNodes, m.ILPFallbacks, m.ILPReused)
+		fmt.Printf("ILP               solves=%d nodes=%d fallbacks=%d\n",
+			m.ILPSolves, m.ILPNodes, m.ILPFallbacks)
 	}
 	if log != nil {
 		f, err := os.Create(*events)

@@ -328,7 +328,7 @@ func TestExtensionWindowRuns(t *testing.T) {
 	for i, row := range m.Data {
 		// ACT and solver invocations must be positive; search nodes are
 		// honest effort and legitimately zero when every solve is a
-		// trivial knapsack or a cross-job memo hit.
+		// trivial knapsack.
 		if row[0] <= 0 || row[1] <= 0 || row[2] < 0 {
 			t.Fatalf("window row %s has zero metrics: %v", m.Rows[i], row)
 		}

@@ -31,9 +31,6 @@ import (
 type GlobalArbiter struct {
 	mu       sync.Mutex
 	sessions []arbSession
-	// memo caches union solutions per executor, giving cross-job reuse
-	// across the interleaved sessions like solveMemo does within one.
-	memo map[int]*solveMemo
 	// sink, when non-nil, receives one Arbitration summary event per
 	// run (the server routes these to its own log, synchronized there).
 	sink func(eventlog.Event)
@@ -51,7 +48,7 @@ type arbSession struct {
 // Arbitration summary event after each cluster-wide solve; the caller
 // owns its synchronization.
 func NewGlobalArbiter(sink func(eventlog.Event)) *GlobalArbiter {
-	return &GlobalArbiter{memo: make(map[int]*solveMemo), sink: sink}
+	return &GlobalArbiter{sink: sink}
 }
 
 // Register adds a session's controller to the arbitration scope with
@@ -155,12 +152,7 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 			capEff = 0
 		}
 
-		memo := g.memo[ex.ID]
-		if memo == nil {
-			memo = &solveMemo{}
-			g.memo[ex.ID] = memo
-		}
-		solveUnion := func() ([]bool, int, bool, bool) {
+		solveUnion := func() ([]bool, int, bool) {
 			var values, weights []float64
 			for i, s := range live {
 				v, w := s.ctl.knapsackInputs(perCands[i])
@@ -170,19 +162,14 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 				values = append(values, v...)
 				weights = append(weights, w...)
 			}
-			key := knapKey(0, values, weights, capEff)
-			if prev := memo.exactMatch(key); prev != nil {
-				return prev.chosen, 0, true, true
-			}
 			chosen, _, nodes, exact := ilp.KnapsackSearch(values, weights, capEff)
-			memo.store(key, chosen, exact)
-			return chosen, nodes, exact, false
+			return chosen, nodes, exact
 		}
 
 		// Fixed point on the recursive recomputation costs, as in replan:
 		// solve, re-price every session under the union assignment, solve
-		// again (a no-change re-pricing hits the memo for free).
-		chosen, nodes, _, reused1 := solveUnion()
+		// again.
+		chosen, nodes, _ := solveUnion()
 		off := 0
 		for i, s := range live {
 			cs := perCands[i]
@@ -193,7 +180,7 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 			off += len(cs)
 			s.ctl.priceCandidates(cs, hypo)
 		}
-		chosen, nodes2, optimal, reused2 := solveUnion()
+		chosen, nodes2, optimal := solveUnion()
 		nodes += nodes2
 
 		// Apply each session's slice through its own controller.
@@ -208,19 +195,13 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 		// for the solve and its job's latency budget paid for it.
 		met.ILPSolves += 2
 		met.ILPNodes += nodes
-		if reused1 {
-			met.ILPReused++
-		}
-		if reused2 {
-			met.ILPReused++
-		}
 		if !optimal {
 			met.ILPFallbacks++
 		}
 		trigger.c.EmitEvent(eventlog.Event{
 			Kind: eventlog.ILPSolve, Time: trigger.c.Now(), Job: trigger.curJob,
 			Executor: ex.ID, Vars: union, Nodes: nodes,
-			Optimal: optimal, Reused: reused2,
+			Optimal: optimal,
 		})
 		totalVars += union
 	}

@@ -81,14 +81,6 @@ type Controller struct {
 	// keep the solve under its latency budget).
 	ilpWindow int
 
-	// ilpMemo caches recent optimizer solutions per executor for
-	// cross-job reuse: iterative workloads resubmit near-identical
-	// candidate sets every job, so a solve whose fingerprint matches a
-	// cached exact solution is answered without searching, and a
-	// near-match seeds the branch and bound with the previous assignment
-	// as its incumbent. Indexed by executor ID; driver-context only.
-	ilpMemo []*solveMemo
-
 	// arbiter, when set, is offered every job-start ILP trigger so a
 	// multi-tenant server can re-run the optimization across the union
 	// of all admitted sessions' candidates (see GlobalArbiter).
@@ -97,17 +89,10 @@ type Controller struct {
 	// Windowed-lineage state for micro-batch streaming (window.go).
 	// curWindow is the open 1-based window (0 on one-shot runs),
 	// winFirstJob the index of its first job; retired marks nodes whose
-	// lifetime has passed (excluded from candidates and liveness);
-	// lastChosen holds, per executor, the memory set the most recent
-	// solve assigned — the warm seed for the next boundary delta solve.
+	// lifetime has passed (excluded from candidates and liveness).
 	curWindow   int
 	winFirstJob int
 	retired     map[*Node]bool
-	lastChosen  []map[storage.BlockID]bool
-
-	// coldVerify runs a from-scratch solve alongside every boundary
-	// delta solve and counts disagreements (WithColdVerify).
-	coldVerify bool
 }
 
 // JobArbiter intercepts a controller's job-start ILP trigger.
@@ -221,13 +206,9 @@ func (b *Controller) Bind(c *engine.Cluster) {
 	n := len(c.Executors())
 	b.perEst = make([]*Estimator, n)
 	b.victims = make([]*victimIndex, n)
-	b.ilpMemo = make([]*solveMemo, n)
-	b.lastChosen = make([]map[storage.BlockID]bool, n)
 	for i := 0; i < n; i++ {
 		b.perEst[i] = b.newEstimator(c)
 		b.victims[i] = newVictimIndex()
-		b.ilpMemo[i] = &solveMemo{}
-		b.lastChosen[i] = make(map[storage.BlockID]bool)
 	}
 }
 

@@ -291,9 +291,9 @@ func TestTargetStatesApplied(t *testing.T) {
 	if m.ILPSolves == 0 {
 		t.Fatal("expected ILP solves")
 	}
-	// Nodes are honest search effort now: the knapsack fast path reports
-	// zero when every candidate fits in memory or the solution memo
-	// answers, so assert outcome quality instead of raw node counts.
+	// Nodes are honest search effort: the knapsack fast path reports zero
+	// when every candidate fits in memory, so assert outcome quality
+	// instead of raw node counts.
 	if m.ILPFallbacks != 0 {
 		t.Fatalf("unexpected optimizer fallbacks: %d", m.ILPFallbacks)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"slices"
 	"sort"
 	"time"
 
@@ -33,32 +32,25 @@ type candidate struct {
 const ilpWindowDiscount = 0.5
 
 // solvePass is what differs between the three callers of the placement
-// fixed point (replan):
+// fixed point (replan): whether the instance carries the boundary
+// tie-break, which event each solve emits, and which counters it books.
 //
-//	caller          | memo            | kind  | warm start | accounting
-//	job start       | consult + store | 0 / 1 | none       | ILPSolves, ilp_solve
-//	window boundary | consult + store | 2 / 3 | bound-only | ILPDelta*, ilp_delta_solve
-//	plan repair     | none            | —     | bound-only | Repair*, ilp_repair_solve
+//	caller          | tie-break | accounting
+//	job start       | no        | ILPSolves, ilp_solve
+//	window boundary | yes       | ILPDelta*, ilp_delta_solve
+//	plan repair     | yes       | Repair*, ilp_repair_solve
 //
-// Cold verification is not a pass of its own: it re-solves a delta
-// pass's instance with the zero solveMode (no memo, no warm start).
+// Every pass runs the same plain solve; nothing is carried from one solve
+// to the next.
 type solvePass struct {
-	// delta marks a re-solve on top of a previous assignment: the
-	// instance carries the tie-breaking perturbation (window.go), each
-	// solve is warm-started bound-only from that assignment, and with
-	// WithColdVerify each solve is checked against a from-scratch one.
-	delta bool
-	// memoised consults and feeds the executor's solution memo. Plan
-	// repair must not: storing would evict pre-crash entries (repair.go).
-	memoised bool
-	// event, window and emit describe the one event each solve emits.
+	// tieBreak applies perturbBoundaryCosts (window.go) to every priced
+	// instance.
+	tieBreak bool
+	// event and window describe the one event each solve emits.
 	event  eventlog.Kind
 	window int
-	emit   func(eventlog.Event)
-	// tally books one solve; cold books its verification solve and
-	// whether two proven optima disagreed (delta passes only).
+	// tally books one solve.
 	tally func(met *metrics.App, r solveResult, wall time.Duration)
-	cold  func(met *metrics.App, cr solveResult, wall time.Duration, mismatch bool)
 }
 
 // jobStartPass is the pass OnJobStart runs: every solve bumps ILPSolves,
@@ -68,7 +60,7 @@ type solvePass struct {
 // because the solve executes driver-side.
 func (b *Controller) jobStartPass() solvePass {
 	return solvePass{
-		memoised: true, event: eventlog.ILPSolve, emit: b.c.EmitEvent,
+		event: eventlog.ILPSolve,
 		tally: func(met *metrics.App, r solveResult, wall time.Duration) {
 			met.ILPSolves++
 			met.ILPSolveTime += wall
@@ -78,15 +70,11 @@ func (b *Controller) jobStartPass() solvePass {
 }
 
 // tallyILP books what job-start and boundary solves share: search nodes
-// into ILPNodes, degraded outcomes into ILPFallbacks, memo hits into
-// ILPReused.
+// into ILPNodes, degraded outcomes into ILPFallbacks.
 func tallyILP(met *metrics.App, r solveResult) {
 	met.ILPNodes += r.nodes
 	if r.fallback {
 		met.ILPFallbacks++
-	}
-	if r.reused {
-		met.ILPReused++
 	}
 }
 
@@ -104,66 +92,38 @@ func (b *Controller) replan(p solvePass) {
 		}
 		price := func(hypo map[storage.BlockID]bool) {
 			b.priceCandidates(cands, hypo)
-			if p.delta {
+			if p.tieBreak {
 				perturbBoundaryCosts(cands)
 			}
 		}
 
 		// Fixed point on the recursive recomputation costs (Eq. 4
 		// depends on ancestor states): price under current states, solve,
-		// re-price under the candidate assignment, solve again. When the
-		// re-pricing leaves the costs unchanged the second solve is a
-		// fingerprint hit in the solution memo and costs nothing.
+		// re-price under the candidate assignment, solve again.
 		price(nil)
-		var warm []bool
-		if p.delta {
-			warm = b.warmFrom(ex, cands)
-		}
-		chosen := b.solveStep(ex, cands, warm, p)
+		chosen := b.solveStep(ex, cands, p)
 		hypo := make(map[storage.BlockID]bool, len(cands))
 		for i, c := range cands {
 			hypo[c.id] = chosen[i]
 		}
 		price(hypo)
-		if p.delta {
-			warm = chosen
-		}
-		chosen = b.solveStep(ex, cands, warm, p)
+		chosen = b.solveStep(ex, cands, p)
 
 		b.applyAssignment(ex, cands, chosen)
 	}
 }
 
 // solveStep runs one optimizer invocation of a pass with its accounting
-// and event, then — on a delta pass under WithColdVerify — solves the
-// identical instance from scratch and reports whether two proven optima
-// picked different cache sets (expected never: the warm start only
-// prunes the search).
-func (b *Controller) solveStep(ex *engine.Executor, cands []candidate, warm []bool, p solvePass) []bool {
-	memCap := float64(ex.Mem.Capacity())
-	mode := solveMode{warm: warm}
-	if p.delta {
-		mode.kind = 2
-	}
-	if p.memoised {
-		mode.memo = b.ilpMemo[ex.ID]
-	}
-	met := b.c.Metrics()
+// and event.
+func (b *Controller) solveStep(ex *engine.Executor, cands []candidate, p solvePass) []bool {
 	start := time.Now()
-	r := b.solvePlacement(memCap, cands, mode)
-	p.tally(met, r, time.Since(start))
-	p.emit(eventlog.Event{
+	r := b.solvePlacement(float64(ex.Mem.Capacity()), cands)
+	p.tally(b.c.Metrics(), r, time.Since(start))
+	b.c.EmitEvent(eventlog.Event{
 		Kind: p.event, Time: b.c.Now(), Job: b.curJob,
 		Executor: ex.ID, Vars: r.vars, Nodes: r.nodes,
-		Optimal: r.optimal, Fallback: r.fallback, Reused: r.reused,
-		Window: p.window,
+		Optimal: r.optimal, Fallback: r.fallback, Window: p.window,
 	})
-
-	if p.delta && b.coldVerify {
-		start = time.Now()
-		cr := b.solvePlacement(memCap, cands, solveMode{})
-		p.cold(met, cr, time.Since(start), r.optimal && cr.optimal && !slices.Equal(r.chosen, cr.chosen))
-	}
 	return r.chosen
 }
 
@@ -174,19 +134,7 @@ func (b *Controller) solveStep(ex *engine.Executor, cands []candidate, warm []bo
 // candidates and applies each session's slice through its own
 // controller.
 func (b *Controller) applyAssignment(ex *engine.Executor, cands []candidate, chosen []bool) {
-	// Remember this executor's memory set: the next window boundary's
-	// delta solve warm-starts from it.
-	var last map[storage.BlockID]bool
-	if ex.ID < len(b.lastChosen) {
-		if b.lastChosen[ex.ID] == nil {
-			b.lastChosen[ex.ID] = make(map[storage.BlockID]bool)
-		}
-		last = b.lastChosen[ex.ID]
-	}
 	for i, c := range cands {
-		if last != nil {
-			last[c.id] = chosen[i]
-		}
 		var tgt engine.Placement
 		switch {
 		case chosen[i]:
@@ -324,100 +272,15 @@ var (
 	ilpNodeBudget = 50000
 )
 
-// ilpMemoCap bounds the per-executor solution memo.
-const ilpMemoCap = 4
-
-// memoEntry is one cached optimizer solution. key fingerprints the
-// instance (a kind marker, the dimensions and capacities, then the
-// per-candidate sizes and weighted costs); chosen is the memory
-// assignment over the full candidate slice; exact marks proven optima of
-// non-degraded solves — the only entries eligible for direct reuse.
-type memoEntry struct {
-	key    []float64
-	chosen []bool
-	exact  bool
-}
-
-// solveMemo is a bounded newest-last list of recent solutions for one
-// executor. Iterative workloads resubmit near-identical candidate sets
-// every job, so an exact fingerprint match answers the solve outright
-// and a same-shape near-match seeds the branch and bound's incumbent.
-// A nil *solveMemo is the bypass: it never matches and stores nothing.
-type solveMemo struct {
-	entries []memoEntry
-}
-
-// exactMatch returns the newest exact entry whose fingerprint equals key.
-func (m *solveMemo) exactMatch(key []float64) *memoEntry {
-	if m == nil {
-		return nil
-	}
-	for i := len(m.entries) - 1; i >= 0; i-- {
-		e := &m.entries[i]
-		if e.exact && keysEqual(e.key, key) {
-			return e
-		}
-	}
-	return nil
-}
-
-// newestWith returns the newest entry with the given kind marker whose
-// assignment covers n candidates (for incumbent seeding).
-func (m *solveMemo) newestWith(kind float64, n int) *memoEntry {
-	if m == nil {
-		return nil
-	}
-	for i := len(m.entries) - 1; i >= 0; i-- {
-		e := &m.entries[i]
-		if len(e.key) > 0 && e.key[0] == kind && len(e.chosen) == n {
-			return e
-		}
-	}
-	return nil
-}
-
-// store records a solution, replacing any entry with the same key and
-// evicting the oldest entry beyond the cap.
-func (m *solveMemo) store(key []float64, chosen []bool, exact bool) {
-	if m == nil {
-		return
-	}
-	for i := range m.entries {
-		if keysEqual(m.entries[i].key, key) {
-			m.entries = append(m.entries[:i], m.entries[i+1:]...)
-			break
-		}
-	}
-	ch := make([]bool, len(chosen))
-	copy(ch, chosen)
-	m.entries = append(m.entries, memoEntry{key: key, chosen: ch, exact: exact})
-	if len(m.entries) > ilpMemoCap {
-		m.entries = m.entries[1:]
-	}
-}
-
-func keysEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // solveResult describes one optimizer invocation for accounting: the
 // decided memory set, the model size and search effort, and the outcome
-// classification (proven optimum / degraded fallback / memo reuse).
+// classification (proven optimum / degraded fallback).
 type solveResult struct {
 	chosen   []bool
 	vars     int
 	nodes    int
 	optimal  bool
 	fallback bool
-	reused   bool
 }
 
 // knapsackInputs builds the knapsack reduction: a partition left out of
@@ -436,33 +299,6 @@ func (b *Controller) knapsackInputs(cands []candidate) (values, weights []float6
 	return values, weights
 }
 
-// knapKey fingerprints a knapsack instance under the given kind marker.
-func knapKey(kind float64, values, weights []float64, capacity float64) []float64 {
-	key := make([]float64, 0, 3+2*len(values))
-	key = append(key, kind, float64(len(values)), capacity)
-	key = append(key, values...)
-	key = append(key, weights...)
-	return key
-}
-
-// solveMode carries what differs between solvePlacement's callers; the
-// zero value is a from-scratch solve (cold verification).
-type solveMode struct {
-	// memo is consulted before searching and stores the outcome; nil
-	// bypasses it in both directions.
-	memo *solveMemo
-	// kind is the fingerprint marker of the knapsack form (0 at job
-	// start, 2 at window boundaries, so the two never answer each
-	// other's instances); the three-state form uses kind+1. snapshot.go
-	// persists the markers inside the memo keys.
-	kind float64
-	// warm, when non-nil, is the delta warm start: a previous assignment
-	// that seeds only the search's pruning bound, never its answer
-	// (ilp.SolveFrom / ilp.KnapsackSearchFrom), so the solve selects the
-	// same cache set a from-scratch one would.
-	warm []bool
-}
-
 // solvePlacement runs one optimizer invocation. With abundant disk (the
 // paper's default) the ILP reduces exactly to a knapsack — see the
 // reduction note on ilp.KnapsackSearch. With a disk capacity constraint the
@@ -475,26 +311,17 @@ type solveMode struct {
 //     used (it satisfies every constraint, including disk capacity);
 //   - no feasible assignment found at all: knapsack relaxation.
 //
-// All three are counted as fallbacks. Before searching, the memo is
-// consulted: an exact fingerprint match returns the cached assignment
-// outright, and a solve without a warm start seeds the branch and
-// bound's incumbent from the newest same-shape solution (cross-job warm
-// start).
-func (b *Controller) solvePlacement(memCap float64, cands []candidate, mode solveMode) solveResult {
-	knapsack := func(memo *solveMemo) (chosen []bool, nodes int, exact, reused bool) {
+// All three are counted as fallbacks.
+func (b *Controller) solvePlacement(memCap float64, cands []candidate) solveResult {
+	knapsack := func() (chosen []bool, nodes int, exact bool) {
 		values, weights := b.knapsackInputs(cands)
-		key := knapKey(mode.kind, values, weights, memCap)
-		if prev := memo.exactMatch(key); prev != nil {
-			return prev.chosen, 0, true, true
-		}
-		chosen, _, nodes, exact = ilp.KnapsackSearchFrom(values, weights, memCap, mode.warm)
-		memo.store(key, chosen, exact)
-		return chosen, nodes, exact, false
+		chosen, _, nodes, exact = ilp.KnapsackSearch(values, weights, memCap)
+		return chosen, nodes, exact
 	}
 
 	if b.ilpDiskCapacity <= 0 {
-		chosen, nodes, exact, reused := knapsack(mode.memo)
-		return solveResult{chosen: chosen, vars: len(cands), nodes: nodes, optimal: exact, fallback: !exact, reused: reused}
+		chosen, nodes, exact := knapsack()
+		return solveResult{chosen: chosen, vars: len(cands), nodes: nodes, optimal: exact, fallback: !exact}
 	}
 
 	// Full ILP with the optional disk capacity constraint (Eq. 6
@@ -519,18 +346,8 @@ func (b *Controller) solvePlacement(memCap float64, cands []candidate, mode solv
 		// result is not a proven optimum of the full model, so the solve
 		// counts as a fallback even when the knapsack search itself is
 		// exact; the apply step enforces the disk budget greedily.
-		ch, nodes, _, reused := knapsack(mode.memo)
-		return solveResult{chosen: ch, vars: len(cands), nodes: nodes, fallback: true, reused: reused}
-	}
-
-	key := make([]float64, 0, 6+3*n)
-	key = append(key, mode.kind+1, float64(len(cands)), memCap, float64(b.ilpDiskCapacity), boolKey(b.feat.DiskEnabled), float64(n))
-	for _, idx := range active {
-		c := cands[idx]
-		key = append(key, float64(c.size), c.costD*c.weight, c.costR*c.weight)
-	}
-	if prev := mode.memo.exactMatch(key); prev != nil && len(prev.chosen) == len(cands) {
-		return solveResult{chosen: prev.chosen, vars: 3 * n, optimal: true, reused: true}
+		ch, nodes, _ := knapsack()
+		return solveResult{chosen: ch, vars: len(cands), nodes: nodes, fallback: true}
 	}
 
 	prob := ilp.Problem{C: make([]float64, 3*n)}
@@ -557,62 +374,18 @@ func (b *Controller) solvePlacement(memCap float64, cands []candidate, mode solv
 		ilp.Constraint{Coeffs: memRow, Rel: ilp.LE, RHS: memCap},
 		ilp.Constraint{Coeffs: diskRow, Rel: ilp.LE, RHS: float64(b.ilpDiskCapacity)},
 	)
-	opts := ilp.Options{MaxNodes: ilpNodeBudget}
-	var sol ilp.Solution
-	var err error
-	if mode.warm != nil {
-		sol, err = ilp.SolveFrom(prob, b.incumbentFrom(mode.warm, cands, active), opts)
-	} else {
-		// SolveFrom would discard the incumbent on its way to a plain
-		// Solve, so the seeded solve calls Solve itself.
-		if prev := mode.memo.newestWith(mode.kind+1, len(cands)); prev != nil {
-			opts.Incumbent = b.incumbentFrom(prev.chosen, cands, active)
-		}
-		sol, err = ilp.Solve(prob, opts)
-	}
+	sol, err := ilp.Solve(prob, ilp.Options{MaxNodes: ilpNodeBudget})
 	if err != nil {
 		// Budget exhausted before any feasible assignment was found:
 		// genuinely out of options for the exact model, so degrade to
-		// the knapsack relaxation — unmemoised, so this degraded answer
-		// never evicts a proven optimum from the bounded memo.
-		ch, nodes, _, _ := knapsack(nil)
+		// the knapsack relaxation.
+		ch, nodes, _ := knapsack()
 		return solveResult{chosen: ch, vars: 3 * n, nodes: nodes, fallback: true}
 	}
 	for j, idx := range active {
 		chosen[idx] = sol.X[3*j] == 1
 	}
-	mode.memo.store(key, chosen, sol.Optimal)
 	return solveResult{chosen: chosen, vars: 3 * n, nodes: sol.Nodes, optimal: sol.Optimal, fallback: !sol.Optimal}
-}
-
-// incumbentFrom maps a previous memory assignment onto the current
-// active set as a feasible 0/1 seed: kept partitions stay m, the rest go
-// d or u by cost comparison, mirroring the apply step's placement rule.
-// ilp.Solve validates the seed and ignores it if infeasible.
-func (b *Controller) incumbentFrom(prev []bool, cands []candidate, active []int) []int {
-	if len(prev) != len(cands) {
-		return nil
-	}
-	inc := make([]int, 3*len(active))
-	for j, idx := range active {
-		c := cands[idx]
-		switch {
-		case prev[idx]:
-			inc[3*j] = 1
-		case b.feat.DiskEnabled && c.costD > 0 && c.costD < c.costR:
-			inc[3*j+1] = 1
-		default:
-			inc[3*j+2] = 1
-		}
-	}
-	return inc
-}
-
-func boolKey(v bool) float64 {
-	if v {
-		return 1
-	}
-	return 0
 }
 
 // ProfilingOverhead returns the modeled profiling cost to charge on the

@@ -29,7 +29,7 @@ func newSolveFixture(t *testing.T, ctl *Controller, mem int64, log *eventlog.Log
 
 // solve runs one accounted job-start solve.
 func (b *Controller) solve(ex *engine.Executor, cands []candidate) []bool {
-	return b.solveStep(ex, cands, nil, b.jobStartPass())
+	return b.solveStep(ex, cands, b.jobStartPass())
 }
 
 // syntheticCands builds n deterministic candidates whose sizes sum to
@@ -73,111 +73,6 @@ func TestKnapsackFallbackRespectsDiskCapacity(t *testing.T) {
 	for i := range m.Executors {
 		if peak := m.Executors[i].DiskPeakBytes; peak > diskCap {
 			t.Fatalf("executor %d disk peak %d exceeds capacity %d on the fallback path", i, peak, diskCap)
-		}
-	}
-}
-
-// TestSolveMemoExactReuse checks cross-job solution reuse on both solver
-// paths: re-solving an identical fingerprint must be answered from the
-// memo (no search nodes), with the identical assignment, and be recorded
-// in metrics and the event log.
-func TestSolveMemoExactReuse(t *testing.T) {
-	cands, total := syntheticCands(12)
-
-	t.Run("ilp", func(t *testing.T) {
-		log := eventlog.New()
-		ctl := NewBlaze().WithDiskCapacity(total * 8 / 10)
-		c, ex := newSolveFixture(t, ctl, total*4/10, log)
-		first := ctl.solve(ex, cands)
-		m := c.Metrics()
-		if m.ILPReused != 0 {
-			t.Fatalf("first solve reused: %+v", m.ILPReused)
-		}
-		if m.ILPFallbacks != 0 {
-			t.Fatalf("first solve fell back (%d) — expected an exact solve", m.ILPFallbacks)
-		}
-		nodesAfterFirst := m.ILPNodes
-		second := ctl.solve(ex, cands)
-		if m.ILPReused != 1 {
-			t.Fatalf("second solve not reused: reused=%d", m.ILPReused)
-		}
-		if m.ILPNodes != nodesAfterFirst {
-			t.Fatalf("memo hit expanded nodes: %d -> %d", nodesAfterFirst, m.ILPNodes)
-		}
-		for i := range first {
-			if first[i] != second[i] {
-				t.Fatalf("reused assignment differs at %d", i)
-			}
-		}
-		if m.ILPSolves != 2 {
-			t.Fatalf("ILPSolves = %d, want 2", m.ILPSolves)
-		}
-		var events []eventlog.Event
-		for _, e := range log.Events() {
-			if e.Kind == eventlog.ILPSolve {
-				events = append(events, e)
-			}
-		}
-		if len(events) != 2 {
-			t.Fatalf("ilp_solve events = %d, want 2", len(events))
-		}
-		if !events[0].Optimal || events[0].Reused || events[0].Vars == 0 {
-			t.Fatalf("first event misclassified: %+v", events[0])
-		}
-		if !events[1].Reused || !events[1].Optimal || events[1].Nodes != 0 {
-			t.Fatalf("second event misclassified: %+v", events[1])
-		}
-	})
-
-	t.Run("knapsack", func(t *testing.T) {
-		ctl := NewBlaze() // no disk capacity: fast path
-		c, ex := newSolveFixture(t, ctl, total*4/10, nil)
-		first := ctl.solve(ex, cands)
-		second := ctl.solve(ex, cands)
-		m := c.Metrics()
-		if m.ILPReused != 1 {
-			t.Fatalf("knapsack path not reused: reused=%d", m.ILPReused)
-		}
-		for i := range first {
-			if first[i] != second[i] {
-				t.Fatalf("reused assignment differs at %d", i)
-			}
-		}
-	})
-}
-
-// TestCrossJobIncumbentWarmStart checks the near-match path: a perturbed
-// instance cannot reuse the previous solution outright, but seeding the
-// branch and bound with it as incumbent must not expand more nodes than
-// a cold solve of the same instance — the seed only adds pruning.
-func TestCrossJobIncumbentWarmStart(t *testing.T) {
-	cands, total := syntheticCands(24)
-	perturbed := make([]candidate, len(cands))
-	copy(perturbed, cands)
-	perturbed[5].costR *= 1.25
-	perturbed[11].costD *= 0.75
-
-	coldCtl := NewBlaze().WithDiskCapacity(total * 8 / 10)
-	coldC, coldEx := newSolveFixture(t, coldCtl, total*4/10, nil)
-	coldChosen := coldCtl.solve(coldEx, perturbed)
-	coldNodes := coldC.Metrics().ILPNodes
-
-	warmCtl := NewBlaze().WithDiskCapacity(total * 8 / 10)
-	warmC, warmEx := newSolveFixture(t, warmCtl, total*4/10, nil)
-	warmCtl.solve(warmEx, cands) // seeds the memo
-	before := warmC.Metrics().ILPNodes
-	warmChosen := warmCtl.solve(warmEx, perturbed)
-	warmNodes := warmC.Metrics().ILPNodes - before
-
-	if warmC.Metrics().ILPReused != 0 {
-		t.Fatal("perturbed instance must not be an exact memo hit")
-	}
-	if warmNodes > coldNodes {
-		t.Fatalf("warm-started solve expanded more nodes than cold: %d > %d", warmNodes, coldNodes)
-	}
-	for i := range coldChosen {
-		if coldChosen[i] != warmChosen[i] {
-			t.Fatalf("warm and cold solves disagree at %d", i)
 		}
 	}
 }

@@ -4,8 +4,7 @@ package core
 // checkpointing: SnapshotState serializes everything the unified
 // decision layer accumulates over a run (the CostLineage with its
 // regression series, reference offsets and ordinal counters; the
-// windowed-lineage retirement set; the last solved memory assignment
-// per executor; the optimizer's target states and solution memo) into
+// windowed-lineage retirement set; the optimizer's target states) into
 // a self-contained gob payload, and RestoreState rehydrates a freshly
 // Bind-ed controller from one. The estimators and victim orders are
 // deliberately not serialized — what they keep between decision rounds
@@ -46,14 +45,9 @@ type roleSeriesWire struct {
 	Cost map[int]*regression.Series
 }
 
-// memoEntryWire is the gob form of one solution-memo entry.
-type memoEntryWire struct {
-	Key    []float64
-	Chosen []bool
-	Exact  bool
-}
-
-// controllerWire is the complete serialized controller state.
+// controllerWire is the complete serialized controller state. Snapshots
+// from builds that also persisted a solution memo and a per-executor
+// last assignment still decode: gob skips the fields this type lacks.
 type controllerWire struct {
 	Name        string
 	Profiled    bool
@@ -71,9 +65,7 @@ type controllerWire struct {
 
 	// Windowed-lineage and optimizer state.
 	Retired     []NodeKey
-	LastChosen  []map[storage.BlockID]bool
 	TargetState map[storage.BlockID]engine.Placement
-	Memo        [][]memoEntryWire
 }
 
 // SnapshotState implements engine.StateSnapshotter: it serializes the
@@ -93,7 +85,6 @@ func (b *Controller) SnapshotState() ([]byte, error) {
 		Extrapolate:    b.lin.Extrapolate,
 		RoleRefOffsets: b.lin.roleRefOffsets,
 		OrdinalSeq:     b.lin.ordinalSeq,
-		LastChosen:     b.lastChosen,
 		TargetState:    b.targetState,
 	}
 	for _, n := range b.lin.Nodes() {
@@ -116,15 +107,6 @@ func (b *Controller) SnapshotState() ([]byte, error) {
 		w.Retired = append(w.Retired, n.Key)
 	}
 	sort.Slice(w.Retired, func(i, j int) bool { return keyLess(w.Retired[i], w.Retired[j]) })
-	for _, m := range b.ilpMemo {
-		var entries []memoEntryWire
-		if m != nil {
-			for _, e := range m.entries {
-				entries = append(entries, memoEntryWire{Key: e.key, Chosen: e.chosen, Exact: e.exact})
-			}
-		}
-		w.Memo = append(w.Memo, entries)
-	}
 
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -134,9 +116,9 @@ func (b *Controller) SnapshotState() ([]byte, error) {
 }
 
 // RestoreState implements engine.StateSnapshotter: it rehydrates the
-// controller from a SnapshotState payload. Must be called after Bind
-// (which sizes the per-executor slices) on a cluster with the same
-// executor count as the snapshotting run.
+// controller from a SnapshotState payload. Must be called after Bind on
+// a cluster with the same executor count as the snapshotting run (the
+// session checks that against the engine snapshot before replay).
 func (b *Controller) RestoreState(data []byte) error {
 	var w controllerWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
@@ -144,9 +126,6 @@ func (b *Controller) RestoreState(data []byte) error {
 	}
 	if b.c == nil {
 		return fmt.Errorf("core: restore controller: not bound to a cluster")
-	}
-	if n := len(b.c.Executors()); len(w.LastChosen) != n || len(w.Memo) != n {
-		return fmt.Errorf("core: restore controller: snapshot has %d executors, cluster has %d", len(w.LastChosen), n)
 	}
 
 	// Rebuild the lineage in place: the estimators created at Bind hold
@@ -193,30 +172,18 @@ func (b *Controller) RestoreState(data []byte) error {
 		b.retired[lin.nodes[key]] = true
 	}
 	b.epoch++
-	b.lastChosen = w.LastChosen
-	for i := range b.lastChosen {
-		if b.lastChosen[i] == nil {
-			b.lastChosen[i] = make(map[storage.BlockID]bool)
-		}
-	}
 	b.targetState = w.TargetState
 	if b.targetState == nil {
 		b.targetState = make(map[storage.BlockID]engine.Placement)
-	}
-	for i, entries := range w.Memo {
-		m := &solveMemo{}
-		for _, e := range entries {
-			m.entries = append(m.entries, memoEntry{key: e.Key, chosen: e.Chosen, exact: e.Exact})
-		}
-		b.ilpMemo[i] = m
 	}
 	return nil
 }
 
 // StateSummary is the human-readable digest of a controller snapshot
 // recorded in the checkpoint manifest: the live role@iteration ids, the
-// per-executor memory assignments of the most recent solve, and the
-// number of regression observations backing the cost model.
+// blocks the most recent solve assigned to memory (its targetState's
+// memory entries, keyed by home executor), and the number of regression
+// observations backing the cost model.
 type StateSummary struct {
 	Roles      []string `json:"roles,omitempty"`
 	LastChosen []string `json:"last_chosen,omitempty"`
@@ -236,22 +203,28 @@ func (b *Controller) Summary() StateSummary {
 		}
 		s.Roles = append(s.Roles, id)
 	}
-	for i, last := range b.lastChosen {
-		ids := make([]storage.BlockID, 0, len(last))
-		for id, chosen := range last {
-			if chosen {
-				ids = append(ids, id)
-			}
+	type homed struct {
+		ex int
+		id storage.BlockID
+	}
+	var mem []homed
+	for id, tgt := range b.targetState {
+		if tgt == engine.PlaceMemory {
+			mem = append(mem, homed{b.c.ExecutorFor(id.Partition).ID, id})
 		}
-		sort.Slice(ids, func(x, y int) bool {
-			if ids[x].Dataset != ids[y].Dataset {
-				return ids[x].Dataset < ids[y].Dataset
-			}
-			return ids[x].Partition < ids[y].Partition
-		})
-		for _, id := range ids {
-			s.LastChosen = append(s.LastChosen, fmt.Sprintf("e%d:%d/%d", i, id.Dataset, id.Partition))
+	}
+	sort.Slice(mem, func(x, y int) bool {
+		a, c := mem[x], mem[y]
+		if a.ex != c.ex {
+			return a.ex < c.ex
 		}
+		if a.id.Dataset != c.id.Dataset {
+			return a.id.Dataset < c.id.Dataset
+		}
+		return a.id.Partition < c.id.Partition
+	})
+	for _, m := range mem {
+		s.LastChosen = append(s.LastChosen, fmt.Sprintf("e%d:%d/%d", m.ex, m.id.Dataset, m.id.Partition))
 	}
 	b.lin.metricsMu.RLock()
 	for _, rm := range b.lin.roleMetrics {

@@ -531,9 +531,9 @@ type Cluster struct {
 	replay        bool
 	replayWindows int
 	replayTarget  *ResumeState
-	// recoveryLog receives resume-only bookkeeping events (checkpoint
-	// and repair activity must never enter the main log, which has to
-	// stay bit-identical to an uninterrupted run).
+	// recoveryLog receives resume-only bookkeeping events (they must
+	// never enter the main log, which has to stay bit-identical to an
+	// uninterrupted run).
 	recoveryLog *eventlog.Log
 	// checkpointer, when set, observes streaming window boundaries to
 	// persist ResumeState snapshots.
@@ -736,9 +736,11 @@ func (c *Cluster) StartWindow() int {
 		// AdvanceWindow, so its effects are already inside it.
 		c.replayWindows++
 		if c.replayWindows >= c.replayTarget.Window {
+			// Deferred: a rehydrate that panics must not leave the pool
+			// locked, or the session's teardown would wait on it forever.
 			c.beginJob()
+			defer c.endJob()
 			c.finishResume()
-			c.endJob()
 		}
 		return c.replayWindows
 	}

@@ -163,7 +163,7 @@ func (c *Cluster) InjectExecutorDeath(ex *Executor) bool {
 	// every Parallelism setting, so the repair (and its events, emitted
 	// into the main log here — the death is part of the run) is too.
 	if pr, ok := c.ctl.(PlanRepairer); ok {
-		pr.RepairPlan(c.curWindow, c.emit)
+		pr.RepairPlan(c.curWindow)
 	}
 	return true
 }

@@ -18,9 +18,9 @@ package engine
 // The headline invariant: a session crashed at any window boundary and
 // resumed produces bit-identical window results, metrics and event logs
 // to a run that never crashed. Everything recovery-specific therefore
-// stays out of the main event log and the deterministic metrics: resume
-// bookkeeping events go to a separate recovery log, and plan-repair
-// effort lands in the Repair* metric fields.
+// stays out of the main event log: resume bookkeeping events go to a
+// separate recovery log. A resume repairs no plan — the rehydrated
+// cluster is the checkpointed one, whose plan is already current.
 
 import (
 	"errors"
@@ -35,8 +35,8 @@ import (
 
 // StateSnapshotter is implemented by controllers whose decisions depend
 // on accumulated state (Blaze's cost lineage, regression estimators,
-// ILP memo). The snapshot is opaque to the engine; the controller owns
-// its wire format.
+// ILP target states). The snapshot is opaque to the engine; the
+// controller owns its wire format.
 type StateSnapshotter interface {
 	// SnapshotState serializes the controller's durable state.
 	SnapshotState() ([]byte, error)
@@ -46,14 +46,10 @@ type StateSnapshotter interface {
 }
 
 // PlanRepairer is implemented by controllers that can re-solve their
-// placement plan after the cluster state changed out from under it — an
-// executor death migrated partitions, or a crash resume restored only
-// the checkpointed blocks. Events describing the repair are routed
-// through emit, so callers choose between the main log (executor death,
-// part of the run) and a recovery-only log (crash resume, where the
-// main log must stay bit-identical to an uninterrupted run).
+// placement plan after an executor death changed the cluster out from
+// under it. window is the open streaming window (0 on one-shot runs).
 type PlanRepairer interface {
-	RepairPlan(window int, emit func(eventlog.Event))
+	RepairPlan(window int)
 }
 
 // WindowCheckpointer observes streaming window boundaries for durable
@@ -274,9 +270,9 @@ func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 // the resumed driver re-runs from window 1 without executing anything,
 // and the cluster rehydrates when the driver reaches the checkpointed
 // boundary. recoveryLog (optional) receives the resume bookkeeping
-// events — session_resumed and the plan-repair solves — which must not
-// enter the main log. Call right after the streaming session opens,
-// before the driver's first job.
+// event (session_resumed), which must not enter the main log. rs must
+// come from a cluster with this one's executor count. Call right after
+// the streaming session opens, before the driver's first job.
 func (c *Cluster) BeginReplay(rs *ResumeState, recoveryLog *eventlog.Log) {
 	c.replay = true
 	c.replayTarget = rs
@@ -387,14 +383,4 @@ func (c *Cluster) finishResume() {
 	c.replayTarget = nil
 	c.recoveryEmit(eventlog.Event{Kind: eventlog.SessionResumed, Time: c.Now(),
 		Window: c.curWindow, Count: len(rs.MemBlocks) + len(rs.DiskBlocks)})
-
-	// Plan repair: the restored targetState describes the crashed run's
-	// plan over the crashed run's candidates. Re-solve over what
-	// actually survived so post-resume admissions and promotions follow
-	// a plan that matches reality. Repair events stay in the recovery
-	// log; repair effort lands in the Repair* metrics — both excluded
-	// from the bit-identity comparison.
-	if pr, ok := c.ctl.(PlanRepairer); ok {
-		pr.RepairPlan(c.curWindow, c.recoveryEmit)
-	}
 }

@@ -75,9 +75,8 @@ const (
 	// ILPSolve records one optimizer invocation at a job boundary:
 	// Executor scopes the per-executor model, Vars the decision-variable
 	// count, Nodes the search nodes expanded, Optimal whether the result
-	// is a proven optimum, Fallback whether the solve degraded (knapsack
-	// relaxation or budget exhaustion), and Reused whether the answer
-	// came from the cross-job solution memo without searching.
+	// is a proven optimum, and Fallback whether the solve degraded
+	// (knapsack relaxation or budget exhaustion).
 	ILPSolve Kind = "ilp_solve"
 	// QuotaRejected records a memory admission refused because it would
 	// push the owning tenant (Tenant) past its cluster-wide quota;
@@ -101,14 +100,13 @@ const (
 	// passed, so it is removed from the store and from the optimizer's
 	// candidate set. Bytes is 0 when the partition was not resident.
 	PartitionRetired Kind = "partition_retired"
-	// ILPDeltaSolve records one incremental optimizer re-solve at a
-	// window boundary: the previous window's assignment (retired
-	// candidates dropped, new-window candidates appended) warm-starts
-	// the search. Fields mirror ILPSolve; Window scopes the boundary.
+	// ILPDeltaSolve records one optimizer re-solve at a window boundary
+	// over the candidates that survived retirement. Fields mirror
+	// ILPSolve; Window scopes the boundary.
 	ILPDeltaSolve Kind = "ilp_delta_solve"
 	// ILPRepairSolve records one post-recovery plan-repair solve: the
 	// placement problem re-solved over the surviving candidate set after
-	// an executor death or a crash resume. Fields mirror ILPSolve;
+	// an executor death. Fields mirror ILPSolve;
 	// Window scopes the boundary on streaming sessions (0 otherwise).
 	ILPRepairSolve Kind = "ilp_repair_solve"
 	// CheckpointWritten records one durable window-boundary checkpoint:
@@ -163,13 +161,12 @@ type Event struct {
 	// events.
 	Factor float64 `json:"factor,omitempty"`
 	// Vars and Nodes carry the model size and search effort on ILPSolve
-	// events; Optimal, Fallback and Reused classify the outcome (proven
-	// optimum, degraded solve, memo hit).
+	// events; Optimal and Fallback classify the outcome (proven optimum,
+	// degraded solve).
 	Vars     int  `json:"vars,omitempty"`
 	Nodes    int  `json:"nodes,omitempty"`
 	Optimal  bool `json:"optimal,omitempty"`
 	Fallback bool `json:"fallback,omitempty"`
-	Reused   bool `json:"reused,omitempty"`
 	// Tenant and Session identify multi-tenant scopes on job-server
 	// events (QuotaRejected, SessionStart/End, Arbitration). Both are
 	// empty on single-application runs, keeping their logs byte-identical
@@ -278,11 +275,10 @@ type JobSummary struct {
 	SpeculativeWins int
 	Blacklisted     int
 	// ILPSolves, ILPNodes and ILPFallbacks aggregate the job's optimizer
-	// activity; ILPReused counts solves answered from the cross-job memo.
+	// activity.
 	ILPSolves    int
 	ILPNodes     int
 	ILPFallbacks int
-	ILPReused    int
 }
 
 // DatasetSummary aggregates one dataset's cache lifecycle.
@@ -386,9 +382,6 @@ func Summarize(l *Log) *Summary {
 			j.ILPNodes += e.Nodes
 			if e.Fallback {
 				j.ILPFallbacks++
-			}
-			if e.Reused {
-				j.ILPReused++
 			}
 		}
 	}

@@ -38,12 +38,6 @@ type Options struct {
 	// Optimal=false, mirroring how Blaze bounds ILP latency (§5.5 keeps
 	// the solve under a performance boundary).
 	MaxNodes int
-	// Incumbent optionally seeds the search with a known assignment
-	// (e.g. the previous job's solution to a near-identical problem).
-	// It is validated against the constraints and ignored if infeasible
-	// or mis-sized; a feasible seed makes pruning strong from the first
-	// node, which is the point of cross-job solution reuse.
-	Incumbent []int
 }
 
 // ErrInfeasible is returned when no binary assignment satisfies the
@@ -51,7 +45,7 @@ type Options struct {
 var ErrInfeasible = errors.New("ilp: problem is infeasible")
 
 // errNodeBudget is returned when the node budget ran out before any
-// feasible assignment (seeded or discovered) existed.
+// feasible assignment was found.
 var errNodeBudget = errors.New("ilp: node budget exhausted before any feasible solution")
 
 // Solve finds a minimum-cost binary assignment by branch and bound on
@@ -64,98 +58,17 @@ var errNodeBudget = errors.New("ilp: node budget exhausted before any feasible s
 // reconstruction, no tableau rebuild unless the inherited basis turns
 // primal infeasible.
 func Solve(p Problem, opts Options) (Solution, error) {
-	best := Solution{Objective: math.Inf(1)}
-	if obj, ok := incumbentObjective(p, opts.Incumbent); ok {
-		best = Solution{X: append([]int(nil), opts.Incumbent...), Objective: obj}
-	}
-	best, nodes, truncated, err := solveCore(p, opts.MaxNodes, best)
-	if err != nil {
-		return Solution{Nodes: nodes}, err
-	}
-	if math.IsInf(best.Objective, 1) {
-		if truncated {
-			return Solution{Nodes: nodes}, errNodeBudget
-		}
-		return Solution{Nodes: nodes}, ErrInfeasible
-	}
-	best.Nodes = nodes
-	// Optimality is exactly search exhaustion. (The old solver keyed
-	// this off nodes < maxNodes, wrongly reporting a completed search as
-	// truncated when the stack emptied on the budget's last node.)
-	best.Optimal = !truncated
-	return best, nil
-}
-
-// SolveFrom is the delta warm-start entry point: warm (a feasible
-// assignment carried over from a near-identical earlier problem, e.g.
-// the previous window's solution) seeds only the pruning *bound* of the
-// branch and bound — never the stored answer. The search must rediscover
-// its own optimum, so on a problem with a unique optimum SolveFrom
-// returns exactly the assignment a cold Solve would, while pruning with
-// the warm objective from the very first node. The slack added to the
-// seeded bound guarantees no ancestor of the cold search's first-found
-// optimum is ever pruned, even when the warm objective already equals
-// the optimum. If warm is mis-sized, non-binary or infeasible the call
-// degrades to a plain cold Solve. If the node budget truncates the
-// search before any assignment is found, the warm assignment itself is
-// returned with Optimal=false.
-func SolveFrom(p Problem, warm []int, opts Options) (Solution, error) {
-	warmObj, ok := incumbentObjective(p, warm)
-	if !ok {
-		opts.Incumbent = nil
-		return Solve(p, opts)
-	}
-	// slack must exceed the 1e-9 prune tolerance so lb == warmObj ==
-	// optimum survives: prune fires at lb >= bound-1e-9.
-	slack := 1e-9*(1+math.Abs(warmObj)) + 2e-9
-	best, nodes, truncated, err := solveCore(p, opts.MaxNodes, Solution{Objective: warmObj + slack})
-	if err != nil {
-		return Solution{Nodes: nodes}, err
-	}
-	if best.X == nil {
-		// Budget exhausted before the search re-found any assignment:
-		// fall back to the warm one, which is feasible by construction.
-		return Solution{X: append([]int(nil), warm...), Objective: warmObj, Nodes: nodes}, nil
-	}
-	best.Nodes = nodes
-	best.Optimal = !truncated
-	return best, nil
-}
-
-// incumbentObjective validates a candidate seed assignment and returns
-// its objective value.
-func incumbentObjective(p Problem, x []int) (float64, bool) {
 	n := len(p.C)
-	if len(x) != n || n == 0 {
-		return 0, false
-	}
-	for _, v := range x {
-		if v != 0 && v != 1 {
-			return 0, false
-		}
-	}
-	if !feasible(p, x) {
-		return 0, false
-	}
-	obj := 0.0
-	for i, v := range x {
-		obj += p.C[i] * float64(v)
-	}
-	return obj, true
-}
-
-// solveCore runs the shared-workspace branch and bound from an initial
-// incumbent (possibly bound-only: an objective ceiling with no stored X).
-func solveCore(p Problem, maxNodes int, best Solution) (Solution, int, bool, error) {
-	n := len(p.C)
+	maxNodes := opts.MaxNodes
 	if maxNodes <= 0 {
 		maxNodes = 100000
 	}
 
 	w := newWorkspace(p)
 	if w == nil {
-		return Solution{}, 0, false, ErrInfeasible
+		return Solution{}, ErrInfeasible
 	}
+	best := Solution{Objective: math.Inf(1)}
 	nodes := 0
 	truncated := false
 	x := make([]float64, n)
@@ -296,7 +209,18 @@ func solveCore(p Problem, maxNodes int, best Solution) (Solution, int, bool, err
 	}
 	dfs()
 
-	return best, nodes, truncated, nil
+	if math.IsInf(best.Objective, 1) {
+		if truncated {
+			return Solution{Nodes: nodes}, errNodeBudget
+		}
+		return Solution{Nodes: nodes}, ErrInfeasible
+	}
+	best.Nodes = nodes
+	// Optimality is exactly search exhaustion. (The old solver keyed
+	// this off nodes < maxNodes, wrongly reporting a completed search as
+	// truncated when the stack emptied on the budget's last node.)
+	best.Optimal = !truncated
+	return best, nil
 }
 
 // BruteForce enumerates all 2^n assignments and returns the optimum. It
@@ -366,41 +290,44 @@ func feasible(p Problem, x []int) bool {
 // potential recovery cost min(cost_d, cost_r), so the optimal memory set
 // maximizes saved cost subject to the memory capacity — a knapsack.
 func KnapsackSearch(values, weights []float64, capacity float64) (chosen []bool, total float64, searchNodes int, exact bool) {
-	return knapsackSearch(values, weights, capacity, nil)
-}
-
-// KnapsackSearchFrom is KnapsackSearch with a delta warm start: warm (a
-// selection carried over from a near-identical earlier instance) seeds
-// only the initial pruning bound, never the stored answer. The search
-// keeps its exact item order and acceptance rule, so it returns the
-// same selection a cold KnapsackSearch would — including under
-// equal-value ties — while pruning with the warm value from the first
-// node. An over-capacity or mis-sized warm selection is ignored. If the
-// node budget truncates the search before it re-finds any selection at
-// least as good as the floor, the warm selection itself is returned
-// with exact=false.
-func KnapsackSearchFrom(values, weights []float64, capacity float64, warm []bool) (chosen []bool, total float64, searchNodes int, exact bool) {
-	return knapsackSearch(values, weights, capacity, warm)
-}
-
-func knapsackSearch(values, weights []float64, capacity float64, warm []bool) (chosen []bool, total float64, searchNodes int, exact bool) {
 	n := len(values)
+	chosen = make([]bool, n)
 	if n == 0 || capacity < 0 {
-		return make([]bool, n), 0, 0, true
+		return chosen, 0, 0, true
 	}
+
+	// Trivial case, checked before anything but the answer is allocated:
+	// every item worth taking fits. (Blaze's weights are byte sizes, so
+	// this sum is exact in any order.)
+	var totalW float64
+	for i, v := range values {
+		if v > 0 && weights[i] > 0 {
+			totalW += weights[i]
+		}
+	}
+	if totalW <= capacity {
+		for i, v := range values {
+			if v > 0 {
+				chosen[i] = true
+				total += v
+			}
+		}
+		return chosen, total, 0, true
+	}
+
 	type item struct {
 		v, w float64
 		idx  int
 	}
 	items := make([]item, 0, n)
-	zeroWeight := make([]bool, n)
 	for i := 0; i < n; i++ {
 		v, w := values[i], weights[i]
 		if v <= 0 {
 			continue // never worth taking
 		}
 		if w <= 0 {
-			zeroWeight[i] = true // free to take
+			chosen[i] = true // free to take
+			total += v
 			continue
 		}
 		items = append(items, item{v, w, i})
@@ -412,22 +339,6 @@ func knapsackSearch(values, weights []float64, capacity float64, warm []bool) (c
 		}
 		return items[a].idx < items[b].idx
 	})
-
-	// Trivial case: everything fits.
-	var totalW float64
-	for _, it := range items {
-		totalW += it.w
-	}
-	if totalW <= capacity {
-		chosen = make([]bool, n)
-		for i := 0; i < n; i++ {
-			if values[i] > 0 {
-				chosen[i] = true
-				total += values[i]
-			}
-		}
-		return chosen, total, 0, true
-	}
 
 	// upper bound from position k with remaining capacity rem.
 	bound := func(k int, rem, val float64) float64 {
@@ -452,28 +363,6 @@ func knapsackSearch(values, weights []float64, capacity float64, warm []bool) (c
 	const nodeBudget = 200000
 	nodes := 0
 	bestVal := -1.0
-	// Delta warm start: a feasible carried-over selection sets the
-	// initial pruning floor just below its own value. The slack keeps
-	// every ancestor of the cold search's first-found optimum unpruned
-	// (the prune tolerance is 1e-12), so the warm search returns the
-	// identical selection while pruning hard from the first node.
-	warmFloor := false
-	warmVal := 0.0
-	if len(warm) == n {
-		var ww float64
-		for i, take := range warm {
-			if !take || values[i] <= 0 || weights[i] <= 0 {
-				continue
-			}
-			warmVal += values[i]
-			ww += weights[i]
-		}
-		if ww <= capacity && warmVal > 0 {
-			warmFloor = true
-			bestVal = warmVal - 1e-9*(1+warmVal)
-		}
-	}
-	found := false
 	cur := make([]bool, len(items))
 	bestSel := make([]bool, len(items))
 	var dfs func(k int, rem, val float64)
@@ -482,7 +371,6 @@ func knapsackSearch(values, weights []float64, capacity float64, warm []bool) (c
 		if val > bestVal {
 			bestVal = val
 			copy(bestSel, cur)
-			found = true
 		}
 		if k >= len(items) || nodes > nodeBudget {
 			return
@@ -499,34 +387,6 @@ func knapsackSearch(values, weights []float64, capacity float64, warm []bool) (c
 	}
 	dfs(0, capacity, 0)
 
-	if warmFloor && !found {
-		// The node budget ran out before the search re-found any
-		// selection at least as good as the floor: fall back to the
-		// warm selection, which is feasible by construction.
-		chosen = make([]bool, n)
-		for i := range zeroWeight {
-			if zeroWeight[i] {
-				chosen[i] = true
-				total += values[i]
-			}
-		}
-		for i, take := range warm {
-			if take && values[i] > 0 && weights[i] > 0 {
-				chosen[i] = true
-				total += values[i]
-			}
-		}
-		return chosen, total, nodes, false
-	}
-
-	chosen = make([]bool, n)
-	total = 0
-	for i := range zeroWeight {
-		if zeroWeight[i] {
-			chosen[i] = true
-			total += values[i]
-		}
-	}
 	for k, sel := range bestSel {
 		if sel {
 			chosen[items[k].idx] = true

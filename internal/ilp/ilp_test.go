@@ -307,86 +307,6 @@ func TestSolveOptimalAtExactNodeBudget(t *testing.T) {
 	}
 }
 
-// A feasible incumbent seed lets a budget-starved solve return that
-// incumbent instead of failing, and never degrades the final answer.
-func TestSolveIncumbentSeed(t *testing.T) {
-	p := Problem{
-		C: []float64{0, 50, 100, 0, 5, 2},
-		Constraints: []Constraint{
-			{Coeffs: []float64{1, 1, 1, 0, 0, 0}, Rel: EQ, RHS: 1},
-			{Coeffs: []float64{0, 0, 0, 1, 1, 1}, Rel: EQ, RHS: 1},
-			{Coeffs: []float64{10, 0, 0, 10, 0, 0}, Rel: LE, RHS: 10},
-		},
-	}
-	// Budget starvation with a fractional root relaxation: the seed is
-	// all the solver has, and it must hand it back untouched.
-	frac := Problem{
-		C: []float64{-3, -4, -5},
-		Constraints: []Constraint{
-			{Coeffs: []float64{2, 3, 4}, Rel: LE, RHS: 4},
-		},
-	}
-	s, err := Solve(frac, Options{MaxNodes: 1, Incumbent: []int{1, 0, 0}})
-	if err != nil {
-		t.Fatalf("seeded budget-starved solve failed: %v", err)
-	}
-	if s.Optimal {
-		t.Fatal("truncated seeded solve claimed optimality")
-	}
-	if s.Objective > -3+1e-9 {
-		t.Fatalf("seeded solve returned %v, worse than its own seed (-3, feasible under RHS 4)", s.Objective)
-	}
-	// With a full budget the optimum (2: keep p1 in memory, unpersist
-	// p2) must be found regardless of the seed.
-	seed := []int{0, 1, 0, 0, 0, 1} // feasible, objective 52
-	s, err = Solve(p, Options{Incumbent: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Optimal || math.Abs(s.Objective-2) > 1e-9 {
-		t.Fatalf("seeded full solve: optimal=%v obj=%v, want optimal obj=2", s.Optimal, s.Objective)
-	}
-	// An optimal seed makes pruning immediate: the search proves
-	// optimality without re-deriving the assignment.
-	s2, err := Solve(p, Options{Incumbent: s.X})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s2.Optimal || math.Abs(s2.Objective-2) > 1e-9 {
-		t.Fatalf("optimally-seeded solve: optimal=%v obj=%v", s2.Optimal, s2.Objective)
-	}
-	if s2.Nodes > s.Nodes {
-		t.Fatalf("optimal seed explored more nodes (%d) than unseeded (%d)", s2.Nodes, s.Nodes)
-	}
-}
-
-// Infeasible or malformed incumbents are ignored, never trusted.
-func TestSolveIncumbentRejected(t *testing.T) {
-	p := Problem{
-		C: []float64{-3, -4, -5},
-		Constraints: []Constraint{
-			{Coeffs: []float64{2, 3, 4}, Rel: LE, RHS: 5},
-		},
-	}
-	for _, seed := range [][]int{
-		{1, 1, 1},    // violates the capacity row
-		{0, 2, 0},    // not binary
-		{1},          // wrong arity
-		{0, 0, 0, 0}, // wrong arity
-	} {
-		s, err := Solve(p, Options{Incumbent: seed})
-		if err != nil {
-			t.Fatalf("seed %v: %v", seed, err)
-		}
-		if !s.Optimal || math.Abs(s.Objective-(-7)) > 1e-6 {
-			t.Fatalf("seed %v corrupted the solve: optimal=%v obj=%v", seed, s.Optimal, s.Objective)
-		}
-		if !feasible(p, s.X) {
-			t.Fatalf("seed %v leaked an infeasible assignment %v", seed, s.X)
-		}
-	}
-}
-
 // KnapsackSearch reports its search effort, and its total is the value
 // of its selection.
 func TestKnapsackSearchAccounting(t *testing.T) {

@@ -163,13 +163,13 @@ type App struct {
 	// invocations and branch-and-bound (or knapsack search) nodes
 	// expanded. ILPFallbacks counts solves that could not produce an
 	// exact optimum — oversized instances routed to the knapsack
-	// relaxation, node-budget exhaustion, infeasible models — and
-	// ILPReused counts solves answered entirely from the cross-job
-	// solution memo without running the solver.
+	// relaxation, node-budget exhaustion, infeasible models.
 	ILPSolves    int
 	ILPNodes     int
 	ILPFallbacks int
-	ILPReused    int
+	// Deprecated: always 0; every solve runs the solver. Not compared
+	// by EqualDeterministic.
+	ILPReused int
 
 	// ILPSolveTime is the real (wall-clock) time spent inside the
 	// optimizer. Unlike every other duration in App it is not virtual
@@ -185,42 +185,27 @@ type App struct {
 	WindowsRun        int
 	PartitionsRetired int
 
-	// ILPDeltaSolves counts incremental optimizer re-solves at window
-	// boundaries (warm-started from the previous window's assignment);
-	// ILPColdSolves counts the from-scratch verification solves run
-	// alongside them when cold-solve verification is enabled, and
-	// ILPColdMismatches the boundaries where the two proved-optimal
-	// solves chose different cache sets (expected to stay zero).
+	// ILPDeltaSolves counts optimizer re-solves at window boundaries and
+	// ILPDeltaNodes their search effort (branch-and-bound / knapsack
+	// nodes); ILPDeltaSolveTime is the wall-clock time they took. Like
+	// ILPSolveTime it is real time, not virtual, and is excluded by
+	// EqualDeterministic.
 	ILPDeltaSolves    int
-	ILPColdSolves     int
-	ILPColdMismatches int
-
-	// ILPDeltaNodes and ILPColdNodes split the boundary search effort
-	// (branch-and-bound / knapsack nodes) between the incremental and
-	// cold solves, giving a hardware-independent view of the delta
-	// speedup alongside the wall-clock times.
-	ILPDeltaNodes int
-	ILPColdNodes  int
-
-	// ILPDeltaSolveTime and ILPColdSolveTime split the wall-clock solver
-	// time spent at window boundaries between the incremental re-solves
-	// and their cold verification counterparts. Like ILPSolveTime they
-	// are real time, not virtual, and are excluded by EqualDeterministic.
+	ILPDeltaNodes     int
 	ILPDeltaSolveTime time.Duration
-	ILPColdSolveTime  time.Duration
+	// Deprecated: always 0; boundary solves are no longer re-checked by
+	// a second, from-scratch solve. Not compared by EqualDeterministic.
+	ILPColdSolves, ILPColdNodes, ILPColdMismatches int
+	// Deprecated: always 0, like ILPColdSolves.
+	ILPColdSolveTime time.Duration
 
-	// RepairSolves, RepairNodes and RepairMismatches record post-recovery
-	// plan repair: placement re-solves over the surviving candidate set
-	// after an executor death or a crash resume, their search effort, and
-	// disagreements with the from-scratch verification solve (expected to
-	// stay zero). RepairSolveTime is the wall-clock time those solves
-	// took. All four are excluded by EqualDeterministic: a resumed run
-	// repairs once where an uninterrupted run repairs zero times, yet the
-	// two must otherwise compare equal.
-	RepairSolves     int
-	RepairNodes      int
-	RepairMismatches int
-	RepairSolveTime  time.Duration
+	// RepairSolves and RepairNodes record plan repair after an executor
+	// death: placement re-solves over the surviving candidate set and
+	// their search effort. RepairSolveTime is the wall-clock time those
+	// solves took, excluded by EqualDeterministic.
+	RepairSolves    int
+	RepairNodes     int
+	RepairSolveTime time.Duration
 
 	// ProfilingTime is the virtual time spent in Blaze's dependency
 	// extraction phase, included in the ACT per §7.2.
@@ -433,34 +418,29 @@ func (a *App) IncBlacklisted() {
 
 // EqualDeterministic reports whether two finished runs agree on every
 // deterministic metric. ILPSolveTime, ILPDeltaSolveTime and
-// ILPColdSolveTime are the wall-clock fields in App — identical
-// schedules legitimately differ on them across runs and machines — so
-// they are excluded; all other fields must match exactly. Call only
-// after both runs have finished: it reads and briefly rewrites the
-// excluded fields without locking, like direct post-run field access.
+// RepairSolveTime are the wall-clock fields in App — identical schedules
+// legitimately differ on them across runs and machines — so they are
+// excluded, as are the deprecated ILPReused and ILPCold* counters, which
+// this build leaves at 0 but a checkpoint written by an older one may
+// still carry; all other fields must match exactly. Call only after both
+// runs have finished: it reads and briefly rewrites the excluded fields
+// without locking, like direct post-run field access.
 func EqualDeterministic(a, b *App) bool {
-	at, bt := a.ILPSolveTime, b.ILPSolveTime
-	adt, bdt := a.ILPDeltaSolveTime, b.ILPDeltaSolveTime
-	act, bct := a.ILPColdSolveTime, b.ILPColdSolveTime
-	ars, brs := a.RepairSolves, b.RepairSolves
-	arn, brn := a.RepairNodes, b.RepairNodes
-	arm, brm := a.RepairMismatches, b.RepairMismatches
-	art, brt := a.RepairSolveTime, b.RepairSolveTime
-	a.ILPSolveTime, b.ILPSolveTime = 0, 0
-	a.ILPDeltaSolveTime, b.ILPDeltaSolveTime = 0, 0
-	a.ILPColdSolveTime, b.ILPColdSolveTime = 0, 0
-	a.RepairSolves, b.RepairSolves = 0, 0
-	a.RepairNodes, b.RepairNodes = 0, 0
-	a.RepairMismatches, b.RepairMismatches = 0, 0
-	a.RepairSolveTime, b.RepairSolveTime = 0, 0
+	type excluded struct {
+		solve, delta, repair, cold             time.Duration
+		reused, coldSolves, coldNodes, coldMis int
+	}
+	swap := func(m *App, e excluded) excluded {
+		old := excluded{m.ILPSolveTime, m.ILPDeltaSolveTime, m.RepairSolveTime, m.ILPColdSolveTime,
+			m.ILPReused, m.ILPColdSolves, m.ILPColdNodes, m.ILPColdMismatches}
+		m.ILPSolveTime, m.ILPDeltaSolveTime, m.RepairSolveTime, m.ILPColdSolveTime = e.solve, e.delta, e.repair, e.cold
+		m.ILPReused, m.ILPColdSolves, m.ILPColdNodes, m.ILPColdMismatches = e.reused, e.coldSolves, e.coldNodes, e.coldMis
+		return old
+	}
+	ea, eb := swap(a, excluded{}), swap(b, excluded{})
 	eq := reflect.DeepEqual(a, b)
-	a.ILPSolveTime, b.ILPSolveTime = at, bt
-	a.ILPDeltaSolveTime, b.ILPDeltaSolveTime = adt, bdt
-	a.ILPColdSolveTime, b.ILPColdSolveTime = act, bct
-	a.RepairSolves, b.RepairSolves = ars, brs
-	a.RepairNodes, b.RepairNodes = arn, brn
-	a.RepairMismatches, b.RepairMismatches = arm, brm
-	a.RepairSolveTime, b.RepairSolveTime = art, brt
+	swap(a, ea)
+	swap(b, eb)
 	return eq
 }
 

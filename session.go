@@ -5,10 +5,9 @@ package blaze
 // DAG is re-submitted once per window (Submit), window boundaries are
 // explicit (NextWindow) and the final metrics arrive at Close. Across a
 // boundary the controller retires lineage whose lifetime has passed and
-// re-solves the cache-placement ILP as a delta on the previous window's
-// assignment — the streaming counterpart of calling one-shot Run in a
-// loop, which would rebuild the cluster, lose all cached state and
-// re-solve from scratch every window.
+// re-solves the cache-placement ILP over the surviving candidates — the
+// streaming counterpart of calling one-shot Run in a loop, which would
+// rebuild the cluster and lose all cached state every window.
 
 import (
 	"bytes"
@@ -64,12 +63,6 @@ type SessionConfig struct {
 	// EventLog, when non-nil, records execution events, including the
 	// streaming kinds (window_start, partition_retired, ilp_delta_solve).
 	EventLog *EventLog
-	// ColdSolveVerify re-solves every window-boundary delta instance
-	// from scratch alongside the warm-started delta solve and counts
-	// disagreements between proven optima in ILPColdMismatches. Only
-	// meaningful for the Blaze systems; used by tests and blazebench to
-	// hold the delta-equals-cold invariant.
-	ColdSolveVerify bool
 	// CheckpointDir, when set, makes the session durable: every window
 	// boundary past the first commits a recovery snapshot (carried-state
 	// blocks, controller state, window stats) under this directory, and
@@ -87,9 +80,9 @@ type SessionConfig struct {
 	// running live, so the trigger never re-fires.
 	CrashWindow int
 	// RecoveryLog, when non-nil, receives the recovery-scoped events —
-	// checkpoint_written, session_resumed and the post-resume
-	// ilp_repair_solve records — which must stay out of EventLog to keep
-	// a resumed run's main log bit-identical to an uninterrupted one.
+	// checkpoint_written and session_resumed — which must stay out of
+	// EventLog to keep a resumed run's main log bit-identical to an
+	// uninterrupted one.
 	RecoveryLog *EventLog
 }
 
@@ -142,9 +135,9 @@ func (c SessionConfig) Validate() error {
 
 // WindowStats is one window's share of the run: the deltas of the
 // cumulative metrics between this window's start and end boundaries.
-// The two SolveTime fields are wall-clock measurements and are excluded
-// from EqualDeterministic; everything else is virtual-time deterministic
-// and bit-identical at every Parallelism.
+// ILPDeltaSolveTime is a wall-clock measurement and is excluded from
+// EqualDeterministic; everything else is virtual-time deterministic and
+// bit-identical at every Parallelism.
 type WindowStats struct {
 	Window int
 	// Cache traffic inside the window.
@@ -152,17 +145,25 @@ type WindowStats struct {
 	Evictions                 int
 	// Windowed-lineage activity at the window's start boundary.
 	PartitionsRetired int
-	// Incremental optimizer activity at the window's start boundary.
-	ILPDeltaSolves, ILPDeltaNodes                  int
+	// Optimizer activity at the window's start boundary.
+	ILPDeltaSolves, ILPDeltaNodes int
+	ILPDeltaSolveTime             time.Duration
+	// Deprecated: always 0; boundary solves are no longer re-checked by
+	// a from-scratch solve. Not compared by EqualDeterministic.
 	ILPColdSolves, ILPColdNodes, ILPColdMismatches int
-	ILPDeltaSolveTime, ILPColdSolveTime            time.Duration
+	// Deprecated: always 0, like ILPColdSolves.
+	ILPColdSolveTime time.Duration
 }
 
 // EqualDeterministic reports whether two windows agree on every
-// deterministic field (the wall-clock solve times are excluded).
+// deterministic field. The wall-clock solve time is excluded, and so are
+// the deprecated ILPCold* fields, which a checkpoint written by an older
+// build may still carry.
 func (w WindowStats) EqualDeterministic(o WindowStats) bool {
-	w.ILPDeltaSolveTime, w.ILPColdSolveTime = 0, 0
-	o.ILPDeltaSolveTime, o.ILPColdSolveTime = 0, 0
+	for _, s := range []*WindowStats{&w, &o} {
+		s.ILPDeltaSolveTime, s.ILPColdSolveTime = 0, 0
+		s.ILPColdSolves, s.ILPColdNodes, s.ILPColdMismatches = 0, 0, 0
+	}
 	return w == o
 }
 
@@ -173,8 +174,7 @@ func cumulativeStats(m *metrics.App) WindowStats {
 	return WindowStats{
 		MemHits: m.CacheHits, DiskHits: m.DiskHits, Misses: m.Misses, Evictions: m.Evictions,
 		PartitionsRetired: m.PartitionsRetired, ILPDeltaSolves: m.ILPDeltaSolves, ILPDeltaNodes: m.ILPDeltaNodes,
-		ILPColdSolves: m.ILPColdSolves, ILPColdNodes: m.ILPColdNodes, ILPColdMismatches: m.ILPColdMismatches,
-		ILPDeltaSolveTime: m.ILPDeltaSolveTime, ILPColdSolveTime: m.ILPColdSolveTime,
+		ILPDeltaSolveTime: m.ILPDeltaSolveTime,
 	}
 }
 
@@ -190,11 +190,7 @@ func (cur WindowStats) since(prev WindowStats, window int) WindowStats {
 		PartitionsRetired: cur.PartitionsRetired - prev.PartitionsRetired,
 		ILPDeltaSolves:    cur.ILPDeltaSolves - prev.ILPDeltaSolves,
 		ILPDeltaNodes:     cur.ILPDeltaNodes - prev.ILPDeltaNodes,
-		ILPColdSolves:     cur.ILPColdSolves - prev.ILPColdSolves,
-		ILPColdNodes:      cur.ILPColdNodes - prev.ILPColdNodes,
-		ILPColdMismatches: cur.ILPColdMismatches - prev.ILPColdMismatches,
 		ILPDeltaSolveTime: cur.ILPDeltaSolveTime - prev.ILPDeltaSolveTime,
-		ILPColdSolveTime:  cur.ILPColdSolveTime - prev.ILPColdSolveTime,
 	}
 }
 
@@ -318,8 +314,9 @@ var ErrNoCheckpoint = checkpoint.ErrNoCheckpoint
 // through the stores, controller state, metrics and the main event log
 // restored exactly — and execution goes live. The resumed run's window
 // results, metrics and event log are bit-identical to a run that never
-// crashed; resume bookkeeping (session_resumed, plan-repair solves)
-// goes to cfg.RecoveryLog. cfg must match the crashed session's.
+// crashed; resume bookkeeping (session_resumed) goes to
+// cfg.RecoveryLog. cfg must match the crashed session's: a different
+// executor count is rejected before replay starts.
 func ResumeSession(cfg SessionConfig) (*Session, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -331,6 +328,9 @@ func ResumeSession(cfg SessionConfig) (*Session, error) {
 	rs, clientBytes, err := checkpoint.Load(cfg.CheckpointDir)
 	if err != nil {
 		return nil, err
+	}
+	if len(rs.Execs) != cfg.Executors {
+		return nil, fmt.Errorf("blaze: checkpoint under %s was written by %d executors, config has %d", cfg.CheckpointDir, len(rs.Execs), cfg.Executors)
 	}
 	var restored *sessionClientState
 	if clientBytes != nil {
@@ -450,7 +450,7 @@ func (s *Session) clientState() ([]byte, error) {
 // the run), annotation-based systems reuse the batch recipes.
 func buildStreamSystem(cfg SessionConfig) (systemSpec, error) {
 	blazeSpec := func(b *core.Controller) systemSpec {
-		return systemSpec{ctl: tuneBlaze(b, cfg.DiskCapacity, cfg.ILPWindow).WithColdVerify(cfg.ColdSolveVerify)}
+		return systemSpec{ctl: tuneBlaze(b, cfg.DiskCapacity, cfg.ILPWindow)}
 	}
 	switch cfg.System {
 	case SysBlaze, SysBlazeNoProfile:
@@ -487,7 +487,7 @@ func (s *Session) Window() int { return s.window }
 
 // NextWindow closes the current window and opens the next: the
 // controller retires lineage whose lifetime has passed and re-solves the
-// placement ILP as a delta on the previous window's assignment. The
+// placement ILP over the surviving candidates. The
 // closing window's WindowStats entry is captured at the boundary.
 // Returns the new window index.
 //

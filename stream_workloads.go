@@ -150,7 +150,6 @@ type StreamConfig struct {
 	DiskCapacity      int64
 	ILPWindow         int
 	EventLog          *EventLog
-	ColdSolveVerify   bool
 	// CheckpointDir, CrashWindow and RecoveryLog configure durability
 	// and crash injection, as in SessionConfig. A run killed by
 	// CrashWindow returns ErrSessionCrashed; ResumeStream with the same
@@ -231,7 +230,6 @@ func runStream(cfg StreamConfig, open func(SessionConfig) (*Session, error)) (*S
 		DiskCapacity:      cfg.DiskCapacity,
 		ILPWindow:         cfg.ILPWindow,
 		EventLog:          cfg.EventLog,
-		ColdSolveVerify:   cfg.ColdSolveVerify,
 		CheckpointDir:     cfg.CheckpointDir,
 		CrashWindow:       cfg.CrashWindow,
 		RecoveryLog:       cfg.RecoveryLog,
