@@ -2,7 +2,6 @@ package dataflow
 
 import (
 	"math"
-	"reflect"
 	"slices"
 	"sync"
 )
@@ -10,10 +9,11 @@ import (
 // This file implements the Batch, the one container of the engine's task
 // loop. A batch holds one partition in one of two forms:
 //
-//   - Columnar: a dense key column plus a typed value column, so narrow
-//     operator chains run as flat loops without boxing one Record
-//     interface value per element. A kernel's output, a decoded block and
-//     a typed source are columnar.
+//   - Columnar: a key column plus a value column, flat (Dense or Ragged,
+//     see columns.go) or, for values of no registered shape, boxed
+//     (AnyColumn). Narrow operator chains run over flat columns as flat
+//     loops without boxing one Record interface value per element. A
+//     kernel's output, a decoded block and a typed source are columnar.
 //   - Row form (Rows): the []Record a row function returned, shared and
 //     never copied per record. Its records must not be mutated.
 //
@@ -54,9 +54,8 @@ type Column interface {
 	// AppendFrom appends element i of src without boxing; it reports
 	// false if src is not the same concrete column type.
 	AppendFrom(src Column, i int) bool
-	// SizeAt returns ValueSize(Value(i)) without boxing.
-	SizeAt(i int) int64
-	// SizeBytes returns the sum of SizeAt over all elements.
+	// SizeBytes returns the sum of ValueSize(Value(i)) over all elements,
+	// computed without boxing them.
 	SizeBytes() int64
 	// NewEmpty returns a fresh empty column of the same concrete type.
 	NewEmpty(capHint int) Column
@@ -245,7 +244,7 @@ func (b *Batch) clone(pooled bool) *Batch {
 	case nil:
 	case FlatColumn:
 		_, src := c.Layout()
-		dst := reflect.New(reflect.TypeOf(c).Elem()).Interface().(FlatColumn)
+		dst := c.blank()
 		_, arrays := dst.Layout()
 		appendArrays(arrays, src, pooled)
 		out.Col = dst
@@ -269,8 +268,8 @@ func (b *Batch) AppendBatch(src *Batch) {
 	if b.Col == nil {
 		b.Col = src.Col.NewEmpty(max(cap(b.Keys), n))
 	}
-	if d, ok := b.Col.(*F64Column); ok { // a shuffle bucket: no Layout slices to allocate
-		if s, ok := src.Col.(*F64Column); ok {
+	if d, ok := b.Col.(*Dense[float64]); ok { // a shuffle bucket: no Layout slices to allocate
+		if s, ok := src.Col.(*Dense[float64]); ok {
 			b.Keys = append(b.Keys, src.Keys...)
 			d.Vals = append(d.Vals, s.Vals...)
 			return
@@ -460,139 +459,7 @@ func putAnySlice(s []any) {
 	anySlicePool.put(s)
 }
 
-// --- built-in columns ------------------------------------------------
-
-// F64Column stores float64 values (shuffle contributions, partial sums).
-type F64Column struct{ Vals []float64 }
-
-// NewF64Column returns an empty float64 column with pooled storage.
-func NewF64Column(capHint int) *F64Column { return &F64Column{Vals: GetF64Slice(capHint)} }
-
-func (c *F64Column) Len() int        { return len(c.Vals) }
-func (c *F64Column) Value(i int) any { return c.Vals[i] }
-
-func (c *F64Column) AppendValue(v any) bool {
-	x, ok := v.(float64)
-	if !ok {
-		return false
-	}
-	c.Vals = append(c.Vals, x)
-	return true
-}
-
-func (c *F64Column) AppendFrom(src Column, i int) bool {
-	s, ok := src.(*F64Column)
-	if !ok {
-		return false
-	}
-	c.Vals = append(c.Vals, s.Vals[i])
-	return true
-}
-
-func (c *F64Column) SizeAt(int) int64            { return 8 }
-func (c *F64Column) SizeBytes() int64            { return 8 * int64(len(c.Vals)) }
-func (c *F64Column) NewEmpty(capHint int) Column { return NewF64Column(capHint) }
-
-func (c *F64Column) Release() {
-	PutF64Slice(c.Vals)
-	c.Vals = nil
-}
-
-// I64Column stores int64 values.
-type I64Column struct{ Vals []int64 }
-
-// NewI64Column returns an empty int64 column with pooled storage.
-func NewI64Column(capHint int) *I64Column { return &I64Column{Vals: GetI64Slice(capHint)} }
-
-func (c *I64Column) Len() int        { return len(c.Vals) }
-func (c *I64Column) Value(i int) any { return c.Vals[i] }
-
-func (c *I64Column) AppendValue(v any) bool {
-	x, ok := v.(int64)
-	if !ok {
-		return false
-	}
-	c.Vals = append(c.Vals, x)
-	return true
-}
-
-func (c *I64Column) AppendFrom(src Column, i int) bool {
-	s, ok := src.(*I64Column)
-	if !ok {
-		return false
-	}
-	c.Vals = append(c.Vals, s.Vals[i])
-	return true
-}
-
-func (c *I64Column) SizeAt(int) int64            { return 8 }
-func (c *I64Column) SizeBytes() int64            { return 8 * int64(len(c.Vals)) }
-func (c *I64Column) NewEmpty(capHint int) Column { return NewI64Column(capHint) }
-
-func (c *I64Column) Release() {
-	PutI64Slice(c.Vals)
-	c.Vals = nil
-}
-
-// FloatsColumn stores []float64 values as a flattened struct-of-arrays:
-// element i spans Flat[Off[i]:Off[i+1]].
-type FloatsColumn struct {
-	Off  []int32
-	Flat []float64
-}
-
-// NewFloatsColumn returns an empty []float64 column with pooled storage.
-func NewFloatsColumn(capHint int) *FloatsColumn {
-	c := &FloatsColumn{Off: GetI32Slice(capHint + 1), Flat: GetF64Slice(capHint)}
-	c.Off = append(c.Off, 0)
-	return c
-}
-
-func (c *FloatsColumn) Len() int { return len(c.Off) - 1 }
-
-func (c *FloatsColumn) Value(i int) any {
-	lo, hi := c.Off[i], c.Off[i+1]
-	if lo == hi {
-		return []float64(nil)
-	}
-	out := make([]float64, hi-lo)
-	copy(out, c.Flat[lo:hi])
-	return out
-}
-
-func (c *FloatsColumn) AppendValue(v any) bool {
-	x, ok := v.([]float64)
-	if !ok {
-		return false
-	}
-	c.Flat = append(c.Flat, x...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *FloatsColumn) AppendFrom(src Column, i int) bool {
-	s, ok := src.(*FloatsColumn)
-	if !ok {
-		return false
-	}
-	c.Flat = append(c.Flat, s.Flat[s.Off[i]:s.Off[i+1]]...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *FloatsColumn) SizeAt(i int) int64 { return 24 + 8*int64(c.Off[i+1]-c.Off[i]) }
-
-func (c *FloatsColumn) SizeBytes() int64 {
-	return 24*int64(c.Len()) + 8*int64(len(c.Flat))
-}
-
-func (c *FloatsColumn) NewEmpty(capHint int) Column { return NewFloatsColumn(capHint) }
-
-func (c *FloatsColumn) Release() {
-	PutI32Slice(c.Off)
-	PutF64Slice(c.Flat)
-	c.Off, c.Flat = nil, nil
-}
+// --- boxed columns ---------------------------------------------------
 
 // rowsColumn is the column of a row-form batch: the records themselves,
 // keys included, shared and never written.
@@ -602,7 +469,6 @@ func (c *rowsColumn) Len() int                    { return len(*c) }
 func (c *rowsColumn) Value(i int) any             { return (*c)[i].Value }
 func (c *rowsColumn) AppendValue(any) bool        { return false }
 func (c *rowsColumn) AppendFrom(Column, int) bool { return false }
-func (c *rowsColumn) SizeAt(i int) int64          { return ValueSize((*c)[i].Value) }
 
 func (c *rowsColumn) SizeBytes() int64 {
 	var s int64
@@ -641,8 +507,6 @@ func (c *AnyColumn) AppendFrom(src Column, i int) bool {
 	return true
 }
 
-func (c *AnyColumn) SizeAt(i int) int64 { return ValueSize(c.Vals[i]) }
-
 func (c *AnyColumn) SizeBytes() int64 {
 	var s int64
 	for _, v := range c.Vals {
@@ -656,39 +520,6 @@ func (c *AnyColumn) NewEmpty(capHint int) Column { return NewAnyColumn(capHint) 
 func (c *AnyColumn) Release() {
 	putAnySlice(c.Vals)
 	c.Vals = nil
-}
-
-// --- column registry -------------------------------------------------
-
-var columnBuilders sync.Map // reflect.Type -> func(capHint int) Column
-
-// RegisterColumnType installs a typed column builder for values with the
-// same dynamic type as sample, the way RegisterValueType does for gob.
-// Workload packages register their payload columns from init. A column
-// that is a FlatColumn also becomes decodable from typed blocks.
-func RegisterColumnType(sample any, builder func(capHint int) Column) {
-	columnBuilders.Store(reflect.TypeOf(sample), builder)
-	proto := builder(0)
-	registerFlat(proto)
-	proto.Release()
-}
-
-// columnFor picks the column for a partition's first value.
-func columnFor(v any, capHint int) Column {
-	switch v.(type) {
-	case float64:
-		return NewF64Column(capHint)
-	case int64:
-		return NewI64Column(capHint)
-	case []float64:
-		return NewFloatsColumn(capHint)
-	}
-	if v != nil {
-		if b, ok := columnBuilders.Load(reflect.TypeOf(v)); ok {
-			return b.(func(int) Column)(capHint)
-		}
-	}
-	return NewAnyColumn(capHint)
 }
 
 // --- batch kernels ---------------------------------------------------
@@ -783,7 +614,7 @@ func (d *Dataset) ReduceByKeyF64(name string, parts int, f func(a, b float64) fl
 // combiner, preserving first-seen key order exactly like mergeByKey. A
 // non-float64 column falls back to the boxed merge.
 func MergeBatchByKeyF64(in *Batch, f func(a, b float64) float64) *Batch {
-	fc, ok := in.Col.(*F64Column)
+	fc, ok := in.Col.(*Dense[float64])
 	if !ok && in.Len() > 0 {
 		out := FromRecords(mergeByKey(in.Records(), func(a, b any) any {
 			return f(a.(float64), b.(float64))
@@ -793,7 +624,7 @@ func MergeBatchByKeyF64(in *Batch, f func(a, b float64) float64) *Batch {
 	}
 	out := NewBatch(in.Len())
 	out.NonNil = true // mergeByKey returns a non-nil (possibly empty) slice
-	oc := NewF64Column(in.Len())
+	oc := NewDense[float64](in.Len())
 	out.Col = oc
 	if in.Len() <= smallCombine {
 	next:

@@ -76,9 +76,10 @@ func TestSlicePoolRoundTripAllocatesNothing(t *testing.T) {
 }
 
 // TestBatchSizeEquivalence is the sizing identity the engine's
-// bit-identical metrics rest on: for every column type, SizeAt(i) must
-// equal ValueSize(Value(i)) and EstimateSize must equal EstimateRecords
-// of the boxed rows.
+// bit-identical metrics rest on: for every built-in column type,
+// SizeBytes must equal the sum of ValueSize(Value(i)) and EstimateSize
+// must equal EstimateRecords of the boxed rows. TestColumnSizeIdentity
+// covers the workload packages' columns.
 func TestBatchSizeEquivalence(t *testing.T) {
 	recs := []Record{
 		{Key: 1, Value: 0.5}, {Key: 2, Value: 1.5}, {Key: 3, Value: 2.5},
@@ -92,11 +93,12 @@ func TestBatchSizeEquivalence(t *testing.T) {
 	}
 	for _, rs := range vals {
 		b := FromRecords(rs)
+		var sum int64
 		for i := 0; i < b.Len(); i++ {
-			boxed := b.Col.Value(i)
-			if got, want := b.Col.SizeAt(i), ValueSize(boxed); got != want {
-				t.Errorf("col %T elem %d: SizeAt=%d ValueSize(Value)=%d", b.Col, i, got, want)
-			}
+			sum += ValueSize(b.Col.Value(i))
+		}
+		if got := b.Col.SizeBytes(); got != sum {
+			t.Errorf("col %T: SizeBytes=%d, ValueSize of the values sums to %d", b.Col, got, sum)
 		}
 		if got, want := b.EstimateSize(), EstimateRecords(rs); got != want {
 			t.Errorf("col %T: EstimateSize=%d EstimateRecords=%d", b.Col, got, want)
@@ -131,7 +133,7 @@ func TestBatchAppendFromBatch(t *testing.T) {
 func TestBatchValueCopies(t *testing.T) {
 	b := FromRecords([]Record{{Key: 1, Value: []float64{1, 2, 3}}})
 	v := b.Col.Value(0).([]float64)
-	fc := b.Col.(*FloatsColumn)
+	fc := b.Col.(*Ragged[float64, []float64, FloatsKind])
 	fc.Flat[0] = 99
 	if v[0] != 1 {
 		t.Fatal("Value aliases the column's backing array")
@@ -171,18 +173,6 @@ func TestBatchMigrate(t *testing.T) {
 	}
 	if _, ok := b.Col.(*AnyColumn); !ok {
 		t.Errorf("expected AnyColumn after migration, got %T", b.Col)
-	}
-	b.Release()
-}
-
-// TestRegisteredColumnSelected checks the registry routes a registered
-// payload type to its typed column.
-func TestRegisteredColumnSelected(t *testing.T) {
-	type regVal struct{ X float64 }
-	RegisterColumnType(regVal{}, func(capHint int) Column { return NewAnyColumn(capHint) })
-	b := FromRecords([]Record{{Key: 1, Value: regVal{X: 1}}})
-	if _, ok := b.Col.(*AnyColumn); !ok {
-		t.Errorf("registered builder not used, got %T", b.Col)
 	}
 	b.Release()
 }

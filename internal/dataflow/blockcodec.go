@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"slices"
-	"sync"
 )
 
 // This file is the at-rest byte format of one partition: what a
@@ -17,8 +15,9 @@ import (
 //
 //	byte    BlockTyped
 //	byte    NonNil (0 or 1)
-//	byte+s  length and bytes of the column's registered name ("" = no column)
-//	arrays  Keys, then the column's arrays in Layout order, each a u32
+//	byte+s  length and bytes of the column's block name ("" = no column)
+//	arrays  Keys, then the column's arrays in Layout order (Dense: Vals;
+//	        Ragged: Lead if its kind has one, Off, Flat), each a u32
 //	        element count followed by the elements (8 or 4 bytes each)
 //
 // All integers and float bits are little-endian. Which arrays a column
@@ -73,50 +72,10 @@ type FlatColumn interface {
 	// instead of copying them. Only valid on columns whose arrays are
 	// never pooled or rewritten (decoded blocks).
 	View(i int) any
+	// blank returns a zero column of the same type, for a decode or a
+	// clone to fill through its Layout.
+	blank() FlatColumn
 }
-
-// Span returns element i of a ragged array without copying: nil when
-// empty, capacity-clipped otherwise so an append by whoever holds it
-// cannot reach its neighbour.
-func Span[T any](flat []T, off []int32, i int) []T {
-	lo, hi := off[i], off[i+1]
-	if lo == hi {
-		return nil
-	}
-	return flat[lo:hi:hi]
-}
-
-var flatColumns sync.Map // block name -> reflect.Type of the column struct
-
-// registerFlat records a flat column's type under its block name so
-// DecodeBlock can rebuild it.
-func registerFlat(proto Column) {
-	if fc, ok := proto.(FlatColumn); ok {
-		name, _ := fc.Layout()
-		if name == "" || len(name) > math.MaxUint8 {
-			panic(fmt.Sprintf("dataflow: %T has no usable block name (%q)", proto, name))
-		}
-		flatColumns.Store(name, reflect.TypeOf(proto).Elem())
-	}
-}
-
-func init() {
-	registerFlat(&F64Column{})
-	registerFlat(&I64Column{})
-	registerFlat(&FloatsColumn{})
-}
-
-func (c *F64Column) Layout() (string, []Array) { return "f64", []Array{{F64: &c.Vals}} }
-func (c *F64Column) View(i int) any            { return c.Vals[i] }
-
-func (c *I64Column) Layout() (string, []Array) { return "i64", []Array{{I64: &c.Vals}} }
-func (c *I64Column) View(i int) any            { return c.Vals[i] }
-
-func (c *FloatsColumn) Layout() (string, []Array) {
-	return "floats", []Array{{Off: &c.Off}, {F64: &c.Flat}}
-}
-
-func (c *FloatsColumn) View(i int) any { return Span(c.Flat, c.Off, i) }
 
 // EncodeBlock serializes a batch as a typed block. It reports false for a
 // batch whose column is not a FlatColumn; the caller falls back to gob.
@@ -226,11 +185,11 @@ func decodeBlock(data []byte, pooled bool) (*Batch, error) {
 	b := &Batch{NonNil: h[1] == 1}
 	arrays := []Array{{I64: &b.Keys}}
 	if name != "" {
-		t, ok := flatColumns.Load(name)
+		proto, ok := columnsByName[name]
 		if !ok {
 			return nil, fmt.Errorf("dataflow: block names unregistered column %q", name)
 		}
-		fc := reflect.New(t.(reflect.Type)).Interface().(FlatColumn)
+		fc := proto.blank()
 		_, cols := fc.Layout()
 		arrays = append(arrays, cols...)
 		b.Col = fc

@@ -106,11 +106,11 @@ func (r Router) Split(in *Batch) []*Batch {
 			out[b] = &Batch{Keys: make([]int64, 0, c), NonNil: true}
 		}
 	}
-	if fc, ok := in.Col.(*F64Column); ok {
-		cols := make([]*F64Column, r.parts)
+	if fc, ok := in.Col.(*Dense[float64]); ok {
+		cols := make([]*Dense[float64], r.parts)
 		for b, c := range counts {
 			if c > 0 {
-				cols[b] = &F64Column{Vals: make([]float64, 0, c)}
+				cols[b] = &Dense[float64]{Vals: make([]float64, 0, c)}
 				out[b].Col = cols[b]
 			}
 		}

@@ -12,10 +12,10 @@ type Sized interface {
 }
 
 // ValueSize estimates the in-memory footprint of a record value. The
-// batched execution path depends on these rules being exact: every
-// Column implementation must report SizeAt(i) == ValueSize(Value(i)),
-// which is what keeps virtual-time metrics bit-identical between the
-// row-at-a-time and columnar loops.
+// columnar path depends on these rules being exact: every Column's
+// SizeBytes equals the sum of ValueSize over its values, which is what
+// keeps virtual-time metrics bit-identical between a partition's two
+// forms.
 func ValueSize(v any) int64 {
 	switch x := v.(type) {
 	case nil:

@@ -49,7 +49,7 @@ func (c *Cluster) writeMapOutput(st *Stage, part, executor int, out *dataflow.Ba
 // as the shuffle service keeps it until the shuffle is cleaned (see
 // Router.Split).
 func route(dep dataflow.Dependency, router dataflow.Router, out *dataflow.Batch) ([]*dataflow.Batch, []int64, int64) {
-	_, f64 := out.Col.(*dataflow.F64Column)
+	_, f64 := out.Col.(*dataflow.Dense[float64])
 	unboxed := f64 && dep.CombineF64 != nil
 	if out.RowForm() || dep.Combine != nil && !unboxed {
 		recs := out.Records()

@@ -321,7 +321,7 @@ func (c *Cluster) finishResume() {
 	}
 	for _, b := range rs.MemBlocks {
 		if err := c.execs[b.Executor].Mem.Restore(b.Meta, b.Data); err != nil {
-			panic(fmt.Sprintf("engine: resume: %v", err))
+			panic(fmt.Errorf("engine: resume: %w", err))
 		}
 		c.ctl.OnBlockAdmitted(c.execs[b.Executor], b.Meta.ID)
 	}
@@ -330,7 +330,7 @@ func (c *Cluster) finishResume() {
 	}
 	for _, b := range rs.DiskBlocks {
 		if err := c.execs[b.Executor].Disk.Restore(b.ID, b.Data, b.Size); err != nil {
-			panic(fmt.Sprintf("engine: resume: %v", err))
+			panic(fmt.Errorf("engine: resume: %w", err))
 		}
 	}
 	for i, ex := range c.execs {
@@ -339,7 +339,7 @@ func (c *Cluster) finishResume() {
 
 	c.met.CopyFrom(rs.Metrics)
 	if err := c.shuffle.Restore(rs.Shuffle); err != nil {
-		panic(fmt.Sprintf("engine: resume: %v", err))
+		panic(fmt.Errorf("engine: resume: %w", err))
 	}
 	c.jobSeq = rs.JobSeq
 	c.stageSeq = rs.StageSeq
@@ -370,7 +370,7 @@ func (c *Cluster) finishResume() {
 
 	if ss, ok := c.ctl.(StateSnapshotter); ok && rs.Controller != nil {
 		if err := ss.RestoreState(rs.Controller); err != nil {
-			panic(fmt.Sprintf("engine: resume: controller restore: %v", err))
+			panic(fmt.Errorf("engine: resume: controller restore: %w", err))
 		}
 	}
 	if c.log != nil {

@@ -1,6 +1,6 @@
 package graphx
 
-// Columnar payload columns and batch kernels for the graph workloads.
+// Payload kinds, their columns and batch kernels for the graph workloads.
 // Each kernel is the vectorized twin of a row compute function in
 // pagerank.go / stream.go / svdpp.go and must stay observationally
 // identical to it: same records, same order, bit-equal floats (identical
@@ -13,230 +13,42 @@ import (
 )
 
 func init() {
-	dataflow.RegisterColumnType(AdjList{}, func(capHint int) dataflow.Column {
-		return NewAdjListColumn(capHint)
-	})
-	dataflow.RegisterColumnType(VertexRank{}, func(capHint int) dataflow.Column {
-		return NewVertexRankColumn(capHint)
-	})
-	dataflow.RegisterColumnType(Factors{}, func(capHint int) dataflow.Column {
-		return NewFactorsColumn(capHint)
-	})
+	dataflow.RegisterKind(AdjListKind{})
+	dataflow.RegisterKind(VertexRankKind{})
+	dataflow.RegisterKind(FactorsKind{})
 }
 
-// AdjListColumn stores AdjList values as a flattened struct-of-arrays:
-// element i's destinations span Flat[Off[i]:Off[i+1]].
-type AdjListColumn struct {
-	Off  []int32
-	Flat []int64
-}
+// The payload columns: an adjacency list, a rank plus an adjacency list
+// (the lead), and a factor vector per record.
+type (
+	adjListColumn    = dataflow.Ragged[int64, AdjList, AdjListKind]
+	vertexRankColumn = dataflow.Ragged[int64, VertexRank, VertexRankKind]
+	factorsColumn    = dataflow.Ragged[float64, Factors, FactorsKind]
+)
 
-// NewAdjListColumn returns an empty adjacency column with pooled storage.
-func NewAdjListColumn(capHint int) *AdjListColumn {
-	c := &AdjListColumn{Off: dataflow.GetI32Slice(capHint + 1), Flat: dataflow.GetI64Slice(capHint)}
-	c.Off = append(c.Off, 0)
-	return c
-}
+// AdjListKind flattens AdjList values.
+type AdjListKind struct{}
 
-func (c *AdjListColumn) Len() int { return len(c.Off) - 1 }
+func (AdjListKind) Name() string                       { return "graphx.AdjList" }
+func (AdjListKind) HasLead() bool                      { return false }
+func (AdjListKind) Box(_ float64, s []int64) AdjList   { return AdjList{Dsts: s} }
+func (AdjListKind) Unbox(v AdjList) (float64, []int64) { return 0, v.Dsts }
 
-func (c *AdjListColumn) Value(i int) any {
-	lo, hi := c.Off[i], c.Off[i+1]
-	if lo == hi {
-		return AdjList{}
-	}
-	out := make([]int64, hi-lo)
-	copy(out, c.Flat[lo:hi])
-	return AdjList{Dsts: out}
-}
+// VertexRankKind flattens VertexRank values, the rank as the lead.
+type VertexRankKind struct{}
 
-func (c *AdjListColumn) View(i int) any {
-	return AdjList{Dsts: dataflow.Span(c.Flat, c.Off, i)}
-}
+func (VertexRankKind) Name() string                          { return "graphx.VertexRank" }
+func (VertexRankKind) HasLead() bool                         { return true }
+func (VertexRankKind) Box(r float64, s []int64) VertexRank   { return VertexRank{Adj: s, Rank: r} }
+func (VertexRankKind) Unbox(v VertexRank) (float64, []int64) { return v.Rank, v.Adj }
 
-func (c *AdjListColumn) Layout() (string, []dataflow.Array) {
-	return "graphx.AdjList", []dataflow.Array{{Off: &c.Off}, {I64: &c.Flat}}
-}
+// FactorsKind flattens Factors values.
+type FactorsKind struct{}
 
-func (c *AdjListColumn) AppendValue(v any) bool {
-	x, ok := v.(AdjList)
-	if !ok {
-		return false
-	}
-	c.Flat = append(c.Flat, x.Dsts...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *AdjListColumn) AppendFrom(src dataflow.Column, i int) bool {
-	s, ok := src.(*AdjListColumn)
-	if !ok {
-		return false
-	}
-	c.Flat = append(c.Flat, s.Flat[s.Off[i]:s.Off[i+1]]...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *AdjListColumn) SizeAt(i int) int64 { return 24 + 8*int64(c.Off[i+1]-c.Off[i]) }
-
-func (c *AdjListColumn) SizeBytes() int64 {
-	return 24*int64(c.Len()) + 8*int64(len(c.Flat))
-}
-
-func (c *AdjListColumn) NewEmpty(capHint int) dataflow.Column { return NewAdjListColumn(capHint) }
-
-func (c *AdjListColumn) Release() {
-	dataflow.PutI32Slice(c.Off)
-	dataflow.PutI64Slice(c.Flat)
-	c.Off, c.Flat = nil, nil
-}
-
-// VertexRankColumn stores VertexRank values: a dense rank column plus the
-// flattened adjacency.
-type VertexRankColumn struct {
-	Ranks   []float64
-	AdjOff  []int32
-	AdjFlat []int64
-}
-
-// NewVertexRankColumn returns an empty rank-graph column with pooled
-// storage.
-func NewVertexRankColumn(capHint int) *VertexRankColumn {
-	c := &VertexRankColumn{
-		Ranks:   dataflow.GetF64Slice(capHint),
-		AdjOff:  dataflow.GetI32Slice(capHint + 1),
-		AdjFlat: dataflow.GetI64Slice(capHint),
-	}
-	c.AdjOff = append(c.AdjOff, 0)
-	return c
-}
-
-func (c *VertexRankColumn) Len() int { return len(c.Ranks) }
-
-func (c *VertexRankColumn) Value(i int) any {
-	lo, hi := c.AdjOff[i], c.AdjOff[i+1]
-	var adj []int64
-	if lo != hi {
-		adj = make([]int64, hi-lo)
-		copy(adj, c.AdjFlat[lo:hi])
-	}
-	return VertexRank{Adj: adj, Rank: c.Ranks[i]}
-}
-
-func (c *VertexRankColumn) View(i int) any {
-	return VertexRank{Adj: dataflow.Span(c.AdjFlat, c.AdjOff, i), Rank: c.Ranks[i]}
-}
-
-func (c *VertexRankColumn) Layout() (string, []dataflow.Array) {
-	return "graphx.VertexRank", []dataflow.Array{{F64: &c.Ranks}, {Off: &c.AdjOff}, {I64: &c.AdjFlat}}
-}
-
-func (c *VertexRankColumn) AppendValue(v any) bool {
-	x, ok := v.(VertexRank)
-	if !ok {
-		return false
-	}
-	c.Ranks = append(c.Ranks, x.Rank)
-	c.AdjFlat = append(c.AdjFlat, x.Adj...)
-	c.AdjOff = append(c.AdjOff, int32(len(c.AdjFlat)))
-	return true
-}
-
-func (c *VertexRankColumn) AppendFrom(src dataflow.Column, i int) bool {
-	s, ok := src.(*VertexRankColumn)
-	if !ok {
-		return false
-	}
-	c.Ranks = append(c.Ranks, s.Ranks[i])
-	c.AdjFlat = append(c.AdjFlat, s.AdjFlat[s.AdjOff[i]:s.AdjOff[i+1]]...)
-	c.AdjOff = append(c.AdjOff, int32(len(c.AdjFlat)))
-	return true
-}
-
-func (c *VertexRankColumn) SizeAt(i int) int64 {
-	return 40 + 8*int64(c.AdjOff[i+1]-c.AdjOff[i])
-}
-
-func (c *VertexRankColumn) SizeBytes() int64 {
-	return 40*int64(c.Len()) + 8*int64(len(c.AdjFlat))
-}
-
-func (c *VertexRankColumn) NewEmpty(capHint int) dataflow.Column { return NewVertexRankColumn(capHint) }
-
-func (c *VertexRankColumn) Release() {
-	dataflow.PutF64Slice(c.Ranks)
-	dataflow.PutI32Slice(c.AdjOff)
-	dataflow.PutI64Slice(c.AdjFlat)
-	c.Ranks, c.AdjOff, c.AdjFlat = nil, nil, nil
-}
-
-// FactorsColumn stores Factors values as a flattened struct-of-arrays.
-type FactorsColumn struct {
-	Off  []int32
-	Flat []float64
-}
-
-// NewFactorsColumn returns an empty factor column with pooled storage.
-func NewFactorsColumn(capHint int) *FactorsColumn {
-	c := &FactorsColumn{Off: dataflow.GetI32Slice(capHint + 1), Flat: dataflow.GetF64Slice(capHint)}
-	c.Off = append(c.Off, 0)
-	return c
-}
-
-func (c *FactorsColumn) Len() int { return len(c.Off) - 1 }
-
-func (c *FactorsColumn) Value(i int) any {
-	lo, hi := c.Off[i], c.Off[i+1]
-	var v []float64
-	if lo != hi {
-		v = make([]float64, hi-lo)
-		copy(v, c.Flat[lo:hi])
-	}
-	return Factors{V: v}
-}
-
-func (c *FactorsColumn) View(i int) any {
-	return Factors{V: dataflow.Span(c.Flat, c.Off, i)}
-}
-
-func (c *FactorsColumn) Layout() (string, []dataflow.Array) {
-	return "graphx.Factors", []dataflow.Array{{Off: &c.Off}, {F64: &c.Flat}}
-}
-
-func (c *FactorsColumn) AppendValue(v any) bool {
-	x, ok := v.(Factors)
-	if !ok {
-		return false
-	}
-	c.Flat = append(c.Flat, x.V...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *FactorsColumn) AppendFrom(src dataflow.Column, i int) bool {
-	s, ok := src.(*FactorsColumn)
-	if !ok {
-		return false
-	}
-	c.Flat = append(c.Flat, s.Flat[s.Off[i]:s.Off[i+1]]...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *FactorsColumn) SizeAt(i int) int64 { return 24 + 8*int64(c.Off[i+1]-c.Off[i]) }
-
-func (c *FactorsColumn) SizeBytes() int64 {
-	return 24*int64(c.Len()) + 8*int64(len(c.Flat))
-}
-
-func (c *FactorsColumn) NewEmpty(capHint int) dataflow.Column { return NewFactorsColumn(capHint) }
-
-func (c *FactorsColumn) Release() {
-	dataflow.PutI32Slice(c.Off)
-	dataflow.PutF64Slice(c.Flat)
-	c.Off, c.Flat = nil, nil
-}
+func (FactorsKind) Name() string                         { return "graphx.Factors" }
+func (FactorsKind) HasLead() bool                        { return false }
+func (FactorsKind) Box(_ float64, s []float64) Factors   { return Factors{V: s} }
+func (FactorsKind) Unbox(v Factors) (float64, []float64) { return 0, v.V }
 
 // --- PageRank kernels --------------------------------------------------
 
@@ -251,18 +63,18 @@ func rankInitKernel() dataflow.BatchFunc {
 		if in.Len() == 0 {
 			return out
 		}
-		ac, ok := in.Col.(*AdjListColumn)
+		ac, ok := in.Col.(*adjListColumn)
 		if !ok {
 			return nil
 		}
-		oc := NewVertexRankColumn(in.Len())
+		oc := dataflow.NewRagged(VertexRankKind{}, in.Len())
 		out.Col = oc
 		out.Keys = append(out.Keys, in.Keys...)
 		for range in.Keys {
-			oc.Ranks = append(oc.Ranks, 1)
+			oc.Lead = append(oc.Lead, 1)
 		}
-		oc.AdjFlat = append(oc.AdjFlat, ac.Flat...)
-		oc.AdjOff = append(oc.AdjOff[:0], ac.Off...)
+		oc.Flat = append(oc.Flat, ac.Flat...)
+		oc.Off = append(oc.Off[:0], ac.Off...)
 		return out
 	}
 }
@@ -276,20 +88,20 @@ func contribsKernel() dataflow.BatchFunc {
 		if in.Len() == 0 {
 			return dataflow.NewBatch(0) // row FlatMap appends nothing: nil
 		}
-		vc, ok := in.Col.(*VertexRankColumn)
+		vc, ok := in.Col.(*vertexRankColumn)
 		if !ok {
 			return nil
 		}
-		out := dataflow.NewBatch(len(vc.AdjFlat))
-		oc := dataflow.NewF64Column(len(vc.AdjFlat))
+		out := dataflow.NewBatch(len(vc.Flat))
+		oc := dataflow.NewDense[float64](len(vc.Flat))
 		out.Col = oc
-		for i := range vc.Ranks {
-			lo, hi := vc.AdjOff[i], vc.AdjOff[i+1]
+		for i := range vc.Lead {
+			lo, hi := vc.Off[i], vc.Off[i+1]
 			if lo == hi {
 				continue
 			}
-			share := vc.Ranks[i] / float64(hi-lo)
-			for _, dst := range vc.AdjFlat[lo:hi] {
+			share := vc.Lead[i] / float64(hi-lo)
+			for _, dst := range vc.Flat[lo:hi] {
 				out.Keys = append(out.Keys, dst)
 				oc.Vals = append(oc.Vals, share)
 			}
@@ -314,22 +126,22 @@ func rankUpdateKernel(resetProb float64) dataflow.BatchFunc {
 		if gs.Len() == 0 {
 			return out
 		}
-		vc, ok := gs.Col.(*VertexRankColumn)
+		vc, ok := gs.Col.(*vertexRankColumn)
 		if !ok {
 			out.Release()
 			return nil
 		}
-		oc := NewVertexRankColumn(gs.Len())
+		oc := dataflow.NewRagged(VertexRankKind{}, gs.Len())
 		out.Col = oc
 		out.Keys = append(out.Keys, gs.Keys...)
-		oc.AdjFlat = append(oc.AdjFlat, vc.AdjFlat...)
-		oc.AdjOff = append(oc.AdjOff[:0], vc.AdjOff...)
+		oc.Flat = append(oc.Flat, vc.Flat...)
+		oc.Off = append(oc.Off[:0], vc.Off...)
 		for _, k := range gs.Keys {
 			s := 0.0
 			if sv, ok := sum[k]; ok {
 				s = sv
 			}
-			oc.Ranks = append(oc.Ranks, resetProb+(1-resetProb)*s)
+			oc.Lead = append(oc.Lead, resetProb+(1-resetProb)*s)
 		}
 		return out
 	}
@@ -343,12 +155,12 @@ func rankCarryKernel() dataflow.BatchFunc {
 		as, cs := ins[0], ins[1]
 		prev := make(map[int64]float64, cs.Len())
 		if cs.Len() > 0 {
-			pc, ok := cs.Col.(*VertexRankColumn)
+			pc, ok := cs.Col.(*vertexRankColumn)
 			if !ok {
 				return nil
 			}
 			for i, k := range cs.Keys {
-				prev[k] = pc.Ranks[i]
+				prev[k] = pc.Lead[i]
 			}
 		}
 		out := dataflow.NewBatch(as.Len())
@@ -356,22 +168,22 @@ func rankCarryKernel() dataflow.BatchFunc {
 		if as.Len() == 0 {
 			return out
 		}
-		ac, ok := as.Col.(*AdjListColumn)
+		ac, ok := as.Col.(*adjListColumn)
 		if !ok {
 			out.Release()
 			return nil
 		}
-		oc := NewVertexRankColumn(as.Len())
+		oc := dataflow.NewRagged(VertexRankKind{}, as.Len())
 		out.Col = oc
 		out.Keys = append(out.Keys, as.Keys...)
-		oc.AdjFlat = append(oc.AdjFlat, ac.Flat...)
-		oc.AdjOff = append(oc.AdjOff[:0], ac.Off...)
+		oc.Flat = append(oc.Flat, ac.Flat...)
+		oc.Off = append(oc.Off[:0], ac.Off...)
 		for _, k := range as.Keys {
 			rank := 1.0
 			if r, ok := prev[k]; ok {
 				rank = r
 			}
-			oc.Ranks = append(oc.Ranks, rank)
+			oc.Lead = append(oc.Lead, rank)
 		}
 		return out
 	}
@@ -384,7 +196,7 @@ func f64Map(b *dataflow.Batch) (map[int64]float64, bool) {
 	if b.Len() == 0 {
 		return m, true
 	}
-	fc, ok := b.Col.(*dataflow.F64Column)
+	fc, ok := b.Col.(*dataflow.Dense[float64])
 	if !ok {
 		return nil, false
 	}
@@ -405,10 +217,10 @@ func f64Map(b *dataflow.Batch) (map[int64]float64, bool) {
 func factorsStepKernel(learnRate float64) dataflow.BatchFunc {
 	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
 		fs, gs := ins[0], ins[1]
-		var gc *FactorsColumn
+		var gc *factorsColumn
 		if gs.Len() > 0 {
 			var ok bool
-			gc, ok = gs.Col.(*FactorsColumn)
+			gc, ok = gs.Col.(*factorsColumn)
 			if !ok {
 				return nil
 			}
@@ -422,12 +234,12 @@ func factorsStepKernel(learnRate float64) dataflow.BatchFunc {
 		if fs.Len() == 0 {
 			return out
 		}
-		fc, ok := fs.Col.(*FactorsColumn)
+		fc, ok := fs.Col.(*factorsColumn)
 		if !ok {
 			out.Release()
 			return nil
 		}
-		oc := NewFactorsColumn(fs.Len())
+		oc := dataflow.NewRagged(FactorsKind{}, fs.Len())
 		out.Col = oc
 		for i, k := range fs.Keys {
 			lo, hi := fc.Off[i], fc.Off[i+1]

@@ -1,6 +1,6 @@
 package mllib
 
-// Columnar payload columns and batch kernels for the ML workloads. Each
+// Payload kinds and batch kernels for the ML workloads. Each
 // kernel is the vectorized twin of a row compute function in kmeans.go
 // and must stay observationally identical to it: same records,
 // same order, bit-equal floats (identical accumulation order). Kernels
@@ -14,158 +14,28 @@ import (
 )
 
 func init() {
-	dataflow.RegisterColumnType(Vector{}, func(capHint int) dataflow.Column {
-		return NewVectorColumn(capHint)
-	})
-	dataflow.RegisterColumnType(sumCount{}, func(capHint int) dataflow.Column {
-		return NewSumCountColumn(capHint)
-	})
+	dataflow.RegisterKind(VectorKind{})
+	dataflow.RegisterKind(SumCountKind{})
 }
 
-// VectorColumn stores Vector values as a flattened struct-of-arrays:
-// element i spans Flat[Off[i]:Off[i+1]].
-type VectorColumn struct {
-	Off  []int32
-	Flat []float64
-}
+// vectorColumn holds the points and the centroids.
+type vectorColumn = dataflow.Ragged[float64, Vector, VectorKind]
 
-// NewVectorColumn returns an empty vector column with pooled storage.
-func NewVectorColumn(capHint int) *VectorColumn {
-	c := &VectorColumn{Off: dataflow.GetI32Slice(capHint + 1), Flat: dataflow.GetF64Slice(capHint)}
-	c.Off = append(c.Off, 0)
-	return c
-}
+// VectorKind flattens Vector values.
+type VectorKind struct{}
 
-func (c *VectorColumn) Len() int { return len(c.Off) - 1 }
+func (VectorKind) Name() string                        { return "mllib.Vector" }
+func (VectorKind) HasLead() bool                       { return false }
+func (VectorKind) Box(_ float64, s []float64) Vector   { return Vector{V: s} }
+func (VectorKind) Unbox(v Vector) (float64, []float64) { return 0, v.V }
 
-func (c *VectorColumn) Value(i int) any {
-	lo, hi := c.Off[i], c.Off[i+1]
-	var v []float64
-	if lo != hi {
-		v = make([]float64, hi-lo)
-		copy(v, c.Flat[lo:hi])
-	}
-	return Vector{V: v}
-}
+// SumCountKind flattens the k-means statistics, the count as the lead.
+type SumCountKind struct{}
 
-func (c *VectorColumn) View(i int) any {
-	return Vector{V: dataflow.Span(c.Flat, c.Off, i)}
-}
-
-func (c *VectorColumn) Layout() (string, []dataflow.Array) {
-	return "mllib.Vector", []dataflow.Array{{Off: &c.Off}, {F64: &c.Flat}}
-}
-
-func (c *VectorColumn) AppendValue(v any) bool {
-	x, ok := v.(Vector)
-	if !ok {
-		return false
-	}
-	c.Flat = append(c.Flat, x.V...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *VectorColumn) AppendFrom(src dataflow.Column, i int) bool {
-	s, ok := src.(*VectorColumn)
-	if !ok {
-		return false
-	}
-	c.Flat = append(c.Flat, s.Flat[s.Off[i]:s.Off[i+1]]...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *VectorColumn) SizeAt(i int) int64 { return 24 + 8*int64(c.Off[i+1]-c.Off[i]) }
-
-func (c *VectorColumn) SizeBytes() int64 {
-	return 24*int64(c.Len()) + 8*int64(len(c.Flat))
-}
-
-func (c *VectorColumn) NewEmpty(capHint int) dataflow.Column { return NewVectorColumn(capHint) }
-
-func (c *VectorColumn) Release() {
-	dataflow.PutI32Slice(c.Off)
-	dataflow.PutF64Slice(c.Flat)
-	c.Off, c.Flat = nil, nil
-}
-
-// SumCountColumn stores sumCount values: a dense count column plus the
-// flattened per-cluster sums.
-type SumCountColumn struct {
-	N    []float64
-	Off  []int32
-	Flat []float64
-}
-
-// NewSumCountColumn returns an empty statistics column with pooled
-// storage.
-func NewSumCountColumn(capHint int) *SumCountColumn {
-	c := &SumCountColumn{
-		N:    dataflow.GetF64Slice(capHint),
-		Off:  dataflow.GetI32Slice(capHint + 1),
-		Flat: dataflow.GetF64Slice(capHint),
-	}
-	c.Off = append(c.Off, 0)
-	return c
-}
-
-func (c *SumCountColumn) Len() int { return len(c.N) }
-
-func (c *SumCountColumn) Value(i int) any {
-	lo, hi := c.Off[i], c.Off[i+1]
-	var sum []float64
-	if lo != hi {
-		sum = make([]float64, hi-lo)
-		copy(sum, c.Flat[lo:hi])
-	}
-	return sumCount{Sum: sum, N: c.N[i]}
-}
-
-func (c *SumCountColumn) View(i int) any {
-	return sumCount{Sum: dataflow.Span(c.Flat, c.Off, i), N: c.N[i]}
-}
-
-func (c *SumCountColumn) Layout() (string, []dataflow.Array) {
-	return "mllib.sumCount", []dataflow.Array{{F64: &c.N}, {Off: &c.Off}, {F64: &c.Flat}}
-}
-
-func (c *SumCountColumn) AppendValue(v any) bool {
-	x, ok := v.(sumCount)
-	if !ok {
-		return false
-	}
-	c.N = append(c.N, x.N)
-	c.Flat = append(c.Flat, x.Sum...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *SumCountColumn) AppendFrom(src dataflow.Column, i int) bool {
-	s, ok := src.(*SumCountColumn)
-	if !ok {
-		return false
-	}
-	c.N = append(c.N, s.N[i])
-	c.Flat = append(c.Flat, s.Flat[s.Off[i]:s.Off[i+1]]...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
-	return true
-}
-
-func (c *SumCountColumn) SizeAt(i int) int64 { return 40 + 8*int64(c.Off[i+1]-c.Off[i]) }
-
-func (c *SumCountColumn) SizeBytes() int64 {
-	return 40*int64(c.Len()) + 8*int64(len(c.Flat))
-}
-
-func (c *SumCountColumn) NewEmpty(capHint int) dataflow.Column { return NewSumCountColumn(capHint) }
-
-func (c *SumCountColumn) Release() {
-	dataflow.PutF64Slice(c.N)
-	dataflow.PutI32Slice(c.Off)
-	dataflow.PutF64Slice(c.Flat)
-	c.N, c.Off, c.Flat = nil, nil, nil
-}
+func (SumCountKind) Name() string                          { return "mllib.sumCount" }
+func (SumCountKind) HasLead() bool                         { return true }
+func (SumCountKind) Box(n float64, s []float64) sumCount   { return sumCount{Sum: s, N: n} }
+func (SumCountKind) Unbox(v sumCount) (float64, []float64) { return v.N, v.Sum }
 
 // --- k-means kernels ---------------------------------------------------
 
@@ -180,7 +50,7 @@ func statsKernel(k int) dataflow.BatchFunc {
 		if ps.Len() == 0 {
 			return dataflow.NewBatch(0) // row closure appends nothing: nil
 		}
-		pc, okP := ps.Col.(*VectorColumn)
+		pc, okP := ps.Col.(*vectorColumn)
 		ctrs, okC := centerSlices(cs, k)
 		if !okP || !okC {
 			return nil
@@ -231,12 +101,12 @@ func statsKernel(k int) dataflow.BatchFunc {
 			}
 		}
 		out := dataflow.NewBatch(k)
-		oc := NewSumCountColumn(k)
+		oc := dataflow.NewRagged(SumCountKind{}, k)
 		out.Col = oc
 		for c := 0; c < k; c++ {
 			if accN[c] > 0 {
 				out.Keys = append(out.Keys, int64(c))
-				oc.N = append(oc.N, accN[c])
+				oc.Lead = append(oc.Lead, accN[c])
 				oc.Flat = append(oc.Flat, accSum[c*dim:c*dim+dim]...)
 				oc.Off = append(oc.Off, int32(len(oc.Flat)))
 			}
@@ -249,7 +119,7 @@ func statsKernel(k int) dataflow.BatchFunc {
 // statsDim2 is the unrolled assignment sweep for 2-D points. Reports
 // false on a ragged point so the kernel declines the whole partition,
 // exactly like the generic sweep.
-func statsDim2(pc *VectorColumn, n int, ctrs [][]float64, accSum, accN []float64) bool {
+func statsDim2(pc *vectorColumn, n int, ctrs [][]float64, accSum, accN []float64) bool {
 	// Compact the present centers into dense parallel arrays. Scanning
 	// them in ascending original order with strict less-than keeps the
 	// winner identical to the generic nil-skipping sweep.
@@ -286,7 +156,7 @@ func statsDim2(pc *VectorColumn, n int, ctrs [][]float64, accSum, accN []float64
 }
 
 // statsDim4 is the unrolled assignment sweep for 4-D points.
-func statsDim4(pc *VectorColumn, n int, ctrs [][]float64, accSum, accN []float64) bool {
+func statsDim4(pc *vectorColumn, n int, ctrs [][]float64, accSum, accN []float64) bool {
 	var cd []float64
 	var orig []int
 	for c, ctr := range ctrs {
@@ -327,10 +197,10 @@ func statsDim4(pc *VectorColumn, n int, ctrs [][]float64, accSum, accN []float64
 func wcssKernel(k int) dataflow.BatchFunc {
 	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
 		ps, cs := ins[0], ins[1]
-		var pc *VectorColumn
+		var pc *vectorColumn
 		if ps.Len() > 0 {
 			var ok bool
-			pc, ok = ps.Col.(*VectorColumn)
+			pc, ok = ps.Col.(*vectorColumn)
 			if !ok {
 				return nil
 			}
@@ -360,7 +230,7 @@ func wcssKernel(k int) dataflow.BatchFunc {
 		}
 		out := dataflow.NewBatch(1)
 		out.NonNil = true // row closure returns a one-record slice
-		oc := dataflow.NewF64Column(1)
+		oc := dataflow.NewDense[float64](1)
 		out.Col = oc
 		out.Keys = append(out.Keys, 0)
 		oc.Vals = append(oc.Vals, total)
@@ -378,7 +248,7 @@ func centerSlices(cs *dataflow.Batch, k int) ([][]float64, bool) {
 	if cs.Len() == 0 {
 		return ctrs, true
 	}
-	cc, ok := cs.Col.(*VectorColumn)
+	cc, ok := cs.Col.(*vectorColumn)
 	if !ok {
 		return nil, false
 	}

@@ -489,3 +489,57 @@ func TestTwoSessionsRealPoolMatchVirtual(t *testing.T) {
 		}
 	}
 }
+
+// TestRemovedSpillFileFailsSessionWithCause: on a real-bytes pool, a
+// session whose spilled block file disappears between two jobs fails with
+// an error that wraps the file system's, and the next session on the
+// same pool still completes.
+func TestRemovedSpillFileFailsSessionWithCause(t *testing.T) {
+	storage.RegisterValueType(float64(0))
+	s, err := New(Config{Executors: 2, MemoryPerExecutor: 4 << 10, MaxActiveSessions: 1, RealBytes: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	probe := &blockFileProbe{dir: s.Pool().Dir()}
+	// A cached dataset larger than the memory stores, read twice: the
+	// second read finds its spilled blocks on disk.
+	driver := func(removeSpills bool) func(ctx *dataflow.Context) {
+		return func(ctx *dataflow.Context) {
+			ds := ctx.Source("big", 8, func(part int) []dataflow.Record {
+				out := make([]dataflow.Record, 100)
+				for i := range out {
+					out[i] = dataflow.Record{Key: int64(part*100 + i), Value: float64(i)}
+				}
+				return out
+			}).Map("wide", func(r dataflow.Record) dataflow.Record { return r })
+			ds.Cache()
+			ds.Count()
+			if removeSpills {
+				files := probe.files()
+				if len(files) == 0 {
+					t.Error("the first job spilled nothing; the test removes no file")
+				}
+				for _, f := range files {
+					if err := os.Remove(f); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			ds.Count()
+		}
+	}
+	var sessions [2]*Session
+	for k := range sessions {
+		sessions[k], err = s.Submit(JobSpec{Controller: engine.NewSparkMemDisk(), Params: costmodel.Default(), Driver: driver(k == 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sessions[0].Wait(); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("session reading a removed spill file: err = %v, want it to wrap os.ErrNotExist", err)
+	}
+	if err := sessions[1].Wait(); err != nil {
+		t.Fatalf("the next session on the pool: %v", err)
+	}
+}

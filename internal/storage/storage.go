@@ -304,7 +304,7 @@ func (m *MemoryStore) Read(id BlockID, now time.Duration) (Payload, *BlockMeta, 
 	start := time.Now()
 	b, err := decodeBatch(e.p.data, true)
 	if err != nil {
-		panic(fmt.Sprintf("storage: memory block %v failed to decode: %v", id, err))
+		panic(fmt.Errorf("storage: memory block %v failed to decode: %w", id, err))
 	}
 	m.meter.addMeasured(MemDecode, int64(len(e.p.data)), time.Since(start))
 	return Payload{batch: b, owned: true}, e.meta, true
@@ -558,7 +558,7 @@ func (d *DiskStore) readFile(id BlockID, e diskEntry, buf []byte) ([]byte, error
 // a failure is fatal, and the read is measured as DiskRead.
 func (d *DiskStore) readDone(id BlockID, n int, start time.Time, err error) {
 	if err != nil {
-		panic(fmt.Sprintf("storage: disk block %v unreadable: %v", id, err))
+		panic(fmt.Errorf("storage: disk block %v unreadable: %w", id, err))
 	}
 	d.meter.addMeasured(DiskRead, int64(n), time.Since(start))
 }
@@ -630,7 +630,7 @@ func (d *DiskStore) Remove(id BlockID) (int64, bool) {
 	e.p.Release()
 	if e.p.form == formEncoded {
 		if err := os.Remove(d.path(id)); err != nil && !os.IsNotExist(err) {
-			panic(fmt.Sprintf("storage: disk block %v: %v", id, err))
+			panic(fmt.Errorf("storage: disk block %v: %w", id, err))
 		}
 		d.meter.addFile(-e.fileBytes)
 	}
@@ -673,7 +673,7 @@ type gobPartition struct {
 
 // RegisterValueType registers a concrete value type with the fallback gob
 // codec; workloads call this for payload types that have no flat column
-// (dataflow.RegisterColumnType) before using the codec.
+// (dataflow.RegisterKind) before using the codec.
 func RegisterValueType(v any) { gob.Register(v) }
 
 // Fallback codec scratch pools. Every gob encode used to allocate a fresh

@@ -760,6 +760,57 @@ func TestDecodedReadIsHandedOver(t *testing.T) {
 	}
 }
 
+// panicValue runs f and returns what it panicked with (nil if nothing).
+func panicValue(f func()) (r any) {
+	defer func() { r = recover() }()
+	f()
+	return nil
+}
+
+// TestLostBlockFilePanicsWithCause: reading a real-bytes disk block whose
+// file is gone fails with an error that still says why, so whoever
+// recovers the panic can tell a missing file from any other failure.
+func TestLostBlockFilePanicsWithCause(t *testing.T) {
+	id := BlockID{Dataset: 3, Partition: 1}
+	d := NewDiskStoreReal(t.TempDir(), nil)
+	if err := d.Put(id, Fresh(sampleRecords(4)), 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(d.path(id)); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range map[string]func(){
+		"Read": func() { d.Read(id) },
+		"Load": func() { d.Load(id) },
+	} {
+		r := panicValue(read)
+		if err, _ := r.(error); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("DiskStore.%s of a removed block file panicked with %#v, want an error wrapping os.ErrNotExist", name, r)
+		}
+	}
+}
+
+// TestCorruptMemoryBlockPanicsWithCause: a real-bytes memory block that
+// no longer decodes panics with the decoder's error wrapped, not
+// flattened to text.
+func TestCorruptMemoryBlockPanicsWithCause(t *testing.T) {
+	id := BlockID{Dataset: 3, Partition: 2}
+	m := NewMemoryStoreReal(1<<20, nil, 0)
+	if _, err := m.Admit(id, Fresh(sampleRecords(4)), 100, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	e := m.blocks[id]
+	e.p.data = e.p.data[:len(e.p.data)-1]
+	_, cause := dataflow.DecodeBlock(e.p.data)
+	if cause == nil {
+		t.Fatal("the truncated block still decodes; the test corrupts nothing")
+	}
+	r := panicValue(func() { m.Read(id, 0) })
+	if err, _ := r.(error); !errors.Is(err, cause) {
+		t.Fatalf("MemoryStore.Read of a corrupt block panicked with %#v, want an error wrapping %v", r, cause)
+	}
+}
+
 func sampleRecords(n int) []dataflow.Record {
 	out := make([]dataflow.Record, n)
 	for i := range out {

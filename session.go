@@ -392,7 +392,7 @@ func (s *Session) enableDurability(ctl engine.Controller, rs *engine.ResumeState
 					// A WAL that silently stops persisting would turn the
 					// next crash into event-history loss; broken durability
 					// is fatal to the session, like a failed checkpoint.
-					panic(fmt.Sprintf("blaze: event wal append: %v", err))
+					panic(fmt.Errorf("blaze: event wal append: %w", err))
 				}
 			})
 		}
