@@ -393,6 +393,24 @@ func TestEnginePRAllocCeiling(t *testing.T) {
 	}
 }
 
+// TestVectorizedPathEngages guards against the identity sweeps passing
+// vacuously. Nothing in metrics or events shows which form a partition
+// took — that is the point — so allocations are the witness: the
+// PageRank run TestEnginePRAllocCeiling keeps under its ceiling must
+// exceed it with every kernel declined, where every record is boxed.
+func TestVectorizedPathEngages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is noisy under -short harnesses")
+	}
+	var got float64
+	withKernelsDeclined(func() { got = prAllocsPerVertexIter(t) })
+	t.Logf("%.2f allocations per vertex-iteration with every kernel declined", got)
+	if got <= prAllocCeiling {
+		t.Fatalf("with every kernel declined, PageRank allocates %.2f times per vertex-iteration, within the kernels' ceiling %.1f: the ceiling no longer tells the forms apart",
+			got, prAllocCeiling)
+	}
+}
+
 // --- victim selection on a wide cache -------------------------------------
 
 // wideAdmitter is a one-executor Blaze cluster whose memory is exactly

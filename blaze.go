@@ -503,11 +503,22 @@ func (s systemSpec) drive(spec WorkloadSpec, ctx *dataflow.Context, scale float6
 	}
 }
 
-// tuneBlaze applies the facade's optimizer knobs to a Blaze controller:
-// a positive DiskCapacity adds the Eq. 6 disk row, and the ILPWindow
-// sentinels map onto the controller's successor-job count (the zero
-// value keeps its default of 1).
-func tuneBlaze(b *core.Controller, diskCapacity int64, ilpWindow int) *core.Controller {
+// blazeController builds the controller of a Blaze-family system
+// (blaze, blaze-mem, blaze-noprofile) with the facade's optimizer knobs
+// applied: a positive DiskCapacity adds the Eq. 6 disk row, and the
+// ILPWindow sentinels map onto the controller's successor-job count (the
+// zero value keeps its default of 1). ok is false for any other system.
+// Run, Server.Submit and sessions all build their Blaze controllers here,
+// so no path drops a knob.
+func blazeController(sys SystemID, diskCapacity int64, ilpWindow int) (b *core.Controller, ok bool) {
+	switch sys {
+	case SysBlaze, SysBlazeNoProfile:
+		b = core.NewBlaze()
+	case SysBlazeMem:
+		b = core.NewBlazeMemOnly()
+	default:
+		return nil, false
+	}
 	if diskCapacity > 0 {
 		b.WithDiskCapacity(diskCapacity)
 	}
@@ -517,13 +528,19 @@ func tuneBlaze(b *core.Controller, diskCapacity int64, ilpWindow int) *core.Cont
 	case ilpWindow == ILPWindowCurrentJobOnly:
 		b.WithWindow(0)
 	}
-	return b
+	return b, true
 }
 
 // buildSystem constructs the execution recipe for a system id.
 func buildSystem(cfg RunConfig, spec WorkloadSpec) (systemSpec, error) {
 	profileSkeleton := func() *core.Skeleton {
 		return core.Profile(core.Workload(spec.Plain), cfg.ProfileScale)
+	}
+	if b, ok := blazeController(cfg.System, cfg.DiskCapacity, cfg.ILPWindow); ok {
+		if cfg.System == SysBlazeNoProfile {
+			return systemSpec{ctl: b}, nil
+		}
+		return systemSpec{ctl: b.WithSkeleton(profileSkeleton()), profiled: true}, nil
 	}
 	switch cfg.System {
 	case SysSparkMem:
@@ -544,13 +561,6 @@ func buildSystem(cfg RunConfig, spec WorkloadSpec) (systemSpec, error) {
 		return systemSpec{ctl: core.NewAutoCache().WithSkeleton(profileSkeleton()), profiled: true}, nil
 	case SysCostAware:
 		return systemSpec{ctl: core.NewCostAware().WithSkeleton(profileSkeleton()), profiled: true}, nil
-	case SysBlaze:
-		b := core.NewBlaze().WithSkeleton(profileSkeleton())
-		return systemSpec{ctl: tuneBlaze(b, cfg.DiskCapacity, cfg.ILPWindow), profiled: true}, nil
-	case SysBlazeMem:
-		return systemSpec{ctl: core.NewBlazeMemOnly().WithSkeleton(profileSkeleton()), profiled: true}, nil
-	case SysBlazeNoProfile:
-		return systemSpec{ctl: core.NewBlaze()}, nil
 	default:
 		if name, ok := strings.CutPrefix(string(cfg.System), "policy-"); ok {
 			p, found := cachepolicy.ByName(name)

@@ -133,27 +133,36 @@ func TestCalibrationKeyCoversCoresAndParams(t *testing.T) {
 	}
 }
 
+// TestILPWindowReachesController: every Blaze-family system hands the
+// ILPWindow knob to its controller, built for Run and Server.Submit
+// (buildSystem) or for a session (buildStreamSystem).
 func TestILPWindowReachesController(t *testing.T) {
 	spec, err := Workload(LR)
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := func(w int) int {
-		t.Helper()
-		sys, err := buildSystem(RunConfig{System: SysBlaze, ILPWindow: w}.withDefaults(), spec)
-		if err != nil {
-			t.Fatal(err)
+	builds := map[string]func(SystemID, int) (systemSpec, error){
+		"run": func(sys SystemID, w int) (systemSpec, error) {
+			return buildSystem(RunConfig{System: sys, ILPWindow: w}.withDefaults(), spec)
+		},
+		"session": func(sys SystemID, w int) (systemSpec, error) {
+			return buildStreamSystem(SessionConfig{System: sys, ILPWindow: w})
+		},
+	}
+	for path, build := range builds {
+		for _, sys := range []SystemID{SysBlaze, SysBlazeMem, SysBlazeNoProfile} {
+			t.Run(path+"/"+string(sys), func(t *testing.T) {
+				for _, c := range []struct{ window, want int }{{ILPWindowDefault, 1}, {ILPWindowCurrentJobOnly, 0}, {3, 3}} {
+					s, err := build(sys, c.window)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := s.ctl.(*core.Controller).Window(); got != c.want {
+						t.Errorf("ILPWindow %d reached the controller as %d, want %d", c.window, got, c.want)
+					}
+				}
+			})
 		}
-		return sys.ctl.(*core.Controller).Window()
-	}
-	if got := window(ILPWindowDefault); got != 1 {
-		t.Fatalf("ILPWindowDefault = %d, want the default 1", got)
-	}
-	if got := window(ILPWindowCurrentJobOnly); got != 0 {
-		t.Fatalf("ILPWindowCurrentJobOnly = %d, want 0 (current job only)", got)
-	}
-	if got := window(3); got != 3 {
-		t.Fatalf("ILPWindow 3 = %d, want 3", got)
 	}
 }
 

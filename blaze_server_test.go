@@ -9,6 +9,7 @@ package blaze_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -17,14 +18,7 @@ import (
 
 func serverMemory(t *testing.T) int64 {
 	t.Helper()
-	res, err := blaze.Run(blaze.RunConfig{
-		System: blaze.SysSparkMemDisk, Workload: blaze.PR,
-		Executors: 4, Scale: 0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res.MemoryPerExecutor
+	return batchCell(quarter(blaze.SysSparkMemDisk, blaze.PR)).run(t, p1).res.MemoryPerExecutor
 }
 
 func TestServerMultiTenantScenario(t *testing.T) {
@@ -105,6 +99,39 @@ func TestServerMultiTenantScenario(t *testing.T) {
 		if ts.TotalACT <= 0 {
 			t.Fatalf("tenant %s has no aggregate ACT", ts.Name)
 		}
+	}
+}
+
+// TestArbitratedSessionsLogTheirSolves: each union solve of a
+// cluster-wide arbitration is booked on the triggering session like a
+// local solve, so every arbitrated session logs one ilp_solve event per
+// solve its metrics count, with the nodes and fallbacks counted beside.
+func TestArbitratedSessionsLogTheirSolves(t *testing.T) {
+	srv, err := blaze.NewServer(blaze.ServerConfig{Executors: 4, MemoryPerExecutor: serverMemory(t), Arbitrate: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	logs := []*blaze.EventLog{blaze.NewEventLog(), blaze.NewEventLog()}
+	var handles []*blaze.JobHandle
+	for _, log := range logs {
+		h, err := srv.Submit(context.Background(), blaze.JobSpec{
+			System: blaze.SysBlaze, Workload: blaze.PR, Scale: 0.25, EventLog: log,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+	}
+	for i, h := range handles {
+		res, err := h.Result()
+		if err != nil {
+			t.Fatalf("job %d: %v", h.ID(), err)
+		}
+		assertLogBooksMetrics(t, fmt.Sprintf("session %d", i), res.Metrics, logs[i])
+	}
+	if srv.Stats().Arbitrations == 0 {
+		t.Fatal("two concurrent Blaze sessions ran no cluster-wide arbitration")
 	}
 }
 

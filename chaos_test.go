@@ -12,12 +12,14 @@ package blaze_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"sort"
 	"strconv"
 	"testing"
 
 	"blaze"
+	"blaze/internal/core"
 	"blaze/internal/enginetest"
 )
 
@@ -31,7 +33,10 @@ func chaosEnvInt64(name string, def int64) int64 {
 }
 
 func TestChaosSoak(t *testing.T) {
-	verifyCachedCosts(t)
+	// Every victim ordering a Blaze controller serves is compared with one
+	// priced from scratch; a difference panics the run.
+	core.VerifyCachedCosts(true)
+	t.Cleanup(func() { core.VerifyCachedCosts(false) })
 	baseSeed := chaosEnvInt64("BLAZE_CHAOS_SEED", 1)
 	n := int(chaosEnvInt64("BLAZE_CHAOS_N", 50))
 	if testing.Short() {
@@ -75,9 +80,10 @@ func TestChaosSoak(t *testing.T) {
 			t.Errorf("%s (P8): %v", name, err)
 			continue
 		}
-		if err := enginetest.CheckChaosIdentity(s, m1, m8, l1, l8); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
+		t.Run(fmt.Sprintf("seed%d/%s", s.Seed, name), func(t *testing.T) {
+			assertSame(t, &outcome{arm: p1, res: &blaze.Result{Metrics: m1}, log: l1},
+				&outcome{arm: p8, res: &blaze.Result{Metrics: m8}, log: l8})
+		})
 		faults += m1.FaultsInjected
 		retries += m1.TaskRetries + m1.FetchRetries
 		spec += m1.SpeculativeLaunches
@@ -115,93 +121,46 @@ func TestStreamChaosSoak(t *testing.T) {
 	var resumes int
 	for i := 0; i < n; i++ {
 		s := enginetest.NewStreamChaosSchedule(baseSeed + int64(i))
-		wl := workloads[s.Workload%len(workloads)]
-		cfg := func(par int, dir string, crashWindow int, log, recLog *blaze.EventLog) blaze.StreamConfig {
-			return blaze.StreamConfig{
-				Workload:          wl,
-				Windows:           s.Windows,
-				Scale:             0.25,
-				Executors:         s.Executors,
-				Parallelism:       par,
-				MemoryPerExecutor: s.MemoryPerExecutor,
-				DiskCapacity:      (s.Seed & 1) << 20,
-				EventLog:          log,
-				CheckpointDir:     dir,
-				CrashWindow:       crashWindow,
-				RecoveryLog:       recLog,
-			}
-		}
-
-		baseLog := blaze.NewEventLog()
-		base, err := blaze.RunStream(cfg(1, "", 0, baseLog, nil))
+		cfg := quarterStream(workloads[s.Workload%len(workloads)], (s.Seed&1)<<20)
+		cfg.Windows, cfg.Executors, cfg.MemoryPerExecutor = s.Windows, s.Executors, s.MemoryPerExecutor
+		cfg.EventLog = blaze.NewEventLog()
+		base, err := blaze.RunStream(cfg)
 		if err != nil {
 			t.Fatalf("stream chaos seed %d: baseline: %v", s.Seed, err)
 		}
+		ref := streamOutcome(p1, base, cfg.EventLog)
 
 		for _, par := range []int{1, 8} {
-			dir := t.TempDir()
-			// The crash chain: each boundary in the schedule kills the
-			// stream, each kill is resumed with the next crash armed.
-			crashLog := blaze.NewEventLog()
-			_, err := blaze.RunStream(cfg(par, dir, s.CrashWindows[0], crashLog, nil))
-			if !errors.Is(err, blaze.ErrSessionCrashed) {
-				t.Fatalf("stream chaos seed %d (P%d): crash 1: err = %v, want ErrSessionCrashed", s.Seed, par, err)
-			}
-			for _, next := range s.CrashWindows[1:] {
-				reLog := blaze.NewEventLog()
-				_, err := blaze.ResumeStream(cfg(par, dir, next, reLog, nil))
-				if !errors.Is(err, blaze.ErrSessionCrashed) {
-					t.Fatalf("stream chaos seed %d (P%d): re-crash at %d: err = %v, want ErrSessionCrashed",
-						s.Seed, par, next, err)
+			t.Run(fmt.Sprintf("seed%d/p%d", s.Seed, par), func(t *testing.T) {
+				// The crash chain: each boundary in the schedule kills the
+				// stream, each kill is resumed with the next crash armed.
+				leg := cfg
+				leg.Parallelism = par
+				leg = crashAt(t, leg, s.CrashWindows[0])
+				for _, next := range s.CrashWindows[1:] {
+					leg.CrashWindow, leg.EventLog = next, blaze.NewEventLog()
+					if _, err := blaze.ResumeStream(leg); !errors.Is(err, blaze.ErrSessionCrashed) {
+						t.Fatalf("re-crash at %d: err = %v, want ErrSessionCrashed", next, err)
+					}
+					resumes++
+				}
+				leg.CrashWindow, leg.EventLog, leg.RecoveryLog = 0, blaze.NewEventLog(), blaze.NewEventLog()
+				res, err := blaze.ResumeStream(leg)
+				if err != nil {
+					t.Fatalf("final resume: %v", err)
 				}
 				resumes++
-			}
-			finalLog := blaze.NewEventLog()
-			recLog := blaze.NewEventLog()
-			res, err := blaze.ResumeStream(cfg(par, dir, 0, finalLog, recLog))
-			if err != nil {
-				t.Fatalf("stream chaos seed %d (P%d): final resume: %v", s.Seed, par, err)
-			}
-			resumes++
-
-			if !blaze.MetricsEqualDeterministic(base.Metrics, res.Metrics) {
-				t.Errorf("stream chaos seed %d (P%d): metrics differ from uninterrupted run\nbase: %+v\ngot:  %+v",
-					s.Seed, par, base.Metrics, res.Metrics)
-				continue
-			}
-			be, fe := baseLog.Events(), finalLog.Events()
-			if len(be) != len(fe) {
-				t.Errorf("stream chaos seed %d (P%d): event counts differ: base=%d got=%d", s.Seed, par, len(be), len(fe))
-				continue
-			}
-			for j := range be {
-				if be[j] != fe[j] {
-					t.Errorf("stream chaos seed %d (P%d): event %d differs:\nbase: %+v\ngot:  %+v",
-						s.Seed, par, j, be[j], fe[j])
-					break
+				assertSame(t, ref, streamOutcome(arm{par: par, kernels: true, crash: s.CrashWindows[0], crashKernels: true}, res, leg.EventLog))
+				var resumed int
+				for _, e := range leg.RecoveryLog.Events() {
+					if e.Kind == "session_resumed" {
+						resumed++
+					}
 				}
-			}
-			if len(res.Windows) != len(base.Windows) {
-				t.Errorf("stream chaos seed %d (P%d): window counts differ: base=%d got=%d",
-					s.Seed, par, len(base.Windows), len(res.Windows))
-				continue
-			}
-			for j := range base.Windows {
-				if !base.Windows[j].EqualDeterministic(res.Windows[j]) {
-					t.Errorf("stream chaos seed %d (P%d): window %d stats differ:\nbase: %+v\ngot:  %+v",
-						s.Seed, par, j+1, base.Windows[j], res.Windows[j])
+				if resumed != 1 {
+					t.Errorf("final recovery log holds %d session_resumed, want 1", resumed)
 				}
-			}
-			var resumed int
-			for _, e := range recLog.Events() {
-				if e.Kind == "session_resumed" {
-					resumed++
-				}
-			}
-			if resumed != 1 {
-				t.Errorf("stream chaos seed %d (P%d): final recovery log holds %d session_resumed, want 1",
-					s.Seed, par, resumed)
-			}
+			})
 		}
 	}
 	if resumes == 0 {

@@ -41,13 +41,15 @@ func TestRealBytesCodecOnRealWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(real bool) (any, *blaze.Metrics) {
+		run := func(real bool) (any, *outcome) {
 			ctx := dataflow.NewContext()
+			o := &outcome{arm: arm{par: 1, kernels: true, real: real}, log: blaze.NewEventLog()}
 			c, err := engine.NewCluster(engine.Config{
 				Executors:         4,
 				MemoryPerExecutor: 16 * 1024, // pressure → spills → block files
 				Params:            blaze.EvalParams(spec.SerFactor),
 				Controller:        core.NewBlaze(),
+				EventLog:          o.log,
 				RealBytes:         real,
 			}, ctx)
 			if err != nil {
@@ -55,17 +57,20 @@ func TestRealBytesCodecOnRealWorkloads(t *testing.T) {
 			}
 			defer c.Close()
 			out := drive(ctx)
-			return out, c.Finish()
+			o.res = &blaze.Result{Metrics: c.Finish()}
+			if meter := c.Meter(); meter != nil {
+				snap := meter.Snapshot()
+				o.res.Storage = &snap
+			}
+			return out, o
 		}
 		want, virt := run(false)
 		got, real := run(true)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: real-bytes output differs from the virtual run's", w)
 		}
-		if !blaze.MetricsEqualDeterministic(virt, real) {
-			t.Errorf("%s: real-bytes metrics differ from the virtual run's", w)
-		}
-		if real.DiskBytesWritten == 0 {
+		assertSame(t, virt, real)
+		if real.res.Metrics.DiskBytesWritten == 0 {
 			t.Errorf("%s: no spills occurred, so no block file was written; tighten MemoryPerExecutor", w)
 		}
 	}

@@ -113,8 +113,6 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 		s.ctl.targetState = make(map[storage.BlockID]engine.Placement)
 	}
 
-	start := time.Now()
-	met := trigger.c.Metrics()
 	totalVars := 0
 	for _, ex := range trigger.c.Executors() {
 		if ex.Dead() {
@@ -152,7 +150,11 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 			capEff = 0
 		}
 
-		solveUnion := func() ([]bool, int, bool) {
+		// Each union solve is booked like a local job-start solve, on the
+		// triggering session: it asked for the solve and its job's latency
+		// budget paid for it.
+		solveUnion := func() []bool {
+			start := time.Now()
 			var values, weights []float64
 			for i, s := range live {
 				v, w := s.ctl.knapsackInputs(perCands[i])
@@ -163,13 +165,15 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 				weights = append(weights, w...)
 			}
 			chosen, _, nodes, exact := ilp.KnapsackSearch(values, weights, capEff)
-			return chosen, nodes, exact
+			r := solveResult{chosen: chosen, vars: union, nodes: nodes, optimal: exact, fallback: !exact}
+			trigger.bookSolve(ex, trigger.jobStartPass(), r, time.Since(start))
+			return chosen
 		}
 
 		// Fixed point on the recursive recomputation costs, as in replan:
 		// solve, re-price every session under the union assignment, solve
 		// again.
-		chosen, nodes, _ := solveUnion()
+		chosen := solveUnion()
 		off := 0
 		for i, s := range live {
 			cs := perCands[i]
@@ -180,8 +184,7 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 			off += len(cs)
 			s.ctl.priceCandidates(cs, hypo)
 		}
-		chosen, nodes2, optimal := solveUnion()
-		nodes += nodes2
+		chosen = solveUnion()
 
 		// Apply each session's slice through its own controller.
 		off = 0
@@ -191,21 +194,8 @@ func (g *GlobalArbiter) ArbitrateJobStart(trigger *Controller) bool {
 			off += len(cs)
 		}
 
-		// Optimizer accounting lands on the triggering session — it asked
-		// for the solve and its job's latency budget paid for it.
-		met.ILPSolves += 2
-		met.ILPNodes += nodes
-		if !optimal {
-			met.ILPFallbacks++
-		}
-		trigger.c.EmitEvent(eventlog.Event{
-			Kind: eventlog.ILPSolve, Time: trigger.c.Now(), Job: trigger.curJob,
-			Executor: ex.ID, Vars: union, Nodes: nodes,
-			Optimal: optimal,
-		})
 		totalVars += union
 	}
-	met.ILPSolveTime += time.Since(start)
 	g.runs++
 	if g.sink != nil {
 		g.sink(eventlog.Event{

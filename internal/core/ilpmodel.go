@@ -118,13 +118,20 @@ func (b *Controller) replan(p solvePass) {
 func (b *Controller) solveStep(ex *engine.Executor, cands []candidate, p solvePass) []bool {
 	start := time.Now()
 	r := b.solvePlacement(float64(ex.Mem.Capacity()), cands)
-	p.tally(b.c.Metrics(), r, time.Since(start))
+	b.bookSolve(ex, p, r, time.Since(start))
+	return r.chosen
+}
+
+// bookSolve books one optimizer invocation of a pass on this session:
+// the pass's tally and one event. Cluster-wide arbitration books each of
+// its union solves here, on the triggering session.
+func (b *Controller) bookSolve(ex *engine.Executor, p solvePass, r solveResult, wall time.Duration) {
+	p.tally(b.c.Metrics(), r, wall)
 	b.c.EmitEvent(eventlog.Event{
 		Kind: p.event, Time: b.c.Now(), Job: b.curJob,
 		Executor: ex.ID, Vars: r.vars, Nodes: r.nodes,
 		Optimal: r.optimal, Fallback: r.fallback, Window: p.window,
 	})
-	return r.chosen
 }
 
 // applyAssignment records the target states of a solved memory

@@ -6,65 +6,14 @@ import (
 	"blaze"
 )
 
-func runRealOrVirtual(t *testing.T, sys blaze.SystemID, wl blaze.WorkloadID, real bool) (*blaze.Result, *blaze.EventLog) {
-	t.Helper()
-	log := blaze.NewEventLog()
-	res, err := blaze.Run(blaze.RunConfig{
-		System:    sys,
-		Workload:  wl,
-		Executors: 4,
-		Scale:     0.25,
-		EventLog:  log,
-		RealBytes: real,
-	})
-	if err != nil {
-		t.Fatalf("%s/%s realBytes=%v: %v", sys, wl, real, err)
-	}
-	return res, log
-}
-
-// TestRealBytesBitIdentity is the storage tier's core guarantee: backing
-// the stores with real serialized bytes and real block files changes
-// only wall-clock time. For each system the RealBytes run must produce
-// bit-identical virtual-time metrics AND an identical event log to the
-// default (virtual) run — every admission, eviction, spill, promotion
-// and recomputation decision must be unaffected by how blocks are held.
-func TestRealBytesBitIdentity(t *testing.T) {
-	systems := []blaze.SystemID{
-		blaze.SysSparkMemDisk, blaze.SysSparkAlluxio, blaze.SysMRD, blaze.SysBlaze,
-	}
-	for _, sys := range systems {
-		sys := sys
-		t.Run(string(sys), func(t *testing.T) {
-			virtRes, virtLog := runRealOrVirtual(t, sys, blaze.PR, false)
-			realRes, realLog := runRealOrVirtual(t, sys, blaze.PR, true)
-			assertIdentical(t, string(sys), virtRes, realRes, virtLog, realLog)
-			if virtRes.Storage != nil {
-				t.Error("virtual run must not report storage measurements")
-			}
-			if realRes.Storage == nil {
-				t.Error("RealBytes run must report storage measurements")
-			}
-		})
-	}
-}
-
 // TestRealBytesMeasuresWork forces memory pressure so the run spills,
 // reloads and promotes through the real storage tier, and checks the
 // measurements: real encoded bytes moved, real files written, wall-clock
 // time observed, and the modeled virtual time recorded next to it.
 func TestRealBytesMeasuresWork(t *testing.T) {
-	res, err := blaze.Run(blaze.RunConfig{
-		System:            blaze.SysSparkMemDisk,
-		Workload:          blaze.PR,
-		Executors:         4,
-		Scale:             0.25,
-		MemoryPerExecutor: 16 * 1024, // force spills
-		RealBytes:         true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := quarter(blaze.SysSparkMemDisk, blaze.PR)
+	cfg.MemoryPerExecutor = 16 * 1024 // force spills
+	res := batchCell(cfg).run(t, arm{par: 1, kernels: true, real: true}).res
 	if written, _ := res.DiskFootprint(); written == 0 {
 		t.Fatal("run did not spill; tighten MemoryPerExecutor")
 	}
@@ -114,16 +63,7 @@ func TestRealBytesMeasuresWork(t *testing.T) {
 // in real bytes: every memory hit pays a real deserialization, mirroring
 // the per-read charge the cost model makes for the external tiered store.
 func TestRealBytesAlluxioDecodesEveryRead(t *testing.T) {
-	res, err := blaze.Run(blaze.RunConfig{
-		System:    blaze.SysSparkAlluxio,
-		Workload:  blaze.PR,
-		Executors: 4,
-		Scale:     0.25,
-		RealBytes: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := batchCell(quarter(blaze.SysSparkAlluxio, blaze.PR)).run(t, arm{par: 8, kernels: true, real: true}).res
 	st := res.Storage
 	if st == nil {
 		t.Fatal("no storage measurements")

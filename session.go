@@ -449,14 +449,10 @@ func (s *Session) clientState() ([]byte, error) {
 // systems are built without a profiling skeleton (their lineage grows on
 // the run), annotation-based systems reuse the batch recipes.
 func buildStreamSystem(cfg SessionConfig) (systemSpec, error) {
-	blazeSpec := func(b *core.Controller) systemSpec {
-		return systemSpec{ctl: tuneBlaze(b, cfg.DiskCapacity, cfg.ILPWindow)}
+	if b, ok := blazeController(cfg.System, cfg.DiskCapacity, cfg.ILPWindow); ok {
+		return systemSpec{ctl: b}, nil
 	}
 	switch cfg.System {
-	case SysBlaze, SysBlazeNoProfile:
-		return blazeSpec(core.NewBlaze()), nil
-	case SysBlazeMem:
-		return blazeSpec(core.NewBlazeMemOnly()), nil
 	case SysAutoCache:
 		return systemSpec{ctl: core.NewAutoCache()}, nil
 	case SysCostAware:

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,150 +16,16 @@ import (
 	"blaze/internal/storage"
 )
 
-// durableStreamConfig builds the crash-recovery test configuration: a
-// durable streaming run over 4 windows at quarter scale, checkpointing
-// into dir and (optionally) crashing at window boundary k. A positive
-// disk caps each executor's disk tier, so every solve runs the exact
-// three-state ILP.
-func durableStreamConfig(wl blaze.StreamWorkloadID, par int, disk int64, dir string, crashWindow int,
-	log, recLog *blaze.EventLog) blaze.StreamConfig {
-	return blaze.StreamConfig{
-		Workload:          wl,
-		Windows:           4,
-		Scale:             0.25,
-		Executors:         4,
-		Parallelism:       par,
-		MemoryPerExecutor: 1 << 20,
-		DiskCapacity:      disk,
-		EventLog:          log,
-		CheckpointDir:     dir,
-		CrashWindow:       crashWindow,
-		RecoveryLog:       recLog,
-	}
-}
-
-// TestStreamCrashResumeBitIdentity is the recovery layer's headline
-// invariant: a streaming session killed at ANY window boundary and
-// resumed from its checkpoint produces bit-identical metrics, event
-// logs and per-window stats to a run that never crashed — at every
-// Parallelism, on the knapsack path and (diskcap: 1 MiB per executor)
-// through the exact ILP. The baseline runs without checkpointing at all,
-// so the comparison also proves that durability itself perturbs nothing.
-func TestStreamCrashResumeBitIdentity(t *testing.T) {
-	poisonPools(t)
-	for _, wl := range blaze.AllStreamWorkloads() {
-		wl := wl
-		for _, c := range []struct {
-			par  int
-			disk int64
-		}{{1, 0}, {8, 0}, {1, 1 << 20}, {8, 1 << 20}} {
-			par, disk := c.par, c.disk
-			baseRes, baseLog := runStream(t, wl, par, disk)
-			// Every boundary k (window 1 has no boundary checkpoint).
-			for k := 2; k <= 4; k++ {
-				k := k
-				name := fmt.Sprintf("%s/p%d/k%d", wl, par, k)
-				if disk > 0 {
-					name += "/diskcap"
-				}
-				t.Run(name, func(t *testing.T) {
-					dir := t.TempDir()
-
-					// Crash the run at boundary k.
-					crashLog := blaze.NewEventLog()
-					_, err := blaze.RunStream(durableStreamConfig(wl, par, disk, dir, k, crashLog, nil))
-					if !errors.Is(err, blaze.ErrSessionCrashed) {
-						t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
-					}
-
-					// Resume with the identical config (CrashWindow included:
-					// the crashed boundary replays, so the trigger must not
-					// re-fire).
-					resLog := blaze.NewEventLog()
-					recLog := blaze.NewEventLog()
-					res, err := blaze.ResumeStream(durableStreamConfig(wl, par, disk, dir, k, resLog, recLog))
-					if err != nil {
-						t.Fatalf("resume: %v", err)
-					}
-
-					if !blaze.MetricsEqualDeterministic(baseRes.Metrics, res.Metrics) {
-						t.Errorf("resumed metrics differ from uninterrupted run\nbase: %+v\nres:  %+v",
-							baseRes.Metrics, res.Metrics)
-					}
-					be, re := baseLog.Events(), resLog.Events()
-					if len(be) != len(re) {
-						t.Fatalf("event counts differ: base=%d resumed=%d", len(be), len(re))
-					}
-					for i := range be {
-						if be[i] != re[i] {
-							t.Fatalf("event %d differs:\nbase: %+v\nres:  %+v", i, be[i], re[i])
-						}
-					}
-					if len(res.Windows) != len(baseRes.Windows) {
-						t.Fatalf("window counts differ: base=%d resumed=%d", len(baseRes.Windows), len(res.Windows))
-					}
-					for i := range baseRes.Windows {
-						if !baseRes.Windows[i].EqualDeterministic(res.Windows[i]) {
-							t.Errorf("window %d stats differ:\nbase: %+v\nres:  %+v",
-								i+1, baseRes.Windows[i], res.Windows[i])
-						}
-					}
-					// The resumed process commits the remaining boundaries
-					// itself, each with real carried state.
-					if got, want := len(res.Checkpoints), 4-k; got != want {
-						t.Errorf("resumed run committed %d checkpoints, want %d", got, want)
-					}
-					for _, ck := range res.Checkpoints {
-						if ck.Window <= k || ck.Blocks == 0 || ck.Bytes == 0 {
-							t.Errorf("implausible checkpoint after resume at %d: %+v", k, ck)
-						}
-					}
-
-					// The resumed cluster is the checkpointed one, so resume
-					// repaired no plan.
-					if res.Metrics.RepairSolves != 0 {
-						t.Errorf("resume ran %d plan-repair solves, want none", res.Metrics.RepairSolves)
-					}
-					var resumed, repairs int
-					for _, e := range recLog.Events() {
-						switch e.Kind {
-						case "session_resumed":
-							resumed++
-							if e.Window != k {
-								t.Errorf("session_resumed at window %d, want %d", e.Window, k)
-							}
-						case "ilp_repair_solve":
-							repairs++
-						}
-					}
-					if resumed != 1 {
-						t.Errorf("recovery log holds %d session_resumed events, want 1", resumed)
-					}
-					if repairs != 0 {
-						t.Errorf("recovery log holds %d ilp_repair_solve events, want none", repairs)
-					}
-				})
-			}
-		}
-	}
-}
-
 // TestResumeFallbackToPreviousBoundary corrupts the newest checkpoint
 // after a crash: resume must fall back to the previous boundary's
 // snapshot — re-running one more window live — and still reproduce the
 // uninterrupted run bit for bit.
 func TestResumeFallbackToPreviousBoundary(t *testing.T) {
-	baseRes, baseLog := runStream(t, blaze.StreamPR, 1, 0)
-	dir := t.TempDir()
-
-	crashLog := blaze.NewEventLog()
-	_, err := blaze.RunStream(durableStreamConfig(blaze.StreamPR, 1, 0, dir, 4, crashLog, nil))
-	if !errors.Is(err, blaze.ErrSessionCrashed) {
-		t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
-	}
+	c := streamCell(quarterStream(blaze.StreamPR, 0))
+	cfg := crashAt(t, blaze.StreamConfig(c), 4)
 
 	// Damage the boundary-4 snapshot's commit record.
-	manifest := filepath.Join(dir, "win_0004", "manifest.json")
+	manifest := filepath.Join(cfg.CheckpointDir, "win_0004", "manifest.json")
 	data, err := os.ReadFile(manifest)
 	if err != nil {
 		t.Fatal(err)
@@ -170,27 +35,14 @@ func TestResumeFallbackToPreviousBoundary(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resLog := blaze.NewEventLog()
-	recLog := blaze.NewEventLog()
-	res, err := blaze.ResumeStream(durableStreamConfig(blaze.StreamPR, 1, 0, dir, 0, resLog, recLog))
+	cfg.CrashWindow = 0
+	res, err := blaze.ResumeStream(cfg)
 	if err != nil {
 		t.Fatalf("fallback resume: %v", err)
 	}
-	if !blaze.MetricsEqualDeterministic(baseRes.Metrics, res.Metrics) {
-		t.Errorf("fallback-resumed metrics differ from uninterrupted run\nbase: %+v\nres:  %+v",
-			baseRes.Metrics, res.Metrics)
-	}
-	be, re := baseLog.Events(), resLog.Events()
-	if len(be) != len(re) {
-		t.Fatalf("event counts differ: base=%d resumed=%d", len(be), len(re))
-	}
-	for i := range be {
-		if be[i] != re[i] {
-			t.Fatalf("event %d differs:\nbase: %+v\nres:  %+v", i, be[i], re[i])
-		}
-	}
+	assertSame(t, c.run(t, refArm), streamOutcome(arm{par: 1, kernels: true, crash: 4, crashKernels: true}, res, cfg.EventLog))
 	// The resume point must actually have been the older boundary.
-	for _, e := range recLog.Events() {
+	for _, e := range cfg.RecoveryLog.Events() {
 		if e.Kind == "session_resumed" && e.Window != 3 {
 			t.Errorf("resumed at window %d, want fallback boundary 3", e.Window)
 		}
@@ -201,8 +53,8 @@ func TestResumeFallbackToPreviousBoundary(t *testing.T) {
 // resuming a directory with no usable snapshot reports ErrNoCheckpoint,
 // and the caller's fallback — a plain run — still works.
 func TestResumeWithoutCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableStreamConfig(blaze.StreamKMeans, 1, 0, dir, 0, blaze.NewEventLog(), nil)
+	cfg := quarterStream(blaze.StreamKMeans, 0)
+	cfg.CheckpointDir, cfg.EventLog = t.TempDir(), blaze.NewEventLog()
 	if _, err := blaze.ResumeStream(cfg); !errors.Is(err, blaze.ErrNoCheckpoint) {
 		t.Fatalf("resume on empty dir: err = %v, want ErrNoCheckpoint", err)
 	}
@@ -234,22 +86,11 @@ func resumeWithin(t *testing.T, cfg blaze.StreamConfig) error {
 	return nil
 }
 
-// crashedAt3 crashes a StreamPR run (4 executors × 1 MiB) at boundary 3
-// and returns the checkpoint directory.
-func crashedAt3(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
-	if _, err := blaze.RunStream(durableStreamConfig(blaze.StreamPR, 1, 0, dir, 3, blaze.NewEventLog(), nil)); !errors.Is(err, blaze.ErrSessionCrashed) {
-		t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
-	}
-	return dir
-}
-
 // TestResumeRejectsExecutorMismatch resumes a checkpoint on fewer
 // executors than wrote it: the count is checked against the engine
 // snapshot before replay starts, and the error names both counts.
 func TestResumeRejectsExecutorMismatch(t *testing.T) {
-	cfg := durableStreamConfig(blaze.StreamPR, 1, 0, crashedAt3(t), 0, blaze.NewEventLog(), blaze.NewEventLog())
+	cfg := crashAt(t, quarterStream(blaze.StreamPR, 0), 3)
 	cfg.Executors = 3
 	if err := resumeWithin(t, cfg); !strings.Contains(err.Error(), "4 executors, config has 3") {
 		t.Fatalf("resume on 3 executors: err = %v, want the executor-count mismatch", err)
@@ -262,7 +103,7 @@ func TestResumeRejectsExecutorMismatch(t *testing.T) {
 // the session's error: the boundary releases the pool on the way out,
 // so the session's teardown does not wait on it forever.
 func TestResumeRehydrateFailureIsSessionError(t *testing.T) {
-	cfg := durableStreamConfig(blaze.StreamPR, 1, 0, crashedAt3(t), 0, blaze.NewEventLog(), blaze.NewEventLog())
+	cfg := crashAt(t, quarterStream(blaze.StreamPR, 0), 3)
 	cfg.MemoryPerExecutor = 16 << 10
 	if err := resumeWithin(t, cfg); !strings.Contains(err.Error(), "engine: resume:") {
 		t.Fatalf("resume into 16 KiB executors: err = %v, want the failed rehydrate", err)
@@ -347,49 +188,17 @@ func init() {
 	}
 }
 
-// assertResumedEqualsBase compares a resumed stream with the
-// uninterrupted one: deterministic metrics, the main event log and every
-// window's stats.
-func assertResumedEqualsBase(t *testing.T, base, res *blaze.StreamResult, baseLog, resLog *blaze.EventLog) {
-	t.Helper()
-	if !blaze.MetricsEqualDeterministic(base.Metrics, res.Metrics) {
-		t.Errorf("resumed metrics differ from uninterrupted run\nbase: %+v\nres:  %+v", base.Metrics, res.Metrics)
-	}
-	be, re := baseLog.Events(), resLog.Events()
-	if len(be) != len(re) {
-		t.Fatalf("event counts differ: base=%d resumed=%d", len(be), len(re))
-	}
-	for i := range be {
-		if be[i] != re[i] {
-			t.Fatalf("event %d differs:\nbase: %+v\nres:  %+v", i, be[i], re[i])
-		}
-	}
-	if len(res.Windows) != len(base.Windows) {
-		t.Fatalf("window counts differ: base=%d resumed=%d", len(base.Windows), len(res.Windows))
-	}
-	for i := range base.Windows {
-		if !base.Windows[i].EqualDeterministic(res.Windows[i]) {
-			t.Errorf("window %d stats differ:\nbase: %+v\nres:  %+v", i+1, base.Windows[i], res.Windows[i])
-		}
-	}
-}
-
 // TestStreamCrashResumeFallbackAndEmptyBlocks crashes streamMixed at
 // every boundary. Its checkpoints must actually hold what the test is
 // about — a gob-fallback block and an empty non-nil typed block — and the
 // resumed run must equal the uninterrupted one.
 func TestStreamCrashResumeFallbackAndEmptyBlocks(t *testing.T) {
-	tune := func(c *blaze.StreamConfig) { c.System = blaze.SysSparkMemDisk }
-	base, baseLog := runStream(t, streamMixed, 1, 0, tune)
+	c := mixedCell()
+	ref := c.run(t, refArm)
 	for k := 2; k <= 4; k++ {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := durableStreamConfig(streamMixed, 1, 0, dir, k, blaze.NewEventLog(), nil)
-			tune(&cfg)
-			if _, err := blaze.RunStream(cfg); !errors.Is(err, blaze.ErrSessionCrashed) {
-				t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
-			}
-			wd := filepath.Join(dir, fmt.Sprintf("win_%04d", k))
+			cfg := crashAt(t, blaze.StreamConfig(c), k)
+			wd := filepath.Join(cfg.CheckpointDir, fmt.Sprintf("win_%04d", k))
 			mdata, err := os.ReadFile(filepath.Join(wd, "manifest.json"))
 			if err != nil {
 				t.Fatal(err)
@@ -420,57 +229,36 @@ func TestStreamCrashResumeFallbackAndEmptyBlocks(t *testing.T) {
 				t.Fatalf("boundary %d checkpoint holds %d blocks: %d gob-fallback, %d empty non-nil; want both kinds", k, len(m.Blocks), fallback, emptyNonNil)
 			}
 
-			cfg.EventLog = blaze.NewEventLog()
 			res, err := blaze.ResumeStream(cfg)
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
-			assertResumedEqualsBase(t, base, res, baseLog, cfg.EventLog)
+			assertSame(t, ref, streamOutcome(arm{par: 1, kernels: true, crash: k, crashKernels: true}, res, cfg.EventLog))
 		})
 	}
+}
+
+// mixedCell is streamMixed's stream cell, on a system that caches what
+// the workload annotates.
+func mixedCell() streamCell {
+	cfg := quarterStream(streamMixed, 0)
+	cfg.System = blaze.SysSparkMemDisk
+	return streamCell(cfg)
 }
 
 // TestResumedShuffleServesBothPlanes: the map outputs a resume restores
 // from the snapshot (typed blocks written from row-form or columnar
 // buckets) must serve whichever form the resumed tasks compute in. The
-// crashed and the resumed process each run by default ("vec=true") or
-// with every kernel declined, all four combinations; every resumed stream
-// equals the uninterrupted one, which a restored bucket served wrongly —
-// or a map stage re-run because its output went missing — would break.
+// crashed and the resumed leg each run by default ("vec=true") or with
+// every kernel declined, all four combinations; a restored bucket served
+// wrongly — or a map stage re-run because its output went missing —
+// would break the identity.
 func TestResumedShuffleServesBothPlanes(t *testing.T) {
-	poisonPools(t)
-	for _, wl := range []blaze.StreamWorkloadID{blaze.StreamPR, streamMixed} {
-		tune := func(c *blaze.StreamConfig) {
-			if wl == streamMixed {
-				c.System = blaze.SysSparkMemDisk
-			}
-		}
-		base, baseLog := runStream(t, wl, 1, 0, tune)
+	for _, c := range []streamCell{streamCell(quarterStream(blaze.StreamPR, 0)), mixedCell()} {
 		for _, crashVec := range []bool{false, true} {
 			for _, resumeVec := range []bool{false, true} {
-				t.Run(fmt.Sprintf("%s/crash-vec=%v/resume-vec=%v", wl, crashVec, resumeVec), func(t *testing.T) {
-					dir := t.TempDir()
-					cfg := durableStreamConfig(wl, 1, 0, dir, 3, blaze.NewEventLog(), nil)
-					tune(&cfg)
-					var err error
-					arm := func(vec bool, run func()) {
-						if vec {
-							run()
-						} else {
-							withKernelsDeclined(run)
-						}
-					}
-					arm(crashVec, func() { _, err = blaze.RunStream(cfg) })
-					if !errors.Is(err, blaze.ErrSessionCrashed) {
-						t.Fatalf("crash run: got err %v, want ErrSessionCrashed", err)
-					}
-					cfg.EventLog = blaze.NewEventLog()
-					var res *blaze.StreamResult
-					arm(resumeVec, func() { res, err = blaze.ResumeStream(cfg) })
-					if err != nil {
-						t.Fatalf("resume: %v", err)
-					}
-					assertResumedEqualsBase(t, base, res, baseLog, cfg.EventLog)
+				t.Run(fmt.Sprintf("%s/crash-vec=%v/resume-vec=%v", c.Workload, crashVec, resumeVec), func(t *testing.T) {
+					match(t, c, arm{par: 1, kernels: resumeVec, crash: 3, crashKernels: crashVec})
 				})
 			}
 		}
@@ -540,11 +328,7 @@ func TestDurableStreamBackgroundCommitRace(t *testing.T) {
 			return blaze.SessionConfig{Executors: 4, Parallelism: 8, MemoryPerExecutor: 1 << 20,
 				EventLog: log, CheckpointDir: dir, CrashWindow: crash, RecoveryLog: recLog}
 		}
-		baseLog := blaze.NewEventLog()
-		base := driveSession(t, wl, blaze.NewSession, config("", 0, baseLog, nil))
-		if base.err != nil {
-			t.Fatal(base.err)
-		}
+		ref := streamCell(quarterStream(wl, 0)).run(t, refArm)
 		for k := 2; k <= 4; k++ {
 			t.Run(fmt.Sprintf("%s/k%d", wl, k), func(t *testing.T) {
 				dir := t.TempDir()
@@ -566,17 +350,8 @@ func TestDurableStreamBackgroundCommitRace(t *testing.T) {
 				if got, want := fmt.Sprint(checkpointWindows(t, resumed.checkpoints)), fmt.Sprint(seq(k+1, 4)); got != want {
 					t.Errorf("resumed run reports checkpoints at %s, want %s", got, want)
 				}
-				if !blaze.MetricsEqualDeterministic(base.res.Metrics, resumed.res.Metrics) {
-					t.Errorf("resumed metrics differ from the uninterrupted run")
-				}
-				if !reflect.DeepEqual(baseLog.Events(), resLog.Events()) {
-					t.Errorf("resumed event log differs from the uninterrupted run")
-				}
-				for i := range base.windows {
-					if !base.windows[i].EqualDeterministic(resumed.windows[i]) {
-						t.Errorf("window %d stats differ from the uninterrupted run", i+1)
-					}
-				}
+				assertSame(t, ref, &outcome{arm: arm{par: 8, kernels: true, crash: k, crashKernels: true},
+					res: resumed.res, log: resLog, windows: resumed.windows})
 			})
 		}
 	}

@@ -7,79 +7,6 @@ import (
 	"blaze"
 )
 
-// runStream runs a stream workload at the tests' quarter-scale point
-// (4 windows, 4 executors, 1 MiB each); tune overrides it.
-func runStream(t *testing.T, wl blaze.StreamWorkloadID, par int, disk int64, tune ...func(*blaze.StreamConfig)) (*blaze.StreamResult, *blaze.EventLog) {
-	t.Helper()
-	log := blaze.NewEventLog()
-	cfg := blaze.StreamConfig{
-		Workload:          wl,
-		Windows:           4,
-		Scale:             0.25,
-		Executors:         4,
-		Parallelism:       par,
-		MemoryPerExecutor: 1 << 20,
-		DiskCapacity:      disk,
-		EventLog:          log,
-	}
-	for _, f := range tune {
-		f(&cfg)
-	}
-	res, err := blaze.RunStream(cfg)
-	if err != nil {
-		t.Fatalf("%s parallelism=%d: %v", wl, par, err)
-	}
-	return res, log
-}
-
-// TestStreamWindowDeterminism extends the engine's parallel-identity
-// guarantee to micro-batch streaming: N windows through a Session at
-// Parallelism 1 and Parallelism 8 must produce bit-identical metrics,
-// identical event logs, and identical per-window stats.
-func TestStreamWindowDeterminism(t *testing.T) {
-	for _, wl := range blaze.AllStreamWorkloads() {
-		wl := wl
-		t.Run(string(wl), func(t *testing.T) {
-			seqRes, seqLog := runStream(t, wl, 1, 0)
-			parRes, parLog := runStream(t, wl, 8, 0)
-
-			if !blaze.MetricsEqualDeterministic(seqRes.Metrics, parRes.Metrics) {
-				t.Errorf("metrics differ between sequential and parallel streams\nseq: %+v\npar: %+v",
-					seqRes.Metrics, parRes.Metrics)
-			}
-			se, pe := seqLog.Events(), parLog.Events()
-			if len(se) != len(pe) {
-				t.Fatalf("event counts differ: seq=%d par=%d", len(se), len(pe))
-			}
-			for i := range se {
-				if se[i] != pe[i] {
-					t.Fatalf("event %d differs:\nseq: %+v\npar: %+v", i, se[i], pe[i])
-				}
-			}
-			if len(seqRes.Windows) != len(parRes.Windows) {
-				t.Fatalf("window counts differ: seq=%d par=%d", len(seqRes.Windows), len(parRes.Windows))
-			}
-			for i := range seqRes.Windows {
-				if !seqRes.Windows[i].EqualDeterministic(parRes.Windows[i]) {
-					t.Errorf("window %d stats differ:\nseq: %+v\npar: %+v",
-						i+1, seqRes.Windows[i], parRes.Windows[i])
-				}
-			}
-
-			windows, retired, deltas := seqRes.StreamActivity()
-			if windows != 4 {
-				t.Errorf("WindowsRun = %d, want 4", windows)
-			}
-			if retired == 0 {
-				t.Error("no partitions retired: windowed lifetime management inactive")
-			}
-			if deltas == 0 {
-				t.Error("no re-solves ran at window boundaries")
-			}
-		})
-	}
-}
-
 // TestStreamBoundaryExactILP runs the streams on the branch-and-bound
 // path: a disk tier makes every boundary instance a full three-state ILP
 // rather than a memory knapsack. Boundary solves must run and windowed
@@ -92,8 +19,11 @@ func TestStreamBoundaryExactILP(t *testing.T) {
 	}
 	check := func(name string, wl blaze.StreamWorkloadID, tune ...func(*blaze.StreamConfig)) {
 		t.Run(name, func(t *testing.T) {
-			res, _ := runStream(t, wl, 8, 1<<20, tune...)
-			m := res.Metrics
+			cfg := quarterStream(wl, 1<<20)
+			for _, f := range tune {
+				f(&cfg)
+			}
+			m := streamCell(cfg).run(t, p8).res.Metrics
 			if m.ILPDeltaSolves == 0 {
 				t.Error("no boundary solves ran")
 			}
@@ -113,25 +43,13 @@ func TestStreamBoundaryExactILP(t *testing.T) {
 // must do strictly less recomputation than the same windows run cold
 // (each in its own fresh session).
 func TestStreamCarriedState(t *testing.T) {
-	warm, _ := runStream(t, blaze.StreamPR, 1, 0)
+	warm := streamCell(quarterStream(blaze.StreamPR, 0)).run(t, p1).res
 
-	var coldMisses int
-	for w := 1; w <= 4; w++ {
-		res, err := blaze.RunStream(blaze.StreamConfig{
-			Workload:          blaze.StreamPR,
-			Windows:           1,
-			Scale:             0.25,
-			Executors:         4,
-			Parallelism:       1,
-			MemoryPerExecutor: 1 << 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldMisses += res.Metrics.Misses
-	}
-	// A fresh session per window recomputes every window's initial graph
-	// from scratch; the carried session materializes it once.
+	// Four fresh one-window sessions, one per window, each recompute the
+	// initial graph from scratch; the carried session materializes it once.
+	cold := quarterStream(blaze.StreamPR, 0)
+	cold.Windows = 1
+	coldMisses := 4 * streamCell(cold).run(t, p1).res.Metrics.Misses
 	if warm.Metrics.Misses >= coldMisses {
 		t.Errorf("carried session misses (%d) not below cold-restart misses (%d)",
 			warm.Metrics.Misses, coldMisses)
@@ -168,15 +86,7 @@ func TestSessionClosed(t *testing.T) {
 // streaming activity — no windows, no retirement, no delta solves —
 // proving the windowed code is inert outside sessions.
 func TestStreamOneShotUnchanged(t *testing.T) {
-	res, err := blaze.Run(blaze.RunConfig{
-		System:    blaze.SysBlaze,
-		Workload:  blaze.PR,
-		Executors: 4,
-		Scale:     0.25,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := batchCell(quarter(blaze.SysBlaze, blaze.PR)).run(t, p1).res
 	windows, retired, deltas := res.StreamActivity()
 	if windows != 0 || retired != 0 || deltas != 0 {
 		t.Errorf("one-shot run reports streaming activity: windows=%d retired=%d deltas=%d",
@@ -188,23 +98,24 @@ func TestStreamOneShotUnchanged(t *testing.T) {
 // one WindowStats per window, numbered 1..N, and their sums consistent
 // with the app-level totals.
 func TestStreamWindowStatsShape(t *testing.T) {
-	res, _ := runStream(t, blaze.StreamKMeans, 1, 0)
-	if len(res.Windows) != 4 {
-		t.Fatalf("got %d window stats, want 4", len(res.Windows))
+	res := streamCell(quarterStream(blaze.StreamKMeans, 0)).run(t, p1)
+	if len(res.windows) != 4 {
+		t.Fatalf("got %d window stats, want 4", len(res.windows))
 	}
 	var retired, deltas int
-	for i, w := range res.Windows {
+	for i, w := range res.windows {
 		if w.Window != i+1 {
 			t.Errorf("window %d numbered %d", i+1, w.Window)
 		}
 		retired += w.PartitionsRetired
 		deltas += w.ILPDeltaSolves
 	}
-	if retired != res.Metrics.PartitionsRetired {
-		t.Errorf("per-window retired sum %d != app total %d", retired, res.Metrics.PartitionsRetired)
+	m := res.res.Metrics
+	if retired != m.PartitionsRetired {
+		t.Errorf("per-window retired sum %d != app total %d", retired, m.PartitionsRetired)
 	}
-	if deltas != res.Metrics.ILPDeltaSolves {
-		t.Errorf("per-window delta-solve sum %d != app total %d", deltas, res.Metrics.ILPDeltaSolves)
+	if deltas != m.ILPDeltaSolves {
+		t.Errorf("per-window delta-solve sum %d != app total %d", deltas, m.ILPDeltaSolves)
 	}
 }
 
@@ -213,16 +124,7 @@ func TestStreamWindowStatsShape(t *testing.T) {
 // per-class recovery durations, ResilienceActivity the retry and
 // speculation counters.
 func TestResultActivityAccessors(t *testing.T) {
-	res, err := blaze.Run(blaze.RunConfig{
-		System:    blaze.SysBlaze,
-		Workload:  blaze.PR,
-		Executors: 4,
-		Scale:     0.25,
-		Faults:    &blaze.FaultConfig{Seed: 7, Every: 3, Classes: []blaze.FaultClass{blaze.FaultExecutorDeath}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := batchCell(faulty(quarter(blaze.SysBlaze, blaze.PR), blaze.FaultExecutorDeath)).run(t, p1).res
 	if res.Metrics.FaultsInjected == 0 {
 		t.Fatal("fault schedule injected nothing")
 	}
