@@ -10,12 +10,12 @@ package blaze_test
 // a cell must reproduce its reference arm — Parallelism 1, every kernel
 // declined, virtual stores, the server path, not durable — as assertSame
 // defines it. Every run verifies cached costs against fresh ones and
-// poisons released pool arrays, and is memoized by configuration and
-// arm, so a run that several tests ask for happens once per process.
+// poisons released pool arrays. A reference run is memoized by
+// configuration, so several tests share it; every other arm runs each
+// time a test asks for it.
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"strings"
@@ -48,14 +48,9 @@ var (
 
 // outcome is one run as the comparer sees it.
 type outcome struct {
-	arm arm
-	res *blaze.Result
-	// log is dropped once a non-reference arm has been compared with its
-	// reference; events and digest, set by seal, outlive it.
+	arm         arm
+	res         *blaze.Result
 	log         *blaze.EventLog
-	sealed      bool
-	events      int
-	digest      [sha256.Size]byte // of the log as JSON lines
 	windows     []blaze.WindowStats
 	checkpoints []blaze.CheckpointStat
 	recovery    *blaze.EventLog // crash arms: the resume's recovery log
@@ -138,16 +133,19 @@ func crashAt(t *testing.T, cfg blaze.StreamConfig, k int) blaze.StreamConfig {
 	return cfg
 }
 
-// runs memoizes every cell run of the process by configuration and arm.
-var runs = map[string]*outcome{}
+// refs memoizes the reference arm's outcome of every configuration run
+// in the process. The reference is sequential, so its outcome is the
+// same every time; the other arms run each time, so -count=N repeats
+// their interleavings.
+var refs = map[string]*outcome{}
 
 // memoized returns the outcome of the run key names under a, calling run
-// — with every kernel declined unless a says otherwise, cached costs
-// verified and released pool arrays poisoned — only the first time.
+// with every kernel declined unless a says otherwise, cached costs
+// verified and released pool arrays poisoned. A reference arm runs only
+// the first time.
 func memoized(t *testing.T, key string, a arm, run func() *outcome) *outcome {
 	t.Helper()
-	key = fmt.Sprintf("%s %+v", key, a)
-	if o, ok := runs[key]; ok {
+	if o, ok := refs[key]; ok && a == refArm {
 		return o
 	}
 	declineKernels, poisonReleased = !a.kernels, true
@@ -158,7 +156,9 @@ func memoized(t *testing.T, key string, a arm, run func() *outcome) *outcome {
 	}()
 	o := run()
 	o.arm = a
-	runs[key] = o
+	if a == refArm {
+		refs[key] = o
+	}
 	return o
 }
 
@@ -172,29 +172,22 @@ func match(t *testing.T, c cell, arms ...arm) (*outcome, []*outcome) {
 	for i, a := range arms {
 		outs[i] = c.run(t, a)
 		assertSame(t, ref, outs[i])
-		// Compared event for event: the memo keeps the digest only, and
-		// the reference keeps its log for the cell's next arm.
-		outs[i].log = nil
 	}
 	return ref, outs
 }
 
 // assertSame is the matrix's one comparer. got must reproduce ref bit
 // for bit: every deterministic metric, the memory per executor, the
-// event log event for event (while both logs are held) and as JSON
-// bytes (by SHA-256), and every window's stats. Each side must also
-// report storage measurements exactly when it ran on real bytes, and
-// log every solve its metrics book.
+// event log event for event and as JSON lines, and every window's
+// stats. Each side must also report storage measurements exactly when
+// it ran on real bytes, and log every solve its metrics book.
 func assertSame(t *testing.T, ref, got *outcome) {
 	t.Helper()
 	for _, o := range []*outcome{ref, got} {
 		if (o.res.Storage != nil) != o.arm.real {
 			t.Errorf("%+v: reports storage measurements = %v, want them exactly on real bytes", o.arm, o.res.Storage != nil)
 		}
-		if o.log != nil {
-			assertLogBooksMetrics(t, fmt.Sprintf("%+v", o.arm), o.res.Metrics, o.log)
-		}
-		o.seal(t)
+		assertLogBooksMetrics(t, fmt.Sprintf("%+v", o.arm), o.res.Metrics, o.log)
 	}
 	label := fmt.Sprintf("%+v against the reference %+v", got.arm, ref.arm)
 	if !blaze.MetricsEqualDeterministic(ref.res.Metrics, got.res.Metrics) {
@@ -203,19 +196,23 @@ func assertSame(t *testing.T, ref, got *outcome) {
 	if ref.res.MemoryPerExecutor != got.res.MemoryPerExecutor {
 		t.Errorf("%s: memory per executor differs: ref %d, got %d", label, ref.res.MemoryPerExecutor, got.res.MemoryPerExecutor)
 	}
-	if ref.events != got.events {
-		t.Errorf("%s: event counts differ: ref=%d got=%d", label, ref.events, got.events)
+	re, ge := ref.log.Events(), got.log.Events()
+	if len(re) != len(ge) {
+		t.Errorf("%s: event counts differ: ref=%d got=%d", label, len(re), len(ge))
 	}
-	if ref.log != nil && got.log != nil {
-		re, ge := ref.log.Events(), got.log.Events()
-		for i := range min(len(re), len(ge)) {
-			if re[i] != ge[i] {
-				t.Errorf("%s: event %d differs:\nref: %+v\ngot: %+v", label, i, re[i], ge[i])
-				break
-			}
+	for i := range min(len(re), len(ge)) {
+		if re[i] != ge[i] {
+			t.Errorf("%s: event %d differs:\nref: %+v\ngot: %+v", label, i, re[i], ge[i])
+			break
 		}
 	}
-	if ref.digest != got.digest {
+	var lines [2]bytes.Buffer
+	for i, log := range []*blaze.EventLog{ref.log, got.log} {
+		if err := log.WriteJSON(&lines[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(lines[0].Bytes(), lines[1].Bytes()) {
 		t.Errorf("%s: the event logs' JSON lines differ", label)
 	}
 	if len(ref.windows) != len(got.windows) {
@@ -226,20 +223,6 @@ func assertSame(t *testing.T, ref, got *outcome) {
 			t.Errorf("%s: window %d stats differ:\nref: %+v\ngot: %+v", label, i+1, ref.windows[i], got.windows[i])
 		}
 	}
-}
-
-// seal records the length of the outcome's event log and the SHA-256 of
-// its JSON lines, once.
-func (o *outcome) seal(t *testing.T) {
-	t.Helper()
-	if o.sealed {
-		return
-	}
-	var buf bytes.Buffer
-	if err := o.log.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	o.sealed, o.events, o.digest = true, o.log.Len(), sha256.Sum256(buf.Bytes())
 }
 
 // solveBook is the optimizer accounting of a run, booked in its metrics
@@ -359,7 +342,8 @@ func underFaults(t *testing.T) {
 }
 
 // TestVectorizedIdentity: a partition's form changes only wall-clock
-// time, for every registered system. The realbytes rows run on spilling
+// time, for every registered system. The P8 run sets the deprecated
+// Vectorized, which nothing reads. The realbytes rows run on spilling
 // real-bytes stores, where a read decodes a cached block into columns,
 // so the k-means kernels run too; Blaze is there because its cost
 // lineage reacts to every controller callback, where the LRU of
@@ -367,7 +351,12 @@ func underFaults(t *testing.T) {
 func TestVectorizedIdentity(t *testing.T) {
 	for _, wl := range []blaze.WorkloadID{blaze.PR, blaze.KMeans} {
 		for _, sys := range allSystems() {
-			t.Run(fmt.Sprintf("%s/%s", wl, sys), func(t *testing.T) { match(t, batchCell(quarter(sys, wl)), p1, p8) })
+			t.Run(fmt.Sprintf("%s/%s", wl, sys), func(t *testing.T) {
+				cfg := quarter(sys, wl)
+				ref, _ := match(t, batchCell(cfg), p1)
+				cfg.Vectorized = true
+				assertSame(t, ref, batchCell(cfg).run(t, p8))
+			})
 		}
 	}
 	for _, c := range []struct {

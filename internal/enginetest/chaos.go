@@ -184,24 +184,3 @@ func CheckChaosInvariants(s ChaosSchedule, ref, got []int64, m *metrics.App) err
 	}
 	return nil
 }
-
-// CheckChaosIdentity verifies the parallel bit-identity invariant
-// between two runs of the same schedule: identical metrics (field for
-// field, excluding the optimizer's wall-clock ILPSolveTime — see
-// metrics.EqualDeterministic) and identical event logs (event for
-// event).
-func CheckChaosIdentity(s ChaosSchedule, m1, mN *metrics.App, l1, lN *eventlog.Log) error {
-	if !metrics.EqualDeterministic(m1, mN) {
-		return fmt.Errorf("chaos seed %d: metrics differ between Parallelism 1 and N:\nP1: %+v\nPN: %+v", s.Seed, m1, mN)
-	}
-	e1, eN := l1.Events(), lN.Events()
-	if len(e1) != len(eN) {
-		return fmt.Errorf("chaos seed %d: event logs differ in length: %d vs %d", s.Seed, len(e1), len(eN))
-	}
-	for i := range e1 {
-		if e1[i] != eN[i] {
-			return fmt.Errorf("chaos seed %d: event %d differs:\nP1: %+v\nPN: %+v", s.Seed, i, e1[i], eN[i])
-		}
-	}
-	return nil
-}
