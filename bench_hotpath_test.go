@@ -104,22 +104,23 @@ func BenchmarkHotpathShuffleRouteRow(b *testing.B) {
 	}
 }
 
+// BenchmarkHotpathShuffleRouteBatch times what the engine does with a
+// columnar PageRank map output (writeMapOutput): combine it once, split
+// it into 128 buckets and, when the shuffle is cleaned, release the map
+// output.
 func BenchmarkHotpathShuffleRouteBatch(b *testing.B) {
-	const parts = 8
+	const parts = 128
 	in := contribBatch()
 	router := dataflow.NewRouter(parts)
+	add := func(a, b float64) float64 { return a + b }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buckets := make([]*dataflow.Batch, parts)
-		for p := range buckets {
-			buckets[p] = dataflow.NewBatch(in.Len() / parts)
-		}
-		for j := 0; j < in.Len(); j++ {
-			buckets[router.Bucket(in.Keys[j])].AppendFromBatch(in, j)
-		}
-		for _, bk := range buckets {
-			bk.Release()
+		merged := dataflow.MergeBatchByKeyF64(in, add)
+		_, owned := router.Split(merged)
+		merged.Release()
+		for _, o := range owned {
+			o.Release()
 		}
 	}
 }
@@ -309,25 +310,37 @@ func TestBatchedPRKernelAllocCeiling(t *testing.T) {
 }
 
 // prAllocCeiling bounds what a PageRank run allocates per vertex and
-// iteration (prAllocsPerVertexIter). Measured 0.95 (linux/amd64,
+// iteration (prAllocsPerVertexIter). Measured 0.69 (linux/amd64,
 // go1.24); boxing every cached partition and every counted graph, with a
 // Go map per combine, reads 5.7.
 const prAllocCeiling = 1.4
 
-// prAllocsPerVertexIter measures what a whole PageRank run allocates per
-// vertex and iteration: Blaze, memory under pressure (a quarter of the
-// working set), Parallelism 2, at the pr-dataplane benchmark's shape.
-func prAllocsPerVertexIter(t *testing.T) float64 {
-	const verts, iters = 24000, 10
-	id := blaze.WorkloadID("hotpath/pr-dataplane")
+// prShape is the shape of a PageRank run whose allocations are measured:
+// one of the PageRank benchmark workloads.
+type prShape struct {
+	name                           string
+	verts, iters, parts, executors int
+}
+
+var (
+	prDataplane = prShape{"pr-dataplane", 24000, 10, 32, 8}
+	prWide      = prShape{"pr-wide-control", 8000, 3, 128, 2}
+)
+
+// prAllocsPerVertexIter measures what a whole PageRank run of shape s
+// allocates per vertex and iteration: Blaze, memory under pressure (a
+// quarter of the working set), Parallelism 2.
+func prAllocsPerVertexIter(t *testing.T, s prShape) float64 {
+	id := blaze.WorkloadID("hotpath/" + s.name)
 	if _, err := blaze.Workload(id); err != nil {
-		pr := graphx.PageRankConfig{Graph: datagen.GraphSpec{Seed: 1, Vertices: verts, AvgDegree: 8}, Parts: 32, Iters: iters}
+		pr := graphx.PageRankConfig{Graph: datagen.GraphSpec{Seed: 1, Vertices: s.verts, AvgDegree: 8}, Parts: s.parts, Iters: s.iters}
 		if err := blaze.RegisterWorkload(blaze.WorkloadSpec{ID: id, SerFactor: 2.5, MemFraction: 0.25,
 			Plain: graphx.PageRankWorkload(pr)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return float64(runMallocs(t, blaze.RunConfig{System: blaze.SysBlaze, Workload: id, Executors: 8, Parallelism: 2})) / (verts * iters)
+	cfg := blaze.RunConfig{System: blaze.SysBlaze, Workload: id, Executors: s.executors, Parallelism: 2}
+	return float64(runMallocs(t, cfg)) / float64(s.verts*s.iters)
 }
 
 // runMallocs returns the heap allocations of one blaze.Run of cfg, after
@@ -377,19 +390,38 @@ func TestRowOperatorAllocCeiling(t *testing.T) {
 // vertex and iteration. Every PageRank operator has a kernel and the
 // adjacency is a typed source, so the run is columnar throughout: cached
 // partitions stay typed, a count boxes nothing, and the map side combines
-// once into exactly-sized buckets. What is left is per task and per
-// block, not per record; boxing a partition at the store or the driver,
-// or a Go map per combine, costs several allocations per vertex-iteration
-// and fails here.
+// once and splits into one exactly-sized container. What is left is per
+// task and per block, not per record; boxing a partition at the store or
+// the driver, or a Go map per combine, costs several allocations per
+// vertex-iteration and fails here.
 func TestEnginePRAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("alloc measurement is noisy under -short harnesses")
 	}
-	got := prAllocsPerVertexIter(t)
+	got := prAllocsPerVertexIter(t, prDataplane)
 	t.Logf("%.2f allocations per vertex-iteration", got)
 	if got > prAllocCeiling {
 		t.Fatalf("a PageRank run allocates %.2f times per vertex-iteration (ceiling %.1f): something per record is back on the engine path",
 			got, prAllocCeiling)
+	}
+}
+
+// TestEnginePRWideAllocCeiling is TestEnginePRAllocCeiling at the
+// pr-wide-control benchmark's shape, 128 partitions over 2 executors,
+// where each map task splits its combined output into 128 buckets. A
+// split writes one container its buckets are views on; one batch and
+// its arrays per bucket instead reads about 11.5 allocations per
+// vertex-iteration.
+func TestEnginePRWideAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("alloc measurement is noisy under -short harnesses")
+	}
+	const ceiling = 4.0
+	got := prAllocsPerVertexIter(t, prWide)
+	t.Logf("%.2f allocations per vertex-iteration", got)
+	if got > ceiling {
+		t.Fatalf("a 128-partition PageRank run allocates %.2f times per vertex-iteration (ceiling %.0f): a map task allocates per shuffle bucket again",
+			got, ceiling)
 	}
 }
 
@@ -403,7 +435,7 @@ func TestVectorizedPathEngages(t *testing.T) {
 		t.Skip("alloc measurement is noisy under -short harnesses")
 	}
 	var got float64
-	withKernelsDeclined(func() { got = prAllocsPerVertexIter(t) })
+	withKernelsDeclined(func() { got = prAllocsPerVertexIter(t, prDataplane) })
 	t.Logf("%.2f allocations per vertex-iteration with every kernel declined", got)
 	if got <= prAllocCeiling {
 		t.Fatalf("with every kernel declined, PageRank allocates %.2f times per vertex-iteration, within the kernels' ceiling %.1f: the ceiling no longer tells the forms apart",

@@ -27,9 +27,11 @@ import (
 //     task loop for a partition in flight; a block store for a cached
 //     block, until the block is dropped, evicted without a spill, retired
 //     or purged (a spill hands it to the disk store); the shuffle service
-//     for a retained bucket, until the shuffle is cleaned or the map
-//     output lost (a broadcast output fills every bucket and is released
-//     once).
+//     for a map output, until the shuffle is cleaned or the map output
+//     lost. A map output's buckets may be views on batches it owns (a
+//     split's one container, a broadcast's one batch): the service
+//     releases what it owns, each once, and a view's Release does
+//     nothing.
 //   - Owners never share arrays: a store admits a copy of the task's
 //     batch (CloneExact: a long-lived owner holds arrays of exactly its
 //     size, never pooled ones), and a task clones a cached batch before
@@ -74,6 +76,10 @@ type Batch struct {
 	// slice for empty input, FlatMap/Filter return nil), and the block
 	// codec round-trips the distinction, so batches must carry it too.
 	NonNil bool
+	// view marks a bucket of a split (Router.Split): its arrays are a
+	// range of a container another batch owns, so Release leaves them.
+	// It sits in NonNil's padding, keeping Batch at 48 bytes.
+	view bool
 }
 
 // NewBatch returns an empty columnar batch with pooled key storage.
@@ -343,9 +349,10 @@ func (b *Batch) EstimateSize() int64 {
 
 // Release returns a columnar batch's pooled storage. Safe to call on nil
 // and idempotent; the batch must not be used afterwards. A row-form
-// batch, shared by its owners, is left as it is.
+// batch, shared by its owners, and a split's view, whose container owns
+// its arrays, are left as they are.
 func (b *Batch) Release() {
-	if b == nil || b.RowForm() {
+	if b == nil || b.view || b.RowForm() {
 		return
 	}
 	if b.Keys != nil {

@@ -217,9 +217,9 @@ func TestCombineSmallAndLargeAgree(t *testing.T) {
 }
 
 // TestResidentCopiesAreExact: whatever large arrays the pools hold, a
-// copy for a long-lived owner (CloneExact, a routed bucket) sits on
-// arrays of exactly its size, so a small cached block or retained bucket
-// never pins a large released array.
+// copy for a long-lived owner (CloneExact, a routed bucket and the
+// container it views) sits on arrays of exactly its size, so a small
+// cached block or retained bucket never pins a large released array.
 func TestResidentCopiesAreExact(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		PutI64Slice(make([]int64, 1<<16))
@@ -251,7 +251,8 @@ func TestResidentCopiesAreExact(t *testing.T) {
 	exact("CloneExact", floats.CloneExact())
 	sums := FromRecords([]Record{{Key: 1, Value: 1.0}, {Key: 2, Value: 2.0}, {Key: 3, Value: 3.0}})
 	for _, in := range []*Batch{sums, floats} {
-		for _, bb := range NewRouter(2).Split(in) {
+		buckets, owned := NewRouter(2).Split(in)
+		for _, bb := range append(buckets, owned...) {
 			if bb != nil {
 				exact("Split bucket", bb)
 			}

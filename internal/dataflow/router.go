@@ -80,56 +80,109 @@ func (r Router) Bucket(key int64) int {
 }
 
 // Split routes a batch into one batch per bucket, each keeping the input
-// order, on arrays of exactly the bucket's size: the shuffle service
-// keeps buckets until the shuffle is cleaned, and a pooled array could
-// pin many times what a bucket holds. Rows are counted per bucket first,
-// so a float64 column is scattered straight into its buckets with no
-// call through the Column interface; any other column is appended record
-// by record and then copied to size. An empty bucket is nil and a
+// order, and returns the buckets with the batches that own their storage:
+// the shuffle service keeps the buckets until the shuffle is cleaned and
+// releases owned, each once, as one unit. A Dense column is scattered
+// into one container, one key array and one value array of exactly the
+// input's size in bucket order, and each bucket is a view on its range
+// (splitDense). Any other column is appended record by record and copied
+// to size, each bucket its own owner. An empty bucket is nil and a
 // non-empty one is NonNil, like the row slices routing appends into. The
 // input is left to the caller.
-func (r Router) Split(in *Batch) []*Batch {
-	out := make([]*Batch, r.parts)
+func (r Router) Split(in *Batch) (buckets, owned []*Batch) {
 	n := in.Len()
 	if n == 0 {
-		return out
+		return make([]*Batch, r.parts), nil
 	}
 	at := GetI32Slice(n)[:n]
-	counts := make([]int32, r.parts)
 	for i, k := range in.Keys {
-		b := r.Bucket(k)
-		at[i] = int32(b)
+		at[i] = int32(r.Bucket(k))
+	}
+	switch c := in.Col.(type) {
+	case *Dense[float64]:
+		buckets, owned = splitDense(r.parts, in.Keys, c.Vals, at)
+	case *Dense[int64]:
+		buckets, owned = splitDense(r.parts, in.Keys, c.Vals, at)
+	default:
+		buckets = splitEach(r.parts, in, at)
+		owned = buckets
+	}
+	PutI32Slice(at)
+	return buckets, owned
+}
+
+// splitView is one bucket's batch and column headers, allocated together
+// in a split's slab.
+type splitView[T Elem] struct {
+	b Batch
+	c Dense[T]
+}
+
+// splitDense scatters keys and vals, record i into bucket at[i], into
+// one container by counting sort, and returns every non-empty bucket as
+// a view on its range with its capacity capped at its length, so an
+// append to one bucket cannot reach the next. The views' headers and the
+// container's share one slab: a split allocates the same few objects at
+// any bucket count.
+func splitDense[T Elem](parts int, keys []int64, vals []T, at []int32) (buckets, owned []*Batch) {
+	end := GetI32Slice(parts)[:parts]
+	clear(end)
+	for _, b := range at {
+		end[b]++
+	}
+	var off int32
+	for b, c := range end {
+		end[b] = off // bucket b's start, advanced to its end by the scatter
+		off += c
+	}
+	ck, cv := make([]int64, len(at)), make([]T, len(at))
+	for i, b := range at {
+		j := end[b]
+		ck[j], cv[j] = keys[i], vals[i]
+		end[b]++
+	}
+	slab := make([]splitView[T], parts+1)
+	out := make([]*Batch, parts+1)
+	var lo int32
+	for b, hi := range end {
+		if hi > lo {
+			v := &slab[b]
+			v.c.Vals = cv[lo:hi:hi]
+			v.b = Batch{Keys: ck[lo:hi:hi], Col: &v.c, NonNil: true, view: true}
+			out[b] = &v.b
+		}
+		lo = hi
+	}
+	PutI32Slice(end)
+	c := &slab[parts]
+	c.c.Vals = cv
+	c.b = Batch{Keys: ck, Col: &c.c, NonNil: true}
+	out[parts] = &c.b
+	return out[:parts:parts], out[parts:]
+}
+
+// splitEach routes a column of any other type bucket by bucket: records
+// are appended to a batch per bucket, each then copied to its exact size.
+func splitEach(parts int, in *Batch, at []int32) []*Batch {
+	counts := make([]int32, parts)
+	for _, b := range at {
 		counts[b]++
 	}
+	out := make([]*Batch, parts)
 	for b, c := range counts {
 		if c > 0 {
 			out[b] = &Batch{Keys: make([]int64, 0, c), NonNil: true}
 		}
 	}
-	if fc, ok := in.Col.(*Dense[float64]); ok {
-		cols := make([]*Dense[float64], r.parts)
-		for b, c := range counts {
-			if c > 0 {
-				cols[b] = &Dense[float64]{Vals: make([]float64, 0, c)}
-				out[b].Col = cols[b]
-			}
-		}
-		for i, b := range at {
-			out[b].Keys = append(out[b].Keys, in.Keys[i])
-			cols[b].Vals = append(cols[b].Vals, fc.Vals[i])
-		}
-	} else {
-		for i, b := range at {
-			out[b].AppendFromBatch(in, i)
-		}
-		for b, bb := range out {
-			if bb != nil {
-				out[b] = bb.CloneExact()
-				bb.Release()
-			}
+	for i, b := range at {
+		out[b].AppendFromBatch(in, i)
+	}
+	for b, bb := range out {
+		if bb != nil {
+			out[b] = bb.CloneExact()
+			bb.Release()
 		}
 	}
-	PutI32Slice(at)
 	return out
 }
 

@@ -34,54 +34,54 @@ func (c *Cluster) writeMapOutput(st *Stage, part, executor int, out *dataflow.Ba
 	if !ok {
 		router = dataflow.NewRouter(st.NumBuckets)
 	}
-	batches, bucketBytes, written := route(dep, router, out)
-	return written, c.shuffle.SetMapOutputBatch(dep.ShuffleID, part, executor, batches, bucketBytes)
+	buckets, owned, bucketBytes, written := route(dep, router, out)
+	return written, c.shuffle.SetMapOutputViews(dep.ShuffleID, part, executor, buckets, owned, bucketBytes)
 }
 
 // route splits a map task's output into the router's buckets, combining
-// each map-side, and consumes out. A columnar float64 output with an
-// unboxed combiner is combined once and then split: every key lands in
-// exactly one bucket, so each bucket's first-seen key order and each
-// key's accumulation order are those of combining bucket by bucket, bit
-// for bit. Any other columnar output is split uncombined. A row-form
-// output, and any combine through the boxed Combine, go by rows
-// (routeRows). Every columnar bucket sits on arrays of exactly its size,
-// as the shuffle service keeps it until the shuffle is cleaned (see
-// Router.Split).
-func route(dep dataflow.Dependency, router dataflow.Router, out *dataflow.Batch) ([]*dataflow.Batch, []int64, int64) {
+// each map-side, and consumes out. It returns the buckets with the
+// batches that own their storage, which the shuffle service releases
+// once the output leaves it. A columnar float64 output with an unboxed
+// combiner is combined once and then split: every key lands in exactly
+// one bucket, so each bucket's first-seen key order and each key's
+// accumulation order are those of combining bucket by bucket, bit for
+// bit. Any other columnar output is split uncombined. A row-form output,
+// and any combine through the boxed Combine, go by rows (routeRows). A
+// split's buckets are views on one container of exactly the output's
+// size (Router.Split); a broadcast's share one copy of the output.
+func route(dep dataflow.Dependency, router dataflow.Router, out *dataflow.Batch) (buckets, owned []*dataflow.Batch, bucketBytes []int64, written int64) {
 	_, f64 := out.Col.(*dataflow.Dense[float64])
 	unboxed := f64 && dep.CombineF64 != nil
 	if out.RowForm() || dep.Combine != nil && !unboxed {
 		recs := out.Records()
 		out.Release()
-		return routeRows(dep, router, recs)
+		buckets, bucketBytes, written = routeRows(dep, router, recs)
+		return buckets, buckets, bucketBytes, written
 	}
-	var batches []*dataflow.Batch
 	switch {
 	case dep.Broadcast:
-		// Every bucket shares one copy of the output, released once.
 		kept := out.CloneExact()
-		batches = make([]*dataflow.Batch, router.Parts())
-		for b := range batches {
-			batches[b] = kept
+		buckets = make([]*dataflow.Batch, router.Parts())
+		for b := range buckets {
+			buckets[b] = kept
 		}
+		owned = []*dataflow.Batch{kept}
 	case unboxed:
 		merged := dataflow.MergeBatchByKeyF64(out, dep.CombineF64)
-		batches = router.Split(merged)
+		buckets, owned = router.Split(merged)
 		merged.Release()
 	default:
-		batches = router.Split(out)
+		buckets, owned = router.Split(out)
 	}
 	out.Release()
-	bucketBytes := make([]int64, len(batches))
-	var written int64
-	for b, bb := range batches {
+	bucketBytes = make([]int64, len(buckets))
+	for b, bb := range buckets {
 		if bb.Len() > 0 { // an empty bucket accounts 0 bytes, not 24
 			bucketBytes[b] = bb.EstimateSize()
 			written += bucketBytes[b]
 		}
 	}
-	return batches, bucketBytes, written
+	return buckets, owned, bucketBytes, written
 }
 
 // routeRows routes records in output order into their buckets, combines

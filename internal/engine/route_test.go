@@ -68,7 +68,7 @@ func TestCombineThenRouteEqualsRouteThenCombine(t *testing.T) {
 			want, wantBytes, wantWritten := rowRoute(dep, buckets, recs)
 			for _, in := range []*dataflow.Batch{dataflow.FromRecords(recs), dataflow.Rows(recs)} {
 				name := fmt.Sprintf("buckets %d, %d records over %d keys, row form %v", buckets, n, span, in.RowForm())
-				got, gotBytes, gotWritten := route(dep, dataflow.NewRouter(buckets), in)
+				got, owned, gotBytes, gotWritten := route(dep, dataflow.NewRouter(buckets), in)
 				if len(got) != buckets || gotWritten != wantWritten {
 					t.Fatalf("%s: %d buckets, %d bytes written; want %d, %d", name, len(got), gotWritten, buckets, wantWritten)
 				}
@@ -89,7 +89,9 @@ func TestCombineThenRouteEqualsRouteThenCombine(t *testing.T) {
 								g.Key, math.Float64bits(g.Value.(float64)), r.Key, math.Float64bits(r.Value.(float64)))
 						}
 					}
-					bb.Release()
+				}
+				for _, o := range owned {
+					o.Release()
 				}
 			}
 		}

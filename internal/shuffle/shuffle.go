@@ -27,23 +27,25 @@ import (
 // mapOutput is one map task's contribution: one batch (nil when empty)
 // and a byte count per reduce bucket, tagged with the producing executor.
 // A bucket keeps the form its map task gave it, columnar or row form.
-// The service owns the batches: every fetch copies out of them, and a
-// columnar one goes back to the pool when the output leaves the service
-// (release).
+// The service owns the output as one unit: every fetch copies out of its
+// buckets, and the batches in owned, which hold the buckets' storage, go
+// back to the pool when the output leaves the service (release). A split
+// output's buckets are views on its one container, a broadcast's are
+// its one batch; any other output owns each bucket.
 type mapOutput struct {
 	batches  []*dataflow.Batch
+	owned    []*dataflow.Batch
 	bytes    []int64
 	executor int
 }
 
-// release returns the output's batches to the pool once it has left the
-// service. A broadcast output holds one batch in every bucket;
-// Batch.Release is idempotent, so it is released once.
+// release returns the output's storage to the pool once it has left the
+// service.
 func (m *mapOutput) release() {
 	if m == nil {
 		return
 	}
-	for _, bb := range m.batches {
+	for _, bb := range m.owned {
 		bb.Release()
 	}
 }
@@ -142,13 +144,21 @@ func (s *Service) SetMapOutput(shuffleID, mapPart, executor int, buckets [][]dat
 // caller hands over ownership: the service releases the batches when the
 // output is cleaned or lost.
 func (s *Service) SetMapOutputBatch(shuffleID, mapPart, executor int, batches []*dataflow.Batch, bytes []int64) error {
+	return s.SetMapOutputViews(shuffleID, mapPart, executor, batches, batches, bytes)
+}
+
+// SetMapOutputViews is SetMapOutputBatch of buckets that are views on
+// the batches in owned (a Router.Split's container, or one batch every
+// bucket of a broadcast shares). The service owns them instead, and
+// releases each once.
+func (s *Service) SetMapOutputViews(shuffleID, mapPart, executor int, views, owned []*dataflow.Batch, bytes []int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	o, err := s.checkSet(shuffleID, mapPart, len(batches), len(bytes))
+	o, err := s.checkSet(shuffleID, mapPart, len(views), len(bytes))
 	if err != nil {
 		return err
 	}
-	o.maps[mapPart] = &mapOutput{batches: batches, bytes: bytes, executor: executor}
+	o.maps[mapPart] = &mapOutput{batches: views, owned: owned, bytes: bytes, executor: executor}
 	for _, b := range bytes {
 		s.totalWritten += b
 	}

@@ -3,12 +3,20 @@ package shuffle
 import (
 	"bytes"
 	"encoding/gob"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"blaze/internal/dataflow"
 )
+
+// poisonReleased is internal/dataflow's test-only switch: every array
+// released to the slice pools is overwritten with a sentinel.
+//
+//go:linkname poisonReleased blaze/internal/dataflow.poisonReleased
+var poisonReleased bool
 
 func recs(keys ...int64) []dataflow.Record {
 	out := make([]dataflow.Record, len(keys))
@@ -405,17 +413,21 @@ func TestSnapshotAndRestoreReturnErrors(t *testing.T) {
 // TestRetainedBatchesReleasedWhenOutputLeaves: the service owns the
 // batches a map task hands it. They stay intact while fetches copy out of
 // them, and go back to the pool when their output is lost or the shuffle
-// cleaned — a broadcast output, one batch in every bucket, once.
+// cleaned — a broadcast output, one batch it owns in every bucket, once.
 func TestRetainedBatchesReleasedWhenOutputLeaves(t *testing.T) {
 	s := NewService()
 	s.Ensure(1, 2, 3)
 	routed := []*dataflow.Batch{dataflow.FromRecords(recs(2, 4)), dataflow.FromRecords(recs(1))}
 	lost := []*dataflow.Batch{dataflow.FromRecords(recs(6)), nil}
 	bcast := dataflow.FromRecords(recs(7, 8))
-	for m, bs := range [][]*dataflow.Batch{routed, lost, {bcast, bcast}} {
+	for m, bs := range [][]*dataflow.Batch{routed, lost} {
 		if err := s.SetMapOutputBatch(1, m, m, bs, []int64{1, 1}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	bs := []*dataflow.Batch{bcast, bcast}
+	if err := s.SetMapOutputViews(1, 2, 2, bs, bs[:1], []int64{1, 1}); err != nil {
+		t.Fatal(err)
 	}
 	s.MarkComplete(1)
 	got, _, err := s.FetchBatch(1, 0)
@@ -439,4 +451,165 @@ func TestRetainedBatchesReleasedWhenOutputLeaves(t *testing.T) {
 	if routed[0].Len()+routed[1].Len()+bcast.Len() != 0 {
 		t.Fatal("Clean left retained batches unreleased")
 	}
+}
+
+// splitOutput is one map task's float64 output over the given keys,
+// split by the shuffle's router the way the engine writes it: buckets
+// that are views on one container, owned by the container alone. exact
+// holds the same buckets as separate batches of exactly their size, the
+// form every bucket had before splits wrote containers.
+func splitOutput(keys []int64, buckets int) (views, owned, exact []*dataflow.Batch, sizes []int64) {
+	in := dataflow.NewBatch(len(keys))
+	col := dataflow.NewDense[float64](len(keys))
+	in.Col = col
+	for i, k := range keys {
+		in.Keys = append(in.Keys, k)
+		col.Vals = append(col.Vals, float64(i)/3)
+	}
+	views, owned = dataflow.NewRouter(buckets).Split(in)
+	in.Release()
+	exact = make([]*dataflow.Batch, buckets)
+	sizes = make([]int64, buckets)
+	for b, v := range views {
+		if v != nil {
+			exact[b], sizes[b] = v.CloneExact(), v.EstimateSize()
+		}
+	}
+	return views, owned, exact, sizes
+}
+
+// outputKeys is map output m's keys in a shuffle: n keys, some repeated.
+func outputKeys(m, n int) []int64 {
+	keys := make([]int64, n)
+	for i := range keys {
+		keys[i] = int64((i*37 + m*11) % (n - 5))
+	}
+	return keys
+}
+
+// TestSplitOutputSnapshotsLikeExactBuckets pins checkpoint compatibility:
+// a map output whose buckets are views on one container snapshots to
+// exactly the bytes the same buckets held as separate exact batches do,
+// and either snapshot restores to a service whose every fetch equals the
+// live services'.
+func TestSplitOutputSnapshotsLikeExactBuckets(t *testing.T) {
+	const buckets, maps = 8, 3
+	split, exact := NewService(), NewService()
+	for _, s := range []*Service{split, exact} {
+		s.Ensure(1, buckets, maps)
+	}
+	for m := 0; m < maps; m++ {
+		views, owned, copies, sizes := splitOutput(outputKeys(m, 60+m), buckets)
+		if err := split.SetMapOutputViews(1, m, m, views, owned, sizes); err != nil {
+			t.Fatal(err)
+		}
+		if err := exact.SetMapOutputBatch(1, m, m, copies, sizes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wires [2][]byte
+	services := []*Service{split, exact}
+	for i, s := range services {
+		s.MarkComplete(1)
+		snap, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire bytes.Buffer
+		if err := gob.NewEncoder(&wire).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		wires[i] = wire.Bytes()
+		r := NewService()
+		if err := r.Restore(snap); err != nil {
+			t.Fatal(err)
+		}
+		services = append(services, r)
+	}
+	if !bytes.Equal(wires[0], wires[1]) {
+		t.Fatal("a container-backed map output snapshots to other bytes than its buckets held as exact batches")
+	}
+	for b := 0; b < buckets; b++ {
+		want, wantBytes, err := exact.FetchBatch(1, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range services {
+			got, gotBytes, err := s.FetchBatch(1, b)
+			if err != nil || gotBytes != wantBytes || got.NonNil != want.NonNil || !reflect.DeepEqual(got.Records(), want.Records()) {
+				t.Fatalf("service %d bucket %d: fetch %v (%d bytes, err %v), want %v (%d bytes)",
+					i, b, got.Records(), gotBytes, err, want.Records(), wantBytes)
+			}
+			got.Release()
+		}
+		want.Release()
+	}
+}
+
+// TestLostSplitOutputReleasesItsContainer: losing one bucket of a
+// container-backed map output, or its executor, releases that output's
+// container, which every one of its views then reads as the poison
+// sentinel, and touches no other map output.
+func TestLostSplitOutputReleasesItsContainer(t *testing.T) {
+	poisonReleased = true
+	defer func() { poisonReleased = false }()
+	const buckets, maps = 8, 4
+	s := NewService()
+	s.Ensure(1, buckets, maps)
+	views := make([][]*dataflow.Batch, maps)
+	owners := make([]*dataflow.Batch, maps)
+	want := make([][]*dataflow.Batch, maps)
+	for m := range views {
+		var owned []*dataflow.Batch
+		var sizes []int64
+		views[m], owned, want[m], sizes = splitOutput(outputKeys(m, 40), buckets)
+		owners[m] = owned[0]
+		if err := s.SetMapOutputViews(1, m, m%2, views[m], owned, sizes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.MarkComplete(1)
+	check := func(step string, lost ...int) {
+		t.Helper()
+		for m := range views {
+			released := false
+			for _, l := range lost {
+				released = released || l == m
+			}
+			if (owners[m].Keys == nil) != released {
+				t.Fatalf("%s: map output %d's container released %v, want %v", step, m, !released, released)
+			}
+			for b, v := range views[m] {
+				if v == nil {
+					continue
+				}
+				if !released && !reflect.DeepEqual(v.Records(), want[m][b].Records()) {
+					t.Fatalf("%s: map output %d bucket %d reads %v, want %v", step, m, b, v.Records(), want[m][b].Records())
+				}
+				for i, k := range v.Keys {
+					val := v.Col.(*dataflow.Dense[float64]).Vals[i]
+					if released && (k != math.MinInt64 || !math.IsNaN(val)) {
+						t.Fatalf("%s: map output %d bucket %d record %d reads (%d, %v) after its container's release", step, m, b, i, k, val)
+					}
+				}
+			}
+		}
+	}
+	lostBucket := -1
+	for b, v := range views[0] {
+		if v != nil {
+			lostBucket = b
+			break
+		}
+	}
+	if _, ok := s.LoseBucket(1, 0, lostBucket); !ok {
+		t.Fatal("LoseBucket found no bucket to lose")
+	}
+	check("LoseBucket", 0)
+	if lost := s.LoseExecutorOutputs(1); len(lost) != 2 {
+		t.Fatalf("executor 1 lost %v, want map outputs 1 and 3", lost)
+	}
+	check("LoseExecutorOutputs", 0, 1, 3)
+	s.Clean(1)
+	check("Clean", 0, 1, 2, 3)
 }

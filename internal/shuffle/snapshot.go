@@ -25,7 +25,9 @@ type MapSnapshot struct {
 	Bytes    []int64
 }
 
-// encodeBuckets encodes every non-empty bucket of a map output.
+// encodeBuckets encodes every non-empty bucket of a map output. A view
+// on a split's container encodes its own range, exactly as a bucket on
+// arrays of its own.
 func (m *mapOutput) encodeBuckets() ([][]byte, error) {
 	out := make([][]byte, len(m.bytes))
 	for b, bb := range m.batches {
@@ -114,7 +116,7 @@ func (s *Service) Restore(snap *Snapshot) error {
 					return fmt.Errorf("shuffle: restore: shuffle %d map output %d bucket %d: %w", os.ID, i, b, err)
 				}
 			}
-			o.maps[i] = &mapOutput{batches: batches, bytes: m.Bytes, executor: m.Executor}
+			o.maps[i] = &mapOutput{batches: batches, owned: batches, bytes: m.Bytes, executor: m.Executor}
 		}
 		outputs[os.ID] = o
 	}
