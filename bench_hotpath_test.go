@@ -574,3 +574,65 @@ func TestSelectVictimsAllocCeiling(t *testing.T) {
 		t.Fatalf("one admission under pressure allocates %.1f times (ceiling %d): something per-cache is rebuilt per admission", allocs, ceiling)
 	}
 }
+
+// BenchmarkHotpathRecoveryCostStream times the Eq. 4 recursion on a warm
+// lineage: a 10-window sliding PageRank stream whose resident blocks
+// each price through their ancestors. Every op bumps one column with an
+// observation and re-prices that column's resident blocks through the
+// executor's victim order, the path every admission under memory
+// pressure takes.
+func BenchmarkHotpathRecoveryCostStream(b *testing.B) {
+	ctl := core.NewBlaze()
+	ctx := dataflow.NewContext()
+	c, err := engine.NewCluster(engine.Config{
+		Executors:         4,
+		Parallelism:       1,
+		MemoryPerExecutor: 96 * 1024,
+		Params:            costmodel.Default(),
+		Controller:        ctl,
+	}, ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Finish()
+	step := graphx.PageRankStream(graphx.PageRankStreamConfig{
+		Graph: datagen.GraphSpec{Seed: 11, Vertices: 1000, AvgDegree: 8},
+		Parts: 16, ItersPerWindow: 3,
+	})
+	for w := 1; w <= 10; w++ {
+		c.StartWindow()
+		step(ctx, w)
+	}
+	ex := c.Executors()[0]
+	type bump struct {
+		id   storage.BlockID
+		size int64
+		cost time.Duration
+	}
+	var bumps []bump
+	ctl.SelectVictims(ex, 1) // stamps every resident block's price
+	lin := ctl.Lineage()
+	for _, m := range ex.Mem.Blocks() {
+		if n := lin.Node(m.ID.Dataset); n != nil && m.Cost > 0 {
+			size, _ := lin.PartitionSize(n, m.ID.Partition)
+			cost, _ := lin.PartitionCost(n, m.ID.Partition)
+			bumps = append(bumps, bump{m.ID, size, cost})
+		}
+	}
+	if len(bumps) == 0 {
+		b.Fatal("no resident block is priced by the recursion")
+	}
+	reprice := func(i int) {
+		k := bumps[i%len(bumps)]
+		lin.ObservePartition(k.id.Dataset, k.id.Partition, k.size, k.cost)
+		ctl.SelectVictims(ex, 1)
+	}
+	for i := range bumps {
+		reprice(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reprice(i)
+	}
+}

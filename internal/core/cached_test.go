@@ -478,19 +478,14 @@ func TestCachedCostsEqualFresh(t *testing.T) {
 	}
 }
 
-// TestCostMemoStaysBounded runs a 10-window sliding PageRank stream and
-// checks that the estimators' memos hold one epoch's working set, not the
-// stream's history of them: entries an epoch change invalidates are
-// dropped, so what is held is bounded by columns × live horizons per
-// lineage node. (Eq. 4 walks retired ancestors too, so the working set
-// itself follows the lineage's length; it is the per-node figure that
-// must not grow.)
-func TestCostMemoStaysBounded(t *testing.T) {
-	const parts, execs = 16, 4
-	ctl := NewBlaze()
+// pageRankStream runs a sliding PageRank stream of the given number of
+// windows under ctl on a four-executor cluster small enough to evict,
+// calling each after every window. The cluster is left open.
+func pageRankStream(t *testing.T, ctl *Controller, windows int, each func(w int)) *engine.Cluster {
+	t.Helper()
 	ctx := dataflow.NewContext()
 	c, err := engine.NewCluster(engine.Config{
-		Executors:         execs,
+		Executors:         4,
 		Parallelism:       1,
 		MemoryPerExecutor: 96 * 1024,
 		Params:            costmodel.Default(),
@@ -501,21 +496,53 @@ func TestCostMemoStaysBounded(t *testing.T) {
 	}
 	step := graphx.PageRankStream(graphx.PageRankStreamConfig{
 		Graph: datagen.GraphSpec{Seed: 11, Vertices: 1000, AvgDegree: 8},
-		Parts: parts, ItersPerWindow: 3,
+		Parts: streamParts, ItersPerWindow: 3,
 	})
-	perNode := make([]float64, 11)
-	for w := 1; w <= 10; w++ {
+	for w := 1; w <= windows; w++ {
 		c.StartWindow()
 		step(ctx, w)
-		held, horizons := 0, make(map[int]bool)
+		if each != nil {
+			each(w)
+		}
+	}
+	return c
+}
+
+const streamParts = 16
+
+// TestCostMemoStaysBounded runs a 10-window sliding PageRank stream and
+// checks that the estimators' memos hold one epoch's working set, not the
+// stream's history of them: entries an epoch change invalidates are dead
+// (an older generation), so what is live is bounded by columns × live
+// horizons per lineage node, and the arrays they sit in are reused by
+// the next generation rather than added to. (Eq. 4 walks retired
+// ancestors too, so the working set itself follows the lineage's length;
+// it is the per-node figures that must not grow.)
+func TestCostMemoStaysBounded(t *testing.T) {
+	perNode := make([]float64, 11)
+	capPerNode := make([]float64, 11)
+	ctl := NewBlaze()
+	c := pageRankStream(t, ctl, 10, func(w int) {
+		held, capacity, horizons := 0, 0, make(map[int]bool)
 		for _, e := range append([]*Estimator{ctl.est}, ctl.perEst...) {
-			held += len(e.memo)
-			for k := range e.memo {
-				horizons[k.horizon] = true
+			capacity += cap(e.cells)
+			for _, m := range e.memo {
+				for _, s := range m.slots {
+					if s.gen != e.gen {
+						continue
+					}
+					for _, c := range e.cells[s.off : s.off+s.size] {
+						if c.set {
+							held++
+							horizons[s.horizon] = true
+						}
+					}
+				}
 			}
 		}
 		nodes := len(ctl.lin.nodes)
 		perNode[w] = float64(held) / float64(nodes)
+		capPerNode[w] = float64(capacity) / float64(nodes)
 		// A (node, partition, horizon) is held at most once per estimator
 		// that prices its column: the partition's home executor's and the
 		// driver's. The horizons of one job are the current job, the next
@@ -523,18 +550,68 @@ func TestCostMemoStaysBounded(t *testing.T) {
 		if len(horizons) > 3 {
 			t.Errorf("window %d: entries for %d horizons held, at most 3 are live", w, len(horizons))
 		}
-		if limit := 2 * nodes * parts * 3; held > limit {
+		if limit := 2 * nodes * streamParts * 3; held > limit {
 			t.Errorf("window %d: %d entries held for %d nodes, limit %d", w, held, nodes, limit)
 		}
-	}
+	})
 	if met := c.Finish(); met.Evictions == 0 {
 		t.Fatal("no evictions: the stream never priced a victim")
 	}
 	t.Logf("memo entries per lineage node after windows 1..10: %.1f", perNode[1:])
+	t.Logf("memo cells per lineage node after windows 1..10: %.1f", capPerNode[1:])
 	if perNode[2] == 0 {
 		t.Fatal("no memo entries after window 2")
 	}
 	if perNode[10] > 2*perNode[2] {
 		t.Errorf("memo holds %.1f entries per lineage node after window 10, %.1f after window 2: stale epochs accumulate", perNode[10], perNode[2])
+	}
+	// Without slot reuse every epoch would add arrays for every node it
+	// prices, and the cells per node would grow with the epochs seen.
+	if capPerNode[10] > 2*capPerNode[2] {
+		t.Errorf("memo arrays hold %.1f cells per lineage node after window 10, %.1f after window 2: generations do not reuse their slots", capPerNode[10], capPerNode[2])
+	}
+}
+
+// TestRecoveryCostAllocFree pins the Eq. 4 recursion at zero allocations
+// once warm: after an observation bumps one column, victimOrder re-prices
+// the executor's resident blocks of that column through the estimator's
+// memo, the reference offsets and the retirement marks without hashing
+// a key or building a slice.
+func TestRecoveryCostAllocFree(t *testing.T) {
+	ctl := NewBlaze()
+	c := pageRankStream(t, ctl, 10, nil)
+	defer c.Finish()
+	ex := c.Executors()[0]
+	var bump []storage.BlockID // one resident block per column, priced by Eq. 4
+	seen := make(map[int]bool)
+	for _, m := range ctl.victimOrder(ex) {
+		f := ctl.factsFor(ctl.victims[ex.ID], m.ID.Dataset)
+		if f.node != nil && f.live && m.Cost > 0 && !seen[m.ID.Partition] {
+			seen[m.ID.Partition] = true
+			bump = append(bump, m.ID)
+		}
+	}
+	if len(bump) == 0 {
+		t.Fatal("no resident block is priced by the recursion: nothing to measure")
+	}
+	sizes := make([]int64, len(bump))
+	costs := make([]time.Duration, len(bump))
+	for i, id := range bump {
+		n := ctl.lin.Node(id.Dataset)
+		sizes[i], _ = ctl.lin.PartitionSize(n, id.Partition)
+		costs[i], _ = ctl.lin.PartitionCost(n, id.Partition)
+	}
+	i := 0
+	reprice := func() {
+		k := i % len(bump)
+		i++
+		ctl.lin.ObservePartition(bump[k].Dataset, bump[k].Partition, sizes[k], costs[k])
+		ctl.victimOrder(ex)
+	}
+	for range bump {
+		reprice() // warm: every column's memo cells and scratch slices exist
+	}
+	if allocs := testing.AllocsPerRun(100, reprice); allocs != 0 {
+		t.Errorf("re-pricing after a column bump allocates %.0f times per call, want 0", allocs)
 	}
 }

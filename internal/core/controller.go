@@ -88,11 +88,10 @@ type Controller struct {
 
 	// Windowed-lineage state for micro-batch streaming (window.go).
 	// curWindow is the open 1-based window (0 on one-shot runs),
-	// winFirstJob the index of its first job; retired marks nodes whose
-	// lifetime has passed (excluded from candidates and liveness).
+	// winFirstJob the index of its first job. Nodes whose lifetime has
+	// passed carry Node.retired (excluded from candidates and liveness).
 	curWindow   int
 	winFirstJob int
-	retired     map[*Node]bool
 }
 
 // JobArbiter intercepts a controller's job-start ILP trigger.
@@ -108,7 +107,7 @@ type JobArbiter interface {
 // lineage to build on the run.
 func New(name string, feat Features) *Controller {
 	lin := NewCostLineage()
-	lin.Extrapolate = true // on-the-run mode until a skeleton is applied
+	lin.SetExtrapolate(true) // on-the-run mode until a skeleton is applied
 	return &Controller{
 		name:        name,
 		feat:        feat,
@@ -148,7 +147,7 @@ func NewCostAware() *Controller {
 // and returns the controller.
 func (b *Controller) WithSkeleton(sk *Skeleton) *Controller {
 	b.lin.ApplySkeleton(sk)
-	b.lin.Extrapolate = false // profiled offsets are complete
+	b.lin.SetExtrapolate(false) // profiled offsets are complete
 	b.profiled = true
 	b.epoch++
 	return b
@@ -246,7 +245,7 @@ func (b *Controller) ParallelCaps() engine.ParallelCaps {
 // aliveAt reports whether a node's partitions will still be retained at
 // the given job: auto-unpersist reclaims them after their last reference.
 func (b *Controller) aliveAt(n *Node, job int) bool {
-	if n == nil || b.retired[n] {
+	if n == nil || n.retired {
 		return false
 	}
 	return b.lin.LastRefJob(n) >= job
@@ -404,7 +403,7 @@ func (b *Controller) refsInWindow(n *Node) int {
 			}
 		}
 	}
-	for _, off := range b.lin.effectiveOffsets(n.Key.Role) {
+	for _, off := range n.refs.eff {
 		j := n.CreationJob + off
 		if j > b.curJob && j <= b.curJob+b.ilpWindow {
 			refs++

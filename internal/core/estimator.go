@@ -30,7 +30,8 @@ type StateFunc func(datasetID, part int) BlockState
 //     column changes.
 //   - The inputs that are not column-local (lineage structure, reference
 //     offsets, retirement, shuffle completeness, the slot→executor map)
-//     are summarized by Epoch; the memo is dropped when it moves.
+//     are summarized by Epoch; when it moves the memo starts a new
+//     generation and every older entry is dead.
 //   - An entry that read another column (a parent with a different
 //     partition count), that was priced under a hypothetical assignment,
 //     or that was cut off by the depth bound is valid for the current
@@ -71,35 +72,57 @@ type Estimator struct {
 	// assignment before applying it.
 	hypoMem map[storage.BlockID]bool
 
-	memo  map[partKey]costEntry
+	// memo is indexed by Node.seq; its slots index cells, which holds
+	// the current generation gen's entries. A new generation begins with
+	// every round of an estimator that keeps nothing beyond it and with
+	// every Epoch move; it empties cells, reusing its array.
+	memo  []nodeMemo
+	cells []costEntry
+	gen   uint64
 	round uint64 // current decision round, from 1
-	epoch uint64 // Epoch() reading the memo's entries were computed under
+	epoch uint64 // Epoch() reading the current generation was computed under
 }
 
-type partKey struct {
-	node    *Node
-	part    int
-	horizon int
+// memoHorizons is how many recovery horizons a node keeps entries for at
+// once: the current job, the next, and the next referencing one. A
+// fourth takes over one of the three.
+const memoHorizons = 3
+
+// nodeMemo is one lineage node's memoized Eq. 4 costs: per recovery
+// horizon asked about, a partition-indexed range of the estimator's
+// cells. A slot of another generation is dead.
+type nodeMemo struct {
+	node  *Node // owner of the slots: RestoreState renumbers, so another owner resets them
+	slots [memoHorizons]memoSlot
+}
+
+type memoSlot struct {
+	gen       uint64
+	horizon   int
+	off, size int
 }
 
 // costEntry is one memoized recomputation cost. A round-scoped entry is
 // valid while the estimator is in round stamp; any other, computed under
 // the real states, whenever those are asked about and the column version
-// of its partition equals stamp.
+// of its partition equals stamp. set distinguishes an entry from an
+// unused cell.
 type costEntry struct {
 	cost   time.Duration
 	stamp  uint64
 	scoped bool
+	set    bool
 }
 
 // NewEstimator builds an estimator over the lineage.
 func NewEstimator(l *CostLineage, params costmodel.Params, diskEnabled bool, state StateFunc) *Estimator {
-	return &Estimator{L: l, Params: params, DiskEnabled: diskEnabled, State: state, memo: make(map[partKey]costEntry), round: 1}
+	return &Estimator{L: l, Params: params, DiskEnabled: diskEnabled, State: state, gen: 1, round: 1}
 }
 
 // Reset starts a decision round under the real partition states:
 // round-scoped entries expire, column-versioned ones stay while they
-// validate, and an Epoch move empties the memo. It allocates nothing.
+// validate, and an Epoch move starts a new generation. It allocates
+// nothing.
 func (e *Estimator) Reset() { e.begin(nil) }
 
 // SetHypothetical starts a decision round that overrides memory
@@ -112,11 +135,50 @@ func (e *Estimator) begin(hypo map[storage.BlockID]bool) {
 	e.round++
 	e.hypoMem = hypo
 	if !e.persistent() {
-		clear(e.memo)
+		e.newGeneration()
 	} else if ep := e.Epoch(); ep != e.epoch {
-		clear(e.memo)
+		e.newGeneration()
 		e.epoch = ep
 	}
+}
+
+// newGeneration kills every memo entry at once.
+func (e *Estimator) newGeneration() {
+	e.gen++
+	e.cells = e.cells[:0]
+}
+
+// cell returns the memo cell of (n, part, horizon) in the current
+// generation, claiming a slot and a range of cells for a horizon the
+// node has none for. Once the cells array has grown to a generation's
+// working set it allocates nothing. The pointer is valid until the next
+// cell call.
+func (e *Estimator) cell(n *Node, part, horizon int) *costEntry {
+	if n.seq >= len(e.memo) {
+		e.memo = append(e.memo, make([]nodeMemo, n.seq+1-len(e.memo))...)
+	}
+	m := &e.memo[n.seq]
+	if m.node != n {
+		*m = nodeMemo{node: n}
+	}
+	slot := &m.slots[len(m.slots)-1]
+	for i := range m.slots {
+		s := &m.slots[i]
+		if s.gen != e.gen {
+			slot = s
+		} else if s.horizon == horizon {
+			slot = s
+			break
+		}
+	}
+	if slot.gen != e.gen || slot.horizon != horizon || part >= slot.size {
+		// A fresh range; a node of unknown partition count asked about a
+		// partition beyond its range starts the range over.
+		size := max(n.Parts, part+1)
+		*slot = memoSlot{gen: e.gen, horizon: horizon, off: len(e.cells), size: size}
+		e.cells = append(e.cells, make([]costEntry, size)...)
+	}
+	return &e.cells[slot.off+part]
 }
 
 // persistent reports whether entries may outlive the round.
@@ -194,18 +256,18 @@ func (e *Estimator) recompute(n *Node, part, depth, horizon int, keep bool) (tim
 	if depth > maxRecursionDepth {
 		return 0, false // a property of the path taken here, not of the column
 	}
-	k := partKey{node: n, part: part, horizon: horizon}
-	if m, ok := e.memo[k]; ok {
-		if m.scoped {
-			if m.stamp == e.round {
-				return m.cost, false
+	c := e.cell(n, part, horizon)
+	if c.set {
+		if c.scoped {
+			if c.stamp == e.round {
+				return c.cost, false
 			}
-		} else if e.hypoMem == nil && m.stamp == e.ColumnVersion(part) {
-			return m.cost, keep
+		} else if e.hypoMem == nil && c.stamp == e.ColumnVersion(part) {
+			return c.cost, keep
 		}
 	}
 	// Mark in-progress to cut accidental cycles at zero.
-	e.memo[k] = costEntry{stamp: e.round, scoped: true}
+	*c = costEntry{stamp: e.round, scoped: true, set: true}
 
 	own, _ := e.L.PartitionCost(n, part) // cost_{k→i}: generating p_i from its inputs
 	kept := keep
@@ -242,9 +304,9 @@ func (e *Estimator) recompute(n *Node, part, depth, horizon int, keep bool) (tim
 	}
 	total := worst + own
 	if kept {
-		e.memo[k] = costEntry{cost: total, stamp: e.ColumnVersion(part)}
+		*e.cell(n, part, horizon) = costEntry{cost: total, stamp: e.ColumnVersion(part), set: true}
 	} else {
-		e.memo[k] = costEntry{cost: total, stamp: e.round, scoped: true}
+		*e.cell(n, part, horizon) = costEntry{cost: total, stamp: e.round, scoped: true, set: true}
 	}
 	return total, kept
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ func TestExtrapolationOnlyOnTheRun(t *testing.T) {
 	l.addRefOffset("r", 0)
 	l.addRefOffset("r", 1)
 	n := &Node{Key: NodeKey{Role: "r", Iter: 3}, CreationJob: 3}
+	l.insert(n)
 
 	// Profiled mode: offsets are complete — no refs beyond creation+1.
 	if got := l.FutureJobRefs(n, 4); got != 0 {
@@ -22,7 +24,7 @@ func TestExtrapolationOnlyOnTheRun(t *testing.T) {
 	}
 	// On-the-run mode: one extrapolated step keeps the node alive one
 	// more job.
-	l.Extrapolate = true
+	l.SetExtrapolate(true)
 	if got := l.FutureJobRefs(n, 4); got != 1 {
 		t.Fatalf("extrapolated refs = %d, want 1", got)
 	}
@@ -32,6 +34,7 @@ func TestExtrapolationOnlyOnTheRun(t *testing.T) {
 	// A single-offset role never extrapolates (no pattern yet).
 	l.addRefOffset("single", 0)
 	s := &Node{Key: NodeKey{Role: "single", Iter: 0}, CreationJob: 0}
+	l.insert(s)
 	if got := l.FutureJobRefs(s, 0); got != 0 {
 		t.Fatalf("single-offset role should not extrapolate, got %d", got)
 	}
@@ -40,6 +43,7 @@ func TestExtrapolationOnlyOnTheRun(t *testing.T) {
 func TestLastRefJobEmptyRole(t *testing.T) {
 	l := NewCostLineage()
 	n := &Node{Key: NodeKey{Role: "ghost", Iter: 2}, CreationJob: 2}
+	l.insert(n)
 	if got := l.LastRefJob(n); got != 2 {
 		t.Fatalf("LastRefJob with no offsets = %d, want creation job", got)
 	}
@@ -178,4 +182,133 @@ func TestHorizonForAdmissionSkipsCurrentStage(t *testing.T) {
 	if h := b.horizonFor(n, ds.ID()); h != b.curJob {
 		t.Fatalf("victim horizon %d, want current job", h)
 	}
+}
+
+// TestReferenceOffsetsMatchDefinition checks the precomputed reference
+// offsets against their definition — the role's offsets, one
+// extrapolated step past the last when the lineage extrapolates and the
+// role has two offsets or more — through every way offsets and
+// extrapolation change: learned on the run, extrapolation switched off,
+// a skeleton applied, and a snapshot restored in each mode. The restores
+// must also carry every retirement mark.
+func TestReferenceOffsetsMatchDefinition(t *testing.T) {
+	ctl := NewBlaze()
+	c := pageRankStream(t, ctl, 4, nil)
+	defer c.Finish()
+	// Roles with no offset and with exactly one, beside the stream's own.
+	ctl.lin.insert(&Node{Key: NodeKey{Role: "unreferenced", Iter: 1}, DatasetID: -1, CreationJob: 2})
+	ctl.lin.addRefOffset("once", 1)
+	ctl.lin.insert(&Node{Key: NodeKey{Role: "once", Iter: 1}, DatasetID: -1, CreationJob: 3})
+
+	definition := func(l *CostLineage, role string) []int {
+		var offs []int
+		if r := l.roleRefs[role]; r != nil {
+			offs = r.offs
+		}
+		if !l.extrapolate || len(offs) < 2 {
+			return offs
+		}
+		return append(slices.Clone(offs), offs[len(offs)-1]+1)
+	}
+	check := func(label string, b *Controller) {
+		t.Helper()
+		var byCount [3]int // roles' nodes with 0, 1 and ≥2 offsets
+		for _, n := range b.lin.Nodes() {
+			offs := definition(b.lin, n.Key.Role)
+			byCount[min(len(b.lin.roleRefs[n.Key.Role].offs), 2)]++
+			last := n.CreationJob
+			if len(offs) > 0 {
+				last += offs[len(offs)-1]
+			}
+			if got := b.lin.LastRefJob(n); got != last {
+				t.Errorf("%s: LastRefJob(%v) = %d, want %d", label, n.Key, got, last)
+			}
+			for cur := -1; cur <= b.lin.jobsSeen+2; cur++ {
+				future, next, found := 0, 0, false
+				for _, off := range offs {
+					if j := n.CreationJob + off; j > cur {
+						future++
+						if !found {
+							next, found = j, true
+						}
+					}
+				}
+				if got := b.lin.FutureJobRefs(n, cur); got != future {
+					t.Errorf("%s: FutureJobRefs(%v, %d) = %d, want %d", label, n.Key, cur, got, future)
+				}
+				if got, ok := b.lin.NextRefJob(n, cur); got != next || ok != found {
+					t.Errorf("%s: NextRefJob(%v, %d) = %d, %v, want %d, %v", label, n.Key, cur, got, ok, next, found)
+				}
+			}
+			for _, window := range []int{0, 1, 3} {
+				b.ilpWindow = window
+				want := 0
+				if n.DatasetID >= 0 {
+					for _, idx := range b.stageRefs[n.DatasetID] {
+						if idx >= b.curStageIdx {
+							want++
+						}
+					}
+				}
+				for _, off := range offs {
+					if j := n.CreationJob + off; j > b.curJob && j <= b.curJob+window {
+						want++
+					}
+				}
+				if got := b.refsInWindow(n); got != want {
+					t.Errorf("%s: refsInWindow(%v) over %d jobs = %d, want %d", label, n.Key, window, got, want)
+				}
+			}
+		}
+		for k, count := range byCount {
+			if count == 0 {
+				t.Errorf("%s: no node of a role with %d offset(s) (2 means two or more)", label, k)
+			}
+		}
+	}
+	retiredKeys := func(b *Controller) []NodeKey {
+		var keys []NodeKey
+		for _, n := range b.lin.Nodes() {
+			if n.retired {
+				keys = append(keys, n.Key)
+			}
+		}
+		return keys
+	}
+	restored := func(label string) *Controller {
+		t.Helper()
+		snap, err := ctl.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBlaze()
+		defer pageRankStream(t, b, 0, nil).Finish()
+		if err := b.RestoreState(snap); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := retiredKeys(b), retiredKeys(ctl); !slices.Equal(got, want) {
+			t.Errorf("%s: retired nodes %v, want %v", label, got, want)
+		}
+		if got, want := b.Summary().Roles, ctl.Summary().Roles; !slices.Equal(got, want) {
+			t.Errorf("%s: summary roles %v, want %v", label, got, want)
+		}
+		return b
+	}
+
+	if len(retiredKeys(ctl)) == 0 {
+		t.Fatal("no node retired: the snapshot round trip would not exercise retirement")
+	}
+	if !ctl.lin.extrapolate {
+		t.Fatal("an unprofiled controller does not extrapolate")
+	}
+	check("on the run", ctl)
+	ctl.lin.SetExtrapolate(false)
+	check("extrapolation off", ctl)
+	ctl.lin.SetExtrapolate(true)
+	check("extrapolation back on", ctl)
+	check("restored on the run", restored("restored on the run"))
+	ctl.WithSkeleton(&Skeleton{RefOffsets: map[string][]int{"once": {4}, "profiled": {0, 2, 5}}})
+	ctl.lin.insert(&Node{Key: NodeKey{Role: "profiled", Iter: 2}, DatasetID: -1, CreationJob: 4})
+	check("after a skeleton", ctl)
+	check("restored after a skeleton", restored("restored after a skeleton"))
 }

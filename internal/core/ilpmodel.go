@@ -199,7 +199,7 @@ func (b *Controller) gatherCandidates(ex *engine.Executor) []candidate {
 		}
 		seen[id] = true
 		n := b.lin.Node(id.Dataset)
-		if n == nil || b.retired[n] {
+		if n == nil || n.retired {
 			// Unknown to this session's lineage, or retired by windowed
 			// lifetime management: not a candidate.
 			return

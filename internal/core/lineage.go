@@ -14,6 +14,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -83,6 +84,35 @@ type Node struct {
 	sizes    []int64
 	costs    []time.Duration
 	observed []bool
+
+	// seq is the node's dense number on its lineage, assigned where the
+	// lineage inserts it (RegisterDataset, ApplySkeleton, RestoreState);
+	// the estimators index their cost memos by it. refs is the node's
+	// role's reference offsets, so reference questions follow a pointer
+	// instead of hashing the role. Both are set in driver context.
+	seq  int
+	refs *roleRefs
+	// retired marks a node whose lifetime windowed retirement ended: it
+	// is no candidate and no recomputation shortcut. Set by the
+	// controller at window boundaries (driver context).
+	retired bool
+}
+
+// roleRefs is one role's reference offsets: offs as observed or profiled
+// (sorted; the form snapshots carry) and eff, offs extended by the
+// on-the-run extrapolated step when the lineage extrapolates — what every
+// reference question reads. eff is recomputed in driver context whenever
+// offs or the lineage's extrapolation changes.
+type roleRefs struct {
+	offs, eff []int
+}
+
+// update recomputes eff from offs, reusing its array.
+func (r *roleRefs) update(extrapolate bool) {
+	r.eff = append(r.eff[:0], r.offs...)
+	if extrapolate && len(r.offs) >= 2 {
+		r.eff = append(r.eff, r.offs[len(r.offs)-1]+1)
+	}
 }
 
 // roleMetrics aggregates regression series for one (role, partition)
@@ -93,6 +123,9 @@ type roleMetrics struct {
 }
 
 // CostLineage tracks the merged workload lineage and partition metrics.
+// Every node it holds carries a dense sequence number (Node.seq) and a
+// pointer to its role's reference offsets, both set where the node is
+// inserted, so the Eq. 4 recursion neither hashes a key nor allocates.
 //
 // Concurrency: structural registration (RegisterDataset, ObserveJob,
 // ApplySkeleton) happens only in driver context at job boundaries; every
@@ -114,24 +147,18 @@ type CostLineage struct {
 	nodes map[NodeKey]*Node
 	byID  map[int]*Node
 
-	// roleRefOffsets maps role → sorted job-index offsets (relative to a
-	// node's creation job) at which instances of the role are referenced.
-	// With profiling the offsets come from the extracted skeleton; on the
-	// run they are learned from observed jobs, which underestimates
-	// future usage until the pattern has been seen (§7.5).
-	roleRefOffsets map[string][]int
+	// roleRefs maps role → the job-index offsets (relative to a node's
+	// creation job) at which instances of the role are referenced. With
+	// profiling the offsets come from the extracted skeleton; on the run
+	// they are learned from observed jobs, which underestimates future
+	// usage until the pattern has been seen (§7.5).
+	roleRefs map[string]*roleRefs
 	// roleMetrics holds the inductive regression state per role.
 	roleMetrics map[string]*roleMetrics
 
-	// Extrapolate enables one-step reference extrapolation: a role that
-	// has been referenced at two or more job offsets is assumed to be
-	// referenced one job beyond its last observed offset. This is how
-	// the on-the-run mode (no dependency extraction, §7.5) retains
-	// static datasets that every iteration reads — without it, the last
-	// observed offset always trails the current job and such data would
-	// be unpersisted after every job. Profiled lineages have complete
-	// offsets and disable it.
-	Extrapolate bool
+	// extrapolate enables one-step reference extrapolation (see
+	// SetExtrapolate).
+	extrapolate bool
 
 	// ordinalSeq tracks how many datasets of each (role, iter) have been
 	// registered, assigning ordinals deterministically by creation order.
@@ -154,12 +181,47 @@ type CostLineage struct {
 // knowledge.
 func NewCostLineage() *CostLineage {
 	return &CostLineage{
-		nodes:          make(map[NodeKey]*Node),
-		byID:           make(map[int]*Node),
-		roleRefOffsets: make(map[string][]int),
-		roleMetrics:    make(map[string]*roleMetrics),
-		ordinalSeq:     make(map[string]map[int]int),
+		nodes:       make(map[NodeKey]*Node),
+		byID:        make(map[int]*Node),
+		roleRefs:    make(map[string]*roleRefs),
+		roleMetrics: make(map[string]*roleMetrics),
+		ordinalSeq:  make(map[string]map[int]int),
 	}
+}
+
+// SetExtrapolate switches one-step reference extrapolation: a role that
+// has been referenced at two or more job offsets is assumed to be
+// referenced one job beyond its last observed offset. This is how the
+// on-the-run mode (no dependency extraction, §7.5) retains static
+// datasets that every iteration reads — without it, the last observed
+// offset always trails the current job and such data would be
+// unpersisted after every job. Profiled lineages have complete offsets
+// and disable it. Driver context only.
+func (l *CostLineage) SetExtrapolate(on bool) {
+	l.extrapolate = on
+	for _, r := range l.roleRefs {
+		r.update(on)
+	}
+}
+
+// refsFor returns the role's reference offsets, creating an empty entry
+// on first use. Driver context only.
+func (l *CostLineage) refsFor(role string) *roleRefs {
+	r := l.roleRefs[role]
+	if r == nil {
+		r = &roleRefs{}
+		l.roleRefs[role] = r
+	}
+	return r
+}
+
+// insert adds a node under a key not yet held, numbering it and pointing
+// it at its role's reference offsets. Nodes are never removed, so the
+// numbers are dense. Driver context only.
+func (l *CostLineage) insert(n *Node) {
+	n.seq = len(l.nodes)
+	n.refs = l.refsFor(n.Key.Role)
+	l.nodes[n.Key] = n
 }
 
 // Node returns the lineage node for a real dataset id, or nil.
@@ -211,7 +273,7 @@ func (l *CostLineage) RegisterDataset(ds *dataflow.Dataset, jobIdx int) *Node {
 	n, ok := l.nodes[key]
 	if !ok {
 		n = &Node{Key: key, DatasetID: -1, CreationJob: jobIdx, TouchedJob: jobIdx}
-		l.nodes[key] = n
+		l.insert(n)
 	}
 	if jobIdx > n.TouchedJob {
 		n.TouchedJob = jobIdx
@@ -273,34 +335,20 @@ func (l *CostLineage) ObserveJob(jobIdx int, datasets []*dataflow.Dataset, targe
 }
 
 func (l *CostLineage) addRefOffset(role string, off int) {
-	offs := l.roleRefOffsets[role]
-	i := sort.SearchInts(offs, off)
-	if i < len(offs) && offs[i] == off {
+	r := l.refsFor(role)
+	i := sort.SearchInts(r.offs, off)
+	if i < len(r.offs) && r.offs[i] == off {
 		return
 	}
-	offs = append(offs, 0)
-	copy(offs[i+1:], offs[i:])
-	offs[i] = off
-	l.roleRefOffsets[role] = offs
-}
-
-// effectiveOffsets returns the role's reference offsets, extended by one
-// extrapolated step in on-the-run mode.
-func (l *CostLineage) effectiveOffsets(role string) []int {
-	offs := l.roleRefOffsets[role]
-	if !l.Extrapolate || len(offs) < 2 {
-		return offs
-	}
-	out := make([]int, len(offs), len(offs)+1)
-	copy(out, offs)
-	return append(out, offs[len(offs)-1]+1)
+	r.offs = slices.Insert(r.offs, i, off)
+	r.update(l.extrapolate)
 }
 
 // FutureJobRefs returns how many jobs strictly after curJob are expected
 // to reference the node, based on the role's reference offsets.
 func (l *CostLineage) FutureJobRefs(n *Node, curJob int) int {
 	count := 0
-	for _, off := range l.effectiveOffsets(n.Key.Role) {
+	for _, off := range n.refs.eff {
 		if n.CreationJob+off > curJob {
 			count++
 		}
@@ -312,7 +360,7 @@ func (l *CostLineage) FutureJobRefs(n *Node, curJob int) int {
 // creation job plus the role's largest reference offset. After that job,
 // Blaze's auto-unpersist reclaims the node's partitions.
 func (l *CostLineage) LastRefJob(n *Node) int {
-	offs := l.effectiveOffsets(n.Key.Role)
+	offs := n.refs.eff
 	if len(offs) == 0 {
 		return n.CreationJob
 	}
@@ -322,7 +370,7 @@ func (l *CostLineage) LastRefJob(n *Node) int {
 // NextRefJob returns the index of the next job (> curJob) expected to
 // reference the node, or false.
 func (l *CostLineage) NextRefJob(n *Node, curJob int) (int, bool) {
-	for _, off := range l.effectiveOffsets(n.Key.Role) {
+	for _, off := range n.refs.eff {
 		if j := n.CreationJob + off; j > curJob {
 			return j, true
 		}

@@ -113,13 +113,13 @@ func (l *CostLineage) ApplySkeleton(sk *Skeleton) {
 		if _, ok := l.nodes[key]; ok {
 			continue
 		}
-		l.nodes[key] = &Node{
+		l.insert(&Node{
 			Key:         key,
 			DatasetID:   -1,
 			Parents:     append([]Edge(nil), n.Parents...),
 			CreationJob: n.CreationJob,
 			Parts:       n.Parts,
-		}
+		})
 	}
 	l.resolveEdges()
 }

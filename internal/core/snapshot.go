@@ -4,7 +4,7 @@ package core
 // checkpointing: SnapshotState serializes everything the unified
 // decision layer accumulates over a run (the CostLineage with its
 // regression series, reference offsets and ordinal counters; the
-// windowed-lineage retirement set; the optimizer's target states) into
+// windowed-lineage retirement marks; the optimizer's target states) into
 // a self-contained gob payload, and RestoreState rehydrates a freshly
 // Bind-ed controller from one. The estimators and victim orders are
 // deliberately not serialized — what they keep between decision rounds
@@ -82,12 +82,20 @@ func (b *Controller) SnapshotState() ([]byte, error) {
 		CurWindow:      b.curWindow,
 		WinFirstJob:    b.winFirstJob,
 		JobsSeen:       b.lin.jobsSeen,
-		Extrapolate:    b.lin.Extrapolate,
-		RoleRefOffsets: b.lin.roleRefOffsets,
+		Extrapolate:    b.lin.extrapolate,
+		RoleRefOffsets: make(map[string][]int, len(b.lin.roleRefs)),
 		OrdinalSeq:     b.lin.ordinalSeq,
 		TargetState:    b.targetState,
 	}
+	for role, r := range b.lin.roleRefs {
+		if len(r.offs) > 0 {
+			w.RoleRefOffsets[role] = r.offs
+		}
+	}
 	for _, n := range b.lin.Nodes() {
+		if n.retired {
+			w.Retired = append(w.Retired, n.Key) // Nodes is sorted by key
+		}
 		w.Nodes = append(w.Nodes, nodeWire{
 			Key: n.Key, Parents: n.Parents, DatasetID: n.DatasetID,
 			Parts: n.Parts, CreationJob: n.CreationJob, TouchedJob: n.TouchedJob,
@@ -103,10 +111,6 @@ func (b *Controller) SnapshotState() ([]byte, error) {
 		rm := b.lin.roleMetrics[role]
 		w.RoleSeries = append(w.RoleSeries, roleSeriesWire{Role: role, Size: rm.size, Cost: rm.cost})
 	}
-	for n := range b.retired {
-		w.Retired = append(w.Retired, n.Key)
-	}
-	sort.Slice(w.Retired, func(i, j int) bool { return keyLess(w.Retired[i], w.Retired[j]) })
 
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -133,23 +137,31 @@ func (b *Controller) RestoreState(data []byte) error {
 	lin := b.lin
 	lin.nodes = make(map[NodeKey]*Node, len(w.Nodes))
 	lin.byID = make(map[int]*Node, len(w.Nodes))
+	lin.extrapolate = w.Extrapolate
+	lin.roleRefs = make(map[string]*roleRefs, len(w.RoleRefOffsets))
+	for role, offs := range w.RoleRefOffsets {
+		r := lin.refsFor(role)
+		r.offs = offs
+		r.update(lin.extrapolate)
+	}
 	for _, nw := range w.Nodes {
 		n := &Node{
 			Key: nw.Key, Parents: nw.Parents, DatasetID: nw.DatasetID,
 			Parts: nw.Parts, CreationJob: nw.CreationJob, TouchedJob: nw.TouchedJob,
 			sizes: nw.Sizes, costs: nw.Costs, observed: nw.Observed,
 		}
-		lin.nodes[n.Key] = n
+		lin.insert(n)
 		if n.DatasetID >= 0 {
 			lin.byID[n.DatasetID] = n
 		}
 		lin.observed = grown(lin.observed, n.Parts)
 	}
-	lin.resolveEdges()
-	lin.roleRefOffsets = w.RoleRefOffsets
-	if lin.roleRefOffsets == nil {
-		lin.roleRefOffsets = make(map[string][]int)
+	for _, key := range w.Retired {
+		if n := lin.nodes[key]; n != nil {
+			n.retired = true
+		}
 	}
+	lin.resolveEdges()
 	lin.roleMetrics = make(map[string]*roleMetrics, len(w.RoleSeries))
 	for _, rs := range w.RoleSeries {
 		lin.roleMetrics[rs.Role] = &roleMetrics{size: rs.Size, cost: rs.Cost}
@@ -158,7 +170,6 @@ func (b *Controller) RestoreState(data []byte) error {
 	if lin.ordinalSeq == nil {
 		lin.ordinalSeq = make(map[string]map[int]int)
 	}
-	lin.Extrapolate = w.Extrapolate
 	lin.jobsSeen = w.JobsSeen
 
 	b.profiled = w.Profiled
@@ -167,10 +178,6 @@ func (b *Controller) RestoreState(data []byte) error {
 	b.winFirstJob = w.WinFirstJob
 	b.curStageIdx = 0
 	b.stageRefs = make(map[int][]int)
-	b.retired = make(map[*Node]bool, len(w.Retired))
-	for _, key := range w.Retired {
-		b.retired[lin.nodes[key]] = true
-	}
 	b.epoch++
 	b.targetState = w.TargetState
 	if b.targetState == nil {
@@ -194,7 +201,7 @@ type StateSummary struct {
 func (b *Controller) Summary() StateSummary {
 	var s StateSummary
 	for _, n := range b.lin.Nodes() {
-		if b.retired[n] {
+		if n.retired {
 			continue
 		}
 		id := fmt.Sprintf("%s@%d", n.Key.Role, n.Key.Iter)

@@ -39,9 +39,6 @@ const boundaryPerturb = 1e-6
 //  2. Re-solve the ILP over the surviving candidates (window > 1 only;
 //     window 1's first job solves at its own start).
 func (b *Controller) AdvanceWindow(window, nextJob int) {
-	if b.retired == nil {
-		b.retired = make(map[*Node]bool)
-	}
 	b.epoch++
 	retireBefore := b.winFirstJob
 	prevWindow := b.curWindow
@@ -80,10 +77,10 @@ func (b *Controller) boundaryPass(window int) solvePass {
 func (b *Controller) retireDeadLineage(window, retireBefore int) {
 	met := b.c.Metrics()
 	for _, n := range b.lin.Nodes() {
-		if b.retired[n] || n.TouchedJob >= retireBefore {
+		if n.retired || n.TouchedJob >= retireBefore {
 			continue
 		}
-		b.retired[n] = true
+		n.retired = true
 		if n.DatasetID < 0 {
 			continue
 		}
