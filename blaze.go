@@ -11,7 +11,9 @@
 package blaze
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -56,6 +58,82 @@ const (
 	// SysBlazeNoProfile is Blaze building its lineage on the run (§7.5).
 	SysBlazeNoProfile SystemID = "blaze-noprofile"
 )
+
+// System is one row of the system table: a caching system's id, its
+// display title and how the facade builds it.
+type System struct {
+	ID    SystemID
+	Title string
+	// controller constructs the system's cache controller.
+	controller func() engine.Controller
+	// annotated runs the workload with user cache annotations (the
+	// Spark-style systems); the others derive decisions from lineage.
+	annotated bool
+	// alluxio models caching through an external tiered store.
+	alluxio bool
+	// profiled seeds the controller with a profiled dependency skeleton
+	// and charges the extraction phase into the ACT.
+	profiled bool
+}
+
+// systemTable is the one place a system is defined: validation, Run,
+// Server.Submit, sessions, the harness and blazerun all read it.
+var systemTable = []System{
+	{ID: SysSparkMem, Title: "Spark (MEM)", annotated: true,
+		controller: func() engine.Controller { return engine.NewSparkMemOnly() }},
+	{ID: SysSparkMemDisk, Title: "Spark (MEM+DISK)", annotated: true,
+		controller: func() engine.Controller { return engine.NewSparkMemDisk() }},
+	{ID: SysSparkAlluxio, Title: "Spark+Alluxio", annotated: true, alluxio: true,
+		controller: func() engine.Controller { return engine.NewAlluxio() }},
+	{ID: SysLRC, Title: "LRC", annotated: true,
+		controller: func() engine.Controller { return engine.NewLRC(engine.MemDisk) }},
+	{ID: SysMRD, Title: "MRD", annotated: true,
+		controller: func() engine.Controller { return engine.NewMRD(engine.MemDisk) }},
+	{ID: SysLRCMem, Title: "LRC (MEM)", annotated: true,
+		controller: func() engine.Controller { return engine.NewLRC(engine.MemOnly) }},
+	{ID: SysMRDMem, Title: "MRD (MEM)", annotated: true,
+		controller: func() engine.Controller { return engine.NewMRD(engine.MemOnly) }},
+	{ID: SysAutoCache, Title: "+AutoCache", profiled: true,
+		controller: func() engine.Controller { return core.NewAutoCache() }},
+	{ID: SysCostAware, Title: "+CostAware", profiled: true,
+		controller: func() engine.Controller { return core.NewCostAware() }},
+	{ID: SysBlaze, Title: "Blaze", profiled: true,
+		controller: func() engine.Controller { return core.NewBlaze() }},
+	{ID: SysBlazeMem, Title: "Blaze (MEM)", profiled: true,
+		controller: func() engine.Controller { return core.NewBlazeMemOnly() }},
+	{ID: SysBlazeNoProfile, Title: "Blaze w/o Profiling",
+		controller: func() engine.Controller { return core.NewBlaze() }},
+}
+
+// Systems lists every system id with its display title: the table's
+// named systems in order, then one PolicySystem id per registered
+// eviction policy.
+func Systems() []System {
+	out := slices.Clone(systemTable)
+	for _, name := range cachepolicy.Names() {
+		row, _ := lookupSystem(PolicySystem(name))
+		out = append(out, row)
+	}
+	return out
+}
+
+// lookupSystem returns the table row of a system id. A PolicySystem id
+// gets a MEM+DISK Spark row evicting by its registered policy.
+func lookupSystem(id SystemID) (System, error) {
+	if i := slices.IndexFunc(systemTable, func(s System) bool { return s.ID == id }); i >= 0 {
+		return systemTable[i], nil
+	}
+	name, ok := strings.CutPrefix(string(id), "policy-")
+	if !ok {
+		return System{}, fmt.Errorf("blaze: unknown system %q", id)
+	}
+	p, found := cachepolicy.ByName(name)
+	if !found {
+		return System{}, fmt.Errorf("blaze: unknown eviction policy %q", name)
+	}
+	return System{ID: id, Title: string(id), annotated: true,
+		controller: func() engine.Controller { return engine.NewAnnotation(string(id), engine.MemDisk, p, false) }}, nil
+}
 
 // PolicySystem builds a system id running MEM+DISK Spark with an
 // arbitrary registered eviction policy ("policy-lru", "policy-tinylfu",
@@ -188,19 +266,14 @@ func (c RunConfig) withDefaults() RunConfig {
 // Validate checks the configuration without running it: cluster-shape
 // knobs must be non-negative (zero selects the documented default),
 // Scale and ProfileScale must land in their valid ranges once set, the
-// system and workload ids must be known, and an explicit CostParams or
-// Faults config must itself validate. Run and Server.Submit both call
-// it after applying defaults; call it directly to fail fast on
-// configurations built from external input (flags, HTTP payloads).
+// system and workload ids must be known, an explicit CostParams or
+// Faults config must itself validate, and Resilience must not back off
+// past an hour. Run and Server.Submit both call it after applying
+// defaults; call it directly to fail fast on configurations built from
+// external input (flags, HTTP payloads).
 func (c RunConfig) Validate() error {
-	if c.Executors < 0 {
-		return fmt.Errorf("blaze: Executors must be >= 0 (0 means default 8), got %d", c.Executors)
-	}
-	if c.Cores < 0 {
-		return fmt.Errorf("blaze: Cores must be >= 0 (0 means default 1), got %d", c.Cores)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("blaze: Parallelism must be >= 0 (0 means all CPUs), got %d", c.Parallelism)
+	if err := c.validateShared(); err != nil {
+		return err
 	}
 	if c.MemoryPerExecutor < 0 {
 		return fmt.Errorf("blaze: MemoryPerExecutor must be >= 0 (0 means calibrated), got %d", c.MemoryPerExecutor)
@@ -214,16 +287,34 @@ func (c RunConfig) Validate() error {
 	if c.ProfileScale < 0 || c.ProfileScale > 1 {
 		return fmt.Errorf("blaze: ProfileScale must be in (0, 1] (0 means default 0.02), got %g", c.ProfileScale)
 	}
+	if _, err := Workload(c.Workload); err != nil {
+		return err
+	}
+	if c.Faults != nil {
+		return c.Faults.Validate()
+	}
+	return nil
+}
+
+// validateShared checks the fields a SessionConfig carries too; both
+// Validate methods run it.
+func (c RunConfig) validateShared() error {
+	if c.Executors < 0 {
+		return fmt.Errorf("blaze: Executors must be >= 0 (0 means default 8), got %d", c.Executors)
+	}
+	if c.Cores < 0 {
+		return fmt.Errorf("blaze: Cores must be >= 0 (0 means default 1), got %d", c.Cores)
+	}
+	if c.Parallelism < 0 {
+		return fmt.Errorf("blaze: Parallelism must be >= 0 (0 means all CPUs), got %d", c.Parallelism)
+	}
 	if c.DiskCapacity < 0 {
 		return fmt.Errorf("blaze: DiskCapacity must be >= 0 (0 means unconstrained), got %d", c.DiskCapacity)
 	}
 	if c.ILPWindow < ILPWindowCurrentJobOnly {
 		return fmt.Errorf("blaze: ILPWindow must be >= %d (ILPWindowCurrentJobOnly), got %d", ILPWindowCurrentJobOnly, c.ILPWindow)
 	}
-	if err := validateSystem(c.System); err != nil {
-		return err
-	}
-	if _, err := Workload(c.Workload); err != nil {
+	if _, err := lookupSystem(c.System); err != nil {
 		return err
 	}
 	if !c.CostParams.IsZero() {
@@ -231,32 +322,24 @@ func (c RunConfig) Validate() error {
 			return err
 		}
 	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return validateRetryBackoff(c.Resilience)
 }
 
-// validateSystem checks a system id without building its controller
-// (buildSystem profiles the workload for the Blaze systems, which
-// Validate must not do). The case list mirrors buildSystem exactly.
-func validateSystem(sys SystemID) error {
-	switch sys {
-	case SysSparkMem, SysSparkMemDisk, SysSparkAlluxio, SysLRC, SysMRD,
-		SysLRCMem, SysMRDMem, SysAutoCache, SysCostAware,
-		SysBlaze, SysBlazeMem, SysBlazeNoProfile:
-		return nil
-	default:
-		if name, ok := strings.CutPrefix(string(sys), "policy-"); ok {
-			if _, found := cachepolicy.ByName(name); !found {
-				return fmt.Errorf("blaze: unknown eviction policy %q", name)
-			}
-			return nil
-		}
-		return fmt.Errorf("blaze: unknown system %q", sys)
+// maxRetryBackoff bounds the longest backoff one retry may charge.
+const maxRetryBackoff = time.Hour
+
+// validateRetryBackoff rejects a Resilience whose last retry would back
+// off longer than maxRetryBackoff. The backoff doubles per attempt, so a
+// large retry count would otherwise overflow time.Duration and charge a
+// negative or wrapped wait. Zero fields take the defaults Resilience
+// documents: 3 task retries, 2 fetch retries, a 2ms base.
+func validateRetryBackoff(r Resilience) error {
+	retries := max(cmp.Or(r.MaxTaskRetries, 3), cmp.Or(r.MaxFetchRetries, 2))
+	base := cmp.Or(max(r.RetryBackoff, 0), 2*time.Millisecond)
+	if retries > 0 && base > maxRetryBackoff>>(retries-1) {
+		return fmt.Errorf("blaze: Resilience backoff %v doubled over %d retries exceeds %v; lower backoff or retries/fetch-retries", base, retries, maxRetryBackoff)
 	}
+	return nil
 }
 
 // Result is the outcome of a run.
@@ -347,10 +430,10 @@ func calibrateMemory(spec WorkloadSpec, execs, cores int, scale float64, params 
 	return peak, nil
 }
 
-// runPlan is everything a batch run derives from its RunConfig before it
-// touches a cluster. Run and Server.Submit both start from planRun, so
-// defaults, validation order and system construction cannot drift
-// between them.
+// runPlan is everything a run derives from its RunConfig before it
+// touches a cluster. Run, Server.Submit and sessions all build one with
+// newPlan, so defaults, validation order and system construction cannot
+// drift between them.
 type runPlan struct {
 	cfg    RunConfig // defaults applied
 	spec   WorkloadSpec
@@ -368,6 +451,12 @@ func planRun(cfg RunConfig) (*runPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newPlan(cfg, spec)
+}
+
+// newPlan prices and builds a validated config for spec. A session
+// passes a spec with no driver: its DAGs arrive window by window.
+func newPlan(cfg RunConfig, spec WorkloadSpec) (*runPlan, error) {
 	params := EvalParams(spec.SerFactor)
 	if !cfg.CostParams.IsZero() {
 		params = cfg.CostParams
@@ -403,11 +492,11 @@ func (p *runPlan) memory() (int64, error) {
 	return max(int64(float64(peak)*frac), 2048), nil
 }
 
-// jobSpec is the plan as a job-server submission.
+// jobSpec is the plan as a job-server submission; a plan without a
+// workload leaves the driver to a stream session.
 func (p *runPlan) jobSpec(tenant string) server.JobSpec {
-	return server.JobSpec{
+	job := server.JobSpec{
 		Tenant:            tenant,
-		Driver:            func(ctx *dataflow.Context) { p.sys.drive(p.spec, ctx, p.cfg.Scale) },
 		Controller:        p.sys.ctl,
 		Params:            p.params,
 		AlluxioMode:       p.sys.alluxio,
@@ -417,6 +506,28 @@ func (p *runPlan) jobSpec(tenant string) server.JobSpec {
 		Resilience:        p.cfg.Resilience,
 		Parallelism:       p.cfg.Parallelism,
 	}
+	if p.spec.Plain != nil {
+		job.Driver = func(ctx *dataflow.Context) { p.sys.drive(p.spec, ctx, p.cfg.Scale) }
+	}
+	return job
+}
+
+// serve starts the plan's private one-session server, sized (and, for
+// RealBytes, backed) exactly like the requested cluster, and returns it
+// with the job its one session runs: Run submits the job, a Session
+// streams it.
+func (p *runPlan) serve() (*server.Server, server.JobSpec, error) {
+	mem, err := p.memory()
+	if err != nil {
+		return nil, server.JobSpec{}, err
+	}
+	srv, err := server.New(server.Config{
+		Executors:         p.cfg.Executors,
+		CoresPerExecutor:  p.cfg.Cores,
+		MemoryPerExecutor: mem,
+		RealBytes:         p.cfg.RealBytes,
+	})
+	return srv, p.jobSpec(""), err
 }
 
 // Run executes one workload under one system and returns its metrics.
@@ -441,28 +552,19 @@ func Run(cfg RunConfig) (*Result, error) {
 // on every return removes a RealBytes run's block files whether the
 // submission was refused, the session failed or it completed.
 func (p *runPlan) run() (*Result, error) {
-	mem, err := p.memory()
-	if err != nil {
-		return nil, err
-	}
-	srv, err := server.New(server.Config{
-		Executors:         p.cfg.Executors,
-		CoresPerExecutor:  p.cfg.Cores,
-		MemoryPerExecutor: mem,
-		RealBytes:         p.cfg.RealBytes,
-	})
+	srv, job, err := p.serve()
 	if err != nil {
 		return nil, err
 	}
 	defer srv.Close()
-	sess, err := srv.Submit(p.jobSpec(""))
+	sess, err := srv.Submit(job)
 	if err != nil {
 		return nil, err
 	}
 	if err := sess.Wait(); err != nil {
 		return nil, err
 	}
-	res := &Result{System: p.cfg.System, Workload: p.cfg.Workload, Metrics: sess.Metrics(), MemoryPerExecutor: mem}
+	res := &Result{System: p.cfg.System, Workload: p.cfg.Workload, Metrics: sess.Metrics(), MemoryPerExecutor: sess.MemoryPerExecutor()}
 	if meter := srv.Pool().Meter(); meter != nil {
 		snap := StorageMeasurement(meter.Snapshot())
 		res.Storage = &snap
@@ -470,18 +572,11 @@ func (p *runPlan) run() (*Result, error) {
 	return res, nil
 }
 
-// systemSpec is the execution recipe buildSystem derives from a system
-// id: the controller plus the run-mode switches it requires.
+// systemSpec is a system's row with its controller built.
 type systemSpec struct {
+	System
 	// ctl makes the caching decisions.
 	ctl engine.Controller
-	// annotated runs the workload with user cache annotations (the
-	// Spark-style systems); Blaze derives decisions from its profile.
-	annotated bool
-	// alluxio models caching through an external tiered store.
-	alluxio bool
-	// profiled charges the dependency-extraction phase into the ACT.
-	profiled bool
 }
 
 // profilingOverhead is the dependency-extraction time charged into the
@@ -503,72 +598,32 @@ func (s systemSpec) drive(spec WorkloadSpec, ctx *dataflow.Context, scale float6
 	}
 }
 
-// blazeController builds the controller of a Blaze-family system
-// (blaze, blaze-mem, blaze-noprofile) with the facade's optimizer knobs
-// applied: a positive DiskCapacity adds the Eq. 6 disk row, and the
-// ILPWindow sentinels map onto the controller's successor-job count (the
-// zero value keeps its default of 1). ok is false for any other system.
-// Run, Server.Submit and sessions all build their Blaze controllers here,
-// so no path drops a knob.
-func blazeController(sys SystemID, diskCapacity int64, ilpWindow int) (b *core.Controller, ok bool) {
-	switch sys {
-	case SysBlaze, SysBlazeNoProfile:
-		b = core.NewBlaze()
-	case SysBlazeMem:
-		b = core.NewBlazeMemOnly()
-	default:
-		return nil, false
-	}
-	if diskCapacity > 0 {
-		b.WithDiskCapacity(diskCapacity)
-	}
-	switch {
-	case ilpWindow > 0:
-		b.WithWindow(ilpWindow)
-	case ilpWindow == ILPWindowCurrentJobOnly:
-		b.WithWindow(0)
-	}
-	return b, true
-}
-
-// buildSystem constructs the execution recipe for a system id.
+// buildSystem builds cfg.System's controller from its table row and
+// applies the optimizer knobs: a positive DiskCapacity adds the Eq. 6
+// disk row, and the ILPWindow sentinels map onto the controller's
+// successor-job count (the zero value keeps its default of 1). A profiled
+// system is seeded with spec's profiled skeleton; without a workload (a
+// session) it builds its lineage on the run and charges no profiling.
 func buildSystem(cfg RunConfig, spec WorkloadSpec) (systemSpec, error) {
-	profileSkeleton := func() *core.Skeleton {
-		return core.Profile(core.Workload(spec.Plain), cfg.ProfileScale)
+	row, err := lookupSystem(cfg.System)
+	if err != nil {
+		return systemSpec{}, err
 	}
-	if b, ok := blazeController(cfg.System, cfg.DiskCapacity, cfg.ILPWindow); ok {
-		if cfg.System == SysBlazeNoProfile {
-			return systemSpec{ctl: b}, nil
+	s := systemSpec{System: row, ctl: row.controller()}
+	s.profiled = row.profiled && spec.Plain != nil
+	if b, ok := s.ctl.(*core.Controller); ok {
+		if cfg.DiskCapacity > 0 {
+			b.WithDiskCapacity(cfg.DiskCapacity)
 		}
-		return systemSpec{ctl: b.WithSkeleton(profileSkeleton()), profiled: true}, nil
-	}
-	switch cfg.System {
-	case SysSparkMem:
-		return systemSpec{ctl: engine.NewSparkMemOnly(), annotated: true}, nil
-	case SysSparkMemDisk:
-		return systemSpec{ctl: engine.NewSparkMemDisk(), annotated: true}, nil
-	case SysSparkAlluxio:
-		return systemSpec{ctl: engine.NewAlluxio(), annotated: true, alluxio: true}, nil
-	case SysLRC:
-		return systemSpec{ctl: engine.NewLRC(engine.MemDisk), annotated: true}, nil
-	case SysMRD:
-		return systemSpec{ctl: engine.NewMRD(engine.MemDisk), annotated: true}, nil
-	case SysLRCMem:
-		return systemSpec{ctl: engine.NewLRC(engine.MemOnly), annotated: true}, nil
-	case SysMRDMem:
-		return systemSpec{ctl: engine.NewMRD(engine.MemOnly), annotated: true}, nil
-	case SysAutoCache:
-		return systemSpec{ctl: core.NewAutoCache().WithSkeleton(profileSkeleton()), profiled: true}, nil
-	case SysCostAware:
-		return systemSpec{ctl: core.NewCostAware().WithSkeleton(profileSkeleton()), profiled: true}, nil
-	default:
-		if name, ok := strings.CutPrefix(string(cfg.System), "policy-"); ok {
-			p, found := cachepolicy.ByName(name)
-			if !found {
-				return systemSpec{}, fmt.Errorf("blaze: unknown eviction policy %q", name)
-			}
-			return systemSpec{ctl: engine.NewAnnotation(string(cfg.System), engine.MemDisk, p, false), annotated: true}, nil
+		switch {
+		case cfg.ILPWindow > 0:
+			b.WithWindow(cfg.ILPWindow)
+		case cfg.ILPWindow == ILPWindowCurrentJobOnly:
+			b.WithWindow(0)
 		}
-		return systemSpec{}, fmt.Errorf("blaze: unknown system %q", cfg.System)
+		if s.profiled {
+			b.WithSkeleton(core.Profile(core.Workload(spec.Plain), cfg.ProfileScale))
+		}
 	}
+	return s, nil
 }

@@ -1,7 +1,7 @@
 package blaze
 
 // White-box tests for the facade internals: withDefaults, the
-// buildSystem recipe table, and the ILPWindow plumbing (the regression
+// buildSystem recipes, and the ILPWindow plumbing (the regression
 // test for the old int field whose documented 0 value was remapped to 1
 // before it could reach the controller).
 
@@ -134,8 +134,8 @@ func TestCalibrationKeyCoversCoresAndParams(t *testing.T) {
 }
 
 // TestILPWindowReachesController: every Blaze-family system hands the
-// ILPWindow knob to its controller, built for Run and Server.Submit
-// (buildSystem) or for a session (buildStreamSystem).
+// ILPWindow knob to its controller, built for Run and Server.Submit or
+// for a session (a build without a workload).
 func TestILPWindowReachesController(t *testing.T) {
 	spec, err := Workload(LR)
 	if err != nil {
@@ -146,7 +146,7 @@ func TestILPWindowReachesController(t *testing.T) {
 			return buildSystem(RunConfig{System: sys, ILPWindow: w}.withDefaults(), spec)
 		},
 		"session": func(sys SystemID, w int) (systemSpec, error) {
-			return buildStreamSystem(SessionConfig{System: sys, ILPWindow: w})
+			return buildSystem(SessionConfig{System: sys, ILPWindow: w}.runConfig(), WorkloadSpec{})
 		},
 	}
 	for path, build := range builds {

@@ -12,13 +12,18 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"blaze"
 )
 
 func main() {
-	system := flag.String("system", "blaze", "caching system: spark-mem, spark-memdisk, spark-alluxio, lrc, mrd, lrc-mem, mrd-mem, autocache, costaware, blaze, blaze-mem, blaze-noprofile")
+	var systems []string
+	for _, s := range blaze.Systems() {
+		systems = append(systems, string(s.ID))
+	}
+	system := flag.String("system", "blaze", "caching system, one of: "+strings.Join(systems, ", "))
 	workload := flag.String("workload", "pr", "workload: pr, cc, lr, kmeans, gbt, svdpp")
 	executors := flag.Int("executors", 8, "number of simulated executors")
 	frac := flag.Float64("frac", 0, "memory fraction of the calibrated peak (0 = workload default)")

@@ -8,6 +8,7 @@ package blaze_test
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"blaze"
@@ -43,6 +44,12 @@ func TestAllSystemIDsRunEndToEnd(t *testing.T) {
 	}
 	for _, p := range cachepolicy.Names() {
 		tests = append(tests, sysCase{blaze.PolicySystem(p), false})
+	}
+	// A system the table lists must be swept here too.
+	for _, s := range blaze.Systems() {
+		if !slices.Contains(tests, sysCase{s.ID, false}) {
+			t.Errorf("system %q is in the system table but not in this test's list", s.ID)
+		}
 	}
 	for _, tc := range tests {
 		t.Run(string(tc.sys), func(t *testing.T) {

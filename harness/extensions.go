@@ -23,7 +23,7 @@ func (h *Harness) Sweep() (*Matrix, error) {
 		Unit:    "seconds (ACT)",
 	}
 	for _, s := range systems {
-		m.Cols = append(m.Cols, systemTitle(s))
+		m.Cols = append(m.Cols, titles[s])
 	}
 	for _, f := range fractions {
 		row := make([]float64, len(systems))
@@ -82,7 +82,7 @@ func (h *Harness) CoresExperiment() (*Matrix, error) {
 		Unit:    "seconds (ACT)",
 	}
 	for _, s := range systems {
-		m.Cols = append(m.Cols, systemTitle(s))
+		m.Cols = append(m.Cols, titles[s])
 	}
 	for _, cores := range []int{1, 2, 4} {
 		row := make([]float64, len(systems))

@@ -77,84 +77,35 @@ func (h *Harness) Fig5() (*Matrix, error) {
 // Fig9 reproduces Figure 9: end-to-end application completion time of
 // the six systems on the six workloads.
 func (h *Harness) Fig9() (*Matrix, error) {
-	systems := blaze.Fig9Systems()
-	m := &Matrix{
+	return h.systemGrid(&Matrix{
 		Title:   "Figure 9: End-to-end application completion time",
 		Caption: "Six caching systems across the six workloads (Blaze includes profiling overhead).",
 		Unit:    "seconds (ACT)",
-	}
-	for _, s := range systems {
-		m.Cols = append(m.Cols, systemTitle(s))
-	}
-	for _, w := range blaze.AllWorkloads() {
-		row := make([]float64, len(systems))
-		for j, s := range systems {
-			r, err := h.run(s, w)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = seconds(r.Metrics.ACT)
-		}
-		m.Rows = append(m.Rows, workloadTitle(w))
-		m.Data = append(m.Data, row)
-	}
-	return m, nil
+	}, blaze.Fig9Systems(), blaze.AllWorkloads(), []string{""}, act)
 }
 
 // Fig10 reproduces Figure 10: the accumulated task-time breakdown of
 // every system on every workload (disk-I/O-for-caching bucket; for
 // Spark+Alluxio this is the Alluxio I/O time).
 func (h *Harness) Fig10() (*Matrix, error) {
-	systems := blaze.Fig9Systems()
-	m := &Matrix{
+	return h.systemGrid(&Matrix{
 		Title:   "Figure 10: Accumulated task time breakdown (diskIO | comp+shuffle)",
 		Caption: "Per system and workload: cache-recovery I/O time and computation+shuffle time.",
 		Unit:    "seconds (accumulated)",
-	}
-	for _, s := range systems {
-		m.Cols = append(m.Cols, systemTitle(s)+" io", systemTitle(s)+" cs")
-	}
-	for _, w := range blaze.AllWorkloads() {
-		row := make([]float64, 0, 2*len(systems))
-		for _, s := range systems {
-			r, err := h.run(s, w)
-			if err != nil {
-				return nil, err
-			}
-			b := r.Metrics.TotalBreakdown()
-			row = append(row, seconds(b.DiskIO), seconds(b.ComputeShuffle()))
-		}
-		m.Rows = append(m.Rows, workloadTitle(w))
-		m.Data = append(m.Data, row)
-	}
-	return m, nil
+	}, blaze.Fig9Systems(), blaze.AllWorkloads(), []string{" io", " cs"}, func(r *blaze.Result) []float64 {
+		b := r.Metrics.TotalBreakdown()
+		return []float64{seconds(b.DiskIO), seconds(b.ComputeShuffle())}
+	})
 }
 
 // Fig11 reproduces Figure 11: the performance breakdown of Blaze's
 // components — MEM+DISK Spark, +AutoCache, +CostAware, full Blaze.
 func (h *Harness) Fig11() (*Matrix, error) {
-	systems := []blaze.SystemID{blaze.SysSparkMemDisk, blaze.SysAutoCache, blaze.SysCostAware, blaze.SysBlaze}
-	m := &Matrix{
+	return h.systemGrid(&Matrix{
 		Title:   "Figure 11: Performance breakdown of Blaze components",
 		Caption: "Each column adds one mechanism: automatic caching, cost-aware eviction, and the ILP decision layer.",
 		Unit:    "seconds (ACT)",
-	}
-	for _, s := range systems {
-		m.Cols = append(m.Cols, systemTitle(s))
-	}
-	for _, w := range blaze.AllWorkloads() {
-		row := make([]float64, len(systems))
-		for j, s := range systems {
-			r, err := h.run(s, w)
-			if err != nil {
-				return nil, err
-			}
-			row[j] = seconds(r.Metrics.ACT)
-		}
-		m.Rows = append(m.Rows, workloadTitle(w))
-		m.Data = append(m.Data, row)
-	}
-	return m, nil
+	}, []blaze.SystemID{blaze.SysSparkMemDisk, blaze.SysAutoCache, blaze.SysCostAware, blaze.SysBlaze}, blaze.AllWorkloads(), []string{""}, act)
 }
 
 // Fig12Workloads lists the §7.4 workloads.
@@ -165,29 +116,41 @@ func Fig12Workloads() []blaze.WorkloadID {
 // Fig12 reproduces Figure 12: the number of evictions and the total
 // recomputation time of the memory-only systems.
 func (h *Harness) Fig12() (*Matrix, error) {
-	systems := []blaze.SystemID{blaze.SysSparkMem, blaze.SysLRCMem, blaze.SysMRDMem, blaze.SysBlazeMem}
-	m := &Matrix{
+	return h.systemGrid(&Matrix{
 		Title:   "Figure 12: Evictions and recomputation time without disk support",
 		Caption: "Memory-only variants: eviction counts (left) and accumulated recomputation time (right).",
 		Unit:    "count | seconds",
-	}
+	}, []blaze.SystemID{blaze.SysSparkMem, blaze.SysLRCMem, blaze.SysMRDMem, blaze.SysBlazeMem}, Fig12Workloads(), []string{" ev", " rc"}, func(r *blaze.Result) []float64 {
+		return []float64{float64(r.Metrics.Evictions), seconds(r.Metrics.TotalRecompute())}
+	})
+}
+
+// systemGrid fills m with one row per workload and, per system, one
+// column per suffix, titled by the system's title plus the suffix; cells
+// reads a run's values in suffix order.
+func (h *Harness) systemGrid(m *Matrix, systems []blaze.SystemID, workloads []blaze.WorkloadID, suffixes []string, cells func(*blaze.Result) []float64) (*Matrix, error) {
 	for _, s := range systems {
-		m.Cols = append(m.Cols, systemTitle(s)+" ev", systemTitle(s)+" rc")
+		for _, suffix := range suffixes {
+			m.Cols = append(m.Cols, titles[s]+suffix)
+		}
 	}
-	for _, w := range Fig12Workloads() {
-		row := make([]float64, 0, 2*len(systems))
+	for _, w := range workloads {
+		row := make([]float64, 0, len(m.Cols))
 		for _, s := range systems {
 			r, err := h.run(s, w)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, float64(r.Metrics.Evictions), seconds(r.Metrics.TotalRecompute()))
+			row = append(row, cells(r)...)
 		}
 		m.Rows = append(m.Rows, workloadTitle(w))
 		m.Data = append(m.Data, row)
 	}
 	return m, nil
 }
+
+// act reads a run's ACT.
+func act(r *blaze.Result) []float64 { return []float64{seconds(r.Metrics.ACT)} }
 
 // Fig13 reproduces Figure 13: Blaze with and without the dependency
 // extraction (profiling) phase, ACT normalized to the with-profiling run.
@@ -282,7 +245,7 @@ func (h *Harness) Policies() (*Matrix, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Rows = append(m.Rows, systemTitle(s))
+		m.Rows = append(m.Rows, titles[s])
 		m.Data = append(m.Data, []float64{seconds(r.Metrics.ACT)})
 	}
 	return m, nil

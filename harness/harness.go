@@ -147,34 +147,12 @@ func workloadTitle(w blaze.WorkloadID) string {
 	return spec.Title
 }
 
-// systemTitle maps system ids to display names.
-func systemTitle(s blaze.SystemID) string {
-	switch s {
-	case blaze.SysSparkMem:
-		return "Spark (MEM)"
-	case blaze.SysSparkMemDisk:
-		return "Spark (MEM+DISK)"
-	case blaze.SysSparkAlluxio:
-		return "Spark+Alluxio"
-	case blaze.SysLRC:
-		return "LRC"
-	case blaze.SysMRD:
-		return "MRD"
-	case blaze.SysLRCMem:
-		return "LRC (MEM)"
-	case blaze.SysMRDMem:
-		return "MRD (MEM)"
-	case blaze.SysAutoCache:
-		return "+AutoCache"
-	case blaze.SysCostAware:
-		return "+CostAware"
-	case blaze.SysBlaze:
-		return "Blaze"
-	case blaze.SysBlazeMem:
-		return "Blaze (MEM)"
-	case blaze.SysBlazeNoProfile:
-		return "Blaze w/o Profiling"
-	default:
-		return string(s)
+// titles maps system ids to their display titles in the facade's
+// system table.
+var titles = func() map[blaze.SystemID]string {
+	m := make(map[blaze.SystemID]string)
+	for _, s := range blaze.Systems() {
+		m[s.ID] = s.Title
 	}
-}
+	return m
+}()

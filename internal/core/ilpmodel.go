@@ -79,9 +79,11 @@ func tallyILP(met *metrics.App, r solveResult) {
 }
 
 // replan solves Eq. 5-6 for every executor independently (partitions are
-// pinned to their home executors by locality, §6) and applies the
-// resulting state transitions. Results for not-yet-computed partitions
-// are kept in targetState and honored at admission time.
+// pinned to their home executors by locality, §6) over its resident
+// blocks and applies the resulting state transitions. Each block's target
+// state is kept in targetState, which disk-read promotion
+// (PromoteOnDiskRead) honors until the next solve; partitions not yet
+// computed are placed at admission by PlaceComputed, not by the solve.
 func (b *Controller) replan(p solvePass) {
 	b.targetState = make(map[storage.BlockID]engine.Placement)
 
@@ -185,10 +187,10 @@ func (b *Controller) applyAssignment(ex *engine.Executor, cands []candidate, cho
 	}
 }
 
-// gatherCandidates collects the partitions relevant to the optimization
-// window on one executor: resident blocks (memory and disk) plus
-// predicted upcoming partitions whose metrics the CostLineage can supply
-// (observed earlier or inducted by regression).
+// gatherCandidates collects one executor's resident blocks, in memory or
+// on disk, whose datasets are live in this session's lineage and, outside
+// windowed mode, still have future references, sorted by block id. It
+// adds no partition that is not resident yet.
 func (b *Controller) gatherCandidates(ex *engine.Executor) []candidate {
 	seen := make(map[storage.BlockID]bool)
 	var cands []candidate

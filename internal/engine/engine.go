@@ -13,7 +13,6 @@ package engine
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
@@ -28,9 +27,6 @@ import (
 	"blaze/internal/shuffle"
 	"blaze/internal/storage"
 )
-
-// debugEvict enables eviction tracing for diagnostics.
-var debugEvict = os.Getenv("BLAZE_DEBUG_EVICT") != ""
 
 // Placement is a desired location for a cached partition, mirroring the
 // paper's per-partition states m (memory), d (disk) and u (unpersisted).
@@ -1015,9 +1011,6 @@ func (c *Cluster) SpillBlock(ex *Executor, id storage.BlockID) bool {
 	if !ok {
 		return false
 	}
-	if debugEvict {
-		fmt.Fprintf(os.Stderr, "SPILL ex=%d %v ds=%s size=%d job=%d\n", ex.ID, id, c.ctx.Dataset(id.Dataset).Name(), size, c.curJob)
-	}
 	c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockSpilled, Time: ex.Clock().Now(), Job: c.curJob,
 		Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: size})
 	c.ctl.OnBlockRemoved(ex, id)
@@ -1040,9 +1033,6 @@ func (c *Cluster) dropFromMemory(ex *Executor, id storage.BlockID) bool {
 	size, ok := ex.Mem.Drop(id)
 	if !ok {
 		return false
-	}
-	if debugEvict {
-		fmt.Fprintf(os.Stderr, "DROP  ex=%d %v ds=%s size=%d job=%d\n", ex.ID, id, c.ctx.Dataset(id.Dataset).Name(), size, c.curJob)
 	}
 	c.emitEx(ex, eventlog.Event{Kind: eventlog.BlockDropped, Time: ex.Clock().Now(), Job: c.curJob,
 		Executor: ex.ID, Dataset: id.Dataset, Partition: id.Partition, Bytes: size})

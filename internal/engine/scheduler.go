@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -171,17 +169,6 @@ func (c *Cluster) RunJob(target *dataflow.Dataset, action string) [][]dataflow.R
 	}
 	c.beginJob()
 	defer c.endJob()
-	if debugEvict {
-		missing := []int{}
-		for p := 0; p < target.Partitions(); p++ {
-			ex := c.ExecutorFor(p)
-			id := storage.BlockID{Dataset: target.ID(), Partition: p}
-			if !ex.Mem.Contains(id) && !ex.Disk.Contains(id) {
-				missing = append(missing, p)
-			}
-		}
-		fmt.Fprintf(os.Stderr, "JOB %d target=%s missing=%v\n", c.jobSeq, target.Name(), missing)
-	}
 	job := c.buildJob(target)
 	job.count = action == "count"
 	c.jobSeq++

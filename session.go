@@ -98,23 +98,11 @@ func (c SessionConfig) withDefaults() SessionConfig {
 
 // Validate checks the configuration without building the cluster.
 func (c SessionConfig) Validate() error {
-	if c.Executors < 0 {
-		return fmt.Errorf("blaze: Executors must be >= 0 (0 means default 8), got %d", c.Executors)
-	}
-	if c.Cores < 0 {
-		return fmt.Errorf("blaze: Cores must be >= 0 (0 means default 1), got %d", c.Cores)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("blaze: Parallelism must be >= 0 (0 means all CPUs), got %d", c.Parallelism)
+	if err := c.runConfig().validateShared(); err != nil {
+		return err
 	}
 	if c.MemoryPerExecutor <= 0 {
 		return errors.New("blaze: SessionConfig.MemoryPerExecutor must be positive (a session has no single workload to calibrate against)")
-	}
-	if c.DiskCapacity < 0 {
-		return fmt.Errorf("blaze: DiskCapacity must be >= 0 (0 means unconstrained), got %d", c.DiskCapacity)
-	}
-	if c.ILPWindow < ILPWindowCurrentJobOnly {
-		return fmt.Errorf("blaze: ILPWindow must be >= %d (ILPWindowCurrentJobOnly), got %d", ILPWindowCurrentJobOnly, c.ILPWindow)
 	}
 	if c.CrashWindow != 0 {
 		if c.CheckpointDir == "" {
@@ -124,13 +112,23 @@ func (c SessionConfig) Validate() error {
 			return fmt.Errorf("blaze: CrashWindow must be >= 2 (window 1 has no boundary checkpoint to crash after), got %d", c.CrashWindow)
 		}
 	}
-	if err := validateSystem(c.System); err != nil {
-		return err
-	}
-	if !c.CostParams.IsZero() {
-		return c.CostParams.Validate()
-	}
 	return nil
+}
+
+// runConfig is the session as a run without a workload: the fields the
+// two configs share, which validateShared checks and buildSystem reads.
+func (c SessionConfig) runConfig() RunConfig {
+	return RunConfig{
+		System:            c.System,
+		Executors:         c.Executors,
+		Cores:             c.Cores,
+		Parallelism:       c.Parallelism,
+		MemoryPerExecutor: c.MemoryPerExecutor,
+		CostParams:        c.CostParams,
+		DiskCapacity:      c.DiskCapacity,
+		ILPWindow:         c.ILPWindow,
+		EventLog:          c.EventLog,
+	}
 }
 
 // WindowStats is one window's share of the run: the deltas of the
@@ -257,40 +255,27 @@ func NewSession(cfg SessionConfig) (*Session, error) {
 // asks for it. rs and restored are the loaded checkpoint when resuming,
 // nil for a fresh session.
 func openSession(cfg SessionConfig, rs *engine.ResumeState, restored *sessionClientState) (*Session, error) {
-	sys, err := buildStreamSystem(cfg)
+	// A session is a run without a workload, priced at serialization
+	// factor 1 unless CostParams says otherwise.
+	p, err := newPlan(cfg.runConfig(), WorkloadSpec{SerFactor: 1})
 	if err != nil {
 		return nil, err
 	}
-	params := EvalParams(1.0)
-	if !cfg.CostParams.IsZero() {
-		params = cfg.CostParams
-	}
-	srv, err := server.New(server.Config{
-		Executors:         cfg.Executors,
-		CoresPerExecutor:  cfg.Cores,
-		MemoryPerExecutor: cfg.MemoryPerExecutor,
-		Parallelism:       cfg.Parallelism,
-	})
+	srv, job, err := p.serve()
 	if err != nil {
 		return nil, err
 	}
-	st, err := srv.SubmitStream(server.JobSpec{
-		Controller:  sys.ctl,
-		Params:      params,
-		AlluxioMode: sys.alluxio,
-		EventLog:    cfg.EventLog,
-		Parallelism: cfg.Parallelism,
-	})
+	st, err := srv.SubmitStream(job)
 	if err != nil {
 		srv.Close()
 		return nil, err
 	}
-	s := &Session{cfg: cfg, annotated: sys.annotated, srv: srv, st: st, window: 1}
+	s := &Session{cfg: cfg, annotated: p.sys.annotated, srv: srv, st: st, window: 1}
 	if rs != nil {
 		s.resuming, s.resumeWindow, s.restored = true, rs.Window, restored
 	}
 	if cfg.CheckpointDir != "" {
-		if err := s.enableDurability(sys.ctl, rs); err != nil {
+		if err := s.enableDurability(p.sys.ctl, rs); err != nil {
 			st.Close()
 			srv.Close()
 			return nil, err
@@ -443,25 +428,6 @@ func (s *Session) clientState() ([]byte, error) {
 		return nil, err
 	}
 	return buf.Bytes(), nil
-}
-
-// buildStreamSystem is buildSystem for sessions: the Blaze-family
-// systems are built without a profiling skeleton (their lineage grows on
-// the run), annotation-based systems reuse the batch recipes.
-func buildStreamSystem(cfg SessionConfig) (systemSpec, error) {
-	if b, ok := blazeController(cfg.System, cfg.DiskCapacity, cfg.ILPWindow); ok {
-		return systemSpec{ctl: b}, nil
-	}
-	switch cfg.System {
-	case SysAutoCache:
-		return systemSpec{ctl: core.NewAutoCache()}, nil
-	case SysCostAware:
-		return systemSpec{ctl: core.NewCostAware()}, nil
-	default:
-		// Annotation-based systems and policy systems never touch the
-		// profiling skeleton, so the batch recipe applies unchanged.
-		return buildSystem(RunConfig{System: cfg.System}.withDefaults(), WorkloadSpec{})
-	}
 }
 
 // ErrSessionClosed is returned by Session operations after Close.

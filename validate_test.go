@@ -45,6 +45,11 @@ func TestRunConfigValidate(t *testing.T) {
 		{"broken faults", func(c *blaze.RunConfig) {
 			c.Faults = &blaze.FaultConfig{Every: -1}
 		}, "Every"},
+		{"21 retries at the default backoff", resilience(t, "retries=21"), ""},
+		{"retry backoff past an hour", resilience(t, "retries=40"), "backoff"},
+		{"retry backoff wraps", resilience(t, "retries=64"), "backoff"},
+		{"fetch retry backoff past an hour", resilience(t, "retries=-1,fetch-retries=22"), "backoff"},
+		{"base backoff past an hour", resilience(t, "backoff=2500000h"), "backoff"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,6 +80,16 @@ func TestRunConfigValidate(t *testing.T) {
 		!strings.Contains(err.Error(), "RegisterWorkload") {
 		t.Fatalf("RunStream with Scale 2 = %v, want an error pointing at RegisterWorkload", err)
 	}
+}
+
+// resilience mutates a config's Resilience to the parsed knobs, as
+// blazerun's -resilience flag and blazed's POST body set it.
+func resilience(t *testing.T, spec string) func(*blaze.RunConfig) {
+	r, err := blaze.ParseResilience(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(c *blaze.RunConfig) { c.Resilience = r }
 }
 
 func TestCostParamsIsZero(t *testing.T) {
