@@ -315,6 +315,39 @@ func TestBatchedPRKernelAllocCeiling(t *testing.T) {
 // Go map per combine, reads 5.7.
 const prAllocCeiling = 1.4
 
+// TestCachedBlockAllocCeiling: a warm round trip of a columnar block
+// through a virtual memory store — admit the task's batch, hit it, release
+// the hit, drop the block — copies no array. The store adopts the batch
+// and a hit shares it, so what is left is the block's bookkeeping: its
+// BlockMeta and store entry. A copy at admission or on the hit costs a
+// batch, a column and an array per key and value column each.
+func TestCachedBlockAllocCeiling(t *testing.T) {
+	task := dataflow.NewBatch(benchVerts)
+	vals := dataflow.NewDense[float64](benchVerts)
+	task.Col = vals
+	for i := range benchVerts {
+		task.Keys = append(task.Keys, int64(i))
+		vals.Vals = append(vals.Vals, float64(i))
+	}
+	defer task.Release()
+	m := storage.NewMemoryStore(1 << 30)
+	id := storage.BlockID{Dataset: 1}
+	roundTrip := func() {
+		if _, err := m.Admit(id, storage.FreshBatch(task), task.EstimateSize(), 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		p, _, _ := m.Read(id, 0)
+		p.Batch().Release()
+		m.Drop(id)
+	}
+	roundTrip()
+	const bookkeeping = 2 // BlockMeta, store entry
+	if allocs := testing.AllocsPerRun(50, roundTrip); allocs > bookkeeping {
+		t.Fatalf("admit, hit, release and drop of a %d-record block allocate %.0f times (ceiling %d, its bookkeeping): the store or the hit copies the block",
+			benchVerts, allocs, bookkeeping)
+	}
+}
+
 // prShape is the shape of a PageRank run whose allocations are measured:
 // one of the PageRank benchmark workloads.
 type prShape struct {

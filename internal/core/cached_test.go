@@ -442,11 +442,12 @@ func TestCachedCostsEqualFresh(t *testing.T) {
 				ctx: dataflow.NewContext(), steps: make(map[string]int)}
 			c, err := engine.NewCluster(engine.Config{
 				Executors: cachedExecs,
-				// Sequential: the widening shuffle lets the estimator read
-				// a column homed on another executor even across a complete
-				// shuffle (when its parent is dead at the horizon), which
-				// the engine's parallel-eligibility gate does not exclude.
-				Parallelism:       1,
+				// Parallel: the widening shuffle lets the estimator read a
+				// column homed on another executor even across a complete
+				// shuffle (when its parent is dead at the horizon), and the
+				// engine's parallel-eligibility gate must run such a stage
+				// sequentially; under -race a gap shows as a data race.
+				Parallelism:       8,
 				MemoryPerExecutor: 6 * 1024,
 				Params:            costmodel.Default(),
 				Controller:        ctl,

@@ -234,8 +234,8 @@ func (b *Controller) estFor(ex *engine.Executor) *Estimator {
 // keeps its shared state parallel-safe (per-executor estimators and
 // access maps, a locked CostLineage for task-path metric observation),
 // but its estimator walks lineage across shuffle edges, so the engine
-// must additionally reject stages where an incomplete shuffle edge with
-// differing partition counts is reachable (RemoteReads). Evictions may
+// must additionally reject stages where a shuffle edge with differing
+// partition counts is reachable (RemoteReads). Evictions may
 // drop blocks without a disk copy, so memory residency is not stable
 // mid-stage (SpillOnlyEvictions false).
 func (b *Controller) ParallelCaps() engine.ParallelCaps {

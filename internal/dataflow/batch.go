@@ -2,8 +2,10 @@ package dataflow
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 )
 
 // This file implements the Batch, the one container of the engine's task
@@ -22,22 +24,26 @@ import (
 // virtual-time metrics independent of the form a partition takes.
 //
 // Ownership rules (see DESIGN.md "Pooling ownership rules"):
-//   - A columnar batch's backing arrays may come from sync.Pools. It has
-//     one owner at a time, and the owner releases it exactly once: the
-//     task loop for a partition in flight; a block store for a cached
-//     block, until the block is dropped, evicted without a spill, retired
-//     or purged (a spill hands it to the disk store); the shuffle service
-//     for a map output, until the shuffle is cleaned or the map output
-//     lost. A map output's buckets may be views on batches it owns (a
-//     split's one container, a broadcast's one batch): the service
-//     releases what it owns, each once, and a view's Release does
-//     nothing.
-//   - Owners never share arrays: a store admits a copy of the task's
-//     batch (CloneExact: a long-lived owner holds arrays of exactly its
-//     size, never pooled ones), and a task clones a cached batch before
-//     using it.
+//   - A columnar batch's backing arrays may come from sync.Pools. Whoever
+//     holds the batch owns a share of it, and releases that share exactly
+//     once; the arrays go back to the pools when the last share is
+//     released. The holders: the task loop for a partition in flight; a
+//     block store for a cached block, until the block is dropped, evicted
+//     without a spill, retired or purged (a spill hands the store's share
+//     to the disk store); the shuffle service for a map output, until the
+//     shuffle is cleaned or the map output lost. A map output's buckets
+//     may be views on batches it owns (a split's one container, a
+//     broadcast's one batch): the service releases what it owns, each
+//     once, and a view's Release does nothing.
+//   - Share hands a batch to one more holder without copying it: a store
+//     adopts the batch a task computed (Keep), and a hit, a promotion or a
+//     virtual disk read takes another share of what the store holds. No
+//     holder may modify a shared batch, and a kernel never modifies its
+//     inputs. Keep copies instead (CloneExact) when some array is more
+//     than twice its contents, so a resident block never pins much more
+//     than it holds.
 //   - A row-form batch owns nothing pooled and never changes, so it is
-//     its own clone and Release leaves it alone: owners share it.
+//     shared without counting and Release leaves it alone.
 //   - Column.Value boxes a copy of any backing storage; boxed values
 //     never alias pooled arrays.
 //   - Batch kernels must return a fresh batch and must not retain their
@@ -78,8 +84,11 @@ type Batch struct {
 	NonNil bool
 	// view marks a bucket of a split (Router.Split): its arrays are a
 	// range of a container another batch owns, so Release leaves them.
-	// It sits in NonNil's padding, keeping Batch at 48 bytes.
 	view bool
+	// shares counts the holders beyond the first (Share); Release frees
+	// the arrays when it drops below zero. It and view sit in NonNil's
+	// padding, keeping Batch at 48 bytes.
+	shares int32
 }
 
 // NewBatch returns an empty columnar batch with pooled key storage.
@@ -157,7 +166,7 @@ func (b *Batch) Len() int {
 
 // Append adds one record, choosing a typed column from the first value.
 func (b *Batch) Append(key int64, v any) {
-	b.Keys = append(b.Keys, key)
+	b.Keys = appendPooled(b.Keys, key)
 	if b.Col == nil {
 		b.Col = columnFor(v, cap(b.Keys))
 	}
@@ -170,7 +179,7 @@ func (b *Batch) Append(key int64, v any) {
 // AppendFromBatch adds record i of src, copying column storage directly
 // when the column types match and boxing otherwise.
 func (b *Batch) AppendFromBatch(src *Batch, i int) {
-	b.Keys = append(b.Keys, src.Keys[i])
+	b.Keys = appendPooled(b.Keys, src.Keys[i])
 	if b.Col == nil {
 		b.Col = src.Col.NewEmpty(cap(b.Keys))
 	}
@@ -228,31 +237,24 @@ func FromRecords(recs []Record) *Batch {
 	return b
 }
 
-// Clone returns a copy of the batch for a task, on pooled arrays. A flat
-// column is copied through its Layout, one bulk copy per array; any other
-// column (the boxed AnyColumn, whose values are immutable and shared)
-// element by element. A row-form batch is its own clone.
-func (b *Batch) Clone() *Batch { return b.clone(true) }
-
-// CloneExact is Clone onto arrays of exactly the batch's size, for an
-// owner that keeps it (a block store, the shuffle service): a pooled
-// array can be many times larger than a small block, and would stay
-// pinned for as long as the block is resident. Released, the arrays feed
-// the pools like any other.
-func (b *Batch) CloneExact() *Batch { return b.clone(false) }
-
-func (b *Batch) clone(pooled bool) *Batch {
+// CloneExact returns a copy of the batch on arrays of exactly its size,
+// for an owner that keeps it (Keep, a split's bucket of a boxed column).
+// A flat column is copied through its Layout, one bulk copy per array;
+// any other column (the boxed AnyColumn, whose values are immutable and
+// shared) element by element. A row-form batch is its own copy.
+// Released, the arrays feed the pools like any other.
+func (b *Batch) CloneExact() *Batch {
 	if b.RowForm() {
 		return b
 	}
-	out := &Batch{Keys: appendArray(nil, b.Keys, pooled, GetI64Slice), NonNil: b.NonNil}
+	out := &Batch{Keys: appendArray(nil, b.Keys, false), NonNil: b.NonNil}
 	switch c := b.Col.(type) {
 	case nil:
 	case FlatColumn:
 		_, src := c.Layout()
 		dst := c.blank()
 		_, arrays := dst.Layout()
-		appendArrays(arrays, src, pooled)
+		appendArrays(arrays, src, false)
 		out.Col = dst
 	default:
 		out.Col = c.NewEmpty(c.Len())
@@ -262,6 +264,68 @@ func (b *Batch) clone(pooled bool) *Batch {
 	}
 	return out
 }
+
+// Share hands the batch to one more holder and returns it: the same
+// arrays, which go back to the pools only when the last holder releases
+// its share. No holder may modify a shared batch. A row-form batch and a
+// split's view own nothing pooled and are returned as they are.
+func (b *Batch) Share() *Batch {
+	if b.unowned() {
+		return b
+	}
+	if poisonReleased {
+		guardShare(b)
+	} else {
+		atomic.AddInt32(&b.shares, 1)
+	}
+	return b
+}
+
+// Keep returns the batch for a holder that keeps it, a block store: a
+// share of the batch itself when its arrays are at most twice their
+// contents (loose), and otherwise, or for a split's view, a copy of
+// exactly its size (CloneExact). Arrays built in the size-classed pools
+// pass, so a store adopts a task's output and a resident block never
+// pins much more memory than it holds.
+func (b *Batch) Keep() *Batch {
+	if b.view || b.loose() {
+		return b.CloneExact()
+	}
+	return b.Share()
+}
+
+// loose reports whether the batch's arrays together can hold more than
+// twice their contents in bytes, each array counting at least the
+// smallest size class as its contents' double.
+func (b *Batch) loose() bool {
+	r := room{}.add(8, len(b.Keys), cap(b.Keys))
+	switch c := b.Col.(type) {
+	case FlatColumn:
+		r = r.plus(c.room())
+	case *AnyColumn:
+		r = r.add(16, len(c.Vals), cap(c.Vals))
+	}
+	return r.held > r.bound
+}
+
+// room tallies arrays in bytes for loose: what they hold room for,
+// against twice their contents (or the smallest class).
+type room struct{ held, bound int }
+
+// add tallies an array of n elements of size bytes with capacity c.
+func (r room) add(size, n, c int) room {
+	if c > 0 {
+		r.held += size * c
+		r.bound += size * max(2*n, 1<<minClass)
+	}
+	return r
+}
+
+func (r room) plus(o room) room { return room{r.held + o.held, r.bound + o.bound} }
+
+// unowned reports whether Release leaves the batch alone: nil, a
+// row-form batch, or a split's view.
+func (b *Batch) unowned() bool { return b == nil || b.view || b.RowForm() }
 
 // AppendBatch appends every record of src: one bulk append per array
 // when both columns have the same concrete type, record by record (as
@@ -276,8 +340,8 @@ func (b *Batch) AppendBatch(src *Batch) {
 	}
 	if d, ok := b.Col.(*Dense[float64]); ok { // a shuffle bucket: no Layout slices to allocate
 		if s, ok := src.Col.(*Dense[float64]); ok {
-			b.Keys = append(b.Keys, src.Keys...)
-			d.Vals = append(d.Vals, s.Vals...)
+			b.Keys = appendPooled(b.Keys, src.Keys...)
+			d.Vals = appendPooled(d.Vals, s.Vals...)
 			return
 		}
 	}
@@ -285,7 +349,7 @@ func (b *Batch) AppendBatch(src *Batch) {
 		if s, ok := src.Col.(FlatColumn); ok {
 			dn, da := d.Layout()
 			if sn, sa := s.Layout(); dn == sn {
-				b.Keys = append(b.Keys, src.Keys...)
+				b.Keys = appendPooled(b.Keys, src.Keys...)
 				appendArrays(da, sa, true)
 				return
 			}
@@ -306,13 +370,14 @@ func appendArrays(dst, src []Array, pooled bool) {
 		s := src[i]
 		switch {
 		case d.F64 != nil:
-			*d.F64 = appendArray(*d.F64, *s.F64, pooled, GetF64Slice)
+			*d.F64 = appendArray(*d.F64, *s.F64, pooled)
 		case d.I64 != nil:
-			*d.I64 = appendArray(*d.I64, *s.I64, pooled, GetI64Slice)
+			*d.I64 = appendArray(*d.I64, *s.I64, pooled)
 		case len(*d.Off) == 0:
-			*d.Off = appendArray(*d.Off, *s.Off, pooled, GetI32Slice)
+			*d.Off = appendArray(*d.Off, *s.Off, pooled)
 		default:
 			base := (*d.Off)[len(*d.Off)-1]
+			*d.Off = i32SlicePool.grow(*d.Off, len(*s.Off)-1)
 			for _, o := range (*s.Off)[1:] {
 				*d.Off = append(*d.Off, base+o)
 			}
@@ -320,16 +385,15 @@ func appendArrays(dst, src []Array, pooled bool) {
 	}
 }
 
-// appendArray appends src to dst. An empty destination starts on an
-// array sized to src: from the pool (get), or allocated to exactly that
-// size.
-func appendArray[T any](dst, src []T, pooled bool, get func(int) []T) []T {
+// appendArray appends src to dst: growing dst through the pools
+// (appendPooled), or, unpooled, starting an empty destination on an array
+// of exactly src's size.
+func appendArray[T any](dst, src []T, pooled bool) []T {
+	if pooled {
+		return appendPooled(dst, src...)
+	}
 	if cap(dst) == 0 {
-		if pooled {
-			dst = get(len(src))
-		} else {
-			dst = make([]T, 0, len(src))
-		}
+		dst = make([]T, 0, len(src))
 	}
 	return append(dst, src...)
 }
@@ -347,12 +411,20 @@ func (b *Batch) EstimateSize() int64 {
 	return s
 }
 
-// Release returns a columnar batch's pooled storage. Safe to call on nil
-// and idempotent; the batch must not be used afterwards. A row-form
-// batch, shared by its owners, and a split's view, whose container owns
+// Release gives up the caller's share of the batch; the last share
+// returns a columnar batch's pooled storage. Safe to call on nil; the
+// caller must not use the batch afterwards. A row-form batch, shared by
+// its holders without counting, and a split's view, whose container owns
 // its arrays, are left as they are.
 func (b *Batch) Release() {
-	if b == nil || b.view || b.RowForm() {
+	if b.unowned() {
+		return
+	}
+	if poisonReleased {
+		if !guardRelease(b) {
+			return
+		}
+	} else if atomic.AddInt32(&b.shares, -1) >= 0 {
 		return
 	}
 	if b.Keys != nil {
@@ -368,41 +440,84 @@ func (b *Batch) Release() {
 
 // --- slice pools -----------------------------------------------------
 
-// maxPooledCap bounds what the pools retain so a one-off giant partition
-// doesn't pin memory forever.
-const maxPooledCap = 1 << 21
+// Pooled arrays come in power-of-two size classes, from 1<<minClass to
+// maxPooledCap elements. A draw takes an array from the smallest class
+// that fits and a miss allocates that class's size; a growing array moves
+// to the next class that fits and gives its old array back. A released
+// array joins the largest class its capacity covers. So an array built in
+// the pools is less than twice its contents, unless its class handed back
+// a larger released array, and a store adopts it (Keep).
+const (
+	minClass = 3  // 8 elements
+	maxClass = 21 // maxPooledCap
+	// maxPooledCap bounds what the pools retain so a one-off giant
+	// partition doesn't pin memory forever.
+	maxPooledCap = 1 << maxClass
+)
 
 // slicePool recycles arrays of one element type. A pooled array travels
 // in a *[]T header, and emptied headers wait in spare, so a round trip
 // through the pool allocates nothing once both are warm.
 type slicePool[T any] struct {
-	arrays, spare sync.Pool // *[]T: holding an array / emptied
+	classes [maxClass - minClass + 1]sync.Pool // *[]T; class k holds capacities in [1<<k, 2<<k)
+	spare   sync.Pool                          // *[]T, emptied
+	dead    T                                  // what poisoning fills a released array with
 }
 
 var (
-	i64SlicePool slicePool[int64]
-	f64SlicePool slicePool[float64]
-	i32SlicePool slicePool[int32]
+	i64SlicePool = slicePool[int64]{dead: math.MinInt64}
+	f64SlicePool = slicePool[float64]{dead: math.NaN()}
+	i32SlicePool = slicePool[int32]{dead: math.MinInt32}
 	anySlicePool slicePool[any]
 )
 
-// get returns an empty slice with at least capHint capacity, reusing the
-// pooled array it draws when that is large enough.
+// poolOf returns the pool of arrays of T.
+func poolOf[T any]() *slicePool[T] {
+	var p any
+	switch any(*new(T)).(type) {
+	case int64:
+		p = &i64SlicePool
+	case float64:
+		p = &f64SlicePool
+	case int32:
+		p = &i32SlicePool
+	default:
+		p = &anySlicePool
+	}
+	return p.(*slicePool[T])
+}
+
+// sizeClass returns the smallest class whose arrays hold n elements.
+func sizeClass(n int) int { return max(bits.Len(uint(max(n, 1)-1)), minClass) }
+
+// get returns an empty slice with at least capHint capacity: an array of
+// the smallest class that fits, pooled or allocated to the class's size.
+// Past the largest class it allocates exactly capHint.
 func (p *slicePool[T]) get(capHint int) []T {
-	if h, _ := p.arrays.Get().(*[]T); h != nil {
+	k := sizeClass(capHint)
+	if k > maxClass {
+		return make([]T, 0, capHint)
+	}
+	if h, _ := p.classes[k-minClass].Get().(*[]T); h != nil {
 		s := *h
 		*h = nil
 		p.spare.Put(h)
-		if cap(s) >= capHint {
-			return s[:0]
-		}
+		return s[:0]
 	}
-	return make([]T, 0, max(capHint, 8))
+	return make([]T, 0, 1<<k)
 }
 
-// put pools s's array unless it is empty or too large to keep.
+// put pools s's array in the largest class its capacity covers, unless
+// it is smaller than the smallest class or too large to keep.
 func (p *slicePool[T]) put(s []T) {
-	if cap(s) == 0 || cap(s) > maxPooledCap {
+	if poisonReleased {
+		s := s[:cap(s)]
+		for i := range s {
+			s[i] = p.dead
+		}
+	}
+	c := cap(s)
+	if c < 1<<minClass || c > maxPooledCap {
 		return
 	}
 	h, _ := p.spare.Get().(*[]T)
@@ -410,22 +525,120 @@ func (p *slicePool[T]) put(s []T) {
 		h = new([]T)
 	}
 	*h = s[:0]
-	p.arrays.Put(h)
+	p.classes[bits.Len(uint(c))-1-minClass].Put(h)
+}
+
+// grow returns s with room for n more elements: s itself when it has the
+// room, otherwise its elements moved onto an array of the next class that
+// fits, with s's array put back. An array of a class's size grows to
+// (at least) the next class, so one-by-one appends copy each element a
+// bounded number of times.
+func (p *slicePool[T]) grow(s []T, n int) []T {
+	need := len(s) + n
+	if need <= cap(s) {
+		return s
+	}
+	if need > maxPooledCap {
+		need = max(need, 2*cap(s)) // past the classes, double as append does
+	}
+	t := append(p.get(need), s...)
+	p.put(s)
+	return t
+}
+
+// Append is append for an array a batch owns that is still being
+// built, such as a kernel's output column: a full s grows through the
+// slice pools, onto the next size class that fits, and its outgrown array
+// goes back to them.
+func Append[T Elem](s []T, vals ...T) []T { return appendPooled(s, vals...) }
+
+// appendPooled is Append for arrays of any pooled element type.
+func appendPooled[T any](s []T, vals ...T) []T {
+	if len(s)+len(vals) > cap(s) {
+		s = poolOf[T]().grow(s, len(vals))
+	}
+	return append(s, vals...)
 }
 
 // poisonReleased makes every Put fill the released array with a sentinel
 // (NaN, math.MinInt64, math.MinInt32) over its whole capacity, so a
 // reader that kept a released batch sees garbage instead of plausible
-// stale values. Only tests set it.
+// stale values, and turns on the share guard (guardShare). Only tests set
+// it.
 var poisonReleased bool
 
-func poison[T any](s []T, v T) {
-	if poisonReleased {
-		s = s[:cap(s)]
-		for i := range s {
-			s[i] = v
+// shareGuard is the test-only check of the share rules: while poisoning
+// is on, Share records a checksum of a batch's contents, every release of
+// a share checks it is unchanged, and a release past the last holder
+// panics.
+var shareGuard struct {
+	sync.Mutex
+	sums map[*Batch]uint64
+}
+
+// guardShare is Share under the guard.
+func guardShare(b *Batch) {
+	sum := checksum(b)
+	shareGuard.Lock()
+	defer shareGuard.Unlock()
+	if old, ok := shareGuard.sums[b]; ok && old != sum {
+		panic("dataflow: a holder modified a shared batch")
+	}
+	if shareGuard.sums == nil {
+		shareGuard.sums = make(map[*Batch]uint64)
+	}
+	shareGuard.sums[b] = sum
+	atomic.AddInt32(&b.shares, 1)
+}
+
+// guardRelease is Release's count under the guard: it reports whether
+// the share released was the last.
+func guardRelease(b *Batch) bool {
+	shareGuard.Lock()
+	defer shareGuard.Unlock()
+	n := atomic.AddInt32(&b.shares, -1)
+	if n < -1 {
+		panic("dataflow: batch released past its last holder")
+	}
+	if sum, ok := shareGuard.sums[b]; ok {
+		if checksum(b) != sum {
+			panic("dataflow: a holder modified a shared batch")
+		}
+		if n < 0 {
+			delete(shareGuard.sums, b)
 		}
 	}
+	return n < 0
+}
+
+// checksum hashes a batch's keys and flat arrays (FNV-1a over 64-bit
+// words).
+func checksum(b *Batch) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(x uint64) { h = (h ^ x) * 1099511628211 }
+	for _, k := range b.Keys {
+		mix(uint64(k))
+	}
+	if c, ok := b.Col.(FlatColumn); ok {
+		_, arrays := c.Layout()
+		for _, a := range arrays {
+			switch {
+			case a.F64 != nil:
+				for _, v := range *a.F64 {
+					mix(math.Float64bits(v))
+				}
+			case a.I64 != nil:
+				for _, v := range *a.I64 {
+					mix(uint64(v))
+				}
+			default:
+				for _, v := range *a.Off {
+					mix(uint64(v))
+				}
+			}
+		}
+	}
+	return h
 }
 
 // GetI64Slice returns an empty []int64 with at least capHint capacity,
@@ -433,35 +646,23 @@ func poison[T any](s []T, v T) {
 func GetI64Slice(capHint int) []int64 { return i64SlicePool.get(capHint) }
 
 // PutI64Slice recycles a slice obtained from GetI64Slice.
-func PutI64Slice(s []int64) {
-	poison(s, math.MinInt64)
-	i64SlicePool.put(s)
-}
+func PutI64Slice(s []int64) { i64SlicePool.put(s) }
 
 // GetF64Slice returns an empty []float64 with at least capHint capacity.
 func GetF64Slice(capHint int) []float64 { return f64SlicePool.get(capHint) }
 
 // PutF64Slice recycles a slice obtained from GetF64Slice.
-func PutF64Slice(s []float64) {
-	poison(s, math.NaN())
-	f64SlicePool.put(s)
-}
+func PutF64Slice(s []float64) { f64SlicePool.put(s) }
 
 // GetI32Slice returns an empty []int32 with at least capHint capacity.
 func GetI32Slice(capHint int) []int32 { return i32SlicePool.get(capHint) }
 
 // PutI32Slice recycles a slice obtained from GetI32Slice.
-func PutI32Slice(s []int32) {
-	poison(s, math.MinInt32)
-	i32SlicePool.put(s)
-}
+func PutI32Slice(s []int32) { i32SlicePool.put(s) }
 
 func getAnySlice(capHint int) []any { return anySlicePool.get(capHint) }
 
 func putAnySlice(s []any) {
-	if cap(s) == 0 || cap(s) > maxPooledCap {
-		return
-	}
 	clear(s) // drop references so the pool doesn't pin values
 	anySlicePool.put(s)
 }

@@ -3,6 +3,7 @@ package dataflow
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -42,13 +43,13 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRowFormIsShared: a row-form batch is its own clone, and releasing
-// it leaves it intact for every other owner.
+// TestRowFormIsShared: a row-form batch is its own copy and its own
+// share, and releasing it leaves it intact for every other holder.
 func TestRowFormIsShared(t *testing.T) {
 	recs := []Record{{Key: 1, Value: 1.5}, {Key: 2, Value: "x"}}
 	b := Rows(recs)
-	if b.Clone() != b || b.CloneExact() != b {
-		t.Fatal("cloning a row-form batch copied it")
+	if b.Share() != b || b.Keep() != b || b.CloneExact() != b {
+		t.Fatal("sharing or copying a row-form batch copied it")
 	}
 	b.Release()
 	if got := b.Records(); !b.RowForm() || len(got) != 2 || &got[0] != &recs[0] {
@@ -72,6 +73,44 @@ func TestSlicePoolRoundTripAllocatesNothing(t *testing.T) {
 	roundTrip()
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
 		t.Fatalf("a get/put round trip through the slice pools allocates %.1f times", allocs)
+	}
+}
+
+// emptyPools empties the slice pools: sync.Pool keeps what it holds for
+// at most two collections.
+func emptyPools() {
+	runtime.GC()
+	runtime.GC()
+}
+
+// TestPoolSizeClasses: a draw is an array of the smallest power-of-two
+// class that fits (a giant one past the largest class is exact), and
+// every growth path — Batch.Append, a Ragged push, AppendBatch — moves
+// to the next class, so an array built in the pools stays at most twice
+// its contents and a store adopts it (Keep) rather than copying it.
+func TestPoolSizeClasses(t *testing.T) {
+	emptyPools() // no array of another test's making sits in a class
+	for _, c := range []struct{ hint, want int }{
+		{0, 8}, {8, 8}, {9, 16}, {1000, 1024}, {1 << 20, 1 << 20}, {maxPooledCap + 1, maxPooledCap + 1},
+	} {
+		if got := cap(GetF64Slice(c.hint)); got < c.want || got >= 2*c.want && c.hint <= maxPooledCap {
+			t.Errorf("GetF64Slice(%d) has capacity %d, want the class of %d", c.hint, got, c.want)
+		}
+	}
+	floats := NewBatch(0)
+	sums := NewBatch(0)
+	for i := range 3000 {
+		floats.Append(int64(i), []float64{float64(i), 1})
+		sums.Append(int64(i), float64(i))
+	}
+	sums.AppendBatch(sums.CloneExact())
+	for name, b := range map[string]*Batch{"ragged": floats, "dense": sums} {
+		if b.loose() {
+			t.Errorf("%s: a batch grown in the pools has an array more than twice its contents", name)
+		}
+		if b.Keep() != b {
+			t.Errorf("%s: Keep copied a batch grown in the pools", name)
+		}
 	}
 }
 
@@ -217,19 +256,22 @@ func TestCombineSmallAndLargeAgree(t *testing.T) {
 }
 
 // TestResidentCopiesAreExact: whatever large arrays the pools hold, a
-// copy for a long-lived owner (CloneExact, a routed bucket and the
-// container it views) sits on arrays of exactly its size, so a small
-// cached block or retained bucket never pins a large released array.
+// copy for a long-lived owner (CloneExact) sits on arrays of exactly its
+// size, and a routed bucket and the container it views, drawn from the
+// size-classed pools, on arrays at most twice their contents past the
+// smallest class: a small cached block or retained bucket never pins a
+// large released array.
 func TestResidentCopiesAreExact(t *testing.T) {
+	emptyPools() // each draw below is a miss of its class or an array put here
 	for i := 0; i < 4; i++ {
 		PutI64Slice(make([]int64, 1<<16))
 		PutF64Slice(make([]float64, 1<<16))
 		PutI32Slice(make([]int32, 1<<16))
 	}
-	exact := func(what string, b *Batch) {
+	check := func(what string, b *Batch, fits func(n, c int) bool) {
 		t.Helper()
 		_, arrays := b.Col.(FlatColumn).Layout()
-		if cap(b.Keys) != len(b.Keys) {
+		if !fits(len(b.Keys), cap(b.Keys)) {
 			t.Errorf("%s: %d keys on an array of %d", what, len(b.Keys), cap(b.Keys))
 		}
 		for i, a := range arrays {
@@ -242,27 +284,33 @@ func TestResidentCopiesAreExact(t *testing.T) {
 			default:
 				n, c = len(*a.Off), cap(*a.Off)
 			}
-			if n != c {
+			if !fits(n, c) {
 				t.Errorf("%s: column array %d holds %d on an array of %d", what, i, n, c)
 			}
 		}
 	}
+	exact := func(n, c int) bool { return c == n }
+	classed := func(n, c int) bool { return c <= max(2*n, 1<<minClass) }
 	floats := FromRecords([]Record{{Key: 1, Value: []float64{1, 2}}, {Key: 2, Value: []float64{3}}})
-	exact("CloneExact", floats.CloneExact())
+	check("CloneExact", floats.CloneExact(), exact)
 	sums := FromRecords([]Record{{Key: 1, Value: 1.0}, {Key: 2, Value: 2.0}, {Key: 3, Value: 3.0}})
-	for _, in := range []*Batch{sums, floats} {
+	big := NewBatch(0)
+	for i := range 1000 {
+		big.Append(int64(i), float64(i))
+	}
+	for _, in := range []*Batch{sums, floats, big} {
 		buckets, owned := NewRouter(2).Split(in)
 		for _, bb := range append(buckets, owned...) {
 			if bb != nil {
-				exact("Split bucket", bb)
+				check("Split bucket", bb, classed)
 			}
 		}
 	}
 }
 
-// TestCloneAndAppendBatch: a Clone shares no array with its source, and
-// AppendBatch concatenates flat and boxed columns like AppendFromBatch
-// record by record.
+// TestCloneAndAppendBatch: a CloneExact shares no array with its
+// source, and AppendBatch concatenates flat and boxed columns like
+// AppendFromBatch record by record, growing the clone's exact arrays.
 func TestCloneAndAppendBatch(t *testing.T) {
 	for name, recs := range map[string][]Record{
 		"f64":    {{Key: 1, Value: 1.5}, {Key: 2, Value: -2.0}},
@@ -270,7 +318,7 @@ func TestCloneAndAppendBatch(t *testing.T) {
 		"any":    {{Key: 6, Value: "s"}, {Key: 7, Value: 2.0}},
 	} {
 		src := FromRecords(recs)
-		c := src.Clone()
+		c := src.CloneExact()
 		src.Release()
 		if got := c.Records(); !reflect.DeepEqual(got, recs) {
 			t.Errorf("%s: clone reads %v after its source was released, want %v", name, got, recs)

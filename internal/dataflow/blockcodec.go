@@ -75,6 +75,8 @@ type FlatColumn interface {
 	// blank returns a zero column of the same type, for a decode or a
 	// clone to fill through its Layout.
 	blank() FlatColumn
+	// room tallies the column's arrays (Batch.Keep).
+	room() room
 }
 
 // EncodeBlock serializes a batch as a typed block. It reports false for a

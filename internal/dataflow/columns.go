@@ -43,9 +43,7 @@ type Dense[T Elem] struct{ Vals []T }
 
 // NewDense returns an empty dense column with pooled storage.
 func NewDense[T Elem](capHint int) *Dense[T] {
-	c := &Dense[T]{}
-	draw(&c.Vals, capHint)
-	return c
+	return &Dense[T]{Vals: poolOf[T]().get(capHint)}
 }
 
 func (c *Dense[T]) Len() int        { return len(c.Vals) }
@@ -55,7 +53,7 @@ func (c *Dense[T]) View(i int) any  { return c.Vals[i] }
 func (c *Dense[T]) AppendValue(v any) bool {
 	x, ok := v.(T)
 	if ok {
-		c.Vals = append(c.Vals, x)
+		c.Vals = appendPooled(c.Vals, x)
 	}
 	return ok
 }
@@ -63,15 +61,20 @@ func (c *Dense[T]) AppendValue(v any) bool {
 func (c *Dense[T]) AppendFrom(src Column, i int) bool {
 	s, ok := src.(*Dense[T])
 	if ok {
-		c.Vals = append(c.Vals, s.Vals[i])
+		c.Vals = appendPooled(c.Vals, s.Vals[i])
 	}
 	return ok
 }
 
 func (c *Dense[T]) SizeBytes() int64            { return 8 * int64(len(c.Vals)) }
 func (c *Dense[T]) NewEmpty(capHint int) Column { return NewDense[T](capHint) }
-func (c *Dense[T]) Release()                    { recycle(&c.Vals) }
 func (c *Dense[T]) blank() FlatColumn           { return &Dense[T]{} }
+func (c *Dense[T]) room() room                  { return room{}.add(8, len(c.Vals), cap(c.Vals)) }
+
+func (c *Dense[T]) Release() {
+	poolOf[T]().put(c.Vals)
+	c.Vals = nil
+}
 
 func (c *Dense[T]) Layout() (string, []Array) {
 	a := arrayOf(&c.Vals)
@@ -96,7 +99,7 @@ func NewRagged[T Elem, V any, K Kind[T, V]](k K, capHint int) *Ragged[T, V, K] {
 	if k.HasLead() {
 		c.Lead = GetF64Slice(capHint)
 	}
-	draw(&c.Flat, capHint)
+	c.Flat = poolOf[T]().get(capHint)
 	c.Off = append(c.Off, 0)
 	return c
 }
@@ -154,10 +157,10 @@ func (c *Ragged[T, V, K]) AppendFrom(src Column, i int) bool {
 func (c *Ragged[T, V, K]) push(lead float64, span []T) {
 	var k K
 	if k.HasLead() {
-		c.Lead = append(c.Lead, lead)
+		c.Lead = appendPooled(c.Lead, lead)
 	}
-	c.Flat = append(c.Flat, span...)
-	c.Off = append(c.Off, int32(len(c.Flat)))
+	c.Flat = appendPooled(c.Flat, span...)
+	c.Off = appendPooled(c.Off, int32(len(c.Flat)))
 }
 
 // SizeBytes sums the values' sizes (see Kind) without boxing them.
@@ -178,11 +181,14 @@ func (c *Ragged[T, V, K]) NewEmpty(capHint int) Column {
 func (c *Ragged[T, V, K]) Release() {
 	PutF64Slice(c.Lead)
 	PutI32Slice(c.Off)
-	recycle(&c.Flat)
-	c.Lead, c.Off = nil, nil
+	poolOf[T]().put(c.Flat)
+	c.Lead, c.Off, c.Flat = nil, nil, nil
 }
 
 func (c *Ragged[T, V, K]) blank() FlatColumn { return &Ragged[T, V, K]{} }
+func (c *Ragged[T, V, K]) room() room {
+	return room{}.add(8, len(c.Lead), cap(c.Lead)).add(4, len(c.Off), cap(c.Off)).add(8, len(c.Flat), cap(c.Flat))
+}
 
 func (c *Ragged[T, V, K]) Layout() (string, []Array) {
 	var k K
@@ -198,27 +204,6 @@ func arrayOf[T Elem](s *[]T) Array {
 		return Array{F64: f}
 	}
 	return Array{I64: any(s).(*[]int64)}
-}
-
-// draw sets *s to an empty pooled array of at least capHint elements.
-func draw[T Elem](s *[]T, capHint int) {
-	switch p := any(s).(type) {
-	case *[]float64:
-		*p = GetF64Slice(capHint)
-	case *[]int64:
-		*p = GetI64Slice(capHint)
-	}
-}
-
-// recycle returns *s's array to its pool and clears *s.
-func recycle[T Elem](s *[]T) {
-	switch p := any(s).(type) {
-	case *[]float64:
-		PutF64Slice(*p)
-	case *[]int64:
-		PutI64Slice(*p)
-	}
-	*s = nil
 }
 
 // FloatsKind flattens []float64 values.

@@ -83,10 +83,10 @@ func (r Router) Bucket(key int64) int {
 // order, and returns the buckets with the batches that own their storage:
 // the shuffle service keeps the buckets until the shuffle is cleaned and
 // releases owned, each once, as one unit. A Dense column is scattered
-// into one container, one key array and one value array of exactly the
-// input's size in bucket order, and each bucket is a view on its range
-// (splitDense). Any other column is appended record by record and copied
-// to size, each bucket its own owner. An empty bucket is nil and a
+// into one container, one key array and one value array drawn from the
+// pools for the input's size, in bucket order, and each bucket is a view
+// on its range (splitDense). Any other column is appended record by
+// record and copied to size, each bucket its own owner. An empty bucket is nil and a
 // non-empty one is NonNil, like the row slices routing appends into. The
 // input is left to the caller.
 func (r Router) Split(in *Batch) (buckets, owned []*Batch) {
@@ -135,7 +135,7 @@ func splitDense[T Elem](parts int, keys []int64, vals []T, at []int32) (buckets,
 		end[b] = off // bucket b's start, advanced to its end by the scatter
 		off += c
 	}
-	ck, cv := make([]int64, len(at)), make([]T, len(at))
+	ck, cv := GetI64Slice(len(at))[:len(at)], poolOf[T]().get(len(at))[:len(at)]
 	for i, b := range at {
 		j := end[b]
 		ck[j], cv[j] = keys[i], vals[i]

@@ -5,11 +5,11 @@ package engine
 // dataflow/batch.go): a kernel's output, a decoded block and a typed
 // source are columnar; a row function's records are a row-form batch,
 // shared and never copied per record. Nothing converts a partition on
-// the way through: a store keeps the batch it is handed, a hit returns
-// it, and a map output is routed, combined and sized by the rules of its
-// form. Kernels are observationally identical to their row functions and
-// sizes agree across forms, so no charge, callback or event depends on
-// which form a partition took.
+// the way through: a store keeps a share of the batch it is handed, a hit
+// returns another, and a map output is routed, combined and sized by the
+// rules of its form. Kernels are observationally identical to their row
+// functions and sizes agree across forms, so no charge, callback or event
+// depends on which form a partition took.
 
 import (
 	"sync/atomic"
@@ -47,8 +47,9 @@ func (c *Cluster) writeMapOutput(st *Stage, part, executor int, out *dataflow.Ba
 // accumulation order are those of combining bucket by bucket, bit for
 // bit. Any other columnar output is split uncombined. A row-form output,
 // and any combine through the boxed Combine, go by rows (routeRows). A
-// split's buckets are views on one container of exactly the output's
-// size (Router.Split); a broadcast's share one copy of the output.
+// split's buckets are views on one container (Router.Split); a
+// broadcast's are the output itself, which moves to the shuffle service
+// with the task's share.
 func route(dep dataflow.Dependency, router dataflow.Router, out *dataflow.Batch) (buckets, owned []*dataflow.Batch, bucketBytes []int64, written int64) {
 	_, f64 := out.Col.(*dataflow.Dense[float64])
 	unboxed := f64 && dep.CombineF64 != nil
@@ -60,20 +61,20 @@ func route(dep dataflow.Dependency, router dataflow.Router, out *dataflow.Batch)
 	}
 	switch {
 	case dep.Broadcast:
-		kept := out.CloneExact()
 		buckets = make([]*dataflow.Batch, router.Parts())
 		for b := range buckets {
-			buckets[b] = kept
+			buckets[b] = out
 		}
-		owned = []*dataflow.Batch{kept}
+		owned = []*dataflow.Batch{out}
 	case unboxed:
 		merged := dataflow.MergeBatchByKeyF64(out, dep.CombineF64)
 		buckets, owned = router.Split(merged)
 		merged.Release()
+		out.Release()
 	default:
 		buckets, owned = router.Split(out)
+		out.Release()
 	}
-	out.Release()
 	bucketBytes = make([]int64, len(buckets))
 	for b, bb := range buckets {
 		if bb.Len() > 0 { // an empty bucket accounts 0 bytes, not 24

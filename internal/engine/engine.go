@@ -378,9 +378,9 @@ type ParallelCaps struct {
 	// state derived from other executors' partitions (Blaze's cost
 	// estimator walks lineage across shuffle edges whose parent and
 	// child partition counts differ, reaching partitions homed on other
-	// executors). Stages run sequentially while any incomplete shuffle
-	// edge with differing partition counts is reachable from estimable
-	// data, so such reads never happen concurrently with writes.
+	// executors). Stages run sequentially while any shuffle edge with
+	// differing partition counts is reachable from estimable data, so
+	// such reads never happen concurrently with writes.
 	RemoteReads bool
 }
 
@@ -1021,7 +1021,7 @@ func (c *Cluster) SpillBlock(ex *Executor, id storage.BlockID) bool {
 	if wrote {
 		c.met.Executors[ex.ID].EvictedToDiskBytes += size
 	} else {
-		payload.Release() // the disk's own copy stays; this one is dropped
+		payload.Release() // the disk's own share stays; the memory store's is dropped
 	}
 	c.met.Executors[ex.ID].EvictedBytes += size
 	c.met.IncEviction(wrote)

@@ -21,8 +21,8 @@ import (
 // prove no task will leave its executor's own state: no reachable
 // recomputation path crosses an incomplete shuffle (which would trigger
 // a global mid-task stage regeneration) and, for controllers that
-// estimate across executors, no incomplete shuffle edge with differing
-// partition counts is reachable from estimable data. Everything else
+// estimate across executors, no shuffle edge with differing partition
+// counts is reachable from estimable data. Everything else
 // falls back to the sequential loop, so Parallelism only ever changes
 // wall-clock time, never a virtual-time result.
 
@@ -160,14 +160,14 @@ func (c *Cluster) stageIsolated(st *Stage, taskParts []int, spillOnly bool) bool
 
 // remoteEstimationPossible reports whether a controller whose cost
 // estimator walks lineage (caps.RemoteReads) could, during this stage,
-// cross an incomplete shuffle edge whose parent and child partition
-// counts differ. Such a crossing maps a partition index onto a
-// different index, reaching lineage observations homed on another
-// executor — a read that would race with that executor's concurrent
-// writes. The walk starts from every dataset the controller can
-// currently estimate (datasets with a cached block, plus the stage's
-// own pipeline) and mirrors the estimator's recursion: it stops at
-// complete shuffles and descends everything else.
+// cross a shuffle edge whose parent and child partition counts differ.
+// Such a crossing maps a partition index onto a different index,
+// reaching lineage observations homed on another executor — a read that
+// would race with that executor's concurrent writes. The walk starts
+// from every dataset the controller can currently estimate (datasets
+// with a cached block, plus the stage's own pipeline) and descends every
+// edge: the estimator crosses even a complete shuffle when the shuffle's
+// parent is dead at its horizon, which this gate cannot see.
 func (c *Cluster) remoteEstimationPossible(st *Stage) bool {
 	seeds := make(map[int]*dataflow.Dataset)
 	for _, ex := range c.execs {
@@ -194,14 +194,9 @@ func (c *Cluster) remoteEstimationPossible(st *Stage) bool {
 		}
 		visited[d.ID()] = true
 		for _, dep := range d.Deps() {
-			if dep.Shuffle {
-				if c.shuffle.Complete(dep.ShuffleID) {
-					continue // the estimator stops at available shuffles
-				}
-				if dep.Parent.Partitions() != d.Partitions() {
-					unsafe = true
-					return
-				}
+			if dep.Shuffle && dep.Parent.Partitions() != d.Partitions() {
+				unsafe = true
+				return
 			}
 			walk(dep.Parent)
 		}

@@ -593,9 +593,11 @@ func (c *Cluster) runTaskBody(ex *Executor, st *Stage, part int) []dataflow.Reco
 
 // materialize produces partition (ds, part) on the executor: memory
 // hit, disk hit, or recursive recomputation from parents — the three
-// recovery paths of Fig. 2. A hit returns a batch the task owns
+// recovery paths of Fig. 2. A hit returns a share of the stored batch
 // (Payload.Batch), and a recomputed partition the controller places is
-// copied (or, with real bytes, encoded) by the store it lands in.
+// adopted (or, with real bytes, encoded) by the store it lands in, which
+// takes a share of its own: the batch returned is the task's either way,
+// to read and release, never to modify.
 func (c *Cluster) materialize(ex *Executor, ds *dataflow.Dataset, part int) *dataflow.Batch {
 	id := storage.BlockID{Dataset: ds.ID(), Partition: part}
 	params := c.cfg.Params

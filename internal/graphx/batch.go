@@ -73,7 +73,7 @@ func rankInitKernel() dataflow.BatchFunc {
 		for range in.Keys {
 			oc.Lead = append(oc.Lead, 1)
 		}
-		oc.Flat = append(oc.Flat, ac.Flat...)
+		oc.Flat = dataflow.Append(oc.Flat, ac.Flat...)
 		oc.Off = append(oc.Off[:0], ac.Off...)
 		return out
 	}
@@ -134,7 +134,7 @@ func rankUpdateKernel(resetProb float64) dataflow.BatchFunc {
 		oc := dataflow.NewRagged(VertexRankKind{}, gs.Len())
 		out.Col = oc
 		out.Keys = append(out.Keys, gs.Keys...)
-		oc.Flat = append(oc.Flat, vc.Flat...)
+		oc.Flat = dataflow.Append(oc.Flat, vc.Flat...)
 		oc.Off = append(oc.Off[:0], vc.Off...)
 		for _, k := range gs.Keys {
 			s := 0.0
@@ -176,7 +176,7 @@ func rankCarryKernel() dataflow.BatchFunc {
 		oc := dataflow.NewRagged(VertexRankKind{}, as.Len())
 		out.Col = oc
 		out.Keys = append(out.Keys, as.Keys...)
-		oc.Flat = append(oc.Flat, ac.Flat...)
+		oc.Flat = dataflow.Append(oc.Flat, ac.Flat...)
 		oc.Off = append(oc.Off[:0], ac.Off...)
 		for _, k := range as.Keys {
 			rank := 1.0
@@ -244,7 +244,7 @@ func factorsStepKernel(learnRate float64) dataflow.BatchFunc {
 		for i, k := range fs.Keys {
 			lo, hi := fc.Off[i], fc.Off[i+1]
 			dlo := len(oc.Flat)
-			oc.Flat = append(oc.Flat, fc.Flat[lo:hi]...)
+			oc.Flat = dataflow.Append(oc.Flat, fc.Flat[lo:hi]...)
 			oc.Off = append(oc.Off, int32(len(oc.Flat)))
 			out.Keys = append(out.Keys, k)
 			if j, ok := grad[k]; ok {

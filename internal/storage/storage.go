@@ -8,10 +8,10 @@
 // internal/core. Each store runs in one of two modes:
 //
 //   - Virtual (the default): a block is retained as a live batch — a
-//     columnar copy the store owns, or a row-form batch shared with the
-//     task that computed it — and the cost model charges modeled
-//     serialization and device time. This mode is deterministic and
-//     bit-identical at any parallelism.
+//     share of the batch the task computed (dataflow.Batch.Keep), which a
+//     hit shares again rather than copies — and the cost model charges
+//     modeled serialization and device time. This mode is deterministic
+//     and bit-identical at any parallelism.
 //   - Real bytes: the memory store holds encoded blocks (EncodeBatch,
 //     decoded on every read) and the disk store writes one file per block
 //     under a run-scoped directory. The stores measure the wall-clock
@@ -150,19 +150,19 @@ const (
 // Fresh wraps records for admission: FreshBatch of their row form.
 func Fresh(recs []dataflow.Record) Payload { return FreshBatch(dataflow.Rows(recs)) }
 
-// FreshBatch wraps a batch for admission. The caller keeps it: a virtual
-// store admits its own copy (Batch.CloneExact: a columnar batch on arrays
-// sized to the block, a row-form one shared), a real-bytes store its
-// encoding.
+// FreshBatch wraps a batch for admission. The caller keeps its own share:
+// a virtual store adopts the batch with a share of its own
+// (dataflow.Batch.Keep, which copies only a batch on loose arrays), a
+// real-bytes store keeps its encoding.
 func FreshBatch(b *dataflow.Batch) Payload { return Payload{batch: b} }
 
 // pack brings a payload into the representation of a store in the given
-// mode: a fresh batch is copied (virtual) or serialized (real bytes); a
+// mode: a fresh batch is adopted (virtual) or serialized (real bytes); a
 // packed payload passes only if a store of the same mode packed it.
 func pack(real bool, id BlockID, p Payload) (Payload, error) {
 	switch {
 	case p.form == formFresh && !real:
-		return Payload{batch: p.batch.CloneExact(), form: formBatch}, nil
+		return Payload{batch: p.batch.Keep(), form: formBatch}, nil
 	case p.form == formFresh:
 		data, err := p.encoded()
 		if err != nil {
@@ -185,7 +185,7 @@ func (p Payload) encoded() ([]byte, error) {
 }
 
 // view is what a read of a block returns: its batch, unpacked and
-// borrowed until the block leaves the store.
+// borrowed until the block leaves the store (Batch takes a share).
 func (p Payload) view() Payload { return Payload{batch: p.batch} }
 
 // Records returns the rows of a payload a read returned: a row-form
@@ -193,18 +193,20 @@ func (p Payload) view() Payload { return Payload{batch: p.batch} }
 func (p Payload) Records() []dataflow.Record { return p.batch.Records() }
 
 // Batch returns the partition of a payload a read returned as a batch the
-// caller owns, once per read: a fresh decode as it is, anything a store
-// keeps as a Clone (one bulk copy per array onto pooled arrays, or the
-// row-form batch itself).
+// caller holds and releases, once per read: a fresh decode as it is,
+// anything a store keeps as one more share of it (dataflow.Batch.Share),
+// which stays valid after the block leaves the store and which the
+// caller must not modify.
 func (p Payload) Batch() *dataflow.Batch {
 	if p.owned {
 		return p.batch
 	}
-	return p.batch.Clone()
+	return p.batch.Share()
 }
 
-// Release discards a payload a store handed over (MemoryStore.Remove)
-// that no store will take: a batch the store owned goes back to the pool.
+// Release discards a payload a store handed over (MemoryStore.Remove,
+// DiskStore.Load) that no store will take: the store's share of its batch
+// is released.
 func (p Payload) Release() {
 	if p.form == formBatch {
 		p.batch.Release()
@@ -286,8 +288,9 @@ func (m *MemoryStore) Get(id BlockID, now time.Duration) ([]dataflow.Record, *Bl
 }
 
 // Read returns the block's contents and metadata, updating access stats.
-// A virtual block is returned as it is held, borrowed: the caller copies
-// what it keeps (Payload.Batch) before the block can leave the store. A
+// A virtual block is returned as it is held, borrowed: the caller takes a
+// share of what it keeps (Payload.Batch) before the block can leave the
+// store. A
 // real-bytes block is decoded on every read (DecodeBatch), onto pooled
 // arrays, to a batch the caller owns — one read path for every memory
 // hit, as for every disk hit.
@@ -363,7 +366,7 @@ func (m *MemoryStore) admit(meta *BlockMeta, p Payload) error {
 		// Backstop: the engine prechecks quotas before charging I/O, so a
 		// refusal here means a caller bypassed the precheck.
 		if p.form == formFresh {
-			packed.Release() // the copy pack made; a packed payload stays the caller's
+			packed.Release() // the share pack took; a packed payload stays the caller's
 		}
 		return fmt.Errorf("storage: block %v (%d bytes) exceeds tenant %q memory quota", id, meta.Size, m.quota.Owner(id))
 	}
@@ -395,8 +398,9 @@ func (m *MemoryStore) sortedIndex(id BlockID) int {
 // memory-store capacities the way the paper does empirically (§7.1).
 func (m *MemoryStore) PeakUsed() int64 { return m.peak }
 
-// Drop removes a block and discards its payload: a batch the store owned
-// goes back to the pool. Every removal except a spill is a Drop.
+// Drop removes a block and discards its payload: the store's share of a
+// batch is released, so a reader holding another share keeps it. Every
+// removal except a spill is a Drop.
 func (m *MemoryStore) Drop(id BlockID) (int64, bool) {
 	p, size, ok := m.Remove(id)
 	p.Release()
@@ -405,7 +409,7 @@ func (m *MemoryStore) Drop(id BlockID) (int64, bool) {
 
 // Remove takes a block out of the store and hands its payload as stored
 // to the caller (for spilling: a real-bytes block moves to disk without a
-// decode, a batch without a copy) with its size.
+// decode, the store's share of a batch without a copy) with its size.
 func (m *MemoryStore) Remove(id BlockID) (Payload, int64, bool) {
 	e, ok := m.blocks[id]
 	if !ok {
@@ -492,7 +496,7 @@ func (d *DiskStore) Contains(id BlockID) bool {
 // Put writes a block to disk: a payload a memory store of the same mode
 // released (a spill: real bytes go to the block's file as they are, a
 // batch is taken over), or a fresh partition, which a real-bytes store
-// serializes first and a virtual one keeps (Batch.CloneExact). The
+// serializes first and a virtual one adopts (Batch.Keep). The
 // wall-clock time of both is measured as DiskWrite (the cost model
 // likewise folds serialization into its DiskWrite charge).
 func (d *DiskStore) Put(id BlockID, p Payload, size int64) error {
@@ -564,7 +568,7 @@ func (d *DiskStore) readDone(id BlockID, n int, start time.Time, err error) {
 }
 
 // Read returns a block's contents like MemoryStore.Read: a virtual block
-// as it is held, borrowed until it leaves the store; a real-bytes
+// as it is held, borrowed until the caller takes a share; a real-bytes
 // block's file read and decoded, onto pooled arrays, to a batch the
 // caller owns, the combined wall-clock time measured as DiskRead. The file's
 // bytes are decoded at once and none of them kept, so they pass through
@@ -592,14 +596,14 @@ func (d *DiskStore) Read(id BlockID) (Payload, int64, bool) {
 // Load reads a block's payload without unpacking it, for promotion into
 // the memory store of the same executor (no decode/encode round trip in
 // real-bytes mode; the read is measured as DiskRead). The disk keeps its
-// copy, so a batch is handed over as another (Batch.CloneExact).
+// share of a batch, and the payload carries another (Batch.Share).
 func (d *DiskStore) Load(id BlockID) (Payload, int64, bool) {
 	e, ok := d.blocks[id]
 	if !ok {
 		return Payload{}, 0, false
 	}
 	if e.p.form == formBatch {
-		return Payload{batch: e.p.batch.CloneExact(), form: formBatch}, e.size, true
+		return Payload{batch: e.p.batch.Share(), form: formBatch}, e.size, true
 	}
 	start := time.Now()
 	data, err := d.readFile(id, e, nil)
@@ -617,8 +621,8 @@ func (d *DiskStore) Size(id BlockID) (int64, bool) {
 	return e.size, true
 }
 
-// Remove deletes a block from disk (and its file, in real-bytes mode); a
-// batch the store owned goes back to the pool.
+// Remove deletes a block from disk (and its file, in real-bytes mode),
+// releasing the store's share of a batch.
 func (d *DiskStore) Remove(id BlockID) (int64, bool) {
 	e, ok := d.blocks[id]
 	if !ok {

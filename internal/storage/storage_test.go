@@ -12,9 +12,16 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	_ "unsafe" // go:linkname
 
 	"blaze/internal/dataflow"
 )
+
+// poisonReleased is internal/dataflow's test-only switch: released pool
+// arrays are overwritten with a sentinel, and shared batches are guarded.
+//
+//go:linkname poisonReleased blaze/internal/dataflow.poisonReleased
+var poisonReleased bool
 
 type sizedVal struct{ n int64 }
 
@@ -441,8 +448,41 @@ func TestMemoryStoreZeroCacheDecodesEveryRead(t *testing.T) {
 // TestPayloadTierMoves walks one block put → spill → promote → read on
 // real-bytes stores and requires the payload to move as packed: exactly
 // one encode (the put), one file write (the spill), one file read (the
-// promotion) and no decode until the first read.
+// promotion) and no decode until the first read. On virtual stores the
+// task's batch itself moves: admission adopts it, a spill hands the
+// memory store's share to the disk, and a promotion shares the disk's.
 func TestPayloadTierMoves(t *testing.T) {
+	t.Run("virtual", func(t *testing.T) {
+		m, d := NewMemoryStore(1<<20), NewDiskStore()
+		id := BlockID{1, 0}
+		task := &dataflow.Batch{Keys: []int64{3}, Col: &dataflow.Dense[float64]{Vals: []float64{4.5}}, NonNil: true}
+		want := task.Records()
+		if _, err := m.Admit(id, FreshBatch(task), 64, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		task.Release() // the task's share; the store holds its own
+		p, size, _ := m.Remove(id)
+		if p.batch != task {
+			t.Fatal("admission copied the task's batch")
+		}
+		if err := d.Put(id, p, size); err != nil {
+			t.Fatal(err)
+		}
+		if p, _, _ = d.Load(id); p.batch != task {
+			t.Fatal("a promotion copied the disk's batch")
+		}
+		if _, err := m.Admit(id, p, size, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+		if r, _, _ := m.Read(id, 0); r.batch != task {
+			t.Fatal("the promoted block is not the disk's batch")
+		}
+		m.Drop(id) // the memory store's share; the disk's stays
+		if r, _, _ := d.Read(id); !reflect.DeepEqual(r.Records(), want) {
+			t.Fatalf("disk block after the promoted share was dropped: %v, want %v", r.Records(), want)
+		}
+	})
+
 	RegisterValueType(float64(0))
 	meter := NewMeter()
 	m := NewMemoryStoreReal(1<<20, meter, 0)
@@ -681,8 +721,8 @@ func TestVirtualStoresRejectEncodedAPI(t *testing.T) {
 }
 
 // TestBatchBlockOwnership walks a batch through the virtual tiers —
-// admit, hit, spill, promote, drop — and releases every copy handed out
-// as soon as its holder is done. Each store keeps a copy of its own, so
+// admit, hit, spill, promote, drop — and releases every share handed out
+// as soon as its holder is done. Each store keeps a share of its own, so
 // every read still returns the rows that were admitted.
 func TestBatchBlockOwnership(t *testing.T) {
 	recs := sampleRecords(6)
@@ -699,10 +739,10 @@ func TestBatchBlockOwnership(t *testing.T) {
 	if _, err := m.Admit(id, FreshBatch(task), 200, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	task.Release() // the task's batch is its own: the store took a copy
+	task.Release() // the task's share; the store took one of its own
 	p, _, _ := m.Read(id, 0)
 	hit := p.Batch()
-	hit.Release() // a hit is a copy too
+	hit.Release() // a hit is a share too
 	got, _, _ := m.Get(id, 0)
 	check("memory after the task and a hit released", got)
 
@@ -716,7 +756,7 @@ func TestBatchBlockOwnership(t *testing.T) {
 	if _, err := m.Admit(id, promoted, size, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	m.Drop(id) // releases the promoted copy, not the disk's
+	m.Drop(id) // releases the memory store's share, not the disk's
 	dp, _, _ = d.Read(id)
 	check("disk after the promoted copy was dropped", dp.Records())
 }
@@ -724,10 +764,38 @@ func TestBatchBlockOwnership(t *testing.T) {
 // TestDecodedReadIsHandedOver: a real-bytes read decodes afresh and
 // gives the caller that batch, not a copy of it — every disk read, and
 // every read of a memory store built the way the engine's pool builds
-// one, each a decode of its own.
+// one, each a decode of its own. A virtual read hands over a share of
+// the batch the store holds, which outlives the block.
 func TestDecodedReadIsHandedOver(t *testing.T) {
 	recs := sampleRecords(6)
 	id := BlockID{Dataset: 5, Partition: 0}
+	poisonReleased = true
+	defer func() { poisonReleased = false }()
+	vm, vd := NewMemoryStore(1<<20), NewDiskStore()
+	task := dataflow.FromRecords(recs)
+	if _, err := vm.Admit(id, FreshBatch(task), 200, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	task.Release() // the stores hold the only shares
+	task = dataflow.FromRecords(recs)
+	if err := vd.Put(id, FreshBatch(task), 200); err != nil {
+		t.Fatal(err)
+	}
+	task.Release()
+	mp, _, _ := vm.Read(id, 0)
+	dp, _, _ := vd.Read(id)
+	shares := map[string]*dataflow.Batch{"memory": mp.Batch(), "disk": dp.Batch()}
+	if shares["memory"] != mp.batch || shares["disk"] != dp.batch {
+		t.Error("a virtual read copied the stored batch")
+	}
+	vm.Drop(id)
+	vd.Remove(id)
+	for name, b := range shares {
+		if got := b.Records(); !reflect.DeepEqual(got, recs) {
+			t.Errorf("%s: a share reads %v after its block left the store, want %v", name, got, recs)
+		}
+		b.Release()
+	}
 	d := NewDiskStoreReal(t.TempDir(), nil)
 	if err := d.Put(id, Fresh(recs), 200); err != nil {
 		t.Fatal(err)
