@@ -89,6 +89,10 @@ func (a *blockAudit) OnStageEnd(*engine.Cluster, *engine.Stage) {}
 
 func (a *blockAudit) OnJobEnd(c *engine.Cluster, _ *engine.Job) {
 	rs, err := c.CaptureResumeState()
+	if err == nil {
+		_, err = rs.Encode(nil)
+		rs.Release()
+	}
 	if err != nil {
 		a.t.Fatal(err)
 	}

@@ -44,16 +44,25 @@
 // and mkdir after each step of a commit).
 //
 // A Checkpointer splits each boundary in two. On the driver, while the
-// cluster holds still, it captures the ResumeState, encodes everything
-// that shares live data (the state gob, the summary) and flushes the
-// WAL's buffer to the file, leaving a snapshot made only of immutable
-// bytes. One committer goroutine then writes that snapshot — segment
-// fill and CRCs, manifest, the five syncs in the order above, rename,
-// prune — while the next window runs. The commit is joined at the start
-// of the next boundary, before the CrashWindow crash (so "crash after
-// commit" keeps its meaning) and at session teardown on every path (the
-// join is registered with the cluster, engine.Cluster.AtTeardown); a
-// failed commit is the session's error. So boundary k is durable only
+// cluster holds still, it captures the ResumeState — copies of what
+// execution writes in place, and one more share of every cached block
+// and map output, no encoding (engine.Cluster.CaptureResumeState) —
+// takes the client payload and the summary, and flushes the WAL's buffer
+// to the file. One committer goroutine then encodes the capture (into
+// an arena the Checkpointer reuses, sized on the driver), prepares the
+// snapshot and writes it — segment fill and CRCs, manifest,
+// the five syncs in the order above, rename, prune — while the next
+// window runs. The commit is joined at the start of the next boundary,
+// before the CrashWindow crash (so "crash after commit" keeps its
+// meaning) and at session teardown on every path (the join is
+// registered with the cluster, engine.Cluster.AtTeardown); a failed
+// commit is the session's error. The capture's shares are released on
+// the driver at the end of the next window's first job
+// (engine.Cluster.AtNextJobEnd), which waits for the committer's encode
+// if it has not finished, or at the join if that comes first: so the
+// captured arrays return to the pools at the same point of every run,
+// however fast the committer was, and before the next window drops what
+// was captured. So boundary k is durable only
 // once the next boundary, the session's Close or the crash hook has
 // returned; a crash before that resumes from boundary k-1, which is
 // still whole.
@@ -180,8 +189,7 @@ const segmentBufSize = 256 << 10
 
 // snapshot is one boundary made ready to commit: every payload encoded,
 // in segment order, beside the manifest fields known before the segment
-// is written. It holds only bytes nothing mutates, so a committer can
-// write it while the next window runs.
+// is written. It holds only bytes nothing mutates.
 type snapshot struct {
 	window, eventCount int
 	// summary is the manifest's operator digest, JSON-encoded (nil: none).
@@ -195,11 +203,11 @@ type snapshot struct {
 	controller, state, client []byte
 }
 
-// prepare encodes a captured boundary into a snapshot. It must run
-// before any further execution: the state shares live data (metrics
-// sub-objects, map outputs' sizes) until its gob is taken. The payloads
-// already encoded — block data, shuffle buckets, the controller
-// snapshot — are stripped out of the gob and kept as they are.
+// prepare turns an encoded boundary (engine.ResumeState.Encode) into a
+// snapshot. The state shares nothing execution writes, so it runs on
+// the committer goroutine. The payloads — block data, shuffle buckets,
+// the controller snapshot — are stripped out of the gob and kept as
+// they are.
 func prepare(rs *engine.ResumeState, clientState []byte, summary any) (*snapshot, error) {
 	s := &snapshot{window: rs.Window, eventCount: rs.EventCount, controller: rs.Controller, client: clientState}
 	if summary != nil {
@@ -256,6 +264,22 @@ func prepare(rs *engine.ResumeState, clientState []byte, summary any) (*snapshot
 type writer struct {
 	fs  fileSystem
 	buf *bufio.Writer
+	// arena holds the encoded blocks and buckets of a Checkpointer's
+	// commit, reused from one commit to the next (Checkpointer.begin
+	// sizes it on the driver, arenaFor), so the committer's encode
+	// allocates next to nothing beside the window running on the driver.
+	arena []byte
+}
+
+// arenaFor returns w's arena, emptied, with room for n bytes, grown with
+// an eighth to spare when short, so the boundaries after the first
+// rarely grow it again. Nothing may read the previous commit's bytes
+// any more.
+func (w *writer) arenaFor(n int) []byte {
+	if cap(w.arena) < n {
+		w.arena = make([]byte, 0, n+n/8)
+	}
+	return w.arena[:0]
 }
 
 // segment appends payloads to one file and hands back the manifest entry
@@ -279,22 +303,41 @@ func (s *segment) end() Entry {
 	return e
 }
 
-// Write persists one window snapshot: it encodes the state, writes the
-// segment and commits the manifest last, all before it returns (a
-// Checkpointer runs the second half in the background). Events are
-// recovered from the WAL. Returns the number of block payloads and total
-// bytes written.
+// Write persists one window snapshot: it encodes a captured state,
+// writes the segment and commits the manifest last, all before it
+// returns, and releases the capture's shares on every path (a
+// Checkpointer runs the encode and the writes in the background and
+// releases when it joins them). Events are recovered from the WAL.
+// Returns the number of block payloads and total bytes written.
 func Write(dir string, rs *engine.ResumeState, clientState []byte, summary any) (blocks int, written int64, err error) {
+	defer rs.Release()
 	var w writer
 	return w.write(dir, rs, clientState, summary)
 }
 
 func (w *writer) write(dir string, rs *engine.ResumeState, clientState []byte, summary any) (blocks int, written int64, err error) {
-	s, err := prepare(rs, clientState, summary)
+	s, _, err := encodeCapture(rs, clientState, summary, nil)
 	if err != nil {
-		return 0, 0, fmt.Errorf("checkpoint: %w", err)
+		return 0, 0, err
 	}
 	return w.commit(dir, s)
+}
+
+// encodeCapture turns a captured state into a snapshot ready to commit
+// (ResumeState.Encode into buf, then prepare) and returns buf as
+// extended: the snapshot's blocks and buckets alias it until it is
+// reused. Once it returns, the snapshot no longer reads the capture,
+// which may be released.
+func encodeCapture(rs *engine.ResumeState, clientState []byte, summary any, buf []byte) (*snapshot, []byte, error) {
+	buf, err := rs.Encode(buf)
+	if err != nil {
+		return nil, buf, fmt.Errorf("checkpoint: %w", err)
+	}
+	s, err := prepare(rs, clientState, summary)
+	if err != nil {
+		return nil, buf, fmt.Errorf("checkpoint: %w", err)
+	}
+	return s, buf, nil
 }
 
 // commit writes a prepared snapshot under dir: the segment, then the

@@ -111,3 +111,11 @@ func (f *faultFile) Sync() error {
 	}
 	return f.file.Sync()
 }
+
+// Join waits for the commit in flight, if any, and reports it, as the
+// next boundary would.
+func (cp *Checkpointer) Join() error { return cp.join() }
+
+// CaptureHeld reports whether the commit in flight still holds its
+// capture's shares.
+func (cp *Checkpointer) CaptureHeld() bool { return cp.pending != nil && !cp.pending.released }

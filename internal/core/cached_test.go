@@ -324,7 +324,7 @@ func (h *cachedHarness) randomEvent(betweenJobs bool) {
 			did = "task-path registration"
 		}
 	case 16: // snapshot now, to roll back to later
-		if snap, err := h.ctl.SnapshotState(); err == nil {
+		if snap, err := h.ctl.CaptureState()(); err == nil {
 			h.snaps = append(h.snaps, snap)
 			did = "snapshot"
 		}

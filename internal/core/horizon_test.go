@@ -277,7 +277,7 @@ func TestReferenceOffsetsMatchDefinition(t *testing.T) {
 	}
 	restored := func(label string) *Controller {
 		t.Helper()
-		snap, err := ctl.SnapshotState()
+		snap, err := ctl.CaptureState()()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,11 +1,11 @@
 package core
 
 // This file implements the controller half of window-boundary
-// checkpointing: SnapshotState serializes everything the unified
-// decision layer accumulates over a run (the CostLineage with its
-// regression series, reference offsets and ordinal counters; the
-// windowed-lineage retirement marks; the optimizer's target states) into
-// a self-contained gob payload, and RestoreState rehydrates a freshly
+// checkpointing: CaptureState captures, and its encoder serializes,
+// everything the unified decision layer accumulates over a run (the
+// CostLineage with its regression series, reference offsets and ordinal
+// counters; the windowed-lineage retirement marks; the optimizer's
+// target states) into a self-contained gob payload, and RestoreState rehydrates a freshly
 // Bind-ed controller from one. The estimators and victim orders are
 // deliberately not serialized — what they keep between decision rounds
 // is a cache, dropped by the epoch bump below and rebuilt on demand —
@@ -16,6 +16,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"time"
 
@@ -68,61 +70,114 @@ type controllerWire struct {
 	TargetState map[storage.BlockID]engine.Placement
 }
 
-// SnapshotState implements engine.StateSnapshotter: it serializes the
-// controller's durable state for a window-boundary checkpoint. Intended
-// to run in driver context at a window boundary (after AdvanceWindow),
-// where stageRefs is empty and curStageIdx is zero — those two are the
-// only fields not captured, and RestoreState resets them to exactly
-// that boundary state.
-func (b *Controller) SnapshotState() ([]byte, error) {
-	w := controllerWire{
+// CaptureState implements engine.StateSnapshotter: it captures the
+// controller's durable state for a window-boundary checkpoint and
+// returns the encoder of the capture. Intended to run in driver context
+// at a window boundary (after AdvanceWindow), where stageRefs is empty
+// and curStageIdx is zero — those two are the only fields not captured,
+// and RestoreState resets them to exactly that boundary state.
+//
+// The capture copies what the controller writes in place later: every
+// node's metric slices and parent edges, the role reference offsets
+// (slices.Insert shifts them), the ordinal counters and the target
+// states. A regression series is taken as its prefix (Series.Prefix):
+// Observe only appends, so what the prefix reads never changes. The
+// encoder therefore shares nothing the controller writes, and may run
+// on another goroutine while the next window runs.
+func (b *Controller) CaptureState() (encode func() ([]byte, error)) {
+	lin := b.lin
+	w := &controllerWire{
 		Name:           b.name,
 		Profiled:       b.profiled,
 		CurJob:         b.curJob,
 		CurWindow:      b.curWindow,
 		WinFirstJob:    b.winFirstJob,
-		JobsSeen:       b.lin.jobsSeen,
-		Extrapolate:    b.lin.extrapolate,
-		RoleRefOffsets: make(map[string][]int, len(b.lin.roleRefs)),
-		OrdinalSeq:     b.lin.ordinalSeq,
-		TargetState:    b.targetState,
+		JobsSeen:       lin.jobsSeen,
+		Extrapolate:    lin.extrapolate,
+		RoleRefOffsets: make(map[string][]int, len(lin.roleRefs)),
+		OrdinalSeq:     make(map[string]map[int]int, len(lin.ordinalSeq)),
+		TargetState:    maps.Clone(b.targetState),
 	}
-	for role, r := range b.lin.roleRefs {
+	for role, r := range lin.roleRefs {
 		if len(r.offs) > 0 {
-			w.RoleRefOffsets[role] = r.offs
+			w.RoleRefOffsets[role] = slices.Clone(r.offs)
 		}
 	}
-	for _, n := range b.lin.Nodes() {
+	for role, seq := range lin.ordinalSeq {
+		w.OrdinalSeq[role] = maps.Clone(seq)
+	}
+
+	// The nodes' slices are copied into one array per element type.
+	nodes := lin.Nodes()
+	var parts, edges int
+	for _, n := range nodes {
+		parts += len(n.sizes)
+		edges += len(n.Parents)
+	}
+	sizes, costs := make([]int64, 0, parts), make([]time.Duration, 0, parts)
+	observed, parents := make([]bool, 0, parts), make([]Edge, 0, edges)
+	w.Nodes = make([]nodeWire, len(nodes))
+	for i, n := range nodes {
 		if n.retired {
 			w.Retired = append(w.Retired, n.Key) // Nodes is sorted by key
 		}
-		w.Nodes = append(w.Nodes, nodeWire{
-			Key: n.Key, Parents: n.Parents, DatasetID: n.DatasetID,
+		w.Nodes[i] = nodeWire{
+			Key: n.Key, DatasetID: n.DatasetID,
 			Parts: n.Parts, CreationJob: n.CreationJob, TouchedJob: n.TouchedJob,
-			Sizes: n.sizes, Costs: n.costs, Observed: n.observed,
-		})
-	}
-	roles := make([]string, 0, len(b.lin.roleMetrics))
-	for role := range b.lin.roleMetrics {
-		roles = append(roles, role)
-	}
-	sort.Strings(roles)
-	for _, role := range roles {
-		rm := b.lin.roleMetrics[role]
-		w.RoleSeries = append(w.RoleSeries, roleSeriesWire{Role: role, Size: rm.size, Cost: rm.cost})
+			Parents:  tail(&parents, n.Parents),
+			Sizes:    tail(&sizes, n.sizes),
+			Costs:    tail(&costs, n.costs),
+			Observed: tail(&observed, n.observed),
+		}
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, fmt.Errorf("core: snapshot controller: %w", err)
+	roles := make([]string, 0, len(lin.roleMetrics))
+	series := 0
+	for role, rm := range lin.roleMetrics {
+		roles = append(roles, role)
+		series += len(rm.size) + len(rm.cost)
 	}
-	return buf.Bytes(), nil
+	sort.Strings(roles)
+	prefixes := make([]regression.Series, 0, series)
+	frozen := func(m map[int]*regression.Series) map[int]*regression.Series {
+		out := make(map[int]*regression.Series, len(m))
+		for p, s := range m {
+			prefixes = append(prefixes, s.Prefix())
+			out[p] = &prefixes[len(prefixes)-1]
+		}
+		return out
+	}
+	for _, role := range roles {
+		rm := lin.roleMetrics[role]
+		w.RoleSeries = append(w.RoleSeries, roleSeriesWire{Role: role, Size: frozen(rm.size), Cost: frozen(rm.cost)})
+	}
+
+	return func() ([]byte, error) {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
+			return nil, fmt.Errorf("core: snapshot controller: %w", err)
+		}
+		return buf.Bytes(), nil
+	}
+}
+
+// tail appends src to *arena, which has room for it, and returns the
+// appended elements as a slice of their own length and capacity (nil
+// for an empty src, as gob would decode it).
+func tail[T any](arena *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	at := len(*arena)
+	*arena = append(*arena, src...)
+	return (*arena)[at:len(*arena):len(*arena)]
 }
 
 // RestoreState implements engine.StateSnapshotter: it rehydrates the
-// controller from a SnapshotState payload. Must be called after Bind on
-// a cluster with the same executor count as the snapshotting run (the
-// session checks that against the engine snapshot before replay).
+// controller from a payload CaptureState's encoder wrote. Must be called
+// after Bind on a cluster with the same executor count as the
+// snapshotting run (the session checks that against the engine snapshot
+// before replay).
 func (b *Controller) RestoreState(data []byte) error {
 	var w controllerWire
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {

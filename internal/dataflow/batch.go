@@ -576,6 +576,14 @@ var shareGuard struct {
 	sums map[*Batch]uint64
 }
 
+// heldShares is the guard's count of the shares taken and not given
+// back: Share adds one, a release that is not a batch's last takes one
+// away, so it is the sum of the extra holders of every batch still held.
+// Tests read it (go:linkname) before a capture and after its release, on
+// a cluster that holds still, to see that the capture gave back every
+// share it took.
+var heldShares atomic.Int64
+
 // guardShare is Share under the guard.
 func guardShare(b *Batch) {
 	sum := checksum(b)
@@ -589,6 +597,7 @@ func guardShare(b *Batch) {
 	}
 	shareGuard.sums[b] = sum
 	atomic.AddInt32(&b.shares, 1)
+	heldShares.Add(1)
 }
 
 // guardRelease is Release's count under the guard: it reports whether
@@ -599,6 +608,9 @@ func guardRelease(b *Batch) bool {
 	n := atomic.AddInt32(&b.shares, -1)
 	if n < -1 {
 		panic("dataflow: batch released past its last holder")
+	}
+	if n >= 0 {
+		heldShares.Add(-1)
 	}
 	if sum, ok := shareGuard.sums[b]; ok {
 		if checksum(b) != sum {

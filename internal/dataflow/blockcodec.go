@@ -77,17 +77,26 @@ type FlatColumn interface {
 	blank() FlatColumn
 	// room tallies the column's arrays (Batch.Keep).
 	room() room
+	// encodedLen is the length of the column's part of a typed block:
+	// its Layout name and arrays, count-prefixed (BlockSize).
+	encodedLen() int
 }
 
 // EncodeBlock serializes a batch as a typed block. It reports false for a
 // batch whose column is not a FlatColumn; the caller falls back to gob.
-func EncodeBlock(b *Batch) ([]byte, bool) {
+func EncodeBlock(b *Batch) ([]byte, bool) { return AppendBlock(nil, b) }
+
+// AppendBlock is EncodeBlock appending the block to dst: it returns dst
+// extended by exactly the bytes EncodeBlock would return, growing it
+// only when its spare capacity is short (BlockSize says by how much).
+// On false dst is returned as it was.
+func AppendBlock(dst []byte, b *Batch) ([]byte, bool) {
 	var name string
 	arrays := []Array{{I64: &b.Keys}}
 	if b.Col != nil {
 		fc, ok := b.Col.(FlatColumn)
 		if !ok {
-			return nil, false
+			return dst, false
 		}
 		var cols []Array
 		name, cols = fc.Layout()
@@ -97,8 +106,14 @@ func EncodeBlock(b *Batch) ([]byte, bool) {
 	for _, a := range arrays {
 		size += 4 + a.elemSize()*a.len()
 	}
-	out := make([]byte, size)
+	if dst == nil {
+		dst = make([]byte, 0, size)
+	} else {
+		dst = slices.Grow(dst, size)
+	}
+	out := dst[len(dst) : len(dst)+size]
 	out[0] = BlockTyped
+	out[1] = 0
 	if b.NonNil {
 		out[1] = 1
 	}
@@ -125,7 +140,21 @@ func EncodeBlock(b *Batch) ([]byte, bool) {
 			}
 		}
 	}
-	return out, true
+	return dst[:len(dst)+size], true
+}
+
+// BlockSize is the length of EncodeBlock(b), told without encoding or
+// allocating; false where EncodeBlock reports false.
+func BlockSize(b *Batch) (int, bool) {
+	n := 3 + 4 + 8*len(b.Keys)
+	if b.Col != nil {
+		fc, ok := b.Col.(FlatColumn)
+		if !ok {
+			return 0, false
+		}
+		n += fc.encodedLen()
+	}
+	return n, true
 }
 
 var errShortBlock = errors.New("dataflow: block truncated")

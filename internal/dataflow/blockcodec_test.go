@@ -161,6 +161,34 @@ func TestBlockBytesPinned(t *testing.T) {
 	}
 }
 
+// TestAppendBlockReusesBuffer: BlockSize tells every typedBatches entry's
+// encoded length exactly, and AppendBlock into a buffer whose spare
+// capacity holds stale bytes (a reused checkpoint arena) writes exactly
+// EncodeBlock's bytes behind what the buffer holds, in place.
+func TestAppendBlockReusesBuffer(t *testing.T) {
+	for name, b := range typedBatches() {
+		want := encodeTyped(t, b)
+		size, typed := dataflow.BlockSize(b)
+		if !typed || size != len(want) {
+			t.Errorf("%s: BlockSize = %d, %v; EncodeBlock wrote %d bytes", name, size, typed, len(want))
+			continue
+		}
+		buf := bytes.Repeat([]byte{0xff}, 2+size)[:2]
+		got, typed := dataflow.AppendBlock(buf, b)
+		switch {
+		case !typed:
+			t.Errorf("%s: AppendBlock refused a typed batch", name)
+		case &got[0] != &buf[0]:
+			t.Errorf("%s: AppendBlock reallocated a buffer with room for the block", name)
+		case !bytes.Equal(got[:2], []byte{0xff, 0xff}) || !bytes.Equal(got[2:], want):
+			t.Errorf("%s: appended\n%x\nwant ffff then\n%x", name, got, want)
+		}
+	}
+	if _, typed := dataflow.BlockSize(dataflow.FromRecords([]dataflow.Record{{Key: 1, Value: "s"}})); typed {
+		t.Error("BlockSize sized an AnyColumn batch")
+	}
+}
+
 // TestBlockNotTyped: a boxed column is refused, not mis-encoded.
 func TestBlockNotTyped(t *testing.T) {
 	b := dataflow.FromRecords([]dataflow.Record{{Key: 1, Value: "s"}, {Key: 2, Value: 2.0}})

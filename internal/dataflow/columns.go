@@ -71,6 +71,10 @@ func (c *Dense[T]) NewEmpty(capHint int) Column { return NewDense[T](capHint) }
 func (c *Dense[T]) blank() FlatColumn           { return &Dense[T]{} }
 func (c *Dense[T]) room() room                  { return room{}.add(8, len(c.Vals), cap(c.Vals)) }
 
+// encodedLen is the column's share of its typed block: the Layout name
+// ("f64" or "i64", as long) and Vals, count-prefixed.
+func (c *Dense[T]) encodedLen() int { return len("f64") + 4 + 8*len(c.Vals) }
+
 func (c *Dense[T]) Release() {
 	poolOf[T]().put(c.Vals)
 	c.Vals = nil
@@ -188,6 +192,17 @@ func (c *Ragged[T, V, K]) Release() {
 func (c *Ragged[T, V, K]) blank() FlatColumn { return &Ragged[T, V, K]{} }
 func (c *Ragged[T, V, K]) room() room {
 	return room{}.add(8, len(c.Lead), cap(c.Lead)).add(4, len(c.Off), cap(c.Off)).add(8, len(c.Flat), cap(c.Flat))
+}
+
+// encodedLen is the column's share of its typed block: the kind's name
+// and the Layout arrays, each count-prefixed.
+func (c *Ragged[T, V, K]) encodedLen() int {
+	var k K
+	n := len(k.Name()) + 4 + 4*len(c.Off) + 4 + 8*len(c.Flat)
+	if k.HasLead() {
+		n += 4 + 8*len(c.Lead)
+	}
+	return n
 }
 
 func (c *Ragged[T, V, K]) Layout() (string, []Array) {

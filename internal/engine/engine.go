@@ -537,6 +537,9 @@ type Cluster struct {
 	// teardown holds what AtTeardown registered: the join of a window
 	// checkpointer's background commit.
 	teardown []func() error
+	// atJobEnd holds what AtNextJobEnd registered, run and cleared when
+	// the next job ends.
+	atJobEnd []func()
 }
 
 // taskTrace buffers one task's externally ordered side effects during

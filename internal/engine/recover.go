@@ -38,8 +38,11 @@ import (
 // ILP target states). The snapshot is opaque to the engine; the
 // controller owns its wire format.
 type StateSnapshotter interface {
-	// SnapshotState serializes the controller's durable state.
-	SnapshotState() ([]byte, error)
+	// CaptureState captures the controller's durable state in driver
+	// context and returns the function that serializes the capture.
+	// The capture shares nothing the controller writes later, so encode
+	// may run on another goroutine, once, while execution goes on.
+	CaptureState() (encode func() ([]byte, error))
 	// RestoreState rebuilds the controller from a snapshot taken by the
 	// same controller type.
 	RestoreState(data []byte) error
@@ -57,8 +60,9 @@ type PlanRepairer interface {
 // exclusivity, after the controller's AdvanceWindow, for every boundary
 // past the first — so a checkpoint at window k captures windows 1..k-1
 // complete plus the boundary-k re-solve. What it captures must be copied
-// or encoded before it returns; writing those bytes out may continue in
-// the background past the boundary, joined through AtTeardown.
+// or held by share before it returns (CaptureResumeState does both);
+// encoding and writing it out may continue in the background past the
+// boundary, joined through AtTeardown.
 type WindowCheckpointer interface {
 	OnWindowBoundary(c *Cluster, window int)
 }
@@ -73,6 +77,12 @@ func (c *Cluster) SetWindowCheckpointer(w WindowCheckpointer) { c.checkpointer =
 // so no commit outlives its session and a failed one is the session's
 // error. Call in driver context.
 func (c *Cluster) AtTeardown(fn func() error) { c.teardown = append(c.teardown, fn) }
+
+// AtNextJobEnd registers fn to run once, in driver context under pool
+// exclusivity, when the next job ends (after its hooks). A window
+// checkpointer gives its capture's shares back here: early in the next
+// window, yet at the same point of every run. Call in driver context.
+func (c *Cluster) AtNextJobEnd(fn func()) { c.atJobEnd = append(c.atJobEnd, fn) }
 
 // Teardown runs what AtTeardown registered, in order, once, and returns
 // their errors joined. The session's owner calls it after its driver
@@ -102,11 +112,14 @@ type ResumeExecutor struct {
 
 // ResumeBlock is one checkpointed memory block: its full metadata
 // (access stats, insert sequence, stamped cost) and its contents in the
-// block format (storage.EncodeRecords / EncodeBatch).
+// block format (storage.EncodeRecords / EncodeBatch), set by
+// ResumeState.Encode from the payload the capture holds.
 type ResumeBlock struct {
 	Executor int
 	Meta     storage.BlockMeta
 	Data     []byte
+
+	captured storage.Payload
 }
 
 // ResumeDiskBlock is one checkpointed disk block.
@@ -115,6 +128,8 @@ type ResumeDiskBlock struct {
 	ID       storage.BlockID
 	Size     int64
 	Data     []byte
+
+	captured storage.Payload
 }
 
 // ResumeCounters pins a memory store's internal counters.
@@ -168,19 +183,108 @@ type ResumeState struct {
 	// nil as captured (the log itself is never copied), rebuilt from the
 	// write-ahead log's first EventCount records at load time.
 	Events []eventlog.Event
+
+	// captured marks a capture not yet released: its blocks' payloads
+	// and its shuffle snapshot hold shares, and encodeController is the
+	// controller's encoder.
+	captured         bool
+	encodeController func() ([]byte, error)
+}
+
+// Encode turns a capture into the bytes a checkpoint writes — every
+// block's Data, the shuffle snapshot's buckets, Controller. Blocks and
+// buckets are appended to buf (storage.Payload.AppendEncode) and alias
+// its array, except the bytes a real-bytes store holds, which are used
+// as they are; Encode returns buf as extended, so a caller that writes
+// one boundary at a time reuses one buffer (EncodedSize says how large
+// it needs to be). It runs on any goroutine, once, while execution goes
+// on, and keeps the capture's shares: the caller releases them
+// (Release) in driver context, whether or not Encode succeeded. A
+// share's last release puts its arrays back in the pools, so a release
+// wherever the encode happens to finish would make what the pools hold,
+// and with it what the next window allocates, depend on how fast the
+// encode ran. A state that holds no capture (built by hand, loaded or
+// released already) is left as it is.
+func (rs *ResumeState) Encode(buf []byte) (_ []byte, err error) {
+	if !rs.captured {
+		return buf, nil
+	}
+	for i := range rs.MemBlocks {
+		b := &rs.MemBlocks[i]
+		if b.Data, buf, err = b.captured.AppendEncode(buf); err != nil {
+			return buf, fmt.Errorf("engine: encode memory block %v: %w", b.Meta.ID, err)
+		}
+	}
+	for i := range rs.DiskBlocks {
+		b := &rs.DiskBlocks[i]
+		if b.Data, buf, err = b.captured.AppendEncode(buf); err != nil {
+			return buf, fmt.Errorf("engine: encode disk block %v: %w", b.ID, err)
+		}
+	}
+	if buf, err = rs.Shuffle.Encode(buf); err != nil {
+		return buf, fmt.Errorf("engine: encode: %w", err)
+	}
+	if rs.encodeController != nil {
+		if rs.Controller, err = rs.encodeController(); err != nil {
+			return buf, fmt.Errorf("engine: encode: controller snapshot: %w", err)
+		}
+	}
+	return buf, nil
+}
+
+// EncodedSize is how many bytes Encode appends to its buffer, as far as
+// that is known without encoding: every typed block and bucket a capture
+// holds (storage.Payload.EncodedSize). Call it in driver context, before
+// the capture is released.
+func (rs *ResumeState) EncodedSize() int {
+	if !rs.captured {
+		return 0
+	}
+	n := rs.Shuffle.EncodedSize()
+	for i := range rs.MemBlocks {
+		n += rs.MemBlocks[i].captured.EncodedSize()
+	}
+	for i := range rs.DiskBlocks {
+		n += rs.DiskBlocks[i].captured.EncodedSize()
+	}
+	return n
+}
+
+// Release gives up every share a capture holds, after Encode or
+// instead of it for a capture that will not be written. Encoded bytes
+// stay. Safe to call more than once.
+func (rs *ResumeState) Release() {
+	if !rs.captured {
+		return
+	}
+	rs.captured = false
+	for i := range rs.MemBlocks {
+		rs.MemBlocks[i].captured.Release()
+		rs.MemBlocks[i].captured = storage.Payload{}
+	}
+	for i := range rs.DiskBlocks {
+		rs.DiskBlocks[i].captured.Release()
+		rs.DiskBlocks[i].captured = storage.Payload{}
+	}
+	rs.Shuffle.Release()
+	rs.encodeController = nil
 }
 
 // CaptureResumeState snapshots the cluster at a window boundary. Must
 // run in driver context under pool exclusivity (the window-boundary
-// hook provides both). Every block is captured in the block format: a
-// live batch or rows encoded, a real-bytes block's stored bytes as they
-// are. The payload bytes (blocks, shuffle buckets, the controller
-// snapshot) are immutable and may be written out while execution goes
-// on; everything else may share live data (metrics sub-objects, map
-// outputs' sizes), so the caller encodes it before any further
-// execution.
-func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
+// hook provides both). It copies what execution writes in place later
+// (bookkeeping, clocks, block metadata, a deep copy of the metrics) and
+// encodes nothing: every block is held as its store holds it (a live
+// batch by one more share, a real-bytes block's bytes as they are, a
+// spill file's bytes read), the shuffle by shares of its map outputs
+// (shuffle.Service.Snapshot), and the controller by its own capture
+// (StateSnapshotter.CaptureState). So the state shares nothing that
+// execution changes, and the caller encodes it (Encode) on any
+// goroutine, and releases it (Release) in driver context exactly once,
+// encoded or not.
+func (c *Cluster) CaptureResumeState() (_ *ResumeState, err error) {
 	rs := &ResumeState{
+		captured:       true,
 		Window:         c.curWindow,
 		JobSeq:         c.jobSeq,
 		StageSeq:       c.stageSeq,
@@ -211,6 +315,11 @@ func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 		rs.FaultLostMaps[id] = mm
 	}
 
+	defer func() {
+		if err != nil {
+			rs.Release()
+		}
+	}()
 	rs.Execs = make([]ResumeExecutor, len(c.execs))
 	for i, ex := range c.execs {
 		es := &rs.Execs[i]
@@ -225,40 +334,31 @@ func (c *Cluster) CaptureResumeState() (*ResumeState, error) {
 		for ci := range ex.cores {
 			es.Clocks[ci] = ex.cores[ci].Now()
 		}
-		for _, m := range ex.Mem.Blocks() {
-			data, err := ex.Mem.Encoded(m.ID)
+		for _, m := range ex.Mem.BlocksView() {
+			p, err := ex.Mem.Capture(m.ID)
 			if err != nil {
 				return nil, fmt.Errorf("engine: capture: %w", err)
 			}
-			rs.MemBlocks = append(rs.MemBlocks, ResumeBlock{Executor: i, Meta: *m, Data: data})
+			rs.MemBlocks = append(rs.MemBlocks, ResumeBlock{Executor: i, Meta: *m, captured: p})
 		}
 		seq, peak := ex.Mem.Counters()
 		rs.MemCounters = append(rs.MemCounters, ResumeCounters{Seq: seq, Peak: peak})
 		for _, id := range ex.Disk.Blocks() {
 			size, _ := ex.Disk.Size(id)
-			data, err := ex.Disk.Encoded(id)
+			p, err := ex.Disk.Capture(id)
 			if err != nil {
 				return nil, fmt.Errorf("engine: capture: %w", err)
 			}
-			rs.DiskBlocks = append(rs.DiskBlocks, ResumeDiskBlock{Executor: i, ID: id, Size: size, Data: data})
+			rs.DiskBlocks = append(rs.DiskBlocks, ResumeDiskBlock{Executor: i, ID: id, Size: size, captured: p})
 		}
 		dpeak, dwritten := ex.Disk.Counters()
 		rs.DiskCounters = append(rs.DiskCounters, ResumeDiskCounters{Peak: dpeak, TotalWritten: dwritten})
 	}
 
-	m := metrics.NewApp(len(c.execs))
-	m.CopyFrom(c.met)
-	rs.Metrics = m
-	var err error
-	if rs.Shuffle, err = c.shuffle.Snapshot(); err != nil {
-		return nil, fmt.Errorf("engine: capture: %w", err)
-	}
+	rs.Metrics = c.met.Clone()
+	rs.Shuffle = c.shuffle.Snapshot()
 	if ss, ok := c.ctl.(StateSnapshotter); ok {
-		data, err := ss.SnapshotState()
-		if err != nil {
-			return nil, fmt.Errorf("engine: capture: controller snapshot: %w", err)
-		}
-		rs.Controller = data
+		rs.encodeController = ss.CaptureState()
 	}
 	if c.log != nil {
 		rs.EventCount = c.log.Len()

@@ -192,6 +192,12 @@ func (c *Cluster) RunJob(target *dataflow.Dataset, action string) [][]dataflow.R
 	if c.cfg.Hook != nil {
 		c.cfg.Hook.OnJobEnd(c, job)
 	}
+	if fns := c.atJobEnd; fns != nil {
+		c.atJobEnd = nil
+		for _, fn := range fns {
+			fn()
+		}
+	}
 	c.emit(eventlog.Event{Kind: eventlog.JobEnd, Time: c.Now(), Job: job.ID})
 	return results
 }

@@ -444,6 +444,34 @@ func EqualDeterministic(a, b *App) bool {
 	return eq
 }
 
+// Clone returns a copy of a that shares nothing with it: CopyFrom, then a
+// fresh copy of every slice and map. Their elements hold no pointers
+// (TestCloneSharesNothing), so one level of copying suffices. A window
+// checkpoint captures the metrics with it and encodes the copy while the
+// next window goes on counting into a.
+func (a *App) Clone() *App {
+	out := new(App)
+	out.CopyFrom(a)
+	v := reflect.ValueOf(out).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if !v.Type().Field(i).IsExported() {
+			continue
+		}
+		switch {
+		case f.Kind() == reflect.Slice && !f.IsNil():
+			f.Set(reflect.AppendSlice(reflect.MakeSlice(f.Type(), 0, f.Len()), f))
+		case f.Kind() == reflect.Map && !f.IsNil():
+			m := reflect.MakeMapWithSize(f.Type(), f.Len())
+			for it := f.MapRange(); it.Next(); {
+				m.SetMapIndex(it.Key(), it.Value())
+			}
+			f.Set(m)
+		}
+	}
+	return out
+}
+
 // CopyFrom overwrites every exported field of a with o's value, leaving
 // the internal mutex alone (App contains a lock, so a plain struct copy
 // would trip the copylocks vet check). Crash recovery uses it to restore

@@ -8,6 +8,7 @@ package regression
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"math"
@@ -110,31 +111,71 @@ func (s *Series) Last() (float64, bool) {
 	return s.ys[len(s.ys)-1], true
 }
 
-// seriesWire is the gob wire form of a Series: only the raw observations
-// travel; the fit is recomputed lazily on the restored side.
+// seriesWire is the original gob wire form of a Series, a nested gob
+// stream per series; GobDecode still reads it.
 type seriesWire struct {
 	Xs, Ys []float64
 }
 
-// GobEncode serializes the observations (checkpoint support). The cached
-// model is not encoded — Predict refits from the observations.
+// seriesMarker opens the fixed binary layout. A gob stream never starts
+// with it: 0xFF announces a one-byte unsigned count, and gob writes 0 as
+// the single byte 0x00, never as 0xFF 0x00.
+var seriesMarker = [2]byte{0xFF, 0x00}
+
+// GobEncode serializes the observations (checkpoint support) in a fixed
+// binary layout: the marker, a uvarint count, then the xs and the ys as
+// little-endian float64 bits. The cached model is not encoded — Predict
+// refits from the observations.
 func (s *Series) GobEncode() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(seriesWire{Xs: s.xs, Ys: s.ys}); err != nil {
-		return nil, err
+	n := len(s.xs)
+	buf := make([]byte, 0, len(seriesMarker)+binary.MaxVarintLen64+16*n)
+	buf = append(buf, seriesMarker[:]...)
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for _, v := range s.xs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 	}
-	return buf.Bytes(), nil
+	for _, v := range s.ys[:n] {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	return buf, nil
 }
 
-// GobDecode restores the observations and marks the fit stale so the
-// next Predict recomputes it.
+// GobDecode restores the observations from either layout, the fixed one
+// or the nested gob stream of older checkpoints, and marks the fit stale
+// so the next Predict recomputes it. No observations decode as nil.
 func (s *Series) GobDecode(data []byte) error {
-	var w seriesWire
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return err
+	var xs, ys []float64
+	if len(data) >= len(seriesMarker) && [2]byte(data) == seriesMarker {
+		n, k := binary.Uvarint(data[len(seriesMarker):])
+		rest := data[len(seriesMarker)+max(k, 0):]
+		if k <= 0 || n > uint64(len(rest))/16 || uint64(len(rest)) != 16*n {
+			return errors.New("regression: malformed series")
+		}
+		if n > 0 {
+			xs, ys = make([]float64, n), make([]float64, n)
+			for i := range xs {
+				xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*i:]))
+				ys[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[8*(int(n)+i):]))
+			}
+		}
+	} else {
+		var w seriesWire
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
+			return err
+		}
+		xs, ys = w.Xs, w.Ys
 	}
-	s.xs, s.ys = w.Xs, w.Ys
+	s.xs, s.ys = xs, ys
 	s.model = Linear{}
 	s.dirty = len(s.xs) > 0
 	return nil
+}
+
+// Prefix returns the series as it stands: its observations so far, on
+// the same arrays, capped at their length. Observe only appends, so
+// nothing the prefix reads is ever written again, and it can be encoded
+// on another goroutine while this series goes on observing.
+func (s *Series) Prefix() Series {
+	n := len(s.xs)
+	return Series{xs: s.xs[:n:n], ys: s.ys[:n:n], dirty: n > 0}
 }

@@ -275,10 +275,11 @@ func TestSealEpochMovesWithCompleteness(t *testing.T) {
 	write(1, 0, 0)
 	s.MarkComplete(1)
 	step("LoseExecutorOutputs", true, func() { s.LoseExecutorOutputs(1) })
-	snap, err := s.Snapshot()
-	if err != nil {
+	snap := s.Snapshot()
+	if _, err := snap.Encode(nil); err != nil {
 		t.Fatal(err)
 	}
+	snap.Release()
 	step("Clean", true, func() { s.Clean(1) })
 	step("Restore", true, func() {
 		if err := s.Restore(snap); err != nil {
@@ -323,10 +324,11 @@ func snapshotFixture(t *testing.T) *Service {
 // flat column.
 func TestSnapshotRestoresBothPlanes(t *testing.T) {
 	s := snapshotFixture(t)
-	snap, err := s.Snapshot()
-	if err != nil {
+	snap := s.Snapshot()
+	if _, err := snap.Encode(nil); err != nil {
 		t.Fatal(err)
 	}
+	snap.Release()
 	markers := map[byte]int{}
 	for _, o := range snap.Outputs {
 		for _, m := range o.Maps {
@@ -382,7 +384,7 @@ func TestSnapshotRestoresBothPlanes(t *testing.T) {
 }
 
 // TestSnapshotAndRestoreReturnErrors: a bucket that cannot be encoded is
-// an error from Snapshot naming the bucket, and a torn bucket an error
+// an error from the snapshot's Encode naming the bucket, and a torn bucket an error
 // from Restore that leaves the service as it was — neither is a panic.
 func TestSnapshotAndRestoreReturnErrors(t *testing.T) {
 	s := NewService()
@@ -390,15 +392,19 @@ func TestSnapshotAndRestoreReturnErrors(t *testing.T) {
 	if err := s.SetMapOutput(4, 0, 0, [][]dataflow.Record{{{Key: 1, Value: make(chan int)}}}, []int64{8}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Snapshot(); err == nil || !strings.Contains(err.Error(), "shuffle 4 map output 0: bucket 0") {
+	bad := s.Snapshot()
+	_, err := bad.Encode(nil)
+	bad.Release()
+	if err == nil || !strings.Contains(err.Error(), "shuffle 4 map output 0: bucket 0") {
 		t.Fatalf("unencodable bucket: err = %v", err)
 	}
 
 	s = snapshotFixture(t)
-	snap, err := s.Snapshot()
-	if err != nil {
+	snap := s.Snapshot()
+	if _, err := snap.Encode(nil); err != nil {
 		t.Fatal(err)
 	}
+	snap.Release()
 	b := &snap.Outputs[0].Maps[0].Buckets[0]
 	*b = (*b)[:len(*b)-3]
 	before := s.SealEpoch()
@@ -511,10 +517,11 @@ func TestSplitOutputSnapshotsLikeExactBuckets(t *testing.T) {
 	services := []*Service{split, exact}
 	for i, s := range services {
 		s.MarkComplete(1)
-		snap, err := s.Snapshot()
-		if err != nil {
+		snap := s.Snapshot()
+		if _, err := snap.Encode(nil); err != nil {
 			t.Fatal(err)
 		}
+		snap.Release()
 		var wire bytes.Buffer
 		if err := gob.NewEncoder(&wire).Encode(snap); err != nil {
 			t.Fatal(err)

@@ -1,7 +1,7 @@
 package storage
 
-// Checkpoint entry points: capture reads every resident block in its
-// encoded form, and a resumed session re-inserts its checkpointed blocks
+// Checkpoint entry points: capture holds on to every resident block as it
+// is stored (Capture), to be encoded later, and a resumed session re-inserts its checkpointed blocks
 // with the exact metadata (access stats, insert sequence, stamped
 // recovery cost) of the crashed run, then pins the internal counters
 // (insert sequence, peaks, cumulative writes) so later behavior — FIFO
@@ -29,8 +29,8 @@ func restored(real bool, data []byte) (Payload, error) {
 	return Payload{batch: b, form: formBatch}, nil
 }
 
-// Restore inserts a checkpointed block, given as the bytes Encoded
-// returned, with its original metadata. The store must not already hold
+// Restore inserts a checkpointed block, given as the bytes its captured
+// payload encoded to, with its original metadata. The store must not already hold
 // the block; capacity and tenant quota are enforced exactly as at first
 // admission.
 func (m *MemoryStore) Restore(meta BlockMeta, data []byte) error {
@@ -41,21 +41,20 @@ func (m *MemoryStore) Restore(meta BlockMeta, data []byte) error {
 	return m.admit(&meta, p)
 }
 
-// Encoded returns a block's block encoding for a checkpoint without
-// touching its access statistics — capture must not perturb the LRU/LFU
-// state it is snapshotting: a real-bytes block's bytes as they are held,
-// a live block encoded (EncodeBatch: the same bytes as its rows would
-// give).
-func (m *MemoryStore) Encoded(id BlockID) ([]byte, error) {
+// Capture returns a block's contents for a checkpoint without touching
+// its access statistics — capture must not perturb the LRU/LFU state it
+// is snapshotting — and without encoding them: a real-bytes block's
+// bytes as they are held (they are never pooled or written again, so
+// holding them is safe), a live block as one more share of its batch,
+// which stays valid after the block leaves the store. The caller encodes
+// the payload (Payload.Encode) and releases it (Payload.Release), on any
+// goroutine, while the store goes on.
+func (m *MemoryStore) Capture(id BlockID) (Payload, error) {
 	e, ok := m.blocks[id]
 	if !ok {
-		return nil, fmt.Errorf("storage: block %v not in memory", id)
+		return Payload{}, fmt.Errorf("storage: block %v not in memory", id)
 	}
-	data, err := e.p.encoded()
-	if err != nil {
-		return nil, fmt.Errorf("storage: memory block %v: %w", id, err)
-	}
-	return data, nil
+	return e.p.shared(), nil
 }
 
 // Counters returns the store's insert sequence and peak usage for a
@@ -71,8 +70,8 @@ func (m *MemoryStore) SetCounters(seq, peak int64) {
 	}
 }
 
-// Restore inserts a checkpointed block, given as the bytes Encoded
-// returned, with its original accounted size, without counting it toward
+// Restore inserts a checkpointed block, given as the bytes its captured
+// payload encoded to, with its original accounted size, without counting it toward
 // TotalWritten (the crashed run already wrote it; SetCounters reinstates
 // the cumulative figure).
 func (d *DiskStore) Restore(id BlockID, data []byte, size int64) error {
@@ -83,21 +82,22 @@ func (d *DiskStore) Restore(id BlockID, data []byte, size int64) error {
 	return d.store(id, p, size)
 }
 
-// Encoded is MemoryStore.Encoded for a disk block, without any metering:
-// a real-bytes block is its file's bytes, read but not decoded.
-func (d *DiskStore) Encoded(id BlockID) ([]byte, error) {
+// Capture is MemoryStore.Capture for a disk block, without any
+// metering. A real-bytes block is its file's bytes, read here and not
+// decoded: the file can be removed before the payload is encoded.
+func (d *DiskStore) Capture(id BlockID) (Payload, error) {
 	e, ok := d.blocks[id]
 	if !ok {
-		return nil, fmt.Errorf("storage: block %v not on disk", id)
+		return Payload{}, fmt.Errorf("storage: block %v not on disk", id)
 	}
 	if e.p.form != formEncoded {
-		return e.p.encoded()
+		return e.p.shared(), nil
 	}
 	data, err := d.readFile(id, e, nil)
 	if err != nil {
-		return nil, fmt.Errorf("storage: disk block %v (%s): %w", id, d.path(id), err)
+		return Payload{}, fmt.Errorf("storage: disk block %v (%s): %w", id, d.path(id), err)
 	}
-	return data, nil
+	return Payload{data: data, form: formEncoded}, nil
 }
 
 // Counters returns the disk store's peak footprint and cumulative

@@ -164,7 +164,7 @@ func pack(real bool, id BlockID, p Payload) (Payload, error) {
 	case p.form == formFresh && !real:
 		return Payload{batch: p.batch.Keep(), form: formBatch}, nil
 	case p.form == formFresh:
-		data, err := p.encoded()
+		data, err := p.Encode()
 		if err != nil {
 			return Payload{}, fmt.Errorf("storage: block %v failed to encode: %w", id, err)
 		}
@@ -175,13 +175,47 @@ func pack(real bool, id BlockID, p Payload) (Payload, error) {
 	return p, nil
 }
 
-// encoded returns the payload's block encoding: the bytes a real-bytes
-// store holds as they are, or the batch encoded.
-func (p Payload) encoded() ([]byte, error) {
+// Encode returns the payload's block encoding: the bytes a real-bytes
+// store holds as they are, or the batch encoded (EncodeBatch: the same
+// bytes as its rows would give).
+func (p Payload) Encode() ([]byte, error) {
 	if p.form == formEncoded {
 		return p.data, nil
 	}
 	return EncodeBatch(p.batch)
+}
+
+// AppendEncode is Encode into buf's spare capacity: it returns the
+// encoding and buf extended by it (AppendBatch), the encoding aliasing
+// buf's array. A real-bytes store's bytes are returned as they are held
+// and buf as it was.
+func (p Payload) AppendEncode(buf []byte) (enc, grown []byte, err error) {
+	if p.form == formEncoded {
+		return p.data, buf, nil
+	}
+	start := len(buf)
+	if buf, err = AppendBatch(buf, p.batch); err != nil {
+		return nil, buf, err
+	}
+	return buf[start:len(buf):len(buf)], buf, nil
+}
+
+// EncodedSize is how many bytes AppendEncode appends to buf, where that
+// is known without encoding (BatchSize); 0 for bytes held as they are.
+func (p Payload) EncodedSize() int {
+	if p.form == formEncoded {
+		return 0
+	}
+	return BatchSize(p.batch)
+}
+
+// shared is a stored payload for one more holder (a promotion, a
+// checkpoint's capture): the same bytes, or one more share of the batch.
+func (p Payload) shared() Payload {
+	if p.form == formBatch {
+		return Payload{batch: p.batch.Share(), form: formBatch}
+	}
+	return p
 }
 
 // view is what a read of a block returns: its batch, unpacked and
@@ -205,8 +239,8 @@ func (p Payload) Batch() *dataflow.Batch {
 }
 
 // Release discards a payload a store handed over (MemoryStore.Remove,
-// DiskStore.Load) that no store will take: the store's share of its batch
-// is released.
+// DiskStore.Load, Capture) that no store will take: the share of its
+// batch it carries is released.
 func (p Payload) Release() {
 	if p.form == formBatch {
 		p.batch.Release()
@@ -603,7 +637,7 @@ func (d *DiskStore) Load(id BlockID) (Payload, int64, bool) {
 		return Payload{}, 0, false
 	}
 	if e.p.form == formBatch {
-		return Payload{batch: e.p.batch.Share(), form: formBatch}, e.size, true
+		return e.p.shared(), e.size, true
 	}
 	start := time.Now()
 	data, err := d.readFile(id, e, nil)
@@ -744,13 +778,36 @@ func EncodeRecords(recs []dataflow.Record) ([]byte, error) {
 // A row-form or empty batch, or one without a flat column, goes through
 // the rows, since which column it carries is not part of the canonical
 // encoding.
-func EncodeBatch(b *dataflow.Batch) ([]byte, error) {
+func EncodeBatch(b *dataflow.Batch) ([]byte, error) { return AppendBatch(nil, b) }
+
+// AppendBatch is EncodeBatch appending to dst: it returns dst extended by
+// exactly the bytes EncodeBatch(b) returns. A typed block is written in
+// place (dataflow.AppendBlock); the rows' encoding is appended as a copy.
+func AppendBatch(dst []byte, b *dataflow.Batch) ([]byte, error) {
 	if _, flat := b.Col.(dataflow.FlatColumn); flat && b.Len() > 0 {
-		data, _ := dataflow.EncodeBlock(b)
-		data[1] = 1 // NonNil: the rows of a non-empty batch are never nil
+		start := len(dst)
+		dst, _ = dataflow.AppendBlock(dst, b)
+		dst[start+1] = 1 // NonNil: the rows of a non-empty batch are never nil
+		return dst, nil
+	}
+	data, err := EncodeRecords(b.Records())
+	if err != nil {
+		return dst, err
+	}
+	if dst == nil {
 		return data, nil
 	}
-	return EncodeRecords(b.Records())
+	return append(dst, data...), nil
+}
+
+// BatchSize is the length of EncodeBatch(b) where it is known without
+// encoding (a typed block, dataflow.BlockSize), 0 otherwise.
+func BatchSize(b *dataflow.Batch) int {
+	if _, flat := b.Col.(dataflow.FlatColumn); flat && b.Len() > 0 {
+		n, _ := dataflow.BlockSize(b)
+		return n
+	}
+	return 0
 }
 
 // DecodeRecords deserializes a partition written by EncodeRecords or

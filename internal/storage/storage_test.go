@@ -569,10 +569,22 @@ func TestDiskStoreRealFiles(t *testing.T) {
 	}
 }
 
+// captureEncoded is a block as a checkpoint writes it: captured, then
+// encoded, and the capture released.
+func captureEncoded(capture func(BlockID) (Payload, error), id BlockID) ([]byte, error) {
+	p, err := capture(id)
+	if err != nil {
+		return nil, err
+	}
+	defer p.Release()
+	return p.Encode()
+}
+
 // TestEncodedReportsTheCause: checkpoint capture reads blocks through
-// Encoded — a real-bytes block's bytes as stored, undecoded — and a
-// block that cannot be read back must say why: the file and the os error
-// for a torn or missing spill file, rather than a bare "unreadable".
+// Capture — a real-bytes disk block's bytes read from its file,
+// undecoded — and a block that cannot be read back must say why: the
+// file and the os error for a torn or missing spill file, rather than a
+// bare "unreadable".
 func TestEncodedReportsTheCause(t *testing.T) {
 	d := NewDiskStoreReal(t.TempDir(), nil)
 	id := BlockID{Dataset: 2, Partition: 3}
@@ -585,40 +597,40 @@ func TestEncodedReportsTheCause(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := d.Encoded(id); err != nil || !bytes.Equal(got, data) {
+	if got, err := captureEncoded(d.Capture, id); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("intact block: %d bytes (file %d), %v", len(got), len(data), err)
 	}
 	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err = d.Encoded(id); !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), path) {
+	if _, err = captureEncoded(d.Capture, id); !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), path) {
 		t.Fatalf("torn file: err = %v, want the path and an unexpected EOF", err)
 	}
 	if err := os.Remove(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err = d.Encoded(id); !errors.Is(err, os.ErrNotExist) {
+	if _, err = captureEncoded(d.Capture, id); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing file: err = %v, want it to wrap os.ErrNotExist", err)
 	}
-	if _, err := d.Encoded(BlockID{9, 9}); err == nil {
+	if _, err := d.Capture(BlockID{9, 9}); err == nil {
 		t.Fatal("a block the store does not hold is not an error")
 	}
 
 	m := NewMemoryStoreReal(1<<20, nil, 0)
-	if _, err := m.Encoded(id); err == nil {
+	if _, err := captureEncoded(m.Capture, id); err == nil {
 		t.Fatal("a block the memory store does not hold is not an error")
 	}
 	if _, err := m.Put(id, recs, 100, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := m.Encoded(id); err != nil || !bytes.Equal(got, data) {
+	if got, err := captureEncoded(m.Capture, id); err != nil || !bytes.Equal(got, data) {
 		t.Fatalf("memory block: %d bytes (file %d), %v", len(got), len(data), err)
 	}
 }
 
 // TestEncodedIsTheRowEncoding: whatever form a block is held in — live
-// records, a store-owned batch, real bytes in memory or in a file —
-// Encoded returns exactly EncodeRecords of its rows, so a checkpoint's
+// records, a store-owned batch, real bytes in memory or in a file — its
+// captured payload encodes to exactly EncodeRecords of its rows, so a checkpoint's
 // bytes do not depend on which plane cached the block.
 func TestEncodedIsTheRowEncoding(t *testing.T) {
 	RegisterValueType(float64(0))
@@ -642,9 +654,9 @@ func TestEncodedIsTheRowEncoding(t *testing.T) {
 			if err := d.Put(id, p, 100); err != nil {
 				t.Fatal(err)
 			}
-			for name, enc := range map[string]func(BlockID) ([]byte, error){"memory": m.Encoded, "disk": d.Encoded} {
-				if got, err := enc(id); err != nil || !bytes.Equal(got, want) {
-					t.Errorf("real=%v batch=%v %s: Encoded differs from EncodeRecords (err %v)", real, p.batch != nil, name, err)
+			for name, capture := range map[string]func(BlockID) (Payload, error){"memory": m.Capture, "disk": d.Capture} {
+				if got, err := captureEncoded(capture, id); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("real=%v batch=%v %s: the capture encodes differently from EncodeRecords (err %v)", real, p.batch != nil, name, err)
 				}
 			}
 		}

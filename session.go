@@ -195,11 +195,12 @@ func (cur WindowStats) since(prev WindowStats, window int) WindowStats {
 // CheckpointStat records one committed window-boundary checkpoint:
 // which boundary, how many carried-state blocks it persisted, their
 // serialized size and Wall, how long the boundary held the driver
-// (capture, encoding, and the wait for the previous boundary's commit;
-// the checkpoint overhead bench/'s stream-durable workload reports). The
-// files themselves are written in the background while the next window
-// runs, so a stat appears once that write is joined: at the next
-// boundary or at Close.
+// (the wait for the previous boundary's commit, the capture, the client
+// payload, the WAL flush and any wait for the encode when the capture is
+// released at the next job's end; the checkpoint overhead bench/'s
+// stream-durable workload reports). The capture is encoded and the files
+// are written in the background while the next window runs, so a stat
+// appears once that commit is joined: at the next boundary or at Close.
 type CheckpointStat struct {
 	Window int
 	Blocks int
