@@ -228,10 +228,11 @@ type Config struct {
 	// Parallelism bounds the number of OS threads executing a stage's
 	// tasks concurrently. 0 defaults to runtime.GOMAXPROCS(0); 1 forces
 	// the fully sequential task loop. Any value produces bit-identical
-	// virtual-clock metrics and event logs: stages are dispatched to one
-	// worker goroutine per executor (preserving each executor's exact
-	// sequential task subsequence), and only stages proven free of
-	// cross-executor effects run in parallel — see parallelPlan.
+	// virtual-clock metrics and event logs: a stage's tasks run in
+	// task-order segments whose tasks are grouped by executor (preserving
+	// each executor's exact sequential task subsequence), and only tasks
+	// proven free of cross-executor effects run in parallel — see
+	// runTasks.
 	Parallelism int
 	// Vectorized is ignored: every partition keeps the form its producer
 	// gave it (see dataplane.go).
@@ -369,10 +370,13 @@ type ParallelCaps struct {
 	// treated as unsafe and always run sequentially.
 	Safe bool
 	// SpillOnlyEvictions asserts every victim the controller selects is
-	// spilled to disk (Victim.ToDisk == true), never dropped. The engine
-	// may then treat memory-resident blocks as stable lineage
-	// truncation points during a stage: a concurrent eviction can only
-	// move them to disk, not expose deeper recomputation paths.
+	// spilled to disk (Victim.ToDisk == true), never dropped. The
+	// segment walk (isolated) then trusts every memory copy as a lineage
+	// truncation point: an eviction by the task's own executor can only
+	// move the block to disk, not expose a deeper recomputation path.
+	// Without it, the walk trusts a memory copy only for an executor's
+	// first task in a segment, and only until that task may have
+	// admitted a block.
 	SpillOnlyEvictions bool
 	// RemoteReads declares the controller's task-path callbacks may read
 	// state derived from other executors' partitions (Blaze's cost
@@ -491,9 +495,12 @@ type Cluster struct {
 	// ownership.
 	curTrace []*taskTrace
 
-	// parallelStages counts stages dispatched to concurrent workers
-	// (driver-context bookkeeping, see ParallelStagesRan).
+	// parallelStages and parallelTasks count stages and tasks run on
+	// concurrent workers (driver-context bookkeeping, see
+	// ParallelStagesRan); seg is the reusable segment-dispatch state.
 	parallelStages int
+	parallelTasks  int
+	seg            segmenter
 
 	// pool is the executor pool the cluster runs on: Config.Pool, or a
 	// private one NewCluster built (and Close closes). Jobs serialize
@@ -544,10 +551,10 @@ type Cluster struct {
 
 // taskTrace buffers one task's externally ordered side effects during
 // parallel execution: its event-log emissions and its disk-footprint
-// deltas. After the stage joins, traces are replayed in ascending task
-// order — exactly the order the sequential loop would have produced —
-// so the event log and the cluster-wide disk peak are bit-identical to
-// a Parallelism=1 run.
+// deltas. After a segment joins, its traces are replayed in ascending
+// task order — exactly the order the sequential loop would have
+// produced — so the event log and the cluster-wide disk peak are
+// bit-identical to a Parallelism=1 run.
 type taskTrace struct {
 	events     []eventlog.Event
 	diskDeltas []int64
@@ -594,6 +601,11 @@ func NewCluster(cfg Config, ctx *dataflow.Context) (*Cluster, error) {
 		quota:             pool.Quota(),
 		meter:             pool.Meter(),
 		diskBase:          make([]int64, len(execs)),
+		seg: segmenter{
+			memo:    make(map[int]uint8),
+			perExec: make([][]int, len(execs)),
+			visited: make(map[int]bool),
+		},
 	}
 	c.par = cfg.Parallelism
 	if c.par == 0 {

@@ -280,18 +280,7 @@ func (c *Cluster) runStage(st *Stage) [][]dataflow.Record {
 	}
 	c.emit(eventlog.Event{Kind: eventlog.StageStart, Time: c.Now(), Job: c.curJob,
 		Stage: st.ID, Dataset: st.Boundary.ID(), Regen: st.Regenerated})
-	if perExec, order := c.parallelPlan(st, taskParts); perExec != nil {
-		c.runStageParallel(st, taskParts, perExec, order, results)
-	} else {
-		for _, p := range taskParts {
-			ex := c.taskExecutor(p)
-			ex.PickCore() // least-loaded core runs the task
-			out := c.runTask(ex, st, p)
-			if st.IsResult {
-				results[p] = out
-			}
-		}
-	}
+	c.runTasks(st, taskParts, results)
 	if !st.IsResult {
 		c.shuffle.MarkComplete(st.ShuffleDep.ShuffleID)
 	}
@@ -488,7 +477,7 @@ func (c *Cluster) failTaskAttempt(ex *Executor, st *Stage, part, attempt int) {
 // killed at the winner's finish time, its core time accounted as
 // straggler recovery waste. Without speculation the slowdown is
 // executor-local and therefore parallel-safe; stages that could
-// speculate are gated onto the sequential loop by parallelPlan.
+// speculate are gated onto the sequential loop by parallelizable.
 func (c *Cluster) applyStraggler(ex *Executor, st *Stage, part int, start time.Duration) {
 	if ex.slowTasks <= 0 {
 		return
