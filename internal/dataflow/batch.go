@@ -11,13 +11,15 @@ import (
 // This file implements the Batch, the one container of the engine's task
 // loop. A batch holds one partition in one of two forms:
 //
-//   - Columnar: a key column plus a value column, flat (Dense or Ragged,
-//     see columns.go) or, for values of no registered shape, boxed
-//     (AnyColumn). Narrow operator chains run over flat columns as flat
-//     loops without boxing one Record interface value per element. A
-//     kernel's output, a decoded block and a typed source are columnar.
-//   - Row form (Rows): the []Record a row function returned, shared and
-//     never copied per record. Its records must not be mutated.
+//   - Columnar: a key column plus a flat value column (Dense or Ragged,
+//     see columns.go). Narrow operator chains run over flat columns as
+//     flat loops without boxing one Record interface value per element. A
+//     kernel's output, a decoded typed block and a typed source are
+//     columnar.
+//   - Row form (Rows): the []Record a row function returned or a gob
+//     block decoded to, shared and never copied per record. Its records
+//     must not be mutated. Values with no flat column (an unregistered
+//     type, or types mixed within one partition) stay in this form.
 //
 // Either form converts losslessly to []Record, and EstimateSize matches
 // EstimateRecords on the equivalent rows exactly, which is what keeps
@@ -49,24 +51,17 @@ import (
 //   - Batch kernels must return a fresh batch and must not retain their
 //     input batches past the call.
 
-// Column stores the values of one batch.
+// Column stores the values of one batch: a FlatColumn, or a row-form
+// batch's records.
 type Column interface {
 	// Len returns the number of values.
 	Len() int
 	// Value boxes element i. Implementations copy any backing arrays so
 	// the boxed value stays valid after the column is released.
 	Value(i int) any
-	// AppendValue appends a boxed value; it reports false (leaving the
-	// column unchanged) if the value's type does not fit this column.
-	AppendValue(v any) bool
-	// AppendFrom appends element i of src without boxing; it reports
-	// false if src is not the same concrete column type.
-	AppendFrom(src Column, i int) bool
 	// SizeBytes returns the sum of ValueSize(Value(i)) over all elements,
 	// computed without boxing them.
 	SizeBytes() int64
-	// NewEmpty returns a fresh empty column of the same concrete type.
-	NewEmpty(capHint int) Column
 	// Release returns pooled backing arrays. The column must not be used
 	// afterwards.
 	Release()
@@ -164,46 +159,22 @@ func (b *Batch) Len() int {
 	return len(recs)
 }
 
-// Append adds one record, choosing a typed column from the first value.
-func (b *Batch) Append(key int64, v any) {
+// Append adds one record to a columnar batch, choosing its flat column
+// from the first value. It reports false, leaving the batch unchanged,
+// when the value has no flat column or is not of the column's type.
+func (b *Batch) Append(key int64, v any) bool {
+	if b.Col == nil {
+		c := columnFor(v, max(cap(b.Keys), 1<<minClass))
+		if c == nil {
+			return false
+		}
+		b.Col = c
+	}
+	if !b.Col.(FlatColumn).AppendValue(v) {
+		return false
+	}
 	b.Keys = appendPooled(b.Keys, key)
-	if b.Col == nil {
-		b.Col = columnFor(v, cap(b.Keys))
-	}
-	if !b.Col.AppendValue(v) {
-		b.migrate()
-		b.Col.AppendValue(v)
-	}
-}
-
-// AppendFromBatch adds record i of src, copying column storage directly
-// when the column types match and boxing otherwise.
-func (b *Batch) AppendFromBatch(src *Batch, i int) {
-	b.Keys = appendPooled(b.Keys, src.Keys[i])
-	if b.Col == nil {
-		b.Col = src.Col.NewEmpty(cap(b.Keys))
-	}
-	if b.Col.AppendFrom(src.Col, i) {
-		return
-	}
-	v := src.Col.Value(i)
-	if b.Col.AppendValue(v) {
-		return
-	}
-	b.migrate()
-	b.Col.AppendValue(v)
-}
-
-// migrate rebuilds the column as an AnyColumn when a mixed-type value
-// arrives, boxing (and thereby copying) the elements appended so far.
-func (b *Batch) migrate() {
-	old := b.Col
-	ac := NewAnyColumn(old.Len() + 8)
-	for i := 0; i < old.Len(); i++ {
-		ac.Vals = append(ac.Vals, old.Value(i))
-	}
-	old.Release()
-	b.Col = ac
+	return true
 }
 
 // Records returns the batch as rows, preserving the nil-vs-empty
@@ -225,42 +196,41 @@ func (b *Batch) Records() []Record {
 	return out
 }
 
-// FromRecords builds a columnar batch from rows. The batch copies every
-// payload, so it stays valid independent of the source slice (which may
-// belong to a cache).
+// FromRecords builds a columnar batch from rows, copying every payload
+// into its flat column, so it stays valid independent of the source
+// slice (which may belong to a cache). When some value has no flat
+// column, or the values mix types, the partition stays in rows: the
+// result is Rows(recs), which shares the records and, like any row-form
+// batch, must not see them mutated. Either way the batch has recs's
+// records, nil-ness and EstimateRecords. An empty input is an empty
+// columnar batch.
 func FromRecords(recs []Record) *Batch {
 	b := NewBatch(len(recs))
 	b.NonNil = recs != nil
 	for _, r := range recs {
-		b.Append(r.Key, r.Value)
+		if !b.Append(r.Key, r.Value) {
+			b.Release()
+			return Rows(recs)
+		}
 	}
 	return b
 }
 
 // CloneExact returns a copy of the batch on arrays of exactly its size,
-// for an owner that keeps it (Keep, a split's bucket of a boxed column).
-// A flat column is copied through its Layout, one bulk copy per array;
-// any other column (the boxed AnyColumn, whose values are immutable and
-// shared) element by element. A row-form batch is its own copy.
+// for an owner that keeps it (Keep). The flat column is copied through
+// its Layout, one bulk copy per array. A row-form batch is its own copy.
 // Released, the arrays feed the pools like any other.
 func (b *Batch) CloneExact() *Batch {
 	if b.RowForm() {
 		return b
 	}
 	out := &Batch{Keys: appendArray(nil, b.Keys, false), NonNil: b.NonNil}
-	switch c := b.Col.(type) {
-	case nil:
-	case FlatColumn:
+	if c, ok := b.Col.(FlatColumn); ok {
 		_, src := c.Layout()
 		dst := c.blank()
 		_, arrays := dst.Layout()
 		appendArrays(arrays, src, false)
 		out.Col = dst
-	default:
-		out.Col = c.NewEmpty(c.Len())
-		for i := 0; i < c.Len(); i++ {
-			out.Col.AppendFrom(c, i)
-		}
 	}
 	return out
 }
@@ -299,11 +269,8 @@ func (b *Batch) Keep() *Batch {
 // smallest size class as its contents' double.
 func (b *Batch) loose() bool {
 	r := room{}.add(8, len(b.Keys), cap(b.Keys))
-	switch c := b.Col.(type) {
-	case FlatColumn:
+	if c, ok := b.Col.(FlatColumn); ok {
 		r = r.plus(c.room())
-	case *AnyColumn:
-		r = r.add(16, len(c.Vals), cap(c.Vals))
 	}
 	return r.held > r.bound
 }
@@ -327,37 +294,32 @@ func (r room) plus(o room) room { return room{r.held + o.held, r.bound + o.bound
 // row-form batch, or a split's view.
 func (b *Batch) unowned() bool { return b == nil || b.view || b.RowForm() }
 
-// AppendBatch appends every record of src: one bulk append per array
-// when both columns have the same concrete type, record by record (as
-// AppendFromBatch) otherwise.
+// AppendBatch appends every record of src, one bulk append per array.
+// src must be empty or hold the flat column type b holds (any, while b
+// is empty).
 func (b *Batch) AppendBatch(src *Batch) {
 	n := src.Len()
 	if n == 0 {
 		return
 	}
+	s := src.Col.(FlatColumn)
 	if b.Col == nil {
-		b.Col = src.Col.NewEmpty(max(cap(b.Keys), n))
+		b.Col = s.NewEmpty(max(cap(b.Keys), n))
 	}
 	if d, ok := b.Col.(*Dense[float64]); ok { // a shuffle bucket: no Layout slices to allocate
-		if s, ok := src.Col.(*Dense[float64]); ok {
+		if s, ok := s.(*Dense[float64]); ok {
 			b.Keys = appendPooled(b.Keys, src.Keys...)
 			d.Vals = appendPooled(d.Vals, s.Vals...)
 			return
 		}
 	}
-	if d, ok := b.Col.(FlatColumn); ok {
-		if s, ok := src.Col.(FlatColumn); ok {
-			dn, da := d.Layout()
-			if sn, sa := s.Layout(); dn == sn {
-				b.Keys = appendPooled(b.Keys, src.Keys...)
-				appendArrays(da, sa, true)
-				return
-			}
-		}
+	dn, da := b.Col.(FlatColumn).Layout()
+	sn, sa := s.Layout()
+	if dn != sn {
+		panic("dataflow: AppendBatch of a " + sn + " column onto a " + dn + " column")
 	}
-	for i := 0; i < n; i++ {
-		b.AppendFromBatch(src, i)
-	}
+	b.Keys = appendPooled(b.Keys, src.Keys...)
+	appendArrays(da, sa, true)
 }
 
 // appendArrays appends the arrays of one flat column's Layout to the
@@ -468,7 +430,6 @@ var (
 	i64SlicePool = slicePool[int64]{dead: math.MinInt64}
 	f64SlicePool = slicePool[float64]{dead: math.NaN()}
 	i32SlicePool = slicePool[int32]{dead: math.MinInt32}
-	anySlicePool slicePool[any]
 )
 
 // poolOf returns the pool of arrays of T.
@@ -481,8 +442,6 @@ func poolOf[T any]() *slicePool[T] {
 		p = &f64SlicePool
 	case int32:
 		p = &i32SlicePool
-	default:
-		p = &anySlicePool
 	}
 	return p.(*slicePool[T])
 }
@@ -672,23 +631,14 @@ func GetI32Slice(capHint int) []int32 { return i32SlicePool.get(capHint) }
 // PutI32Slice recycles a slice obtained from GetI32Slice.
 func PutI32Slice(s []int32) { i32SlicePool.put(s) }
 
-func getAnySlice(capHint int) []any { return anySlicePool.get(capHint) }
-
-func putAnySlice(s []any) {
-	clear(s) // drop references so the pool doesn't pin values
-	anySlicePool.put(s)
-}
-
-// --- boxed columns ---------------------------------------------------
+// --- row form --------------------------------------------------------
 
 // rowsColumn is the column of a row-form batch: the records themselves,
 // keys included, shared and never written.
 type rowsColumn []Record
 
-func (c *rowsColumn) Len() int                    { return len(*c) }
-func (c *rowsColumn) Value(i int) any             { return (*c)[i].Value }
-func (c *rowsColumn) AppendValue(any) bool        { return false }
-func (c *rowsColumn) AppendFrom(Column, int) bool { return false }
+func (c *rowsColumn) Len() int        { return len(*c) }
+func (c *rowsColumn) Value(i int) any { return (*c)[i].Value }
 
 func (c *rowsColumn) SizeBytes() int64 {
 	var s int64
@@ -698,49 +648,7 @@ func (c *rowsColumn) SizeBytes() int64 {
 	return s
 }
 
-func (c *rowsColumn) NewEmpty(capHint int) Column { return NewAnyColumn(capHint) }
-func (c *rowsColumn) Release()                    {}
-
-// AnyColumn is the boxed escape hatch: it stores values as-is, so any
-// record type works and sizes fall back to ValueSize. Stored values are
-// ordinary heap values (never pooled storage), so Value returns them
-// without copying.
-type AnyColumn struct{ Vals []any }
-
-// NewAnyColumn returns an empty boxed column with pooled storage.
-func NewAnyColumn(capHint int) *AnyColumn { return &AnyColumn{Vals: getAnySlice(capHint)} }
-
-func (c *AnyColumn) Len() int        { return len(c.Vals) }
-func (c *AnyColumn) Value(i int) any { return c.Vals[i] }
-
-func (c *AnyColumn) AppendValue(v any) bool {
-	c.Vals = append(c.Vals, v)
-	return true
-}
-
-func (c *AnyColumn) AppendFrom(src Column, i int) bool {
-	s, ok := src.(*AnyColumn)
-	if !ok {
-		return false
-	}
-	c.Vals = append(c.Vals, s.Vals[i])
-	return true
-}
-
-func (c *AnyColumn) SizeBytes() int64 {
-	var s int64
-	for _, v := range c.Vals {
-		s += ValueSize(v)
-	}
-	return s
-}
-
-func (c *AnyColumn) NewEmpty(capHint int) Column { return NewAnyColumn(capHint) }
-
-func (c *AnyColumn) Release() {
-	putAnySlice(c.Vals)
-	c.Vals = nil
-}
+func (c *rowsColumn) Release() {}
 
 // --- batch kernels ---------------------------------------------------
 
@@ -770,9 +678,10 @@ var declineKernels bool
 // it. The kernel runs when the first input — the partition it maps over
 // — is columnar, or when there is no input (a typed source); any other
 // input in row form, a broadcast table or a side input, is columnarized
-// for it. Otherwise, or when the kernel declines, the row function runs
-// on the inputs' records (a row-form input is shared, a columnar one
-// boxed) and its result stays in row form, uncopied.
+// for it (FromRecords; values with no flat column stay in rows, which
+// the kernel declines). Otherwise, or when the kernel declines, the row
+// function runs on the inputs' records (a row-form input is shared, a
+// columnar one boxed) and its result stays in row form, uncopied.
 func (d *Dataset) BatchCompute(part int, ins []*Batch) *Batch {
 	if d.batchFn != nil && !declineKernels && (len(ins) == 0 || !ins[0].RowForm()) {
 		if out := d.runKernel(part, ins); out != nil {

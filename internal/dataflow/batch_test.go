@@ -68,7 +68,6 @@ func TestSlicePoolRoundTripAllocatesNothing(t *testing.T) {
 		PutI64Slice(GetI64Slice(64))
 		PutF64Slice(GetF64Slice(64))
 		PutI32Slice(GetI32Slice(64))
-		putAnySlice(getAnySlice(64))
 	}
 	roundTrip()
 	if allocs := testing.AllocsPerRun(100, roundTrip); allocs != 0 {
@@ -146,27 +145,6 @@ func TestBatchSizeEquivalence(t *testing.T) {
 	}
 }
 
-// TestBatchAppendFromBatch checks the unboxed routing path (shuffle
-// bucket building) produces the same rows as boxing would.
-func TestBatchAppendFromBatch(t *testing.T) {
-	src := FromRecords([]Record{
-		{Key: 1, Value: []float64{1, 2}}, {Key: 2, Value: []float64{3}}, {Key: 3, Value: []float64(nil)},
-	})
-	dst := NewBatch(0)
-	dst.NonNil = true
-	for _, i := range []int{2, 0, 1} {
-		dst.AppendFromBatch(src, i)
-	}
-	want := []Record{
-		{Key: 3, Value: []float64(nil)}, {Key: 1, Value: []float64{1, 2}}, {Key: 2, Value: []float64{3}},
-	}
-	if got := dst.Records(); !reflect.DeepEqual(got, want) {
-		t.Errorf("AppendFromBatch mismatch:\ngot:  %+v\nwant: %+v", got, want)
-	}
-	src.Release()
-	dst.Release()
-}
-
 // TestBatchValueCopies checks the aliasing contract: boxed values must
 // not share backing storage with the (pooled) column arrays.
 func TestBatchValueCopies(t *testing.T) {
@@ -198,22 +176,31 @@ func TestMergeBatchByKeyF64(t *testing.T) {
 	out.Release()
 }
 
-// TestBatchMigrate checks mixed-type partitions fall back to the boxed
-// column without losing earlier elements.
+// TestBatchMigrate checks a mixed-type partition stays in row form: a
+// value of another type does not join a flat column (Append reports
+// false and leaves the batch as it was), and FromRecords of the mixed
+// rows is Rows of the same records, sized alike.
 func TestBatchMigrate(t *testing.T) {
 	b := NewBatch(0)
 	b.NonNil = true
-	b.Append(1, 1.5)
-	b.Append(2, "s")
-	b.Append(3, 2.5)
-	want := []Record{{Key: 1, Value: 1.5}, {Key: 2, Value: "s"}, {Key: 3, Value: 2.5}}
-	if got := b.Records(); !reflect.DeepEqual(got, want) {
-		t.Errorf("migrate mismatch:\ngot:  %+v\nwant: %+v", got, want)
+	if !b.Append(1, 1.5) || b.Append(2, "s") || !b.Append(3, 2.5) {
+		t.Fatal("Append accepted a string into a float64 column, or refused a float64")
 	}
-	if _, ok := b.Col.(*AnyColumn); !ok {
-		t.Errorf("expected AnyColumn after migration, got %T", b.Col)
+	if got, want := b.Records(), []Record{{Key: 1, Value: 1.5}, {Key: 3, Value: 2.5}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("after a refused Append: %+v, want %+v", got, want)
 	}
 	b.Release()
+	want := []Record{{Key: 1, Value: 1.5}, {Key: 2, Value: "s"}, {Key: 3, Value: 2.5}}
+	m := FromRecords(want)
+	if !m.RowForm() {
+		t.Fatalf("FromRecords of mixed values gave a %T column, want row form", m.Col)
+	}
+	if got := m.Records(); !reflect.DeepEqual(got, want) || &got[0] != &want[0] {
+		t.Errorf("row form of mixed values reads %+v, want the records themselves %+v", got, want)
+	}
+	if m.EstimateSize() != EstimateRecords(want) || !m.NonNil {
+		t.Errorf("row form of mixed values: EstimateSize=%d NonNil=%v, want %d true", m.EstimateSize(), m.NonNil, EstimateRecords(want))
+	}
 }
 
 // TestCombineSmallAndLargeAgree checks both combines on both sides of the
@@ -298,7 +285,7 @@ func TestResidentCopiesAreExact(t *testing.T) {
 	for i := range 1000 {
 		big.Append(int64(i), float64(i))
 	}
-	for _, in := range []*Batch{sums, floats, big} {
+	for _, in := range []*Batch{sums, big} {
 		buckets, owned := NewRouter(2).Split(in)
 		for _, bb := range append(buckets, owned...) {
 			if bb != nil {
@@ -309,13 +296,17 @@ func TestResidentCopiesAreExact(t *testing.T) {
 }
 
 // TestCloneAndAppendBatch: a CloneExact shares no array with its
-// source, and AppendBatch concatenates flat and boxed columns like
-// AppendFromBatch record by record, growing the clone's exact arrays.
+// source, and AppendBatch concatenates flat columns, growing the clone's
+// exact arrays. Values with no flat column stay in row form, which is
+// its own clone.
 func TestCloneAndAppendBatch(t *testing.T) {
+	mixed := []Record{{Key: 6, Value: "s"}, {Key: 7, Value: 2.0}}
+	if b := FromRecords(mixed); !b.RowForm() || b.CloneExact() != b || !reflect.DeepEqual(b.Records(), mixed) {
+		t.Errorf("any: FromRecords gives %T (clone %p of %p), want row form over %v", b.Col, b.CloneExact(), b, mixed)
+	}
 	for name, recs := range map[string][]Record{
 		"f64":    {{Key: 1, Value: 1.5}, {Key: 2, Value: -2.0}},
 		"floats": {{Key: 3, Value: []float64{1, 2}}, {Key: 4, Value: []float64(nil)}, {Key: 5, Value: []float64{3}}},
-		"any":    {{Key: 6, Value: "s"}, {Key: 7, Value: 2.0}},
 	} {
 		src := FromRecords(recs)
 		c := src.CloneExact()

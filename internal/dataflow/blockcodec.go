@@ -22,9 +22,10 @@ import (
 //
 // All integers and float bits are little-endian. Which arrays a column
 // has is its Layout, so there is one encoder and one decoder for every
-// column. A partition whose values have no flat column (AnyColumn: mixed
-// or unregistered types) is not representable here; internal/storage
-// writes those as BlockGob followed by a gob stream.
+// column. A partition whose values have no flat column (mixed or
+// unregistered types) is held in row form and is not representable
+// here; internal/storage writes those as BlockGob followed by a gob
+// stream.
 
 // Format markers: the first byte of every encoded block.
 const (
@@ -63,6 +64,12 @@ func (a Array) elemSize() int {
 // arrays, which makes it encodable as a typed block.
 type FlatColumn interface {
 	Column
+	// AppendValue appends a boxed value; it reports false (leaving the
+	// column unchanged) if the value's type does not fit this column.
+	AppendValue(v any) bool
+	// NewEmpty returns a fresh empty column of the same type on pooled
+	// arrays.
+	NewEmpty(capHint int) FlatColumn
 	// Layout returns the name the column is known by in encoded blocks
 	// and pointers to its arrays in format order. The zero value of the
 	// column type must answer too: the decoder fills a zero column
@@ -83,7 +90,7 @@ type FlatColumn interface {
 }
 
 // EncodeBlock serializes a batch as a typed block. It reports false for a
-// batch whose column is not a FlatColumn; the caller falls back to gob.
+// batch in row form; the caller falls back to gob.
 func EncodeBlock(b *Batch) ([]byte, bool) { return AppendBlock(nil, b) }
 
 // AppendBlock is EncodeBlock appending the block to dst: it returns dst

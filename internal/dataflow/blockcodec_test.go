@@ -185,15 +185,19 @@ func TestAppendBlockReusesBuffer(t *testing.T) {
 		}
 	}
 	if _, typed := dataflow.BlockSize(dataflow.FromRecords([]dataflow.Record{{Key: 1, Value: "s"}})); typed {
-		t.Error("BlockSize sized an AnyColumn batch")
+		t.Error("BlockSize sized a row-form batch")
 	}
 }
 
-// TestBlockNotTyped: a boxed column is refused, not mis-encoded.
+// TestBlockNotTyped: a partition with no flat column (row form) is
+// refused, not mis-encoded.
 func TestBlockNotTyped(t *testing.T) {
 	b := dataflow.FromRecords([]dataflow.Record{{Key: 1, Value: "s"}, {Key: 2, Value: 2.0}})
+	if !b.RowForm() {
+		t.Fatalf("mixed values gave a %T, want row form", b.Col)
+	}
 	if _, typed := dataflow.EncodeBlock(b); typed {
-		t.Fatal("an AnyColumn batch encoded as a typed block")
+		t.Fatal("a row-form batch encoded as a typed block")
 	}
 }
 

@@ -58,18 +58,10 @@ func (c *Dense[T]) AppendValue(v any) bool {
 	return ok
 }
 
-func (c *Dense[T]) AppendFrom(src Column, i int) bool {
-	s, ok := src.(*Dense[T])
-	if ok {
-		c.Vals = appendPooled(c.Vals, s.Vals[i])
-	}
-	return ok
-}
-
-func (c *Dense[T]) SizeBytes() int64            { return 8 * int64(len(c.Vals)) }
-func (c *Dense[T]) NewEmpty(capHint int) Column { return NewDense[T](capHint) }
-func (c *Dense[T]) blank() FlatColumn           { return &Dense[T]{} }
-func (c *Dense[T]) room() room                  { return room{}.add(8, len(c.Vals), cap(c.Vals)) }
+func (c *Dense[T]) SizeBytes() int64                { return 8 * int64(len(c.Vals)) }
+func (c *Dense[T]) NewEmpty(capHint int) FlatColumn { return NewDense[T](capHint) }
+func (c *Dense[T]) blank() FlatColumn               { return &Dense[T]{} }
+func (c *Dense[T]) room() room                      { return room{}.add(8, len(c.Vals), cap(c.Vals)) }
 
 // encodedLen is the column's share of its typed block: the Layout name
 // ("f64" or "i64", as long) and Vals, count-prefixed.
@@ -150,14 +142,6 @@ func (c *Ragged[T, V, K]) AppendValue(v any) bool {
 	return ok
 }
 
-func (c *Ragged[T, V, K]) AppendFrom(src Column, i int) bool {
-	s, ok := src.(*Ragged[T, V, K])
-	if ok {
-		c.push(s.lead(i), s.Flat[s.Off[i]:s.Off[i+1]])
-	}
-	return ok
-}
-
 func (c *Ragged[T, V, K]) push(lead float64, span []T) {
 	var k K
 	if k.HasLead() {
@@ -177,7 +161,7 @@ func (c *Ragged[T, V, K]) SizeBytes() int64 {
 	return base*int64(c.Len()) + 8*int64(len(c.Flat))
 }
 
-func (c *Ragged[T, V, K]) NewEmpty(capHint int) Column {
+func (c *Ragged[T, V, K]) NewEmpty(capHint int) FlatColumn {
 	var k K
 	return NewRagged[T, V](k, capHint)
 }
@@ -256,8 +240,9 @@ func RegisterKind[T Elem, V any, K Kind[T, V]](k K) {
 	columnsByType[reflect.TypeFor[V]()] = blank
 }
 
-// columnFor picks the column for a partition's first value.
-func columnFor(v any, capHint int) Column {
+// columnFor picks the column for a partition's first value: nil when the
+// value has no flat column.
+func columnFor(v any, capHint int) FlatColumn {
 	switch v.(type) {
 	case float64:
 		return NewDense[float64](capHint)
@@ -269,5 +254,5 @@ func columnFor(v any, capHint int) Column {
 	if c, ok := columnsByType[reflect.TypeOf(v)]; ok {
 		return c.NewEmpty(capHint)
 	}
-	return NewAnyColumn(capHint)
+	return nil
 }

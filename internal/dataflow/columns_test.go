@@ -53,8 +53,8 @@ func (labelsKind) Unbox(v labels) (float64, []int64) { return v.W, v.Of }
 func init() { dataflow.RegisterKind(labelsKind{}) }
 
 // TestRegisteredColumnSelected: a registered kind's values are held in
-// its Ragged column, travel as a typed block, and a value of another type
-// appended later migrates the batch to the boxed column.
+// its Ragged column and travel as a typed block; a value of another type
+// does not join the column, and rows that mix it in stay in row form.
 func TestRegisteredColumnSelected(t *testing.T) {
 	recs := []dataflow.Record{{Key: 1, Value: labels{W: 0.5, Of: []int64{3, 4}}}, {Key: 2, Value: labels{W: 2}}}
 	b := dataflow.FromRecords(recs)
@@ -68,12 +68,19 @@ func TestRegisteredColumnSelected(t *testing.T) {
 	if got := back.Records(); !reflect.DeepEqual(got, recs) {
 		t.Errorf("block round trip gives %+v, want %+v", got, recs)
 	}
-	b.Append(3, "x")
-	if _, ok := b.Col.(*dataflow.AnyColumn); !ok {
-		t.Errorf("a mixed-type Append left a %T, want *AnyColumn", b.Col)
+	if b.Append(3, "x") {
+		t.Errorf("a string joined a %T", b.Col)
 	}
-	if got, want := b.Records(), append(recs, dataflow.Record{Key: 3, Value: "x"}); !reflect.DeepEqual(got, want) {
-		t.Errorf("after migrating: %+v, want %+v", got, want)
+	if got := b.Records(); !reflect.DeepEqual(got, recs) {
+		t.Errorf("after a refused Append: %+v, want %+v", got, recs)
 	}
 	b.Release()
+	mixed := append(recs, dataflow.Record{Key: 3, Value: "x"})
+	m := dataflow.FromRecords(mixed)
+	if !m.RowForm() {
+		t.Errorf("mixed-type records gave a %T, want row form", m.Col)
+	}
+	if got := m.Records(); !reflect.DeepEqual(got, mixed) || m.EstimateSize() != dataflow.EstimateRecords(mixed) {
+		t.Errorf("mixed rows: %+v (size %d), want %+v (size %d)", got, m.EstimateSize(), mixed, dataflow.EstimateRecords(mixed))
+	}
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // refPartition is the original modulo implementation of HashPartition
-// (splitmix64 finalizer, then %). The Router's mask and fastmod paths
-// are pure strength reductions of this expression; bucket assignment is
-// a determinism contract — shuffle layouts, adjacency partition
-// membership and every historical event log depend on it — so the fast
-// paths must agree with the reference on every input, not just be
+// (splitmix64 finalizer, then %). The Router's mask path is a pure
+// strength reduction of this expression; bucket assignment is a
+// determinism contract — shuffle layouts, adjacency partition
+// membership and every historical event log depend on it — so the
+// router must agree with the reference on every input, not just be
 // well-distributed.
 func refPartition(key int64, parts int) int {
 	x := uint64(key)
@@ -25,8 +25,8 @@ func refPartition(key int64, parts int) int {
 }
 
 // TestRouterMatchesReference sweeps part counts across the mask path
-// (powers of two), the 32-bit-split fastmod path (everything up to
-// 65536) and the plain-% fallback, over adversarial and dense key sets.
+// (powers of two) and plain % (every other count), small and past
+// 65536, over adversarial and dense key sets.
 func TestRouterMatchesReference(t *testing.T) {
 	partCounts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
 		31, 64, 100, 1000, 4095, 4096, 4097, 65535, 65536, 65537, 70000, 1 << 20}

@@ -45,15 +45,18 @@ func (c *Cluster) writeMapOutput(st *Stage, part, executor int, out *dataflow.Ba
 // combiner is combined once and then split: every key lands in exactly
 // one bucket, so each bucket's first-seen key order and each key's
 // accumulation order are those of combining bucket by bucket, bit for
-// bit. Any other columnar output is split uncombined. A row-form output,
-// and any combine through the boxed Combine, go by rows (routeRows). A
-// split's buckets are views on one container (Router.Split); a
-// broadcast's are the output itself, which moves to the shuffle service
-// with the task's share.
+// bit. Any other Dense or empty output is split uncombined. A row-form
+// output, any other columnar one that is not broadcast, and any combine
+// through the boxed Combine go by rows (routeRows). A split's buckets
+// are views on one container (Router.Split); a broadcast's are the
+// output itself, which moves to the shuffle service with the task's
+// share.
 func route(dep dataflow.Dependency, router dataflow.Router, out *dataflow.Batch) (buckets, owned []*dataflow.Batch, bucketBytes []int64, written int64) {
 	_, f64 := out.Col.(*dataflow.Dense[float64])
+	_, i64 := out.Col.(*dataflow.Dense[int64])
 	unboxed := f64 && dep.CombineF64 != nil
-	if out.RowForm() || dep.Combine != nil && !unboxed {
+	splits := f64 || i64 || out.Len() == 0
+	if out.RowForm() || dep.Combine != nil && !unboxed || !dep.Broadcast && !splits {
 		recs := out.Records()
 		out.Release()
 		buckets, bucketBytes, written = routeRows(dep, router, recs)

@@ -983,13 +983,7 @@ func (c *Cluster) dropDataset(d *dataflow.Dataset) {
 	dropped := false
 	for _, ex := range c.execs {
 		for p := 0; p < d.Partitions(); p++ {
-			id := storage.BlockID{Dataset: d.ID(), Partition: p}
-			if _, ok := ex.Mem.Drop(id); ok {
-				c.ctl.OnBlockRemoved(ex, id)
-				dropped = true
-			}
-			if _, ok := ex.Disk.Remove(id); ok {
-				c.ctl.OnBlockRemoved(ex, id)
+			if _, ok := c.removeBlock(ex, storage.BlockID{Dataset: d.ID(), Partition: p}); ok {
 				dropped = true
 			}
 		}
@@ -1002,18 +996,22 @@ func (c *Cluster) dropDataset(d *dataflow.Dataset) {
 // DropBlock removes one block from both tiers without I/O cost (u state)
 // and counts the unpersist.
 func (c *Cluster) DropBlock(ex *Executor, id storage.BlockID) {
-	dropped := false
-	if _, ok := ex.Mem.Drop(id); ok {
-		c.ctl.OnBlockRemoved(ex, id)
-		dropped = true
-	}
-	if _, ok := ex.Disk.Remove(id); ok {
-		c.ctl.OnBlockRemoved(ex, id)
-		dropped = true
-	}
-	if dropped {
+	if _, ok := c.removeBlock(ex, id); ok {
 		c.met.Unpersists++
 	}
+}
+
+// removeBlock removes one block from both tiers of the executor and
+// returns the bytes the two held. The controller hears of it once, when
+// either tier held the block (Controller.OnBlockRemoved).
+func (c *Cluster) removeBlock(ex *Executor, id storage.BlockID) (int64, bool) {
+	memBytes, inMem := ex.Mem.Drop(id)
+	diskBytes, onDisk := ex.Disk.Remove(id)
+	if !inMem && !onDisk {
+		return 0, false
+	}
+	c.ctl.OnBlockRemoved(ex, id)
+	return memBytes + diskBytes, true
 }
 
 // SpillBlock moves a block from memory to disk (m→d), charging the write

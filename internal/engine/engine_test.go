@@ -452,3 +452,49 @@ func TestClusterAccessors(t *testing.T) {
 		t.Fatal("controller names wrong")
 	}
 }
+
+// removalCounter counts OnBlockRemoved notifications per block.
+type removalCounter struct {
+	*AnnotationController
+	removed map[storage.BlockID]int
+}
+
+func (r *removalCounter) OnBlockRemoved(ex *Executor, id storage.BlockID) { r.removed[id]++ }
+
+// TestDropNotifiesOncePerBlock: a block resident in memory and on disk
+// that DropBlock, DropDataset or an injected loss removes from both
+// tiers is announced to the controller once, as OnBlockRemoved promises.
+func TestDropNotifiesOncePerBlock(t *testing.T) {
+	ctl := &removalCounter{NewSparkMemDisk(), map[storage.BlockID]int{}}
+	c, ctx := newTestCluster(t, ctl, 1<<20, false)
+	ds := ctx.Source("data", 3, func(part int) []dataflow.Record { return nil })
+	ex := c.Executors()[0]
+	recs := []dataflow.Record{{Key: 1, Value: 1.5}}
+	ids := make([]storage.BlockID, 3)
+	for p := range ids {
+		ids[p] = storage.BlockID{Dataset: ds.ID(), Partition: p}
+		if _, err := ex.Mem.Put(ids[p], recs, 40, ex.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Disk.Put(ids[p], storage.Fresh(recs), 40); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.DropBlock(ex, ids[0])
+	if !c.InjectBlockLoss(ex, ids[1]) {
+		t.Fatal("InjectBlockLoss found no block")
+	}
+	c.DropDataset(ds)
+	for _, id := range ids {
+		if n := ctl.removed[id]; n != 1 {
+			t.Errorf("block %v: %d OnBlockRemoved notifications, want 1", id, n)
+		}
+		if ex.Mem.Contains(id) || ex.Disk.Contains(id) {
+			t.Errorf("block %v still resident", id)
+		}
+	}
+	if n := c.Metrics().Unpersists; n != 2 {
+		t.Errorf("%d unpersists counted, want 2 (DropBlock and DropDataset)", n)
+	}
+	c.Finish()
+}

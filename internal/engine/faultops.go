@@ -20,23 +20,9 @@ import (
 // The block is marked with the fault class so its eventual recomputation
 // is attributed to that class's recovery cost.
 func (c *Cluster) loseBlock(ex *Executor, id storage.BlockID, class string) (int64, bool) {
-	var bytes int64
-	lost := false
-	if size, ok := ex.Mem.Drop(id); ok {
-		c.ctl.OnBlockRemoved(ex, id)
-		bytes += size
-		lost = true
-	}
-	if size, ok := ex.Disk.Remove(id); ok {
-		// The disk copy vanishes too (executor-local storage dies with
-		// the executor; a corrupted block is unreadable from either
-		// tier). Only notify the controller once per block.
-		if !lost {
-			c.ctl.OnBlockRemoved(ex, id)
-		}
-		bytes += size
-		lost = true
-	}
+	// The disk copy vanishes too: executor-local storage dies with the
+	// executor, and a corrupted block is unreadable from either tier.
+	bytes, lost := c.removeBlock(ex, id)
 	if lost {
 		c.faultLost[id] = class
 		c.met.FaultBlocksLost++

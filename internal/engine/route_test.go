@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"blaze/internal/dataflow"
@@ -94,6 +95,41 @@ func TestCombineThenRouteEqualsRouteThenCombine(t *testing.T) {
 					o.Release()
 				}
 			}
+		}
+	}
+}
+
+// TestRouteRaggedByRows: a map output in a Ragged column with no
+// combiner is routed by rows, and its buckets hold the records, in
+// output order, and account the bytes of routing record by record.
+func TestRouteRaggedByRows(t *testing.T) {
+	var dep dataflow.Dependency
+	rng := rand.New(rand.NewSource(44))
+	for _, buckets := range []int{1, 7, 32} {
+		recs := make([]dataflow.Record, 200)
+		for i := range recs {
+			var v []float64 // an empty span reads back nil
+			for range rng.Intn(4) {
+				v = append(v, rng.NormFloat64())
+			}
+			recs[i] = dataflow.Record{Key: rng.Int63n(90), Value: v}
+		}
+		in := dataflow.FromRecords(recs)
+		if _, ok := in.Col.(*dataflow.Ragged[float64, []float64, dataflow.FloatsKind]); !ok {
+			t.Fatalf("[]float64 values gave a %T column, want Ragged", in.Col)
+		}
+		want, wantBytes, wantWritten := rowRoute(dep, buckets, recs)
+		got, owned, gotBytes, gotWritten := route(dep, dataflow.NewRouter(buckets), in)
+		if gotWritten != wantWritten {
+			t.Fatalf("%d buckets: %d bytes written, want %d", buckets, gotWritten, wantWritten)
+		}
+		for b, rows := range want {
+			if have := got[b].Records(); !reflect.DeepEqual(have, rows) || gotBytes[b] != wantBytes[b] {
+				t.Fatalf("%d buckets: bucket %d holds %v (%d bytes), want %v (%d bytes)", buckets, b, have, gotBytes[b], rows, wantBytes[b])
+			}
+		}
+		for _, o := range owned {
+			o.Release()
 		}
 	}
 }

@@ -58,47 +58,31 @@ func statsKernel(k int) dataflow.BatchFunc {
 		dim := int(pc.Off[1] - pc.Off[0])
 		accSum := make([]float64, k*dim)
 		accN := make([]float64, k)
-		switch dim {
-		// Low-dimensional points get unrolled distance loops over dense
-		// center coordinates. The float association matches the generic
-		// sweep exactly (d0*d0 + d1*d1 + ... equals the sequential
-		// d += diff*diff because the running sum starts at +0), so the
-		// fast paths stay bit-identical to the row closure.
-		case 2:
-			if !statsDim2(pc, ps.Len(), ctrs, accSum, accN) {
-				return nil
+		for i := 0; i < ps.Len(); i++ {
+			lo, hi := pc.Off[i], pc.Off[i+1]
+			if int(hi-lo) != dim {
+				return nil // ragged points: let the row path handle it
 			}
-		case 4:
-			if !statsDim4(pc, ps.Len(), ctrs, accSum, accN) {
-				return nil
-			}
-		default:
-			for i := 0; i < ps.Len(); i++ {
-				lo, hi := pc.Off[i], pc.Off[i+1]
-				if int(hi-lo) != dim {
-					return nil // ragged points: let the row path handle it
+			x := pc.Flat[lo:hi]
+			best, bestD := 0, math.Inf(1)
+			for c, ctr := range ctrs {
+				if ctr == nil {
+					continue
 				}
-				x := pc.Flat[lo:hi]
-				best, bestD := 0, math.Inf(1)
-				for c, ctr := range ctrs {
-					if ctr == nil {
-						continue
-					}
-					d := 0.0
-					for j := range x {
-						diff := x[j] - ctr[j]
-						d += diff * diff
-					}
-					if d < bestD {
-						best, bestD = c, d
-					}
-				}
-				sum := accSum[best*dim : best*dim+dim]
+				d := 0.0
 				for j := range x {
-					sum[j] += x[j]
+					diff := x[j] - ctr[j]
+					d += diff * diff
 				}
-				accN[best]++
+				if d < bestD {
+					best, bestD = c, d
+				}
 			}
+			sum := accSum[best*dim : best*dim+dim]
+			for j := range x {
+				sum[j] += x[j]
+			}
+			accN[best]++
 		}
 		out := dataflow.NewBatch(k)
 		oc := dataflow.NewRagged(SumCountKind{}, k)
@@ -114,82 +98,6 @@ func statsKernel(k int) dataflow.BatchFunc {
 		out.NonNil = len(out.Keys) > 0
 		return out
 	}
-}
-
-// statsDim2 is the unrolled assignment sweep for 2-D points. Reports
-// false on a ragged point so the kernel declines the whole partition,
-// exactly like the generic sweep.
-func statsDim2(pc *vectorColumn, n int, ctrs [][]float64, accSum, accN []float64) bool {
-	// Compact the present centers into dense parallel arrays. Scanning
-	// them in ascending original order with strict less-than keeps the
-	// winner identical to the generic nil-skipping sweep.
-	var c0, c1 []float64
-	var orig []int
-	for c, ctr := range ctrs {
-		if ctr != nil {
-			c0 = append(c0, ctr[0])
-			c1 = append(c1, ctr[1])
-			orig = append(orig, c)
-		}
-	}
-	flat := pc.Flat
-	for i := 0; i < n; i++ {
-		base := pc.Off[i]
-		if pc.Off[i+1]-base != 2 {
-			return false
-		}
-		x0, x1 := flat[base], flat[base+1]
-		best, bestD := 0, math.Inf(1)
-		for c := range c0 {
-			d0 := x0 - c0[c]
-			d1 := x1 - c1[c]
-			d := d0*d0 + d1*d1
-			if d < bestD {
-				best, bestD = orig[c], d
-			}
-		}
-		accSum[best*2] += x0
-		accSum[best*2+1] += x1
-		accN[best]++
-	}
-	return true
-}
-
-// statsDim4 is the unrolled assignment sweep for 4-D points.
-func statsDim4(pc *vectorColumn, n int, ctrs [][]float64, accSum, accN []float64) bool {
-	var cd []float64
-	var orig []int
-	for c, ctr := range ctrs {
-		if ctr != nil {
-			cd = append(cd, ctr[0], ctr[1], ctr[2], ctr[3])
-			orig = append(orig, c)
-		}
-	}
-	flat := pc.Flat
-	for i := 0; i < n; i++ {
-		base := pc.Off[i]
-		if pc.Off[i+1]-base != 4 {
-			return false
-		}
-		x0, x1, x2, x3 := flat[base], flat[base+1], flat[base+2], flat[base+3]
-		best, bestD := 0, math.Inf(1)
-		for c := range orig {
-			d0 := x0 - cd[c*4]
-			d1 := x1 - cd[c*4+1]
-			d2 := x2 - cd[c*4+2]
-			d3 := x3 - cd[c*4+3]
-			d := d0*d0 + d1*d1 + d2*d2 + d3*d3
-			if d < bestD {
-				best, bestD = orig[c], d
-			}
-		}
-		accSum[best*4] += x0
-		accSum[best*4+1] += x1
-		accSum[best*4+2] += x2
-		accSum[best*4+3] += x3
-		accN[best]++
-	}
-	return true
 }
 
 // wcssKernel vectorizes the within-cluster-sum-of-squares Barrier: one

@@ -39,9 +39,9 @@ func mkCenters(k, dim int, skip map[int]bool) []dataflow.Record {
 }
 
 // TestStatsKernelMatchesRowClosure pins the core kernel contract at
-// every dimension path: the unrolled dim-2 and dim-4 sweeps and the
-// generic sweep must produce bit-identical statistics to the row
-// closure (same clusters, same order, bit-equal sums and counts).
+// several dimensions: the sweep must produce bit-identical statistics
+// to the row closure (same clusters, same order, bit-equal sums and
+// counts).
 func TestStatsKernelMatchesRowClosure(t *testing.T) {
 	for _, dim := range []int{2, 4, 8} {
 		for _, k := range []int{1, 3, 8} {

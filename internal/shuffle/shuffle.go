@@ -17,6 +17,7 @@ package shuffle
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -221,12 +222,13 @@ func (s *Service) Fetch(shuffleID, bucket int) ([]dataflow.Record, int64, error)
 
 // FetchBatch returns the records and byte size of one reduce bucket,
 // concatenating map outputs in map-partition order (the order the
-// original sequential task execution produced). The bucket is in row
-// form when some map output holds its records in row form, a columnar
-// bucket boxed in (or, when that output holds all of them, its batch
-// itself); otherwise it is columnar, one bulk append per array
-// (Batch.AppendBatch), fresh and exactly sized. The caller owns the
-// returned batch; its rows are nil only when no records were appended.
+// original sequential task execution produced). The bucket is columnar
+// when every map output that holds some of its records holds them in one
+// flat column type: one bulk append per array (Batch.AppendBatch), fresh
+// and exactly sized. Otherwise it is in row form, a columnar bucket boxed
+// in (or, when one row-form output holds all of them, its batch itself).
+// The caller owns the returned batch; its rows are nil only when no
+// records were appended.
 func (s *Service) FetchBatch(shuffleID, bucket int) (*dataflow.Batch, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -241,8 +243,8 @@ func (s *Service) FetchBatch(shuffleID, bucket int) (*dataflow.Batch, int64, err
 		if bb := mo.batches[bucket]; bb.Len() > 0 {
 			total += bb.Len()
 			holders++
+			rows = rows || bb.RowForm() || last != nil && reflect.TypeOf(bb.Col) != reflect.TypeOf(last.Col)
 			last = bb
-			rows = rows || bb.RowForm()
 		}
 		bytes += mo.bytes[bucket]
 	}

@@ -41,7 +41,6 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"blaze/internal/dataflow"
@@ -726,47 +725,6 @@ type gobPartition struct {
 // (dataflow.RegisterKind) before using the codec.
 func RegisterValueType(v any) { gob.Register(v) }
 
-// Fallback codec scratch pools. Every gob encode used to allocate a fresh
-// bytes.Buffer and []gobRecord staging slice, and every gob decode a
-// fresh staging slice; on the real-bytes hot path that churn dominated
-// allocation profiles. The pools recycle only intermediate scratch: the
-// returned []byte and []dataflow.Record are always freshly allocated,
-// because callers retain them. A fresh gob.Encoder is created per call
-// either way, so type definitions are re-emitted identically and pooling
-// cannot change the encoded bytes (TestEncodeRecordsPoolingByteIdentical
-// pins that).
-var (
-	encBufPool sync.Pool // *bytes.Buffer
-	gobRecPool sync.Pool // *[]gobRecord
-)
-
-func getGobRecs(n int) []gobRecord {
-	if v := gobRecPool.Get(); v != nil {
-		s := *(v.(*[]gobRecord))
-		if cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]gobRecord, n)
-}
-
-func putGobRecs(s []gobRecord) {
-	const maxPooled = 1 << 18 // don't pin giant staging arrays
-	if cap(s) == 0 || cap(s) > maxPooled {
-		return
-	}
-	// Zero the full capacity, not just the payload references: gob omits
-	// zero-valued fields on the wire and does not clear the destination
-	// on decode, so a stale Key surviving in reused staging storage would
-	// silently corrupt any decoded record whose true Key is 0
-	// (TestDecodeRecordsZeroFieldsAfterPollution pins this).
-	s = s[:cap(s)]
-	clear(s)
-	p := new([]gobRecord)
-	*p = s[:0]
-	gobRecPool.Put(p)
-}
-
 // EncodeRecords serializes a partition into the block format of
 // dataflow/blockcodec.go: the typed columnar form when every value shares
 // one type that has a flat column, whole-block gob behind the BlockGob
@@ -856,48 +814,34 @@ func decodeBatch(data []byte, pooled bool) (*dataflow.Batch, error) {
 }
 
 // encodeGob is the fallback block encoding: the BlockGob marker, then
-// the partition as one gob value.
+// the partition as one gob value. A fresh gob.Encoder per call re-emits
+// the type definitions, so equal partitions always encode to equal
+// bytes.
 func encodeGob(recs []dataflow.Record) ([]byte, error) {
-	staged := getGobRecs(len(recs))
-	p := gobPartition{NonNil: recs != nil, Recs: staged}
+	p := gobPartition{NonNil: recs != nil, Recs: make([]gobRecord, len(recs))}
 	for i, r := range recs {
 		p.Recs[i] = gobRecord{Key: r.Key, Value: r.Value}
 	}
-	var buf *bytes.Buffer
-	if v := encBufPool.Get(); v != nil {
-		buf = v.(*bytes.Buffer)
-		buf.Reset()
-	} else {
-		buf = new(bytes.Buffer)
-	}
+	var buf bytes.Buffer
 	buf.WriteByte(dataflow.BlockGob)
-	err := gob.NewEncoder(buf).Encode(p)
-	putGobRecs(staged)
-	if err != nil {
-		encBufPool.Put(buf)
+	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
 		return nil, fmt.Errorf("storage: encode: %w", err)
 	}
-	out := make([]byte, buf.Len())
-	copy(out, buf.Bytes())
-	encBufPool.Put(buf)
-	return out, nil
+	return buf.Bytes(), nil
 }
 
 // decodeGob reads the gob stream of a fallback block (marker stripped).
 func decodeGob(data []byte) ([]dataflow.Record, error) {
-	p := gobPartition{Recs: getGobRecs(0)}
+	var p gobPartition
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&p); err != nil {
-		putGobRecs(p.Recs)
 		return nil, fmt.Errorf("storage: decode: %w", err)
 	}
 	if !p.NonNil {
-		putGobRecs(p.Recs)
 		return nil, nil
 	}
 	out := make([]dataflow.Record, len(p.Recs))
 	for i, r := range p.Recs {
 		out[i] = dataflow.Record{Key: r.Key, Value: r.Value}
 	}
-	putGobRecs(p.Recs)
 	return out, nil
 }
