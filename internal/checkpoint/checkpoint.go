@@ -303,26 +303,6 @@ func (s *segment) end() Entry {
 	return e
 }
 
-// Write persists one window snapshot: it encodes a captured state,
-// writes the segment and commits the manifest last, all before it
-// returns, and releases the capture's shares on every path (a
-// Checkpointer runs the encode and the writes in the background and
-// releases when it joins them). Events are recovered from the WAL.
-// Returns the number of block payloads and total bytes written.
-func Write(dir string, rs *engine.ResumeState, clientState []byte, summary any) (blocks int, written int64, err error) {
-	defer rs.Release()
-	var w writer
-	return w.write(dir, rs, clientState, summary)
-}
-
-func (w *writer) write(dir string, rs *engine.ResumeState, clientState []byte, summary any) (blocks int, written int64, err error) {
-	s, _, err := encodeCapture(rs, clientState, summary, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	return w.commit(dir, s)
-}
-
 // encodeCapture turns a captured state into a snapshot ready to commit
 // (ResumeState.Encode into buf, then prepare) and returns buf as
 // extended: the snapshot's blocks and buckets alias it until it is

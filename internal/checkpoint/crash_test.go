@@ -346,7 +346,8 @@ func testState(t *testing.T, window, nblocks, nevents int) (*engine.ResumeState,
 	return rs, []byte(fmt.Sprintf("client state at window %d", window))
 }
 
-// encode is a block's contents as capture hands them to Write.
+// encode is a block's contents as a capture's encode hands them to a
+// commit.
 func encode(t *testing.T, recs []dataflow.Record) []byte {
 	t.Helper()
 	data, err := storage.EncodeRecords(recs)
@@ -356,7 +357,7 @@ func encode(t *testing.T, recs []dataflow.Record) []byte {
 	return data
 }
 
-// loaded is a boundary snapshot as Write takes it and Load hands it
+// loaded is a boundary snapshot as a commit takes it and Load hands it
 // back.
 type loaded struct {
 	rs     *engine.ResumeState
@@ -379,12 +380,12 @@ func reference(t *testing.T, rs *engine.ResumeState, client []byte) loaded {
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	blocks, _, err := Write(dir, rs, client, nil)
+	blocks, _, err := new(writer).commitState(dir, rs, client)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := len(rs.MemBlocks) + len(rs.DiskBlocks); blocks != want {
-		t.Fatalf("Write reports %d blocks, state holds %d", blocks, want)
+		t.Fatalf("commit reports %d blocks, state holds %d", blocks, want)
 	}
 	got, gotClient, err := Load(dir)
 	if err != nil {
@@ -456,7 +457,7 @@ func crashAtEveryStep(t *testing.T, buffered bool) {
 				fs.setWAL(t, events, states[3].rs.EventCount)
 				w := writer{fs: fs}
 				commit = func(k int) error {
-					_, _, err := w.write(memDir, states[k].rs, states[k].client, nil)
+					_, _, err := w.commitState(memDir, states[k].rs, states[k].client)
 					return err
 				}
 			}
@@ -504,7 +505,7 @@ func TestCommitCreatesTwoFiles(t *testing.T) {
 		fs := newMemFS()
 		fs.setWAL(t, testEvents(rs.EventCount), 0)
 		w := writer{fs: fs}
-		n, _, err := w.write(memDir, rs, client, nil)
+		n, _, err := w.commitState(memDir, rs, client)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -551,7 +552,7 @@ func TestLoadRejectsUndecodableBlock(t *testing.T) {
 			b := &rs.DiskBlocks[0]
 			b.Data = b.Data[:len(b.Data)-3] // a torn spill file
 		}
-		if _, _, err := Write(dir, rs, client, nil); err != nil {
+		if _, _, err := new(writer).commitState(dir, rs, client); err != nil {
 			t.Fatal(err)
 		}
 	}

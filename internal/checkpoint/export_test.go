@@ -3,6 +3,8 @@ package checkpoint
 import (
 	"os"
 	"sync"
+
+	"blaze/internal/engine"
 )
 
 // InjectDiskFault routes the commits of every Checkpointer that has not
@@ -119,3 +121,17 @@ func (cp *Checkpointer) Join() error { return cp.join() }
 // CaptureHeld reports whether the commit in flight still holds its
 // capture's shares.
 func (cp *Checkpointer) CaptureHeld() bool { return cp.pending != nil && !cp.pending.released }
+
+// commitState commits one window snapshot the way a Checkpointer's
+// committer does, but before it returns: it encodes the captured state,
+// writes the segment and the manifest, and releases the capture's shares
+// on every path. Returns the number of block payloads and the bytes
+// written.
+func (w *writer) commitState(dir string, rs *engine.ResumeState, clientState []byte) (blocks int, written int64, err error) {
+	defer rs.Release()
+	s, _, err := encodeCapture(rs, clientState, nil, nil)
+	if err != nil {
+		return 0, 0, err
+	}
+	return w.commit(dir, s)
+}

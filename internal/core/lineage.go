@@ -4,7 +4,7 @@
 //   - the CostLineage (§5.3): a merged multi-job lineage of dataset
 //     "roles" across iterations, tracking per-partition metrics (size,
 //     computation time) observed during execution and inducting
-//     unobserved metrics with linear regression;
+//     unobserved metrics by linear regression over the role's nodes;
 //   - the potential recovery cost estimator (§5.4, Eq. 2-4);
 //   - the ILP-based optimal partition state solver (§5.5, Eq. 5-6);
 //   - the unified decision layer (§5.6): an engine.Controller that makes
@@ -62,7 +62,7 @@ type Edge struct {
 }
 
 // Node is one dataset role instance on the CostLineage with its observed
-// and inducted per-partition metrics.
+// per-partition metrics, which are also the points §5.3 induction fits.
 type Node struct {
 	Key     NodeKey
 	Parents []Edge
@@ -115,13 +115,6 @@ func (r *roleRefs) update(extrapolate bool) {
 	}
 }
 
-// roleMetrics aggregates regression series for one (role, partition)
-// across iterations, used to induct unobserved metrics (§5.3).
-type roleMetrics struct {
-	size map[int]*regression.Series // partition -> size over iteration
-	cost map[int]*regression.Series
-}
-
 // CostLineage tracks the merged workload lineage and partition metrics.
 // Every node it holds carries a dense sequence number (Node.seq) and a
 // pointer to its role's reference offsets, both set where the node is
@@ -132,16 +125,15 @@ type roleMetrics struct {
 // dataset a stage can compute is an ancestor of the job target and is
 // registered at job start, so no structural insert occurs while tasks
 // run. Per-partition metric observation and lookup do run on the task
-// path, and ObservePartition inserts into the role regression maps on a
-// role's first observation, so those three methods serialize under
-// metricsMu (a leaf lock). Metric content is still deterministic under
-// parallel execution: each (node, partition) is observed and read only
-// by the partition's home executor, whose task order the parallel
-// scheduler preserves.
+// path, and those three methods serialize under metricsMu (a leaf lock).
+// Metric content is still deterministic under parallel execution:
+// partition p of every node — all that a lookup of partition p reads,
+// induction included — is observed and read only by p's home executor,
+// whose task order the parallel scheduler preserves.
 type CostLineage struct {
-	// metricsMu guards roleMetrics and the per-node metric slices against
-	// concurrent task-path observation and lookup. Leaf lock: nothing else
-	// is acquired while it is held.
+	// metricsMu guards the per-node metric slices (sizes, costs,
+	// observed) against concurrent task-path observation and lookup. Leaf
+	// lock: nothing else is acquired while it is held.
 	metricsMu sync.RWMutex
 
 	nodes map[NodeKey]*Node
@@ -153,8 +145,9 @@ type CostLineage struct {
 	// they are learned from observed jobs, which underestimates future
 	// usage until the pattern has been seen (§7.5).
 	roleRefs map[string]*roleRefs
-	// roleMetrics holds the inductive regression state per role.
-	roleMetrics map[string]*roleMetrics
+	// roleNodes holds each role's nodes in key order: the points §5.3
+	// induction fits, visited in an order a restored lineage repeats.
+	roleNodes map[string][]*Node
 
 	// extrapolate enables one-step reference extrapolation (see
 	// SetExtrapolate).
@@ -169,10 +162,11 @@ type CostLineage struct {
 
 	// observed counts ObservePartition calls per partition index: every
 	// metric PartitionSize/PartitionCost can return for partition p —
-	// the node's own observation or the role regression for p — changes
-	// only there, so an estimate that read partition p's metrics stays
-	// valid while observed[p] does. Sized with the nodes (driver
-	// context); element p is written and read only by p's home executor.
+	// the node's own observation, or the fit over its role's nodes'
+	// observations at p — changes only there, so an estimate that read
+	// partition p's metrics stays valid while observed[p] does. Sized
+	// with the nodes (driver context); element p is written and read only
+	// by p's home executor.
 	observed []uint64
 }
 
@@ -181,11 +175,11 @@ type CostLineage struct {
 // knowledge.
 func NewCostLineage() *CostLineage {
 	return &CostLineage{
-		nodes:       make(map[NodeKey]*Node),
-		byID:        make(map[int]*Node),
-		roleRefs:    make(map[string]*roleRefs),
-		roleMetrics: make(map[string]*roleMetrics),
-		ordinalSeq:  make(map[string]map[int]int),
+		nodes:      make(map[NodeKey]*Node),
+		byID:       make(map[int]*Node),
+		roleRefs:   make(map[string]*roleRefs),
+		roleNodes:  make(map[string][]*Node),
+		ordinalSeq: make(map[string]map[int]int),
 	}
 }
 
@@ -215,13 +209,16 @@ func (l *CostLineage) refsFor(role string) *roleRefs {
 	return r
 }
 
-// insert adds a node under a key not yet held, numbering it and pointing
-// it at its role's reference offsets. Nodes are never removed, so the
-// numbers are dense. Driver context only.
+// insert adds a node under a key not yet held, numbering it, pointing it
+// at its role's reference offsets and placing it among its role's nodes.
+// Nodes are never removed, so the numbers are dense. Driver context only.
 func (l *CostLineage) insert(n *Node) {
 	n.seq = len(l.nodes)
 	n.refs = l.refsFor(n.Key.Role)
 	l.nodes[n.Key] = n
+	rn := l.roleNodes[n.Key.Role]
+	i := sort.Search(len(rn), func(i int) bool { return keyLess(n.Key, rn[i].Key) })
+	l.roleNodes[n.Key.Role] = slices.Insert(rn, i, n)
 }
 
 // Node returns the lineage node for a real dataset id, or nil.
@@ -379,8 +376,8 @@ func (l *CostLineage) NextRefJob(n *Node, curJob int) (int, bool) {
 }
 
 // ObservePartition records the measured size and computation time of a
-// partition (step 5 of Fig. 7: executors report metadata back) and feeds
-// the role's regression series.
+// partition (step 5 of Fig. 7: executors report metadata back). A
+// recomputed partition keeps its latest measurement.
 func (l *CostLineage) ObservePartition(datasetID, part int, size int64, cost time.Duration) {
 	n := l.byID[datasetID]
 	if n == nil || part >= n.Parts {
@@ -392,18 +389,6 @@ func (l *CostLineage) ObservePartition(datasetID, part int, size int64, cost tim
 	n.costs[part] = cost
 	n.observed[part] = true
 	l.observed[part]++
-
-	rm := l.roleMetrics[n.Key.Role]
-	if rm == nil {
-		rm = &roleMetrics{size: make(map[int]*regression.Series), cost: make(map[int]*regression.Series)}
-		l.roleMetrics[n.Key.Role] = rm
-	}
-	if rm.size[part] == nil {
-		rm.size[part] = &regression.Series{}
-		rm.cost[part] = &regression.Series{}
-	}
-	rm.size[part].Observe(float64(n.Key.Iter), float64(size))
-	rm.cost[part].Observe(float64(n.Key.Iter), float64(cost))
 }
 
 // grown returns s extended with zeros to at least n elements.
@@ -434,7 +419,7 @@ func (l *CostLineage) resolveEdges() {
 }
 
 // PartitionSize returns the partition's size: the observation when
-// available, otherwise the role regression's induction (§5.3), otherwise
+// available, otherwise the induction from its role (§5.3), otherwise
 // false.
 func (l *CostLineage) PartitionSize(n *Node, part int) (int64, bool) {
 	if n == nil {
@@ -445,14 +430,8 @@ func (l *CostLineage) PartitionSize(n *Node, part int) (int64, bool) {
 	if part < len(n.observed) && n.observed[part] {
 		return n.sizes[part], true
 	}
-	if rm := l.roleMetrics[n.Key.Role]; rm != nil {
-		if s := rm.size[part]; s != nil {
-			if v, ok := s.Predict(float64(n.Key.Iter)); ok {
-				return int64(v), true
-			}
-		}
-	}
-	return 0, false
+	v, ok := l.induce(n, part, func(m *Node) float64 { return float64(m.sizes[part]) })
+	return int64(v), ok
 }
 
 // PartitionCost returns the partition's computation time, observed or
@@ -466,12 +445,27 @@ func (l *CostLineage) PartitionCost(n *Node, part int) (time.Duration, bool) {
 	if part < len(n.observed) && n.observed[part] {
 		return n.costs[part], true
 	}
-	if rm := l.roleMetrics[n.Key.Role]; rm != nil {
-		if s := rm.cost[part]; s != nil {
-			if v, ok := s.Predict(float64(n.Key.Iter)); ok {
-				return time.Duration(v), true
-			}
+	v, ok := l.induce(n, part, func(m *Node) float64 { return float64(m.costs[part]) })
+	return time.Duration(v), ok
+}
+
+// induce predicts a metric of n's partition part (§5.3): the
+// least-squares line over the iteration index through the metric at part
+// of every node of n's role observed there, evaluated at n's iteration.
+// The nodes are visited in key order, so a restored lineage predicts
+// exactly what the live one did. False when no node of the role observed
+// part. Caller holds metricsMu.
+func (l *CostLineage) induce(n *Node, part int, metric func(*Node) float64) (float64, bool) {
+	var xs, ys []float64
+	for _, m := range l.roleNodes[n.Key.Role] {
+		if part < len(m.observed) && m.observed[part] {
+			xs = append(xs, float64(m.Key.Iter))
+			ys = append(ys, metric(m))
 		}
 	}
-	return 0, false
+	fit, err := regression.Fit(xs, ys)
+	if err != nil {
+		return 0, false
+	}
+	return fit.PredictNonNegative(float64(n.Key.Iter)), true
 }

@@ -3,10 +3,12 @@ package core
 // This file implements the controller half of window-boundary
 // checkpointing: CaptureState captures, and its encoder serializes,
 // everything the unified decision layer accumulates over a run (the
-// CostLineage with its regression series, reference offsets and ordinal
-// counters; the windowed-lineage retirement marks; the optimizer's
-// target states) into a self-contained gob payload, and RestoreState rehydrates a freshly
-// Bind-ed controller from one. The estimators and victim orders are
+// CostLineage with its nodes' observed metrics, reference offsets and
+// ordinal counters; the windowed-lineage retirement marks; the
+// optimizer's target states) into a self-contained gob payload, and
+// RestoreState rehydrates a freshly Bind-ed controller from one. §5.3
+// induction fits on the nodes' metrics when asked, so it carries no
+// state of its own. The estimators and victim orders are
 // deliberately not serialized — what they keep between decision rounds
 // is a cache, dropped by the epoch bump below and rebuilt on demand —
 // and they hold a pointer to the lineage, which is why RestoreState
@@ -22,7 +24,6 @@ import (
 	"time"
 
 	"blaze/internal/engine"
-	"blaze/internal/regression"
 	"blaze/internal/storage"
 )
 
@@ -40,16 +41,10 @@ type nodeWire struct {
 	Observed    []bool
 }
 
-// roleSeriesWire carries one role's regression series maps.
-type roleSeriesWire struct {
-	Role string
-	Size map[int]*regression.Series
-	Cost map[int]*regression.Series
-}
-
 // controllerWire is the complete serialized controller state. Snapshots
-// from builds that also persisted a solution memo and a per-executor
-// last assignment still decode: gob skips the fields this type lacks.
+// from builds that also persisted a solution memo, a per-executor last
+// assignment or per-role regression series still decode: gob skips the
+// fields this type lacks.
 type controllerWire struct {
 	Name        string
 	Profiled    bool
@@ -62,7 +57,6 @@ type controllerWire struct {
 	Extrapolate    bool
 	Nodes          []nodeWire
 	RoleRefOffsets map[string][]int
-	RoleSeries     []roleSeriesWire
 	OrdinalSeq     map[string]map[int]int
 
 	// Windowed-lineage and optimizer state.
@@ -80,10 +74,8 @@ type controllerWire struct {
 // The capture copies what the controller writes in place later: every
 // node's metric slices and parent edges, the role reference offsets
 // (slices.Insert shifts them), the ordinal counters and the target
-// states. A regression series is taken as its prefix (Series.Prefix):
-// Observe only appends, so what the prefix reads never changes. The
-// encoder therefore shares nothing the controller writes, and may run
-// on another goroutine while the next window runs.
+// states. The encoder therefore shares nothing the controller writes,
+// and may run on another goroutine while the next window runs.
 func (b *Controller) CaptureState() (encode func() ([]byte, error)) {
 	lin := b.lin
 	w := &controllerWire{
@@ -131,27 +123,6 @@ func (b *Controller) CaptureState() (encode func() ([]byte, error)) {
 		}
 	}
 
-	roles := make([]string, 0, len(lin.roleMetrics))
-	series := 0
-	for role, rm := range lin.roleMetrics {
-		roles = append(roles, role)
-		series += len(rm.size) + len(rm.cost)
-	}
-	sort.Strings(roles)
-	prefixes := make([]regression.Series, 0, series)
-	frozen := func(m map[int]*regression.Series) map[int]*regression.Series {
-		out := make(map[int]*regression.Series, len(m))
-		for p, s := range m {
-			prefixes = append(prefixes, s.Prefix())
-			out[p] = &prefixes[len(prefixes)-1]
-		}
-		return out
-	}
-	for _, role := range roles {
-		rm := lin.roleMetrics[role]
-		w.RoleSeries = append(w.RoleSeries, roleSeriesWire{Role: role, Size: frozen(rm.size), Cost: frozen(rm.cost)})
-	}
-
 	return func() ([]byte, error) {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(w); err != nil {
@@ -194,6 +165,7 @@ func (b *Controller) RestoreState(data []byte) error {
 	lin.byID = make(map[int]*Node, len(w.Nodes))
 	lin.extrapolate = w.Extrapolate
 	lin.roleRefs = make(map[string]*roleRefs, len(w.RoleRefOffsets))
+	lin.roleNodes = make(map[string][]*Node)
 	for role, offs := range w.RoleRefOffsets {
 		r := lin.refsFor(role)
 		r.offs = offs
@@ -217,10 +189,6 @@ func (b *Controller) RestoreState(data []byte) error {
 		}
 	}
 	lin.resolveEdges()
-	lin.roleMetrics = make(map[string]*roleMetrics, len(w.RoleSeries))
-	for _, rs := range w.RoleSeries {
-		lin.roleMetrics[rs.Role] = &roleMetrics{size: rs.Size, cost: rs.Cost}
-	}
 	lin.ordinalSeq = w.OrdinalSeq
 	if lin.ordinalSeq == nil {
 		lin.ordinalSeq = make(map[string]map[int]int)
@@ -244,12 +212,10 @@ func (b *Controller) RestoreState(data []byte) error {
 // StateSummary is the human-readable digest of a controller snapshot
 // recorded in the checkpoint manifest: the live role@iteration ids, the
 // blocks the most recent solve assigned to memory (its targetState's
-// memory entries, keyed by home executor), and the number of regression
-// observations backing the cost model.
+// memory entries, keyed by home executor).
 type StateSummary struct {
 	Roles      []string `json:"roles,omitempty"`
 	LastChosen []string `json:"last_chosen,omitempty"`
-	Samples    int      `json:"samples"`
 }
 
 // Summary builds the manifest digest for the current state.
@@ -288,12 +254,5 @@ func (b *Controller) Summary() StateSummary {
 	for _, m := range mem {
 		s.LastChosen = append(s.LastChosen, fmt.Sprintf("e%d:%d/%d", m.ex, m.id.Dataset, m.id.Partition))
 	}
-	b.lin.metricsMu.RLock()
-	for _, rm := range b.lin.roleMetrics {
-		for _, series := range rm.size {
-			s.Samples += series.Len()
-		}
-	}
-	b.lin.metricsMu.RUnlock()
 	return s
 }

@@ -1,11 +1,8 @@
 package regression
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -65,26 +62,29 @@ func TestPredictNonNegative(t *testing.T) {
 	}
 }
 
+// TestSeriesIncremental: a series of observations refit as it grows
+// follows each new point, as the lineage's induction refits on every
+// lookup: an empty series fits nothing, two points on y = 10x predict 30
+// at 3, and a third point below the line lowers that prediction.
 func TestSeriesIncremental(t *testing.T) {
-	var s Series
-	if _, ok := s.Predict(1); ok {
-		t.Fatal("empty series should not predict")
+	var xs, ys []float64
+	if _, err := Fit(xs, ys); err != ErrNoData {
+		t.Fatalf("empty series: err = %v, want ErrNoData", err)
 	}
-	s.Observe(1, 10)
-	s.Observe(2, 20)
-	v, ok := s.Predict(3)
-	if !ok || math.Abs(v-30) > 1e-9 {
-		t.Fatalf("predict(3) = %v,%v, want 30,true", v, ok)
+	observe := func(x, y float64) float64 {
+		xs, ys = append(xs, x), append(ys, y)
+		m, err := Fit(xs, ys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.PredictNonNegative(3)
 	}
-	// New observation bends the line; cached fit must refresh.
-	s.Observe(3, 10)
-	v2, _ := s.Predict(3)
-	if v2 >= 30 {
-		t.Fatalf("refit should lower the prediction, got %v", v2)
+	observe(1, 10)
+	if v := observe(2, 20); math.Abs(v-30) > 1e-9 {
+		t.Fatalf("predict(3) = %v, want 30", v)
 	}
-	last, ok := s.Last()
-	if !ok || last != 10 {
-		t.Fatalf("last = %v,%v, want 10,true", last, ok)
+	if v := observe(3, 10); v >= 30 {
+		t.Fatalf("refit should lower the prediction, got %v", v)
 	}
 }
 
@@ -141,81 +141,5 @@ func TestFitRecoversLines(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSeriesGobRoundTrip: a series survives a gob round trip in the fixed
-// layout, inside a map of series as a controller snapshot carries them,
-// and refits to the same model; no observations decode as nil.
-func TestSeriesGobRoundTrip(t *testing.T) {
-	var s Series
-	for i := 0; i < 7; i++ {
-		s.Observe(float64(i), 3*float64(i)+0.25)
-	}
-	in := map[int]*Series{0: &s, 3: {}}
-	var wire bytes.Buffer
-	if err := gob.NewEncoder(&wire).Encode(in); err != nil {
-		t.Fatal(err)
-	}
-	var out map[int]*Series
-	if err := gob.NewDecoder(&wire).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(out[0].xs, s.xs) || !slices.Equal(out[0].ys, s.ys) {
-		t.Fatalf("round trip: %v %v, want %v %v", out[0].xs, out[0].ys, s.xs, s.ys)
-	}
-	got, _ := out[0].Predict(10)
-	want, _ := s.Predict(10)
-	if got != want {
-		t.Fatalf("restored series predicts %v, want %v", got, want)
-	}
-	if e := out[3]; e == nil || e.xs != nil || e.ys != nil || e.Len() != 0 {
-		t.Fatalf("empty series decoded as %+v, want nil observations", e)
-	}
-	data, _ := s.GobEncode()
-	if len(data) != 2+1+16*7 || data[0] != 0xFF || data[1] != 0x00 {
-		t.Fatalf("encoded %d bytes starting % x, want the marker, a count and 16 bytes per observation", len(data), data[:2])
-	}
-	for _, torn := range [][]byte{data[:len(data)-1], append(slices.Clone(data), 0), data[:2]} {
-		if err := new(Series).GobDecode(torn); err == nil {
-			t.Errorf("a %d-byte series decoded without error", len(torn))
-		}
-	}
-}
-
-// TestSeriesDecodesOldForm: a series written as a nested gob stream of
-// seriesWire, the form older checkpoints carry, decodes equal.
-func TestSeriesDecodesOldForm(t *testing.T) {
-	for _, w := range []seriesWire{{Xs: []float64{1, 2, 4}, Ys: []float64{0.5, -1, 8}}, {}} {
-		var old bytes.Buffer
-		if err := gob.NewEncoder(&old).Encode(w); err != nil {
-			t.Fatal(err)
-		}
-		var s Series
-		if err := s.GobDecode(old.Bytes()); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(s.xs, w.Xs) || !slices.Equal(s.ys, w.Ys) || (s.xs == nil) != (w.Xs == nil) || s.dirty != (len(w.Xs) > 0) {
-			t.Fatalf("old form %v decoded as %v %v", w, s.xs, s.ys)
-		}
-	}
-}
-
-// TestSeriesPrefixIsFrozen: a prefix keeps reading the observations it
-// was taken with while the series goes on observing.
-func TestSeriesPrefixIsFrozen(t *testing.T) {
-	var s Series
-	for i := 0; i < 5; i++ {
-		s.Observe(float64(i), float64(i))
-	}
-	p := s.Prefix()
-	for i := 5; i < 40; i++ {
-		s.Observe(float64(i), -float64(i))
-	}
-	if p.Len() != 5 || p.xs[4] != 4 || p.ys[4] != 4 {
-		t.Fatalf("prefix reads %v %v after the series grew", p.xs, p.ys)
-	}
-	if v, ok := p.Predict(9); !ok || v != 9 {
-		t.Fatalf("prefix predicts %v, %v at 9, want 9", v, ok)
 	}
 }

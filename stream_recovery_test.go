@@ -238,6 +238,32 @@ func TestStreamCrashResumeFallbackAndEmptyBlocks(t *testing.T) {
 	}
 }
 
+// TestStreamResumeRestoresDiskBlocks crashes StreamPR under
+// spark-memdisk, with memory small enough that carried blocks spill, at
+// boundary 3. The boundary's checkpoint must hold disk-resident blocks
+// (what DiskStore.Restore puts back on resume), and the resumed run must
+// equal the uninterrupted one: metrics, event log and every window's
+// stats.
+func TestStreamResumeRestoresDiskBlocks(t *testing.T) {
+	cfg := quarterStream(blaze.StreamPR, 0)
+	cfg.System, cfg.MemoryPerExecutor = blaze.SysSparkMemDisk, 64<<10
+	c := streamCell(cfg)
+	ref := c.run(t, refArm)
+	cfg = crashAt(t, cfg, 3)
+	rs, _, err := checkpoint.Load(cfg.CheckpointDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.Window != 3 || len(rs.DiskBlocks) == 0 {
+		t.Fatalf("checkpoint at boundary %d holds %d disk blocks; want boundary 3 with at least one", rs.Window, len(rs.DiskBlocks))
+	}
+	res, err := blaze.ResumeStream(cfg)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	assertSame(t, ref, streamOutcome(arm{par: 1, kernels: true, crash: 3, crashKernels: true}, res, cfg.EventLog))
+}
+
 // mixedCell is streamMixed's stream cell, on a system that caches what
 // the workload annotates.
 func mixedCell() streamCell {
