@@ -501,6 +501,10 @@ const (
 	// wideBlock is large enough that spilling a block costs more than
 	// recomputing it from a resident parent, so prices follow the lineage.
 	wideBlock = 1 << 20
+	// wideCostCycle is how many admissions pass before a computed
+	// partition's cost (1 ms plus 1 µs per admission) starts over: well
+	// below the ~20 k at which it would pass the price of spilling.
+	wideCostCycle = 4096
 )
 
 func newWideAdmitter(tb testing.TB) *wideAdmitter {
@@ -545,8 +549,19 @@ func (w *wideAdmitter) admit() {
 	ds := w.byID[id.Dataset]
 	w.calls++
 	// Each partition takes a little longer to compute than the last, so
-	// some resident block is always cheaper to lose than the new one.
-	w.ctl.OnComputed(w.ex, ds, id.Partition, wideBlock, time.Millisecond+time.Duration(w.calls)*time.Microsecond)
+	// some resident block is always cheaper to lose than the new one. The
+	// cost cycles, and every partition's is observed again below the
+	// cycle's start when it restarts: grown without bound, the cost passes
+	// the price of spilling (after ~20 k calls no partition was admitted),
+	// and restarted alone it falls below every resident's.
+	if w.calls%wideCostCycle == 0 {
+		for _, d := range w.byID {
+			for p := 0; p < wideParts; p++ {
+				w.ctl.Lineage().ObservePartition(d.ID(), p, wideBlock, time.Millisecond/2)
+			}
+		}
+	}
+	w.ctl.OnComputed(w.ex, ds, id.Partition, wideBlock, time.Millisecond+time.Duration(w.calls%wideCostCycle)*time.Microsecond)
 	if primary, _ := w.ctl.PlaceComputed(w.ex, ds, id.Partition, wideBlock); primary != engine.PlaceMemory {
 		w.head = (w.head + 1) % len(w.queue)
 		return

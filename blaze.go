@@ -13,6 +13,7 @@ package blaze
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -421,6 +422,10 @@ func calibrateMemory(spec WorkloadSpec, execs, cores int, scale float64, params 
 			peak = p
 		}
 	}
+	// The cluster is thrown away: its blocks and shuffle outputs go back
+	// to the pools.
+	c.DropNamespaceBlocks(0, math.MaxInt)
+	c.ReleaseShuffles()
 	if peak < 4096 {
 		peak = 4096
 	}

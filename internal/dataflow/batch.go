@@ -33,10 +33,11 @@ import (
 //     block store for a cached block, until the block is dropped, evicted
 //     without a spill, retired or purged (a spill hands the store's share
 //     to the disk store); the shuffle service for a map output, until the
-//     shuffle is cleaned or the map output lost. A map output's buckets
-//     may be views on batches it owns (a split's one container, a
-//     broadcast's one batch): the service releases what it owns, each
-//     once, and a view's Release does nothing.
+//     shuffle is cleaned, the map output lost or the session that wrote it
+//     ends (Service.ReleaseAll). A map output's buckets may be views on
+//     batches it owns (a split's one container, a broadcast's one batch):
+//     the service releases what it owns, each once, and a view's Release
+//     does nothing.
 //   - Share hands a batch to one more holder without copying it: a store
 //     adopts the batch a task computed (Keep), and a hit, a promotion or a
 //     virtual disk read takes another share of what the store holds. No
@@ -44,12 +45,20 @@ import (
 //     inputs. Keep copies instead (CloneExact) when some array is more
 //     than twice its contents, so a resident block never pins much more
 //     than it holds.
+//   - A borrowing batch (Borrow) uses its input's Keys, Off and Flat and
+//     owns only its Lead; its column holds one share of the arrays' owner,
+//     the first batch that owned them (a borrower's lender, never another
+//     borrower), so borrowers never chain. Releasing a borrower releases
+//     its Lead and that share, never the borrowed arrays themselves. Keep
+//     adopts a borrower by a share like any batch (borrowing alone is no
+//     reason to copy), and its sizes stay the logical ones.
 //   - A row-form batch owns nothing pooled and never changes, so it is
 //     shared without counting and Release leaves it alone.
 //   - Column.Value boxes a copy of any backing storage; boxed values
 //     never alias pooled arrays.
 //   - Batch kernels must return a fresh batch and must not retain their
-//     input batches past the call.
+//     input batches past the call, but through the owner share a
+//     borrowing output holds.
 
 // Column stores the values of one batch: a FlatColumn, or a row-form
 // batch's records.
@@ -389,15 +398,22 @@ func (b *Batch) Release() {
 	} else if atomic.AddInt32(&b.shares, -1) >= 0 {
 		return
 	}
-	if b.Keys != nil {
+	if b.Keys != nil && !borrows(b.Col) {
 		PutI64Slice(b.Keys)
-		b.Keys = nil
 	}
+	b.Keys = nil
 	if b.Col != nil {
 		b.Col.Release()
 		b.Col = nil
 	}
 	b.NonNil = false
+}
+
+// borrows reports whether c is a borrowing column (Borrow), whose batch's
+// Keys belong to the batch it borrows from.
+func borrows(c Column) bool {
+	f, ok := c.(FlatColumn)
+	return ok && f.borrowed() != nil
 }
 
 // --- slice pools -----------------------------------------------------
@@ -474,6 +490,7 @@ func (p *slicePool[T]) put(s []T) {
 		for i := range s {
 			s[i] = p.dead
 		}
+		countPut(s)
 	}
 	c := cap(s)
 	if c < 1<<minClass || c > maxPooledCap {
@@ -533,6 +550,23 @@ var poisonReleased bool
 var shareGuard struct {
 	sync.Mutex
 	sums map[*Batch]uint64
+}
+
+// putCounts, while poisoning is on and a test has set it, counts the
+// arrays put back to the pools, by a pointer to their first element, so
+// the test sees whether each array came back exactly once.
+var putCounts map[any]int
+
+// countPut counts s in putCounts.
+func countPut[T any](s []T) {
+	if len(s) == 0 {
+		return
+	}
+	shareGuard.Lock()
+	defer shareGuard.Unlock()
+	if putCounts != nil {
+		putCounts[&s[0]]++
+	}
 }
 
 // heldShares is the guard's count of the shares taken and not given
@@ -827,5 +861,44 @@ func (t *keyIndex) slot(key int64, keys []int64) *int32 {
 		if *s == 0 || keys[*s-1] == key {
 			return s
 		}
+	}
+}
+
+// KeyIndex finds a key's position in one key column: what a Go map from
+// key to position, filled in column order, would answer — for a key the
+// column holds more than once, its last position — on a pooled table
+// instead of a map per call. The column must not change while the index
+// is in use.
+type KeyIndex struct {
+	t    *keyIndex
+	keys []int64
+}
+
+// IndexKeys indexes keys. Release the index once when done with it.
+func IndexKeys(keys []int64) KeyIndex {
+	if len(keys) == 0 {
+		return KeyIndex{}
+	}
+	t := getKeyIndex(len(keys))
+	for i, k := range keys {
+		*t.slot(k, keys) = int32(i + 1) // a repeat takes its key's slot over
+	}
+	return KeyIndex{t: t, keys: keys}
+}
+
+// Find returns the last position of k in the indexed column, and whether
+// the column holds k at all.
+func (x KeyIndex) Find(k int64) (int, bool) {
+	if x.t == nil {
+		return 0, false
+	}
+	s := *x.t.slot(k, x.keys)
+	return int(s) - 1, s != 0
+}
+
+// Release returns the index's table to its pool.
+func (x KeyIndex) Release() {
+	if x.t != nil {
+		keyIndexPool.Put(x.t)
 	}
 }

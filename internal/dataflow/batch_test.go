@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -319,5 +320,141 @@ func TestCloneAndAppendBatch(t *testing.T) {
 		if got := c.Records(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: AppendBatch gives %v, want %v", name, got, want)
 		}
+	}
+}
+
+// spansKind and rankedKind are test kinds in the shape of an adjacency
+// (a span of int64 per record) and of a rank graph (the same spans under
+// a float64 lead).
+type (
+	spansKind  struct{}
+	rankedKind struct{}
+	ranked     struct {
+		Rank float64
+		Adj  []int64
+	}
+)
+
+func (spansKind) Name() string                       { return "test.spans" }
+func (spansKind) HasLead() bool                      { return false }
+func (spansKind) Box(_ float64, s []int64) []int64   { return s }
+func (spansKind) Unbox(v []int64) (float64, []int64) { return 0, v }
+
+func (rankedKind) Name() string                      { return "test.ranked" }
+func (rankedKind) HasLead() bool                     { return true }
+func (rankedKind) Box(r float64, s []int64) ranked   { return ranked{r, s} }
+func (rankedKind) Unbox(v ranked) (float64, []int64) { return v.Rank, v.Adj }
+
+// spansBatch builds a pooled batch of three records of spansKind.
+func spansBatch() *Batch {
+	b := NewBatch(3)
+	c := NewRagged(spansKind{}, 3)
+	b.Col = c
+	for i, span := range [][]int64{{1, 2}, {}, {3}} {
+		b.Keys = Append(b.Keys, int64(10+i))
+		c.push(0, span)
+	}
+	return b
+}
+
+// TestBorrowReturnsOwnerArraysOnce: a borrowing batch uses its owner's
+// Keys, Off and Flat through one share of the owner, a borrower of a
+// borrower shares the first owner rather than the batch between, and a
+// store adopts a borrower without copying it. Released before or after
+// the owner's last holder, every owner array goes back to the pools
+// exactly once, when the last of them lets go — reads until then see its
+// values, and reads through the released owner see poison — and each
+// borrower's lead goes back once too.
+func TestBorrowReturnsOwnerArraysOnce(t *testing.T) {
+	poisonReleased = true
+	defer func() { poisonReleased, putCounts = false, nil }()
+	for _, ownerFirst := range []bool{false, true} {
+		putCounts = map[any]int{}
+		owner := spansBatch()
+		oc := owner.Col.(*Ragged[int64, []int64, spansKind])
+		keys, off, flat := owner.Keys, oc.Off, oc.Flat
+		b1, c1 := Borrow(rankedKind{}, owner)
+		b2, c2 := Borrow(rankedKind{}, b1)
+		for range b1.Keys {
+			c1.Lead = append(c1.Lead, 1)
+			c2.Lead = append(c2.Lead, 2)
+		}
+		if &b2.Keys[0] != &keys[0] || &c2.Off[0] != &off[0] || &c2.Flat[0] != &flat[0] {
+			t.Fatal("a borrower's keys and spans are copies")
+		}
+		if c1.lender != owner || c2.lender != owner {
+			t.Fatal("a borrower of a borrower must hold its share of the first owner")
+		}
+		if want := []Record{{10, ranked{2, []int64{1, 2}}}, {11, ranked{2, nil}}, {12, ranked{2, []int64{3}}}}; !reflect.DeepEqual(b2.Records(), want) {
+			t.Fatalf("borrower reads %v, want %v", b2.Records(), want)
+		}
+		if b1.Keep() != b1 {
+			t.Fatal("Keep copied a borrower")
+		}
+		b1.Release() // the share Keep took
+		leads := [][]float64{c1.Lead, c2.Lead}
+		holders := []*Batch{b1, b2, owner}
+		if ownerFirst {
+			holders = []*Batch{owner, b1, b2}
+		}
+		ownerPuts := func() []int { return []int{putCounts[&keys[0]], putCounts[&off[0]], putCounts[&flat[0]]} }
+		for i, h := range holders {
+			if got := ownerPuts(); !reflect.DeepEqual(got, []int{0, 0, 0}) {
+				t.Fatalf("owner first %v: owner arrays put back %v times with %d holders left", ownerFirst, got, len(holders)-i)
+			}
+			if keys[0] != 10 || off[1] != 2 || flat[2] != 3 {
+				t.Fatalf("owner first %v: owner arrays read %v %v %v while still held", ownerFirst, keys, off, flat)
+			}
+			h.Release()
+		}
+		if got := ownerPuts(); !reflect.DeepEqual(got, []int{1, 1, 1}) {
+			t.Fatalf("owner first %v: owner arrays (keys, off, flat) put back %v times, want once each", ownerFirst, got)
+		}
+		for i, l := range leads {
+			if n := putCounts[&l[0]]; n != 1 {
+				t.Fatalf("owner first %v: borrower %d's lead put back %d times, want once", ownerFirst, i+1, n)
+			}
+		}
+		if keys[0] != math.MinInt64 || off[1] != math.MinInt32 || !math.IsNaN(leads[1][0]) {
+			t.Fatalf("owner first %v: reads through the released owner see %v %v %v, want poison", ownerFirst, keys[0], off[1], leads[1][0])
+		}
+	}
+}
+
+// TestBorrowFromViewCopies: a split's view has no owner to share, so a
+// borrower of one gets copies of its arrays, and owns them.
+func TestBorrowFromViewCopies(t *testing.T) {
+	src := spansBatch()
+	defer src.Release()
+	view := *src
+	view.view = true
+	b, c := Borrow(rankedKind{}, &view)
+	if c.lender != nil || &b.Keys[0] == &src.Keys[0] || &c.Flat[0] == &src.Col.(*Ragged[int64, []int64, spansKind]).Flat[0] {
+		t.Fatal("a borrower of a view shares the view's arrays")
+	}
+	if !reflect.DeepEqual(b.Keys, src.Keys) {
+		t.Fatalf("copied keys %v, want %v", b.Keys, src.Keys)
+	}
+	b.Release()
+}
+
+// TestIndexKeysFindsLastPosition: IndexKeys answers as a map filled in
+// column order would, the last position of a repeated key winning.
+func TestIndexKeysFindsLastPosition(t *testing.T) {
+	keys := []int64{7, -3, 7, 40, 1 << 40, -3, 7}
+	want := map[int64]int{}
+	for i, k := range keys {
+		want[k] = i
+	}
+	idx := IndexKeys(keys)
+	defer idx.Release()
+	for _, k := range append(keys, 0, 8, -7) {
+		j, ok := idx.Find(k)
+		if w, wok := want[k]; ok != wok || ok && j != w {
+			t.Fatalf("Find(%d) = %d, %v; want %d, %v", k, j, ok, w, wok)
+		}
+	}
+	if _, ok := IndexKeys(nil).Find(7); ok {
+		t.Fatal("an empty column finds a key")
 	}
 }

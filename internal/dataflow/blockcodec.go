@@ -84,6 +84,9 @@ type FlatColumn interface {
 	blank() FlatColumn
 	// room tallies the column's arrays (Batch.Keep).
 	room() room
+	// borrowed returns the batch whose arrays the column's batch
+	// borrows (Borrow), or nil when it owns them.
+	borrowed() *Batch
 	// encodedLen is the length of the column's part of a typed block:
 	// its Layout name and arrays, count-prefixed (BlockSize).
 	encodedLen() int

@@ -62,6 +62,7 @@ func (c *Dense[T]) SizeBytes() int64                { return 8 * int64(len(c.Val
 func (c *Dense[T]) NewEmpty(capHint int) FlatColumn { return NewDense[T](capHint) }
 func (c *Dense[T]) blank() FlatColumn               { return &Dense[T]{} }
 func (c *Dense[T]) room() room                      { return room{}.add(8, len(c.Vals), cap(c.Vals)) }
+func (c *Dense[T]) borrowed() *Batch                { return nil }
 
 // encodedLen is the column's share of its typed block: the Layout name
 // ("f64" or "i64", as long) and Vals, count-prefixed.
@@ -86,6 +87,11 @@ type Ragged[T Elem, V any, K Kind[T, V]] struct {
 	Lead []float64
 	Off  []int32
 	Flat []T
+	// lender is set on a borrowing column (Borrow): its batch's Keys, and
+	// its Off and Flat, are the arrays of lender, held through one share
+	// of it; only Lead is the column's own. Nil when the column owns
+	// every array.
+	lender *Batch
 }
 
 // NewRagged returns an empty column of values of kind k with pooled
@@ -168,9 +174,59 @@ func (c *Ragged[T, V, K]) NewEmpty(capHint int) FlatColumn {
 
 func (c *Ragged[T, V, K]) Release() {
 	PutF64Slice(c.Lead)
-	PutI32Slice(c.Off)
-	poolOf[T]().put(c.Flat)
-	c.Lead, c.Off, c.Flat = nil, nil, nil
+	if c.lender != nil {
+		c.lender.Release()
+	} else {
+		PutI32Slice(c.Off)
+		poolOf[T]().put(c.Flat)
+	}
+	c.Lead, c.Off, c.Flat, c.lender = nil, nil, nil, nil
+}
+
+// borrowed returns the batch whose arrays the column borrows, or nil.
+func (c *Ragged[T, V, K]) borrowed() *Batch { return c.lender }
+
+// spans returns the column's offsets and span elements.
+func (c *Ragged[T, V, K]) spans() ([]int32, []T) { return c.Off, c.Flat }
+
+// spanned is a ragged column of span elements T, whatever its kind.
+type spanned[T Elem] interface {
+	FlatColumn
+	spans() ([]int32, []T)
+}
+
+// Borrow returns a batch of kind k over src's keys and spans, for a
+// kernel that only computes new leads (rank' from rank): its Keys, Off
+// and Flat are src's arrays, not copies, and its Lead is empty, drawn
+// from the pools for src.Len() leads. The arrays are held through one
+// share of their owner — src, or, when src borrows them itself, the
+// batch src borrows from — so a chain of borrowers pins the first
+// owner's arrays and nothing of the batches between. A src nobody owns
+// (a split's view) lends nothing: its arrays are copied onto pooled ones.
+// src must be columnar and non-empty, its column a Ragged of elements T.
+// Its holder keeps its own share; the returned batch must not be
+// appended to, and releasing it releases its Lead and its owner share.
+func Borrow[T Elem, V any, K Kind[T, V]](k K, src *Batch) (*Batch, *Ragged[T, V, K]) {
+	sc := src.Col.(spanned[T])
+	off, flat := sc.spans()
+	c := &Ragged[T, V, K]{}
+	if k.HasLead() {
+		c.Lead = GetF64Slice(len(src.Keys))
+	}
+	out := &Batch{Col: c}
+	owner := src
+	if l := sc.borrowed(); l != nil {
+		owner = l
+	}
+	if owner.unowned() {
+		out.Keys = appendPooled(GetI64Slice(len(src.Keys)), src.Keys...)
+		c.Off = appendPooled(GetI32Slice(len(off)), off...)
+		c.Flat = appendPooled(poolOf[T]().get(len(flat)), flat...)
+		return out, c
+	}
+	c.lender = owner.Share()
+	out.Keys, c.Off, c.Flat = src.Keys, off, flat
+	return out, c
 }
 
 func (c *Ragged[T, V, K]) blank() FlatColumn { return &Ragged[T, V, K]{} }

@@ -674,6 +674,15 @@ func (c *Cluster) DropNamespaceBlocks(lo, hi int) {
 	}
 }
 
+// ReleaseShuffles releases every shuffle output the cluster still holds
+// back to the pools — no events, no metric or clock charges. A cluster's
+// owner calls it once the cluster has run its last job (a session's end,
+// a calibration run), after Finish.
+func (c *Cluster) ReleaseShuffles() { c.shuffle.ReleaseAll() }
+
+// HeldShuffles reports how many shuffles still hold outputs.
+func (c *Cluster) HeldShuffles() int { return c.shuffle.Held() }
+
 // Executors returns all executors, dead ones included (their stats and
 // stores remain addressable by index).
 func (c *Cluster) Executors() []*Executor { return c.execs }

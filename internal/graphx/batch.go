@@ -54,29 +54,32 @@ func (FactorsKind) Unbox(v Factors) (float64, []float64) { return 0, v.V }
 
 // rankInitKernel vectorizes the rank-graph bootstrap Map: adjacency in,
 // VertexRank{Adj, Rank: 1} out. The row Map returns a non-nil slice, so
-// the output batch is always NonNil.
+// the output batch is always NonNil. The output borrows the adjacency's
+// keys and edges (dataflow.Borrow): only the ranks are new.
 func rankInitKernel() dataflow.BatchFunc {
 	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
 		in := ins[0]
-		out := dataflow.NewBatch(in.Len())
-		out.NonNil = true
 		if in.Len() == 0 {
-			return out
+			return emptyNonNil()
 		}
-		ac, ok := in.Col.(*adjListColumn)
-		if !ok {
+		if _, ok := in.Col.(*adjListColumn); !ok {
 			return nil
 		}
-		oc := dataflow.NewRagged(VertexRankKind{}, in.Len())
-		out.Col = oc
-		out.Keys = append(out.Keys, in.Keys...)
-		for range in.Keys {
+		out, oc := dataflow.Borrow(VertexRankKind{}, in)
+		out.NonNil = true
+		for range out.Keys {
 			oc.Lead = append(oc.Lead, 1)
 		}
-		oc.Flat = dataflow.Append(oc.Flat, ac.Flat...)
-		oc.Off = append(oc.Off[:0], ac.Off...)
 		return out
 	}
+}
+
+// emptyNonNil is a Map or Zip kernel's output for an empty partition:
+// the row body returns a non-nil empty slice.
+func emptyNonNil() *dataflow.Batch {
+	out := dataflow.NewBatch(0)
+	out.NonNil = true
+	return out
 }
 
 // contribsKernel vectorizes the contributions FlatMap: one float64
@@ -113,97 +116,87 @@ func contribsKernel() dataflow.BatchFunc {
 
 // rankUpdateKernel vectorizes the per-iteration Zip of the rank graph
 // with the contribution sums: rank' = reset + (1-reset)*sum, adjacency
-// carried through unchanged.
+// carried through unchanged — borrowed from the previous graph, whose
+// own keys and edges are borrowed from the adjacency, so every
+// iteration's graph shares the one adjacency and allocates its ranks
+// only.
 func rankUpdateKernel(resetProb float64) dataflow.BatchFunc {
 	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
 		gs, ss := ins[0], ins[1]
-		sum, ok := f64Map(ss)
+		sums, ok := f64Vals(ss)
 		if !ok {
 			return nil
 		}
-		out := dataflow.NewBatch(gs.Len())
-		out.NonNil = true // row Zip body returns make([]Record, len(gs))
 		if gs.Len() == 0 {
-			return out
+			return emptyNonNil()
 		}
-		vc, ok := gs.Col.(*vertexRankColumn)
-		if !ok {
-			out.Release()
+		if _, ok := gs.Col.(*vertexRankColumn); !ok {
 			return nil
 		}
-		oc := dataflow.NewRagged(VertexRankKind{}, gs.Len())
-		out.Col = oc
-		out.Keys = append(out.Keys, gs.Keys...)
-		oc.Flat = dataflow.Append(oc.Flat, vc.Flat...)
-		oc.Off = append(oc.Off[:0], vc.Off...)
-		for _, k := range gs.Keys {
+		out, oc := dataflow.Borrow(VertexRankKind{}, gs)
+		out.NonNil = true // row Zip body returns make([]Record, len(gs))
+		sum := dataflow.IndexKeys(ss.Keys)
+		for _, k := range out.Keys {
 			s := 0.0
-			if sv, ok := sum[k]; ok {
-				s = sv
+			if j, ok := sum.Find(k); ok {
+				s = sums[j]
 			}
 			oc.Lead = append(oc.Lead, resetProb+(1-resetProb)*s)
 		}
+		sum.Release()
 		return out
 	}
 }
 
 // rankCarryKernel vectorizes the window-boundary Zip of the drifted
 // adjacency with the previous window's rank graph: vertices keep their
-// carried rank (default 1), edges come from the new adjacency.
+// carried rank (default 1), edges come from the new adjacency, borrowed
+// like rankInitKernel's.
 func rankCarryKernel() dataflow.BatchFunc {
 	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
 		as, cs := ins[0], ins[1]
-		prev := make(map[int64]float64, cs.Len())
+		var ranks []float64
 		if cs.Len() > 0 {
 			pc, ok := cs.Col.(*vertexRankColumn)
 			if !ok {
 				return nil
 			}
-			for i, k := range cs.Keys {
-				prev[k] = pc.Lead[i]
-			}
+			ranks = pc.Lead
 		}
-		out := dataflow.NewBatch(as.Len())
-		out.NonNil = true // row Zip body returns make([]Record, len(as))
 		if as.Len() == 0 {
-			return out
+			return emptyNonNil()
 		}
-		ac, ok := as.Col.(*adjListColumn)
-		if !ok {
-			out.Release()
+		if _, ok := as.Col.(*adjListColumn); !ok {
 			return nil
 		}
-		oc := dataflow.NewRagged(VertexRankKind{}, as.Len())
-		out.Col = oc
-		out.Keys = append(out.Keys, as.Keys...)
-		oc.Flat = dataflow.Append(oc.Flat, ac.Flat...)
-		oc.Off = append(oc.Off[:0], ac.Off...)
-		for _, k := range as.Keys {
+		out, oc := dataflow.Borrow(VertexRankKind{}, as)
+		out.NonNil = true // row Zip body returns make([]Record, len(as))
+		prev := dataflow.IndexKeys(cs.Keys)
+		for _, k := range out.Keys {
 			rank := 1.0
-			if r, ok := prev[k]; ok {
-				rank = r
+			if j, ok := prev.Find(k); ok {
+				rank = ranks[j]
 			}
 			oc.Lead = append(oc.Lead, rank)
 		}
+		prev.Release()
 		return out
 	}
 }
 
-// f64Map indexes a float64 batch by key (the columnar vertexMap). It
-// reports false when the batch holds a non-float64 column.
-func f64Map(b *dataflow.Batch) (map[int64]float64, bool) {
-	m := make(map[int64]float64, b.Len())
+// f64Vals returns a float64 batch's values, for a lookup by key through
+// dataflow.IndexKeys over its Keys (the columnar vertexMap: a repeated
+// key finds its last value, as the row map's last store wins). It reports
+// false when the batch holds a non-float64 column.
+func f64Vals(b *dataflow.Batch) ([]float64, bool) {
 	if b.Len() == 0 {
-		return m, true
+		return nil, true
 	}
 	fc, ok := b.Col.(*dataflow.Dense[float64])
 	if !ok {
 		return nil, false
 	}
-	for i, k := range b.Keys {
-		m[k] = fc.Vals[i]
-	}
-	return m, true
+	return fc.Vals, true
 }
 
 // --- SVD++ kernels -----------------------------------------------------
@@ -225,20 +218,16 @@ func factorsStepKernel(learnRate float64) dataflow.BatchFunc {
 				return nil
 			}
 		}
-		grad := make(map[int64]int, gs.Len())
-		for i, k := range gs.Keys {
-			grad[k] = i
-		}
-		out := dataflow.NewBatch(fs.Len())
-		out.NonNil = true // row Zip body returns make([]Record, len(fs))
 		if fs.Len() == 0 {
-			return out
+			return emptyNonNil()
 		}
 		fc, ok := fs.Col.(*factorsColumn)
 		if !ok {
-			out.Release()
 			return nil
 		}
+		grad := dataflow.IndexKeys(gs.Keys) // a repeated key steps by its last gradient
+		out := dataflow.NewBatch(fs.Len())
+		out.NonNil = true // row Zip body returns make([]Record, len(fs))
 		oc := dataflow.NewRagged(FactorsKind{}, fs.Len())
 		out.Col = oc
 		for i, k := range fs.Keys {
@@ -247,7 +236,7 @@ func factorsStepKernel(learnRate float64) dataflow.BatchFunc {
 			oc.Flat = dataflow.Append(oc.Flat, fc.Flat[lo:hi]...)
 			oc.Off = append(oc.Off, int32(len(oc.Flat)))
 			out.Keys = append(out.Keys, k)
-			if j, ok := grad[k]; ok {
+			if j, ok := grad.Find(k); ok {
 				glo := gc.Off[j]
 				nv := oc.Flat[dlo:]
 				g := gc.Flat[glo:gc.Off[j+1]]
@@ -256,6 +245,7 @@ func factorsStepKernel(learnRate float64) dataflow.BatchFunc {
 				}
 			}
 		}
+		grad.Release()
 		return out
 	}
 }

@@ -283,3 +283,44 @@ func TestPageRankDAGShape(t *testing.T) {
 		"spr-contribs@5", "spr-sums@5", "spr-graph@5",
 	), []string{"spr-graph@0", "spr-contribs@1", "spr-graph@1", "spr-contribs@2"})
 }
+
+// TestRankKernelsBorrowTheAdjacency: the rank graph of every iteration
+// shares the adjacency's keys and edges instead of copying them, and
+// computes the same records as the row functions it vectorizes.
+func TestRankKernelsBorrowTheAdjacency(t *testing.T) {
+	adjRecs := []dataflow.Record{
+		{Key: 4, Value: AdjList{Dsts: []int64{5, 6}}},
+		{Key: 5, Value: AdjList{}},
+		{Key: 6, Value: AdjList{Dsts: []int64{4}}},
+	}
+	adj := dataflow.FromRecords(adjRecs)
+	defer adj.Release()
+	graph := rankInitKernel()(0, []*dataflow.Batch{adj})
+	for it := 0; it < 3; it++ {
+		contribs := contribsKernel()(0, []*dataflow.Batch{graph})
+		sums := dataflow.MergeBatchByKeyF64(contribs, func(a, b float64) float64 { return a + b })
+		contribs.Release()
+		next := rankUpdateKernel(0.15)(0, []*dataflow.Batch{graph, sums})
+		if &next.Keys[0] != &adj.Keys[0] {
+			t.Fatalf("iteration %d: the rank graph's keys are a copy", it)
+		}
+		vc, ac := next.Col.(*vertexRankColumn), adj.Col.(*adjListColumn)
+		if &vc.Flat[0] != &ac.Flat[0] || &vc.Off[0] != &ac.Off[0] {
+			t.Fatalf("iteration %d: the rank graph's edges are a copy", it)
+		}
+		want := make([]dataflow.Record, 0, 3)
+		sum := vertexMap(sums.Records())
+		for _, g := range graph.Records() {
+			v := g.Value.(VertexRank)
+			s, _ := sum[g.Key].(float64)
+			want = append(want, dataflow.Record{Key: g.Key, Value: VertexRank{Adj: v.Adj, Rank: 0.15 + 0.85*s}})
+		}
+		if got := next.Records(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iteration %d: %v, want %v", it, got, want)
+		}
+		sums.Release()
+		graph.Release()
+		graph = next
+	}
+	graph.Release()
+}

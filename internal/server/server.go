@@ -804,6 +804,8 @@ func (sess *Session) run() {
 	s.pool.Acquire()
 	cl.DropNamespaceBlocks(sess.idx*IDStride, (sess.idx+1)*IDStride)
 	s.pool.Release()
+	// Its shuffle outputs are the session's own: back to the pools.
+	cl.ReleaseShuffles()
 
 	s.emit(eventlog.Event{Kind: eventlog.SessionEnd, Time: s.poolNow(sess),
 		Session: sess.idx, Tenant: sess.tenant})

@@ -290,6 +290,27 @@ func (s *Service) Clean(shuffleID int) {
 	s.sealEpoch.Add(1)
 }
 
+// ReleaseAll removes every shuffle's outputs at once, returning each map
+// output's storage to the pool once: what the owner of a finished
+// session's cluster calls, so the outputs its last jobs left registered
+// go back to the pools instead of to the garbage collector.
+func (s *Service) ReleaseAll() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, o := range s.outputs {
+		o.release()
+	}
+	clear(s.outputs)
+	s.sealEpoch.Add(1)
+}
+
+// Held reports how many shuffles the service holds outputs for.
+func (s *Service) Held() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.outputs)
+}
+
 // release returns every retained batch of the shuffle to the pool.
 func (o *output) release() {
 	for _, m := range o.maps {
