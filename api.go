@@ -30,8 +30,7 @@ import (
 type CostParams = costmodel.Params
 
 // OpClass classifies operators by per-record compute cost; pass one to
-// MapPartitions, ZipDatasets or BarrierDatasets to price expensive
-// per-partition work.
+// MapPartitions or ZipDatasets to price expensive per-partition work.
 type OpClass = dataflow.OpClass
 
 // The operator classes, in ascending per-record cost.
@@ -42,12 +41,9 @@ const (
 	OpHeavy  = dataflow.OpHeavy
 )
 
-// CostOpClass is the key type of CostParams.RecordCost; CostOp converts
-// an operator class to it when adjusting per-record costs.
+// CostOpClass is the key type of CostParams.RecordCost; CostOpClass(c)
+// converts an operator class to it when adjusting per-record costs.
 type CostOpClass = costmodel.OpClass
-
-// CostOp converts an operator class to the CostParams.RecordCost key.
-func CostOp(c OpClass) CostOpClass { return CostOpClass(c) }
 
 // DefaultCostParams returns the baseline cost model (laptop-scale SSD
 // and network throughputs). EvalParams returns the evaluation harness's
@@ -60,70 +56,12 @@ func DefaultCostParams() CostParams { return costmodel.Default() }
 // Metrics is the full per-application accounting a run returns:
 // virtual-time breakdowns, cache hit/miss and eviction counters,
 // per-job recomputation, fault-recovery attribution and disk
-// footprints. See Result.Metrics and the accessors below.
+// footprints. See Result.Metrics.
 type Metrics = metrics.App
 
 // ACT returns the application completion time (end-to-end virtual
 // time, including Blaze's profiling overhead when applicable).
 func (r *Result) ACT() time.Duration { return r.Metrics.ACT }
-
-// TotalRecompute returns the virtual time spent re-deriving partitions
-// that had already been computed — the recovery cost of
-// recomputation-based caching, summed over jobs.
-func (r *Result) TotalRecompute() time.Duration { return r.Metrics.TotalRecompute() }
-
-// Evictions returns how many memory-store evictions the run performed
-// and how many of those spilled the victim to disk.
-func (r *Result) Evictions() (total, toDisk int) {
-	return r.Metrics.Evictions, r.Metrics.EvictionsToDisk
-}
-
-// CacheActivity returns the memory hits, disk hits and misses
-// (recomputations of previously computed partitions) of the run.
-func (r *Result) CacheActivity() (memHits, diskHits, misses int) {
-	return r.Metrics.CacheHits, r.Metrics.DiskHits, r.Metrics.Misses
-}
-
-// DiskFootprint returns the cumulative cache bytes written to disk and
-// the cluster-wide peak on-disk footprint.
-func (r *Result) DiskFootprint() (written, peak int64) {
-	return r.Metrics.DiskBytesWritten, r.Metrics.DiskPeakBytes
-}
-
-// OptimizerActivity returns the run's optimizer accounting: solver
-// invocations, branch-and-bound (or knapsack search) nodes expanded and
-// degraded solves (knapsack relaxation of oversized instances, node
-// budget exhaustion). Metrics.ILPSolveTime carries the wall-clock time
-// spent inside the solver.
-func (r *Result) OptimizerActivity() (solves, nodes, fallbacks int) {
-	return r.Metrics.ILPSolves, r.Metrics.ILPNodes, r.Metrics.ILPFallbacks
-}
-
-// RecoveryActivity returns the run's fault-recovery durations keyed by
-// fault class ("cache_block", "shuffle_output", "executor", ...) — the
-// per-class attribution of the same virtual time TotalRecompute and the
-// recovery counters summarize. The map is a copy; mutate freely.
-func (r *Result) RecoveryActivity() map[string]time.Duration {
-	out := make(map[string]time.Duration, len(r.Metrics.FaultRecoveryByClass))
-	for class, d := range r.Metrics.FaultRecoveryByClass {
-		out[class] = d
-	}
-	return out
-}
-
-// ResilienceActivity returns the transient-failure accounting: task and
-// shuffle-fetch retries, speculative copies that beat their straggler,
-// and executor blacklist episodes.
-func (r *Result) ResilienceActivity() (taskRetries, fetchRetries, speculativeWins, blacklistings int) {
-	return r.Metrics.TaskRetries, r.Metrics.FetchRetries, r.Metrics.SpeculativeWins, r.Metrics.BlacklistedExecutors
-}
-
-// StreamActivity returns the streaming accounting of a Session run:
-// windows opened, partitions retired by windowed lifetime, and ILP
-// re-solves at window boundaries. All zero for one-shot Run results.
-func (r *Result) StreamActivity() (windows, partitionsRetired, deltaSolves int) {
-	return r.Metrics.WindowsRun, r.Metrics.PartitionsRetired, r.Metrics.ILPDeltaSolves
-}
 
 // MetricsEqualDeterministic reports whether two runs agree on every
 // deterministic metric. The wall-clock solve times (ILPSolveTime,
@@ -141,17 +79,18 @@ func MetricsEqualDeterministic(a, b *Metrics) bool { return metrics.EqualDetermi
 // Result.Storage.
 type StorageMeasurement = storage.MeterSnapshot
 
-// StorageOpStats aggregates one category of measured storage work; its
-// Ratio method returns measured wall time over modeled virtual time.
+// StorageOpStats aggregates one category of measured storage work:
+// operations, bytes, measured wall time and modeled virtual time.
 type StorageOpStats = storage.OpStats
 
 // ---------------------------------------------------------------------
 // Dataflow: build custom workloads against the public surface
 
-// Context owns the datasets of one dataflow program; NewContext creates
-// an empty one. Datasets are created with Context.Source and derived
-// with the Dataset transformation methods (Map, Filter, ReduceByKey,
-// ...); actions (Count, Collect) submit jobs to the bound cluster.
+// Context owns the datasets of one dataflow program; Run hands a fresh
+// one to the workload's driver. Datasets are created with Context.Source
+// and derived with the Dataset transformation methods (Map, Filter,
+// ReduceByKey, ...); actions (Count, Collect) submit jobs to the bound
+// cluster.
 type Context = dataflow.Context
 
 // Dataset is an immutable partitioned collection with lineage — the
@@ -168,16 +107,12 @@ type Sized = storage.Sized
 // RegisterValueType registers a concrete record value type with the
 // partition codec's gob fallback. It is needed only for value types
 // without a registered column: a partition whose values are all float64,
-// int64, []float64 or one of the built-in workloads' columnar types is
-// stored as its flat arrays and never reaches gob. Workloads registered
+// int64 or one of the built-in workloads' columnar types is stored as
+// its flat arrays and never reaches gob. Workloads registered
 // via RegisterWorkload must register every other value type their cached
 // datasets carry, or RealBytes runs and durable-stream checkpoints will
 // fail to encode them; the built-in workloads' types are pre-registered.
 func RegisterValueType(v any) { storage.RegisterValueType(v) }
-
-// NewContext creates an empty dataflow context to pass to a workload
-// builder.
-func NewContext() *Context { return dataflow.NewContext() }
 
 // HashPartition returns the partition a key hashes to.
 func HashPartition(key int64, parts int) int { return dataflow.HashPartition(key, parts) }
@@ -191,19 +126,6 @@ func VecTasksExecuted() int64 { return engine.TasksExecuted() }
 // a narrow dependency on both (Spark's zipPartitions).
 func ZipDatasets(name string, class OpClass, left, right *Dataset, f func(part int, l, r []Record) []Record) *Dataset {
 	return dataflow.Zip(name, class, left, right, f)
-}
-
-// JoinDatasets co-shuffles two datasets by key and applies f to each
-// pair of same-key buckets (Spark's join/cogroup family).
-func JoinDatasets(name string, parts int, left, right *Dataset, f func(part int, l, r []Record) []Record) *Dataset {
-	return dataflow.ShuffleJoin(name, parts, left, right, f)
-}
-
-// BarrierDatasets derives a dataset depending narrowly on left and on
-// ALL partitions of right (a broadcast-style dependency, e.g.
-// distributing KMeans centroids).
-func BarrierDatasets(name string, class OpClass, left, right *Dataset, f func(part int, l, broadcast []Record) []Record) *Dataset {
-	return dataflow.Barrier(name, class, left, right, f)
 }
 
 // ---------------------------------------------------------------------

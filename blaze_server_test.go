@@ -37,7 +37,7 @@ func TestServerMultiTenantScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 
 	workloads := map[string]blaze.WorkloadID{
 		"analytics": blaze.PR,
@@ -111,7 +111,7 @@ func TestArbitratedSessionsLogTheirSolves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 	logs := []*blaze.EventLog{blaze.NewEventLog(), blaze.NewEventLog()}
 	var handles []*blaze.JobHandle
 	for _, log := range logs {
@@ -178,7 +178,7 @@ func TestServerSharedBeatsStaticPartitioning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer srv.Close()
+		defer srv.Shutdown(context.Background())
 		var handles []*blaze.JobHandle
 		for round := 0; round < perTenant; round++ {
 			for _, tn := range tenants {
@@ -192,7 +192,7 @@ func TestServerSharedBeatsStaticPartitioning(t *testing.T) {
 			}
 		}
 		for _, h := range handles {
-			if err := h.Wait(); err != nil {
+			if _, err := h.Result(); err != nil {
 				t.Fatalf("job %d (%s): %v", h.ID(), h.Tenant(), err)
 			}
 		}
@@ -224,7 +224,7 @@ func TestServerContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the first job boundary
@@ -234,7 +234,7 @@ func TestServerContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Wait(); !errors.Is(err, blaze.ErrCancelled) {
+	if _, err := h.Result(); !errors.Is(err, blaze.ErrCancelled) {
 		t.Fatalf("Wait = %v, want ErrCancelled", err)
 	}
 	if _, err := h.Result(); !errors.Is(err, blaze.ErrCancelled) {
@@ -247,7 +247,7 @@ func TestServerRejectsInvalidSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	defer srv.Shutdown(context.Background())
 	if _, err := srv.Submit(context.Background(), blaze.JobSpec{System: "nope", Workload: blaze.PR}); err == nil {
 		t.Fatal("unknown system should be rejected at submission")
 	}

@@ -234,7 +234,11 @@ func main() {
 	maxActive := flag.Int("max-active", 0, "bound on concurrently active sessions (0 = unbounded)")
 	arbitrate := flag.Bool("arbitrate", false, "re-run each Blaze job-start ILP across all admitted sessions")
 	events := flag.String("events", "", "write the server's session/arbitration event log to this path on shutdown")
-	stream := flag.String("stream", "", "run one durable micro-batch stream in the foreground instead of serving HTTP (stream-pr, stream-kmeans)")
+	var streams []string
+	for _, id := range blaze.AllStreamWorkloads() {
+		streams = append(streams, string(id))
+	}
+	stream := flag.String("stream", "", "run one durable micro-batch stream in the foreground instead of serving HTTP ("+strings.Join(streams, ", ")+")")
 	windows := flag.Int("windows", 6, "stream mode: number of micro-batch windows")
 	scale := flag.Float64("scale", 0.5, "stream mode: per-window input scale")
 	checkpointDir := flag.String("checkpoint", "", "stream mode: durable checkpoint directory (required with -stream)")

@@ -133,17 +133,18 @@ func (a *blockAudit) OnJobEnd(c *engine.Cluster, _ *engine.Job) {
 
 // TestWorkloadBlocksTakeTypedPath keeps the benchmark workloads' bytes
 // on the typed columnar codec: the cached blocks and shuffle buckets of
-// PageRank, PageRankStream, KMeans and SVD++ — rank graphs (adjacency
-// included), contributions, points, centroid statistics, factors —
-// encode with the typed marker whether they are held columnar (the
+// PageRank, PageRankStream and KMeans — rank graphs (adjacency
+// included), contributions, points, centroid statistics — encode with
+// the typed marker whether they are held columnar (the
 // default run, "vectorized=true") or in row form (every kernel declined).
 // A value-type change that silently drops one of them back onto
 // per-record gob fails here. The metrics cannot show a kernel computing
 // a wrong value, so the default run's results must also equal the
 // declined arm's, bit for bit. PageRank's adjacency is a typed source,
-// so its kernels run on virtual stores; k-means and SVD++ read their
-// inputs from row functions, and run on real-bytes stores, where a
-// cached block of kernelInput reads back decoded into columns.
+// so its kernels run on virtual stores; k-means reads its inputs from
+// row functions, and runs on real-bytes stores, where a cached block of
+// kernelInput reads back decoded into columns. SVD++ has no kernel and
+// no flat column: its factors take the gob fallback.
 func TestWorkloadBlocksTakeTypedPath(t *testing.T) {
 	drivers := map[string]struct {
 		drive       func(ctx *dataflow.Context) any
@@ -167,10 +168,10 @@ func TestWorkloadBlocksTakeTypedPath(t *testing.T) {
 		"svdpp": {func(ctx *dataflow.Context) any {
 			return graphx.SVDPP(ctx, graphx.SVDPPConfig{
 				Ratings: datagen.RatingsSpec{Seed: 5, Users: 200, Items: 100, ItemsPerUser: 8}, Parts: 8, Rank: 4, Iters: 3, Annotate: true})
-		}, []string{"graphx.Factors"}, "svd-itemf@"},
+		}, nil, ""},
 	}
 	// The types still served by the gob fallback: they have no flat column.
-	fallback := map[string]bool{"graphx.RatingList": true}
+	fallback := map[string]bool{"graphx.RatingList": true, "graphx.Factors": true, "[]float64": true}
 	declinedOut := map[string]any{}
 	for name, d := range drivers {
 		for _, vec := range []bool{false, true} {

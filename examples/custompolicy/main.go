@@ -25,8 +25,6 @@ import (
 // space with the fewest eviction decisions.
 type largestFirst struct{}
 
-func (largestFirst) Name() string { return "largest-first" }
-
 func (largestFirst) Order(blocks []*blaze.BlockMeta) []*blaze.BlockMeta {
 	out := append([]*blaze.BlockMeta(nil), blocks...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Size > out[j].Size })
@@ -34,8 +32,10 @@ func (largestFirst) Order(blocks []*blaze.BlockMeta) []*blaze.BlockMeta {
 }
 
 // workload builds a small iterative aggregation: repeatedly re-keys and
-// re-aggregates a skewed dataset, caching each round's result. It has
-// the WorkloadSpec driver signature, so it registers directly.
+// re-aggregates a skewed dataset, caching each round's result and
+// unpersisting the round before it, which no later round reads (the
+// paper's Fig. 1(a)). It has the WorkloadSpec driver signature, so it
+// registers directly.
 func workload(ctx *blaze.Context, scale float64) {
 	const parts = 8
 	n := int(400 * scale)
@@ -52,31 +52,24 @@ func workload(ctx *blaze.Context, scale float64) {
 	})
 	counts := data
 	for it := 1; it <= 6; it++ {
+		prev := counts
 		counts = counts.ReduceByKey(fmt.Sprintf("counts@%d", it), parts, func(a, b any) any {
 			return a.(float64) + b.(float64)
-		}).Map(fmt.Sprintf("scaled@%d", it), func(r blaze.Record) blaze.Record {
-			return blaze.Record{Key: r.Key % 31, Value: r.Value.(float64) * 1.01}
+		}).MapPartitions(fmt.Sprintf("scaled@%d", it), blaze.OpLight, func(_ int, in []blaze.Record) []blaze.Record {
+			out := make([]blaze.Record, len(in))
+			for i, r := range in {
+				out[i] = blaze.Record{Key: r.Key % 31, Value: r.Value.(float64) * 1.01}
+			}
+			return out
 		})
 		counts.Cache()
 		counts.Count()
+		prev.Unpersist()
 	}
 }
 
-func run(system blaze.SystemID) time.Duration {
-	res, err := blaze.Run(blaze.RunConfig{
-		System:            system,
-		Workload:          "custom-agg",
-		Executors:         4,
-		MemoryPerExecutor: 8 * 1024,
-		CostParams:        blaze.DefaultCostParams(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	return res.ACT()
-}
-
-func main() {
+// register makes the policy and the workload known to the facade.
+func register() {
 	if err := blaze.RegisterPolicy("largest-first", func() blaze.EvictionPolicy { return largestFirst{} }); err != nil {
 		log.Fatal(err)
 	}
@@ -89,11 +82,34 @@ func main() {
 	}); err != nil {
 		log.Fatal(err)
 	}
+}
 
-	lru := run(blaze.PolicySystem("lru"))
-	custom := run(blaze.PolicySystem("largest-first"))
-	fmt.Printf("LRU eviction:           ACT = %v\n", lru.Round(time.Microsecond))
-	fmt.Printf("largest-first eviction: ACT = %v\n", custom.Round(time.Microsecond))
+// run executes the workload under one eviction policy, with memory small
+// enough that each executor must evict.
+func run(system blaze.SystemID) *blaze.Result {
+	res, err := blaze.Run(blaze.RunConfig{
+		System:            system,
+		Workload:          "custom-agg",
+		Executors:         4,
+		MemoryPerExecutor: 512,
+		CostParams:        blaze.DefaultCostParams(),
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
+}
+
+func main() {
+	register()
+	for _, p := range []struct {
+		label  string
+		system blaze.SystemID
+	}{{"LRU", blaze.PolicySystem("lru")}, {"largest-first", blaze.PolicySystem("largest-first")}} {
+		res := run(p.system)
+		fmt.Printf("%-23s ACT = %v, evictions = %d\n", p.label+" eviction:",
+			res.ACT().Round(time.Microsecond), res.Metrics.Evictions)
+	}
 	fmt.Println("\nAny type implementing blaze.EvictionPolicy (an ordering over block")
 	fmt.Println("metadata) can drive the engine's eviction decisions once registered")
 	fmt.Println("with blaze.RegisterPolicy; the Blaze controller replaces the policy")

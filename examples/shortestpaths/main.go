@@ -130,6 +130,9 @@ func sssp(dists *map[int64]float64) func(ctx *blaze.Context, scale float64) {
 
 func main() {
 	var dists map[int64]float64
+	// A workload's own value types must be registered for the partition
+	// codec, which real-bytes runs and durable checkpoints go through.
+	blaze.RegisterValueType(state{})
 	if err := blaze.RegisterWorkload(blaze.WorkloadSpec{
 		ID:        "sssp",
 		Title:     "ShortestPaths",

@@ -44,3 +44,6 @@ func StandaloneRun(cfg RunConfig) (*Result, error) {
 	}
 	return res, nil
 }
+
+// Window returns the current 1-based window index.
+func (s *Session) Window() int { return s.window }

@@ -89,11 +89,6 @@ func ParseFaultClasses(spec string) ([]FaultClass, error) { return faults.ParseC
 // AllFaultClasses lists every fault class, permanent then transient.
 func AllFaultClasses() []FaultClass { return faults.AllClasses() }
 
-// FormatFaultClasses renders a class list in the comma-separated syntax
-// ParseFaultClasses accepts; the two functions round-trip. Use it (and
-// FaultConfig.String) to render fault schedules on knob surfaces.
-func FormatFaultClasses(cs []FaultClass) string { return faults.FormatClasses(cs) }
-
 // Resilience configures the scheduler's transient-failure machinery —
 // bounded task/fetch retries with exponential backoff, speculative
 // execution of stragglers, and flaky-executor blacklisting — attached

@@ -132,20 +132,35 @@ func TestRealBytesIsThePoolsBusiness(t *testing.T) {
 }
 
 // TestNoTestOnlyInternalFuncs keeps internal/ free of API only tests
-// reach: every exported top-level func declared in a non-test file under
-// internal/ (the test-support package internal/enginetest aside) must be
-// referenced from some non-test file of the module other than its own
-// declaration — bench/, cmd/, examples/, harness/ and the root included.
-// A func with no such caller is deleted with its tests, or its tests move
-// onto the entry point the program uses.
+// reach: every exported top-level func and every exported method declared
+// in a non-test file under internal/ (the test-support package
+// internal/enginetest aside) must be referenced from some non-test file
+// of the module other than its own declaration — bench/, cmd/,
+// examples/, harness/ and the root included. Methods are matched by name
+// alone: any selector with the method's name counts as a use, and a
+// method whose name some interface declared in the module lists is
+// exempt, since it may be called through that interface. A func or
+// method with no such caller is deleted with its tests, moved into the
+// tests, or its tests move onto the entry point the program uses.
 func TestNoTestOnlyInternalFuncs(t *testing.T) {
 	allowed := map[string]string{
-		"ilp.BruteForce":         "the exhaustive oracle the solver tests check ilp.Solve against",
-		"core.VerifyCachedCosts": "a switch only tests flip by design: it re-derives every memoised cost",
-		"cachepolicy.Names":      "the registry listing the policy-matrix tests walk",
+		"core.VerifyCachedCosts":           "a switch only tests flip by design: it re-derives every memoised cost",
+		"cachepolicy.Names":                "the registry listing the policy-matrix tests walk",
+		"core.Controller.Lineage":          "the root hot-path benchmark seeds the lineage the controller prices",
+		"engine.Cluster.HeldShuffles":      "the root release test checks that a finished session's cluster holds no shuffle",
+		"engine.Cluster.ParallelTasksRan":  "core's segment test counts the tasks that ran on workers",
+		"costmodel.Params.Calibrated":      "calibration, which ROADMAP item 7 either wires into runs or deletes",
+		"storage.MeterSnapshot.Categories": "the per-category view calibration (ROADMAP item 7) reads; the real-bytes tests walk it",
 	}
 	type fn struct{ pkg, name string } // pkg is the import path
 	decls := map[fn]*ast.FuncDecl{}
+	type method struct {
+		pkg string
+		*ast.FuncDecl
+	}
+	var methods []method                 // exported, under internal/
+	inInterface := map[string]bool{}     // method names some interface lists
+	selectors := map[string][]ast.Decl{} // selector name -> the decls using it
 	type file struct {
 		*ast.File
 		pkg string
@@ -180,8 +195,12 @@ func TestNoTestOnlyInternalFuncs(t *testing.T) {
 			return nil
 		}
 		for _, decl := range f.Decls {
-			if d, ok := decl.(*ast.FuncDecl); ok && d.Recv == nil && d.Name.IsExported() {
-				decls[fn{pkg, d.Name.Name}] = d
+			if d, ok := decl.(*ast.FuncDecl); ok && d.Name.IsExported() {
+				if d.Recv == nil {
+					decls[fn{pkg, d.Name.Name}] = d
+				} else {
+					methods = append(methods, method{pkg, d})
+				}
 			}
 		}
 		return nil
@@ -201,6 +220,19 @@ func TestNoTestOnlyInternalFuncs(t *testing.T) {
 			imports[name] = p
 		}
 		for _, decl := range f.Decls {
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.InterfaceType:
+					for _, m := range n.Methods.List {
+						for _, name := range m.Names {
+							inInterface[name.Name] = true
+						}
+					}
+				case *ast.SelectorExpr:
+					selectors[n.Sel.Name] = append(selectors[n.Sel.Name], decl)
+				}
+				return true
+			})
 			var visit func(ast.Node) bool
 			visit = func(n ast.Node) bool {
 				var ref fn
@@ -231,6 +263,26 @@ func TestNoTestOnlyInternalFuncs(t *testing.T) {
 		if _, ok := allowed[name]; ok {
 			delete(allowed, name)
 		} else if !used[k] {
+			unused = append(unused, fmt.Sprintf("%s: %s", fset.Position(d.Pos()), name))
+		}
+	}
+	for _, d := range methods {
+		if inInterface[d.Name.Name] || slices.ContainsFunc(selectors[d.Name.Name], func(u ast.Decl) bool { return u != d.FuncDecl }) {
+			continue
+		}
+		recv := d.Recv.List[0].Type
+		if star, ok := recv.(*ast.StarExpr); ok {
+			recv = star.X
+		}
+		if idx, ok := recv.(*ast.IndexListExpr); ok { // a generic receiver
+			recv = idx.X
+		} else if idx, ok := recv.(*ast.IndexExpr); ok {
+			recv = idx.X
+		}
+		name := d.pkg[strings.LastIndex(d.pkg, "/")+1:] + "." + recv.(*ast.Ident).Name + "." + d.Name.Name
+		if _, ok := allowed[name]; ok {
+			delete(allowed, name)
+		} else {
 			unused = append(unused, fmt.Sprintf("%s: %s", fset.Position(d.Pos()), name))
 		}
 	}

@@ -25,25 +25,6 @@ type Matrix struct {
 	Data    [][]float64
 }
 
-// Get returns the value at (row, col) labels; false if absent.
-func (m *Matrix) Get(row, col string) (float64, bool) {
-	ri, ci := -1, -1
-	for i, r := range m.Rows {
-		if r == row {
-			ri = i
-		}
-	}
-	for j, c := range m.Cols {
-		if c == col {
-			ci = j
-		}
-	}
-	if ri < 0 || ci < 0 {
-		return 0, false
-	}
-	return m.Data[ri][ci], true
-}
-
 // Render formats the matrix as an aligned text table.
 func (m *Matrix) Render() string {
 	var b strings.Builder

@@ -280,9 +280,13 @@ func TestWorkingSetGrowth(t *testing.T) {
 	}
 	// Evicted bytes accumulate across iterations; they must exceed the
 	// per-executor memory several times over.
-	if r.Metrics.TotalEvictedBytes() < 3*r.MemoryPerExecutor {
+	var evicted int64
+	for _, ex := range r.Metrics.Executors {
+		evicted += ex.EvictedBytes
+	}
+	if evicted < 3*r.MemoryPerExecutor {
 		t.Errorf("PR working set too small: evicted %d vs memory %d",
-			r.Metrics.TotalEvictedBytes(), r.MemoryPerExecutor)
+			evicted, r.MemoryPerExecutor)
 	}
 }
 
@@ -434,4 +438,23 @@ func TestFigureDispatch(t *testing.T) {
 			t.Fatalf("figure %s renders empty", name)
 		}
 	}
+}
+
+// Get returns the value at (row, col) labels; false if absent.
+func (m *Matrix) Get(row, col string) (float64, bool) {
+	ri, ci := -1, -1
+	for i, r := range m.Rows {
+		if r == row {
+			ri = i
+		}
+	}
+	for j, c := range m.Cols {
+		if c == col {
+			ci = j
+		}
+	}
+	if ri < 0 || ci < 0 {
+		return 0, false
+	}
+	return m.Data[ri][ci], true
 }

@@ -380,7 +380,7 @@ func realBytesKernels(t *testing.T, sys blaze.SystemID, wl blaze.WorkloadID, ker
 	cfg := quarter(sys, wl)
 	cfg.MemoryFraction = 0.1
 	ref, _ := match(t, batchCell(cfg), arm{par: 1, real: true}, arm{par: 1, kernels: true, real: true})
-	if written, _ := ref.res.DiskFootprint(); written == 0 {
+	if ref.res.Metrics.DiskBytesWritten == 0 {
 		t.Error("run did not spill; lower MemoryFraction")
 	}
 	// The logs are identical, so the reference's shows the default run's
@@ -391,10 +391,10 @@ func realBytesKernels(t *testing.T, sys blaze.SystemID, wl blaze.WorkloadID, ker
 }
 
 // TestVectorizedIdentitySVDPP extends the kernel sweep to the
-// serialization-heavy workload whose kernels mix typed columns (Factors)
-// with the boxed escape hatch (RatingList, []any pairs). Its sources are
-// row functions, so only real bytes give the item-factor step kernel a
-// columnar input: a cached factor block read back decoded.
+// serialization-heavy workload, which has no kernel of its own: every
+// value it caches (factors, RatingList, []any pairs) takes the gob
+// fallback, so under real bytes a cached factor block reads back in row
+// form.
 func TestVectorizedIdentitySVDPP(t *testing.T) {
 	for _, sys := range sweepSystems {
 		t.Run(string(sys), func(t *testing.T) { match(t, batchCell(quarter(sys, blaze.SVDPP)), p8) })
@@ -468,7 +468,7 @@ func TestServerRunBitIdentical(t *testing.T) {
 						continue
 					}
 					if c.Stats.Ops == 0 || c.Stats.Bytes == 0 || c.Stats.Wall <= 0 {
-						t.Errorf("%s not measured on the server path: %+v", c.Category, c.Stats)
+						t.Errorf("category %d not measured on the server path: %+v", c.Category, c.Stats)
 					}
 				}
 			})
@@ -492,7 +492,8 @@ func TestStreamWindowDeterminism(t *testing.T) {
 	for _, wl := range blaze.AllStreamWorkloads() {
 		t.Run(string(wl), func(t *testing.T) {
 			ref, outs := match(t, streamCell(quarterStream(wl, 0)), p1, p8, arm{par: 8, kernels: true, durable: true})
-			windows, retired, deltas := ref.res.StreamActivity()
+			m := ref.res.Metrics
+			windows, retired, deltas := m.WindowsRun, m.PartitionsRetired, m.ILPDeltaSolves
 			if windows != 4 {
 				t.Errorf("WindowsRun = %d, want 4", windows)
 			}

@@ -21,8 +21,6 @@ import (
 
 // Policy orders cached blocks by eviction priority.
 type Policy interface {
-	// Name identifies the policy in reports.
-	Name() string
 	// Order returns the blocks sorted so that the preferred victim comes
 	// first. The input slice is not modified.
 	Order(blocks []*storage.BlockMeta) []*storage.BlockMeta
@@ -51,9 +49,6 @@ func sorted(blocks []*storage.BlockMeta, less func(a, b *storage.BlockMeta) bool
 // eviction policy.
 type LRU struct{}
 
-// Name implements Policy.
-func (LRU) Name() string { return "lru" }
-
 // Order implements Policy.
 func (LRU) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
 	return sorted(blocks, func(a, b *storage.BlockMeta) bool {
@@ -63,9 +58,6 @@ func (LRU) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
 
 // FIFO evicts the earliest inserted block first.
 type FIFO struct{}
-
-// Name implements Policy.
-func (FIFO) Name() string { return "fifo" }
 
 // Order implements Policy.
 func (FIFO) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
@@ -77,9 +69,6 @@ func (FIFO) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
 // LFU evicts the least frequently accessed block first, breaking ties by
 // recency.
 type LFU struct{}
-
-// Name implements Policy.
-func (LFU) Name() string { return "lfu" }
 
 // Order implements Policy.
 func (LFU) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
@@ -95,9 +84,6 @@ func (LFU) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
 // currently submitted job's DAG. Blocks with zero remaining references go
 // first, as they provide no further benefit.
 type LRC struct{}
-
-// Name implements Policy.
-func (LRC) Name() string { return "lrc" }
 
 // Order implements Policy.
 func (LRC) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
@@ -115,9 +101,6 @@ func (LRC) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
 // distance order using PrefetchOrder.
 type MRD struct{}
 
-// Name implements Policy.
-func (MRD) Name() string { return "mrd" }
-
 // Order implements Policy.
 func (MRD) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
 	return sorted(blocks, func(a, b *storage.BlockMeta) bool {
@@ -133,9 +116,6 @@ func (MRD) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
 // +CostAware ablation (§7.3), which picks victims with the smallest disk
 // access costs.
 type CostAscending struct{}
-
-// Name implements Policy.
-func (CostAscending) Name() string { return "cost" }
 
 // Order implements Policy.
 func (CostAscending) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {

@@ -80,10 +80,10 @@ func TestCostAscending(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range []string{"lru", "fifo", "lfu", "lrc", "mrd", "cost"} {
+	for name, want := range map[string]Policy{"lru": LRU{}, "fifo": FIFO{}, "lfu": LFU{}, "lrc": LRC{}, "mrd": MRD{}, "cost": CostAscending{}} {
 		p, ok := ByName(name)
-		if !ok || p.Name() != name {
-			t.Fatalf("ByName(%q) = %v, %v", name, p, ok)
+		if !ok || p != want {
+			t.Fatalf("ByName(%q) = %T, %v; want %T", name, p, ok, want)
 		}
 	}
 	if _, ok := ByName("belady"); ok {

@@ -15,8 +15,6 @@ type StatefulPolicy interface {
 	OnInsert(id storage.BlockID)
 	// OnAccess is invoked on every cache hit.
 	OnAccess(id storage.BlockID)
-	// OnEvict is invoked when a block leaves the memory store.
-	OnEvict(id storage.BlockID)
 }
 
 // Cloner is implemented by stateful policies that can produce a fresh,
@@ -107,9 +105,6 @@ func NewTinyLFU(n int) *TinyLFU {
 	return &TinyLFU{sketch: newCMSketch(n * 4), n: n}
 }
 
-// Name implements Policy.
-func (t *TinyLFU) Name() string { return "tinylfu" }
-
 // Clone implements Cloner: a fresh sketch of the same size.
 func (t *TinyLFU) Clone() Policy { return NewTinyLFU(t.n) }
 
@@ -130,9 +125,6 @@ func (t *TinyLFU) OnInsert(id storage.BlockID) { t.sketch.touch(id) }
 // OnAccess implements StatefulPolicy.
 func (t *TinyLFU) OnAccess(id storage.BlockID) { t.sketch.touch(id) }
 
-// OnEvict implements StatefulPolicy.
-func (t *TinyLFU) OnEvict(id storage.BlockID) {}
-
 // GDWheel approximates the GreedyDual cost-aware replacement of Li & Cox
 // (EuroSys'15): each block carries a credit equal to its (attached)
 // recovery cost, recharged on access and decayed by a global clock; the
@@ -141,9 +133,6 @@ func (t *TinyLFU) OnEvict(id storage.BlockID) {}
 // since last access — a faithful priority ordering without the wheel's
 // O(1) bucketing (our candidate sets are small).
 type GDWheel struct{}
-
-// Name implements Policy.
-func (GDWheel) Name() string { return "gdwheel" }
 
 // Order implements Policy: ascending (cost - age) priority.
 func (GDWheel) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
@@ -180,9 +169,6 @@ func NewLeCaR() *LeCaR {
 		history:      make(map[storage.BlockID]byte),
 	}
 }
-
-// Name implements Policy.
-func (l *LeCaR) Name() string { return "lecar" }
 
 // Clone implements Cloner: fresh weights and history.
 func (l *LeCaR) Clone() Policy { return NewLeCaR() }
@@ -223,9 +209,6 @@ func (l *LeCaR) OnAccess(id storage.BlockID) {
 	delete(l.history, id)
 }
 
-// OnEvict implements StatefulPolicy.
-func (l *LeCaR) OnEvict(id storage.BlockID) {}
-
 func (l *LeCaR) penalize(id storage.BlockID) {
 	expert, ok := l.history[id]
 	if !ok {
@@ -245,16 +228,10 @@ func (l *LeCaR) penalize(id storage.BlockID) {
 	l.wLFU = l.wLFU/total*(1-2*floor) + floor
 }
 
-// Weights exposes the current expert weights (tests, diagnostics).
-func (l *LeCaR) Weights() (lru, lfu float64) { return l.wLRU, l.wLFU }
-
 // LFUDA is LFU with dynamic aging (Arlitt et al., SIGMETRICS PER'00): a
 // block's priority is its access count plus the cache age at its last
 // access, which prevents formerly-hot blocks from squatting forever.
 type LFUDA struct{}
-
-// Name implements Policy.
-func (LFUDA) Name() string { return "lfuda" }
 
 // Order implements Policy.
 func (LFUDA) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
@@ -270,9 +247,6 @@ func (LFUDA) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {
 // "seen once" (AccessCount <= 1) and "seen many" lists, evicting from the
 // recency list first, each list in LRU order.
 type ARC struct{}
-
-// Name implements Policy.
-func (ARC) Name() string { return "arc" }
 
 // Order implements Policy.
 func (ARC) Order(blocks []*storage.BlockMeta) []*storage.BlockMeta {

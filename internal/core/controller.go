@@ -180,9 +180,6 @@ func (b *Controller) WithArbiter(a JobArbiter) *Controller {
 // — only such controllers are worth registering with an arbiter.
 func (b *Controller) ILPEnabled() bool { return b.feat.ILP }
 
-// Cluster returns the bound cluster (nil before Bind).
-func (b *Controller) Cluster() *engine.Cluster { return b.c }
-
 // Window returns the configured ILP window in jobs (0 = current job
 // only).
 func (b *Controller) Window() int { return b.ilpWindow }

@@ -59,7 +59,7 @@ func newDecisionFixture(t *testing.T) *decisionFixture {
 
 func TestVictimDispositionFollowsCosts(t *testing.T) {
 	f := newDecisionFixture(t)
-	lin := f.ctl.Lineage()
+	lin := f.ctl.lin
 	// a: 10 MB partition that takes 1ms to recompute → recompute wins.
 	lin.ObservePartition(f.a.ID(), 0, 10<<20, time.Millisecond)
 	// b: 1 KB partition that takes 10s to recompute → disk wins.
@@ -93,7 +93,7 @@ func TestVictimDispositionFollowsCosts(t *testing.T) {
 
 func TestVictimOrderEvictsCheapestFirst(t *testing.T) {
 	f := newDecisionFixture(t)
-	lin := f.ctl.Lineage()
+	lin := f.ctl.lin
 	// a is nearly free to recover; b is precious.
 	lin.ObservePartition(f.a.ID(), 0, 2048, time.Microsecond)
 	lin.ObservePartition(f.b.ID(), 0, 2048, 10*time.Second)
@@ -133,7 +133,7 @@ func TestMemOnlyBlazeNeverSpills(t *testing.T) {
 	ctl.lin.addRefOffset("m", 10)
 	ds.Count()
 	// Even for an arbitrarily expensive partition, disk is not an option.
-	ctl.Lineage().ObservePartition(ds.ID(), 0, 1024, time.Hour)
+	ctl.lin.ObservePartition(ds.ID(), 0, 1024, time.Hour)
 	for _, v := range ctl.SelectVictims(c.Executors()[0], 1<<30) {
 		if v.ToDisk {
 			t.Fatalf("memory-only Blaze must never spill, got %+v", v)
@@ -190,7 +190,7 @@ func TestPlaceComputedSkipsZeroRefData(t *testing.T) {
 	ds.Count()
 	ex := c.Executors()[0]
 	// Nothing should be cached after the single job + auto-unpersist.
-	if used := ex.Mem.Used(); used != 0 {
+	if used := ex.Mem.Capacity() - ex.Mem.Free(); used != 0 {
 		t.Fatalf("one-shot data occupies %d bytes after its job", used)
 	}
 }
@@ -202,7 +202,7 @@ func TestPlaceComputedSkipsZeroRefData(t *testing.T) {
 // left both tiers — not under whatever an earlier round memoized.
 func TestPlaceComputedIntoFreeMemorySeesEviction(t *testing.T) {
 	f := newDecisionFixture(t)
-	lin := f.ctl.Lineage()
+	lin := f.ctl.lin
 	ex := f.c.Executors()[0]
 	var src *dataflow.Dataset
 	for _, ds := range f.ctx.Datasets() {

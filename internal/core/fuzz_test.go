@@ -130,14 +130,14 @@ func TestAutoUnpersistReclaimsDeadData(t *testing.T) {
 	// verify the store does not grow monotonically.
 	used := int64(0)
 	for _, ex := range c.Executors() {
-		used += ex.Mem.Used()
+		used += ex.Mem.Capacity() - ex.Mem.Free()
 	}
 	for i := 0; i < 3; i++ {
 		b.Count()
 	}
 	after := int64(0)
 	for _, ex := range c.Executors() {
-		after += ex.Mem.Used()
+		after += ex.Mem.Capacity() - ex.Mem.Free()
 	}
 	if after > used+1024 {
 		t.Fatalf("memory grew across repeated identical jobs: %d -> %d", used, after)

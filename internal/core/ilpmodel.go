@@ -396,12 +396,3 @@ func (b *Controller) solvePlacement(memCap float64, cands []candidate) solveResu
 	}
 	return solveResult{chosen: chosen, vars: 3 * n, nodes: sol.Nodes, optimal: sol.Optimal, fallback: !sol.Optimal}
 }
-
-// ProfilingOverhead returns the modeled profiling cost to charge on the
-// cluster when the controller was seeded by a dependency extraction run.
-func (b *Controller) ProfilingOverhead() time.Duration {
-	if b.profiled {
-		return DefaultProfilingOverhead
-	}
-	return 0
-}

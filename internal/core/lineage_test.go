@@ -308,11 +308,12 @@ func TestControllerAccessors(t *testing.T) {
 }
 
 func TestProfilingOverheadOnlyWhenProfiled(t *testing.T) {
-	if NewBlaze().ProfilingOverhead() != 0 {
-		t.Fatal("unprofiled controller should charge nothing")
+	// The flag travels in the controller's checkpoint state.
+	if NewBlaze().profiled {
+		t.Fatal("a controller without a skeleton reports itself profiled")
 	}
 	sk := &Skeleton{RefOffsets: map[string][]int{}, Nodes: map[NodeKey]*Node{}}
-	if NewBlaze().WithSkeleton(sk).ProfilingOverhead() != DefaultProfilingOverhead {
-		t.Fatal("profiled controller should charge the overhead")
+	if !NewBlaze().WithSkeleton(sk).profiled {
+		t.Fatal("a skeleton-seeded controller does not report itself profiled")
 	}
 }

@@ -63,8 +63,6 @@ import (
 // Column stores the values of one batch: a FlatColumn, or a row-form
 // batch's records.
 type Column interface {
-	// Len returns the number of values.
-	Len() int
 	// Value boxes element i. Implementations copy any backing arrays so
 	// the boxed value stays valid after the column is released.
 	Value(i int) any
@@ -522,13 +520,10 @@ func (p *slicePool[T]) grow(s []T, n int) []T {
 	return t
 }
 
-// Append is append for an array a batch owns that is still being
-// built, such as a kernel's output column: a full s grows through the
-// slice pools, onto the next size class that fits, and its outgrown array
-// goes back to them.
-func Append[T Elem](s []T, vals ...T) []T { return appendPooled(s, vals...) }
-
-// appendPooled is Append for arrays of any pooled element type.
+// appendPooled is append for an array a batch owns that is still being
+// built, such as a column being filled: a full s grows through the slice
+// pools, onto the next size class that fits, and its outgrown array goes
+// back to them.
 func appendPooled[T any](s []T, vals ...T) []T {
 	if len(s)+len(vals) > cap(s) {
 		s = poolOf[T]().grow(s, len(vals))
@@ -671,7 +666,6 @@ func PutI32Slice(s []int32) { i32SlicePool.put(s) }
 // keys included, shared and never written.
 type rowsColumn []Record
 
-func (c *rowsColumn) Len() int        { return len(*c) }
 func (c *rowsColumn) Value(i int) any { return (*c)[i].Value }
 
 func (c *rowsColumn) SizeBytes() int64 {

@@ -351,7 +351,7 @@ func spansBatch() *Batch {
 	c := NewRagged(spansKind{}, 3)
 	b.Col = c
 	for i, span := range [][]int64{{1, 2}, {}, {3}} {
-		b.Keys = Append(b.Keys, int64(10+i))
+		b.Keys = appendPooled(b.Keys, int64(10+i))
 		c.push(0, span)
 	}
 	return b

@@ -37,12 +37,12 @@ func typedBatches() map[string]*dataflow.Batch {
 			Col: ragged(graphx.AdjListKind{}, nil, []int32{0, 0, 3, 4}, []int64{4, 5, 6, 7})},
 		"graphx.VertexRank": {Keys: keys, NonNil: true,
 			Col: ragged(graphx.VertexRankKind{}, []float64{1, nan, 0.15}, []int32{0, 1, 1, 3}, []int64{9, 8, 7})},
-		"graphx.Factors": {Keys: keys, NonNil: true,
-			Col: ragged(graphx.FactorsKind{}, nil, []int32{0, 2, 4, 4}, []float64{0.1, 0.2, nan, 0.4})},
 		"mllib.Vector": {Keys: keys, NonNil: true,
 			Col: ragged(mllib.VectorKind{}, nil, []int32{0, 2, 4, 6}, []float64{1, 2, 3, 4, nan, 6})},
 		"mllib.sumCount": {Keys: keys, NonNil: true,
 			Col: ragged(mllib.SumCountKind{}, []float64{3, 0, 1}, []int32{0, 2, 2, 4}, []float64{1, 2, nan, 4})},
+		"mllib.sumCount/empty-last": {Keys: keys, NonNil: true,
+			Col: ragged(mllib.SumCountKind{}, []float64{0.1, nan, 0}, []int32{0, 2, 4, 4}, []float64{0.1, 0.2, nan, 0.4})},
 	}
 }
 
@@ -80,8 +80,6 @@ func valueBits(v any) any {
 		return bits(x)
 	case graphx.VertexRank:
 		return []any{x.Adj, math.Float64bits(x.Rank)}
-	case graphx.Factors:
-		return bits(x.V)
 	case mllib.Vector:
 		return bits(x.V)
 	}
@@ -138,17 +136,17 @@ func TestBlockRoundTripEveryColumn(t *testing.T) {
 // would still round-trip.
 func TestBlockBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"empty":             "01010000000000",
-		"f64":               "010103663634030000000700000000000000ffffffffffffffff000000000000008003000000000000000000f83fefbeadde0000f87f000000000000f0ff",
-		"f64-zero":          "0101036636340000000000000000",
-		"floats":            "010106666c6f617473030000000700000000000000ffffffffffffffff0000000000000080040000000000000002000000020000000300000003000000000000000000f03fefbeadde0000f87f0000000000000840",
-		"graphx.AdjList":    "01010e6772617068782e41646a4c697374030000000700000000000000ffffffffffffffff00000000000000800400000000000000000000000300000004000000040000000400000000000000050000000000000006000000000000000700000000000000",
-		"graphx.Factors":    "01010e6772617068782e466163746f7273030000000700000000000000ffffffffffffffff00000000000000800400000000000000020000000400000004000000040000009a9999999999b93f9a9999999999c93fefbeadde0000f87f9a9999999999d93f",
-		"graphx.VertexRank": "0101116772617068782e56657274657852616e6b030000000700000000000000ffffffffffffffff000000000000008003000000000000000000f03fefbeadde0000f87f333333333333c33f040000000000000001000000010000000300000003000000090000000000000008000000000000000700000000000000",
-		"i64":               "010003693634030000000700000000000000ffffffffffffffff0000000000000080030000000000000000000000ffffffffffffff7ffbffffffffffffff",
-		"mllib.Vector":      "01010c6d6c6c69622e566563746f72030000000700000000000000ffffffffffffffff0000000000000080040000000000000002000000040000000600000006000000000000000000f03f000000000000004000000000000008400000000000001040efbeadde0000f87f0000000000001840",
-		"mllib.sumCount":    "01010e6d6c6c69622e73756d436f756e74030000000700000000000000ffffffffffffffff00000000000000800300000000000000000008400000000000000000000000000000f03f040000000000000002000000020000000400000004000000000000000000f03f0000000000000040efbeadde0000f87f0000000000001040",
-		"nil":               "01000000000000",
+		"empty":                     "01010000000000",
+		"f64":                       "010103663634030000000700000000000000ffffffffffffffff000000000000008003000000000000000000f83fefbeadde0000f87f000000000000f0ff",
+		"f64-zero":                  "0101036636340000000000000000",
+		"floats":                    "010106666c6f617473030000000700000000000000ffffffffffffffff0000000000000080040000000000000002000000020000000300000003000000000000000000f03fefbeadde0000f87f0000000000000840",
+		"graphx.AdjList":            "01010e6772617068782e41646a4c697374030000000700000000000000ffffffffffffffff00000000000000800400000000000000000000000300000004000000040000000400000000000000050000000000000006000000000000000700000000000000",
+		"graphx.VertexRank":         "0101116772617068782e56657274657852616e6b030000000700000000000000ffffffffffffffff000000000000008003000000000000000000f03fefbeadde0000f87f333333333333c33f040000000000000001000000010000000300000003000000090000000000000008000000000000000700000000000000",
+		"i64":                       "010003693634030000000700000000000000ffffffffffffffff0000000000000080030000000000000000000000ffffffffffffff7ffbffffffffffffff",
+		"mllib.Vector":              "01010c6d6c6c69622e566563746f72030000000700000000000000ffffffffffffffff0000000000000080040000000000000002000000040000000600000006000000000000000000f03f000000000000004000000000000008400000000000001040efbeadde0000f87f0000000000001840",
+		"mllib.sumCount/empty-last": "01010e6d6c6c69622e73756d436f756e74030000000700000000000000ffffffffffffffff0000000000000080030000009a9999999999b93fefbeadde0000f87f00000000000000000400000000000000020000000400000004000000040000009a9999999999b93f9a9999999999c93fefbeadde0000f87f9a9999999999d93f",
+		"mllib.sumCount":            "01010e6d6c6c69622e73756d436f756e74030000000700000000000000ffffffffffffffff00000000000000800300000000000000000008400000000000000000000000000000f03f040000000000000002000000020000000400000004000000000000000000f03f0000000000000040efbeadde0000f87f0000000000001040",
+		"nil":                       "01000000000000",
 	}
 	batches := typedBatches()
 	if len(batches) != len(want) {

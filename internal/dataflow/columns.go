@@ -46,7 +46,6 @@ func NewDense[T Elem](capHint int) *Dense[T] {
 	return &Dense[T]{Vals: poolOf[T]().get(capHint)}
 }
 
-func (c *Dense[T]) Len() int        { return len(c.Vals) }
 func (c *Dense[T]) Value(i int) any { return c.Vals[i] }
 func (c *Dense[T]) View(i int) any  { return c.Vals[i] }
 
@@ -261,14 +260,6 @@ func arrayOf[T Elem](s *[]T) Array {
 	return Array{I64: any(s).(*[]int64)}
 }
 
-// FloatsKind flattens []float64 values.
-type FloatsKind struct{}
-
-func (FloatsKind) Name() string                            { return "floats" }
-func (FloatsKind) HasLead() bool                           { return false }
-func (FloatsKind) Box(_ float64, span []float64) []float64 { return span }
-func (FloatsKind) Unbox(v []float64) (float64, []float64)  { return 0, v }
-
 // --- registry --------------------------------------------------------
 
 // A blank column per block name (what DecodeBlock rebuilds) and per
@@ -276,9 +267,8 @@ func (FloatsKind) Unbox(v []float64) (float64, []float64)  { return 0, v }
 // them from init, before anything reads them.
 var (
 	columnsByName = map[string]FlatColumn{
-		"f64":    &Dense[float64]{},
-		"i64":    &Dense[int64]{},
-		"floats": &Ragged[float64, []float64, FloatsKind]{},
+		"f64": &Dense[float64]{},
+		"i64": &Dense[int64]{},
 	}
 	columnsByType = map[reflect.Type]FlatColumn{}
 )
@@ -304,8 +294,6 @@ func columnFor(v any, capHint int) FlatColumn {
 		return NewDense[float64](capHint)
 	case int64:
 		return NewDense[int64](capHint)
-	case []float64:
-		return NewRagged(FloatsKind{}, capHint)
 	}
 	if c, ok := columnsByType[reflect.TypeOf(v)]; ok {
 		return c.NewEmpty(capHint)

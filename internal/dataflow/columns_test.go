@@ -20,7 +20,7 @@ func TestColumnSizeIdentity(t *testing.T) {
 		for form, b := range map[string]*dataflow.Batch{"built": built, "decoded": decoded} {
 			if b.Col != nil {
 				var sum int64
-				for i := 0; i < b.Col.Len(); i++ {
+				for i := 0; i < b.Len(); i++ {
 					sum += dataflow.ValueSize(b.Col.Value(i))
 				}
 				if got := b.Col.SizeBytes(); got != sum {

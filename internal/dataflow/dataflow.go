@@ -111,9 +111,6 @@ func (d *Dataset) Class() OpClass { return d.class }
 // Compute invokes the dataset's compute function.
 func (d *Dataset) Compute(part int, ins [][]Record) []Record { return d.fn(part, ins) }
 
-// Context returns the owning driver context.
-func (d *Dataset) Context() *Context { return d.ctx }
-
 // IsCached reports whether the user annotated this dataset with Cache().
 func (d *Dataset) IsCached() bool { return d.cached }
 

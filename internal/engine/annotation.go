@@ -280,12 +280,9 @@ func (a *AnnotationController) OnBlockAdmitted(ex *Executor, id storage.BlockID)
 	}
 }
 
-// OnBlockRemoved implements Controller.
-func (a *AnnotationController) OnBlockRemoved(ex *Executor, id storage.BlockID) {
-	if sp, ok := a.policyFor(ex).(cachepolicy.StatefulPolicy); ok {
-		sp.OnEvict(id)
-	}
-}
+// OnBlockRemoved implements Controller; no policy keeps state past a
+// block's eviction.
+func (a *AnnotationController) OnBlockRemoved(ex *Executor, id storage.BlockID) {}
 
 // OnComputed implements Controller; annotation systems track no
 // per-partition metrics.

@@ -15,8 +15,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -40,20 +38,6 @@ const (
 	// PlaceDisk stores the partition on executor disk (state d).
 	PlaceDisk
 )
-
-// String names the placement.
-func (p Placement) String() string {
-	switch p {
-	case PlaceNone:
-		return "none"
-	case PlaceMemory:
-		return "memory"
-	case PlaceDisk:
-		return "disk"
-	default:
-		return fmt.Sprintf("Placement(%d)", int(p))
-	}
-}
 
 // Victim is one eviction decision: the block to remove from memory and
 // whether to spill it to disk (m→d) or drop it (m→u).
@@ -143,16 +127,9 @@ type Executor struct {
 // executor-death fault.
 func (ex *Executor) Dead() bool { return ex.dead }
 
-// Blacklisted reports whether the executor is currently sitting out a
-// flaky-executor cooldown window.
-func (ex *Executor) Blacklisted() bool { return ex.blacklisted }
-
 // Clock returns the clock of the core running the current task; costs
 // incurred by the task (compute, I/O, migrations) advance it.
 func (ex *Executor) Clock() *costmodel.Clock { return &ex.cores[ex.cur] }
-
-// Cores returns the number of cores.
-func (ex *Executor) Cores() int { return len(ex.cores) }
 
 // MaxClock returns the executor's latest core time.
 func (ex *Executor) MaxClock() time.Duration {
@@ -302,33 +279,6 @@ type Resilience struct {
 	// executor sits out before reinstatement (default 2 when blacklisting
 	// is enabled).
 	BlacklistCooldown int
-}
-
-// String renders the configuration in the knob vocabulary blaze's
-// ParseResilience accepts ("retries=3,backoff=2ms,..."), emitting only
-// the fields that differ from the zero value so String/Parse round-trip
-// exactly: the zero value renders as "".
-func (r Resilience) String() string {
-	var parts []string
-	if r.MaxTaskRetries != 0 {
-		parts = append(parts, fmt.Sprintf("retries=%d", r.MaxTaskRetries))
-	}
-	if r.MaxFetchRetries != 0 {
-		parts = append(parts, fmt.Sprintf("fetch-retries=%d", r.MaxFetchRetries))
-	}
-	if r.RetryBackoff != 0 {
-		parts = append(parts, fmt.Sprintf("backoff=%s", r.RetryBackoff))
-	}
-	if r.SpeculativeMultiple != 0 {
-		parts = append(parts, fmt.Sprintf("spec=%s", strconv.FormatFloat(r.SpeculativeMultiple, 'g', -1, 64)))
-	}
-	if r.BlacklistAfter != 0 {
-		parts = append(parts, fmt.Sprintf("blacklist=%d", r.BlacklistAfter))
-	}
-	if r.BlacklistCooldown != 0 {
-		parts = append(parts, fmt.Sprintf("cooldown=%d", r.BlacklistCooldown))
-	}
-	return strings.Join(parts, ",")
 }
 
 // normalized resolves the zero-value defaults and negative sentinels.
@@ -644,9 +594,6 @@ func NewCluster(cfg Config, ctx *dataflow.Context) (*Cluster, error) {
 	return c, nil
 }
 
-// Context returns the driver context.
-func (c *Cluster) Context() *dataflow.Context { return c.ctx }
-
 // SharedPool reports whether the cluster's pool was handed in (a
 // multi-session job server) rather than built privately, so other
 // sessions' blocks may live in the same stores. Controllers consult it
@@ -721,9 +668,6 @@ func (c *Cluster) DriverEpoch() uint64 { return c.assignEpoch + c.shuffle.SealEp
 
 // Params returns the cost model parameters.
 func (c *Cluster) Params() costmodel.Params { return c.cfg.Params }
-
-// Resilience returns the resolved resilience configuration.
-func (c *Cluster) Resilience() Resilience { return c.res }
 
 // CurrentJob returns the index of the job currently running. Task hooks
 // use it to key transient fault decisions.

@@ -243,7 +243,11 @@ func TestEvictionSkewRecorded(t *testing.T) {
 	c, ctx := newTestCluster(t, NewSparkMemDisk(), 4*1024, false)
 	iterativeWorkload(ctx, 4, 8, 80, true)
 	m := c.Finish()
-	if m.TotalEvictedBytes() == 0 {
+	var evicted int64
+	for _, ex := range m.Executors {
+		evicted += ex.EvictedBytes
+	}
+	if evicted == 0 {
 		t.Fatal("expected evicted bytes under pressure")
 	}
 	// Every executor's stats must be accounted (some may be zero, but
@@ -291,15 +295,15 @@ func TestUnpersistFreesMemory(t *testing.T) {
 	ds.Count()
 	used := int64(0)
 	for _, ex := range c.Executors() {
-		used += ex.Mem.Used()
+		used += ex.Mem.Capacity() - ex.Mem.Free()
 	}
 	if used == 0 {
 		t.Fatal("cached data should occupy memory")
 	}
 	ds.Unpersist()
 	for _, ex := range c.Executors() {
-		if ex.Mem.Used() != 0 {
-			t.Fatalf("executor %d still holds %d bytes after unpersist", ex.ID, ex.Mem.Used())
+		if used := ex.Mem.Capacity() - ex.Mem.Free(); used != 0 {
+			t.Fatalf("executor %d still holds %d bytes after unpersist", ex.ID, used)
 		}
 	}
 	if c.Metrics().Unpersists == 0 {
@@ -321,8 +325,8 @@ func TestMemoryNeverExceedsCapacity(t *testing.T) {
 	}
 	iterativeWorkload(ctx, 4, 6, 120, true)
 	for _, ex := range c.Executors() {
-		if ex.Mem.Used() > cap {
-			t.Fatalf("executor %d used %d > capacity %d", ex.ID, ex.Mem.Used(), cap)
+		if used := ex.Mem.Capacity() - ex.Mem.Free(); used > cap {
+			t.Fatalf("executor %d used %d > capacity %d", ex.ID, used, cap)
 		}
 	}
 }
@@ -423,10 +427,7 @@ func TestEventLogRecordsLifecycle(t *testing.T) {
 }
 
 func TestClusterAccessors(t *testing.T) {
-	c, ctx := newTestCluster(t, NewSparkMemOnly(), 1024, false)
-	if c.Context() != ctx {
-		t.Fatal("Context accessor broken")
-	}
+	c, _ := newTestCluster(t, NewSparkMemOnly(), 1024, false)
 	if err := c.Params().Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -438,15 +439,9 @@ func TestClusterAccessors(t *testing.T) {
 		t.Fatalf("profiling time not charged into ACT: %v", m.ACT)
 	}
 	for _, ex := range c.Executors() {
-		if ex.Cores() != 1 {
-			t.Fatalf("default cores = %d, want 1", ex.Cores())
+		if len(ex.cores) != 1 {
+			t.Fatalf("default cores = %d, want 1", len(ex.cores))
 		}
-	}
-	if PlaceNone.String() != "none" || PlaceMemory.String() != "memory" || PlaceDisk.String() != "disk" {
-		t.Fatal("placement strings wrong")
-	}
-	if Placement(9).String() != "Placement(9)" {
-		t.Fatal("unknown placement string wrong")
 	}
 	if NewSparkMemOnly().Name() != "spark-mem" || NewAlluxio().Name() != "spark-alluxio" {
 		t.Fatal("controller names wrong")

@@ -35,14 +35,10 @@ import (
 // sequential loop, so Parallelism only ever changes wall-clock time,
 // never a virtual-time result.
 
-// ParallelStagesRan reports how many stages ran at least one segment on
-// concurrent workers, and ParallelTasksRan how many tasks ran there, for
+// ParallelTasksRan reports how many tasks ran on concurrent workers, for
 // tests guarding against the eligibility gate regressing into rejecting
-// everything. Not part of metrics: the counts legitimately differ
+// everything. Not part of metrics: the count legitimately differs
 // between Parallelism settings.
-func (c *Cluster) ParallelStagesRan() int { return c.parallelStages }
-
-// ParallelTasksRan: see ParallelStagesRan.
 func (c *Cluster) ParallelTasksRan() int { return c.parallelTasks }
 
 // segmenter is the reusable state of segmented dispatch, kept on the

@@ -37,7 +37,7 @@ func runIterative(t *testing.T, ctl Controller, par int, log *eventlog.Log) *Clu
 // concurrent workers.
 func TestParallelStagesActuallyRun(t *testing.T) {
 	c := runIterative(t, NewSparkMemDisk(), 8, nil)
-	if c.ParallelStagesRan() == 0 {
+	if c.parallelStages == 0 {
 		t.Fatalf("no stage ran on the parallel path; the eligibility gate rejected everything")
 	}
 }

@@ -101,13 +101,13 @@ func TestRealBytesSpillWritesFiles(t *testing.T) {
 	ds.Count()
 	c.Finish()
 
-	if c.pool.Dir() == "" {
+	if c.pool.dir == "" {
 		t.Fatal("real-bytes cluster has no storage dir")
 	}
 	blocks, files := 0, 0
 	for _, ex := range c.Executors() {
-		if filepath.Dir(ex.Disk.Dir()) != c.pool.Dir() {
-			t.Fatalf("disk store dir %q is not under the pool's %q", ex.Disk.Dir(), c.pool.Dir())
+		if filepath.Dir(ex.Disk.Dir()) != c.pool.dir {
+			t.Fatalf("disk store dir %q is not under the pool's %q", ex.Disk.Dir(), c.pool.dir)
 		}
 		for _, id := range ex.Disk.Blocks() {
 			blocks++

@@ -99,6 +99,17 @@ func TestCombineThenRouteEqualsRouteThenCombine(t *testing.T) {
 	}
 }
 
+// floatsKind puts []float64 values in a Ragged column for
+// TestRouteRaggedByRows; no workload registers one.
+type floatsKind struct{}
+
+func (floatsKind) Name() string                            { return "test.floats" }
+func (floatsKind) HasLead() bool                           { return false }
+func (floatsKind) Box(_ float64, span []float64) []float64 { return span }
+func (floatsKind) Unbox(v []float64) (float64, []float64)  { return 0, v }
+
+func init() { dataflow.RegisterKind(floatsKind{}) }
+
 // TestRouteRaggedByRows: a map output in a Ragged column with no
 // combiner is routed by rows, and its buckets hold the records, in
 // output order, and account the bytes of routing record by record.
@@ -115,7 +126,7 @@ func TestRouteRaggedByRows(t *testing.T) {
 			recs[i] = dataflow.Record{Key: rng.Int63n(90), Value: v}
 		}
 		in := dataflow.FromRecords(recs)
-		if _, ok := in.Col.(*dataflow.Ragged[float64, []float64, dataflow.FloatsKind]); !ok {
+		if _, ok := in.Col.(*dataflow.Ragged[float64, []float64, floatsKind]); !ok {
 			t.Fatalf("[]float64 values gave a %T column, want Ragged", in.Col)
 		}
 		want, wantBytes, wantWritten := rowRoute(dep, buckets, recs)

@@ -168,7 +168,7 @@ func TestMRDPrefetchPromotesFromDisk(t *testing.T) {
 		}
 	}
 	for _, ex := range c.Executors() {
-		if ex.Mem.Used() != 0 {
+		if ex.Mem.Free() != ex.Mem.Capacity() {
 			t.Fatal("setup: memory not empty")
 		}
 	}

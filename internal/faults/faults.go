@@ -48,7 +48,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -126,12 +125,6 @@ func (c Class) String() string {
 	}
 }
 
-// Transient reports whether the class is a task-granularity transient
-// fault (absorbed by retries/speculation) rather than a permanent loss.
-func (c Class) Transient() bool {
-	return c == TaskFlake || c == FetchFlake || c == Straggler
-}
-
 // AllClasses lists every fault class, permanent then transient.
 func AllClasses() []Class {
 	return []Class{ExecutorCacheLoss, BlockLoss, ShuffleLoss, ExecutorDeath, BucketLoss,
@@ -198,17 +191,6 @@ func ParseClasses(spec string) ([]Class, error) {
 	return out, nil
 }
 
-// FormatClasses renders a class list in the comma-separated syntax that
-// ParseClasses accepts, so FormatClasses and ParseClasses round-trip:
-// ParseClasses(FormatClasses(cs)) returns cs for any duplicate-free list.
-func FormatClasses(cs []Class) string {
-	parts := make([]string, len(cs))
-	for i, c := range cs {
-		parts[i] = c.String()
-	}
-	return strings.Join(parts, ",")
-}
-
 // Config describes an injection schedule.
 type Config struct {
 	// Seed drives every pseudo-random choice the injector makes.
@@ -241,39 +223,6 @@ type Config struct {
 	// StragglerWindow is the number of task executions a straggler
 	// window spans (default 3).
 	StragglerWindow int
-}
-
-// String renders the schedule as a stable key=value summary. The classes
-// field uses FormatClasses, so it round-trips through ParseClasses; zero
-// fields (which the injector maps to their documented defaults) are
-// omitted, and the zero Config renders as the empty string.
-func (cfg Config) String() string {
-	var parts []string
-	if cfg.Seed != 0 {
-		parts = append(parts, fmt.Sprintf("seed=%d", cfg.Seed))
-	}
-	if len(cfg.Classes) > 0 {
-		parts = append(parts, "classes="+FormatClasses(cfg.Classes))
-	}
-	if cfg.Every != 0 {
-		parts = append(parts, fmt.Sprintf("every=%d", cfg.Every))
-	}
-	if cfg.AtStageEnd {
-		parts = append(parts, "at-stage-end")
-	}
-	if cfg.MaxFaults != 0 {
-		parts = append(parts, fmt.Sprintf("max=%d", cfg.MaxFaults))
-	}
-	if cfg.TaskEvery != 0 {
-		parts = append(parts, fmt.Sprintf("task-every=%d", cfg.TaskEvery))
-	}
-	if cfg.StragglerFactor != 0 {
-		parts = append(parts, fmt.Sprintf("straggler-factor=%s", strconv.FormatFloat(cfg.StragglerFactor, 'g', -1, 64)))
-	}
-	if cfg.StragglerWindow != 0 {
-		parts = append(parts, fmt.Sprintf("straggler-window=%d", cfg.StragglerWindow))
-	}
-	return strings.Join(parts, ",")
 }
 
 // Validate rejects misconfigured schedules with a descriptive error, so

@@ -15,15 +15,13 @@ import (
 func init() {
 	dataflow.RegisterKind(AdjListKind{})
 	dataflow.RegisterKind(VertexRankKind{})
-	dataflow.RegisterKind(FactorsKind{})
 }
 
-// The payload columns: an adjacency list, a rank plus an adjacency list
-// (the lead), and a factor vector per record.
+// The payload columns: an adjacency list, and a rank plus an adjacency
+// list (the lead), per record.
 type (
 	adjListColumn    = dataflow.Ragged[int64, AdjList, AdjListKind]
 	vertexRankColumn = dataflow.Ragged[int64, VertexRank, VertexRankKind]
-	factorsColumn    = dataflow.Ragged[float64, Factors, FactorsKind]
 )
 
 // AdjListKind flattens AdjList values.
@@ -42,26 +40,17 @@ func (VertexRankKind) HasLead() bool                         { return true }
 func (VertexRankKind) Box(r float64, s []int64) VertexRank   { return VertexRank{Adj: s, Rank: r} }
 func (VertexRankKind) Unbox(v VertexRank) (float64, []int64) { return v.Rank, v.Adj }
 
-// FactorsKind flattens Factors values.
-type FactorsKind struct{}
-
-func (FactorsKind) Name() string                         { return "graphx.Factors" }
-func (FactorsKind) HasLead() bool                        { return false }
-func (FactorsKind) Box(_ float64, s []float64) Factors   { return Factors{V: s} }
-func (FactorsKind) Unbox(v Factors) (float64, []float64) { return 0, v.V }
-
 // --- PageRank kernels --------------------------------------------------
 
 // rankInitKernel vectorizes the rank-graph bootstrap Map: adjacency in,
 // VertexRank{Adj, Rank: 1} out. The row Map returns a non-nil slice, so
 // the output batch is always NonNil. The output borrows the adjacency's
-// keys and edges (dataflow.Borrow): only the ranks are new.
+// keys and edges (dataflow.Borrow): only the ranks are new. It and the
+// two Zip kernels below decline an empty input without a column to the
+// row body.
 func rankInitKernel() dataflow.BatchFunc {
 	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
 		in := ins[0]
-		if in.Len() == 0 {
-			return emptyNonNil()
-		}
 		if _, ok := in.Col.(*adjListColumn); !ok {
 			return nil
 		}
@@ -72,14 +61,6 @@ func rankInitKernel() dataflow.BatchFunc {
 		}
 		return out
 	}
-}
-
-// emptyNonNil is a Map or Zip kernel's output for an empty partition:
-// the row body returns a non-nil empty slice.
-func emptyNonNil() *dataflow.Batch {
-	out := dataflow.NewBatch(0)
-	out.NonNil = true
-	return out
 }
 
 // contribsKernel vectorizes the contributions FlatMap: one float64
@@ -127,9 +108,6 @@ func rankUpdateKernel(resetProb float64) dataflow.BatchFunc {
 		if !ok {
 			return nil
 		}
-		if gs.Len() == 0 {
-			return emptyNonNil()
-		}
 		if _, ok := gs.Col.(*vertexRankColumn); !ok {
 			return nil
 		}
@@ -163,9 +141,6 @@ func rankCarryKernel() dataflow.BatchFunc {
 			}
 			ranks = pc.Lead
 		}
-		if as.Len() == 0 {
-			return emptyNonNil()
-		}
 		if _, ok := as.Col.(*adjListColumn); !ok {
 			return nil
 		}
@@ -197,55 +172,4 @@ func f64Vals(b *dataflow.Batch) ([]float64, bool) {
 		return nil, false
 	}
 	return fc.Vals, true
-}
-
-// --- SVD++ kernels -----------------------------------------------------
-
-// factorsStepKernel vectorizes the item-factor Zip: each factor vector
-// is copied and, when a gradient exists for its key, stepped by
-// learnRate in place — the same order of operations as the row closure.
-// Its first input, the item factors, is columnar when a cached block of
-// them is read back decoded (real bytes); the gradients, a shuffle of a
-// row function's output, arrive in row form and are columnarized.
-func factorsStepKernel(learnRate float64) dataflow.BatchFunc {
-	return func(_ int, ins []*dataflow.Batch) *dataflow.Batch {
-		fs, gs := ins[0], ins[1]
-		var gc *factorsColumn
-		if gs.Len() > 0 {
-			var ok bool
-			gc, ok = gs.Col.(*factorsColumn)
-			if !ok {
-				return nil
-			}
-		}
-		if fs.Len() == 0 {
-			return emptyNonNil()
-		}
-		fc, ok := fs.Col.(*factorsColumn)
-		if !ok {
-			return nil
-		}
-		grad := dataflow.IndexKeys(gs.Keys) // a repeated key steps by its last gradient
-		out := dataflow.NewBatch(fs.Len())
-		out.NonNil = true // row Zip body returns make([]Record, len(fs))
-		oc := dataflow.NewRagged(FactorsKind{}, fs.Len())
-		out.Col = oc
-		for i, k := range fs.Keys {
-			lo, hi := fc.Off[i], fc.Off[i+1]
-			dlo := len(oc.Flat)
-			oc.Flat = dataflow.Append(oc.Flat, fc.Flat[lo:hi]...)
-			oc.Off = append(oc.Off, int32(len(oc.Flat)))
-			out.Keys = append(out.Keys, k)
-			if j, ok := grad.Find(k); ok {
-				glo := gc.Off[j]
-				nv := oc.Flat[dlo:]
-				g := gc.Flat[glo:gc.Off[j+1]]
-				for d := range nv {
-					nv[d] += learnRate * g[d]
-				}
-			}
-		}
-		grad.Release()
-		return out
-	}
 }

@@ -226,7 +226,7 @@ func SVDPP(ctx *dataflow.Context, cfg SVDPPConfig) float64 {
 					out[i] = dataflow.Record{Key: f.Key, Value: Factors{V: nv}}
 				}
 				return out
-			}).WithBatchKernel(factorsStepKernel(cfg.LearnRate))
+			})
 		if cfg.Annotate {
 			newUserF.Cache()
 			newItemF.Cache()

@@ -223,37 +223,8 @@ func Solve(p Problem, opts Options) (Solution, error) {
 	return best, nil
 }
 
-// BruteForce enumerates all 2^n assignments and returns the optimum. It
-// exists as the reference oracle for property-based tests and only
-// supports small n.
-func BruteForce(p Problem) (Solution, error) {
-	n := len(p.C)
-	if n > 20 {
-		return Solution{}, errors.New("ilp: brute force limited to 20 variables")
-	}
-	best := Solution{Objective: math.Inf(1)}
-	x := make([]int, n)
-	for mask := 0; mask < 1<<n; mask++ {
-		for i := 0; i < n; i++ {
-			x[i] = (mask >> i) & 1
-		}
-		if !feasible(p, x) {
-			continue
-		}
-		obj := 0.0
-		for i, v := range x {
-			obj += p.C[i] * float64(v)
-		}
-		if obj < best.Objective {
-			best = Solution{X: append([]int(nil), x...), Objective: obj, Optimal: true}
-		}
-	}
-	if math.IsInf(best.Objective, 1) {
-		return Solution{}, ErrInfeasible
-	}
-	return best, nil
-}
-
+// feasible reports whether the binary assignment x satisfies every
+// constraint of p.
 func feasible(p Problem, x []int) bool {
 	for _, con := range p.Constraints {
 		s := 0.0

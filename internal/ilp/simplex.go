@@ -10,7 +10,6 @@
 package ilp
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -33,35 +32,9 @@ type Constraint struct {
 	RHS    float64
 }
 
-// LPStatus describes the outcome of an LP solve.
-type LPStatus int
-
-const (
-	// LPOptimal means an optimal vertex was found.
-	LPOptimal LPStatus = iota
-	// LPInfeasible means the constraints admit no solution.
-	LPInfeasible
-	// LPUnbounded means the objective decreases without bound.
-	LPUnbounded
-)
-
-func (s LPStatus) String() string {
-	switch s {
-	case LPOptimal:
-		return "optimal"
-	case LPInfeasible:
-		return "infeasible"
-	case LPUnbounded:
-		return "unbounded"
-	default:
-		return fmt.Sprintf("LPStatus(%d)", int(s))
-	}
-}
-
 const eps = 1e-9
 
-// wsStatus is the internal outcome of a workspace LP solve. It is wider
-// than LPStatus: wsStuck reports that the pivot iteration cap was hit, a
+// wsStatus is the internal outcome of a workspace LP solve. wsStuck reports that the pivot iteration cap was hit, a
 // signal branch and bound handles by branching without a bound rather
 // than trusting a half-converged relaxation.
 type wsStatus int
@@ -135,7 +108,7 @@ type workspace struct {
 
 // newWorkspace assembles the equality-form matrix for p. It returns nil
 // if any constraint row has the wrong arity (the caller maps that to
-// LPInfeasible, matching the dense solver).
+// infeasible, matching the dense solver).
 func newWorkspace(p Problem) *workspace {
 	n := len(p.C)
 	m := len(p.Constraints)
@@ -588,24 +561,4 @@ func (w *workspace) objValue(x []float64) float64 {
 		obj += w.c[j] * x[j]
 	}
 	return obj
-}
-
-// solveLP minimizes c·x subject to the given constraints and
-// 0 <= x_i <= 1, via the bounded-variable simplex. It exists for unit
-// tests and one-shot callers; branch and bound uses the workspace
-// directly so bounds edits stay warm.
-func solveLP(c []float64, cons []Constraint) (x []float64, obj float64, status LPStatus) {
-	w := newWorkspace(Problem{C: c, Constraints: cons})
-	if w == nil {
-		return nil, 0, LPInfeasible
-	}
-	switch w.solveCurrent() {
-	case wsInfeasible:
-		return nil, 0, LPInfeasible
-	case wsUnbounded, wsStuck:
-		return nil, 0, LPUnbounded
-	}
-	x = make([]float64, len(c))
-	w.extractX(x)
-	return x, w.objValue(x), LPOptimal
 }

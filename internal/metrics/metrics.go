@@ -255,15 +255,6 @@ func (a *App) TotalBreakdown() Breakdown {
 	return b
 }
 
-// TotalEvictedBytes sums evicted bytes across executors.
-func (a *App) TotalEvictedBytes() int64 {
-	var n int64
-	for i := range a.Executors {
-		n += a.Executors[i].EvictedBytes
-	}
-	return n
-}
-
 // IncCacheHit counts one memory-store hit (task path, locked).
 func (a *App) IncCacheHit() {
 	a.mu.Lock()

@@ -31,9 +31,6 @@ func TestAppAggregation(t *testing.T) {
 	if tb.Compute != time.Second || tb.DiskIO != 2*time.Second {
 		t.Fatalf("total breakdown = %+v", tb)
 	}
-	if a.TotalEvictedBytes() != 150 {
-		t.Fatalf("evicted = %d, want 150", a.TotalEvictedBytes())
-	}
 }
 
 func TestAddRecomputeGrowsSeries(t *testing.T) {

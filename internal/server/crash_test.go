@@ -47,10 +47,10 @@ func TestServerCrashReleasesQuota(t *testing.T) {
 	if err := sess.Wait(); !errors.Is(err, faults.ErrServerCrash) {
 		t.Fatalf("crashed session: err = %v, want ErrServerCrash", err)
 	}
-	if peak := s.Quota().Peak("crashy"); peak == 0 {
+	if peak := s.quota.Peak("crashy"); peak == 0 {
 		t.Fatal("program cached nothing; the quota-release check is vacuous")
 	}
-	if used := s.Quota().Usage("crashy"); used != 0 {
+	if used := s.quota.Usage("crashy"); used != 0 {
 		t.Fatalf("quota ledger holds %d bytes after crash death, want 0", used)
 	}
 	if st := s.Stats(); st.ActiveSessions != 0 {
@@ -235,10 +235,10 @@ func TestDriverPanicFailsOnlyItsSession(t *testing.T) {
 		t.Fatalf("bystander checksums %v, want %v", sums, want)
 	}
 
-	if peak := s.Quota().Peak("doomed"); peak == 0 {
+	if peak := s.quota.Peak("doomed"); peak == 0 {
 		t.Fatal("the doomed session cached nothing; the release check is vacuous")
 	}
-	if used := s.Quota().Usage("doomed"); used != 0 {
+	if used := s.quota.Usage("doomed"); used != 0 {
 		t.Fatalf("quota ledger holds %d bytes after the failed session, want 0", used)
 	}
 	for _, ex := range s.Pool().Executors() {

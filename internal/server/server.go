@@ -249,9 +249,6 @@ func New(cfg Config) (*Server, error) {
 // Pool exposes the shared executor pool (stats and tests).
 func (s *Server) Pool() *engine.Pool { return s.pool }
 
-// Quota exposes the tenant quota ledger (nil when no tenant has one).
-func (s *Server) Quota() *storage.TenantQuota { return s.quota }
-
 // emit appends an event to the server's log, synchronized (the
 // arbiter calls this from job context, the server from session
 // goroutines).

@@ -171,11 +171,11 @@ func TestQuotaNeverExceededUnderPressure(t *testing.T) {
 	if err := sess.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if peak := s.Quota().Peak("tight"); peak > 2<<10 {
+	if peak := s.quota.Peak("tight"); peak > 2<<10 {
 		t.Fatalf("peak %d exceeds quota %d", peak, 2<<10)
 	}
 	met := sess.Metrics()
-	if s.Quota().Rejections("tight") == 0 && met.QuotaEvictions == 0 {
+	if s.quota.Rejections("tight") == 0 && met.QuotaEvictions == 0 {
 		t.Fatal("a tight quota should have refused or reclaimed at least one admission")
 	}
 }

@@ -425,10 +425,3 @@ func (s *Service) CompleteIDs() []int {
 	sort.Ints(ids)
 	return ids
 }
-
-// TotalWritten reports cumulative shuffle bytes written.
-func (s *Service) TotalWritten() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.totalWritten
-}

@@ -58,8 +58,8 @@ func TestWriteFetchLifecycle(t *testing.T) {
 	if want := recs(1, 2, 3); !reflect.DeepEqual(got, want) {
 		t.Fatalf("fetch bucket 0 = %v, want %v", got, want)
 	}
-	if s.TotalWritten() != 175 {
-		t.Fatalf("total written = %d, want 175", s.TotalWritten())
+	if s.totalWritten != 175 {
+		t.Fatalf("total written = %d, want 175", s.totalWritten)
 	}
 }
 
@@ -355,9 +355,9 @@ func TestSnapshotRestoresBothPlanes(t *testing.T) {
 	if err := r.Restore(&loaded); err != nil {
 		t.Fatal(err)
 	}
-	if r.TotalWritten() != s.TotalWritten() || !reflect.DeepEqual(r.CompleteIDs(), s.CompleteIDs()) ||
+	if r.totalWritten != s.totalWritten || !reflect.DeepEqual(r.CompleteIDs(), s.CompleteIDs()) ||
 		!reflect.DeepEqual(r.MissingMaps(3), s.MissingMaps(3)) {
-		t.Fatalf("restored bookkeeping differs: written %d/%d complete %v/%v", r.TotalWritten(), s.TotalWritten(), r.CompleteIDs(), s.CompleteIDs())
+		t.Fatalf("restored bookkeeping differs: written %d/%d complete %v/%v", r.totalWritten, s.totalWritten, r.CompleteIDs(), s.CompleteIDs())
 	}
 	for id, buckets := range map[int]int{1: 3, 2: 2} {
 		for b := 0; b < buckets; b++ {

@@ -90,12 +90,12 @@ func FuzzRecordsRoundTrip(f *testing.F) {
 		wantMarker := dataflow.BlockTyped
 		for _, r := range recs {
 			switch r.Value.(type) {
-			case float64, int64, []float64, graphx.AdjList, graphx.VertexRank, mllib.Vector:
+			case float64, int64, graphx.AdjList, graphx.VertexRank, mllib.Vector:
 				if reflect.TypeOf(r.Value) == reflect.TypeOf(recs[0].Value) {
 					continue
 				}
 			}
-			wantMarker = dataflow.BlockGob // mixed, or string / []byte / []int64 / LabeledPoint
+			wantMarker = dataflow.BlockGob // mixed, or string / []byte / []int64 / []float64 / LabeledPoint
 		}
 
 		data, err := storage.EncodeRecords(recs)

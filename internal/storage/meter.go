@@ -31,22 +31,6 @@ const (
 	numOpCategories
 )
 
-// String names the category as it appears in reports.
-func (c OpCategory) String() string {
-	switch c {
-	case MemEncode:
-		return "mem-encode"
-	case MemDecode:
-		return "mem-decode"
-	case DiskWrite:
-		return "disk-write"
-	case DiskRead:
-		return "disk-read"
-	default:
-		return "unknown"
-	}
-}
-
 // OpStats aggregates one category: how many operations ran, how many
 // real serialized bytes they moved, the wall-clock time they took, and
 // the virtual time the cost model charged for the same operations.
@@ -55,15 +39,6 @@ type OpStats struct {
 	Bytes   int64
 	Wall    time.Duration
 	Modeled time.Duration
-}
-
-// Ratio returns measured wall time over modeled virtual time, or 0 when
-// the model charged nothing for this category.
-func (s OpStats) Ratio() float64 {
-	if s.Modeled <= 0 {
-		return 0
-	}
-	return float64(s.Wall) / float64(s.Modeled)
 }
 
 // Meter accumulates the measured storage work of one real-bytes run:

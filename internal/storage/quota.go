@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -95,26 +94,6 @@ func (q *TenantQuota) Rejections(tenant string) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.rejections[tenant]
-}
-
-// Tenants returns every tenant name that has a limit or recorded usage,
-// sorted.
-func (q *TenantQuota) Tenants() []string {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	seen := make(map[string]bool)
-	for t := range q.limits {
-		seen[t] = true
-	}
-	for t := range q.usage {
-		seen[t] = true
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Owner implements QuotaController.

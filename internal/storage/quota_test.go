@@ -67,11 +67,6 @@ func TestTenantQuotaLedger(t *testing.T) {
 	if got := q.Usage(""); got != 0 {
 		t.Fatalf("unowned usage = %d, want 0", got)
 	}
-
-	tenants := q.Tenants()
-	if len(tenants) != 2 || tenants[0] != "a" || tenants[1] != "b" {
-		t.Fatalf("tenants = %v, want [a b]", tenants)
-	}
 }
 
 func TestTenantQuotaReleasePanicsOnNegative(t *testing.T) {

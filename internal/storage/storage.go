@@ -221,10 +221,6 @@ func (p Payload) shared() Payload {
 // borrowed until the block leaves the store (Batch takes a share).
 func (p Payload) view() Payload { return Payload{batch: p.batch} }
 
-// Records returns the rows of a payload a read returned: a row-form
-// batch's own records, a columnar one boxed.
-func (p Payload) Records() []dataflow.Record { return p.batch.Records() }
-
 // Batch returns the partition of a payload a read returned as a batch the
 // caller holds and releases, once per read: a fresh decode as it is,
 // anything a store keeps as one more share of it (dataflow.Batch.Share),
@@ -296,14 +292,8 @@ func NewMemoryStoreReal(capacity int64, meter *Meter, _ int) *MemoryStore {
 // owning tenant and fail past its limit. Call before any block is stored.
 func (m *MemoryStore) SetQuota(q QuotaController) { m.quota = q }
 
-// Quota returns the attached quota controller (nil when none).
-func (m *MemoryStore) Quota() QuotaController { return m.quota }
-
 // Capacity returns the configured capacity.
 func (m *MemoryStore) Capacity() int64 { return m.capacity }
-
-// Used returns the bytes currently occupied.
-func (m *MemoryStore) Used() int64 { return m.used }
 
 // Free returns the bytes available.
 func (m *MemoryStore) Free() int64 { return m.capacity - m.used }
@@ -317,7 +307,7 @@ func (m *MemoryStore) Contains(id BlockID) bool {
 // Get is Read as rows.
 func (m *MemoryStore) Get(id BlockID, now time.Duration) ([]dataflow.Record, *BlockMeta, bool) {
 	p, meta, ok := m.Read(id, now)
-	return p.Records(), meta, ok
+	return p.batch.Records(), meta, ok
 }
 
 // Read returns the block's contents and metadata, updating access stats.

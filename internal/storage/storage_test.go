@@ -72,8 +72,8 @@ func TestMemoryStorePutGetRemove(t *testing.T) {
 	if meta.Executor != 3 || meta.Size != 400 {
 		t.Fatalf("meta = %+v", meta)
 	}
-	if m.Used() != 400 || m.Free() != 600 {
-		t.Fatalf("used=%d free=%d", m.Used(), m.Free())
+	if m.used != 400 || m.Free() != 600 {
+		t.Fatalf("used=%d free=%d", m.used, m.Free())
 	}
 	got, gm, ok := m.Get(id, 2*time.Second)
 	if !ok || len(got) != 1 || gm.AccessCount != 1 || gm.LastAccess != 2*time.Second {
@@ -82,8 +82,8 @@ func TestMemoryStorePutGetRemove(t *testing.T) {
 	if _, _, ok := m.Remove(id); !ok {
 		t.Fatal("remove failed")
 	}
-	if m.Used() != 0 {
-		t.Fatalf("used after remove = %d", m.Used())
+	if m.used != 0 {
+		t.Fatalf("used after remove = %d", m.used)
 	}
 	if m.Contains(id) {
 		t.Fatal("block still present after remove")
@@ -207,7 +207,7 @@ func TestMemoryStoreAccountingInvariant(t *testing.T) {
 			for _, s := range live {
 				want += s
 			}
-			if m.Used() != want {
+			if m.used != want {
 				return false
 			}
 		}
@@ -291,7 +291,7 @@ func TestDiskStoreAccessors(t *testing.T) {
 		t.Fatal("contains should see the block")
 	}
 	p, size, ok := d.Read(BlockID{2, 1})
-	if got := p.Records(); !ok || size != 64 || len(got) != 1 || got[0].Key != 5 {
+	if got := p.batch.Records(); !ok || size != 64 || len(got) != 1 || got[0].Key != 5 {
 		t.Fatalf("get = %v %d %v", got, size, ok)
 	}
 	if err := d.Put(BlockID{1, 0}, Fresh(nil), 32); err != nil {
@@ -478,8 +478,8 @@ func TestPayloadTierMoves(t *testing.T) {
 			t.Fatal("the promoted block is not the disk's batch")
 		}
 		m.Drop(id) // the memory store's share; the disk's stays
-		if r, _, _ := d.Read(id); !reflect.DeepEqual(r.Records(), want) {
-			t.Fatalf("disk block after the promoted share was dropped: %v, want %v", r.Records(), want)
+		if r, _, _ := d.Read(id); !reflect.DeepEqual(r.batch.Records(), want) {
+			t.Fatalf("disk block after the promoted share was dropped: %v, want %v", r.batch.Records(), want)
 		}
 	})
 
@@ -495,7 +495,7 @@ func TestPayloadTierMoves(t *testing.T) {
 	if !ok || size != 64 {
 		t.Fatalf("Remove = size %d, ok %v", size, ok)
 	}
-	if m.Contains(id) || m.Used() != 0 {
+	if m.Contains(id) || m.used != 0 {
 		t.Fatal("block still resident after Remove")
 	}
 	if err := d.Put(id, p, size); err != nil {
@@ -550,7 +550,7 @@ func TestDiskStoreRealFiles(t *testing.T) {
 	}
 
 	p, size, ok := d.Read(id)
-	if got := p.Records(); !ok || size != 100 || len(got) != 1 || got[0].Value.(float64) != 9.5 {
+	if got := p.batch.Records(); !ok || size != 100 || len(got) != 1 || got[0].Value.(float64) != 9.5 {
 		t.Fatalf("get from file wrong: %+v size=%d ok=%v", got, size, ok)
 	}
 	if snap := meter.Snapshot(); snap.DiskRead.Ops != 1 {
@@ -681,7 +681,7 @@ func TestDiskStorePutEncodedSkipsSerialization(t *testing.T) {
 		t.Fatalf("an encoded payload must reach its file as it is: %+v", snap)
 	}
 	read, size, ok := d.Read(id)
-	if got := read.Records(); !ok || size != 80 || got[0].Value.(float64) != 0.5 {
+	if got := read.batch.Records(); !ok || size != 80 || got[0].Value.(float64) != 0.5 {
 		t.Fatalf("encoded put round trip wrong: %+v size=%d ok=%v", got, size, ok)
 	}
 	if err := d.Put(id, p, 80); err == nil {
@@ -763,14 +763,14 @@ func TestBatchBlockOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	dp, _, _ := d.Read(id)
-	check("disk after a spill", dp.Records())
+	check("disk after a spill", dp.batch.Records())
 	promoted, _, _ := d.Load(id)
 	if _, err := m.Admit(id, promoted, size, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	m.Drop(id) // releases the memory store's share, not the disk's
 	dp, _, _ = d.Read(id)
-	check("disk after the promoted copy was dropped", dp.Records())
+	check("disk after the promoted copy was dropped", dp.batch.Records())
 }
 
 // TestDecodedReadIsHandedOver: a real-bytes read decodes afresh and

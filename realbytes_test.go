@@ -14,7 +14,7 @@ func TestRealBytesMeasuresWork(t *testing.T) {
 	cfg := quarter(blaze.SysSparkMemDisk, blaze.PR)
 	cfg.MemoryPerExecutor = 16 * 1024 // force spills
 	res := batchCell(cfg).run(t, arm{par: 1, kernels: true, real: true}).res
-	if written, _ := res.DiskFootprint(); written == 0 {
+	if res.Metrics.DiskBytesWritten == 0 {
 		t.Fatal("run did not spill; tighten MemoryPerExecutor")
 	}
 	st := res.Storage
@@ -27,7 +27,7 @@ func TestRealBytesMeasuresWork(t *testing.T) {
 	// Every memory hit is one real decode (under this tight capacity
 	// most reads are disk reloads, so hits may be zero — the equality
 	// still must hold).
-	memHits, _, _ := res.CacheActivity()
+	memHits := res.Metrics.CacheHits
 	if st.MemDecode.Ops != memHits || st.DecodeCacheHits != 0 {
 		t.Errorf("memory hits unaccounted: hits=%d decodes=%d cacheHits=%d",
 			memHits, st.MemDecode.Ops, st.DecodeCacheHits)
@@ -52,8 +52,8 @@ func TestRealBytesMeasuresWork(t *testing.T) {
 		if c.Stats.Wall <= 0 || c.Stats.Modeled <= 0 {
 			continue
 		}
-		if r := c.Stats.Ratio(); r < 1e-3 || r > 1e3 {
-			t.Errorf("%s: measured %v / modeled %v = %.2e over %d ops, outside [1e-3, 1e3]",
+		if r := float64(c.Stats.Wall) / float64(c.Stats.Modeled); r < 1e-3 || r > 1e3 {
+			t.Errorf("category %d: measured %v / modeled %v = %.2e over %d ops, outside [1e-3, 1e3]",
 				c.Category, c.Stats.Wall, c.Stats.Modeled, r, c.Stats.Ops)
 		}
 	}
@@ -71,7 +71,7 @@ func TestRealBytesAlluxioDecodesEveryRead(t *testing.T) {
 	if st.DecodeCacheHits != 0 {
 		t.Errorf("no read may skip its decode, got %d", st.DecodeCacheHits)
 	}
-	memHits, _, _ := res.CacheActivity()
+	memHits := res.Metrics.CacheHits
 	if memHits == 0 {
 		t.Fatal("run produced no memory hits; nothing was exercised")
 	}

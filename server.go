@@ -181,10 +181,6 @@ func (s *Server) Submit(ctx context.Context, spec JobSpec) (*JobHandle, error) {
 // granted, aggregate ACT and quota usage/peak/rejections.
 func (s *Server) Stats() ServerStats { return s.srv.Stats() }
 
-// Close stops admission, cancels queued (not yet started) jobs and
-// waits for running jobs to drain.
-func (s *Server) Close() { s.srv.Close() }
-
 // Shutdown is graceful Close with a deadline: admission stops and
 // queued jobs are cancelled immediately, then running jobs get until
 // ctx expires to drain. Past the deadline they are cancelled too —
@@ -209,10 +205,6 @@ func (h *JobHandle) Tenant() string { return h.sess.Tenant() }
 
 // Done returns a channel closed when the job completes.
 func (h *JobHandle) Done() <-chan struct{} { return h.sess.Done() }
-
-// Wait blocks until the job completes and returns its error
-// (ErrCancelled for cancelled jobs, nil on success).
-func (h *JobHandle) Wait() error { return h.sess.Wait() }
 
 // Cancel requests cancellation. Queued jobs never start; running jobs
 // unwind at their next job boundary (the job step in flight completes —

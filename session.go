@@ -445,9 +445,6 @@ func (s *Session) Submit(driver func(ctx *Context)) error {
 	return s.st.Do(driver)
 }
 
-// Window returns the current 1-based window index.
-func (s *Session) Window() int { return s.window }
-
 // NextWindow closes the current window and opens the next: the
 // controller retires lineage whose lifetime has passed and re-solves the
 // placement ILP over the surviving candidates. The

@@ -1,7 +1,6 @@
 package blaze_test
 
 import (
-	"fmt"
 	"testing"
 
 	"blaze"
@@ -87,7 +86,8 @@ func TestSessionClosed(t *testing.T) {
 // proving the windowed code is inert outside sessions.
 func TestStreamOneShotUnchanged(t *testing.T) {
 	res := batchCell(quarter(blaze.SysBlaze, blaze.PR)).run(t, p1).res
-	windows, retired, deltas := res.StreamActivity()
+	m := res.Metrics
+	windows, retired, deltas := m.WindowsRun, m.PartitionsRetired, m.ILPDeltaSolves
 	if windows != 0 || retired != 0 || deltas != 0 {
 		t.Errorf("one-shot run reports streaming activity: windows=%d retired=%d deltas=%d",
 			windows, retired, deltas)
@@ -116,33 +116,5 @@ func TestStreamWindowStatsShape(t *testing.T) {
 	}
 	if deltas != m.ILPDeltaSolves {
 		t.Errorf("per-window delta-solve sum %d != app total %d", deltas, m.ILPDeltaSolves)
-	}
-}
-
-// TestResultActivityAccessors covers the non-streaming accessor
-// satellites on Result: RecoveryActivity returns a copy of the
-// per-class recovery durations, ResilienceActivity the retry and
-// speculation counters.
-func TestResultActivityAccessors(t *testing.T) {
-	res := batchCell(faulty(quarter(blaze.SysBlaze, blaze.PR), blaze.FaultExecutorDeath)).run(t, p1).res
-	if res.Metrics.FaultsInjected == 0 {
-		t.Fatal("fault schedule injected nothing")
-	}
-	rec := res.RecoveryActivity()
-	if len(rec) == 0 {
-		t.Error("RecoveryActivity empty despite injected executor deaths")
-	}
-	for class, d := range rec {
-		if d <= 0 {
-			t.Errorf("class %q: non-positive recovery duration %v", class, d)
-		}
-	}
-	rec[fmt.Sprintf("probe-%d", 1)] = 1 // must not alias the metrics map
-	if len(res.RecoveryActivity()) == len(rec) {
-		t.Error("RecoveryActivity returned the internal map, not a copy")
-	}
-	taskRetries, _, _, _ := res.ResilienceActivity()
-	if taskRetries != res.Metrics.TaskRetries {
-		t.Errorf("ResilienceActivity taskRetries=%d, metrics say %d", taskRetries, res.Metrics.TaskRetries)
 	}
 }
